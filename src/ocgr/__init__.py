@@ -1,5 +1,7 @@
 """Goal recognition for STRIPS tasks via operator-counting LP heuristics."""
 
+import logging
+
 from .constraints import (ALL_FAMILIES, ConstraintSet, LinearConstraint,
                           base_constraints, dump_constraints, hmax,
                           landmark_constraints, net_change_constraints,
@@ -23,3 +25,6 @@ from .recognition import (HypothesisScore, RecognitionReport, RecognizerConfig,
                           score_all, score_hypothesis, uncertainty)
 
 __version__ = "0.1.0"
+
+# quiet unless the application configures logging
+logging.getLogger(__name__).addHandler(logging.NullHandler())

@@ -12,19 +12,18 @@ import hashlib
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from .constraints import ALL_FAMILIES
 from .errors import CapExceeded, OcgrError
-from .generators import GENERATORS, write_bundle
+from .generators import GENERATORS, GeneratedBundle, write_bundle
 from .grounding import PlanningTask, relaxed_reachable
-from .inputs import (GoalHypotheses, ObservationSequence, bundle_from_texts,
-                     load_bundle)
+from .inputs import (Bundle, GoalHypotheses, ObservationSequence,
+                     bundle_from_texts, load_bundle)
 from .oracle import OPTIMAL, Plan, optimal_cost, validate_plan
-from .recognition import (METHOD_DELTA_U, METHODS, RecognizerConfig, _select,
-                          score_all)
+from .recognition import (METHOD_DELTA_U, METHODS, RecognizerConfig,
+                          score_all, select)
 
 CLEAN_LEVELS = (10, 30, 50, 70, 100)
 NOISY_LEVELS = (25, 50, 75, 100)
@@ -46,7 +45,6 @@ class SuiteSpec:
     suboptimal_fraction: float = 0.5
     methods: tuple[str, ...] = (METHOD_DELTA_U,)
     seed: int = 0
-    workers: int = 1
     timings: bool = False
     constraint_families: tuple[str, ...] = ALL_FAMILIES
     backend: str = "simplex"
@@ -98,7 +96,6 @@ def save_manifest(spec: SuiteSpec, path: str | Path) -> None:
         "suboptimal_fraction": spec.suboptimal_fraction,
         "methods": list(spec.methods),
         "seed": spec.seed,
-        "workers": spec.workers,
         "timings": spec.timings,
         "constraint_families": list(spec.constraint_families),
         "backend": spec.backend,
@@ -187,6 +184,17 @@ def _splice_detour(task: PlanningTask, goal: frozenset[int], plan: Plan,
     return plan
 
 
+def _witness_plan(task: PlanningTask, goal: frozenset[int], suboptimal: bool,
+                  rng: random.Random, cap: int | None = None) -> Plan:
+    """An optimal plan for ``goal``, degraded by one detour when ``suboptimal``."""
+    result = optimal_cost(task, goal, cap=cap)
+    if result.status != OPTIMAL:
+        raise CapExceeded(f"no witness plan for the hidden goal ({result.status})")
+    if suboptimal:
+        return _splice_detour(task, goal, result.plan, rng, cap)
+    return result.plan
+
+
 def generate_problem(task: PlanningTask, hyps: GoalHypotheses, hidden: int,
                      pct: int, noise: int, seed: int, *, suboptimal: bool = False,
                      plan: Plan | None = None, domain_name: str = "task",
@@ -194,14 +202,8 @@ def generate_problem(task: PlanningTask, hyps: GoalHypotheses, hidden: int,
                      ) -> RecognitionProblem:
     """Compose a recognition problem from a witness plan for the hidden goal."""
     rng = random.Random(seed)
-    goal = hyps.goals[hidden]
     if plan is None:
-        result = optimal_cost(task, goal, cap=search_cap)
-        if result.status != OPTIMAL:
-            raise CapExceeded(f"no witness plan for the hidden goal ({result.status})")
-        plan = result.plan
-        if suboptimal:
-            plan = _splice_detour(task, goal, plan, rng, search_cap)
+        plan = _witness_plan(task, hyps.goals[hidden], suboptimal, rng, search_cap)
     obs = sample_observations(plan, pct, rng)
     if noise > 0:
         obs = inject_noise(obs, task, hyps, noise, rng, exclude=plan.steps)
@@ -243,6 +245,25 @@ class SuiteResult:
     aggregates: tuple[AggregateRow, ...]
 
 
+def _generated_instance(spec: SuiteSpec, family: str, j: int
+                        ) -> tuple[GeneratedBundle, Bundle, Plan, int]:
+    """The j-th generated bundle of ``family``: its files, the parsed bundle,
+    the witness plan for its hidden goal, and the seed its levels derive from.
+
+    A ``spec.suboptimal_fraction`` share of the indices gets a detoured plan.
+    """
+    base_seed = stable_seed(spec.seed, family, j)
+    generated = GENERATORS[family](random.Random(base_seed))
+    parsed = bundle_from_texts(dict(generated.files), require_obs=False, path=f"<{family}-{j}>")
+    suboptimal = int((j + 1) * spec.suboptimal_fraction) > int(j * spec.suboptimal_fraction)
+    try:
+        plan = _witness_plan(parsed.task, parsed.hyps.goals[parsed.hyps.hidden], suboptimal,
+                             random.Random(stable_seed(base_seed, "detour")))
+    except CapExceeded as exc:
+        raise CapExceeded(f"{family}-{j}: {exc}") from exc
+    return generated, parsed, plan, base_seed
+
+
 def generated_problems(spec: SuiteSpec) -> list[RecognitionProblem]:
     """Materialize every (bundle|generated problem) x observability level.
 
@@ -267,19 +288,7 @@ def generated_problems(spec: SuiteSpec) -> list[RecognitionProblem]:
                 pct=pct, noise=spec.noise_count, seed=spec.seed))
     for family in spec.families:
         for j in range(spec.per_family):
-            base_seed = stable_seed(spec.seed, family, j)
-            bundle = GENERATORS[family](random.Random(base_seed))
-            parsed = bundle_from_texts(dict(bundle.files), require_obs=False,
-                                       path=f"<{family}-{j}>")
-            suboptimal = int((j + 1) * spec.suboptimal_fraction) > int(j * spec.suboptimal_fraction)
-            goal = parsed.hyps.goals[parsed.hyps.hidden]
-            result = optimal_cost(parsed.task, goal)
-            if result.status != OPTIMAL:
-                raise CapExceeded(f"{family}-{j}: witness search {result.status}")
-            plan = result.plan
-            if suboptimal:
-                plan = _splice_detour(parsed.task, goal, plan,
-                                      random.Random(stable_seed(base_seed, "detour")), None)
+            bundle, parsed, plan, base_seed = _generated_instance(spec, family, j)
             for pct in spec.levels():
                 problems.append(generate_problem(
                     parsed.task, parsed.hyps, parsed.hyps.hidden, pct, spec.noise_count,
@@ -304,9 +313,7 @@ def _evaluate(problem: RecognitionProblem, spec: SuiteSpec) -> list[Row]:
     rows = []
     for method in spec.methods:
         t1 = time.perf_counter()
-        key = "h_hc" if method in ("hc", "hc-u") else "delta"
-        use_u = method.endswith("-u")
-        selected, u, _ = _select(scores, key, use_u, len(problem.obs), config)
+        selected, u, _ = select(scores, method, len(problem.obs), config)
         row_time = elapsed + (time.perf_counter() - t1)
         correct = (problem.hidden in selected) if problem.hidden is not None else None
         rows.append(Row(**common, method=method, time_s=row_time, correct=correct,
@@ -315,13 +322,7 @@ def _evaluate(problem: RecognitionProblem, spec: SuiteSpec) -> list[Row]:
 
 
 def run_suite(spec: SuiteSpec) -> SuiteResult:
-    problems = generated_problems(spec)
-    if spec.workers > 1 and len(problems) > 1:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            nested = list(pool.map(lambda p: _evaluate(p, spec), problems))
-    else:
-        nested = [_evaluate(p, spec) for p in problems]
-    rows = [row for group in nested for row in group]
+    rows = [row for p in generated_problems(spec) for row in _evaluate(p, spec)]
     rows.sort(key=lambda r: (r.domain, r.problem_id, r.pct if r.pct is not None else -1,
                              r.noise, r.method))
 
@@ -411,11 +412,9 @@ def materialize_suite(spec: SuiteSpec, out_dir: str | Path, *, pct: int = 100,
     written: list[Path] = []
     for family in spec.families:
         for j in range(spec.per_family):
-            base_seed = stable_seed(spec.seed, family, j)
-            bundle = GENERATORS[family](random.Random(base_seed))
-            parsed = bundle_from_texts(dict(bundle.files), require_obs=False)
+            bundle, parsed, plan, base_seed = _generated_instance(spec, family, j)
             problem = generate_problem(parsed.task, parsed.hyps, parsed.hyps.hidden,
-                                       pct, noise, seed=stable_seed(base_seed, pct))
+                                       pct, noise, seed=stable_seed(base_seed, pct), plan=plan)
             obs_text = "".join(parsed.task.actions[a].text() + "\n" for a in problem.obs.obs)
             files = dict(bundle.files)
             files["obs.dat"] = obs_text

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import GoalUnreachable
@@ -38,19 +37,12 @@ ALL_FAMILIES = (FAMILY_LANDMARKS, FAMILY_NET_CHANGE, FAMILY_POST_HOC)
 _LMCUT_ROUND_GUARD = 100_000
 
 
-def _num(x):
-    """Collapse integral Fractions to int for tidy reporting."""
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
-
-
 @dataclass(frozen=True)
 class LinearConstraint:
     """sum(coef * Y_action) >= rhs; coefficients are nonzero."""
 
-    terms: tuple[tuple[int, int | Fraction], ...]
-    rhs: int | Fraction
+    terms: tuple[tuple[int, int], ...]
+    rhs: int
     source: str
 
     def satisfied_by(self, counts: Sequence, tol: float = 1e-9) -> bool:
@@ -60,8 +52,8 @@ class LinearConstraint:
         def name(a: int) -> str:
             return f"({action_names[a]})" if action_names is not None else f"Y{a}"
 
-        body = " + ".join(f"{_num(c)}*{name(a)}" for a, c in self.terms) or "0"
-        return f"sum {body} >= {_num(self.rhs)} [{self.source}]"
+        body = " + ".join(f"{c}*{name(a)}" for a, c in self.terms) or "0"
+        return f"sum {body} >= {self.rhs} [{self.source}]"
 
 
 @dataclass(frozen=True)
@@ -112,7 +104,7 @@ def _hmax_values(num_nodes: int, pres: Sequence[tuple[int, ...]],
             for q in adds[ai]:
                 relax(q, costs[ai])
     for f in start:
-        relax(f, 0 * costs[0] if costs else 0)
+        relax(f, 0)
 
     while heap:
         val, fact = heapq.heappop(heap)
@@ -135,9 +127,7 @@ def hmax(task: PlanningTask, from_facts: Iterable[int], goal: Iterable[int],
     if not goal:
         return 0
     costs = task.costs if costs is None else costs
-    pres = [tuple(sorted(a.pre)) for a in task.actions]
-    adds = [tuple(sorted(a.adds)) for a in task.actions]
-    values = _hmax_values(task.num_facts, pres, adds, costs, from_facts)
+    values = _hmax_values(task.num_facts, task.pres, task.adds, costs, from_facts)
     return max(values[g] for g in goal)
 
 
@@ -147,8 +137,8 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> ConstraintS
     Each round picks, per action, its maximum-h_max precondition (ties by
     lowest fact index) as the supporter, extracts the cut between the
     init-side zone and the zero-cost goal zone, emits it as a landmark and
-    reduces the cut actions' residual costs by the cut minimum. Residual
-    arithmetic is exact rationals.
+    reduces the cut actions' residual costs by the cut minimum. Costs are
+    integers, so residuals stay exact integers.
     """
     goal = frozenset(goal)
     num_a = task.num_actions
@@ -156,13 +146,11 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> ConstraintS
         return ConstraintSet((), num_a)
     goal_node = task.num_facts
     num_nodes = task.num_facts + 1
-    pres = [tuple(sorted(a.pre)) for a in task.actions] + [tuple(sorted(goal))]
-    adds = [tuple(sorted(a.adds)) for a in task.actions] + [(goal_node,)]
-    residual: list[Fraction] = [Fraction(c) for c in task.costs] + [Fraction(0)]
-    adders: list[list[int]] = [[] for _ in range(num_nodes)]
-    for ai, alist in enumerate(adds):
-        for q in alist:
-            adders[q].append(ai)
+    # a virtual goal action (id num_a, cost 0) adds the goal node
+    pres = task.pres + (tuple(sorted(goal)),)
+    adds = task.adds + ((goal_node,),)
+    adders = task.adders + ((num_a,),)
+    residual = list(task.costs) + [0]
     init = sorted(task.init)
 
     out: list[LinearConstraint] = []
@@ -254,14 +242,10 @@ def net_change_constraints(task: PlanningTask, goal: Iterable[int]) -> Constrain
     stays feasible. rhs = [fact in goal] - [fact in init].
     """
     goal = frozenset(goal)
-    producers: list[list[int]] = [[] for _ in range(task.num_facts)]
-    for a in task.actions:
-        for f in a.adds - a.pre:
-            producers[f].append(a.id)
     out: list[LinearConstraint] = []
     for f in range(task.num_facts):
         rhs = (1 if f in goal else 0) - (1 if f in task.init else 0)
-        terms = [(a, 1) for a in producers[f]] + [(a, -1) for a in task.consumers[f]]
+        terms = [(a, 1) for a in task.producers[f]] + [(a, -1) for a in task.consumers[f]]
         if not terms:
             if rhs > 0:
                 raise GoalUnreachable(
@@ -280,9 +264,7 @@ def posthoc_constraints(task: PlanningTask, goal: Iterable[int]) -> ConstraintSe
     goal = sorted(set(goal))
     if not goal:
         return ConstraintSet((), task.num_actions)
-    pres = [tuple(sorted(a.pre)) for a in task.actions]
-    adds = [tuple(sorted(a.adds)) for a in task.actions]
-    values = _hmax_values(task.num_facts, pres, adds, task.costs, task.init)
+    values = _hmax_values(task.num_facts, task.pres, task.adds, task.costs, task.init)
     out: list[LinearConstraint] = []
     for g in goal:
         hv = values[g]
@@ -298,13 +280,13 @@ def posthoc_constraints(task: PlanningTask, goal: Iterable[int]) -> ConstraintSe
             for ai in task.adders[f]:
                 if ai not in relevant_actions:
                     relevant_actions.add(ai)
-                    for p in task.actions[ai].pre:
+                    for p in task.pres[ai]:
                         if p not in relevant_facts:
                             relevant_facts.add(p)
                             frontier.append(p)
-        terms = tuple((a, task.actions[a].cost) for a in sorted(relevant_actions)
-                      if task.actions[a].cost != 0)
-        out.append(LinearConstraint(terms=terms, rhs=_num(hv), source=SRC_POST_HOC))
+        terms = tuple((a, task.costs[a]) for a in sorted(relevant_actions)
+                      if task.costs[a] != 0)
+        out.append(LinearConstraint(terms=terms, rhs=hv, source=SRC_POST_HOC))
     return ConstraintSet(tuple(out), task.num_actions)
 
 

@@ -66,22 +66,36 @@ class PlanningTask:
         return {a.name: a.id for a in self.actions}
 
     @cached_property
-    def adders(self) -> tuple[tuple[int, ...], ...]:
-        """For each fact, the ids of actions adding it."""
+    def pres(self) -> tuple[tuple[int, ...], ...]:
+        """For each action, its precondition facts in ascending order."""
+        return tuple(tuple(sorted(a.pre)) for a in self.actions)
+
+    @cached_property
+    def adds(self) -> tuple[tuple[int, ...], ...]:
+        """For each action, its add effects in ascending order."""
+        return tuple(tuple(sorted(a.adds)) for a in self.actions)
+
+    def _by_fact(self, facts_of) -> tuple[tuple[int, ...], ...]:
         by_fact: list[list[int]] = [[] for _ in range(len(self.facts))]
         for a in self.actions:
-            for f in sorted(a.adds):
+            for f in facts_of(a):
                 by_fact[f].append(a.id)
         return tuple(tuple(v) for v in by_fact)
 
     @cached_property
+    def adders(self) -> tuple[tuple[int, ...], ...]:
+        """For each fact, the ids of actions adding it."""
+        return self._by_fact(lambda a: a.adds)
+
+    @cached_property
+    def producers(self) -> tuple[tuple[int, ...], ...]:
+        """For each fact, the ids of actions adding it without requiring it."""
+        return self._by_fact(lambda a: a.adds - a.pre)
+
+    @cached_property
     def consumers(self) -> tuple[tuple[int, ...], ...]:
         """For each fact, the ids of actions with it in both pre and del."""
-        by_fact: list[list[int]] = [[] for _ in range(len(self.facts))]
-        for a in self.actions:
-            for f in sorted(a.dels & a.pre):
-                by_fact[f].append(a.id)
-        return tuple(tuple(v) for v in by_fact)
+        return self._by_fact(lambda a: a.dels & a.pre)
 
     @cached_property
     def costs(self) -> tuple[int, ...]:

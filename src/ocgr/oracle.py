@@ -8,12 +8,11 @@ tie-breaking so emitted witness plans are deterministic.
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import CapExceeded
-from .grounding import PlanningTask
+from .grounding import PlanningTask, _env_cap
 
 DEFAULT_OPTIMAL_CAP = 5_000_000
 DEFAULT_COUNTS_CAP = 2_000_000
@@ -23,11 +22,6 @@ DEFAULT_ENUM_NODES = 500_000
 UNREACHABLE = "unreachable"
 CAP_EXCEEDED = "cap-exceeded"
 OPTIMAL = "optimal"
-
-
-def _env_cap(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    return int(raw) if raw else default
 
 
 @dataclass(frozen=True)

@@ -170,6 +170,20 @@ def _select(scores: tuple[HypothesisScore, ...], key: str, use_uncertainty: bool
     return selected, u, None
 
 
+def select(scores: tuple[HypothesisScore, ...], method: str, obs_len: int,
+           config: RecognizerConfig = RecognizerConfig()
+           ) -> tuple[tuple[int, ...], float | None, tuple[int, ...] | None]:
+    """Selected goals, the threshold ratio and, only when every hypothesis is
+    infeasible, the fallback ranking by h.
+
+    ``hc`` methods rank by h_hc and ``delta`` methods by delta; the ``-u``
+    variants widen the threshold by the uncertainty ratio.
+    """
+    key = "h_hc" if method in (METHOD_HC, METHOD_HC_U) else "delta"
+    use_u = method in (METHOD_HC_U, METHOD_DELTA_U)
+    return _select(scores, key, use_u, obs_len, config)
+
+
 def recognize(task: PlanningTask, hyps: GoalHypotheses, obs: ObservationSequence,
               method: str = METHOD_DELTA_U,
               config: RecognizerConfig = RecognizerConfig()) -> RecognitionReport:
@@ -179,9 +193,7 @@ def recognize(task: PlanningTask, hyps: GoalHypotheses, obs: ObservationSequence
         raise ValueError("at least one goal hypothesis is required")
     scores, timings = score_all(task, hyps, obs, config)
     t0 = time.perf_counter()
-    key = "h_hc" if method in (METHOD_HC, METHOD_HC_U) else "delta"
-    use_u = method in (METHOD_HC_U, METHOD_DELTA_U)
-    selected, u, fallback = _select(scores, key, use_u, len(obs), config)
+    selected, u, fallback = select(scores, method, len(obs), config)
     timings = dict(timings)
     timings["selection"] = time.perf_counter() - t0
     return RecognitionReport(scores=scores, uncertainty=u, selected=selected,

@@ -187,12 +187,6 @@ def test_run_suite_bundle_mode(tmp_path):
     assert full.correct and full.selected == (0,)
 
 
-def test_run_suite_workers_match_sequential():
-    seq = run_suite(_tiny_spec(workers=1))
-    par = run_suite(_tiny_spec(workers=4))
-    assert format_rows(seq.rows, False) == format_rows(par.rows, False)
-
-
 def test_rows_accuracy_definition():
     result = run_suite(_tiny_spec())
     for agg in result.aggregates:

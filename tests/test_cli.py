@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from conftest import CHAIN_DOMAIN
+from ocgr.bench import SuiteSpec, generated_problems
 from ocgr.cli import main
 from ocgr.errors import SolverFailure
 from ocgr.generators import demo_grid_bundle, write_bundle
@@ -138,6 +139,16 @@ def test_gen_deterministic(tmp_path):
         assert main(["gen", "--out", str(out), "--family", "blocks",
                      "--count", "2", "--seed", "9"]) == 0
     assert _tree_bytes(a) == _tree_bytes(b)
+
+
+@pytest.mark.parametrize("family", ["grid", "blocks", "logistics", "corridor"])
+def test_gen_observations_match_bench_problems(tmp_path, family):
+    assert main(["gen", "--out", str(tmp_path), "--family", family,
+                 "--count", "4", "--seed", "7", "--pct", "100"]) == 0
+    spec = SuiteSpec(families=(family,), per_family=4, seed=7, observability=(100,))
+    for problem in generated_problems(spec):
+        written = (tmp_path / problem.problem_id / "obs.dat").read_text().splitlines()
+        assert written == [problem.task.actions[a].text() for a in problem.obs.obs]
 
 
 def test_bench_command(tmp_path, demo_dir, capsys):

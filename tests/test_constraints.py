@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -212,6 +213,22 @@ def test_constraint_soundness_against_enumerated_plans():
                     assert row.satisfied_by(counts), (name, row.text(), plan.steps)
             plans_checked += 1
     assert plans_checked >= 25
+
+
+def test_rows_have_int_coefficients_and_rhs():
+    rng = random.Random(29)
+    rows_checked = 0
+    for _ in range(30):
+        task = make_micro_task(rng)
+        task = PlanningTask(
+            facts=task.facts, init=task.init, goal=task.goal,
+            actions=tuple(replace(a, cost=rng.randint(1, 3)) for a in task.actions))
+        for gen in (landmark_constraints, posthoc_constraints):
+            for row in gen(task, task.goal):
+                assert type(row.rhs) is int, row.text()
+                assert all(type(c) is int for _, c in row.terms), row.text()
+                rows_checked += 1
+    assert rows_checked >= 30
 
 
 def test_dump_format(chain):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -107,3 +111,18 @@ def test_ground_cap_env_override(monkeypatch):
         _move_task(prune=False)
     monkeypatch.setenv("OCGR_GROUND_CAP", "100")
     assert _move_task(prune=False).num_actions == 4
+
+
+def test_grounding_warnings_stay_off_stderr_by_default():
+    # pytest attaches handlers to the root logger, so check a bare interpreter
+    code = ("import random\n"
+            "from ocgr import bundle_from_texts\n"
+            "from ocgr.generators import gen_blocks\n"
+            "files = gen_blocks(random.Random(1)).files\n"
+            "assert bundle_from_texts(dict(files), require_obs=False).task.num_actions\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
