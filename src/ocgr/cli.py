@@ -15,8 +15,8 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .constraints import ALL_FAMILIES, base_constraints, dump_constraints
-from .errors import (BackendUnavailable, GroundingError, OcgrError,
-                     PddlParseError, SolverFailure)
+from .errors import (BackendUnavailable, GoalUnreachable, GroundingError,
+                     OcgrError, PddlParseError, SolverFailure)
 from .generators import GENERATORS, demo_grid_bundle, write_bundle
 from .inputs import Bundle, bundle_from_texts, load_bundle
 from .lp import LinearProgram, solve_with
@@ -221,8 +221,12 @@ def _cmd_heuristic(args: argparse.Namespace) -> int:
             value = "unreachable"
         print(f"lp[{family}] = {value}")
     if args.dump_constraints or args.dump_lp:
-        cset = base_constraints(task, goal).merge(
-            observation_constraints(bundle.obs, task.num_actions))
+        try:
+            base = base_constraints(task, goal)
+        except GoalUnreachable as exc:
+            print(f"# G{idx}: {exc}")
+            return EXIT_OK
+        cset = base.merge(observation_constraints(bundle.obs, task.num_actions))
         if args.dump_constraints:
             print(dump_constraints(cset, task))
         if args.dump_lp:

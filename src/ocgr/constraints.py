@@ -81,14 +81,15 @@ def dump_constraints(cset: ConstraintSet, task: PlanningTask | None = None) -> s
     return "\n".join(c.text(names) for c in cset)
 
 
-def _hmax_values(num_nodes: int, pres: Sequence[tuple[int, ...]],
-                 adds: Sequence[tuple[int, ...]], costs: Sequence,
+def _hmax_values(pres: Sequence[tuple[int, ...]], adds: Sequence[tuple[int, ...]],
+                 by_pre: Sequence[tuple[int, ...]], costs: Sequence,
                  start: Iterable[int]) -> list:
-    """Generalized Dijkstra fixpoint; returns per-node h_max values."""
-    by_pre: list[list[int]] = [[] for _ in range(num_nodes)]
-    for ai, pre in enumerate(pres):
-        for f in pre:
-            by_pre[f].append(ai)
+    """Generalized Dijkstra fixpoint; returns per-node h_max values.
+
+    ``by_pre[f]`` lists the actions with node ``f`` among their ``pres``,
+    so it has one entry per node.
+    """
+    num_nodes = len(by_pre)
     values: list = [INF] * num_nodes
     settled = [False] * num_nodes
     unsat = [len(pre) for pre in pres]
@@ -127,7 +128,7 @@ def hmax(task: PlanningTask, from_facts: Iterable[int], goal: Iterable[int],
     if not goal:
         return 0
     costs = task.costs if costs is None else costs
-    values = _hmax_values(task.num_facts, task.pres, task.adds, costs, from_facts)
+    values = _hmax_values(task.pres, task.adds, task.by_pre, costs, from_facts)
     return max(values[g] for g in goal)
 
 
@@ -150,13 +151,16 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> ConstraintS
     pres = task.pres + (tuple(sorted(goal)),)
     adds = task.adds + ((goal_node,),)
     adders = task.adders + ((num_a,),)
+    by_pre = list(task.by_pre) + [()]
+    for g in goal:
+        by_pre[g] += (num_a,)
     residual = list(task.costs) + [0]
     init = sorted(task.init)
 
     out: list[LinearConstraint] = []
     seen: set[tuple[int, ...]] = set()
     for _ in range(_LMCUT_ROUND_GUARD):
-        values = _hmax_values(num_nodes, pres, adds, residual, init)
+        values = _hmax_values(pres, adds, by_pre, residual, init)
         hg = values[goal_node]
         if hg == INF:
             raise GoalUnreachable("goal unreachable in the delete relaxation")
@@ -264,7 +268,7 @@ def posthoc_constraints(task: PlanningTask, goal: Iterable[int]) -> ConstraintSe
     goal = sorted(set(goal))
     if not goal:
         return ConstraintSet((), task.num_actions)
-    values = _hmax_values(task.num_facts, task.pres, task.adds, task.costs, task.init)
+    values = _hmax_values(task.pres, task.adds, task.by_pre, task.costs, task.init)
     out: list[LinearConstraint] = []
     for g in goal:
         hv = values[g]

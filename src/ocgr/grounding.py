@@ -88,6 +88,11 @@ class PlanningTask:
         return self._by_fact(lambda a: a.adds)
 
     @cached_property
+    def by_pre(self) -> tuple[tuple[int, ...], ...]:
+        """For each fact, the ids of actions requiring it."""
+        return self._by_fact(lambda a: a.pre)
+
+    @cached_property
     def producers(self) -> tuple[tuple[int, ...], ...]:
         """For each fact, the ids of actions adding it without requiring it."""
         return self._by_fact(lambda a: a.adds - a.pre)

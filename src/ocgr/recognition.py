@@ -13,7 +13,9 @@ an infinite value and such hypotheses are never selected.
 
 from __future__ import annotations
 
+import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -78,57 +80,93 @@ def observation_constraints(obs: ObservationSequence, num_actions: int) -> Const
     return ConstraintSet(rows, num_actions)
 
 
+# Per-goal base results of the task scored last, keyed by
+# (goal, families, backend): the base ConstraintSet and its LpOutcome, or
+# None when the goal is relaxed-unreachable. h depends only on the task and
+# the goal, so re-scoring that task with other observations solves only the
+# h_hc LPs. One task at a time keeps memory flat when a caller holds many
+# tasks; the task is held weakly and matched by identity (tasks are frozen).
+_memo_lock = threading.Lock()
+_memo_task: weakref.ref | None = None
+_memo_bases: dict = {}
+
+
+def _base_memo(task: PlanningTask) -> dict:
+    """The memo for ``task``, fresh unless ``task`` was the one scored last."""
+    global _memo_task, _memo_bases
+    with _memo_lock:
+        if _memo_task is None or _memo_task() is not task:
+            _memo_task, _memo_bases = weakref.ref(task), {}
+        return _memo_bases
+
+
 def _score_one(task: PlanningTask, goal_index: int, goal: frozenset[int],
-               obs: ObservationSequence, config: RecognizerConfig
+               obs: ObservationSequence, config: RecognizerConfig, memo: dict
                ) -> tuple[HypothesisScore, float, float]:
-    t0 = time.perf_counter()
-    try:
-        base = base_constraints(task, goal, config.families)
-    except GoalUnreachable:
+    key = (goal, frozenset(config.families), config.backend)
+    t_cons = t_lp = 0.0
+    if key in memo:
+        entry = memo[key]
+    else:
+        # Workers scoring equal goals may both get here; they store equal entries.
+        t0 = time.perf_counter()
+        try:
+            base = base_constraints(task, goal, config.families)
+        except GoalUnreachable:
+            base = None
         t1 = time.perf_counter()
-        return HypothesisScore(goal_index, INF, INF, INF), t1 - t0, 0.0
-    t1 = time.perf_counter()
+        t_cons = t1 - t0
+        entry = None
+        if base is not None:
+            out = solve_with(LinearProgram.from_constraints(base, task.costs), config.backend)
+            if out.status not in (OPTIMAL, INFEASIBLE):
+                raise SolverFailure(f"base LP for hypothesis {goal_index} came back {out.status}")
+            entry = (base, out)
+            t_lp = time.perf_counter() - t1
+        memo[key] = entry
+    if entry is None or entry[1].status == INFEASIBLE:
+        return HypothesisScore(goal_index, INF, INF, INF), t_cons, t_lp
 
-    out = solve_with(LinearProgram.from_constraints(base, task.costs), config.backend)
-    if out.status not in (OPTIMAL, INFEASIBLE):
-        raise SolverFailure(f"base LP for hypothesis {goal_index} came back {out.status}")
-    if out.status == INFEASIBLE:
-        t2 = time.perf_counter()
-        return HypothesisScore(goal_index, INF, INF, INF), t1 - t0, t2 - t1
-
+    base, out = entry
     h = out.value
     counts_base = out.counts if config.keep_counts else None
+    t2 = time.perf_counter()
     hc_set = base.merge(observation_constraints(obs, task.num_actions))
+    t3 = time.perf_counter()
     out_hc = solve_with(LinearProgram.from_constraints(hc_set, task.costs), config.backend)
     if out_hc.status not in (OPTIMAL, INFEASIBLE):
         raise SolverFailure(f"observation LP for hypothesis {goal_index} came back {out_hc.status}")
-    t2 = time.perf_counter()
+    t_cons += t3 - t2
+    t_lp += time.perf_counter() - t3
     if out_hc.status == INFEASIBLE:
-        return (HypothesisScore(goal_index, h, INF, INF, counts_base, None),
-                t1 - t0, t2 - t1)
+        return HypothesisScore(goal_index, h, INF, INF, counts_base, None), t_cons, t_lp
     score = HypothesisScore(goal_index, h, out_hc.value, out_hc.value - h,
                             counts_base, out_hc.counts if config.keep_counts else None)
-    return score, t1 - t0, t2 - t1
+    return score, t_cons, t_lp
 
 
 def score_hypothesis(task: PlanningTask, goal: Iterable[int], obs: ObservationSequence,
                      config: RecognizerConfig = RecognizerConfig(),
                      goal_index: int = 0) -> HypothesisScore:
-    score, _, _ = _score_one(task, goal_index, frozenset(goal), obs, config)
+    score, _, _ = _score_one(task, goal_index, frozenset(goal), obs, config, _base_memo(task))
     return score
 
 
 def score_all(task: PlanningTask, hyps: GoalHypotheses, obs: ObservationSequence,
               config: RecognizerConfig = RecognizerConfig()
               ) -> tuple[tuple[HypothesisScore, ...], dict[str, float]]:
-    """Score every hypothesis; results are index-ordered regardless of scheduling."""
+    """Score every hypothesis; results are index-ordered regardless of scheduling.
+
+    Base results (h) are reused from an earlier call on the same task object.
+    """
     jobs = list(enumerate(hyps.goals))
+    memo = _base_memo(task)
     if config.workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(
-                lambda job: _score_one(task, job[0], job[1], obs, config), jobs))
+                lambda job: _score_one(task, job[0], job[1], obs, config, memo), jobs))
     else:
-        results = [_score_one(task, i, g, obs, config) for i, g in jobs]
+        results = [_score_one(task, i, g, obs, config, memo) for i, g in jobs]
     scores = tuple(r[0] for r in results)
     timings = {"constraints": sum(r[1] for r in results),
                "lp": sum(r[2] for r in results)}

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from ocgr.generators import demo_grid_bundle
+from ocgr.generators import CORRIDOR_DOMAIN, demo_grid_bundle
 from ocgr.grounding import GroundAction, PlanningTask
 from ocgr.inputs import Bundle, bundle_from_texts
 from ocgr.pddl import parse_domain, parse_problem
@@ -38,6 +38,27 @@ MOVE_DOMAIN = """\
     :precondition (at ?a)
     :effect (and (at ?b) (visited ?b) (not (at ?a)))))
 """
+
+ONE_WAY_BUNDLE = {
+    "domain.pddl": CORRIDOR_DOMAIN,
+    "template.pddl": ("(define (problem fork) (:domain corridor)"
+                      " (:objects s0 l1 l2 r1 r2 - node)"
+                      " (:init (at s0) (linked s0 l1) (linked l1 l2)"
+                      " (linked s0 r1) (linked r1 r2)))"),
+    "hyps.dat": "(at l2)\n(at r2)\n",
+    "real_hyp.dat": "(at l2)\n",
+}
+
+# The one-way fork plus an island i1 -> i2 that nothing links to from s0,
+# so the third hypothesis is relaxed-unreachable.
+ISLAND_BUNDLE = {
+    **ONE_WAY_BUNDLE,
+    "template.pddl": ("(define (problem fork) (:domain corridor)"
+                      " (:objects s0 l1 l2 r1 r2 i1 i2 - node)"
+                      " (:init (at s0) (linked s0 l1) (linked l1 l2)"
+                      " (linked s0 r1) (linked r1 r2) (linked i1 i2)))"),
+    "hyps.dat": "(at l2)\n(at r2)\n(at i2)\n",
+}
 
 
 def chain_task() -> PlanningTask:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CHAIN_DOMAIN
+from conftest import CHAIN_DOMAIN, ISLAND_BUNDLE
 from ocgr.bench import SuiteSpec, generated_problems
 from ocgr.cli import main
 from ocgr.errors import SolverFailure
@@ -108,6 +108,16 @@ def test_heuristic_command(demo_dir, capsys):
     assert "h    = 3.0" in out
     assert "h_hc = 7.0" in out
     assert "lp[lm]" in out and "lp[nc]" in out and "lp[ph]" in out
+
+
+def test_heuristic_dumps_for_unreachable_hypothesis(tmp_path, capsys):
+    d = tmp_path / "island"
+    write_bundle(d, {**ISLAND_BUNDLE, "obs.dat": "(walk s0 l1)\n"})
+    for dump in ("--dump-constraints", "--dump-lp"):
+        assert main(["heuristic", "-b", str(d), "--goal-index", "2", dump]) == 0
+        out = capsys.readouterr().out
+        assert "h    = inf" in out
+        assert "# G2: " in out
 
 
 def test_plan_command_chain(tmp_path, capsys):

@@ -1,13 +1,19 @@
+import gc
 import json
 import random
+import sys
+import weakref
 
 import pytest
 
-from conftest import make_micro_task
-from ocgr.generators import CORRIDOR_DOMAIN
-from ocgr.inputs import ObservationSequence, bundle_from_texts
+from conftest import ISLAND_BUNDLE, ONE_WAY_BUNDLE, make_micro_task
+from ocgr.bench import SuiteSpec, materialize_suite
+from ocgr.errors import SolverFailure
+from ocgr.generators import demo_grid_bundle
+from ocgr.inputs import (GoalHypotheses, ObservationSequence, bundle_from_texts,
+                         load_bundle)
 from ocgr.oracle import Plan, optimal_cost
-from ocgr.recognition import (INF, RecognizerConfig,
+from ocgr.recognition import (INF, METHODS, RecognizerConfig,
                               full_observation_guarantee_check,
                               observation_constraints, recognize,
                               recognize_delta, recognize_hc, report_from_dict,
@@ -144,17 +150,6 @@ def test_dominance_on_random_tasks():
             assert s.delta >= -1e-6
 
 
-ONE_WAY_BUNDLE = {
-    "domain.pddl": CORRIDOR_DOMAIN,
-    "template.pddl": ("(define (problem fork) (:domain corridor)"
-                      " (:objects s0 l1 l2 r1 r2 - node)"
-                      " (:init (at s0) (linked s0 l1) (linked l1 l2)"
-                      " (linked s0 r1) (linked r1 r2)))"),
-    "hyps.dat": "(at l2)\n(at r2)\n",
-    "real_hyp.dat": "(at l2)\n",
-}
-
-
 def test_one_way_fork_infeasible_noise():
     """A noisy action on the other one-way branch makes both goals infeasible."""
     b = bundle_from_texts(dict(ONE_WAY_BUNDLE), require_obs=False)
@@ -255,3 +250,98 @@ def test_uncertainty_basis_h_variant(demo_bundle):
     report = recognize(task, hyps, one, "delta-u", cfg)
     # min h = 3, |O| = 1 -> U = 1 + 2/3
     assert abs(report.uncertainty - (1 + 2 / 3)) <= 1e-9
+
+
+def _island():
+    b = bundle_from_texts(dict(ISLAND_BUNDLE), require_obs=False)
+    act = b.task.action_index
+    return b, [_obs(), _obs(act["walk s0 l1"]), _obs(act["walk s0 l1"], act["walk s0 r1"])]
+
+
+def test_rescoring_a_task_solves_each_base_lp_once(monkeypatch):
+    import ocgr.recognition as rec
+
+    b = bundle_from_texts(dict(demo_grid_bundle().files))
+    solves = []
+    real = rec.solve_with
+    monkeypatch.setattr(rec, "solve_with",
+                        lambda lp, backend: solves.append(lp) or real(lp, backend))
+    k = len(b.hyps)
+    recognize(b.task, b.hyps, b.obs)
+    assert len(solves) == k + k
+    recognize(b.task, b.hyps, ObservationSequence(b.obs.obs[:2]))
+    assert len(solves) == k + k + k
+
+
+def _outcome(report):
+    return ([(repr(s.h), repr(s.h_hc), repr(s.delta)) for s in report.scores],
+            repr(report.uncertainty), report.selected)
+
+
+def test_reused_base_results_match_a_fresh_grounding(tmp_path):
+    """Scoring one task at every level equals scoring a freshly grounded copy each time."""
+    spec = SuiteSpec(families=("grid", "blocks", "logistics", "corridor"), per_family=2,
+                     seed=11)
+    sources = [lambda: bundle_from_texts(dict(demo_grid_bundle().files))]
+    sources += [lambda d=d: load_bundle(d)
+                for d in materialize_suite(spec, tmp_path, pct=100, noise=1)]
+    island, island_obs = _island()
+    cases = [(lambda: bundle_from_texts(dict(ISLAND_BUNDLE), require_obs=False), island_obs)]
+    for load in sources:
+        full = load().obs.obs
+        cases.append((load, [ObservationSequence(full[:n])
+                             for n in sorted({0, 1, len(full) // 2, len(full)})]))
+    for load, levels in cases:
+        shared = load()
+        reused = [_outcome(recognize(shared.task, shared.hyps, obs, method))
+                  for obs in levels for method in METHODS]
+        fresh = []
+        for obs in levels:
+            for method in METHODS:
+                b = load()
+                fresh.append(_outcome(recognize(b.task, b.hyps, obs, method)))
+        assert reused == fresh
+
+
+def test_threaded_scoring_with_reused_bases_matches_sequential():
+    b, levels = _island()
+    hyps = GoalHypotheses(goals=b.hyps.goals * 3, lines=b.hyps.lines * 3, hidden=0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for obs in levels:
+            par, _ = score_all(b.task, hyps, obs, RecognizerConfig(workers=2))
+            seq, _ = score_all(bundle_from_texts(dict(ISLAND_BUNDLE), require_obs=False).task,
+                               hyps, obs, RecognizerConfig(workers=1))
+            assert par == seq
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_failed_base_lp_is_solved_again():
+    from ocgr.lp import UNBOUNDED, LpOutcome, register_backend, solve_lp
+
+    calls = []
+
+    def flaky(lp):
+        calls.append(lp)
+        return LpOutcome(UNBOUNDED) if len(calls) == 1 else solve_lp(lp)
+
+    register_backend("flaky-test", flaky)
+    b = bundle_from_texts(dict(demo_grid_bundle().files))
+    config = RecognizerConfig(backend="flaky-test")
+    with pytest.raises(SolverFailure, match="base LP for hypothesis 0 came back unbounded"):
+        recognize(b.task, b.hyps, b.obs, config=config)
+    report = recognize(b.task, b.hyps, b.obs, config=config)
+    assert report.scores == recognize(b.task, b.hyps, b.obs).scores
+
+
+def test_scored_task_is_not_kept_alive():
+    b = bundle_from_texts(dict(demo_grid_bundle().files))
+    task, hyps, obs = b.task, b.hyps, b.obs
+    del b
+    recognize(task, hyps, obs)
+    ref = weakref.ref(task)
+    del task
+    gc.collect()
+    assert ref() is None
