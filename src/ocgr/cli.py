@@ -21,8 +21,9 @@ from .generators import GENERATORS, demo_grid_bundle, write_bundle
 from .inputs import Bundle, bundle_from_texts, load_bundle
 from .lp import LinearProgram, solve_with
 from .oracle import optimal_cost
-from .recognition import (METHOD_DELTA_U, METHODS, RecognizerConfig,
-                          format_report, recognize, report_to_dict)
+from .recognition import (METHOD_DELTA_U, METHODS, RecognizerConfig, base_rows,
+                          format_report, recognize, report_to_dict,
+                          score_hypothesis)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -64,8 +65,9 @@ def _families(raw: str) -> tuple[str, ...]:
     return fams
 
 
-def _dump_lp_text(lp: LinearProgram, names: list[str]) -> str:
-    """LP-format style text dump for cross-checking with external tools."""
+def _dump_lp_text(lp: LinearProgram, names: list[str], floors: dict[int, int]) -> str:
+    """LP-format style text dump for cross-checking with external tools;
+    the observation floors are lower bounds."""
     lines = ["Minimize", " obj: " + " + ".join(
         f"{c:g} y{i}" for i, c in enumerate(lp.objective) if c) ]
     lines.append("Subject To")
@@ -74,9 +76,30 @@ def _dump_lp_text(lp: LinearProgram, names: list[str]) -> str:
         lines.append(f" c{i}: {body} >= {float(row.rhs):g}  \\ {row.source}")
     lines.append("Bounds")
     for i, name in enumerate(names):
-        lines.append(f" 0 <= y{i}  \\ ({name})")
+        lines.append(f" {floors.get(i, 0)} <= y{i}  \\ ({name})")
     lines.append("End")
     return "\n".join(lines)
+
+
+def _print_dumps(args: argparse.Namespace, bundle: Bundle, idx: int,
+                 config: RecognizerConfig) -> None:
+    """The LP scoring solves for hypothesis ``idx``: its base rows, as
+    recognition built them, and the observation floors as bounds."""
+    task = bundle.task
+    try:
+        rows = base_rows(task, bundle.hyps.goals[idx], config, idx)
+    except GoalUnreachable as exc:
+        print(f"# G{idx}: {exc}")
+        return
+    floors = bundle.obs.counts
+    names = [a.name for a in task.actions]
+    print(f"# constraints for G{idx}")
+    if args.dump_constraints:
+        print(dump_constraints(rows, task))
+        for a, k in sorted(floors.items()):
+            print(f"({names[a]}) >= {k} [bound]")
+    if args.dump_lp:
+        print(_dump_lp_text(LinearProgram.from_constraints(rows, task.costs), names, floors))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,18 +154,8 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
                               workers=max(1, args.workers))
     report = recognize(bundle.task, bundle.hyps, bundle.obs, args.method, config)
     if args.dump_constraints or args.dump_lp:
-        for idx, goal in enumerate(bundle.hyps.goals):
-            try:
-                cset = base_constraints(bundle.task, goal, config.families)
-            except OcgrError as exc:
-                print(f"# G{idx}: {exc}")
-                continue
-            print(f"# constraints for G{idx}")
-            if args.dump_constraints:
-                print(dump_constraints(cset, bundle.task))
-            if args.dump_lp:
-                print(_dump_lp_text(LinearProgram.from_constraints(cset, bundle.task.costs),
-                                    [a.name for a in bundle.task.actions]))
+        for idx in range(len(bundle.hyps)):
+            _print_dumps(args, bundle, idx, config)
     if args.json:
         doc = report_to_dict(report)
         doc["goals"] = list(bundle.hyps.lines)
@@ -205,9 +218,8 @@ def _cmd_heuristic(args: argparse.Namespace) -> int:
     idx = _pick_goal(bundle, args.goal_index)
     goal = bundle.hyps.goals[idx]
     task = bundle.task
-    from .recognition import observation_constraints, score_hypothesis
-    score = score_hypothesis(task, goal, bundle.obs,
-                             RecognizerConfig(backend=args.backend), goal_index=idx)
+    config = RecognizerConfig(backend=args.backend)
+    score = score_hypothesis(task, goal, bundle.obs, config, goal_index=idx)
     print(f"G{idx}: {bundle.hyps.lines[idx]}")
     print(f"h    = {score.h}")
     print(f"h_hc = {score.h_hc}  (|O| = {len(bundle.obs)})")
@@ -221,17 +233,7 @@ def _cmd_heuristic(args: argparse.Namespace) -> int:
             value = "unreachable"
         print(f"lp[{family}] = {value}")
     if args.dump_constraints or args.dump_lp:
-        try:
-            base = base_constraints(task, goal)
-        except GoalUnreachable as exc:
-            print(f"# G{idx}: {exc}")
-            return EXIT_OK
-        cset = base.merge(observation_constraints(bundle.obs, task.num_actions))
-        if args.dump_constraints:
-            print(dump_constraints(cset, task))
-        if args.dump_lp:
-            print(_dump_lp_text(LinearProgram.from_constraints(cset, task.costs),
-                                [a.name for a in task.actions]))
+        _print_dumps(args, bundle, idx, config)
     return EXIT_OK
 
 

@@ -1,9 +1,12 @@
 """Goal recognition over operator-counting LPs.
 
-For each hypothesis G we solve the base LP (value h) and the LP augmented
-with per-action observation floors Y_a >= k_a (value h_hc). Selection uses
-either h_hc directly or the enforcement delta h_hc - h, optionally widened
-by the uncertainty ratio
+For each hypothesis G we solve the base LP (value h) and the LP with
+per-action observation floors Y_a >= k_a (value h_hc). The floors are
+applied as a shift y = k + z: the h_hc LP keeps the base rows with rhs
+b - A k, h_hc = c . (k + z), and its solve starts from the base LP's
+optimal basis, which stays dual feasible when only the rhs changes.
+Selection uses either h_hc directly or the enforcement delta h_hc - h,
+optionally widened by the uncertainty ratio
 
     U = 1 + (min_G h_hc - |O|) / min_G h_hc
 
@@ -20,12 +23,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .constraints import (ALL_FAMILIES, SRC_OBSERVATION, ConstraintSet,
                           LinearConstraint, base_constraints)
 from .errors import GoalUnreachable, SolverFailure
 from .grounding import PlanningTask
 from .inputs import GoalHypotheses, ObservationSequence
-from .lp import INFEASIBLE, OPTIMAL, LinearProgram, solve_with
+from .lp import INFEASIBLE, OPTIMAL, LinearProgram, LpOutcome, solve_with
 from .oracle import Plan, validate_plan
 
 INF = float("inf")
@@ -80,12 +85,22 @@ def observation_constraints(obs: ObservationSequence, num_actions: int) -> Const
     return ConstraintSet(rows, num_actions)
 
 
+def _shifted(base: ConstraintSet, floors: Mapping[int, int]) -> ConstraintSet:
+    """The rows of ``base`` over z = y - k: each rhs less sum(coef * k_a)."""
+    rows = []
+    for row in base:
+        shift = sum(coef * floors[a] for a, coef in row.terms if a in floors)
+        rows.append(LinearConstraint(row.terms, row.rhs - shift, row.source) if shift else row)
+    return ConstraintSet(tuple(rows), base.num_actions)
+
+
 # Per-goal base results of the task scored last, keyed by
-# (goal, families, backend): the base ConstraintSet and its LpOutcome, or
-# None when the goal is relaxed-unreachable. h depends only on the task and
-# the goal, so re-scoring that task with other observations solves only the
-# h_hc LPs. One task at a time keeps memory flat when a caller holds many
-# tasks; the task is held weakly and matched by identity (tasks are frozen).
+# (goal, families, backend): the base ConstraintSet and its LpOutcome (which
+# carries the optimal basis the h_hc solves start from), or the reason the
+# goal is relaxed-unreachable. h depends only on the task and the goal, so
+# re-scoring that task with other observations solves only the h_hc LPs.
+# One task at a time keeps memory flat when a caller holds many tasks; the
+# task is held weakly and matched by identity (tasks are frozen).
 _memo_lock = threading.Lock()
 _memo_task: weakref.ref | None = None
 _memo_bases: dict = {}
@@ -100,48 +115,70 @@ def _base_memo(task: PlanningTask) -> dict:
         return _memo_bases
 
 
+def _base(task: PlanningTask, goal_index: int, goal: frozenset[int],
+          config: RecognizerConfig, memo: dict
+          ) -> tuple[tuple[ConstraintSet, LpOutcome] | str, float, float]:
+    """The memo entry of ``goal``, built and stored on a miss, with the
+    seconds spent on constraints and on the LP."""
+    key = (goal, frozenset(config.families), config.backend)
+    if key in memo:
+        return memo[key], 0.0, 0.0
+    # Workers scoring equal goals may both get here; they store equal entries.
+    t0 = time.perf_counter()
+    try:
+        base = base_constraints(task, goal, config.families)
+    except GoalUnreachable as exc:
+        reason = memo[key] = str(exc)
+        return reason, time.perf_counter() - t0, 0.0
+    t1 = time.perf_counter()
+    out = solve_with(LinearProgram.from_constraints(base, task.costs), config.backend)
+    if out.status not in (OPTIMAL, INFEASIBLE):
+        raise SolverFailure(f"base LP for hypothesis {goal_index} came back {out.status}")
+    entry = memo[key] = (base, out)
+    return entry, t1 - t0, time.perf_counter() - t1
+
+
+def base_rows(task: PlanningTask, goal: Iterable[int],
+              config: RecognizerConfig = RecognizerConfig(),
+              goal_index: int = 0) -> ConstraintSet:
+    """The base rows scoring uses for ``goal``, built (and the base LP
+    solved) only when ``task`` is not the task scored last. Raises
+    GoalUnreachable when the goal is relaxed-unreachable."""
+    entry, _, _ = _base(task, goal_index, frozenset(goal), config, _base_memo(task))
+    if isinstance(entry, str):
+        raise GoalUnreachable(entry)
+    return entry[0]
+
+
 def _score_one(task: PlanningTask, goal_index: int, goal: frozenset[int],
                obs: ObservationSequence, config: RecognizerConfig, memo: dict
                ) -> tuple[HypothesisScore, float, float]:
-    key = (goal, frozenset(config.families), config.backend)
-    t_cons = t_lp = 0.0
-    if key in memo:
-        entry = memo[key]
-    else:
-        # Workers scoring equal goals may both get here; they store equal entries.
-        t0 = time.perf_counter()
-        try:
-            base = base_constraints(task, goal, config.families)
-        except GoalUnreachable:
-            base = None
-        t1 = time.perf_counter()
-        t_cons = t1 - t0
-        entry = None
-        if base is not None:
-            out = solve_with(LinearProgram.from_constraints(base, task.costs), config.backend)
-            if out.status not in (OPTIMAL, INFEASIBLE):
-                raise SolverFailure(f"base LP for hypothesis {goal_index} came back {out.status}")
-            entry = (base, out)
-            t_lp = time.perf_counter() - t1
-        memo[key] = entry
-    if entry is None or entry[1].status == INFEASIBLE:
+    entry, t_cons, t_lp = _base(task, goal_index, goal, config, memo)
+    if isinstance(entry, str) or entry[1].status == INFEASIBLE:
         return HypothesisScore(goal_index, INF, INF, INF), t_cons, t_lp
 
     base, out = entry
     h = out.value
     counts_base = out.counts if config.keep_counts else None
+    # The floors Y_a >= k_a as a shift y = k + z: only the rhs changes, so
+    # the base optimum's basis stays dual feasible and the solve starts there.
     t2 = time.perf_counter()
-    hc_set = base.merge(observation_constraints(obs, task.num_actions))
+    floors = obs.counts
+    lp_z = LinearProgram.from_constraints(_shifted(base, floors), task.costs, start=out.basis)
     t3 = time.perf_counter()
-    out_hc = solve_with(LinearProgram.from_constraints(hc_set, task.costs), config.backend)
-    if out_hc.status not in (OPTIMAL, INFEASIBLE):
-        raise SolverFailure(f"observation LP for hypothesis {goal_index} came back {out_hc.status}")
+    out_z = solve_with(lp_z, config.backend)
+    if out_z.status not in (OPTIMAL, INFEASIBLE):
+        raise SolverFailure(f"observation LP for hypothesis {goal_index} came back {out_z.status}")
     t_cons += t3 - t2
     t_lp += time.perf_counter() - t3
-    if out_hc.status == INFEASIBLE:
+    if out_z.status == INFEASIBLE:
         return HypothesisScore(goal_index, h, INF, INF, counts_base, None), t_cons, t_lp
-    score = HypothesisScore(goal_index, h, out_hc.value, out_hc.value - h,
-                            counts_base, out_hc.counts if config.keep_counts else None)
+    counts_hc = np.asarray(out_z.counts)
+    for a, k in floors.items():
+        counts_hc[a] += k
+    h_hc = float(np.asarray(lp_z.objective) @ counts_hc)
+    score = HypothesisScore(goal_index, h, h_hc, h_hc - h, counts_base,
+                            tuple(counts_hc.tolist()) if config.keep_counts else None)
     return score, t_cons, t_lp
 
 

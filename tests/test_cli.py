@@ -100,6 +100,22 @@ def test_recognize_dumps(demo_dir, capsys):
     out = capsys.readouterr().out
     assert "[net-change]" in out
     assert "Minimize" in out and "Subject To" in out
+    # the floors are bounds, not rows: (move-right c_0_0 c_1_0) is observed once
+    assert "[observation]" not in out
+    assert out.count("(move-right c_0_0 c_1_0) >= 1 [bound]") == 2
+    assert out.count(" 1 <= y") == 2 * 7
+
+
+def test_recognize_dumps_read_the_rows_recognition_built(demo_dir, capsys, monkeypatch):
+    import ocgr.constraints as cons
+
+    calls = []
+    real = cons.landmark_constraints
+    monkeypatch.setattr(cons, "landmark_constraints",
+                        lambda task, goal: calls.append(goal) or real(task, goal))
+    assert main(["recognize", "-b", str(demo_dir), "--dump-constraints"]) == 0
+    assert "# constraints for G1" in capsys.readouterr().out
+    assert len(calls) == 2
 
 
 def test_heuristic_command(demo_dir, capsys):
@@ -118,6 +134,15 @@ def test_heuristic_dumps_for_unreachable_hypothesis(tmp_path, capsys):
         out = capsys.readouterr().out
         assert "h    = inf" in out
         assert "# G2: " in out
+
+
+def test_heuristic_dumps_floors_as_bounds(demo_dir, capsys):
+    assert main(["heuristic", "-b", str(demo_dir), "--goal-index", "0",
+                 "--dump-constraints", "--dump-lp"]) == 0
+    out = capsys.readouterr().out
+    assert "[observation]" not in out
+    assert "(move-right c_0_0 c_1_0) >= 1 [bound]" in out
+    assert out.count(" 1 <= y") == 7
 
 
 def test_plan_command_chain(tmp_path, capsys):

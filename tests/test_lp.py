@@ -4,7 +4,8 @@ import pytest
 
 from conftest import make_micro_task, plan_counts
 from ocgr.constraints import LinearConstraint, base_constraints
-from ocgr.errors import BackendUnavailable, CapExceeded, GoalUnreachable
+from ocgr.errors import (BackendUnavailable, CapExceeded, GoalUnreachable,
+                         SolverFailure)
 from ocgr.lp import (LinearProgram, available_backends, register_backend,
                      solve_lp, solve_with)
 from ocgr.oracle import enumerate_plans
@@ -131,3 +132,21 @@ def test_cross_backend_agreement_sample():
             assert abs(ours.value - ref.value) <= 1e-6
         agreements += 1
     assert agreements >= 40
+
+
+def test_iteration_limit_names_phase_pivots_and_size(monkeypatch):
+    import ocgr.lp as lp_mod
+
+    monkeypatch.setattr(lp_mod, "ITER_CAP", 1)
+    monkeypatch.setattr(lp_mod, "ITER_CAP_PER_DIM", 0)
+    floors = _lp(2, [1, 1], [([(0, 1)], 1), ([(1, 1)], 1)])
+    ceilings = _lp(2, [-1, -1], [([(0, -1)], -5), ([(1, -1)], -5)])
+    # y = (0, 0) is optimal with "y0 >= -1, y1 >= -1" and stays dual feasible
+    # with the rhs (1, 1), from where the dual simplex needs two pivots.
+    base = _lp(2, [1, 1], [([(0, 1)], -1), ([(1, 1)], -1)])
+    shifted = LinearProgram(2, base.objective, floors.constraints, start=solve_lp(base).basis)
+    for prog, phase in ((floors, "phase 1"), (ceilings, "phase 2"), (shifted, "dual")):
+        with pytest.raises(SolverFailure) as err:
+            solve_lp(prog)
+        assert str(err.value) == (f"simplex {phase} hit the iteration limit after 1 pivots "
+                                  "on a 2 x 2 LP")

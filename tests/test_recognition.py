@@ -7,13 +7,14 @@ import weakref
 import pytest
 
 from conftest import ISLAND_BUNDLE, ONE_WAY_BUNDLE, make_micro_task
-from ocgr.bench import SuiteSpec, materialize_suite
+from ocgr.bench import SuiteSpec, generated_problems, materialize_suite
 from ocgr.errors import SolverFailure
-from ocgr.generators import demo_grid_bundle
+from ocgr.generators import CORRIDOR_DOMAIN, demo_grid_bundle
 from ocgr.inputs import (GoalHypotheses, ObservationSequence, bundle_from_texts,
                          load_bundle)
+from ocgr.lp import LinearProgram, solve_lp, solve_with
 from ocgr.oracle import Plan, optimal_cost
-from ocgr.recognition import (INF, METHODS, RecognizerConfig,
+from ocgr.recognition import (INF, METHODS, RecognizerConfig, base_rows,
                               full_observation_guarantee_check,
                               observation_constraints, recognize,
                               recognize_delta, recognize_hc, report_from_dict,
@@ -345,3 +346,87 @@ def test_scored_task_is_not_kept_alive():
     del task
     gc.collect()
     assert ref() is None
+
+
+def _floored(task, goal, obs):
+    """The cold reference: base rows plus one observation row per floor."""
+    cset = base_rows(task, goal).merge(observation_constraints(obs, task.num_actions))
+    return LinearProgram.from_constraints(cset, task.costs)
+
+
+def test_rescoring_warm_starts_every_observation_lp(monkeypatch):
+    import ocgr.recognition as rec
+
+    solves = []
+    real = rec.solve_with
+
+    def spy(lp, backend):
+        solves.append(real(lp, backend))
+        return solves[-1]
+
+    monkeypatch.setattr(rec, "solve_with", spy)
+    spec = SuiteSpec(families=("grid", "blocks", "logistics", "corridor"), per_family=1,
+                     seed=5, observability=(100,))
+    bundles = [bundle_from_texts(dict(demo_grid_bundle().files))] + list(generated_problems(spec))
+    checked = 0
+    for b in bundles:
+        recognize(b.task, b.hyps, _obs())  # solves the base LPs
+        full = b.obs.obs
+        for obs in {ObservationSequence(full[:n]) for n in (1, len(full) // 2, len(full))}:
+            del solves[:]
+            scores = recognize(b.task, b.hyps, obs).scores
+            finite = [g for g, s in zip(b.hyps.goals, scores) if s.h != INF]
+            assert len(solves) == len(finite)
+            for goal, out in zip(finite, solves):
+                assert out.warm
+                assert out.pivots < solve_lp(_floored(b.task, goal, obs)).pivots
+                checked += 1
+    assert checked >= 30
+
+
+def _open_grid(n):
+    cells = [f"c{x}_{y}" for x in range(n) for y in range(n)]
+    links = [f"(linked c{x}_{y} c{x + dx}_{y + dy})"
+             for x in range(n) for y in range(n) for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
+             if 0 <= x + dx < n and 0 <= y + dy < n]
+    far = n - 1
+    return {
+        "domain.pddl": CORRIDOR_DOMAIN,
+        "template.pddl": (f"(define (problem open{n}) (:domain corridor)"
+                          f" (:objects {' '.join(cells)} - node)"
+                          f" (:init (at c0_0) {' '.join(links)}))"),
+        "hyps.dat": f"(at c{far}_{far})\n(at c0_{far})\n(at c{far // 2}_{far})\n",
+        "real_hyp.dat": f"(at c{far}_{far})\n",
+    }
+
+
+def test_warm_observation_lp_matches_cold_floor_rows():
+    """Shifted, warm-started h_hc against the base + floor rows LP solved cold
+    and by HiGHS, with random floors, on tasks past toy size."""
+    rng = random.Random(8)
+    spec = SuiteSpec(families=("grid", "blocks", "logistics", "corridor"), per_family=2,
+                     seed=21, observability=(100,))
+    bundles = [(p.task, p.hyps) for p in generated_problems(spec)]
+    for texts in (ONE_WAY_BUNDLE, _open_grid(8), _open_grid(10)):
+        b = bundle_from_texts(dict(texts), require_obs=False)
+        bundles.append((b.task, b.hyps))
+    statuses = set()
+    for task, hyps in bundles:
+        for goal in hyps.goals:
+            for _ in range(3):
+                picks = rng.sample(range(task.num_actions), min(task.num_actions, rng.randint(1, 4)))
+                obs = ObservationSequence(tuple(a for a in picks for _ in range(rng.randint(1, 2))))
+                score = score_hypothesis(task, goal, obs)
+                cold = solve_lp(_floored(task, goal, obs))
+                highs = solve_with(_floored(task, goal, obs), "scipy")
+                statuses.add(cold.status)
+                assert highs.status == cold.status
+                if cold.status == "infeasible":
+                    assert score.h_hc == INF
+                    continue
+                assert abs(score.h_hc - cold.value) <= 1e-9
+                assert abs(score.h_hc - highs.value) <= 1e-6
+                counts = score.counts_hc
+                assert all(counts[a] >= k for a, k in obs.counts.items())
+                assert all(row.satisfied_by(counts) for row in base_rows(task, goal))
+    assert statuses == {"optimal", "infeasible"}
