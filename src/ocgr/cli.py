@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -65,9 +64,8 @@ def _families(raw: str) -> tuple[str, ...]:
     return fams
 
 
-def _dump_lp_text(lp: LinearProgram, names: list[str], floors: dict[int, int]) -> str:
-    """LP-format style text dump for cross-checking with external tools;
-    the observation floors are lower bounds."""
+def _dump_lp_text(lp: LinearProgram, names: list[str]) -> str:
+    """LP-format style text dump for cross-checking with external tools."""
     lines = ["Minimize", " obj: " + " + ".join(
         f"{c:g} y{i}" for i, c in enumerate(lp.objective) if c) ]
     lines.append("Subject To")
@@ -75,6 +73,7 @@ def _dump_lp_text(lp: LinearProgram, names: list[str], floors: dict[int, int]) -
         body = " + ".join(f"{float(c):g} y{a}" for a, c in row.terms)
         lines.append(f" c{i}: {body} >= {float(row.rhs):g}  \\ {row.source}")
     lines.append("Bounds")
+    floors = dict(lp.lower)
     for i, name in enumerate(names):
         lines.append(f" {floors.get(i, 0)} <= y{i}  \\ ({name})")
     lines.append("End")
@@ -91,15 +90,15 @@ def _print_dumps(args: argparse.Namespace, bundle: Bundle, idx: int,
     except GoalUnreachable as exc:
         print(f"# G{idx}: {exc}")
         return
-    floors = bundle.obs.counts
+    lp = LinearProgram.from_constraints(rows, task.costs, lower=sorted(bundle.obs.counts.items()))
     names = [a.name for a in task.actions]
     print(f"# constraints for G{idx}")
     if args.dump_constraints:
         print(dump_constraints(rows, task))
-        for a, k in sorted(floors.items()):
+        for a, k in lp.lower:
             print(f"({names[a]}) >= {k} [bound]")
     if args.dump_lp:
-        print(_dump_lp_text(LinearProgram.from_constraints(rows, task.costs), names, floors))
+        print(_dump_lp_text(lp, names))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--constraints", default=",".join(ALL_FAMILIES),
                      help="comma list of constraint families (lm,nc,ph)")
     rec.add_argument("--backend", default="simplex")
-    rec.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     rec.add_argument("--json", action="store_true", help="machine-readable report")
     rec.add_argument("--dump-constraints", action="store_true")
     rec.add_argument("--dump-lp", action="store_true")
@@ -150,8 +148,7 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     bundle = _load_inputs(args)
     parse_time = time.perf_counter() - t0
-    config = RecognizerConfig(families=_families(args.constraints), backend=args.backend,
-                              workers=max(1, args.workers))
+    config = RecognizerConfig(families=_families(args.constraints), backend=args.backend)
     report = recognize(bundle.task, bundle.hyps, bundle.obs, args.method, config)
     if args.dump_constraints or args.dump_lp:
         for idx in range(len(bundle.hyps)):

@@ -1,16 +1,21 @@
 """Minimization linear programs over operator-counting variables.
 
-The built-in solver is a dense simplex (float64, feasibility/optimality
-tolerance 1e-7, Bland's rule after 2*(m+n) degenerate pivots). Without a
-start it runs two primal phases; its optimal outcome carries the basis
-(the basic column of each row and B^-1, read-only). An LP given such a
-start -- the same rows and objective with another rhs, as when observation
-floors are shifted into the rhs -- is rebuilt from it as B^-1 [A | -I | b]:
-the basis stays dual feasible when only b changes, so a dual simplex
-restarts there and needs few pivots. A start that does not fit (another
-row count, or not dual feasible) is ignored and the LP is solved cold.
+The built-in solver is one dense dual simplex (float64, tolerance 1e-7) over
+the tableau B^-1 [A | -I | b] of the rows A y >= b. Floors y >= k are
+variable bounds; the substitution y = k + z moves them into the rhs, b - A k.
+A solve starts from ``LinearProgram.start`` when its row count fits -- an
+optimal basis of the same rows, as the base LP's is for its h_hc LP -- else
+from the all-surplus basis (B^-1 = -I). Negative reduced costs are clamped
+to 0, and at the first degenerate dual ratio test each nonbasic reduced cost
+gets a fixed perturbation; a perturbed dual that makes 2*(m+n) degenerate
+pivots in a row has stalled. If the costs were clamped or perturbed, a
+primal phase 2 on the true costs (Bland's rule after 2*(m+n) degenerate
+pivots) finishes the solve and detects unboundedness. Optimal outcomes carry
+their basis (the basic column of each row and B^-1, read-only).
+
 Alternative solvers plug in through a named backend registry; a scipy
-(HiGHS) backend is registered when scipy is importable and ignores starts.
+(HiGHS) backend is registered when scipy is importable, passes the floors
+as bounds and ignores starts.
 """
 
 from __future__ import annotations
@@ -25,9 +30,10 @@ from .constraints import ConstraintSet, LinearConstraint
 from .errors import BackendUnavailable, SolverFailure
 
 EPS = 1e-7
-PHASE1_TOL = 1e-6
 PIVOT_TOL = 1e-9
 DEGENERATE_TOL = 1e-12
+PERTURB = 1e-6  # scale of the dual cost perturbation
+_GOLDEN = 0.6180339887498949
 ITER_CAP = 2000  # pivots per phase: at most ITER_CAP + ITER_CAP_PER_DIM * (m + n)
 ITER_CAP_PER_DIM = 200
 
@@ -47,25 +53,28 @@ class Basis:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min objective . y  s.t.  constraints (all >=),  y >= 0.
+    """min objective . y  s.t.  constraints (all >=),  y >= 0,  and
+    y_v >= floor for each (v, floor) in ``lower``.
 
     ``start`` is an optimal basis of an LP with the same rows and objective
-    but another rhs; the simplex backend warm-starts from it.
+    but another rhs or other floors; the simplex backend starts from it.
     """
 
     num_vars: int
     objective: tuple[float, ...]
     constraints: tuple[LinearConstraint, ...]
+    lower: tuple[tuple[int, int], ...] = ()
     start: Basis | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def from_constraints(cset: ConstraintSet, costs: Sequence[float],
-                         start: Basis | None = None) -> "LinearProgram":
+                         start: Basis | None = None,
+                         lower: Sequence[tuple[int, int]] = ()) -> "LinearProgram":
         if len(costs) != cset.num_actions:
             raise ValueError("cost vector does not match the action table")
         return LinearProgram(num_vars=cset.num_actions,
                              objective=tuple(float(c) for c in costs),
-                             constraints=cset.constraints, start=start)
+                             constraints=cset.constraints, lower=tuple(lower), start=start)
 
 
 @dataclass(frozen=True)
@@ -74,8 +83,18 @@ class LpOutcome:
     value: float | None = None
     counts: tuple[float, ...] | None = None
     pivots: int = field(default=0, compare=False)
-    warm: bool = field(default=False, compare=False)  # dual simplex from a start
+    warm: bool = field(default=False, compare=False)  # started from lp.start
     basis: Basis | None = field(default=None, compare=False, repr=False)
+
+
+def _floors(lp: LinearProgram) -> np.ndarray:
+    """The lower bound of every variable: the largest of 0 and its floors."""
+    k = np.zeros(lp.num_vars)
+    for var, floor in lp.lower:
+        if not 0 <= var < lp.num_vars:
+            raise ValueError(f"bound references unknown variable {var}")
+        k[var] = max(k[var], float(floor))
+    return k
 
 
 def _dense(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
@@ -99,7 +118,8 @@ def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
 
 
 def _limits(m: int, n: int) -> tuple[int, int]:
-    """Degenerate pivots before Bland's rule engages, and the pivot cap, of each phase."""
+    """Degenerate pivots before Bland's rule engages in phase 2 or the
+    perturbed dual counts as stalled, and the pivot cap, of each phase."""
     return 2 * (m + n), ITER_CAP + ITER_CAP_PER_DIM * (m + n)
 
 
@@ -145,135 +165,68 @@ def _run_simplex(tab: np.ndarray, basis: list[int], phase: str, pivots: int,
     raise _failure(phase, "hit the iteration limit", pivots, m, n)
 
 
-def _optimum(tab: np.ndarray, basis: list[int], c: np.ndarray, pivots: int,
-             warm: bool = False, optimal_basis: Basis | None = None) -> LpOutcome:
+def _optimum(tab: np.ndarray, basis: list[int], c: np.ndarray, k: np.ndarray,
+             pivots: int, warm: bool) -> LpOutcome:
+    m = len(basis)
+    n = len(c)
     x = np.zeros(tab.shape[1] - 1)
     x[basis] = tab[:-1, -1]
-    counts = np.maximum(x[:len(c)], 0.0)
-    return LpOutcome(OPTIMAL, float(c @ counts), tuple(counts.tolist()), pivots, warm,
-                     optimal_basis)
-
-
-def _primal(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> LpOutcome:
-    """Cold two-phase solve; the outcome carries its optimal basis unless
-    phase 1 dropped redundant rows."""
-    m, n = a.shape
-    art_rows = [i for i in range(m) if b[i] > 0]
-    n_art = len(art_rows)
-    total = n + m + n_art
-    tab = np.zeros((m + 1, total + 1))
-    basis: list[int] = [0] * m
-    art_col = {}
-    for j, i in enumerate(art_rows):
-        art_col[i] = n + m + j
-    for i in range(m):
-        if b[i] > 0:
-            # a.y - surplus + artificial = b
-            tab[i, :n] = a[i]
-            tab[i, n + i] = -1.0
-            tab[i, art_col[i]] = 1.0
-            tab[i, -1] = b[i]
-            basis[i] = art_col[i]
-        else:
-            # -a.y + slack = -b
-            tab[i, :n] = -a[i]
-            tab[i, n + i] = 1.0
-            tab[i, -1] = -b[i]
-            basis[i] = n + i
-
-    pivots = 0
-    drop_rows: list[int] = []
-    if n_art:
-        for j in art_col.values():
-            tab[-1, j] = 1.0
-        for i in art_rows:
-            tab[-1] -= tab[i]
-        status, pivots = _run_simplex(tab, basis, "phase 1", pivots, m, n)
-        if status != OPTIMAL:
-            raise _failure("phase 1", "ended " + status, pivots, m, n)
-        if -tab[-1, -1] > PHASE1_TOL:
-            return LpOutcome(INFEASIBLE, pivots=pivots)
-        art_set = set(art_col.values())
-        for i in range(m):
-            if basis[i] in art_set:
-                nonzero = np.nonzero(np.abs(tab[i, : n + m]) > PIVOT_TOL)[0]
-                if nonzero.size:
-                    _pivot(tab, basis, i, int(nonzero[0]))
-                    pivots += 1
-                else:
-                    drop_rows.append(i)  # redundant constraint
-        keep_rows = [i for i in range(m) if i not in drop_rows] + [m]
-        keep_cols = list(range(n + m)) + [total]
-        tab = tab[np.ix_(keep_rows, keep_cols)]
-        basis = [basis[i] for i in range(m) if i not in drop_rows]
-
-    tab[-1, :] = 0.0
-    tab[-1, :n] = c
-    for i in range(len(basis)):
-        if tab[-1, basis[i]] != 0.0:
-            tab[-1] -= tab[-1, basis[i]] * tab[i]
-    status, pivots = _run_simplex(tab, basis, "phase 2", pivots, m, n)
-    if status == UNBOUNDED:
-        return LpOutcome(UNBOUNDED, pivots=pivots)
-    if drop_rows:
-        return _optimum(tab, basis, c, pivots)
+    counts = np.maximum(x[:n], 0.0) + k
     # The tableau is B^-1 [A | -I | b], so its surplus block is -B^-1.
     inverse = -tab[:m, n:n + m]
     inverse.setflags(write=False)
-    return _optimum(tab, basis, c, pivots, optimal_basis=Basis(tuple(basis), inverse))
+    return LpOutcome(OPTIMAL, float(c @ counts), tuple(counts.tolist()), pivots, warm,
+                     Basis(tuple(basis), inverse))
 
 
-def _dual(a: np.ndarray, b: np.ndarray, c: np.ndarray, start: Basis) -> LpOutcome | None:
-    """Dual simplex from ``start``, an optimal basis of an LP with the same
-    ``a`` and ``c``; None when that basis is not dual feasible here.
-
-    The tableau is rebuilt as B^-1 [A | -I | b]. Each pivot leaves on the
-    row with the most negative rhs (the lowest basic column once Bland's rule
-    engages) and enters the column of the dual ratio test, ties going to the
-    lowest column index.
-    """
-    m, n = a.shape
-    basis = list(start.columns)
-    tab = np.empty((m + 1, n + m + 1))
-    tab[:m, :n] = start.inverse @ a
-    tab[:m, n:n + m] = -start.inverse
-    tab[:m, -1] = start.inverse @ b
-    tab[:m, basis] = np.eye(m)
-    cost = np.zeros(n + m)
-    cost[:n] = c
+def _price(tab: np.ndarray, basis: list[int], cost: np.ndarray) -> None:
+    """Write the reduced costs of ``cost`` over the tableau's columns into its last row."""
+    m = len(basis)
     tab[-1, :-1] = cost - cost[basis] @ tab[:m, :-1]
     tab[-1, basis] = 0.0
-    tab[-1, -1] = -(cost[basis] @ tab[:m, -1])
-    if tab[-1, :-1].min() < -EPS:
-        return None
-    bland_after, iter_cap = _limits(m, n)
+    tab[-1, -1] = 0.0
+
+
+def _dual(tab: np.ndarray, basis: list[int], m: int, n: int) -> tuple[str, int, bool]:
+    """Dual simplex on a tableau whose reduced costs are nonnegative; returns
+    the status (optimal or infeasible), the pivot count and whether the costs
+    were perturbed.
+
+    Each pivot leaves on the row with the most negative rhs and enters the
+    column of the dual ratio test, ties going to the lowest column index. At
+    the first degenerate ratio test every nonbasic reduced cost gets its fixed
+    perturbation, which breaks the ties that otherwise stall the dual; a run
+    of 2*(m+n) degenerate pivots after that raises SolverFailure.
+    """
+    stall_after, iter_cap = _limits(m, n)
+    perturbed = False
     degenerate = 0
-    bland = False
     for pivots in range(iter_cap + 1):
         rhs = tab[:m, -1]
-        if bland:
-            neg = np.nonzero(rhs < -EPS)[0]
-            if neg.size == 0:
-                return _optimum(tab, basis, c, pivots, warm=True)
-            row = int(min(neg, key=lambda r: basis[r]))
-        else:
-            row = int(np.argmin(rhs))
-            if rhs[row] >= -EPS:
-                return _optimum(tab, basis, c, pivots, warm=True)
+        row = int(np.argmin(rhs))
+        if rhs[row] >= -EPS:
+            return OPTIMAL, pivots, perturbed
         line = tab[row, :-1]
         eligible = np.nonzero(line < -PIVOT_TOL)[0]
         if eligible.size == 0:
-            return LpOutcome(INFEASIBLE, pivots=pivots, warm=True)
+            return INFEASIBLE, pivots, perturbed
         if pivots == iter_cap:
             break
         ratios = tab[-1, eligible] / -line[eligible]
         best = ratios.min()
+        if best < DEGENERATE_TOL and not perturbed:
+            perturbed = True
+            # A factor in [1, 2) per column, distinct across columns.
+            tab[-1, :-1] += PERTURB * (1.0 + (np.arange(n + m) * _GOLDEN) % 1.0)
+            tab[-1, basis] = 0.0
+            ratios = tab[-1, eligible] / -line[eligible]
+            best = ratios.min()
         col = int(eligible[np.nonzero(ratios <= best + DEGENERATE_TOL)[0][0]])
-        if best < DEGENERATE_TOL:
-            degenerate += 1
-            if degenerate > bland_after:
-                bland = True
         _pivot(tab, basis, row, col)
+        degenerate = degenerate + 1 if best < DEGENERATE_TOL else 0
+        if degenerate >= stall_after:
+            raise SolverFailure(f"simplex dual stalled after {pivots + 1} pivots "
+                                f"({degenerate} degenerate) on a {m} x {n} LP")
     raise _failure("dual", "hit the iteration limit", iter_cap, m, n)
 
 
@@ -281,16 +234,41 @@ def _solve_simplex(lp: LinearProgram) -> LpOutcome:
     n = lp.num_vars
     m = len(lp.constraints)
     c = np.asarray(lp.objective, dtype=float)
+    k = _floors(lp)
     if m == 0:
         if n and c.min() < 0:
             return LpOutcome(UNBOUNDED)
-        return LpOutcome(OPTIMAL, 0.0, (0.0,) * n)
+        return LpOutcome(OPTIMAL, float(c @ k), tuple(k.tolist()))
     a, b = _dense(lp)
-    if lp.start is not None and len(lp.start.columns) == m:
-        out = _dual(a, b, c, lp.start)
-        if out is not None:
-            return out
-    return _primal(a, b, c)
+    b -= a @ k
+    warm = lp.start is not None and len(lp.start.columns) == m
+    tab = np.empty((m + 1, n + m + 1))
+    if warm:
+        basis = list(lp.start.columns)
+        inverse = lp.start.inverse
+        tab[:m, :n] = inverse @ a
+        tab[:m, n:n + m] = -inverse
+        tab[:m, -1] = inverse @ b
+        tab[:m, basis] = np.eye(m)
+    else:
+        basis = list(range(n, n + m))  # every surplus basic: B^-1 = -I
+        tab[:m, :n] = -a
+        tab[:m, n:n + m] = np.eye(m)
+        tab[:m, -1] = -b
+    cost = np.zeros(n + m)
+    cost[:n] = c
+    _price(tab, basis, cost)
+    clamped = tab[-1, :-1].min() < -EPS
+    np.maximum(tab[-1, :-1], 0.0, out=tab[-1, :-1])
+    status, pivots, perturbed = _dual(tab, basis, m, n)
+    if status == INFEASIBLE:
+        return LpOutcome(INFEASIBLE, pivots=pivots, warm=warm)
+    if clamped or perturbed:
+        _price(tab, basis, cost)
+        status, pivots = _run_simplex(tab, basis, "phase 2", pivots, m, n)
+        if status == UNBOUNDED:
+            return LpOutcome(UNBOUNDED, pivots=pivots, warm=warm)
+    return _optimum(tab, basis, c, k, pivots, warm)
 
 
 def solve_lp(lp: LinearProgram) -> LpOutcome:
@@ -321,11 +299,12 @@ def _scipy_backend(lp: LinearProgram) -> LpOutcome:
     from scipy.optimize import linprog
 
     c = np.asarray(lp.objective, dtype=float)
+    bounds = [(floor, None) for floor in _floors(lp)] if lp.lower else (0, None)
     if lp.constraints:
         a, b = _dense(lp)
-        res = linprog(c, A_ub=-a, b_ub=-b, bounds=(0, None), method="highs")
+        res = linprog(c, A_ub=-a, b_ub=-b, bounds=bounds, method="highs")
     else:
-        res = linprog(c, bounds=(0, None), method="highs")
+        res = linprog(c, bounds=bounds, method="highs")
     if res.status == 0:
         counts = tuple(float(v) for v in np.maximum(res.x, 0.0))
         return LpOutcome(OPTIMAL, float(c @ np.asarray(counts)), counts)

@@ -1,10 +1,10 @@
 """Goal recognition over operator-counting LPs.
 
 For each hypothesis G we solve the base LP (value h) and the LP with
-per-action observation floors Y_a >= k_a (value h_hc). The floors are
-applied as a shift y = k + z: the h_hc LP keeps the base rows with rhs
-b - A k, h_hc = c . (k + z), and its solve starts from the base LP's
-optimal basis, which stays dual feasible when only the rhs changes.
+per-action observation floors Y_a >= k_a (value h_hc). The h_hc LP keeps
+the base rows and takes the floors as variable bounds; its solve starts
+from the base LP's optimal basis, which stays dual feasible when only the
+bounds change.
 Selection uses either h_hc directly or the enforcement delta h_hc - h,
 optionally widened by the uncertainty ratio
 
@@ -19,11 +19,8 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
-
-import numpy as np
 
 from .constraints import (ALL_FAMILIES, SRC_OBSERVATION, ConstraintSet,
                           LinearConstraint, base_constraints)
@@ -47,7 +44,6 @@ class RecognizerConfig:
     families: tuple[str, ...] = ALL_FAMILIES
     backend: str = "simplex"
     uncertainty_basis: str = "h_hc"  # or "h": basis of the ratio's minimum
-    workers: int = 1
     selection_slack: float = 1e-9  # absorbs LP float noise in thresholds
     keep_counts: bool = True
 
@@ -85,22 +81,14 @@ def observation_constraints(obs: ObservationSequence, num_actions: int) -> Const
     return ConstraintSet(rows, num_actions)
 
 
-def _shifted(base: ConstraintSet, floors: Mapping[int, int]) -> ConstraintSet:
-    """The rows of ``base`` over z = y - k: each rhs less sum(coef * k_a)."""
-    rows = []
-    for row in base:
-        shift = sum(coef * floors[a] for a, coef in row.terms if a in floors)
-        rows.append(LinearConstraint(row.terms, row.rhs - shift, row.source) if shift else row)
-    return ConstraintSet(tuple(rows), base.num_actions)
-
-
 # Per-goal base results of the task scored last, keyed by
 # (goal, families, backend): the base ConstraintSet and its LpOutcome (which
 # carries the optimal basis the h_hc solves start from), or the reason the
 # goal is relaxed-unreachable. h depends only on the task and the goal, so
 # re-scoring that task with other observations solves only the h_hc LPs.
 # One task at a time keeps memory flat when a caller holds many tasks; the
-# task is held weakly and matched by identity (tasks are frozen).
+# task is held weakly and matched by identity (tasks are frozen). The lock
+# lets library callers score from their own threads.
 _memo_lock = threading.Lock()
 _memo_task: weakref.ref | None = None
 _memo_bases: dict = {}
@@ -123,7 +111,7 @@ def _base(task: PlanningTask, goal_index: int, goal: frozenset[int],
     key = (goal, frozenset(config.families), config.backend)
     if key in memo:
         return memo[key], 0.0, 0.0
-    # Workers scoring equal goals may both get here; they store equal entries.
+    # Threads scoring equal goals may both get here; they store equal entries.
     t0 = time.perf_counter()
     try:
         base = base_constraints(task, goal, config.families)
@@ -160,25 +148,17 @@ def _score_one(task: PlanningTask, goal_index: int, goal: frozenset[int],
     base, out = entry
     h = out.value
     counts_base = out.counts if config.keep_counts else None
-    # The floors Y_a >= k_a as a shift y = k + z: only the rhs changes, so
-    # the base optimum's basis stays dual feasible and the solve starts there.
     t2 = time.perf_counter()
-    floors = obs.counts
-    lp_z = LinearProgram.from_constraints(_shifted(base, floors), task.costs, start=out.basis)
-    t3 = time.perf_counter()
-    out_z = solve_with(lp_z, config.backend)
-    if out_z.status not in (OPTIMAL, INFEASIBLE):
-        raise SolverFailure(f"observation LP for hypothesis {goal_index} came back {out_z.status}")
-    t_cons += t3 - t2
-    t_lp += time.perf_counter() - t3
-    if out_z.status == INFEASIBLE:
+    lp = LinearProgram.from_constraints(base, task.costs, start=out.basis,
+                                        lower=sorted(obs.counts.items()))
+    out_hc = solve_with(lp, config.backend)
+    t_lp += time.perf_counter() - t2
+    if out_hc.status == INFEASIBLE:
         return HypothesisScore(goal_index, h, INF, INF, counts_base, None), t_cons, t_lp
-    counts_hc = np.asarray(out_z.counts)
-    for a, k in floors.items():
-        counts_hc[a] += k
-    h_hc = float(np.asarray(lp_z.objective) @ counts_hc)
-    score = HypothesisScore(goal_index, h, h_hc, h_hc - h, counts_base,
-                            tuple(counts_hc.tolist()) if config.keep_counts else None)
+    if out_hc.status != OPTIMAL:
+        raise SolverFailure(f"observation LP for hypothesis {goal_index} came back {out_hc.status}")
+    score = HypothesisScore(goal_index, h, out_hc.value, out_hc.value - h, counts_base,
+                            out_hc.counts if config.keep_counts else None)
     return score, t_cons, t_lp
 
 
@@ -192,18 +172,12 @@ def score_hypothesis(task: PlanningTask, goal: Iterable[int], obs: ObservationSe
 def score_all(task: PlanningTask, hyps: GoalHypotheses, obs: ObservationSequence,
               config: RecognizerConfig = RecognizerConfig()
               ) -> tuple[tuple[HypothesisScore, ...], dict[str, float]]:
-    """Score every hypothesis; results are index-ordered regardless of scheduling.
+    """Score every hypothesis, in index order.
 
     Base results (h) are reused from an earlier call on the same task object.
     """
-    jobs = list(enumerate(hyps.goals))
     memo = _base_memo(task)
-    if config.workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(
-                lambda job: _score_one(task, job[0], job[1], obs, config, memo), jobs))
-    else:
-        results = [_score_one(task, i, g, obs, config, memo) for i, g in jobs]
+    results = [_score_one(task, i, g, obs, config, memo) for i, g in enumerate(hyps.goals)]
     scores = tuple(r[0] for r in results)
     timings = {"constraints": sum(r[1] for r in results),
                "lp": sum(r[2] for r in results)}

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import make_micro_task, plan_counts
+from ocgr.bench import SuiteSpec, generated_problems
 from ocgr.constraints import LinearConstraint, base_constraints
 from ocgr.errors import (BackendUnavailable, CapExceeded, GoalUnreachable,
                          SolverFailure)
@@ -141,12 +142,67 @@ def test_iteration_limit_names_phase_pivots_and_size(monkeypatch):
     monkeypatch.setattr(lp_mod, "ITER_CAP_PER_DIM", 0)
     floors = _lp(2, [1, 1], [([(0, 1)], 1), ([(1, 1)], 1)])
     ceilings = _lp(2, [-1, -1], [([(0, -1)], -5), ([(1, -1)], -5)])
-    # y = (0, 0) is optimal with "y0 >= -1, y1 >= -1" and stays dual feasible
-    # with the rhs (1, 1), from where the dual simplex needs two pivots.
-    base = _lp(2, [1, 1], [([(0, 1)], -1), ([(1, 1)], -1)])
-    shifted = LinearProgram(2, base.objective, floors.constraints, start=solve_lp(base).basis)
-    for prog, phase in ((floors, "phase 1"), (ceilings, "phase 2"), (shifted, "dual")):
+    for prog, phase in ((ceilings, "phase 2"), (floors, "dual")):
         with pytest.raises(SolverFailure) as err:
             solve_lp(prog)
         assert str(err.value) == (f"simplex {phase} hit the iteration limit after 1 pivots "
                                   "on a 2 x 2 LP")
+
+
+def test_stalled_dual_names_pivots_and_degenerate_run(monkeypatch):
+    import ocgr.lp as lp_mod
+
+    # Zero costs make every dual ratio 0; without the perturbation nothing breaks the tie.
+    monkeypatch.setattr(lp_mod, "PERTURB", 0.0)
+    monkeypatch.setattr(lp_mod, "_limits", lambda m, n: (2, 1000))
+    lp = _lp(3, [0, 0, 0], [([(0, 1), (1, 1)], 1), ([(1, 1), (2, 1)], 1)])
+    with pytest.raises(SolverFailure) as err:
+        solve_lp(lp)
+    assert str(err.value) == "simplex dual stalled after 2 pivots (2 degenerate) on a 2 x 3 LP"
+
+
+def test_floors_are_bounds():
+    rows = [([(0, 1), (1, 1)], 2), ([(0, 1), (1, -1)], 0)]
+    bounded = LinearProgram(2, (1.0, 3.0), _lp(2, [1, 3], rows).constraints,
+                            lower=((1, 1), (0, 0), (1, -4)))
+    floored = _lp(2, [1, 3], rows + [([(1, 1)], 1)])
+    for backend in ("simplex", "scipy"):
+        out = solve_with(bounded, backend)
+        assert out.status == "optimal"
+        assert abs(out.value - solve_lp(floored).value) <= 1e-9
+        assert abs(out.value - 4.0) <= 1e-9 and out.counts[1] >= 1 - 1e-9
+    with pytest.raises(ValueError, match="unknown variable 2"):
+        solve_lp(LinearProgram(2, (1.0, 1.0), (), lower=((2, 1),)))
+
+
+def _reduced_costs(lp, basis):
+    import numpy as np
+    from ocgr.lp import _dense
+
+    a, _ = _dense(lp)
+    cost = np.concatenate([np.asarray(lp.objective), np.zeros(len(a))])
+    columns = basis.inverse @ np.hstack([a, -np.eye(len(a))])
+    return cost - cost[list(basis.columns)] @ columns
+
+
+def test_start_that_is_not_dual_feasible_still_reaches_the_optimum():
+    """A start optimal under other costs is clamped, then priced again."""
+    rng = random.Random(5)
+    spec = SuiteSpec(families=("grid", "blocks", "logistics", "corridor"), per_family=2,
+                     seed=3, observability=(100,))
+    infeasible_starts = 0
+    for problem in generated_problems(spec):
+        task = problem.task
+        for goal in problem.hyps.goals:
+            try:
+                cset = base_constraints(task, goal)
+            except GoalUnreachable:
+                continue
+            other_costs = [rng.choice((0, 1, 20)) for _ in task.costs]
+            other = solve_lp(LinearProgram.from_constraints(cset, other_costs))
+            lp = LinearProgram.from_constraints(cset, task.costs, start=other.basis)
+            ours, ref = solve_lp(lp), solve_with(lp, "scipy")
+            assert ours.warm and ours.status == ref.status == "optimal"
+            assert abs(ours.value - ref.value) <= 1e-6
+            infeasible_starts += _reduced_costs(lp, other.basis).min() < -1e-7
+    assert infeasible_starts >= 5

@@ -2,6 +2,7 @@ import gc
 import json
 import random
 import sys
+import threading
 import weakref
 
 import pytest
@@ -237,13 +238,6 @@ def test_report_json_round_trip_with_infinities():
     assert back.fallback_ranking == report.fallback_ranking
 
 
-def test_concurrent_scoring_matches_sequential(demo_bundle):
-    task, hyps, obs = demo_bundle.task, demo_bundle.hyps, demo_bundle.obs
-    seq, _ = score_all(task, hyps, obs, RecognizerConfig(workers=1))
-    par, _ = score_all(task, hyps, obs, RecognizerConfig(workers=4))
-    assert seq == par
-
-
 def test_uncertainty_basis_h_variant(demo_bundle):
     task, hyps, obs = demo_bundle.task, demo_bundle.hyps, demo_bundle.obs
     one = ObservationSequence(obs.obs[2:3])
@@ -305,16 +299,27 @@ def test_reused_base_results_match_a_fresh_grounding(tmp_path):
 
 
 def test_threaded_scoring_with_reused_bases_matches_sequential():
+    """Two caller threads scoring one task share its memo of base results."""
     b, levels = _island()
     hyps = GoalHypotheses(goals=b.hyps.goals * 3, lines=b.hyps.lines * 3, hidden=0)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for obs in levels:
-            par, _ = score_all(b.task, hyps, obs, RecognizerConfig(workers=2))
+            results = [None, None]
+
+            def score(slot):
+                results[slot] = score_all(b.task, hyps, obs)[0]
+
+            threads = [threading.Thread(target=score, args=(slot,)) for slot in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
             seq, _ = score_all(bundle_from_texts(dict(ISLAND_BUNDLE), require_obs=False).task,
-                               hyps, obs, RecognizerConfig(workers=1))
-            assert par == seq
+                               hyps, obs)
+            assert results == [seq, seq]
     finally:
         sys.setswitchinterval(interval)
 
@@ -401,29 +406,36 @@ def _open_grid(n):
 
 
 def test_warm_observation_lp_matches_cold_floor_rows():
-    """Shifted, warm-started h_hc against the base + floor rows LP solved cold
-    and by HiGHS, with random floors, on tasks past toy size."""
+    """Warm-started h_hc with the floors as bounds against the base + floor
+    rows LP solved cold, and h and h_hc against HiGHS with the floors as
+    bounds, with random floors, on tasks past toy size."""
     rng = random.Random(8)
     spec = SuiteSpec(families=("grid", "blocks", "logistics", "corridor"), per_family=2,
                      seed=21, observability=(100,))
     bundles = [(p.task, p.hyps) for p in generated_problems(spec)]
-    for texts in (ONE_WAY_BUNDLE, _open_grid(8), _open_grid(10)):
+    for texts in (ONE_WAY_BUNDLE, _open_grid(8), _open_grid(10), _open_grid(14), _open_grid(18)):
         b = bundle_from_texts(dict(texts), require_obs=False)
         bundles.append((b.task, b.hyps))
     statuses = set()
     for task, hyps in bundles:
         for goal in hyps.goals:
+            h = score_hypothesis(task, goal, _obs()).h
+            highs_h = solve_with(LinearProgram.from_constraints(base_rows(task, goal), task.costs),
+                                 "scipy")
+            assert abs(h - highs_h.value) <= 1e-6
             for _ in range(3):
                 picks = rng.sample(range(task.num_actions), min(task.num_actions, rng.randint(1, 4)))
                 obs = ObservationSequence(tuple(a for a in picks for _ in range(rng.randint(1, 2))))
                 score = score_hypothesis(task, goal, obs)
                 cold = solve_lp(_floored(task, goal, obs))
-                highs = solve_with(_floored(task, goal, obs), "scipy")
+                highs = solve_with(LinearProgram.from_constraints(
+                    base_rows(task, goal), task.costs, lower=sorted(obs.counts.items())), "scipy")
                 statuses.add(cold.status)
                 assert highs.status == cold.status
                 if cold.status == "infeasible":
                     assert score.h_hc == INF
                     continue
+                assert score.h == h
                 assert abs(score.h_hc - cold.value) <= 1e-9
                 assert abs(score.h_hc - highs.value) <= 1e-6
                 counts = score.counts_hc
