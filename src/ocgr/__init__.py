@@ -20,9 +20,9 @@ from .oracle import (Plan, PlanCheck, SearchResult, enumerate_plans,
 from .pddl import DomainDef, OperatorSchema, ProblemDef, parse_domain, parse_problem
 from .recognition import (HypothesisScore, RecognitionReport, RecognizerConfig,
                           full_observation_guarantee_check,
-                          observation_constraints, recognize, recognize_delta,
-                          recognize_hc, report_from_dict, report_to_dict,
-                          score_all, score_hypothesis, uncertainty)
+                          observation_constraints, recognize, report_from_dict,
+                          report_to_dict, score_all, score_hypothesis, select,
+                          uncertainty)
 
 __version__ = "0.1.0"
 

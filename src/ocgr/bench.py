@@ -1,6 +1,10 @@
 """Suite generation and evaluation: observability sampling, noise
 injection, and the accuracy / spread / time metrics.
 
+Every problem is composed by ``generate_problem`` from a source plan: a
+witness plan for the hidden goal of a generated bundle, or the obs.dat
+sequence of a shipped one.
+
 Rows are fully determined by the manifest and seed; wall-clock timings go
 to the aggregate outputs and are written into rows.csv only when the
 manifest enables ``timings`` (so default row files are byte-reproducible).
@@ -12,7 +16,7 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .constraints import ALL_FAMILIES
@@ -21,6 +25,7 @@ from .generators import GENERATORS, GeneratedBundle, write_bundle
 from .grounding import PlanningTask, relaxed_reachable
 from .inputs import (Bundle, GoalHypotheses, ObservationSequence,
                      bundle_from_texts, load_bundle)
+from .lp import available_backends
 from .oracle import OPTIMAL, Plan, optimal_cost, validate_plan
 from .recognition import (METHOD_DELTA_U, METHODS, RecognizerConfig,
                           score_all, select)
@@ -60,6 +65,13 @@ class SuiteSpec:
                 raise ValueError(f"observability level {pct} outside (0, 100]")
         if self.noise_count < 0:
             raise ValueError("noise_count must be >= 0")
+        if self.per_family < 0:
+            raise ValueError("per_family must be >= 0")
+        if not 0 <= self.suboptimal_fraction <= 1:
+            raise ValueError(f"suboptimal_fraction {self.suboptimal_fraction} outside [0, 1]")
+        if self.backend not in available_backends():
+            raise ValueError(f"unknown backend '{self.backend}' "
+                             f"(have: {', '.join(available_backends())})")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method '{m}'")
@@ -87,20 +99,7 @@ def load_manifest(path: str | Path) -> SuiteSpec:
 
 
 def save_manifest(spec: SuiteSpec, path: str | Path) -> None:
-    data = {
-        "bundles": list(spec.bundles),
-        "families": list(spec.families),
-        "per_family": spec.per_family,
-        "observability": list(spec.observability) if spec.observability is not None else None,
-        "noise_count": spec.noise_count,
-        "suboptimal_fraction": spec.suboptimal_fraction,
-        "methods": list(spec.methods),
-        "seed": spec.seed,
-        "timings": spec.timings,
-        "constraint_families": list(spec.constraint_families),
-        "backend": spec.backend,
-    }
-    Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(asdict(spec), indent=2) + "\n", encoding="utf-8")
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,6 @@ class RecognitionProblem:
     obs: ObservationSequence
     pct: int | None  # None: observations taken as shipped in the bundle
     noise: int
-    seed: int
 
 
 def sample_observations(plan: Plan, pct: int, rng: random.Random) -> ObservationSequence:
@@ -127,8 +125,7 @@ def sample_observations(plan: Plan, pct: int, rng: random.Random) -> Observation
     return ObservationSequence(tuple(plan.steps[i] for i in picked))
 
 
-def inject_noise(obs: ObservationSequence, task: PlanningTask,
-                 goal_region: GoalHypotheses | tuple[frozenset[int], ...],
+def inject_noise(obs: ObservationSequence, task: PlanningTask, hyps: GoalHypotheses,
                  n: int, rng: random.Random, *,
                  exclude: tuple[int, ...] = ()) -> ObservationSequence:
     """Insert n distinct spurious actions at random positions.
@@ -139,8 +136,7 @@ def inject_noise(obs: ObservationSequence, task: PlanningTask,
     """
     if n <= 0:
         return obs
-    goals = goal_region.goals if isinstance(goal_region, GoalHypotheses) else tuple(goal_region)
-    goal_facts = frozenset().union(*goals) if goals else frozenset()
+    goal_facts = frozenset().union(*hyps.goals)
     _, applicable = relaxed_reachable(task)
     banned = set(exclude) | set(obs.obs)
     candidates = sorted(
@@ -158,7 +154,7 @@ def inject_noise(obs: ObservationSequence, task: PlanningTask,
 
 
 def _splice_detour(task: PlanningTask, goal: frozenset[int], plan: Plan,
-                   rng: random.Random, cap: int | None) -> Plan:
+                   rng: random.Random) -> Plan:
     """Degrade an optimal plan by one random applicable action plus replanning."""
     for _ in range(8):
         cut = rng.randint(0, len(plan.steps))
@@ -174,7 +170,7 @@ def _splice_detour(task: PlanningTask, goal: frozenset[int], plan: Plan,
         nstate = (state - a.dels) | a.adds
         sub = PlanningTask(facts=task.facts, actions=task.actions,
                            init=frozenset(nstate), goal=goal)
-        rest = optimal_cost(sub, goal, cap=cap)
+        rest = optimal_cost(sub, goal)
         if rest.status != OPTIMAL:
             continue
         steps = plan.steps[:cut] + (detour,) + rest.plan.steps
@@ -185,31 +181,34 @@ def _splice_detour(task: PlanningTask, goal: frozenset[int], plan: Plan,
 
 
 def _witness_plan(task: PlanningTask, goal: frozenset[int], suboptimal: bool,
-                  rng: random.Random, cap: int | None = None) -> Plan:
+                  rng: random.Random) -> Plan:
     """An optimal plan for ``goal``, degraded by one detour when ``suboptimal``."""
-    result = optimal_cost(task, goal, cap=cap)
+    result = optimal_cost(task, goal)
     if result.status != OPTIMAL:
         raise CapExceeded(f"no witness plan for the hidden goal ({result.status})")
     if suboptimal:
-        return _splice_detour(task, goal, result.plan, rng, cap)
+        return _splice_detour(task, goal, result.plan, rng)
     return result.plan
 
 
-def generate_problem(task: PlanningTask, hyps: GoalHypotheses, hidden: int,
-                     pct: int, noise: int, seed: int, *, suboptimal: bool = False,
-                     plan: Plan | None = None, domain_name: str = "task",
-                     problem_id: str = "p0", search_cap: int | None = None
+def generate_problem(task: PlanningTask, hyps: GoalHypotheses, hidden: int | None,
+                     pct: int, noise: int, seed: int, *, plan: Plan,
+                     domain_name: str = "task", problem_id: str = "p0"
                      ) -> RecognitionProblem:
-    """Compose a recognition problem from a witness plan for the hidden goal."""
+    """Compose a recognition problem from a source plan: ``pct``% of its
+    steps, in order, plus ``noise`` spurious actions drawn from outside it.
+
+    ``hidden`` is None when the hidden goal is unknown.
+    """
     rng = random.Random(seed)
-    if plan is None:
-        plan = _witness_plan(task, hyps.goals[hidden], suboptimal, rng, search_cap)
     obs = sample_observations(plan, pct, rng)
     if noise > 0:
         obs = inject_noise(obs, task, hyps, noise, rng, exclude=plan.steps)
+    if hidden is not None:
+        hyps = hyps.with_hidden(hidden)
     return RecognitionProblem(domain_name=domain_name, problem_id=problem_id,
-                              task=task, hyps=hyps.with_hidden(hidden), hidden=hidden,
-                              plan=plan, obs=obs, pct=pct, noise=noise, seed=seed)
+                              task=task, hyps=hyps, hidden=hidden,
+                              plan=plan, obs=obs, pct=pct, noise=noise)
 
 
 @dataclass(frozen=True)
@@ -274,18 +273,14 @@ def generated_problems(spec: SuiteSpec) -> list[RecognitionProblem]:
     problems: list[RecognitionProblem] = []
     for path in spec.bundles:
         b = load_bundle(path)
+        name = Path(path).name
         source = Plan(steps=b.obs.obs,
                       cost=sum(b.task.actions[a].cost for a in b.obs.obs))
         for pct in spec.levels():
-            rng = random.Random(stable_seed(spec.seed, Path(path).name, pct))
-            obs = sample_observations(source, pct, rng)
-            if spec.noise_count > 0:
-                obs = inject_noise(obs, b.task, b.hyps, spec.noise_count, rng,
-                                   exclude=source.steps)
-            problems.append(RecognitionProblem(
-                domain_name=b.domain.name, problem_id=Path(path).name, task=b.task,
-                hyps=b.hyps, hidden=b.hyps.hidden, plan=source, obs=obs,
-                pct=pct, noise=spec.noise_count, seed=spec.seed))
+            problems.append(generate_problem(
+                b.task, b.hyps, b.hyps.hidden, pct, spec.noise_count,
+                seed=stable_seed(spec.seed, name, pct), plan=source,
+                domain_name=b.domain.name, problem_id=name))
     for family in spec.families:
         for j in range(spec.per_family):
             bundle, parsed, plan, base_seed = _generated_instance(spec, family, j)
@@ -298,8 +293,7 @@ def generated_problems(spec: SuiteSpec) -> list[RecognitionProblem]:
 
 
 def _evaluate(problem: RecognitionProblem, spec: SuiteSpec) -> list[Row]:
-    config = RecognizerConfig(families=spec.constraint_families, backend=spec.backend,
-                              keep_counts=False)
+    config = RecognizerConfig(families=spec.constraint_families, backend=spec.backend)
     common = dict(domain=problem.domain_name, problem_id=problem.problem_id,
                   pct=problem.pct, noise=problem.noise)
     try:
@@ -313,7 +307,7 @@ def _evaluate(problem: RecognitionProblem, spec: SuiteSpec) -> list[Row]:
     rows = []
     for method in spec.methods:
         t1 = time.perf_counter()
-        selected, u, _ = select(scores, method, len(problem.obs), config)
+        selected, u, _ = select(scores, method, len(problem.obs))
         row_time = elapsed + (time.perf_counter() - t1)
         correct = (problem.hidden in selected) if problem.hidden is not None else None
         rows.append(Row(**common, method=method, time_s=row_time, correct=correct,
@@ -404,17 +398,22 @@ def write_suite_outputs(result: SuiteResult, out_dir: str | Path, spec: SuiteSpe
     return rows_path, agg_path
 
 
-def materialize_suite(spec: SuiteSpec, out_dir: str | Path, *, pct: int = 100,
-                      noise: int = 0) -> list[Path]:
-    """Write generated bundles (with sampled obs.dat) as bundle directories."""
+def materialize_suite(spec: SuiteSpec, out_dir: str | Path) -> list[Path]:
+    """Write the generated bundles as bundle directories, each obs.dat
+    sampled at the spec's one observability level with ``noise_count``
+    spurious actions."""
     spec.validate()
+    levels = spec.levels()
+    if len(levels) != 1:
+        raise ValueError(f"materializing needs one observability level, not {len(levels)}")
     out = Path(out_dir)
     written: list[Path] = []
     for family in spec.families:
         for j in range(spec.per_family):
             bundle, parsed, plan, base_seed = _generated_instance(spec, family, j)
             problem = generate_problem(parsed.task, parsed.hyps, parsed.hyps.hidden,
-                                       pct, noise, seed=stable_seed(base_seed, pct), plan=plan)
+                                       levels[0], spec.noise_count,
+                                       seed=stable_seed(base_seed, levels[0]), plan=plan)
             obs_text = "".join(parsed.task.actions[a].text() + "\n" for a in problem.obs.obs)
             files = dict(bundle.files)
             files["obs.dat"] = obs_text

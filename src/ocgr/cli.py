@@ -1,6 +1,7 @@
 """Command-line surface: recognize, bench, gen, plan, heuristic.
 
-Exit codes: 0 success, 2 input/parse problems, 3 LP solver failure,
+Exit codes: 0 success, 2 input problems and every other toolkit error
+(such as a search cap in ``gen``/``bench``), 3 LP solver failure,
 4 every hypothesis infeasible.
 """
 
@@ -14,8 +15,8 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .constraints import ALL_FAMILIES, base_constraints, dump_constraints
-from .errors import (BackendUnavailable, GoalUnreachable, GroundingError,
-                     OcgrError, PddlParseError, SolverFailure)
+from .errors import (BackendUnavailable, GoalUnreachable, OcgrError,
+                     PddlParseError, SolverFailure)
 from .generators import GENERATORS, demo_grid_bundle, write_bundle
 from .inputs import Bundle, bundle_from_texts, load_bundle
 from .lp import LinearProgram, solve_with
@@ -157,7 +158,7 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
         doc = report_to_dict(report)
         doc["goals"] = list(bundle.hyps.lines)
         doc["timings"]["parse_ground"] = parse_time
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2, allow_nan=False))
     else:
         print(format_report(report, bundle.hyps, {"parse_ground": parse_time}))
     if not report.selected and report.all_infeasible:
@@ -183,8 +184,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if not args.family:
         raise PddlParseError("gen needs --demo-grid or --family")
     spec = bench_mod.SuiteSpec(families=(args.family,), per_family=args.count,
-                               seed=args.seed)
-    for path in bench_mod.materialize_suite(spec, out, pct=args.pct, noise=args.noise):
+                               seed=args.seed, observability=(args.pct,),
+                               noise_count=args.noise)
+    for path in bench_mod.materialize_suite(spec, out):
         print(path)
     return EXIT_OK
 
@@ -248,15 +250,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (PddlParseError, GroundingError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (SolverFailure, BackendUnavailable) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except (OcgrError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

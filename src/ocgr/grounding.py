@@ -17,8 +17,13 @@ DEFAULT_GROUND_CAP = 100_000
 
 
 def _env_cap(name: str, default: int) -> int:
+    """The positive integer in environment variable ``name``, else ``default``."""
     raw = os.environ.get(name)
-    return int(raw) if raw else default
+    if not raw:
+        return default
+    if not raw.isdecimal() or int(raw) == 0:
+        raise ValueError(f"{name} must be a positive integer, not {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)

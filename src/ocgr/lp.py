@@ -13,15 +13,14 @@ primal phase 2 on the true costs (Bland's rule after 2*(m+n) degenerate
 pivots) finishes the solve and detects unboundedness. Optimal outcomes carry
 their basis (the basic column of each row and B^-1, read-only).
 
-Alternative solvers plug in through a named backend registry; a scipy
-(HiGHS) backend is registered when scipy is importable, passes the floors
-as bounds and ignores starts.
+Alternative solvers plug in through a named backend registry. ``solve_lp``
+is registered as ``simplex``; the ``scipy`` (HiGHS) backend passes the
+floors as bounds and ignores starts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from importlib import util as _importlib_util
 from typing import Callable, Sequence
 
 import numpy as np
@@ -230,7 +229,8 @@ def _dual(tab: np.ndarray, basis: list[int], m: int, n: int) -> tuple[str, int, 
     raise _failure("dual", "hit the iteration limit", iter_cap, m, n)
 
 
-def _solve_simplex(lp: LinearProgram) -> LpOutcome:
+def solve_lp(lp: LinearProgram) -> LpOutcome:
+    """Solve with the built-in dual simplex."""
     n = lp.num_vars
     m = len(lp.constraints)
     c = np.asarray(lp.objective, dtype=float)
@@ -269,11 +269,6 @@ def _solve_simplex(lp: LinearProgram) -> LpOutcome:
         if status == UNBOUNDED:
             return LpOutcome(UNBOUNDED, pivots=pivots, warm=warm)
     return _optimum(tab, basis, c, k, pivots, warm)
-
-
-def solve_lp(lp: LinearProgram) -> LpOutcome:
-    """Solve with the built-in simplex."""
-    return _solve_simplex(lp)
 
 
 _BACKENDS: dict[str, Callable[[LinearProgram], LpOutcome]] = {}
@@ -315,6 +310,5 @@ def _scipy_backend(lp: LinearProgram) -> LpOutcome:
     raise SolverFailure(f"scipy backend failed: {res.message}")
 
 
-register_backend("simplex", _solve_simplex)
-if _importlib_util.find_spec("scipy") is not None:
-    register_backend("scipy", _scipy_backend)
+register_backend("simplex", solve_lp)
+register_backend("scipy", _scipy_backend)

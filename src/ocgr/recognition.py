@@ -5,8 +5,9 @@ per-action observation floors Y_a >= k_a (value h_hc). The h_hc LP keeps
 the base rows and takes the floors as variable bounds; its solve starts
 from the base LP's optimal basis, which stays dual feasible when only the
 bounds change.
-Selection uses either h_hc directly or the enforcement delta h_hc - h,
-optionally widened by the uncertainty ratio
+``select`` is the one selection rule: each method names its score key
+(h_hc or the enforcement delta h_hc - h) and whether the threshold is
+widened by the uncertainty ratio
 
     U = 1 + (min_G h_hc - |O|) / min_G h_hc
 
@@ -36,16 +37,21 @@ METHOD_HC = "hc"
 METHOD_HC_U = "hc-u"
 METHOD_DELTA = "delta"
 METHOD_DELTA_U = "delta-u"
-METHODS = (METHOD_HC, METHOD_HC_U, METHOD_DELTA, METHOD_DELTA_U)
+# method -> (the score it ranks by, whether U widens the threshold)
+SELECTION_RULES = {
+    METHOD_HC: ("h_hc", False),
+    METHOD_HC_U: ("h_hc", True),
+    METHOD_DELTA: ("delta", False),
+    METHOD_DELTA_U: ("delta", True),
+}
+METHODS = tuple(SELECTION_RULES)
+SELECTION_SLACK = 1e-9  # absorbs LP float noise in thresholds
 
 
 @dataclass(frozen=True)
 class RecognizerConfig:
     families: tuple[str, ...] = ALL_FAMILIES
     backend: str = "simplex"
-    uncertainty_basis: str = "h_hc"  # or "h": basis of the ratio's minimum
-    selection_slack: float = 1e-9  # absorbs LP float noise in thresholds
-    keep_counts: bool = True
 
 
 @dataclass(frozen=True)
@@ -147,18 +153,17 @@ def _score_one(task: PlanningTask, goal_index: int, goal: frozenset[int],
 
     base, out = entry
     h = out.value
-    counts_base = out.counts if config.keep_counts else None
     t2 = time.perf_counter()
     lp = LinearProgram.from_constraints(base, task.costs, start=out.basis,
                                         lower=sorted(obs.counts.items()))
     out_hc = solve_with(lp, config.backend)
     t_lp += time.perf_counter() - t2
     if out_hc.status == INFEASIBLE:
-        return HypothesisScore(goal_index, h, INF, INF, counts_base, None), t_cons, t_lp
+        return HypothesisScore(goal_index, h, INF, INF, out.counts, None), t_cons, t_lp
     if out_hc.status != OPTIMAL:
         raise SolverFailure(f"observation LP for hypothesis {goal_index} came back {out_hc.status}")
-    score = HypothesisScore(goal_index, h, out_hc.value, out_hc.value - h, counts_base,
-                            out_hc.counts if config.keep_counts else None)
+    score = HypothesisScore(goal_index, h, out_hc.value, out_hc.value - h, out.counts,
+                            out_hc.counts)
     return score, t_cons, t_lp
 
 
@@ -184,15 +189,13 @@ def score_all(task: PlanningTask, hyps: GoalHypotheses, obs: ObservationSequence
     return scores, timings
 
 
-def uncertainty(scores: Iterable[HypothesisScore], obs_len: int,
-                basis: str = "h_hc") -> float | None:
+def uncertainty(scores: Iterable[HypothesisScore], obs_len: int) -> float | None:
     """Ratio widening the acceptance threshold when observations are scarce.
 
-    None when every hypothesis is infeasible; 1.0 when the minimum is zero
-    (nothing can be missing).
+    None when every hypothesis is infeasible; 1.0 when the minimum h_hc is
+    zero (nothing can be missing).
     """
-    values = [s.h_hc if basis == "h_hc" else s.h for s in scores]
-    finite = [v for v in values if v != INF]
+    finite = [s.h_hc for s in scores if s.h_hc != INF]
     if not finite:
         return None
     m = min(finite)
@@ -201,65 +204,43 @@ def uncertainty(scores: Iterable[HypothesisScore], obs_len: int,
     return 1.0 + (m - obs_len) / m
 
 
-def _select(scores: tuple[HypothesisScore, ...], key: str, use_uncertainty: bool,
-            obs_len: int, config: RecognizerConfig
-            ) -> tuple[tuple[int, ...], float | None, tuple[int, ...] | None]:
+def select(scores: tuple[HypothesisScore, ...], method: str, obs_len: int
+           ) -> tuple[tuple[int, ...], float | None, tuple[int, ...] | None]:
+    """Selected goals, the threshold ratio and, only when every hypothesis is
+    infeasible, the fallback ranking by h.
+
+    Keeps every finite score within ``min * U`` of the minimum of the
+    method's score key, where U is the uncertainty ratio for the ``-u``
+    methods and 1 otherwise.
+    """
+    if method not in SELECTION_RULES:
+        raise ValueError(f"unknown method '{method}' (expected one of {METHODS})")
+    key, widen = SELECTION_RULES[method]
     values = {s.goal_index: getattr(s, key) for s in scores}
     finite = {i: v for i, v in values.items() if v != INF}
     if not finite:
         # non-normative fallback: rank by the unconstrained heuristic
         ranking = tuple(sorted(values, key=lambda i: (scores[i].h, i)))
         return (), None, ranking
-    if use_uncertainty:
-        u = uncertainty(scores, obs_len, config.uncertainty_basis)
-    else:
-        u = 1.0
-    threshold = min(finite.values()) * u + config.selection_slack
+    u = uncertainty(scores, obs_len) if widen else 1.0
+    threshold = min(finite.values()) * u + SELECTION_SLACK
     selected = tuple(i for i in sorted(finite) if finite[i] <= threshold)
     return selected, u, None
-
-
-def select(scores: tuple[HypothesisScore, ...], method: str, obs_len: int,
-           config: RecognizerConfig = RecognizerConfig()
-           ) -> tuple[tuple[int, ...], float | None, tuple[int, ...] | None]:
-    """Selected goals, the threshold ratio and, only when every hypothesis is
-    infeasible, the fallback ranking by h.
-
-    ``hc`` methods rank by h_hc and ``delta`` methods by delta; the ``-u``
-    variants widen the threshold by the uncertainty ratio.
-    """
-    key = "h_hc" if method in (METHOD_HC, METHOD_HC_U) else "delta"
-    use_u = method in (METHOD_HC_U, METHOD_DELTA_U)
-    return _select(scores, key, use_u, obs_len, config)
 
 
 def recognize(task: PlanningTask, hyps: GoalHypotheses, obs: ObservationSequence,
               method: str = METHOD_DELTA_U,
               config: RecognizerConfig = RecognizerConfig()) -> RecognitionReport:
-    if method not in METHODS:
-        raise ValueError(f"unknown method '{method}' (expected one of {METHODS})")
     if len(hyps) == 0:
         raise ValueError("at least one goal hypothesis is required")
     scores, timings = score_all(task, hyps, obs, config)
     t0 = time.perf_counter()
-    selected, u, fallback = select(scores, method, len(obs), config)
+    selected, u, fallback = select(scores, method, len(obs))
     timings = dict(timings)
     timings["selection"] = time.perf_counter() - t0
     return RecognitionReport(scores=scores, uncertainty=u, selected=selected,
                              method=method, obs_len=len(obs), timings=timings,
                              fallback_ranking=fallback)
-
-
-def recognize_hc(task: PlanningTask, hyps: GoalHypotheses, obs: ObservationSequence,
-                 use_uncertainty: bool = False,
-                 config: RecognizerConfig = RecognizerConfig()) -> RecognitionReport:
-    return recognize(task, hyps, obs, METHOD_HC_U if use_uncertainty else METHOD_HC, config)
-
-
-def recognize_delta(task: PlanningTask, hyps: GoalHypotheses, obs: ObservationSequence,
-                    use_uncertainty: bool = False,
-                    config: RecognizerConfig = RecognizerConfig()) -> RecognitionReport:
-    return recognize(task, hyps, obs, METHOD_DELTA_U if use_uncertainty else METHOD_DELTA, config)
 
 
 def full_observation_guarantee_check(task: PlanningTask, hyps: GoalHypotheses,
@@ -270,8 +251,14 @@ def full_observation_guarantee_check(task: PlanningTask, hyps: GoalHypotheses,
     if not check.ok:
         raise ValueError(f"plan is not valid for hypothesis {hidden}: {check.reason}")
     obs = ObservationSequence(obs=plan.steps)
-    report = recognize_hc(task, hyps, obs, use_uncertainty=False, config=config)
+    report = recognize(task, hyps, obs, METHOD_HC, config)
     return hidden in report.selected
+
+
+def _json_value(v: float) -> float | str:
+    """Infinite scores as the string "inf", which strict JSON allows and
+    ``float`` reads back."""
+    return "inf" if v == INF else v
 
 
 def report_to_dict(report: RecognitionReport) -> dict:
@@ -286,9 +273,9 @@ def report_to_dict(report: RecognitionReport) -> dict:
         "scores": [
             {
                 "goal_index": s.goal_index,
-                "h": s.h,
-                "h_hc": s.h_hc,
-                "delta": s.delta,
+                "h": _json_value(s.h),
+                "h_hc": _json_value(s.h_hc),
+                "delta": _json_value(s.delta),
                 "counts_base": list(s.counts_base) if s.counts_base is not None else None,
                 "counts_hc": list(s.counts_hc) if s.counts_hc is not None else None,
             }

@@ -51,7 +51,7 @@ def clean_problems():
 
 @pytest.fixture(scope="module")
 def clean_scored(clean_problems):
-    config = RecognizerConfig(keep_counts=False)
+    config = RecognizerConfig()
     t0 = time.perf_counter()
     scored = [(p, score_all(p.task, p.hyps, p.obs, config)[0]) for p in clean_problems]
     return scored, time.perf_counter() - t0
@@ -115,7 +115,7 @@ def test_criterion_2_dominance(clean_scored):
 def test_criterion_3_completeness_full_observability():
     problems = generated_problems(COMPLETENESS_SPEC)
     assert len(problems) >= 200
-    config = RecognizerConfig(keep_counts=False)
+    config = RecognizerConfig()
     hits = 0
     for p in problems:
         check = validate_plan(p.task, p.plan.steps, p.hyps.goals[p.hidden])

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from ocgr.bench import (SuiteSpec, format_rows, generate_problem,
-                        generated_problems, inject_noise, load_manifest,
-                        run_suite, sample_observations, save_manifest,
-                        stable_seed)
+from ocgr.bench import (SuiteSpec, _witness_plan, format_rows,
+                        generate_problem, generated_problems, inject_noise,
+                        load_manifest, run_suite, sample_observations,
+                        save_manifest, stable_seed)
 from ocgr.errors import OcgrError
 from ocgr.generators import demo_grid_bundle, write_bundle
 from ocgr.inputs import ObservationSequence
@@ -75,24 +75,28 @@ def test_inject_noise_too_small(chain):
         inject_noise(obs, chain, hyps, 1, random.Random(1), exclude=(0,))
 
 
+def _problem(b, hidden, pct, noise, seed, suboptimal=False):
+    plan = _witness_plan(b.task, b.hyps.goals[hidden], suboptimal, random.Random(seed))
+    return generate_problem(b.task, b.hyps, hidden, pct, noise, seed=seed, plan=plan)
+
+
 def test_generate_problem_full_clean(demo_bundle):
-    p = generate_problem(demo_bundle.task, demo_bundle.hyps, 0, 100, 0, seed=4)
+    p = _problem(demo_bundle, 0, 100, 0, seed=4)
     assert p.obs.obs == p.plan.steps
     assert p.plan.cost == 3  # optimal witness
     assert validate_plan(demo_bundle.task, p.plan.steps, demo_bundle.hyps.goals[0]).ok
 
 
 def test_generate_problem_suboptimal(demo_bundle):
-    p = generate_problem(demo_bundle.task, demo_bundle.hyps, 0, 100, 0, seed=11,
-                         suboptimal=True)
+    p = _problem(demo_bundle, 0, 100, 0, seed=11, suboptimal=True)
     opt = optimal_cost(demo_bundle.task, demo_bundle.hyps.goals[0]).cost
     assert validate_plan(demo_bundle.task, p.plan.steps, demo_bundle.hyps.goals[0]).ok
     assert p.plan.cost >= opt
 
 
 def test_generate_problem_deterministic(demo_bundle):
-    a = generate_problem(demo_bundle.task, demo_bundle.hyps, 1, 50, 2, seed=8)
-    b = generate_problem(demo_bundle.task, demo_bundle.hyps, 1, 50, 2, seed=8)
+    a = _problem(demo_bundle, 1, 50, 2, seed=8)
+    b = _problem(demo_bundle, 1, 50, 2, seed=8)
     assert a.obs.obs == b.obs.obs and a.plan.steps == b.plan.steps
 
 
@@ -123,6 +127,15 @@ def test_spec_validation():
         SuiteSpec(families=("grid",), observability=(0,)).validate()
     with pytest.raises(ValueError, match="method"):
         SuiteSpec(families=("grid",), methods=("nope",)).validate()
+    with pytest.raises(ValueError, match="backend 'hihgs'"):
+        SuiteSpec(families=("grid",), backend="hihgs").validate()
+    with pytest.raises(ValueError, match="per_family"):
+        SuiteSpec(families=("grid",), per_family=-2).validate()
+    for fraction in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="suboptimal_fraction"):
+            SuiteSpec(families=("grid",), suboptimal_fraction=fraction).validate()
+    SuiteSpec(families=("grid",), per_family=0, suboptimal_fraction=1.0,
+              backend="scipy").validate()
 
 
 def test_default_levels_depend_on_noise():

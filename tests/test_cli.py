@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -7,9 +8,22 @@ from conftest import CHAIN_DOMAIN, ISLAND_BUNDLE
 from ocgr.bench import SuiteSpec, generated_problems
 from ocgr.cli import main
 from ocgr.errors import SolverFailure
-from ocgr.generators import demo_grid_bundle, write_bundle
+from ocgr.generators import CORRIDOR_DOMAIN, demo_grid_bundle, write_bundle
 from ocgr.lp import register_backend
 from ocgr.recognition import report_from_dict
+
+
+# Both goals need one branch of the fork; observing both branches makes every
+# hypothesis infeasible, and every action achieves a goal fact.
+FORK_BUNDLE = {
+    "domain.pddl": CORRIDOR_DOMAIN,
+    "template.pddl": ("(define (problem fork) (:domain corridor)"
+                      " (:objects s0 l1 r1 - node)"
+                      " (:init (at s0) (linked s0 l1) (linked s0 r1)))"),
+    "hyps.dat": "(at l1)\n(at r1)\n",
+    "real_hyp.dat": "(at l1)\n",
+    "obs.dat": "(walk s0 l1)\n(walk s0 r1)\n",
+}
 
 
 @pytest.fixture()
@@ -78,21 +92,25 @@ def test_recognize_solver_failure_exits_3(demo_dir, capsys):
 
 
 def test_recognize_all_infeasible_exits_4(tmp_path, capsys):
-    from ocgr.generators import CORRIDOR_DOMAIN
-
     d = tmp_path / "fork"
-    write_bundle(d, {
-        "domain.pddl": CORRIDOR_DOMAIN,
-        "template.pddl": ("(define (problem fork) (:domain corridor)"
-                          " (:objects s0 l1 r1 - node)"
-                          " (:init (at s0) (linked s0 l1) (linked s0 r1)))"),
-        "hyps.dat": "(at l1)\n(at r1)\n",
-        "real_hyp.dat": "(at l1)\n",
-        "obs.dat": "(walk s0 l1)\n(walk s0 r1)\n",
-    })
+    write_bundle(d, FORK_BUNDLE)
     assert main(["recognize", "-b", str(d)]) == 4
     out = capsys.readouterr().out
     assert "fallback ranking" in out
+
+
+def test_recognize_json_is_strict_on_infinite_scores(tmp_path, capsys):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    d = tmp_path / "fork"
+    write_bundle(d, FORK_BUNDLE)
+    assert main(["recognize", "-b", str(d), "--json"]) == 4
+    doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert [s["h_hc"] for s in doc["scores"]] == ["inf", "inf"]
+    assert [s["delta"] for s in doc["scores"]] == ["inf", "inf"]
+    report = report_from_dict(doc)
+    assert all(s.h_hc == float("inf") and s.h == 1.0 for s in report.scores)
 
 
 def test_recognize_dumps(demo_dir, capsys):
@@ -220,10 +238,63 @@ def test_bench_rows_byte_identical(tmp_path, demo_dir):
     assert outs[0] == outs[1]
 
 
+def test_bench_rows_are_pinned(tmp_path):
+    """Shipped and generated problems of every family, noisy, all four methods."""
+    write_bundle(tmp_path / "grid-demo", demo_grid_bundle().files)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "bundles": [str(tmp_path / "grid-demo")],
+        "families": ["blocks", "corridor", "grid", "logistics"],
+        "per_family": 3,
+        "noise_count": 2,
+        "seed": 9,
+        "methods": ["hc", "hc-u", "delta", "delta-u"],
+    }))
+    assert main(["bench", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 0
+    rows = (tmp_path / "o" / "rows.csv").read_bytes()
+    assert len(rows.splitlines()) == 1 + (1 + 4 * 3) * 4 * 4
+    assert hashlib.sha256(rows).hexdigest() == \
+        "b64267a3d316780d20f9cefb8aff17e75f3dd398097ebb4db7b4a3b116916a1b"
+
+
 def test_bench_bad_manifest_exits_2(tmp_path, capsys):
     manifest = tmp_path / "m.json"
-    manifest.write_text('{"families": ["grid"], "bogus": true}')
+    for body, message in (('{"families": ["grid"], "bogus": true}', "unknown manifest keys"),
+                          ('{"families": ["grid"], "backend": "hihgs"}', "unknown backend"),
+                          ('{"families": ["grid"], "per_family": -1}', "per_family"),
+                          ('{"families": ["grid"], "suboptimal_fraction": 2}',
+                           "suboptimal_fraction")):
+        manifest.write_text(body)
+        assert main(["bench", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+def test_bench_too_few_noise_candidates_exits_2(tmp_path, capsys):
+    write_bundle(tmp_path / "fork", FORK_BUNDLE)
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"bundles": [str(tmp_path / "fork")], "noise_count": 1}))
     assert main(["bench", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
+    assert "error: task too small to supply 1 distinct spurious actions" in capsys.readouterr().err
+
+
+def test_gen_search_cap_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OCGR_OPTIMAL_CAP", "1")
+    assert main(["gen", "--out", str(tmp_path), "--family", "grid"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid-0: no witness plan") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--pct", "0"], "observability level 0"),
+    (["--pct", "101"], "observability level 101"),
+    (["--noise", "-1"], "noise_count"),
+    (["--count", "-2"], "per_family"),
+])
+def test_gen_bad_options_exit_2(tmp_path, capsys, flags, message):
+    assert main(["gen", "--out", str(tmp_path / "o"), "--family", "grid", *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_gen_requires_family_or_demo(tmp_path):

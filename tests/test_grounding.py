@@ -111,6 +111,10 @@ def test_ground_cap_env_override(monkeypatch):
         _move_task(prune=False)
     monkeypatch.setenv("OCGR_GROUND_CAP", "100")
     assert _move_task(prune=False).num_actions == 4
+    for raw in ("abc", "-5", "0", "2.5", " 7"):
+        monkeypatch.setenv("OCGR_GROUND_CAP", raw)
+        with pytest.raises(ValueError, match="OCGR_GROUND_CAP must be a positive integer"):
+            _move_task(prune=False)
 
 
 def test_grounding_warnings_stay_off_stderr_by_default():

@@ -18,9 +18,8 @@ from ocgr.oracle import Plan, optimal_cost
 from ocgr.recognition import (INF, METHODS, RecognizerConfig, base_rows,
                               full_observation_guarantee_check,
                               observation_constraints, recognize,
-                              recognize_delta, recognize_hc, report_from_dict,
-                              report_to_dict, score_all, score_hypothesis,
-                              uncertainty)
+                              report_from_dict, report_to_dict, score_all,
+                              score_hypothesis, select, uncertainty)
 
 
 def _obs(*actions):
@@ -56,7 +55,7 @@ def test_empty_obs_neutrality(demo_bundle):
     for goal in hyps.goals:
         s = score_hypothesis(task, goal, _obs())
         assert s.h_hc == s.h and s.delta == 0
-    report = recognize_delta(task, hyps, _obs(), use_uncertainty=True)
+    report = recognize(task, hyps, _obs(), "delta-u")
     assert report.selected == (0, 1)
 
 
@@ -85,7 +84,7 @@ def test_uncertainty_zero_minimum():
 
 def test_recognize_hc_demo_single_obs(demo_bundle):
     task, hyps, obs = demo_bundle.task, demo_bundle.hyps, demo_bundle.obs
-    report = recognize_hc(task, hyps, ObservationSequence(obs.obs[2:3]), use_uncertainty=True)
+    report = recognize(task, hyps, ObservationSequence(obs.obs[2:3]), "hc-u")
     assert report.selected == (0, 1)
     assert abs(report.uncertainty - (1 + 6 / 7)) <= 1e-9
 
@@ -93,27 +92,29 @@ def test_recognize_hc_demo_single_obs(demo_bundle):
 def test_recognize_hc_threshold_follows_formula(demo_bundle):
     # with |O|=4: threshold = 7 * (1 + 3/7) = 10, so G1 at h_hc=9 stays in
     task, hyps, obs = demo_bundle.task, demo_bundle.hyps, demo_bundle.obs
-    report = recognize_hc(task, hyps, ObservationSequence(obs.obs[:4]), use_uncertainty=True)
+    report = recognize(task, hyps, ObservationSequence(obs.obs[:4]), "hc-u")
     assert report.selected == (0, 1)
-    report_flat = recognize_hc(task, hyps, ObservationSequence(obs.obs[:4]))
+    report_flat = recognize(task, hyps, ObservationSequence(obs.obs[:4]), "hc")
     assert report_flat.selected == (0,)
 
 
 def test_recognize_hc_tie_kept():
-    from ocgr.recognition import HypothesisScore, _select
+    from ocgr.recognition import HypothesisScore
 
     scores = (HypothesisScore(0, 2, 5, 3), HypothesisScore(1, 2, 5, 3))
-    selected, u, fallback = _select(scores, "h_hc", False, 3, RecognizerConfig())
+    selected, u, fallback = select(scores, "hc", 3)
     assert selected == (0, 1) and u == 1.0 and fallback is None
+    with pytest.raises(ValueError, match="unknown method"):
+        select(scores, "h_hc", 3)
 
 
 def test_recognize_delta_demo_cases(demo_bundle):
     task, hyps, obs = demo_bundle.task, demo_bundle.hyps, demo_bundle.obs
-    full = recognize_delta(task, hyps, obs, use_uncertainty=True)
+    full = recognize(task, hyps, obs, "delta-u")
     assert full.selected == (0,) and full.uncertainty == 1.0
-    one = recognize_delta(task, hyps, ObservationSequence(obs.obs[2:3]), use_uncertainty=True)
+    one = recognize(task, hyps, ObservationSequence(obs.obs[2:3]), "delta-u")
     assert one.selected == (0, 1)
-    four = recognize_delta(task, hyps, ObservationSequence(obs.obs[:4]), use_uncertainty=True)
+    four = recognize(task, hyps, ObservationSequence(obs.obs[:4]), "delta-u")
     assert four.selected == (0,)
     assert abs(four.uncertainty - (1 + 3 / 7)) <= 1e-9
 
@@ -121,7 +122,7 @@ def test_recognize_delta_demo_cases(demo_bundle):
 def test_delta_zero_minimum_selects_only_zeros(demo_bundle):
     # empty observations: every delta is 0, threshold collapses to 0, all kept
     task, hyps = demo_bundle.task, demo_bundle.hyps
-    report = recognize_delta(task, hyps, _obs(), use_uncertainty=True)
+    report = recognize(task, hyps, _obs(), "delta-u")
     assert report.selected == (0, 1)
     assert all(s.delta == 0 for s in report.scores)
 
@@ -130,10 +131,9 @@ def test_uncertainty_selection_is_superset(demo_bundle):
     task, hyps, obs = demo_bundle.task, demo_bundle.hyps, demo_bundle.obs
     for k in (1, 2, 4, 7):
         o = ObservationSequence(obs.obs[:k])
-        for plain, widened in ((recognize_hc(task, hyps, o),
-                                recognize_hc(task, hyps, o, use_uncertainty=True)),
-                               (recognize_delta(task, hyps, o),
-                                recognize_delta(task, hyps, o, use_uncertainty=True))):
+        for plain, widened in ((recognize(task, hyps, o, "hc"), recognize(task, hyps, o, "hc-u")),
+                               (recognize(task, hyps, o, "delta"),
+                                recognize(task, hyps, o, "delta-u"))):
             assert set(widened.selected) >= set(plain.selected)
             assert widened.uncertainty >= 1.0
 
@@ -161,7 +161,7 @@ def test_one_way_fork_infeasible_noise():
     scores, _ = score_all(b.task, b.hyps, obs, RecognizerConfig())
     assert all(s.h_hc == INF for s in scores)
     assert all(s.h != INF for s in scores)
-    report = recognize_delta(b.task, b.hyps, obs, use_uncertainty=True)
+    report = recognize(b.task, b.hyps, obs, "delta-u")
     assert report.selected == ()
     assert report.uncertainty is None
     assert report.all_infeasible
@@ -238,15 +238,6 @@ def test_report_json_round_trip_with_infinities():
     assert back.fallback_ranking == report.fallback_ranking
 
 
-def test_uncertainty_basis_h_variant(demo_bundle):
-    task, hyps, obs = demo_bundle.task, demo_bundle.hyps, demo_bundle.obs
-    one = ObservationSequence(obs.obs[2:3])
-    cfg = RecognizerConfig(uncertainty_basis="h")
-    report = recognize(task, hyps, one, "delta-u", cfg)
-    # min h = 3, |O| = 1 -> U = 1 + 2/3
-    assert abs(report.uncertainty - (1 + 2 / 3)) <= 1e-9
-
-
 def _island():
     b = bundle_from_texts(dict(ISLAND_BUNDLE), require_obs=False)
     act = b.task.action_index
@@ -276,10 +267,10 @@ def _outcome(report):
 def test_reused_base_results_match_a_fresh_grounding(tmp_path):
     """Scoring one task at every level equals scoring a freshly grounded copy each time."""
     spec = SuiteSpec(families=("grid", "blocks", "logistics", "corridor"), per_family=2,
-                     seed=11)
+                     seed=11, observability=(100,), noise_count=1)
     sources = [lambda: bundle_from_texts(dict(demo_grid_bundle().files))]
     sources += [lambda d=d: load_bundle(d)
-                for d in materialize_suite(spec, tmp_path, pct=100, noise=1)]
+                for d in materialize_suite(spec, tmp_path)]
     island, island_obs = _island()
     cases = [(lambda: bundle_from_texts(dict(ISLAND_BUNDLE), require_obs=False), island_obs)]
     for load in sources:
