@@ -25,7 +25,7 @@ from .generators import GENERATORS, GeneratedBundle, write_bundle
 from .grounding import PlanningTask, relaxed_reachable
 from .inputs import (Bundle, GoalHypotheses, ObservationSequence,
                      bundle_from_texts, load_bundle)
-from .lp import available_backends
+from .lp import check_backend
 from .oracle import OPTIMAL, Plan, optimal_cost, validate_plan
 from .recognition import (METHOD_DELTA_U, METHODS, RecognizerConfig,
                           score_all, select)
@@ -69,9 +69,7 @@ class SuiteSpec:
             raise ValueError("per_family must be >= 0")
         if not 0 <= self.suboptimal_fraction <= 1:
             raise ValueError(f"suboptimal_fraction {self.suboptimal_fraction} outside [0, 1]")
-        if self.backend not in available_backends():
-            raise ValueError(f"unknown backend '{self.backend}' "
-                             f"(have: {', '.join(available_backends())})")
+        check_backend(self.backend)
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method '{m}'")

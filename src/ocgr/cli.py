@@ -19,7 +19,7 @@ from .errors import (BackendUnavailable, GoalUnreachable, OcgrError,
                      PddlParseError, SolverFailure)
 from .generators import GENERATORS, demo_grid_bundle, write_bundle
 from .inputs import Bundle, bundle_from_texts, load_bundle
-from .lp import LinearProgram, solve_with
+from .lp import LinearProgram, check_backend, solve_with
 from .oracle import optimal_cost
 from .recognition import (METHOD_DELTA_U, METHODS, RecognizerConfig, base_rows,
                           format_report, recognize, report_to_dict,
@@ -146,6 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_recognize(args: argparse.Namespace) -> int:
+    check_backend(args.backend)
     t0 = time.perf_counter()
     bundle = _load_inputs(args)
     parse_time = time.perf_counter() - t0
@@ -213,6 +214,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_heuristic(args: argparse.Namespace) -> int:
+    check_backend(args.backend)
     bundle = _load_inputs(args)
     idx = _pick_goal(bundle, args.goal_index)
     goal = bundle.hyps.goals[idx]

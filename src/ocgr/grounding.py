@@ -6,10 +6,12 @@ import logging
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import merge
 from itertools import product
+from typing import Iterator
 
 from .errors import GroundingError
-from .pddl import DomainDef, ProblemDef, atom_text
+from .pddl import DomainDef, OperatorSchema, ProblemDef, atom_text
 
 log = logging.getLogger(__name__)
 
@@ -114,33 +116,68 @@ class PlanningTask:
 
 def relaxed_reachable(task: PlanningTask, from_facts: frozenset[int] | None = None
                       ) -> tuple[frozenset[int], frozenset[int]]:
-    """Delete-relaxation fixpoint; returns (reachable facts, applicable action ids)."""
-    reached = set(task.init if from_facts is None else from_facts)
-    applicable: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for a in task.actions:
-            if a.id in applicable:
-                continue
-            if a.pre <= reached:
-                applicable.add(a.id)
-                new = a.adds - reached
-                if new:
-                    reached |= new
-                    changed = True
+    """Delete-relaxation fixpoint; returns (reachable facts, applicable action ids).
+
+    Each newly reached fact counts down, through ``task.by_pre``, the unreached
+    preconditions of the actions requiring it."""
+    start = task.init if from_facts is None else from_facts
+    missing = [len(a.pre) for a in task.actions]
+    applicable = [a for a, n in enumerate(missing) if n == 0]
+    adds, by_pre = task.adds, task.by_pre
+    queue = [*start, *(f for a in applicable for f in adds[a])]
+    reached: set[int] = set()
+    while queue:
+        fact = queue.pop()
+        if fact in reached:
+            continue
+        reached.add(fact)
+        for a in by_pre[fact]:
+            missing[a] -= 1
+            if missing[a] == 0:
+                applicable.append(a)
+                queue.extend(adds[a])
     return frozenset(reached), frozenset(applicable)
+
+
+def _bindings(schema: OperatorSchema, pools: list[list[str]], dynamic: set[str],
+              init_args: dict[str, set[tuple[str, ...]]]) -> Iterator[tuple[str, ...]]:
+    """Parameter tuples of ``schema`` whose static preconditions (predicates not
+    in ``dynamic``) hold initially, lazily and in ``product(*pools)`` order.
+
+    Each static literal's init tuples that fit its constants, repeated
+    variables and parameter pools are hash-joined with the partial bindings
+    on the parameters both bind; unbound parameters range over their pools."""
+    var_pos = {v: i for i, (v, _) in enumerate(schema.params)}
+    partial: list[dict[int, str]] = [{}]
+    bound: set[int] = set()
+    for lit in (lit for lit in schema.pre if lit[0] not in dynamic):
+        slots = [(var_pos[t], set(pools[var_pos[t]])) if t in var_pos else (None, {t}) for t in lit[1:]]
+        lit_vars = {i for i, _ in slots if i is not None}
+        shared = sorted(bound & lit_vars)
+        index: dict[tuple[str, ...], list[dict[int, str]]] = {}
+        for args in init_args.get(lit[0], ()):
+            row: dict[int, str] = {}
+            if all(obj in allowed and (i is None or row.setdefault(i, obj) == obj)
+                   for (i, allowed), obj in zip(slots, args)):
+                index.setdefault(tuple(row[i] for i in shared), []).append(row)
+        partial = [{**p, **row} for p in partial for row in index.get(tuple(p[i] for i in shared), ())]
+        bound |= lit_vars
+    # pools are sorted and duplicate-free, so tuple order is product order
+    return merge(*(product(*([p[i]] if i in p else pool for i, pool in enumerate(pools)))
+                   for p in partial))
 
 
 def ground(dom: DomainDef, prob: ProblemDef, *, prune_unreachable: bool = True,
            max_actions: int | None = None) -> PlanningTask:
-    """Instantiate every type-consistent schema application.
+    """Instantiate every type-consistent schema application whose static
+    preconditions (predicates never added or deleted) hold initially.
 
-    Instantiations whose static preconditions (predicates never added or
-    deleted) do not hold in the initial state are skipped. With
-    ``prune_unreachable`` the action set is further restricted to actions
-    applicable somewhere in the delete relaxation of the initial state; the
-    fact table always covers all grounded atoms.
+    Bindings come from joining each schema's static preconditions with the
+    initial-state tuples of their predicates, not from filtering the full
+    type product, but in that product's order, so fact and action ids follow
+    it. With ``prune_unreachable`` the action set is further restricted to
+    actions applicable somewhere in the delete relaxation of the initial
+    state; the fact table always covers all grounded atoms.
     """
     cap = max_actions if max_actions is not None else _env_cap("OCGR_GROUND_CAP", DEFAULT_GROUND_CAP)
 
@@ -154,7 +191,6 @@ def ground(dom: DomainDef, prob: ProblemDef, *, prune_unreachable: bool = True,
 
     dynamic = {lit[0] for sch in dom.operators for lit in sch.add + sch.delete}
     init_atoms = [atom_text(lit) for lit in prob.init]
-    init_set = set(init_atoms)
 
     fact_of: dict[str, int] = {}
     facts: list[str] = []
@@ -172,6 +208,10 @@ def ground(dom: DomainDef, prob: ProblemDef, *, prune_unreachable: bool = True,
     for lit in prob.goal:
         intern(atom_text(lit))
 
+    init_args: dict[str, set[tuple[str, ...]]] = {}
+    for lit in prob.init:
+        init_args.setdefault(lit[0], set()).add(lit[1:])
+
     actions: list[GroundAction] = []
     overlap_dropped = 0
     for schema in dom.operators:
@@ -182,11 +222,7 @@ def ground(dom: DomainDef, prob: ProblemDef, *, prune_unreachable: bool = True,
             args = [binding[var_pos[a]] if a.startswith("?") else a for a in lit[1:]]
             return atom_text((lit[0], *args))
 
-        static_pre = [lit for lit in schema.pre if lit[0] not in dynamic]
-        dynamic_pre = [lit for lit in schema.pre if lit[0] in dynamic]
-        for binding in product(*pools):
-            if any(instantiate(lit, binding) not in init_set for lit in static_pre):
-                continue
+        for binding in _bindings(schema, pools, dynamic, init_args):
             if len(actions) >= cap:
                 raise GroundingError(
                     f"ground action cap exceeded ({cap}); raise OCGR_GROUND_CAP or simplify the task")

@@ -282,6 +282,12 @@ def available_backends() -> tuple[str, ...]:
     return tuple(sorted(_BACKENDS))
 
 
+def check_backend(name: str) -> None:
+    """Raise ``ValueError`` (an input error) unless ``name`` is a registered backend."""
+    if name not in _BACKENDS:
+        raise ValueError(f"unknown backend '{name}' (have: {', '.join(available_backends())})")
+
+
 def solve_with(lp: LinearProgram, backend: str) -> LpOutcome:
     solver = _BACKENDS.get(backend)
     if solver is None:

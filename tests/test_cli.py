@@ -91,6 +91,15 @@ def test_recognize_solver_failure_exits_3(demo_dir, capsys):
     assert "injected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["recognize", "heuristic"])
+def test_unknown_backend_exits_2_before_loading(tmp_path, demo_dir, capsys, command):
+    for bundle in (demo_dir, tmp_path / "missing"):
+        assert main([command, "-b", str(bundle), "--backend", "hihgs"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown backend 'hihgs' (have: ")
+        assert "simplex" in err and "missing" not in err
+
+
 def test_recognize_all_infeasible_exits_4(tmp_path, capsys):
     d = tmp_path / "fork"
     write_bundle(d, FORK_BUNDLE)
