@@ -1,8 +1,9 @@
 """Minimization linear programs over operator-counting variables.
 
 The built-in solver is one dense dual simplex (float64, tolerance 1e-7) over
-the tableau B^-1 [A | -I | b] of the rows A y >= b. Floors y >= k are
-variable bounds; the substitution y = k + z moves them into the rhs, b - A k.
+the tableau B^-1 [A | -I | b] of the rows A y >= b, compiled once per LP
+(``CompiledRows``) and shared by LPs derived with ``dataclasses.replace``.
+Floors y >= k are bounds; the substitution y = k + z moves them into b - A k.
 A solve starts from ``LinearProgram.start`` when its row count fits -- an
 optimal basis of the same rows, as the base LP's is for its h_hc LP -- else
 from the all-surplus basis (B^-1 = -I). Negative reduced costs are clamped
@@ -14,14 +15,14 @@ pivots) finishes the solve and detects unboundedness. Optimal outcomes carry
 their basis (the basic column of each row and B^-1, read-only).
 
 Alternative solvers plug in through a named backend registry. ``solve_lp``
-is registered as ``simplex``; the ``scipy`` (HiGHS) backend passes the
-floors as bounds and ignores starts.
+is registered as ``simplex``; the ``scipy`` (HiGHS) backend reads the same
+compiled rows, passes the floors as bounds and ignores starts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,6 +51,28 @@ class Basis:
     inverse: np.ndarray  # m x m, read-only
 
 
+class CompiledRows(NamedTuple):
+    """A's nonzeros by row and column, a repeated variable summed, and b."""
+    row: np.ndarray
+    col: np.ndarray
+    data: np.ndarray
+    rhs: np.ndarray
+
+
+def compile_rows(num_vars: int, constraints: Sequence[LinearConstraint]) -> CompiledRows:
+    terms = np.fromiter((x for row in constraints for t in row.terms for x in t),
+                        dtype=float).reshape(-1, 2)
+    rows = np.repeat(np.arange(len(constraints)), [len(row.terms) for row in constraints])
+    cols = terms[:, 0].astype(np.intp)
+    bad = (cols < 0) | (cols >= num_vars)
+    if bad.any():
+        raise ValueError(f"constraint references unknown variable {cols[bad.argmax()]}")
+    a = np.zeros((len(constraints), num_vars))  # temporary: the compiled form is sparse
+    np.add.at(a, (rows, cols), terms[:, 1])
+    rows, cols = a.nonzero()
+    return CompiledRows(rows, cols, a[rows, cols], np.array([r.rhs for r in constraints], float))
+
+
 @dataclass(frozen=True)
 class LinearProgram:
     """min objective . y  s.t.  constraints (all >=),  y >= 0,  and
@@ -57,6 +80,7 @@ class LinearProgram:
 
     ``start`` is an optimal basis of an LP with the same rows and objective
     but another rhs or other floors; the simplex backend starts from it.
+    ``compiled`` caches the rows on first solve, shared by replacing only ``lower``/``start``.
     """
 
     num_vars: int
@@ -64,6 +88,7 @@ class LinearProgram:
     constraints: tuple[LinearConstraint, ...]
     lower: tuple[tuple[int, int], ...] = ()
     start: Basis | None = field(default=None, compare=False, repr=False)
+    compiled: CompiledRows | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def from_constraints(cset: ConstraintSet, costs: Sequence[float],
@@ -88,24 +113,19 @@ class LpOutcome:
 
 def _floors(lp: LinearProgram) -> np.ndarray:
     """The lower bound of every variable: the largest of 0 and its floors."""
+    var, floor = np.array(lp.lower, dtype=float).reshape(-1, 2).T
+    bad = (var < 0) | (var >= lp.num_vars)
+    if bad.any():
+        raise ValueError(f"bound references unknown variable {int(var[bad.argmax()])}")
     k = np.zeros(lp.num_vars)
-    for var, floor in lp.lower:
-        if not 0 <= var < lp.num_vars:
-            raise ValueError(f"bound references unknown variable {var}")
-        k[var] = max(k[var], float(floor))
+    np.maximum.at(k, var.astype(np.intp), floor)
     return k
 
 
-def _dense(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
-    a = np.zeros((len(lp.constraints), lp.num_vars))
-    b = np.zeros(len(lp.constraints))
-    for i, row in enumerate(lp.constraints):
-        for var, coef in row.terms:
-            if not 0 <= var < lp.num_vars:
-                raise ValueError(f"constraint references unknown variable {var}")
-            a[i, var] += float(coef)
-        b[i] = float(row.rhs)
-    return a, b
+def _compiled(lp: LinearProgram) -> CompiledRows:
+    if lp.compiled is None:
+        object.__setattr__(lp, "compiled", compile_rows(lp.num_vars, lp.constraints))
+    return lp.compiled
 
 
 def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -239,8 +259,10 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
         if n and c.min() < 0:
             return LpOutcome(UNBOUNDED)
         return LpOutcome(OPTIMAL, float(c @ k), tuple(k.tolist()))
-    a, b = _dense(lp)
-    b -= a @ k
+    row, col, data, rhs = _compiled(lp)
+    a = np.zeros((m, n))
+    a[row, col] = data
+    b = rhs - np.bincount(row, weights=data * k[col], minlength=m)
     warm = lp.start is not None and len(lp.start.columns) == m
     tab = np.empty((m + 1, n + m + 1))
     if warm:
@@ -298,14 +320,13 @@ def solve_with(lp: LinearProgram, backend: str) -> LpOutcome:
 
 def _scipy_backend(lp: LinearProgram) -> LpOutcome:
     from scipy.optimize import linprog
+    from scipy.sparse import csr_array
 
     c = np.asarray(lp.objective, dtype=float)
     bounds = [(floor, None) for floor in _floors(lp)] if lp.lower else (0, None)
-    if lp.constraints:
-        a, b = _dense(lp)
-        res = linprog(c, A_ub=-a, b_ub=-b, bounds=bounds, method="highs")
-    else:
-        res = linprog(c, bounds=bounds, method="highs")
+    row, col, data, rhs = _compiled(lp)
+    a = csr_array((-data, (row, col)), shape=(len(lp.constraints), lp.num_vars))
+    res = linprog(c, A_ub=a, b_ub=-rhs, bounds=bounds, method="highs")
     if res.status == 0:
         counts = tuple(float(v) for v in np.maximum(res.x, 0.0))
         return LpOutcome(OPTIMAL, float(c @ np.asarray(counts)), counts)

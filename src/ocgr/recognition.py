@@ -1,10 +1,9 @@
 """Goal recognition over operator-counting LPs.
 
 For each hypothesis G we solve the base LP (value h) and the LP with
-per-action observation floors Y_a >= k_a (value h_hc). The h_hc LP keeps
-the base rows and takes the floors as variable bounds; its solve starts
-from the base LP's optimal basis, which stays dual feasible when only the
-bounds change.
+per-action observation floors Y_a >= k_a (value h_hc): the base LP with the
+floors as bounds, sharing its compiled rows, solved from its optimal basis,
+which stays dual feasible when only the bounds change.
 ``select`` is the one selection rule: each method names its score key
 (h_hc or the enforcement delta h_hc - h) and whether the threshold is
 widened by the uncertainty ratio
@@ -20,7 +19,7 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 from .constraints import (ALL_FAMILIES, SRC_OBSERVATION, ConstraintSet,
@@ -88,8 +87,8 @@ def observation_constraints(obs: ObservationSequence, num_actions: int) -> Const
 
 
 # Per-goal base results of the task scored last, keyed by
-# (goal, families, backend): the base ConstraintSet and its LpOutcome (which
-# carries the optimal basis the h_hc solves start from), or the reason the
+# (goal, families, backend): the base LP with its compiled rows and its
+# LpOutcome (with the optimal basis the h_hc solves start from), or the reason the
 # goal is relaxed-unreachable. h depends only on the task and the goal, so
 # re-scoring that task with other observations solves only the h_hc LPs.
 # One task at a time keeps memory flat when a caller holds many tasks; the
@@ -111,7 +110,7 @@ def _base_memo(task: PlanningTask) -> dict:
 
 def _base(task: PlanningTask, goal_index: int, goal: frozenset[int],
           config: RecognizerConfig, memo: dict
-          ) -> tuple[tuple[ConstraintSet, LpOutcome] | str, float, float]:
+          ) -> tuple[tuple[LinearProgram, LpOutcome] | str, float, float]:
     """The memo entry of ``goal``, built and stored on a miss, with the
     seconds spent on constraints and on the LP."""
     key = (goal, frozenset(config.families), config.backend)
@@ -125,10 +124,11 @@ def _base(task: PlanningTask, goal_index: int, goal: frozenset[int],
         reason = memo[key] = str(exc)
         return reason, time.perf_counter() - t0, 0.0
     t1 = time.perf_counter()
-    out = solve_with(LinearProgram.from_constraints(base, task.costs), config.backend)
+    lp = LinearProgram.from_constraints(base, task.costs)
+    out = solve_with(lp, config.backend)
     if out.status not in (OPTIMAL, INFEASIBLE):
         raise SolverFailure(f"base LP for hypothesis {goal_index} came back {out.status}")
-    entry = memo[key] = (base, out)
+    entry = memo[key] = (lp, out)
     return entry, t1 - t0, time.perf_counter() - t1
 
 
@@ -141,7 +141,7 @@ def base_rows(task: PlanningTask, goal: Iterable[int],
     entry, _, _ = _base(task, goal_index, frozenset(goal), config, _base_memo(task))
     if isinstance(entry, str):
         raise GoalUnreachable(entry)
-    return entry[0]
+    return ConstraintSet(entry[0].constraints, entry[0].num_vars)
 
 
 def _score_one(task: PlanningTask, goal_index: int, goal: frozenset[int],
@@ -154,8 +154,7 @@ def _score_one(task: PlanningTask, goal_index: int, goal: frozenset[int],
     base, out = entry
     h = out.value
     t2 = time.perf_counter()
-    lp = LinearProgram.from_constraints(base, task.costs, start=out.basis,
-                                        lower=sorted(obs.counts.items()))
+    lp = replace(base, lower=tuple(sorted(obs.counts.items())), start=out.basis)
     out_hc = solve_with(lp, config.backend)
     t_lp += time.perf_counter() - t2
     if out_hc.status == INFEASIBLE:

@@ -61,6 +61,23 @@ ISLAND_BUNDLE = {
 }
 
 
+def open_grid_bundle(n: int) -> dict[str, str]:
+    """An open n x n corridor grid with no observations, three corner hypotheses."""
+    cells = [f"c{x}_{y}" for x in range(n) for y in range(n)]
+    links = [f"(linked c{x}_{y} c{x + dx}_{y + dy})"
+             for x in range(n) for y in range(n) for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
+             if 0 <= x + dx < n and 0 <= y + dy < n]
+    far = n - 1
+    return {
+        "domain.pddl": CORRIDOR_DOMAIN,
+        "template.pddl": (f"(define (problem open{n}) (:domain corridor)"
+                          f" (:objects {' '.join(cells)} - node)"
+                          f" (:init (at c0_0) {' '.join(links)}))"),
+        "hyps.dat": f"(at c{far}_{far})\n(at c0_{far})\n(at c{far // 2}_{far})\n",
+        "real_hyp.dat": f"(at c{far}_{far})\n",
+    }
+
+
 def chain_task() -> PlanningTask:
     dom = parse_domain(CHAIN_DOMAIN)
     prob = parse_problem(CHAIN_PROBLEM, dom)

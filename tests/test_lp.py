@@ -1,14 +1,20 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import make_micro_task, plan_counts
+from conftest import make_micro_task, open_grid_bundle, plan_counts
 from ocgr.bench import SuiteSpec, generated_problems
 from ocgr.constraints import LinearConstraint, base_constraints
 from ocgr.errors import (BackendUnavailable, CapExceeded, GoalUnreachable,
                          SolverFailure)
-from ocgr.lp import (LinearProgram, available_backends, register_backend,
-                     solve_lp, solve_with)
+from ocgr.inputs import bundle_from_texts
+from ocgr.lp import (LinearProgram, available_backends, compile_rows,
+                     register_backend, solve_lp, solve_with)
 from ocgr.oracle import enumerate_plans
 
 
@@ -41,8 +47,9 @@ def test_two_variable_optimum():
 
 
 def test_empty_lp():
-    out = solve_lp(_lp(2, [1, 1], []))
-    assert out.status == "optimal" and out.value == 0.0 and out.counts == (0.0, 0.0)
+    for backend in ("simplex", "scipy"):
+        out = solve_with(_lp(2, [1, 1], []), backend)
+        assert out.status == "optimal" and out.value == 0.0 and out.counts == (0.0, 0.0)
 
 
 def test_unbounded():
@@ -176,10 +183,7 @@ def test_floors_are_bounds():
 
 
 def _reduced_costs(lp, basis):
-    import numpy as np
-    from ocgr.lp import _dense
-
-    a, _ = _dense(lp)
+    a, _ = _dense_reference(lp)
     cost = np.concatenate([np.asarray(lp.objective), np.zeros(len(a))])
     columns = basis.inverse @ np.hstack([a, -np.eye(len(a))])
     return cost - cost[list(basis.columns)] @ columns
@@ -206,3 +210,71 @@ def test_start_that_is_not_dual_feasible_still_reaches_the_optimum():
             assert abs(ours.value - ref.value) <= 1e-6
             infeasible_starts += _reduced_costs(lp, other.basis).min() < -1e-7
     assert infeasible_starts >= 5
+
+
+def _dense_reference(lp):
+    """A and b of ``lp``, built term by term, a repeated variable summed."""
+    a = np.zeros((len(lp.constraints), lp.num_vars))
+    b = np.zeros(len(lp.constraints))
+    for i, row in enumerate(lp.constraints):
+        for var, coef in row.terms:
+            if not 0 <= var < lp.num_vars:
+                raise ValueError(f"constraint references unknown variable {var}")
+            a[i, var] += float(coef)
+        b[i] = float(row.rhs)
+    return a, b
+
+
+def _scattered(lp):
+    rows = compile_rows(lp.num_vars, lp.constraints)
+    a = np.zeros((len(lp.constraints), lp.num_vars))
+    a[rows.row, rows.col] = rows.data
+    return a, rows.rhs
+
+
+def test_compiled_rows_scatter_back_to_the_dense_rows():
+    spec = SuiteSpec(families=("grid", "blocks", "logistics", "corridor"), per_family=2,
+                     seed=4, observability=(100,))
+    tasks = [(p.task, p.hyps) for p in generated_problems(spec)]
+    grid = bundle_from_texts(open_grid_bundle(8), require_obs=False)
+    tasks.append((grid.task, grid.hyps))
+    lps = [_lp(4, [1, 1, 1, 1], [([(0, 1), (0, 2)], 3), ([(1, 1), (2, -1), (1, -1)], 1),
+                                 ([(3, 2), (3, -2)], 0), ([], -1), ([(2, 1)], 0)])]
+    for task, hyps in tasks:
+        for goal in hyps.goals:
+            try:
+                lps.append(LinearProgram.from_constraints(base_constraints(task, goal),
+                                                          task.costs))
+            except GoalUnreachable:
+                pass
+    assert len(lps) > 20
+    for lp in lps:
+        a, b = _scattered(lp)
+        ref_a, ref_b = _dense_reference(lp)
+        assert a.tobytes() == ref_a.tobytes() and b.tobytes() == ref_b.tobytes()
+    assert _scattered(lps[0])[0][0].tolist() == [3.0, 0.0, 0.0, 0.0]
+    # the summed-to-zero terms leave no stored entry
+    assert (compile_rows(4, lps[0].constraints).data != 0).all()
+
+
+def test_unknown_constraint_variable_is_rejected_by_both_backends():
+    lp = _lp(2, [1, 1], [([(0, 1)], 1), ([(1, 1), (5, 1)], 1)])
+    with pytest.raises(ValueError) as ref:
+        _dense_reference(lp)
+    for backend in ("simplex", "scipy"):
+        with pytest.raises(ValueError) as err:
+            solve_with(lp, backend)
+        assert str(err.value) == str(ref.value) == "constraint references unknown variable 5"
+
+
+def test_importing_ocgr_loads_no_scipy():
+    """scipy is imported by the HiGHS backend on its first solve, never at
+    import time: importing scipy.sparse alone costs more than a CLI set-up."""
+    code = ("import sys, ocgr, ocgr.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

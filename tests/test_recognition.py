@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import random
@@ -5,12 +6,14 @@ import sys
 import threading
 import weakref
 
+import numpy as np
 import pytest
 
-from conftest import ISLAND_BUNDLE, ONE_WAY_BUNDLE, make_micro_task
+from conftest import (ISLAND_BUNDLE, ONE_WAY_BUNDLE, make_micro_task,
+                      open_grid_bundle)
 from ocgr.bench import SuiteSpec, generated_problems, materialize_suite
 from ocgr.errors import SolverFailure
-from ocgr.generators import CORRIDOR_DOMAIN, demo_grid_bundle
+from ocgr.generators import demo_grid_bundle
 from ocgr.inputs import (GoalHypotheses, ObservationSequence, bundle_from_texts,
                          load_bundle)
 from ocgr.lp import LinearProgram, solve_lp, solve_with
@@ -380,22 +383,6 @@ def test_rescoring_warm_starts_every_observation_lp(monkeypatch):
     assert checked >= 30
 
 
-def _open_grid(n):
-    cells = [f"c{x}_{y}" for x in range(n) for y in range(n)]
-    links = [f"(linked c{x}_{y} c{x + dx}_{y + dy})"
-             for x in range(n) for y in range(n) for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
-             if 0 <= x + dx < n and 0 <= y + dy < n]
-    far = n - 1
-    return {
-        "domain.pddl": CORRIDOR_DOMAIN,
-        "template.pddl": (f"(define (problem open{n}) (:domain corridor)"
-                          f" (:objects {' '.join(cells)} - node)"
-                          f" (:init (at c0_0) {' '.join(links)}))"),
-        "hyps.dat": f"(at c{far}_{far})\n(at c0_{far})\n(at c{far // 2}_{far})\n",
-        "real_hyp.dat": f"(at c{far}_{far})\n",
-    }
-
-
 def test_warm_observation_lp_matches_cold_floor_rows():
     """Warm-started h_hc with the floors as bounds against the base + floor
     rows LP solved cold, and h and h_hc against HiGHS with the floors as
@@ -404,7 +391,7 @@ def test_warm_observation_lp_matches_cold_floor_rows():
     spec = SuiteSpec(families=("grid", "blocks", "logistics", "corridor"), per_family=2,
                      seed=21, observability=(100,))
     bundles = [(p.task, p.hyps) for p in generated_problems(spec)]
-    for texts in (ONE_WAY_BUNDLE, _open_grid(8), _open_grid(10), _open_grid(14), _open_grid(18)):
+    for texts in (ONE_WAY_BUNDLE, *(open_grid_bundle(n) for n in (8, 10, 14, 18))):
         b = bundle_from_texts(dict(texts), require_obs=False)
         bundles.append((b.task, b.hyps))
     statuses = set()
@@ -433,3 +420,82 @@ def test_warm_observation_lp_matches_cold_floor_rows():
                 assert all(counts[a] >= k for a, k in obs.counts.items())
                 assert all(row.satisfied_by(counts) for row in base_rows(task, goal))
     assert statuses == {"optimal", "infeasible"}
+
+
+def test_rescoring_compiles_each_goal_once(monkeypatch):
+    """Re-scoring a task at five levels compiles each goal's rows once; every
+    h_hc LP carries them, and its outcome equals a freshly built LP's."""
+    import ocgr.lp as lp_mod
+    import ocgr.recognition as rec
+
+    compiled, solves = [], []
+    real_compile, real_solve = lp_mod.compile_rows, rec.solve_with
+
+    def counting(num_vars, constraints):
+        compiled.append(constraints)
+        return real_compile(num_vars, constraints)
+
+    def spy(lp, backend):
+        solves.append((lp, lp.compiled, real_solve(lp, backend)))
+        return solves[-1][2]
+
+    monkeypatch.setattr(lp_mod, "compile_rows", counting)
+    monkeypatch.setattr(rec, "solve_with", spy)
+    spec = SuiteSpec(families=("grid", "blocks", "logistics", "corridor"), per_family=1,
+                     seed=6, observability=(10, 30, 50, 70, 100))
+    problems = generated_problems(spec)
+    warm = 0
+    for first in range(0, len(problems), 5):
+        task = problems[first].task
+        del compiled[:], solves[:]
+        for problem in problems[first:first + 5]:
+            assert problem.task is task
+            recognize(task, problem.hyps, problem.obs)
+        goals = {g for g in problems[first].hyps.goals if score_hypothesis(task, g, _obs()).h != INF}
+        assert len(compiled) == len(goals)
+        rows = {base_rows(task, g).constraints: g for g in goals}
+        for lp, carried, out in solves:
+            if lp.start is None:
+                continue
+            assert carried is not None
+            fresh = LinearProgram.from_constraints(base_rows(task, rows[lp.constraints]),
+                                                   task.costs, start=lp.start, lower=lp.lower)
+            assert out == solve_with(fresh, "simplex")
+            warm += 1
+    assert warm >= 40
+
+
+def _arrays(obj, seen):
+    """Every ndarray reachable from ``obj`` through containers, dataclass
+    fields and array bases."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        yield from _arrays(obj.base, seen)
+    elif isinstance(obj, (tuple, list, set, frozenset)):
+        for item in obj:
+            yield from _arrays(item, seen)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _arrays(item, seen)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name), seen)
+
+
+def test_memo_holds_no_dense_matrix():
+    """The base memo keeps compiled rows and B^-1 (m x m, m < n), never an
+    m x n matrix or a tableau."""
+    import ocgr.recognition as rec
+
+    b = bundle_from_texts(open_grid_bundle(12), require_obs=False)
+    recognize(b.task, b.hyps, _obs(0))
+    entries = list(rec._base_memo(b.task).values())
+    assert len(entries) == len(b.hyps.goals)
+    for lp, out in entries:
+        m, n = len(lp.constraints), lp.num_vars
+        arrays = list(_arrays((lp, out), set()))
+        assert out.basis is not None and lp.compiled is not None and len(arrays) >= 5
+        assert max(a.size for a in arrays) < m * n
