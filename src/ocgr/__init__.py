@@ -2,19 +2,16 @@
 
 import logging
 
-from .constraints import (ALL_FAMILIES, ConstraintSet, LinearConstraint,
-                          base_constraints, dump_constraints, hmax,
-                          landmark_constraints, net_change_constraints,
-                          posthoc_constraints)
-from .errors import (BackendUnavailable, CapExceeded, GoalUnreachable,
-                     GroundingError, OcgrError, PddlParseError, SolverFailure,
-                     UnsupportedFeatureError)
+from .constraints import (ALL_FAMILIES, LinearConstraint, base_constraints,
+                          dump_constraints, hmax, landmark_constraints,
+                          net_change_constraints, posthoc_constraints)
+from .errors import (CapExceeded, GoalUnreachable, GroundingError, OcgrError,
+                     PddlParseError, SolverFailure, UnsupportedFeatureError)
 from .grounding import GroundAction, PlanningTask, ground, relaxed_reachable
 from .inputs import (Bundle, GoalHypotheses, ObservationSequence,
                      bundle_from_texts, load_bundle, parse_hypotheses,
                      parse_observations, parse_real_hyp)
-from .lp import (LinearProgram, LpOutcome, available_backends,
-                 register_backend, solve_lp, solve_with)
+from .lp import BACKENDS, LinearProgram, LpOutcome, solve_lp, solve_with
 from .oracle import (Plan, PlanCheck, SearchResult, enumerate_plans,
                      optimal_cost, optimal_cost_with_counts, validate_plan)
 from .pddl import DomainDef, OperatorSchema, ProblemDef, parse_domain, parse_problem

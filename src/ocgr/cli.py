@@ -15,8 +15,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .constraints import ALL_FAMILIES, base_constraints, dump_constraints
-from .errors import (BackendUnavailable, GoalUnreachable, OcgrError,
-                     PddlParseError, SolverFailure)
+from .errors import GoalUnreachable, OcgrError, PddlParseError, SolverFailure
 from .generators import GENERATORS, demo_grid_bundle, write_bundle
 from .inputs import Bundle, bundle_from_texts, load_bundle
 from .lp import LinearProgram, check_backend, solve_with
@@ -152,16 +151,16 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
     parse_time = time.perf_counter() - t0
     config = RecognizerConfig(families=_families(args.constraints), backend=args.backend)
     report = recognize(bundle.task, bundle.hyps, bundle.obs, args.method, config)
+    report.timings["parse_ground"] = parse_time
     if args.dump_constraints or args.dump_lp:
         for idx in range(len(bundle.hyps)):
             _print_dumps(args, bundle, idx, config)
     if args.json:
         doc = report_to_dict(report)
         doc["goals"] = list(bundle.hyps.lines)
-        doc["timings"]["parse_ground"] = parse_time
         print(json.dumps(doc, indent=2, allow_nan=False))
     else:
-        print(format_report(report, bundle.hyps, {"parse_ground": parse_time}))
+        print(format_report(report, bundle.hyps))
     if not report.selected and report.all_infeasible:
         return EXIT_ALL_INFEASIBLE
     return EXIT_OK
@@ -227,8 +226,8 @@ def _cmd_heuristic(args: argparse.Namespace) -> int:
     print(f"delta = {score.delta}")
     for family in ALL_FAMILIES:
         try:
-            cset = base_constraints(task, goal, (family,))
-            out = solve_with(LinearProgram.from_constraints(cset, task.costs), args.backend)
+            rows = base_constraints(task, goal, (family,))
+            out = solve_with(LinearProgram.from_constraints(rows, task.costs), args.backend)
             value = out.value if out.status == "optimal" else out.status
         except OcgrError:
             value = "unreachable"
@@ -252,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (SolverFailure, BackendUnavailable) as exc:
+    except SolverFailure as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (OcgrError, ValueError, OSError) as exc:

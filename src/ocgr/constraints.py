@@ -56,29 +56,9 @@ class LinearConstraint:
         return f"sum {body} >= {self.rhs} [{self.source}]"
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
-    constraints: tuple[LinearConstraint, ...]
-    num_actions: int
-
-    def __iter__(self):
-        return iter(self.constraints)
-
-    def __len__(self) -> int:
-        return len(self.constraints)
-
-    def merge(self, *others: "ConstraintSet") -> "ConstraintSet":
-        merged = self.constraints
-        for o in others:
-            if o.num_actions != self.num_actions:
-                raise ValueError("constraint sets over different action tables")
-            merged = merged + o.constraints
-        return ConstraintSet(merged, self.num_actions)
-
-
-def dump_constraints(cset: ConstraintSet, task: PlanningTask | None = None) -> str:
+def dump_constraints(rows: Sequence[LinearConstraint], task: PlanningTask | None = None) -> str:
     names = [a.name for a in task.actions] if task is not None else None
-    return "\n".join(c.text(names) for c in cset)
+    return "\n".join(c.text(names) for c in rows)
 
 
 def _hmax_values(pres: Sequence[tuple[int, ...]], adds: Sequence[tuple[int, ...]],
@@ -132,7 +112,7 @@ def hmax(task: PlanningTask, from_facts: Iterable[int], goal: Iterable[int],
     return max(values[g] for g in goal)
 
 
-def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> ConstraintSet:
+def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[LinearConstraint, ...]:
     """Disjunctive action landmarks via justification-graph cut rounds.
 
     Each round picks, per action, its maximum-h_max precondition (ties by
@@ -144,7 +124,7 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> ConstraintS
     goal = frozenset(goal)
     num_a = task.num_actions
     if not goal:
-        return ConstraintSet((), num_a)
+        return ()
     goal_node = task.num_facts
     num_nodes = task.num_facts + 1
     # a virtual goal action (id num_a, cost 0) adds the goal node
@@ -235,10 +215,10 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> ConstraintS
             residual[ai] -= m
     else:
         raise RuntimeError("landmark extraction did not converge")
-    return ConstraintSet(tuple(out), num_a)
+    return tuple(out)
 
 
-def net_change_constraints(task: PlanningTask, goal: Iterable[int]) -> ConstraintSet:
+def net_change_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[LinearConstraint, ...]:
     """Lower-bound state-change rows, one per fact with any terms or demand.
 
     Guaranteed producers (add without pre) count +1, guaranteed consumers
@@ -260,14 +240,14 @@ def net_change_constraints(task: PlanningTask, goal: Iterable[int]) -> Constrain
             continue
         terms.sort()
         out.append(LinearConstraint(terms=tuple(terms), rhs=rhs, source=SRC_NET_CHANGE))
-    return ConstraintSet(tuple(out), task.num_actions)
+    return tuple(out)
 
 
-def posthoc_constraints(task: PlanningTask, goal: Iterable[int]) -> ConstraintSet:
+def posthoc_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[LinearConstraint, ...]:
     """Per goal fact: cost of its relaxed relevance set >= its h_max value."""
     goal = sorted(set(goal))
     if not goal:
-        return ConstraintSet((), task.num_actions)
+        return ()
     values = _hmax_values(task.pres, task.adds, task.by_pre, task.costs, task.init)
     out: list[LinearConstraint] = []
     for g in goal:
@@ -291,11 +271,11 @@ def posthoc_constraints(task: PlanningTask, goal: Iterable[int]) -> ConstraintSe
         terms = tuple((a, task.costs[a]) for a in sorted(relevant_actions)
                       if task.costs[a] != 0)
         out.append(LinearConstraint(terms=terms, rhs=hv, source=SRC_POST_HOC))
-    return ConstraintSet(tuple(out), task.num_actions)
+    return tuple(out)
 
 
 def base_constraints(task: PlanningTask, goal: Iterable[int],
-                     families: Iterable[str] = ALL_FAMILIES) -> ConstraintSet:
+                     families: Iterable[str] = ALL_FAMILIES) -> tuple[LinearConstraint, ...]:
     """Concatenation of the selected families, in a fixed order."""
     chosen = set(families)
     unknown = chosen - set(ALL_FAMILIES)
@@ -304,11 +284,11 @@ def base_constraints(task: PlanningTask, goal: Iterable[int],
     if not chosen:
         raise ValueError("at least one constraint family is required")
     goal = frozenset(goal)
-    parts: list[ConstraintSet] = []
+    rows: tuple[LinearConstraint, ...] = ()
     if FAMILY_LANDMARKS in chosen:
-        parts.append(landmark_constraints(task, goal))
+        rows += landmark_constraints(task, goal)
     if FAMILY_NET_CHANGE in chosen:
-        parts.append(net_change_constraints(task, goal))
+        rows += net_change_constraints(task, goal)
     if FAMILY_POST_HOC in chosen:
-        parts.append(posthoc_constraints(task, goal))
-    return parts[0].merge(*parts[1:]) if parts else ConstraintSet((), task.num_actions)
+        rows += posthoc_constraints(task, goal)
+    return rows

@@ -39,9 +39,5 @@ class SolverFailure(OcgrError):
     """The LP solver gave up (iteration limit); distinct from infeasibility."""
 
 
-class BackendUnavailable(OcgrError):
-    """No LP backend registered under the requested name."""
-
-
 class CapExceeded(OcgrError):
     """An oracle search hit its expansion or length cap."""

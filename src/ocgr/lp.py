@@ -2,7 +2,7 @@
 
 The built-in solver is one dense dual simplex (float64, tolerance 1e-7) over
 the tableau B^-1 [A | -I | b] of the rows A y >= b, compiled once per LP
-(``CompiledRows``) and shared by LPs derived with ``dataclasses.replace``.
+(``CompiledRows``); an LP built with another LP's ``compiled`` shares them.
 Floors y >= k are bounds; the substitution y = k + z moves them into b - A k.
 A solve starts from ``LinearProgram.start`` when its row count fits -- an
 optimal basis of the same rows, as the base LP's is for its h_hc LP -- else
@@ -14,9 +14,9 @@ primal phase 2 on the true costs (Bland's rule after 2*(m+n) degenerate
 pivots) finishes the solve and detects unboundedness. Optimal outcomes carry
 their basis (the basic column of each row and B^-1, read-only).
 
-Alternative solvers plug in through a named backend registry. ``solve_lp``
-is registered as ``simplex``; the ``scipy`` (HiGHS) backend reads the same
-compiled rows, passes the floors as bounds and ignores starts.
+``BACKENDS`` names the solvers: ``simplex`` is ``solve_lp``; ``scipy``
+(HiGHS) reads the same compiled rows, passes the floors as bounds and
+ignores starts.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .constraints import ConstraintSet, LinearConstraint
-from .errors import BackendUnavailable, SolverFailure
+from .constraints import LinearConstraint
+from .errors import SolverFailure
 
 EPS = 1e-7
 PIVOT_TOL = 1e-9
@@ -80,7 +80,8 @@ class LinearProgram:
 
     ``start`` is an optimal basis of an LP with the same rows and objective
     but another rhs or other floors; the simplex backend starts from it.
-    ``compiled`` caches the rows on first solve, shared by replacing only ``lower``/``start``.
+    ``compiled`` holds the rows as compiled on first solve; pass another LP's
+    ``compiled`` to build an LP over the same rows without compiling them again.
     """
 
     num_vars: int
@@ -91,14 +92,12 @@ class LinearProgram:
     compiled: CompiledRows | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
-    def from_constraints(cset: ConstraintSet, costs: Sequence[float],
+    def from_constraints(rows: Sequence[LinearConstraint], costs: Sequence[float],
                          start: Basis | None = None,
                          lower: Sequence[tuple[int, int]] = ()) -> "LinearProgram":
-        if len(costs) != cset.num_actions:
-            raise ValueError("cost vector does not match the action table")
-        return LinearProgram(num_vars=cset.num_actions,
-                             objective=tuple(float(c) for c in costs),
-                             constraints=cset.constraints, lower=tuple(lower), start=start)
+        """The LP over one variable per cost: min costs . y subject to ``rows``."""
+        return LinearProgram(num_vars=len(costs), objective=tuple(float(c) for c in costs),
+                             constraints=tuple(rows), lower=tuple(lower), start=start)
 
 
 @dataclass(frozen=True)
@@ -293,31 +292,6 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     return _optimum(tab, basis, c, k, pivots, warm)
 
 
-_BACKENDS: dict[str, Callable[[LinearProgram], LpOutcome]] = {}
-
-
-def register_backend(name: str, solver: Callable[[LinearProgram], LpOutcome]) -> None:
-    _BACKENDS[name] = solver
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
-
-
-def check_backend(name: str) -> None:
-    """Raise ``ValueError`` (an input error) unless ``name`` is a registered backend."""
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend '{name}' (have: {', '.join(available_backends())})")
-
-
-def solve_with(lp: LinearProgram, backend: str) -> LpOutcome:
-    solver = _BACKENDS.get(backend)
-    if solver is None:
-        raise BackendUnavailable(
-            f"no LP backend registered under '{backend}' (have: {', '.join(available_backends())})")
-    return solver(lp)
-
-
 def _scipy_backend(lp: LinearProgram) -> LpOutcome:
     from scipy.optimize import linprog
     from scipy.sparse import csr_array
@@ -337,5 +311,16 @@ def _scipy_backend(lp: LinearProgram) -> LpOutcome:
     raise SolverFailure(f"scipy backend failed: {res.message}")
 
 
-register_backend("simplex", solve_lp)
-register_backend("scipy", _scipy_backend)
+BACKENDS: dict[str, Callable[[LinearProgram], LpOutcome]] = {
+    "simplex": solve_lp, "scipy": _scipy_backend}
+
+
+def check_backend(name: str) -> None:
+    """Raise ``ValueError`` (an input error) unless ``name`` is in ``BACKENDS``."""
+    if name not in BACKENDS:
+        raise ValueError(f"unknown backend '{name}' (have: {', '.join(sorted(BACKENDS))})")
+
+
+def solve_with(lp: LinearProgram, backend: str) -> LpOutcome:
+    check_backend(backend)
+    return BACKENDS[backend](lp)

@@ -15,9 +15,6 @@ from .errors import CapExceeded
 from .grounding import PlanningTask, _env_cap
 
 DEFAULT_OPTIMAL_CAP = 5_000_000
-DEFAULT_COUNTS_CAP = 2_000_000
-DEFAULT_ENUM_LEN = 12
-DEFAULT_ENUM_NODES = 500_000
 
 UNREACHABLE = "unreachable"
 CAP_EXCEEDED = "cap-exceeded"
@@ -123,9 +120,8 @@ def optimal_cost(task: PlanningTask, goal: Iterable[int], cap: int | None = None
 
 
 def optimal_cost_with_counts(task: PlanningTask, goal: Iterable[int],
-                             k: Mapping[int, int], cap: int | None = None) -> SearchResult:
+                             k: Mapping[int, int], cap: int = 2_000_000) -> SearchResult:
     """Minimum cost of a goal-achieving plan using action a at least k[a] times."""
-    cap = cap if cap is not None else _env_cap("OCGR_COUNTS_CAP", DEFAULT_COUNTS_CAP)
     init, acts = _masks(task)
     gmask = _goal_mask(goal)
     floor_ids = sorted(a for a, c in k.items() if c > 0)
@@ -185,11 +181,9 @@ def validate_plan(task: PlanningTask, steps: Iterable[int], goal: Iterable[int])
     return PlanCheck(True, final_state=frozenset(state))
 
 
-def enumerate_plans(task: PlanningTask, goal: Iterable[int], max_len: int | None = None,
-                    node_cap: int | None = None) -> list[Plan]:
+def enumerate_plans(task: PlanningTask, goal: Iterable[int], max_len: int = 12,
+                    node_cap: int = 500_000) -> list[Plan]:
     """All goal-achieving action sequences of length <= max_len, DFS order."""
-    max_len = max_len if max_len is not None else _env_cap("OCGR_ENUM_LEN", DEFAULT_ENUM_LEN)
-    node_cap = node_cap if node_cap is not None else _env_cap("OCGR_ENUM_NODES", DEFAULT_ENUM_NODES)
     init, acts = _masks(task)
     gmask = _goal_mask(goal)
     plans: list[Plan] = []

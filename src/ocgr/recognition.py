@@ -19,11 +19,11 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .constraints import (ALL_FAMILIES, SRC_OBSERVATION, ConstraintSet,
-                          LinearConstraint, base_constraints)
+from .constraints import (ALL_FAMILIES, SRC_OBSERVATION, LinearConstraint,
+                          base_constraints)
 from .errors import GoalUnreachable, SolverFailure
 from .grounding import PlanningTask
 from .inputs import GoalHypotheses, ObservationSequence
@@ -78,12 +78,10 @@ class RecognitionReport:
         return all(s.h_hc == INF for s in self.scores)
 
 
-def observation_constraints(obs: ObservationSequence, num_actions: int) -> ConstraintSet:
+def observation_constraints(obs: ObservationSequence) -> tuple[LinearConstraint, ...]:
     """One floor Y_a >= k_a per observed action."""
-    rows = tuple(
-        LinearConstraint(terms=((a, 1),), rhs=k, source=SRC_OBSERVATION)
-        for a, k in sorted(obs.counts.items()) if k > 0)
-    return ConstraintSet(rows, num_actions)
+    return tuple(LinearConstraint(terms=((a, 1),), rhs=k, source=SRC_OBSERVATION)
+                 for a, k in sorted(obs.counts.items()) if k > 0)
 
 
 # Per-goal base results of the task scored last, keyed by
@@ -134,14 +132,14 @@ def _base(task: PlanningTask, goal_index: int, goal: frozenset[int],
 
 def base_rows(task: PlanningTask, goal: Iterable[int],
               config: RecognizerConfig = RecognizerConfig(),
-              goal_index: int = 0) -> ConstraintSet:
+              goal_index: int = 0) -> tuple[LinearConstraint, ...]:
     """The base rows scoring uses for ``goal``, built (and the base LP
     solved) only when ``task`` is not the task scored last. Raises
     GoalUnreachable when the goal is relaxed-unreachable."""
     entry, _, _ = _base(task, goal_index, frozenset(goal), config, _base_memo(task))
     if isinstance(entry, str):
         raise GoalUnreachable(entry)
-    return ConstraintSet(entry[0].constraints, entry[0].num_vars)
+    return entry[0].constraints
 
 
 def _score_one(task: PlanningTask, goal_index: int, goal: frozenset[int],
@@ -154,7 +152,9 @@ def _score_one(task: PlanningTask, goal_index: int, goal: frozenset[int],
     base, out = entry
     h = out.value
     t2 = time.perf_counter()
-    lp = replace(base, lower=tuple(sorted(obs.counts.items())), start=out.basis)
+    lp = LinearProgram(base.num_vars, base.objective, base.constraints,
+                       lower=tuple(sorted(obs.counts.items())), start=out.basis,
+                       compiled=base.compiled)
     out_hc = solve_with(lp, config.backend)
     t_lp += time.perf_counter() - t2
     if out_hc.status == INFEASIBLE:
@@ -310,8 +310,7 @@ def _fmt(v: float) -> str:
     return f"{v:.4f}"
 
 
-def format_report(report: RecognitionReport, hyps: GoalHypotheses,
-                  timings: Mapping[str, float] | None = None) -> str:
+def format_report(report: RecognitionReport, hyps: GoalHypotheses) -> str:
     """Human-readable report: header plus one record per hypothesis."""
     lines = [
         f"method: {report.method}",
@@ -319,11 +318,9 @@ def format_report(report: RecognitionReport, hyps: GoalHypotheses,
         f"uncertainty: {report.uncertainty:.6f}" if report.uncertainty is not None
         else "uncertainty: undefined (all hypotheses infeasible)",
     ]
-    shown = dict(report.timings)
-    if timings:
-        shown.update(timings)
-    if shown:
-        lines.append("timings: " + "  ".join(f"{k}={v:.4f}s" for k, v in sorted(shown.items())))
+    if report.timings:
+        lines.append("timings: " + "  ".join(f"{k}={v:.4f}s"
+                                             for k, v in sorted(report.timings.items())))
     lines.append("")
     for s in report.scores:
         mark = "*" if s.goal_index in report.selected else " "

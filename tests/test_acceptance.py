@@ -243,7 +243,7 @@ def test_criterion_8_cross_backend_agreement():
                                           rng.randint(1, min(3, task.num_actions)))}
             obs = ObservationSequence(tuple(a for a, k in sorted(floors.items())
                                             for _ in range(k)))
-            variants.append(base.merge(observation_constraints(obs, task.num_actions)))
+            variants.append(base + observation_constraints(obs))
         for cset in variants:
             lp = LinearProgram.from_constraints(cset, task.costs)
             ours = solve_lp(lp)

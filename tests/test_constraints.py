@@ -45,7 +45,7 @@ def test_hmax_admissible_on_random_tasks():
 def test_landmarks_chain(chain):
     cset = landmark_constraints(chain, chain.goal)
     assert len(cset) == 1
-    row = cset.constraints[0]
+    row = cset[0]
     assert row.terms == ((0, 1),) and row.rhs == 1 and row.source == SRC_LANDMARK
 
 
@@ -126,7 +126,7 @@ def test_net_change_unreachable_goal_fact():
 def test_posthoc_chain(chain):
     cset = posthoc_constraints(chain, chain.goal)
     assert len(cset) == 1
-    row = cset.constraints[0]
+    row = cset[0]
     assert row.terms == ((0, 1),) and row.rhs == 1 and row.source == SRC_POST_HOC
 
 

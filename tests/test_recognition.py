@@ -30,18 +30,18 @@ def _obs(*actions):
 
 
 def test_observation_constraints_counts():
-    cset = observation_constraints(_obs(0, 1, 0), num_actions=3)
+    cset = observation_constraints(_obs(0, 1, 0))
     rows = {c.terms[0][0]: c.rhs for c in cset}
     assert rows == {0: 2, 1: 1}
     assert all(c.source == "observation" for c in cset)
 
 
 def test_observation_constraints_empty():
-    assert len(observation_constraints(_obs(), num_actions=3)) == 0
+    assert len(observation_constraints(_obs())) == 0
 
 
 def test_observation_constraints_demo_full(demo_bundle):
-    cset = observation_constraints(demo_bundle.obs, demo_bundle.task.num_actions)
+    cset = observation_constraints(demo_bundle.obs)
     assert len(cset) == 7  # seven distinct observed moves, counts merged
 
 
@@ -318,8 +318,8 @@ def test_threaded_scoring_with_reused_bases_matches_sequential():
         sys.setswitchinterval(interval)
 
 
-def test_failed_base_lp_is_solved_again():
-    from ocgr.lp import UNBOUNDED, LpOutcome, register_backend, solve_lp
+def test_failed_base_lp_is_solved_again(monkeypatch):
+    from ocgr.lp import BACKENDS, UNBOUNDED, LpOutcome, solve_lp
 
     calls = []
 
@@ -327,13 +327,20 @@ def test_failed_base_lp_is_solved_again():
         calls.append(lp)
         return LpOutcome(UNBOUNDED) if len(calls) == 1 else solve_lp(lp)
 
-    register_backend("flaky-test", flaky)
+    monkeypatch.setitem(BACKENDS, "flaky-test", flaky)
     b = bundle_from_texts(dict(demo_grid_bundle().files))
     config = RecognizerConfig(backend="flaky-test")
     with pytest.raises(SolverFailure, match="base LP for hypothesis 0 came back unbounded"):
         recognize(b.task, b.hyps, b.obs, config=config)
     report = recognize(b.task, b.hyps, b.obs, config=config)
     assert report.scores == recognize(b.task, b.hyps, b.obs).scores
+
+
+def test_unknown_backend_raises_the_cli_message():
+    b = bundle_from_texts(dict(demo_grid_bundle().files))
+    with pytest.raises(ValueError) as err:
+        recognize(b.task, b.hyps, b.obs, config=RecognizerConfig(backend="hihgs"))
+    assert str(err.value) == "unknown backend 'hihgs' (have: scipy, simplex)"
 
 
 def test_scored_task_is_not_kept_alive():
@@ -349,8 +356,8 @@ def test_scored_task_is_not_kept_alive():
 
 def _floored(task, goal, obs):
     """The cold reference: base rows plus one observation row per floor."""
-    cset = base_rows(task, goal).merge(observation_constraints(obs, task.num_actions))
-    return LinearProgram.from_constraints(cset, task.costs)
+    rows = base_rows(task, goal) + observation_constraints(obs)
+    return LinearProgram.from_constraints(rows, task.costs)
 
 
 def test_rescoring_warm_starts_every_observation_lp(monkeypatch):
@@ -453,7 +460,7 @@ def test_rescoring_compiles_each_goal_once(monkeypatch):
             recognize(task, problem.hyps, problem.obs)
         goals = {g for g in problems[first].hyps.goals if score_hypothesis(task, g, _obs()).h != INF}
         assert len(compiled) == len(goals)
-        rows = {base_rows(task, g).constraints: g for g in goals}
+        rows = {base_rows(task, g): g for g in goals}
         for lp, carried, out in solves:
             if lp.start is None:
                 continue
