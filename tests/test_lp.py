@@ -86,7 +86,7 @@ def test_backend_unavailable():
     assert str(err.value) == "unknown backend 'no-such-backend' (have: scipy, simplex)"
 
 
-def test_backend_table_dispatch(monkeypatch):
+def test_backend_registry_roundtrip(monkeypatch):
     calls = []
 
     def fake(lp):
