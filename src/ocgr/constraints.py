@@ -15,14 +15,11 @@ what the test suite checks against enumerated plans.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import GoalUnreachable
-from .grounding import PlanningTask
-
-INF = float("inf")
+from .grounding import INF, PlanningTask, hmax_values
 
 SRC_LANDMARK = "landmark"
 SRC_NET_CHANGE = "net-change"
@@ -61,46 +58,6 @@ def dump_constraints(rows: Sequence[LinearConstraint], task: PlanningTask | None
     return "\n".join(c.text(names) for c in rows)
 
 
-def _hmax_values(pres: Sequence[tuple[int, ...]], adds: Sequence[tuple[int, ...]],
-                 by_pre: Sequence[tuple[int, ...]], costs: Sequence,
-                 start: Iterable[int]) -> list:
-    """Generalized Dijkstra fixpoint; returns per-node h_max values.
-
-    ``by_pre[f]`` lists the actions with node ``f`` among their ``pres``,
-    so it has one entry per node.
-    """
-    num_nodes = len(by_pre)
-    values: list = [INF] * num_nodes
-    settled = [False] * num_nodes
-    unsat = [len(pre) for pre in pres]
-    heap: list[tuple] = []
-
-    def relax(fact: int, val) -> None:
-        if val < values[fact]:
-            values[fact] = val
-            heapq.heappush(heap, (val, fact))
-
-    for ai, pre in enumerate(pres):
-        if not pre:
-            for q in adds[ai]:
-                relax(q, costs[ai])
-    for f in start:
-        relax(f, 0)
-
-    while heap:
-        val, fact = heapq.heappop(heap)
-        if settled[fact]:
-            continue
-        settled[fact] = True
-        for ai in by_pre[fact]:
-            unsat[ai] -= 1
-            if unsat[ai] == 0:
-                fire = costs[ai] + val  # val is the max precondition value
-                for q in adds[ai]:
-                    relax(q, fire)
-    return values
-
-
 def hmax(task: PlanningTask, from_facts: Iterable[int], goal: Iterable[int],
          costs: Sequence | None = None):
     """Classical h_max of ``goal`` from ``from_facts``; INF when unreachable."""
@@ -108,7 +65,7 @@ def hmax(task: PlanningTask, from_facts: Iterable[int], goal: Iterable[int],
     if not goal:
         return 0
     costs = task.costs if costs is None else costs
-    values = _hmax_values(task.pres, task.adds, task.by_pre, costs, from_facts)
+    values = hmax_values(task.pres, task.adds, task.by_pre, costs, from_facts)
     return max(values[g] for g in goal)
 
 
@@ -139,8 +96,10 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
 
     out: list[LinearConstraint] = []
     seen: set[tuple[int, ...]] = set()
+    # Round one runs on the original costs: the task's table, and the goal
+    # node's value is that of its virtual action, the largest goal value.
+    values = [*task.init_hmax, max(task.init_hmax[g] for g in goal)]
     for _ in range(_LMCUT_ROUND_GUARD):
-        values = _hmax_values(pres, adds, by_pre, residual, init)
         hg = values[goal_node]
         if hg == INF:
             raise GoalUnreachable("goal unreachable in the delete relaxation")
@@ -213,6 +172,7 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
                                         rhs=1, source=SRC_LANDMARK))
         for ai in cut:
             residual[ai] -= m
+        values = hmax_values(pres, adds, by_pre, residual, init)
     else:
         raise RuntimeError("landmark extraction did not converge")
     return tuple(out)
@@ -248,7 +208,7 @@ def posthoc_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linear
     goal = sorted(set(goal))
     if not goal:
         return ()
-    values = _hmax_values(task.pres, task.adds, task.by_pre, task.costs, task.init)
+    values = task.init_hmax
     out: list[LinearConstraint] = []
     for g in goal:
         hv = values[g]

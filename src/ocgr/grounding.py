@@ -6,9 +6,9 @@ import logging
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import merge
+from heapq import heappop, heappush, merge
 from itertools import product
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GroundingError
 from .pddl import DomainDef, OperatorSchema, ProblemDef, atom_text
@@ -16,6 +16,7 @@ from .pddl import DomainDef, OperatorSchema, ProblemDef, atom_text
 log = logging.getLogger(__name__)
 
 DEFAULT_GROUND_CAP = 100_000
+INF = float("inf")
 
 
 def _env_cap(name: str, default: int) -> int:
@@ -112,6 +113,52 @@ class PlanningTask:
     @cached_property
     def costs(self) -> tuple[int, ...]:
         return tuple(a.cost for a in self.actions)
+
+    @cached_property
+    def init_hmax(self) -> tuple:
+        """For each fact, its h_max value from ``init`` under ``costs``
+        (``INF`` when relaxed-unreachable); every goal of the task shares it."""
+        return tuple(hmax_values(self.pres, self.adds, self.by_pre, self.costs, self.init))
+
+
+def hmax_values(pres: Sequence[tuple[int, ...]], adds: Sequence[tuple[int, ...]],
+                by_pre: Sequence[tuple[int, ...]], costs: Sequence,
+                start: Iterable[int]) -> list:
+    """Generalized Dijkstra fixpoint; returns per-node h_max values.
+
+    ``by_pre[f]`` lists the actions with node ``f`` among their ``pres``,
+    so it has one entry per node.
+    """
+    num_nodes = len(by_pre)
+    values: list = [INF] * num_nodes
+    settled = [False] * num_nodes
+    unsat = [len(pre) for pre in pres]
+    heap: list[tuple] = []
+
+    def relax(fact: int, val) -> None:
+        if val < values[fact]:
+            values[fact] = val
+            heappush(heap, (val, fact))
+
+    for ai, pre in enumerate(pres):
+        if not pre:
+            for q in adds[ai]:
+                relax(q, costs[ai])
+    for f in start:
+        relax(f, 0)
+
+    while heap:
+        val, fact = heappop(heap)
+        if settled[fact]:
+            continue
+        settled[fact] = True
+        for ai in by_pre[fact]:
+            unsat[ai] -= 1
+            if unsat[ai] == 0:
+                fire = costs[ai] + val  # val is the max precondition value
+                for q in adds[ai]:
+                    relax(q, fire)
+    return values
 
 
 def relaxed_reachable(task: PlanningTask, from_facts: frozenset[int] | None = None

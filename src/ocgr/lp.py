@@ -1,18 +1,26 @@
 """Minimization linear programs over operator-counting variables.
 
-The built-in solver is one dense dual simplex (float64, tolerance 1e-7) over
-the tableau B^-1 [A | -I | b] of the rows A y >= b, compiled once per LP
-(``CompiledRows``); an LP built with another LP's ``compiled`` shares them.
-Floors y >= k are bounds; the substitution y = k + z moves them into b - A k.
+The built-in solver is one revised dual simplex (float64, tolerance 1e-7) on
+the rows A y >= b, written A y - s = b over the columns [A | -I] with a
+surplus s_i per row. The rows are compiled once per LP into sparse arrays,
+by row and by column (``CompiledRows``); an LP built with another LP's
+``compiled`` shares them. Floors y >= k are bounds; the substitution
+y = k + z moves them into b - A k. A solve keeps only B^-1 (m x m),
+x_B = B^-1 b and the reduced costs d. Each pivot prices the leaving row
+(e_r^T B^-1)[A | -I] in one pass over the nonzeros, forms the entering
+column B^-1 a_q from the column index, and updates B^-1, x_B and d by one
+rank-1 step.
+
 A solve starts from ``LinearProgram.start`` when its row count fits -- an
 optimal basis of the same rows, as the base LP's is for its h_hc LP -- else
-from the all-surplus basis (B^-1 = -I). Negative reduced costs are clamped
-to 0, and at the first degenerate dual ratio test each nonbasic reduced cost
-gets a fixed perturbation; a perturbed dual that makes 2*(m+n) degenerate
-pivots in a row has stalled. If the costs were clamped or perturbed, a
-primal phase 2 on the true costs (Bland's rule after 2*(m+n) degenerate
-pivots) finishes the solve and detects unboundedness. Optimal outcomes carry
-their basis (the basic column of each row and B^-1, read-only).
+from the all-surplus basis (B^-1 = -I, so d = c). Negative reduced costs are
+clamped to 0, and at the first degenerate dual ratio test each nonbasic
+reduced cost gets a fixed perturbation; a perturbed dual that makes 2*(m+n)
+degenerate pivots in a row has stalled. If the costs were clamped or
+perturbed, a primal phase 2 on the true costs (Bland's rule after 2*(m+n)
+degenerate pivots) finishes the solve and detects unboundedness. Optimal
+outcomes carry their basis (the basic column of each row and B^-1,
+read-only).
 
 ``BACKENDS`` names the solvers: ``simplex`` is ``solve_lp``; ``scipy``
 (HiGHS) reads the same compiled rows, passes the floors as bounds and
@@ -52,11 +60,16 @@ class Basis:
 
 
 class CompiledRows(NamedTuple):
-    """A's nonzeros by row and column, a repeated variable summed, and b."""
+    """A's nonzeros in row-major order, a repeated variable summed, and b;
+    then the same nonzeros in column-major order: column j's rows and values
+    are ``col_rows[s:e]`` and ``col_data[s:e]`` for s, e = ``col_start[j:j + 2]``."""
     row: np.ndarray
     col: np.ndarray
     data: np.ndarray
     rhs: np.ndarray
+    col_rows: np.ndarray
+    col_data: np.ndarray
+    col_start: np.ndarray
 
 
 def compile_rows(num_vars: int, constraints: Sequence[LinearConstraint]) -> CompiledRows:
@@ -67,10 +80,23 @@ def compile_rows(num_vars: int, constraints: Sequence[LinearConstraint]) -> Comp
     bad = (cols < 0) | (cols >= num_vars)
     if bad.any():
         raise ValueError(f"constraint references unknown variable {cols[bad.argmax()]}")
-    a = np.zeros((len(constraints), num_vars))  # temporary: the compiled form is sparse
-    np.add.at(a, (rows, cols), terms[:, 1])
-    rows, cols = a.nonzero()
-    return CompiledRows(rows, cols, a[rows, cols], np.array([r.rhs for r in constraints], float))
+    # Sorted (row, col) keys put a repeated variable's terms side by side, in
+    # term order; their sum is its coefficient, and a zero sum is dropped.
+    keys = rows * num_vars + cols
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    first = first.nonzero()[0]
+    sums = np.add.reduceat(terms[order, 1], first)
+    kept = sums != 0
+    at = order[first[kept]]
+    row, col, data = rows[at], cols[at], sums[kept]
+    by_col = col.argsort(kind="stable")
+    col_start = np.zeros(num_vars + 1, dtype=np.intp)
+    col_start[1:] = np.bincount(col, minlength=num_vars).cumsum()
+    return CompiledRows(row, col, data, np.array([r.rhs for r in constraints], float),
+                        row[by_col], data[by_col], col_start)
 
 
 @dataclass(frozen=True)
@@ -112,6 +138,8 @@ class LpOutcome:
 
 def _floors(lp: LinearProgram) -> np.ndarray:
     """The lower bound of every variable: the largest of 0 and its floors."""
+    if not lp.lower:
+        return np.zeros(lp.num_vars)
     var, floor = np.array(lp.lower, dtype=float).reshape(-1, 2).T
     bad = (var < 0) | (var >= lp.num_vars)
     if bad.any():
@@ -127,12 +155,58 @@ def _compiled(lp: LinearProgram) -> CompiledRows:
     return lp.compiled
 
 
-def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    tab[row] /= tab[row, col]
-    factors = tab[:, col].copy()
-    factors[row] = 0.0
-    tab -= np.outer(factors, tab[row])
-    basis[row] = col
+class _Revised:
+    """A revised simplex over the columns [A | -I] of an m x n LP: the basic
+    column of each row, ``bx`` = [B^-1 | x_B] with x_B = B^-1 b (m x (m + 1)),
+    and the reduced costs d of all n + m columns (0 at the basic ones)."""
+
+    d: np.ndarray
+
+    def __init__(self, rows: CompiledRows, n: int, basis: np.ndarray, bx: np.ndarray):
+        self.rows, self.n, self.m = rows, n, len(basis)
+        self.basis, self.bx = basis, bx
+        self.x = bx[:, -1]  # a view: pivots update it with B^-1
+
+    def price(self, cost: np.ndarray) -> None:
+        """Set d to the reduced costs of ``cost``, given over all n + m columns."""
+        rows, n = self.rows, self.n
+        y = cost[self.basis] @ self.bx[:, :-1]
+        d = cost.copy()
+        d[:n] -= np.bincount(rows.col, weights=y[rows.row] * rows.data, minlength=n)
+        d[n:] += y
+        d[self.basis] = 0.0
+        self.d = d
+
+    def row(self, r: int) -> np.ndarray:
+        """Row ``r`` of B^-1 [A | -I], exactly 0 and 1 at the basic columns."""
+        rows, n = self.rows, self.n
+        rho = self.bx[r, :-1]
+        line = np.empty(n + self.m)
+        line[:n] = np.bincount(rows.col, weights=rho[rows.row] * rows.data, minlength=n)
+        np.negative(rho, out=line[n:])
+        line[self.basis] = 0.0
+        line[self.basis[r]] = 1.0
+        return line
+
+    def column(self, q: int) -> np.ndarray:
+        """B^-1 times column ``q`` of [A | -I], a new array."""
+        rows, n = self.rows, self.n
+        if q >= n:
+            return -self.bx[:, q - n]
+        s, e = rows.col_start[q:q + 2]
+        return self.bx[:, rows.col_rows[s:e]] @ rows.col_data[s:e]
+
+    def pivot(self, r: int, q: int, line: np.ndarray, column: np.ndarray) -> None:
+        """Enter column ``q`` on row ``r``, given ``row(r)`` and ``column(q)``;
+        ``column`` is overwritten."""
+        d, bx = self.d, self.bx
+        d -= d[q] / line[q] * line
+        d[q] = 0.0
+        bx[r] /= column[r]
+        column[r] = 0.0
+        touched = column.nonzero()[0]  # B^-1 a_q is sparse: update only its rows
+        bx[touched] -= column[touched, None] * bx[r]
+        self.basis[r] = q
 
 
 def _limits(m: int, n: int) -> tuple[int, int]:
@@ -145,72 +219,48 @@ def _failure(phase: str, what: str, pivots: int, m: int, n: int) -> SolverFailur
     return SolverFailure(f"simplex {phase} {what} after {pivots} pivots on a {m} x {n} LP")
 
 
-def _run_simplex(tab: np.ndarray, basis: list[int], phase: str, pivots: int,
-                 m: int, n: int) -> tuple[str, int]:
-    """Iterate to optimality on the reduced-cost row of an ``m`` x ``n`` LP's
-    tableau; returns the status and the pivot count, counted on from ``pivots``."""
-    rows = tab.shape[0] - 1
+def _primal(state: _Revised, pivots: int, m: int, n: int) -> tuple[str, int]:
+    """Primal simplex to optimality on the reduced costs d of an ``m`` x ``n``
+    LP; returns the status and the pivot count, counted on from ``pivots``."""
     bland_after, iter_cap = _limits(m, n)
     degenerate = 0
     bland = False
     for step in range(iter_cap + 1):
-        costs = tab[-1, :-1]
+        costs = state.d
         if bland:
-            neg = np.nonzero(costs < -EPS)[0]
+            neg = (costs < -EPS).nonzero()[0]
             if neg.size == 0:
                 return OPTIMAL, pivots
-            col = int(neg[0])
+            q = int(neg[0])
         else:
-            col = int(np.argmin(costs))
-            if costs[col] >= -EPS:
+            q = int(costs.argmin())
+            if costs[q] >= -EPS:
                 return OPTIMAL, pivots
-        column = tab[:rows, col]
-        eligible = np.nonzero(column > PIVOT_TOL)[0]
+        column = state.column(q)
+        eligible = (column > PIVOT_TOL).nonzero()[0]
         if eligible.size == 0:
             return UNBOUNDED, pivots
         if step == iter_cap:
             break
-        ratios = tab[eligible, -1] / column[eligible]
+        ratios = state.x[eligible] / column[eligible]
         best = ratios.min()
-        tied = eligible[np.nonzero(ratios <= best + DEGENERATE_TOL)[0]]
-        row = int(min(tied, key=lambda r: basis[r]))
+        tied = eligible[(ratios <= best + DEGENERATE_TOL).nonzero()[0]]
+        r = int(tied[state.basis[tied].argmin()])
         if best < DEGENERATE_TOL:
             degenerate += 1
             if degenerate > bland_after:
                 bland = True
-        _pivot(tab, basis, row, col)
+        state.pivot(r, q, state.row(r), column)
         pivots += 1
-    raise _failure(phase, "hit the iteration limit", pivots, m, n)
+    raise _failure("phase 2", "hit the iteration limit", pivots, m, n)
 
 
-def _optimum(tab: np.ndarray, basis: list[int], c: np.ndarray, k: np.ndarray,
-             pivots: int, warm: bool) -> LpOutcome:
-    m = len(basis)
-    n = len(c)
-    x = np.zeros(tab.shape[1] - 1)
-    x[basis] = tab[:-1, -1]
-    counts = np.maximum(x[:n], 0.0) + k
-    # The tableau is B^-1 [A | -I | b], so its surplus block is -B^-1.
-    inverse = -tab[:m, n:n + m]
-    inverse.setflags(write=False)
-    return LpOutcome(OPTIMAL, float(c @ counts), tuple(counts.tolist()), pivots, warm,
-                     Basis(tuple(basis), inverse))
+def _dual(state: _Revised, m: int, n: int) -> tuple[str, int, bool]:
+    """Dual simplex from nonnegative reduced costs; returns the status
+    (optimal or infeasible), the pivot count and whether the costs were
+    perturbed.
 
-
-def _price(tab: np.ndarray, basis: list[int], cost: np.ndarray) -> None:
-    """Write the reduced costs of ``cost`` over the tableau's columns into its last row."""
-    m = len(basis)
-    tab[-1, :-1] = cost - cost[basis] @ tab[:m, :-1]
-    tab[-1, basis] = 0.0
-    tab[-1, -1] = 0.0
-
-
-def _dual(tab: np.ndarray, basis: list[int], m: int, n: int) -> tuple[str, int, bool]:
-    """Dual simplex on a tableau whose reduced costs are nonnegative; returns
-    the status (optimal or infeasible), the pivot count and whether the costs
-    were perturbed.
-
-    Each pivot leaves on the row with the most negative rhs and enters the
+    Each pivot leaves on the row with the most negative x_B and enters the
     column of the dual ratio test, ties going to the lowest column index. At
     the first degenerate ratio test every nonbasic reduced cost gets its fixed
     perturbation, which breaks the ties that otherwise stall the dual; a run
@@ -220,27 +270,27 @@ def _dual(tab: np.ndarray, basis: list[int], m: int, n: int) -> tuple[str, int, 
     perturbed = False
     degenerate = 0
     for pivots in range(iter_cap + 1):
-        rhs = tab[:m, -1]
-        row = int(np.argmin(rhs))
-        if rhs[row] >= -EPS:
+        r = int(state.x.argmin())
+        if state.x[r] >= -EPS:
             return OPTIMAL, pivots, perturbed
-        line = tab[row, :-1]
-        eligible = np.nonzero(line < -PIVOT_TOL)[0]
+        line = state.row(r)
+        eligible = (line < -PIVOT_TOL).nonzero()[0]
         if eligible.size == 0:
             return INFEASIBLE, pivots, perturbed
         if pivots == iter_cap:
             break
-        ratios = tab[-1, eligible] / -line[eligible]
+        d = state.d
+        ratios = d[eligible] / -line[eligible]
         best = ratios.min()
         if best < DEGENERATE_TOL and not perturbed:
             perturbed = True
             # A factor in [1, 2) per column, distinct across columns.
-            tab[-1, :-1] += PERTURB * (1.0 + (np.arange(n + m) * _GOLDEN) % 1.0)
-            tab[-1, basis] = 0.0
-            ratios = tab[-1, eligible] / -line[eligible]
+            d += PERTURB * (1.0 + (np.arange(n + m) * _GOLDEN) % 1.0)
+            d[state.basis] = 0.0
+            ratios = d[eligible] / -line[eligible]
             best = ratios.min()
-        col = int(eligible[np.nonzero(ratios <= best + DEGENERATE_TOL)[0][0]])
-        _pivot(tab, basis, row, col)
+        q = int(eligible[(ratios <= best + DEGENERATE_TOL).argmax()])
+        state.pivot(r, q, line, state.column(q))
         degenerate = degenerate + 1 if best < DEGENERATE_TOL else 0
         if degenerate >= stall_after:
             raise SolverFailure(f"simplex dual stalled after {pivots + 1} pivots "
@@ -249,7 +299,7 @@ def _dual(tab: np.ndarray, basis: list[int], m: int, n: int) -> tuple[str, int, 
 
 
 def solve_lp(lp: LinearProgram) -> LpOutcome:
-    """Solve with the built-in dual simplex."""
+    """Solve with the built-in revised dual simplex."""
     n = lp.num_vars
     m = len(lp.constraints)
     c = np.asarray(lp.objective, dtype=float)
@@ -258,38 +308,39 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
         if n and c.min() < 0:
             return LpOutcome(UNBOUNDED)
         return LpOutcome(OPTIMAL, float(c @ k), tuple(k.tolist()))
-    row, col, data, rhs = _compiled(lp)
-    a = np.zeros((m, n))
-    a[row, col] = data
-    b = rhs - np.bincount(row, weights=data * k[col], minlength=m)
+    rows = _compiled(lp)
+    b = rows.rhs
+    if lp.lower:
+        b = b - np.bincount(rows.row, weights=rows.data * k[rows.col], minlength=m)
     warm = lp.start is not None and len(lp.start.columns) == m
-    tab = np.empty((m + 1, n + m + 1))
-    if warm:
-        basis = list(lp.start.columns)
-        inverse = lp.start.inverse
-        tab[:m, :n] = inverse @ a
-        tab[:m, n:n + m] = -inverse
-        tab[:m, -1] = inverse @ b
-        tab[:m, basis] = np.eye(m)
-    else:
-        basis = list(range(n, n + m))  # every surplus basic: B^-1 = -I
-        tab[:m, :n] = -a
-        tab[:m, n:n + m] = np.eye(m)
-        tab[:m, -1] = -b
     cost = np.zeros(n + m)
     cost[:n] = c
-    _price(tab, basis, cost)
-    clamped = tab[-1, :-1].min() < -EPS
-    np.maximum(tab[-1, :-1], 0.0, out=tab[-1, :-1])
-    status, pivots, perturbed = _dual(tab, basis, m, n)
+    if warm:
+        basis, inverse = np.array(lp.start.columns), lp.start.inverse
+    else:  # every surplus basic: B^-1 = -I
+        basis, inverse = np.arange(n, n + m), -np.eye(m)
+    state = _Revised(rows, n, basis, np.column_stack([inverse, inverse @ b]))
+    if warm:
+        state.price(cost)
+    else:  # c_B = 0, so d = c
+        state.d = cost.copy()
+    clamped = state.d.min() < -EPS
+    np.maximum(state.d, 0.0, out=state.d)
+    status, pivots, perturbed = _dual(state, m, n)
     if status == INFEASIBLE:
         return LpOutcome(INFEASIBLE, pivots=pivots, warm=warm)
     if clamped or perturbed:
-        _price(tab, basis, cost)
-        status, pivots = _run_simplex(tab, basis, "phase 2", pivots, m, n)
+        state.price(cost)
+        status, pivots = _primal(state, pivots, m, n)
         if status == UNBOUNDED:
             return LpOutcome(UNBOUNDED, pivots=pivots, warm=warm)
-    return _optimum(tab, basis, c, k, pivots, warm)
+    x = np.zeros(n + m)
+    x[state.basis] = state.x
+    counts = np.maximum(x[:n], 0.0) + k
+    inverse = state.bx[:, :-1].copy()
+    inverse.setflags(write=False)
+    return LpOutcome(OPTIMAL, float(c @ counts), tuple(counts.tolist()), pivots, warm,
+                     Basis(tuple(state.basis.tolist()), inverse))
 
 
 def _scipy_backend(lp: LinearProgram) -> LpOutcome:
@@ -298,9 +349,9 @@ def _scipy_backend(lp: LinearProgram) -> LpOutcome:
 
     c = np.asarray(lp.objective, dtype=float)
     bounds = [(floor, None) for floor in _floors(lp)] if lp.lower else (0, None)
-    row, col, data, rhs = _compiled(lp)
-    a = csr_array((-data, (row, col)), shape=(len(lp.constraints), lp.num_vars))
-    res = linprog(c, A_ub=a, b_ub=-rhs, bounds=bounds, method="highs")
+    rows = _compiled(lp)
+    a = csr_array((-rows.data, (rows.row, rows.col)), shape=(len(lp.constraints), lp.num_vars))
+    res = linprog(c, A_ub=a, b_ub=-rows.rhs, bounds=bounds, method="highs")
     if res.status == 0:
         counts = tuple(float(v) for v in np.maximum(res.x, 0.0))
         return LpOutcome(OPTIMAL, float(c @ np.asarray(counts)), counts)

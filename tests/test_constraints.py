@@ -1,16 +1,19 @@
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from conftest import make_micro_task, plan_counts
+from conftest import ISLAND_BUNDLE, make_micro_task, open_grid_bundle, plan_counts
+from ocgr.bench import SuiteSpec, generated_problems
 from ocgr.constraints import (ALL_FAMILIES, INF, SRC_LANDMARK, SRC_NET_CHANGE,
                               SRC_POST_HOC, base_constraints, dump_constraints,
                               hmax, landmark_constraints, net_change_constraints,
                               posthoc_constraints)
 from ocgr.errors import CapExceeded, GoalUnreachable
 from ocgr.grounding import GroundAction, PlanningTask
+from ocgr.inputs import bundle_from_texts
 from ocgr.lp import LinearProgram, solve_lp
 from ocgr.oracle import enumerate_plans, optimal_cost
 
@@ -40,6 +43,61 @@ def test_hmax_admissible_on_random_tasks():
         opt = optimal_cost(task, task.goal, cap=200_000)
         assert opt.status == "optimal"
         assert hmax(task, task.init, task.goal) <= opt.cost
+
+
+def test_init_hmax_table_is_each_facts_hmax():
+    rng = random.Random(8)
+    for _ in range(30):
+        task = make_micro_task(rng)
+        task = replace(task, actions=tuple(replace(a, cost=rng.choice((0, 1, 2)))
+                                           for a in task.actions))
+        assert task.init_hmax == tuple(hmax(task, task.init, [f])
+                                       for f in range(task.num_facts))
+
+
+def _family_rows(task, goal):
+    out = []
+    for family in (landmark_constraints, posthoc_constraints):
+        try:
+            out.append(family(task, goal))
+        except GoalUnreachable as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_landmark_and_posthoc_rows_are_pinned():
+    """Whole landmark and post-hoc row tuples, order included, as computed
+    when every goal ran its own h_max pass from init: the task's shared
+    ``init_hmax`` table must leave them unchanged."""
+    sources: dict[str, list] = {}
+    spec = SuiteSpec(families=("grid", "blocks", "logistics", "corridor"), per_family=3,
+                     seed=11, observability=(100,))
+    for p in generated_problems(spec):
+        sources.setdefault(p.domain_name, []).extend(_family_rows(p.task, g)
+                                                     for g in p.hyps.goals)
+    bundles = [(f"open{n}", open_grid_bundle(n)) for n in (8, 10, 12)]
+    for name, files in bundles + [("island", ISLAND_BUNDLE)]:
+        b = bundle_from_texts(files, require_obs=False)
+        sources[name] = [_family_rows(b.task, g) for g in b.hyps.goals]
+    rng = random.Random(21)
+    sources["micro"] = []
+    for _ in range(60):  # some actions cost 0
+        task = make_micro_task(rng)
+        task = replace(task, actions=tuple(replace(a, cost=rng.choice((0, 1, 1, 3)))
+                                           for a in task.actions))
+        sources["micro"].append(_family_rows(task, task.goal))
+    digests = {k: hashlib.sha256(repr(v).encode()).hexdigest() for k, v in sources.items()}
+    assert digests == {
+        "grid": "4de0454a5ae90cf01f1b260d9816f6aa327eac3ec8fc9814a4f889eb9359ebad",
+        "blocks": "30bc2d1ff35855f125a8b40043499e4bccdbabf88fa268a34f1144e89269b3c7",
+        "logistics": "696d98835dd2102e12ae461a9a67ba59644f784ab98ca797978354edfed20385",
+        "corridor": "868b94295481fea1c20259f68eff4aef3da03e79bb23969b1ca9bf4b52af5228",
+        "open8": "4270e94d6e772f85aaf060ad9f70e8cc25f007fb3c86ad6558fc6fe25d5d926f",
+        "open10": "5823ee614b1d4354ed9ea341517b41bb6c1644f80ac3cca08ec1bf9e432c5388",
+        "open12": "a726531c2999fbb66f726bd36593d0574e2dadf3463fe38dde45ddefb80da439",
+        "island": "495a456b89559e1ad825d31d16f2f46bfa3240500662f01f125b73e91f7360e1",
+        "micro": "a301c6473f3519d670cc939b664066bc35564bb03c87ead10ec4ea7b0b729379",
+    }
 
 
 def test_landmarks_chain(chain):

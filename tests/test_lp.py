@@ -2,6 +2,8 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +14,10 @@ from ocgr import lp as lp_mod
 from ocgr.bench import SuiteSpec, generated_problems
 from ocgr.constraints import LinearConstraint, base_constraints
 from ocgr.errors import CapExceeded, GoalUnreachable, SolverFailure
-from ocgr.inputs import bundle_from_texts
+from ocgr.inputs import ObservationSequence, bundle_from_texts
 from ocgr.lp import LinearProgram, compile_rows, solve_lp, solve_with
 from ocgr.oracle import enumerate_plans
+from ocgr.recognition import recognize
 
 
 def _lp(num_vars, objective, rows):
@@ -220,13 +223,6 @@ def _dense_reference(lp):
     return a, b
 
 
-def _scattered(lp):
-    rows = compile_rows(lp.num_vars, lp.constraints)
-    a = np.zeros((len(lp.constraints), lp.num_vars))
-    a[rows.row, rows.col] = rows.data
-    return a, rows.rhs
-
-
 def test_compiled_rows_scatter_back_to_the_dense_rows():
     spec = SuiteSpec(families=("grid", "blocks", "logistics", "corridor"), per_family=2,
                      seed=4, observability=(100,))
@@ -244,12 +240,92 @@ def test_compiled_rows_scatter_back_to_the_dense_rows():
                 pass
     assert len(lps) > 20
     for lp in lps:
-        a, b = _scattered(lp)
+        rows = compile_rows(lp.num_vars, lp.constraints)
         ref_a, ref_b = _dense_reference(lp)
-        assert a.tobytes() == ref_a.tobytes() and b.tobytes() == ref_b.tobytes()
-    assert _scattered(lps[0])[0][0].tolist() == [3.0, 0.0, 0.0, 0.0]
+        # A's nonzeros in row-major order, and again in column-major order
+        ref_row, ref_col = ref_a.nonzero()
+        assert rows.row.tolist() == ref_row.tolist() and rows.col.tolist() == ref_col.tolist()
+        assert rows.data.tobytes() == ref_a[ref_row, ref_col].tobytes()
+        assert rows.rhs.tobytes() == ref_b.tobytes()
+        by_col, by_col_row = ref_a.T.nonzero()
+        assert rows.col_rows.tolist() == by_col_row.tolist()
+        assert rows.col_data.tobytes() == ref_a[by_col_row, by_col].tobytes()
+        assert rows.col_start.tolist() == by_col.searchsorted(np.arange(lp.num_vars + 1)).tolist()
     # the summed-to-zero terms leave no stored entry
-    assert (compile_rows(4, lps[0].constraints).data != 0).all()
+    rows = compile_rows(4, lps[0].constraints)
+    assert (rows.row.tolist(), rows.col.tolist(), rows.data.tolist()) == ([0, 1, 4], [0, 2, 2],
+                                                                          [3.0, -1.0, 1.0])
+    assert (rows.col_rows.tolist(), rows.col_start.tolist()) == ([0, 1, 4], [0, 1, 1, 3, 3])
+
+
+def _assert_basis_holds(lp, out):
+    """B^-1 inverts the basic columns of [A | -I], and the counts meet the
+    rows and the floors."""
+    a, b = _dense_reference(lp)
+    m = len(a)
+    basic = np.hstack([a, -np.eye(m)])[:, list(out.basis.columns)]
+    assert np.abs(out.basis.inverse @ basic - np.eye(m)).max() <= 1e-8
+    counts = np.array(out.counts)
+    assert (a @ counts >= b - 1e-9).all()
+    assert all(counts[v] >= floor - 1e-9 for v, floor in lp.lower)
+
+
+def _open_grid_lps(n):
+    """Each goal's base LP on the open n x n grid, and the floors of
+    observing every other walk along the bottom row."""
+    b = bundle_from_texts(open_grid_bundle(n), require_obs=False)
+    task = b.task
+    walks = [task.action_index[f"walk c{x}_0 c{x + 1}_0"] for x in range(0, n - 1, 2)]
+    lower = tuple(sorted(Counter(walks).items()))
+    return [(LinearProgram.from_constraints(base_constraints(task, g), task.costs), lower)
+            for g in b.hyps.goals]
+
+
+@pytest.mark.parametrize("n", [12, 18])
+def test_simplex_matches_highs_on_open_grids(n):
+    """Base and h_hc LPs past toy size: the simplex agrees with HiGHS, and a
+    warm h_hc solve takes fewer pivots than a cold solve of the same LP."""
+    warm_pivots = 0
+    for base, lower in _open_grid_lps(n):
+        out, ref = solve_lp(base), solve_with(base, "scipy")
+        assert out.status == ref.status == "optimal" and not out.warm
+        assert abs(out.value - ref.value) <= 1e-6
+        _assert_basis_holds(base, out)
+        hc = LinearProgram(base.num_vars, base.objective, base.constraints, lower=lower,
+                           start=out.basis, compiled=base.compiled)
+        warm, cold, ref = solve_lp(hc), solve_lp(replace(hc, start=None)), solve_with(hc, "scipy")
+        assert warm.status == cold.status == ref.status == "optimal"
+        assert warm.warm and not cold.warm and warm.pivots < cold.pivots
+        assert abs(warm.value - ref.value) <= 1e-6 and abs(cold.value - ref.value) <= 1e-6
+        _assert_basis_holds(hc, warm)
+        warm_pivots += warm.pivots
+    assert warm_pivots > 0
+
+
+def test_every_returned_basis_inverts_its_columns(monkeypatch):
+    """Every optimal basis that scoring the suite and the open 8-12 grids
+    returns: a drifting rank-1 update of B^-1 would show here."""
+    import ocgr.recognition as rec
+
+    solved = []
+
+    def spy(lp, backend):
+        solved.append((lp, solve_with(lp, backend)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(rec, "solve_with", spy)
+    spec = SuiteSpec(families=("grid", "blocks", "logistics", "corridor"), per_family=2,
+                     seed=7, observability=(30, 70, 100))
+    for p in generated_problems(spec):
+        recognize(p.task, p.hyps, p.obs)
+    for n in (8, 10, 12):
+        bundle = bundle_from_texts(open_grid_bundle(n), require_obs=False)
+        walks = [bundle.task.action_index[f"walk c0_{y} c0_{y + 1}"] for y in range(n // 2)]
+        recognize(bundle.task, bundle.hyps, ObservationSequence(tuple(walks)))
+    optimal = [(lp, out) for lp, out in solved if out.status == "optimal"]
+    assert len(optimal) > 100 and any(lp.num_vars > 500 for lp, _ in optimal)
+    for lp, out in optimal:
+        _assert_basis_holds(lp, out)
 
 
 def test_unknown_constraint_variable_is_rejected_by_both_backends():
