@@ -12,14 +12,11 @@ from .inputs import (Bundle, GoalHypotheses, ObservationSequence,
                      bundle_from_texts, load_bundle, parse_hypotheses,
                      parse_observations, parse_real_hyp)
 from .lp import BACKENDS, LinearProgram, LpOutcome, solve_lp, solve_with
-from .oracle import (Plan, PlanCheck, SearchResult, enumerate_plans,
-                     optimal_cost, optimal_cost_with_counts, validate_plan)
+from .oracle import Plan, PlanCheck, SearchResult, optimal_cost, validate_plan
 from .pddl import DomainDef, OperatorSchema, ProblemDef, parse_domain, parse_problem
 from .recognition import (HypothesisScore, RecognitionReport, RecognizerConfig,
-                          full_observation_guarantee_check,
-                          observation_constraints, recognize, report_from_dict,
-                          report_to_dict, score_all, score_hypothesis, select,
-                          uncertainty)
+                          recognize, report_from_dict, report_to_dict, score_all,
+                          score_hypothesis, select, uncertainty)
 
 __version__ = "0.1.0"
 

@@ -16,7 +16,7 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from .constraints import ALL_FAMILIES
@@ -96,10 +96,6 @@ def load_manifest(path: str | Path) -> SuiteSpec:
     return SuiteSpec(**data)
 
 
-def save_manifest(spec: SuiteSpec, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(asdict(spec), indent=2) + "\n", encoding="utf-8")
-
-
 @dataclass(frozen=True)
 class RecognitionProblem:
     domain_name: str
@@ -156,18 +152,14 @@ def _splice_detour(task: PlanningTask, goal: frozenset[int], plan: Plan,
     """Degrade an optimal plan by one random applicable action plus replanning."""
     for _ in range(8):
         cut = rng.randint(0, len(plan.steps))
-        state = set(task.init)
-        for aid in plan.steps[:cut]:
-            a = task.actions[aid]
-            state = (state - a.dels) | a.adds
+        state = validate_plan(task, plan.steps[:cut], ()).final_state
         applicable = sorted(a.id for a in task.actions if a.pre <= state)
         if not applicable:
             continue
         detour = rng.choice(applicable)
         a = task.actions[detour]
-        nstate = (state - a.dels) | a.adds
         sub = PlanningTask(facts=task.facts, actions=task.actions,
-                           init=frozenset(nstate), goal=goal)
+                           init=(state - a.dels) | a.adds, goal=goal)
         rest = optimal_cost(sub, goal)
         if rest.status != OPTIMAL:
             continue

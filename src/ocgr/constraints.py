@@ -24,7 +24,6 @@ from .grounding import INF, PlanningTask, hmax_values
 SRC_LANDMARK = "landmark"
 SRC_NET_CHANGE = "net-change"
 SRC_POST_HOC = "post-hoc"
-SRC_OBSERVATION = "observation"
 
 FAMILY_LANDMARKS = "lm"
 FAMILY_NET_CHANGE = "nc"

@@ -36,7 +36,9 @@ class GoalUnreachable(OcgrError):
 
 
 class SolverFailure(OcgrError):
-    """The LP solver gave up (iteration limit); distinct from infeasibility."""
+    """An LP solve gave no answer, as distinct from an infeasible LP: the
+    simplex hit its pivot limit or its dual stalled, the HiGHS backend
+    failed, or a base or observation LP came back unbounded."""
 
 
 class CapExceeded(OcgrError):

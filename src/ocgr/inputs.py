@@ -134,7 +134,7 @@ class Bundle:
 
 
 def bundle_from_texts(texts: dict[str, str | None], *, path: str = "<memory>",
-                      require_obs: bool = True, prune_unreachable: bool = True) -> Bundle:
+                      require_obs: bool = True) -> Bundle:
     """Assemble a bundle from file contents keyed by bundle file name."""
 
     def read(name: str, required: bool = True) -> str | None:
@@ -148,7 +148,7 @@ def bundle_from_texts(texts: dict[str, str | None], *, path: str = "<memory>",
     # hypotheses drive the recognition goals; template goals are ignored
     prob = ProblemDef(name=prob.name, domain_name=prob.domain_name,
                       objects=prob.objects, init=prob.init, goal=())
-    task = ground(dom, prob, prune_unreachable=prune_unreachable)
+    task = ground(dom, prob)
     hyps = parse_hypotheses(read("hyps.dat"), task)
     real = read("real_hyp.dat", required=False)
     if real is not None:
@@ -158,12 +158,10 @@ def bundle_from_texts(texts: dict[str, str | None], *, path: str = "<memory>",
     return Bundle(path=path, domain=dom, problem=prob, task=task, hyps=hyps, obs=obs)
 
 
-def load_bundle(directory: str | Path, *, require_obs: bool = True,
-                prune_unreachable: bool = True) -> Bundle:
+def load_bundle(directory: str | Path, *, require_obs: bool = True) -> Bundle:
     d = Path(directory)
     texts: dict[str, str | None] = {}
     for name in ("domain.pddl", "template.pddl", "hyps.dat", "obs.dat", "real_hyp.dat"):
         p = d / name
         texts[name] = p.read_text(encoding="utf-8") if p.is_file() else None
-    return bundle_from_texts(texts, path=str(d), require_obs=require_obs,
-                             prune_unreachable=prune_unreachable)
+    return bundle_from_texts(texts, path=str(d), require_obs=require_obs)

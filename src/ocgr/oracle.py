@@ -1,7 +1,7 @@
-"""Brute-force ground truth: optimal plan search, count-constrained search,
-plan validation, and bounded plan enumeration.
+"""Brute-force ground truth: optimal plan search, optionally under
+per-action count floors, and plan validation.
 
-States are bitmasks over fact indices; searches are uniform-cost with FIFO
+States are bitmasks over fact indices; the search is uniform-cost with FIFO
 tie-breaking so emitted witness plans are deterministic.
 """
 
@@ -11,7 +11,6 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import CapExceeded
 from .grounding import PlanningTask, _env_cap
 
 DEFAULT_OPTIMAL_CAP = 5_000_000
@@ -86,75 +85,42 @@ def _extract(parents: dict, key, task: PlanningTask) -> Plan:
     return Plan(steps=tuple(steps), cost=cost)
 
 
-def optimal_cost(task: PlanningTask, goal: Iterable[int], cap: int | None = None) -> SearchResult:
-    """Uniform-cost search for the exact optimal cost and a witness plan."""
+def optimal_cost(task: PlanningTask, goal: Iterable[int], cap: int | None = None,
+                 floors: Mapping[int, int] | None = None) -> SearchResult:
+    """Uniform-cost search for the exact optimal cost and a witness plan;
+    with ``floors``, among plans that use action a at least ``floors[a]``
+    times (a node is the state mask and the floor counts still to meet)."""
     cap = cap if cap is not None else _env_cap("OCGR_OPTIMAL_CAP", DEFAULT_OPTIMAL_CAP)
-    init, acts = _masks(task)
+    init, masks = _masks(task)
     gmask = _goal_mask(goal)
-    frontier: list[tuple[int, int, int]] = [(0, 0, init)]
-    parents: dict[int, tuple | None] = {init: None}
-    best: dict[int, int] = {init: 0}
-    closed: set[int] = set()
-    tie = 0
-    expanded = 0
-    while frontier:
-        cost, _, state = heapq.heappop(frontier)
-        if state in closed:
-            continue
-        closed.add(state)
-        if state & gmask == gmask:
-            return SearchResult(OPTIMAL, cost, _extract(parents, state, task))
-        expanded += 1
-        if expanded > cap:
-            return SearchResult(CAP_EXCEEDED)
-        for aid, pre, add, ndel in acts:
-            if state & pre == pre:
-                nxt = (state & ndel) | add
-                ncost = cost + task.actions[aid].cost
-                if nxt not in closed and ncost < best.get(nxt, ncost + 1):
-                    best[nxt] = ncost
-                    parents[nxt] = (state, aid)
-                    tie += 1
-                    heapq.heappush(frontier, (ncost, tie, nxt))
-    return SearchResult(UNREACHABLE)
-
-
-def optimal_cost_with_counts(task: PlanningTask, goal: Iterable[int],
-                             k: Mapping[int, int], cap: int = 2_000_000) -> SearchResult:
-    """Minimum cost of a goal-achieving plan using action a at least k[a] times."""
-    init, acts = _masks(task)
-    gmask = _goal_mask(goal)
-    floor_ids = sorted(a for a, c in k.items() if c > 0)
+    floor_ids = sorted(a for a, c in (floors or {}).items() if c > 0)
     slot = {a: i for i, a in enumerate(floor_ids)}
-    start = (init, tuple(k[a] for a in floor_ids))
+    acts = [(aid, pre, add, ndel, task.actions[aid].cost, slot.get(aid, -1))
+            for aid, pre, add, ndel in masks]
+    start = (init, tuple(floors[a] for a in floor_ids))
     frontier: list[tuple[int, int, tuple]] = [(0, 0, start)]
     parents: dict[tuple, tuple | None] = {start: None}
     best: dict[tuple, int] = {start: 0}
-    closed: set[tuple] = set()
     tie = 0
     expanded = 0
     while frontier:
         cost, _, node = heapq.heappop(frontier)
-        if node in closed:
-            continue
-        closed.add(node)
+        if cost > best[node]:
+            continue  # a cheaper path to node was queued later
         state, residual = node
         if state & gmask == gmask and not any(residual):
             return SearchResult(OPTIMAL, cost, _extract(parents, node, task))
         expanded += 1
         if expanded > cap:
             return SearchResult(CAP_EXCEEDED)
-        for aid, pre, add, ndel in acts:
+        for aid, pre, add, ndel, acost, i in acts:
             if state & pre == pre:
-                nstate = (state & ndel) | add
-                if aid in slot and residual[slot[aid]] > 0:
-                    nres = list(residual)
-                    nres[slot[aid]] -= 1
-                    nxt = (nstate, tuple(nres))
-                else:
-                    nxt = (nstate, residual)
-                ncost = cost + task.actions[aid].cost
-                if nxt not in closed and ncost < best.get(nxt, ncost + 1):
+                res = residual
+                if i >= 0 and res[i]:
+                    res = res[:i] + (res[i] - 1,) + res[i + 1:]
+                nxt = ((state & ndel) | add, res)
+                ncost = cost + acost
+                if ncost < best.get(nxt, ncost + 1):
                     best[nxt] = ncost
                     parents[nxt] = (node, aid)
                     tie += 1
@@ -179,30 +145,3 @@ def validate_plan(task: PlanningTask, steps: Iterable[int], goal: Iterable[int])
         names = ", ".join(task.facts[f] for f in sorted(missing_goal))
         return PlanCheck(False, None, f"goal not satisfied: {names}", frozenset(state))
     return PlanCheck(True, final_state=frozenset(state))
-
-
-def enumerate_plans(task: PlanningTask, goal: Iterable[int], max_len: int = 12,
-                    node_cap: int = 500_000) -> list[Plan]:
-    """All goal-achieving action sequences of length <= max_len, DFS order."""
-    init, acts = _masks(task)
-    gmask = _goal_mask(goal)
-    plans: list[Plan] = []
-    visited = 0
-
-    def dfs(state: int, steps: list[int], cost: int) -> None:
-        nonlocal visited
-        visited += 1
-        if visited > node_cap:
-            raise CapExceeded(f"enumerate_plans node cap ({node_cap}) exceeded")
-        if state & gmask == gmask:
-            plans.append(Plan(steps=tuple(steps), cost=cost))
-        if len(steps) >= max_len:
-            return
-        for aid, pre, add, ndel in acts:
-            if state & pre == pre:
-                steps.append(aid)
-                dfs((state & ndel) | add, steps, cost + task.actions[aid].cost)
-                steps.pop()
-
-    dfs(init, [], 0)
-    return plans

@@ -22,13 +22,11 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .constraints import (ALL_FAMILIES, SRC_OBSERVATION, LinearConstraint,
-                          base_constraints)
+from .constraints import ALL_FAMILIES, LinearConstraint, base_constraints
 from .errors import GoalUnreachable, SolverFailure
 from .grounding import PlanningTask
 from .inputs import GoalHypotheses, ObservationSequence
 from .lp import INFEASIBLE, OPTIMAL, LinearProgram, LpOutcome, solve_with
-from .oracle import Plan, validate_plan
 
 INF = float("inf")
 
@@ -76,12 +74,6 @@ class RecognitionReport:
     @property
     def all_infeasible(self) -> bool:
         return all(s.h_hc == INF for s in self.scores)
-
-
-def observation_constraints(obs: ObservationSequence) -> tuple[LinearConstraint, ...]:
-    """One floor Y_a >= k_a per observed action."""
-    return tuple(LinearConstraint(terms=((a, 1),), rhs=k, source=SRC_OBSERVATION)
-                 for a, k in sorted(obs.counts.items()) if k > 0)
 
 
 # Per-goal base results of the task scored last, keyed by
@@ -240,18 +232,6 @@ def recognize(task: PlanningTask, hyps: GoalHypotheses, obs: ObservationSequence
     return RecognitionReport(scores=scores, uncertainty=u, selected=selected,
                              method=method, obs_len=len(obs), timings=timings,
                              fallback_ranking=fallback)
-
-
-def full_observation_guarantee_check(task: PlanningTask, hyps: GoalHypotheses,
-                                     plan: Plan, hidden: int,
-                                     config: RecognizerConfig = RecognizerConfig()) -> bool:
-    """With the complete plan observed, hc selection must contain the hidden goal."""
-    check = validate_plan(task, plan.steps, hyps.goals[hidden])
-    if not check.ok:
-        raise ValueError(f"plan is not valid for hypothesis {hidden}: {check.reason}")
-    obs = ObservationSequence(obs=plan.steps)
-    report = recognize(task, hyps, obs, METHOD_HC, config)
-    return hidden in report.selected
 
 
 def _json_value(v: float) -> float | str:

@@ -22,10 +22,9 @@ from ocgr.errors import CapExceeded, GoalUnreachable
 from ocgr.generators import demo_grid_bundle
 from ocgr.inputs import ObservationSequence, bundle_from_texts
 from ocgr.lp import LinearProgram, solve_lp, solve_with
-from ocgr.oracle import (enumerate_plans, optimal_cost,
-                         optimal_cost_with_counts, validate_plan)
-from ocgr.recognition import (INF, RecognizerConfig, observation_constraints,
-                              recognize, score_all)
+from ocgr.oracle import optimal_cost, validate_plan
+from ocgr.recognition import INF, RecognizerConfig, recognize, score_all
+from references import enumerate_plans, observation_constraints
 
 LP_EPS = 1e-6
 
@@ -149,7 +148,7 @@ def test_criterion_4_admissibility_against_oracle(clean_scored):
             if problem.pct not in (10, 30):
                 continue  # small count floors keep the counts oracle tractable
             floors = problem.obs.counts
-            with_counts = optimal_cost_with_counts(problem.task, goal, floors, cap=400_000)
+            with_counts = optimal_cost(problem.task, goal, floors=floors, cap=400_000)
             if with_counts.status == "optimal" and s.h_hc != INF:
                 assert s.h_hc <= with_counts.cost + LP_EPS
                 checked_hc += 1

@@ -5,11 +5,12 @@ import pytest
 from ocgr.bench import (SuiteSpec, _witness_plan, format_rows,
                         generate_problem, generated_problems, inject_noise,
                         load_manifest, run_suite, sample_observations,
-                        save_manifest, stable_seed)
+                        stable_seed)
 from ocgr.errors import OcgrError
 from ocgr.generators import demo_grid_bundle, write_bundle
 from ocgr.inputs import ObservationSequence
 from ocgr.oracle import Plan, optimal_cost, validate_plan
+from references import save_manifest
 
 
 def _plan10():

@@ -16,8 +16,8 @@ from ocgr.constraints import LinearConstraint, base_constraints
 from ocgr.errors import CapExceeded, GoalUnreachable, SolverFailure
 from ocgr.inputs import ObservationSequence, bundle_from_texts
 from ocgr.lp import LinearProgram, compile_rows, solve_lp, solve_with
-from ocgr.oracle import enumerate_plans
 from ocgr.recognition import recognize
+from references import enumerate_plans
 
 
 def _lp(num_vars, objective, rows):

@@ -1,12 +1,17 @@
+import hashlib
 import random
 
 import pytest
 
-from conftest import make_micro_task, plan_counts
+from conftest import ISLAND_BUNDLE, make_micro_task, plan_counts
+from ocgr.bench import sample_observations
+from ocgr.cli import main
 from ocgr.errors import CapExceeded
+from ocgr.generators import GENERATORS
 from ocgr.grounding import GroundAction, PlanningTask
-from ocgr.oracle import (enumerate_plans, optimal_cost, optimal_cost_with_counts,
-                         validate_plan)
+from ocgr.inputs import bundle_from_texts
+from ocgr.oracle import optimal_cost, validate_plan
+from references import enumerate_plans
 
 
 def test_chain_optimal(chain):
@@ -38,7 +43,7 @@ def test_demo_grid_costs(demo_bundle):
 
 
 def test_counts_floor_chain(chain):
-    assert optimal_cost_with_counts(chain, chain.goal, {0: 1}).cost == 1
+    assert optimal_cost(chain, chain.goal, floors={0: 1}).cost == 1
 
 
 def test_counts_empty_equals_optimal():
@@ -46,7 +51,7 @@ def test_counts_empty_equals_optimal():
     for _ in range(25):
         task = make_micro_task(rng)
         a = optimal_cost(task, task.goal, cap=200_000)
-        b = optimal_cost_with_counts(task, task.goal, {}, cap=200_000)
+        b = optimal_cost(task, task.goal, floors={}, cap=200_000)
         assert a.status == b.status == "optimal"
         assert a.cost == b.cost
 
@@ -58,15 +63,15 @@ def test_counts_monotone_in_floor(demo_bundle):
     floors: dict[int, int] = {}
     for a in obs.obs[:4]:
         floors[a] = floors.get(a, 0) + 1
-        cur = optimal_cost_with_counts(task, goal, floors).cost
+        cur = optimal_cost(task, goal, floors=floors).cost
         assert cur >= prev
         prev = cur
 
 
 def test_demo_grid_full_counts(demo_bundle):
     task, hyps, obs = demo_bundle.task, demo_bundle.hyps, demo_bundle.obs
-    assert optimal_cost_with_counts(task, hyps.goals[0], obs.counts).cost == 7
-    assert optimal_cost_with_counts(task, hyps.goals[1], obs.counts).cost == 9
+    assert optimal_cost(task, hyps.goals[0], floors=obs.counts).cost == 7
+    assert optimal_cost(task, hyps.goals[1], floors=obs.counts).cost == 9
 
 
 def test_validate_plan_chain(chain):
@@ -121,3 +126,42 @@ def test_counts_vector_of_witness(demo_bundle):
     task, obs = demo_bundle.task, demo_bundle.obs
     counts = plan_counts(task, obs.obs)
     assert sum(counts) == 7
+
+
+def _search_digest(results) -> str:
+    h = hashlib.sha256()
+    for r in results:
+        h.update(repr((r.status, r.cost, r.plan.steps if r.plan else None)).encode())
+    return h.hexdigest()
+
+
+def test_search_outputs_are_pinned(demo_bundle, tmp_path):
+    """The search's plans with and without floors, and the observations gen
+    samples from its witness plans, stay byte for byte as pinned."""
+    bundles = [demo_bundle, bundle_from_texts(ISLAND_BUNDLE, require_obs=False)]
+    bundles += [bundle_from_texts(dict(GENERATORS[family](random.Random(seed)).files),
+                                  require_obs=False)
+                for family in sorted(GENERATORS) for seed in range(3)]
+    plain, floored = [], []
+    for b in bundles:
+        opts = [optimal_cost(b.task, g) for g in b.hyps.goals]
+        plain += opts
+        for i, opt in enumerate(opts):
+            if opt.ok:
+                obs = sample_observations(opt.plan, 50, random.Random(i))
+                floored += [optimal_cost(b.task, g, floors=obs.counts) for g in b.hyps.goals]
+    assert (len(plain), len(floored)) == (46, 153)
+    assert _search_digest(plain) == \
+        "bf9de376746268e0f3adc9c33276c0acc9ebd5f691c8661f74c9dd17d6533d56"
+    assert _search_digest(floored) == \
+        "9cbe2cf29c48157ca445591f5bbaf71edbecd695f234d667160b1b81bf09cc4c"
+
+    obs_files = hashlib.sha256()
+    for family in sorted(GENERATORS):
+        out = tmp_path / family
+        assert main(["gen", "--family", family, "--count", "3", "--seed", "5",
+                     "--pct", "50", "--out", str(out)]) == 0
+        for path in sorted(out.glob("*/obs.dat")):
+            obs_files.update(path.read_bytes())
+    assert obs_files.hexdigest() == \
+        "111299c44171f22f1cb967042f314937e3b79d34c076171215bbbafc1ab46a52"

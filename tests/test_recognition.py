@@ -19,10 +19,9 @@ from ocgr.inputs import (GoalHypotheses, ObservationSequence, bundle_from_texts,
 from ocgr.lp import LinearProgram, solve_lp, solve_with
 from ocgr.oracle import Plan, optimal_cost
 from ocgr.recognition import (INF, METHODS, RecognizerConfig, base_rows,
-                              full_observation_guarantee_check,
-                              observation_constraints, recognize,
-                              report_from_dict, report_to_dict, score_all,
-                              score_hypothesis, select, uncertainty)
+                              recognize, report_from_dict, report_to_dict,
+                              score_all, score_hypothesis, select, uncertainty)
+from references import full_observation_guarantee_check, observation_constraints
 
 
 def _obs(*actions):
