@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Iterator
 
 from .errors import PddlParseError
 from .grounding import PlanningTask, ground
@@ -56,23 +57,24 @@ class GoalHypotheses:
         return GoalHypotheses(goals=self.goals, lines=self.lines, hidden=hidden)
 
 
-def _normalize_group(body: str) -> str:
-    return "(" + " ".join(body.lower().split()) + ")"
+def _dat_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """Yield ``(lineno, stripped line, group bodies)`` for each line that is neither
+    blank nor a ``;`` comment; each ``(...)`` body is lowercased with single spaces."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith(";"):
+            yield lineno, stripped, [" ".join(body.lower().split())
+                                     for body in _GROUP.findall(stripped)]
 
 
 def parse_observations(text: str, task: PlanningTask) -> ObservationSequence:
     """Resolve one parenthesized ground action per nonempty line."""
     indices: list[int] = []
     by_name = task.action_index
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith(";"):
-            continue
-        groups = _GROUP.findall(stripped)
-        if not groups:
+    for lineno, stripped, names in _dat_lines(text):
+        if not names:
             raise PddlParseError(f"expected a parenthesized action, got '{stripped}'", lineno)
-        for body in groups:
-            name = " ".join(body.lower().split())
+        for name in names:
             idx = by_name.get(name)
             if idx is None:
                 raise PddlParseError(
@@ -87,23 +89,16 @@ def parse_hypotheses(text: str, task: PlanningTask) -> GoalHypotheses:
     goals: list[frozenset[int]] = []
     lines: list[str] = []
     fact_of = task.fact_index
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith(";"):
-            continue
-        groups = _GROUP.findall(stripped)
-        if not groups:
+    for lineno, stripped, names in _dat_lines(text):
+        if not names:
             raise PddlParseError(f"expected parenthesized fluents, got '{stripped}'", lineno)
         goal: set[int] = set()
-        for body in groups:
-            atom = _normalize_group(body)
-            idx = fact_of.get(atom)
+        for name in names:
+            idx = fact_of.get(f"({name})")
             if idx is None:
                 raise PddlParseError(
-                    f"unknown fluent '{atom}': not a ground fact of this task", lineno)
+                    f"unknown fluent '({name})': not a ground fact of this task", lineno)
             goal.add(idx)
-        if not goal:
-            raise PddlParseError("empty hypothesis", lineno)
         goals.append(frozenset(goal))
         lines.append(stripped)
     return GoalHypotheses(goals=tuple(goals), lines=tuple(lines))

@@ -7,7 +7,9 @@ equality) is rejected with an error naming the construct.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .errors import PddlParseError, UnsupportedFeatureError
 
@@ -29,68 +31,43 @@ class Sym(str):
         return obj
 
 
-def _tokenize(text: str) -> list[Sym]:
-    tokens: list[Sym] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in "()":
-            tokens.append(Sym(ch, line, col))
-            col += 1
-            i += 1
-            continue
-        start = i
-        start_col = col
-        while i < n and not text[i].isspace() and text[i] not in "();":
-            i += 1
-            col += 1
-        tokens.append(Sym(text[start:i].lower(), line, start_col))
-    return tokens
-
-
-def _read_tree(tokens: list[Sym], pos: int) -> tuple[object, int]:
-    if pos >= len(tokens):
-        raise PddlParseError("unexpected end of input")
-    tok = tokens[pos]
-    if tok == "(":
-        items: list[object] = []
-        pos += 1
-        while True:
-            if pos >= len(tokens):
-                raise PddlParseError("unbalanced parenthesis", tok.line, tok.col)
-            if tokens[pos] == ")":
-                return items, pos + 1
-            item, pos = _read_tree(tokens, pos)
-            items.append(item)
-    if tok == ")":
-        raise PddlParseError("unexpected ')'", tok.line, tok.col)
-    return tok, pos + 1
+# a parenthesis, an atom, a comment or a newline; other whitespace is skipped
+_TOKEN = re.compile(r"[()]|[^\s();]+|;[^\n]*|\n")
 
 
 def parse_sexpr(text: str) -> list[object]:
     """Parse one top-level s-expression ``(define ...)``."""
-    tokens = _tokenize(text)
-    if not tokens:
+    line, line_start = 1, 0
+    stack: list[tuple[list[object], int, int]] = []  # open forms with their '(' position
+    tree: object = None
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        if tok == "\n":
+            line, line_start = line + 1, m.end()
+            continue
+        if tok[0] == ";":
+            continue
+        col = m.start() - line_start + 1
+        if tree is not None:
+            raise PddlParseError("trailing content after top-level form", line, col)
+        if tok == "(":
+            stack.append(([], line, col))
+            continue
+        if tok == ")":
+            if not stack:
+                raise PddlParseError("unexpected ')'", line, col)
+            node: object = stack.pop()[0]
+        else:
+            node = Sym(tok.lower(), line, col)
+        if stack:
+            stack[-1][0].append(node)
+        else:
+            tree = node
+    if stack:
+        raise PddlParseError("unbalanced parenthesis", stack[-1][1], stack[-1][2])
+    if tree is None:
         raise PddlParseError("empty input")
-    tree, pos = _read_tree(tokens, 0)
-    if pos != len(tokens):
-        extra = tokens[pos]
-        raise PddlParseError("trailing content after top-level form", extra.line, extra.col)
-    if not isinstance(tree, list):
+    if isinstance(tree, Sym):
         raise PddlParseError("expected a parenthesized form", tree.line, tree.col)
     return tree
 
@@ -104,7 +81,8 @@ def _pos(node: object) -> tuple[int | None, int | None]:
 
 
 def _parse_typed_list(items: list[object], what: str) -> list[tuple[str, str]]:
-    """Parse ``a b - t c - t2 d`` into [(a,t),(b,t2-style),...]; untyped -> object."""
+    """Parse ``a b - t c d`` into [(a, t), (b, t), (c, object), (d, object)]:
+    each name takes the type after the next ``-``, or ``object`` if none follows."""
     out: list[tuple[str, str]] = []
     pending: list[str] = []
     i = 0
@@ -210,7 +188,7 @@ def _parse_precondition(node: object, name: str) -> list[tuple[str, ...]]:
             if head == "=":
                 line, col = _pos(part)
                 raise UnsupportedFeatureError(f"equality in action '{name}' (:equality)", line, col)
-            if head in _COMPOUND_PRE:
+            if isinstance(head, Sym) and head in _COMPOUND_PRE:
                 line, col = _pos(part)
                 raise UnsupportedFeatureError(
                     f"{_COMPOUND_PRE[str(head)]} in action '{name}'", line, col)
@@ -257,13 +235,28 @@ def _validate_literals(literals: list[tuple[str, ...]], predicates: dict[str, tu
                 raise PddlParseError(f"unknown term '{a}' in {where}")
 
 
-def parse_domain(text: str) -> DomainDef:
+def _read_define(text: str, kind: str) -> tuple[str, Iterator[tuple[str, list[object]]]]:
+    """Check the ``(define (<kind> <name>) ...)`` header; return the name and the
+    sections with their head keyword. Each section is checked only when reached, so
+    an error inside an earlier section is reported before a malformed later one."""
     tree = parse_sexpr(text)
     if not tree or tree[0] != "define":
-        raise PddlParseError("domain file must start with (define ...)")
-    if len(tree) < 2 or not isinstance(tree[1], list) or len(tree[1]) != 2 or tree[1][0] != "domain":
-        raise PddlParseError("missing (domain <name>) declaration")
-    name = str(tree[1][1])
+        raise PddlParseError(f"{kind} file must start with (define ...)")
+    if len(tree) < 2 or not isinstance(tree[1], list) or len(tree[1]) != 2 or tree[1][0] != kind:
+        raise PddlParseError(f"missing ({kind} <name>) declaration")
+
+    def sections() -> Iterator[tuple[str, list[object]]]:
+        for section in tree[2:]:
+            if not isinstance(section, list) or not section or not isinstance(section[0], Sym):
+                line, col = _pos(section)
+                raise PddlParseError(f"malformed {kind} section", line, col)
+            yield str(section[0]), section
+
+    return str(tree[1][1]), sections()
+
+
+def parse_domain(text: str) -> DomainDef:
+    name, sections = _read_define(text, "domain")
 
     requirements: tuple[str, ...] = ()
     types: dict[str, str] = {}
@@ -271,11 +264,7 @@ def parse_domain(text: str) -> DomainDef:
     constants: list[tuple[str, str]] = []
     operators: list[OperatorSchema] = []
 
-    for section in tree[2:]:
-        if not isinstance(section, list) or not section or not isinstance(section[0], Sym):
-            line, col = _pos(section)
-            raise PddlParseError("malformed domain section", line, col)
-        head = str(section[0])
+    for head, section in sections:
         if head == ":requirements":
             reqs = tuple(str(r) for r in section[1:])
             for r in reqs:
@@ -302,15 +291,24 @@ def parse_domain(text: str) -> DomainDef:
                 params = _parse_typed_list(p[1:], f"predicate '{pname}'")
                 predicates[pname] = tuple(t for _, t in params)
         elif head == ":action":
-            operators.append(_parse_action(section, predicates, constants))
+            schema = _parse_action(section, predicates, constants)
+            if any(s.name == schema.name for s in operators):
+                line, col = _pos(section)
+                raise PddlParseError(f"duplicate action '{schema.name}'", line, col)
+            operators.append(schema)
         else:
             line, col = _pos(section)
             raise UnsupportedFeatureError(f"domain section '{head}' is not supported", line, col)
 
+    for child in types:
+        # every parent is a key of ``types`` or the root, so len(types) steps
+        # up from any type reach the root unless the hierarchy has a cycle
+        typ = child
+        for _ in types:
+            typ = types.get(typ, ROOT_TYPE)
+        if typ != ROOT_TYPE:
+            raise PddlParseError(f"cyclic type hierarchy through '{typ}'")
     known_types = set(types) | {ROOT_TYPE}
-    for child, parent in types.items():
-        if parent not in known_types:
-            raise PddlParseError(f"type '{child}' has undeclared parent '{parent}'")
     for schema in operators:
         for _, typ in schema.params:
             if typ not in known_types:
@@ -376,12 +374,7 @@ def _parse_action(section: list[object], predicates: dict[str, tuple[str, ...]],
 
 
 def parse_problem(text: str, dom: DomainDef) -> ProblemDef:
-    tree = parse_sexpr(text)
-    if not tree or tree[0] != "define":
-        raise PddlParseError("problem file must start with (define ...)")
-    if len(tree) < 2 or not isinstance(tree[1], list) or len(tree[1]) != 2 or tree[1][0] != "problem":
-        raise PddlParseError("missing (problem <name>) declaration")
-    name = str(tree[1][1])
+    name, sections = _read_define(text, "problem")
 
     domain_name = ""
     objects: list[tuple[str, str]] = []
@@ -390,11 +383,7 @@ def parse_problem(text: str, dom: DomainDef) -> ProblemDef:
 
     known_types = set(dom.types) | {ROOT_TYPE}
 
-    for section in tree[2:]:
-        if not isinstance(section, list) or not section or not isinstance(section[0], Sym):
-            line, col = _pos(section)
-            raise PddlParseError("malformed problem section", line, col)
-        head = str(section[0])
+    for head, section in sections:
         if head == ":domain":
             domain_name = str(section[1]) if len(section) > 1 else ""
         elif head == ":objects":

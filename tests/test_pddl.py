@@ -1,9 +1,16 @@
+import hashlib
+import random
+import re
+from typing import Iterator
+
 import pytest
 
+import conftest
 from conftest import CHAIN_DOMAIN, CHAIN_PROBLEM, MOVE_DOMAIN
 from ocgr.errors import PddlParseError, UnsupportedFeatureError
-from ocgr.generators import BLOCKS_DOMAIN, LOGISTICS_DOMAIN
-from ocgr.pddl import parse_domain, parse_problem
+from ocgr.generators import BLOCKS_DOMAIN, GENERATORS, LOGISTICS_DOMAIN
+from ocgr.pddl import parse_domain, parse_problem, parse_sexpr
+from references import reference_parse_sexpr
 
 
 def test_minimal_move_domain():
@@ -124,3 +131,158 @@ def test_case_insensitive_parsing():
     dom = parse_domain(CHAIN_DOMAIN.replace("(p)", "(P)").replace("chain", "Chain"))
     assert dom.name == "chain"
     assert "p" in dom.predicates
+
+
+def test_cyclic_types_rejected():
+    for types in ("a - b b - a c", "a - a", "c - a a - b b - a"):
+        with pytest.raises(PddlParseError, match="cyclic type hierarchy through '[ab]'"):
+            parse_domain(f"(define (domain cyc) (:types {types}) (:predicates (p ?x - c))"
+                         " (:action go :parameters (?x - c) :precondition (p ?x) :effect ()))")
+
+
+def test_duplicate_action_rejected():
+    with pytest.raises(PddlParseError, match=r"duplicate action 'a' \(line 3, col 5\)"):
+        parse_domain("(define (domain dup) (:predicates (p) (q))\n"
+                     "  (:action a :effect (p))\n   (:action A :effect (q)))")
+
+
+def test_nested_precondition_head_rejected():
+    with pytest.raises(PddlParseError, match=r"malformed atom in precondition of 'a'"):
+        parse_domain("(define (domain n) (:predicates (p)) (:action a :precondition ((p) (p))))")
+
+
+def _family_files() -> list[str]:
+    """Domain, template and hypothesis files of seeds 0-2 of each generator family."""
+    return [text for gen in GENERATORS.values() for seed in range(3)
+            for text in gen(random.Random(seed)).files.values()]
+
+
+def _shape(node: object) -> object:
+    if isinstance(node, list):
+        return [_shape(x) for x in node]
+    return (str(node), node.line, node.col)
+
+
+def _sexpr_outcome(read, text: str) -> object:
+    try:
+        return _shape(read(text))
+    except PddlParseError as err:
+        return type(err).__name__, str(err)
+
+
+def test_parse_sexpr_matches_two_pass_reader():
+    texts = _family_files() + [getattr(conftest, n) for n in dir(conftest)
+                               if n.endswith(("_DOMAIN", "_PROBLEM"))]
+    texts += ["", " ; only a comment", "x", "x y", ")", "(", "(()", "(a))", "(a) b",
+              "((a)\n", "(a\n;x (\n  B) ;t", "\r\n(a\x0b\xa0b)\u2028(", "(İx)"]
+    pieces = ["(", ")", ";", "\n", "\t", "\r", " ", "\x0c", "\xa0", "x", "?Ab", "-", ";c\n"]
+    rng = random.Random(13)
+    for _ in range(3000):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 4)):
+            at = rng.randrange(len(text) + 1)
+            if rng.random() < 0.5:
+                text = text[:at] + rng.choice(pieces) + text[at:]
+            else:
+                text = text[:at] + text[at + rng.randint(1, 3):]
+        texts.append(text)
+    for text in texts:
+        assert _sexpr_outcome(parse_sexpr, text) == \
+            _sexpr_outcome(reference_parse_sexpr, text), repr(text)
+
+
+# One input per construct the parser rejects, each wrapped by _REJECTED_DOMAIN
+# or, for problem sections, added to the corridor template. Together with the
+# mutations (which reach the two problem-header errors) they raise every error
+# message of parse_domain and parse_problem.
+_REJECTED_DOMAIN = "(define (domain r) (:requirements :strips :typing) (:types t) {})"
+_REJECTED_DOMAIN_SECTIONS = [
+    "(:predicates (p (x)))", "(:predicates (p ?x -))", "(:predicates (p) (p))", "(:predicates p)",
+    "(:requirements :adl)", "(:functions (f))", "(:constants c - u)",
+    "(:predicates (p)) (:action)", "(:predicates (p)) (:action a (p))",
+    "(:predicates (p)) (:action a :effect)", "(:predicates (p)) (:action a :effect (p) :effect (p))",
+    "(:predicates (p)) (:action a :parameters ?x)", "(:predicates (p)) (:action a :parameters (?x ?x))",
+    "(:predicates (p)) (:action a :parameters (x))", "(:predicates (p)) (:action a :cost 1)",
+    "(:predicates (p)) (:action a :parameters (?x - u))",
+    "(:predicates (p)) (:action a :precondition (not (p)))",
+    "(:predicates (p)) (:action a :precondition (= ?x ?x))",
+    "(:predicates (p)) (:action a :precondition (or (p) (p)))",
+    "(:predicates (p)) (:action a :precondition (imply (p) (p)))",
+    "(:predicates (p)) (:action a :precondition (exists (?y) (p)))",
+    "(:predicates (p)) (:action a :precondition (p ?y))",
+    "(:predicates (p)) (:action a :precondition (q))",
+    "(:predicates (p)) (:action a :effect (not (p) (p)))",
+    "(:predicates (p)) (:action a :effect (forall (?y) (p)))",
+    "(:predicates (p)) (:action a :effect (increase (p) 1))",
+    "(:predicates (p)) (:action a :effect (p p))",
+    "x",
+]
+_REJECTED_TEXTS = [
+    "", "(", ")", "x", "(define (domain r)) x", "(domain r)", "(define (problem r))",
+    "(define (domain r) x)", "(define (domain r) ())",
+] + [_REJECTED_DOMAIN.format(s) for s in _REJECTED_DOMAIN_SECTIONS]
+_REJECTED_PROBLEM_SECTIONS = [
+    "(:objects n - room)", "(:objects (n))", "(:init (not (at n)))", "(:init (= (f) 1))",
+    "(:init (at m))", "(:init (at))", "(:init at)", "(:goal (at n) (at n))",
+    "(:goal (not (at n)))", "(:goal (or (at n)))", "(:metric minimize (total-cost))", "x",
+]
+
+
+def _outcome(parse, text: str) -> str:
+    try:
+        return repr(parse(text))
+    except PddlParseError as err:
+        return repr((type(err).__name__, str(err)))
+
+
+def _token_mutations(texts: list[str], count: int, seed: int) -> list[str]:
+    """Delete, duplicate, replace (by another token of the file) or swap with
+    its successor one token, not the last, of a randomly chosen text, ``count``
+    times."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        text = rng.choice(texts)
+        spans = [m.span() for m in re.finditer(r"[()]|[^\s();]+", text)]
+        k = rng.randrange(len(spans) - 1)
+        (a, b), (c, d) = spans[k], rng.choice(spans)
+        op = rng.randrange(4)
+        if op == 0:
+            out.append(text[:a] + text[b:])
+        elif op == 1:
+            out.append(text[:b] + " " + text[a:])
+        elif op == 2:
+            out.append(text[:a] + text[c:d] + text[b:])
+        else:
+            c, d = spans[k + 1]
+            out.append(text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:])
+    return out
+
+
+def _parser_outcomes() -> Iterator[str]:
+    """``repr`` of the DomainDef/ProblemDef or of (exception type, message) for
+    1,200 token-level mutations of the four families' domain files (seed 0),
+    300 of each family's template file, and one input per rejected construct."""
+    files = [GENERATORS[f](random.Random(0)).files for f in sorted(GENERATORS)]
+    for text in _token_mutations([f["domain.pddl"] for f in files], 1200, 1) + _REJECTED_TEXTS:
+        yield _outcome(parse_domain, text)
+    for seed, f in enumerate(files, start=2):
+        dom = parse_domain(f["domain.pddl"])
+        texts = _token_mutations([f["template.pddl"]], 300, seed)
+        if "(domain corridor)" in f["domain.pddl"]:
+            texts += [f["template.pddl"].replace("(:init", section + " (:init", 1)
+                      for section in _REJECTED_PROBLEM_SECTIONS]
+        for text in texts:
+            yield _outcome(lambda t: parse_problem(t, dom), text)
+
+
+def test_parser_outcomes_are_pinned():
+    """Pins which error each malformed input gets, and so the order in which the
+    checks run, which the reference reader cannot check. The value was computed
+    with the two-pass reader and the per-file (define ...) checks, with a nested
+    precondition head already rejected as a malformed atom."""
+    h = hashlib.sha256()
+    for outcome in _parser_outcomes():
+        h.update(outcome.encode() + b"\n")
+    assert h.hexdigest() == \
+        "7b7a5329274e5507261faae107bb538cc8fb94164701b0f18edbef87eed02c2a"
