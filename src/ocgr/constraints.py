@@ -16,6 +16,7 @@ what the test suite checks against enumerated plans.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from .errors import GoalUnreachable
@@ -71,11 +72,18 @@ def hmax(task: PlanningTask, from_facts: Iterable[int], goal: Iterable[int],
 def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[LinearConstraint, ...]:
     """Disjunctive action landmarks via justification-graph cut rounds.
 
-    Each round picks, per action, its maximum-h_max precondition (ties by
-    lowest fact index) as the supporter, extracts the cut between the
-    init-side zone and the zero-cost goal zone, emits it as a landmark and
-    reduces the cut actions' residual costs by the cut minimum. Costs are
-    integers, so residuals stay exact integers.
+    Each action's supporter is its maximum-h_max precondition (ties by lowest
+    fact index). Each round extracts the cut between the init-side zone and
+    the zero-cost goal zone, emits it as a landmark and reduces the cut
+    actions' residual costs by the cut minimum. Costs are integers, so
+    residuals stay exact integers.
+
+    Only round one's h_max values are a full pass (the task's ``init_hmax``).
+    After a cut, values can only fall, and an action's maximum precondition
+    value moves only when its supporter's value falls. So each later round
+    propagates only the drops, in Dijkstra order from the cut actions' add
+    effects, and recomputes a supporter only when its value falls; values
+    and supporters stay those of a full pass under the residual costs.
     """
     goal = frozenset(goal)
     num_a = task.num_actions
@@ -98,21 +106,14 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
     # Round one runs on the original costs: the task's table, and the goal
     # node's value is that of its virtual action, the largest goal value.
     values = [*task.init_hmax, max(task.init_hmax[g] for g in goal)]
+    if values[goal_node] == INF:
+        raise GoalUnreachable("goal unreachable in the delete relaxation")
+    if values[goal_node] == 0:
+        return ()
+    # -1 means the virtual init node; pres are sorted, so max keeps the
+    # lowest index on ties
+    supporter = [max(pre, key=values.__getitem__) if pre else -1 for pre in pres]
     for _ in range(_LMCUT_ROUND_GUARD):
-        hg = values[goal_node]
-        if hg == INF:
-            raise GoalUnreachable("goal unreachable in the delete relaxation")
-        if hg == 0:
-            break
-
-        supporter: list[int] = []  # -1 means the virtual init node
-        for pre in pres:
-            best = -1
-            for f in pre:  # sorted, so strict > keeps the lowest index on ties
-                if best == -1 or values[f] > values[best]:
-                    best = f
-            supporter.append(best)
-
         in_zone = [False] * num_nodes
         in_zone[goal_node] = True
         stack = [goal_node]
@@ -169,9 +170,34 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
             seen.add(landmark)
             out.append(LinearConstraint(terms=tuple((a, 1) for a in landmark),
                                         rhs=1, source=SRC_LANDMARK))
+
+        # every cut action's new value is taken before any value falls: a cut
+        # action may add another's supporter, which is then no longer its max
+        fires = []
         for ai in cut:
             residual[ai] -= m
-        values = hmax_values(pres, adds, by_pre, residual, init)
+            s = supporter[ai]
+            fires.append((residual[ai] + (values[s] if s >= 0 else 0), ai))
+        heap: list[tuple] = []
+        for fire, ai in fires:
+            for q in adds[ai]:
+                if fire < values[q]:
+                    values[q] = fire
+                    heappush(heap, (fire, q))
+        while heap:
+            val, f = heappop(heap)
+            if val > values[f]:
+                continue  # stale: f fell again after this push
+            for ai in by_pre[f]:
+                if supporter[ai] == f:
+                    s = supporter[ai] = max(pres[ai], key=values.__getitem__)
+                    fire = residual[ai] + values[s]
+                    for q in adds[ai]:
+                        if fire < values[q]:
+                            values[q] = fire
+                            heappush(heap, (fire, q))
+        if values[goal_node] == 0:
+            break
     else:
         raise RuntimeError("landmark extraction did not converge")
     return tuple(out)

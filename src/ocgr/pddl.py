@@ -80,6 +80,17 @@ def _pos(node: object) -> tuple[int | None, int | None]:
     return None, None
 
 
+def _name(node: object, what: str, form: list[object]) -> str:
+    """The atom ``node`` of ``form`` as a plain string. A nested form is rejected
+    at its first atom, or at ``form`` when it holds none."""
+    if not isinstance(node, Sym):
+        line, col = _pos(node)
+        if line is None:
+            line, col = _pos(form)
+        raise PddlParseError(f"nested form as {what}", line, col)
+    return str(node)
+
+
 def _parse_typed_list(items: list[object], what: str) -> list[tuple[str, str]]:
     """Parse ``a b - t c d`` into [(a, t), (b, t), (c, object), (d, object)]:
     each name takes the type after the next ``-``, or ``object`` if none follows."""
@@ -252,7 +263,7 @@ def _read_define(text: str, kind: str) -> tuple[str, Iterator[tuple[str, list[ob
                 raise PddlParseError(f"malformed {kind} section", line, col)
             yield str(section[0]), section
 
-    return str(tree[1][1]), sections()
+    return _name(tree[1][1], f"{kind} name", tree[1]), sections()
 
 
 def parse_domain(text: str) -> DomainDef:
@@ -266,12 +277,11 @@ def parse_domain(text: str) -> DomainDef:
 
     for head, section in sections:
         if head == ":requirements":
-            reqs = tuple(str(r) for r in section[1:])
-            for r in reqs:
+            requirements = tuple(_name(r, "requirement", section) for r in section[1:])
+            for r in requirements:
                 if r not in SUPPORTED_REQUIREMENTS:
                     line, col = _pos(section)
                     raise UnsupportedFeatureError(f"requirement '{r}' is not supported", line, col)
-            requirements = reqs
         elif head == ":types":
             for child, parent in _parse_typed_list(section[1:], "types"):
                 types[child] = parent
@@ -385,7 +395,7 @@ def parse_problem(text: str, dom: DomainDef) -> ProblemDef:
 
     for head, section in sections:
         if head == ":domain":
-            domain_name = str(section[1]) if len(section) > 1 else ""
+            domain_name = _name(section[1], "domain name", section) if len(section) > 1 else ""
         elif head == ":objects":
             for oname, otype in _parse_typed_list(section[1:], "objects"):
                 if otype not in known_types:

@@ -3,9 +3,10 @@
 None of these is on a path the package runs: bounded plan enumeration for
 the soundness checks, the full-observation guarantee, observation floors
 as explicit constraint rows (the cold reference for floors as bounds),
-writing a suite manifest back out, and the two-pass s-expression reader
+writing a suite manifest back out, the two-pass s-expression reader
 (tokenize, then read the tree recursively) that ``pddl.parse_sexpr`` is
-compared against.
+compared against, and LM-cut with a full h_max pass per round that
+``constraints.landmark_constraints`` is compared against.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from pathlib import Path
 from typing import Iterable
 
 from ocgr.bench import SuiteSpec
-from ocgr.constraints import LinearConstraint
-from ocgr.errors import CapExceeded, PddlParseError
-from ocgr.grounding import PlanningTask
+from ocgr.constraints import _LMCUT_ROUND_GUARD, SRC_LANDMARK, LinearConstraint
+from ocgr.errors import CapExceeded, GoalUnreachable, PddlParseError
+from ocgr.grounding import INF, PlanningTask, hmax_values
 from ocgr.inputs import GoalHypotheses, ObservationSequence
 from ocgr.oracle import Plan, _goal_mask, _masks, validate_plan
 from ocgr.pddl import Sym
@@ -140,3 +141,115 @@ def reference_parse_sexpr(text: str) -> list[object]:
     if not isinstance(tree, list):
         raise PddlParseError("expected a parenthesized form", tree.line, tree.col)
     return tree
+
+
+def reference_landmark_constraints(task: PlanningTask, goal: Iterable[int]
+                                   ) -> tuple[LinearConstraint, ...]:
+    """LM-cut with a full h_max pass from init after every cut round.
+
+    Disjunctive action landmarks via justification-graph cut rounds.
+
+    Each round picks, per action, its maximum-h_max precondition (ties by
+    lowest fact index) as the supporter, extracts the cut between the
+    init-side zone and the zero-cost goal zone, emits it as a landmark and
+    reduces the cut actions' residual costs by the cut minimum. Costs are
+    integers, so residuals stay exact integers.
+    """
+    goal = frozenset(goal)
+    num_a = task.num_actions
+    if not goal:
+        return ()
+    goal_node = task.num_facts
+    num_nodes = task.num_facts + 1
+    # a virtual goal action (id num_a, cost 0) adds the goal node
+    pres = task.pres + (tuple(sorted(goal)),)
+    adds = task.adds + ((goal_node,),)
+    adders = task.adders + ((num_a,),)
+    by_pre = list(task.by_pre) + [()]
+    for g in goal:
+        by_pre[g] += (num_a,)
+    residual = list(task.costs) + [0]
+    init = sorted(task.init)
+
+    out: list[LinearConstraint] = []
+    seen: set[tuple[int, ...]] = set()
+    # Round one runs on the original costs: the task's table, and the goal
+    # node's value is that of its virtual action, the largest goal value.
+    values = [*task.init_hmax, max(task.init_hmax[g] for g in goal)]
+    for _ in range(_LMCUT_ROUND_GUARD):
+        hg = values[goal_node]
+        if hg == INF:
+            raise GoalUnreachable("goal unreachable in the delete relaxation")
+        if hg == 0:
+            break
+
+        supporter: list[int] = []  # -1 means the virtual init node
+        for pre in pres:
+            best = -1
+            for f in pre:  # sorted, so strict > keeps the lowest index on ties
+                if best == -1 or values[f] > values[best]:
+                    best = f
+            supporter.append(best)
+
+        in_zone = [False] * num_nodes
+        in_zone[goal_node] = True
+        stack = [goal_node]
+        while stack:
+            v = stack.pop()
+            for ai in adders[v]:
+                if residual[ai] == 0:
+                    s = supporter[ai]
+                    if s >= 0 and not in_zone[s] and values[s] != INF:
+                        in_zone[s] = True
+                        stack.append(s)
+
+        supported_by: dict[int, list[int]] = {}
+        zero_pre: list[int] = []
+        for ai, s in enumerate(supporter):
+            if s == -1:
+                zero_pre.append(ai)
+            else:
+                supported_by.setdefault(s, []).append(ai)
+
+        cut: set[int] = set()
+        before = [False] * num_nodes
+        stack = []
+
+        def expand(ai: int) -> None:
+            hit_zone = False
+            for q in adds[ai]:
+                if in_zone[q]:
+                    hit_zone = True
+                elif not before[q]:
+                    before[q] = True
+                    stack.append(q)
+            if hit_zone:
+                cut.add(ai)
+
+        for f in init:
+            if not before[f] and not in_zone[f]:
+                before[f] = True
+                stack.append(f)
+        for ai in zero_pre:
+            expand(ai)
+        while stack:
+            u = stack.pop()
+            for ai in supported_by.get(u, ()):
+                expand(ai)
+
+        if not cut:
+            raise RuntimeError("landmark extraction found no cut with positive h_max")
+        m = min(residual[ai] for ai in cut)
+        if m <= 0:
+            raise RuntimeError("zero-cost cut; justification graph is inconsistent")
+        landmark = tuple(sorted(ai for ai in cut if ai < num_a))
+        if landmark and landmark not in seen:
+            seen.add(landmark)
+            out.append(LinearConstraint(terms=tuple((a, 1) for a in landmark),
+                                        rhs=1, source=SRC_LANDMARK))
+        for ai in cut:
+            residual[ai] -= m
+        values = hmax_values(pres, adds, by_pre, residual, init)
+    else:
+        raise RuntimeError("landmark extraction did not converge")
+    return tuple(out)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import ocgr.constraints
 from conftest import ISLAND_BUNDLE, make_micro_task, open_grid_bundle, plan_counts
 from ocgr.bench import SuiteSpec, generated_problems
 from ocgr.constraints import (ALL_FAMILIES, INF, SRC_LANDMARK, SRC_NET_CHANGE,
@@ -16,7 +17,7 @@ from ocgr.grounding import GroundAction, PlanningTask
 from ocgr.inputs import bundle_from_texts
 from ocgr.lp import LinearProgram, solve_lp
 from ocgr.oracle import optimal_cost
-from references import enumerate_plans
+from references import enumerate_plans, reference_landmark_constraints
 
 
 def test_hmax_chain(chain):
@@ -99,6 +100,75 @@ def test_landmark_and_posthoc_rows_are_pinned():
         "island": "495a456b89559e1ad825d31d16f2f46bfa3240500662f01f125b73e91f7360e1",
         "micro": "a301c6473f3519d670cc939b664066bc35564bb03c87ead10ec4ea7b0b729379",
     }
+
+
+def _landmark_outcome(family, task, goal):
+    try:
+        return family(task, goal)
+    except (GoalUnreachable, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_landmark_rows_match_full_pass_per_round():
+    """The incremental h_max update after each cut gives the whole row tuples,
+    or the error, of a full h_max pass from init per round."""
+    cases = []
+    for seed in (1, 2, 3):
+        spec = SuiteSpec(families=("grid", "blocks", "logistics", "corridor"), per_family=1,
+                         seed=seed, observability=(100,))
+        cases += [(p.task, g) for p in generated_problems(spec) for g in p.hyps.goals]
+    for n in range(8, 19, 2):
+        b = bundle_from_texts(open_grid_bundle(n), require_obs=False)
+        cases += [(b.task, g) for g in b.hyps.goals]
+    rng = random.Random(31)
+    for _ in range(3000):  # some actions cost 0; some goals empty or unreachable
+        num_facts = rng.randint(3, 12)
+        task = make_micro_task(rng, num_facts, rng.randint(1, 16), rng.randint(1, 8))
+        task = replace(task, actions=tuple(replace(a, cost=rng.choice((0, 0, 1, 1, 2, 5)))
+                                           for a in task.actions))
+        other = frozenset(rng.sample(range(num_facts), rng.randint(1, 3)))
+        cases += [(task, task.goal), (task, other)]
+    kinds = set()
+    for task, goal in cases:
+        expected = _landmark_outcome(reference_landmark_constraints, task, goal)
+        assert _landmark_outcome(landmark_constraints, task, goal) == expected
+        if expected and isinstance(expected[0], str):
+            kinds.add(expected[0])
+        else:
+            kinds.add("rows" if expected else "empty")
+    assert kinds == {"GoalUnreachable", "rows", "empty"}
+
+
+def test_landmarks_when_a_cut_action_adds_anothers_supporter():
+    """The first cut is {a0, a1}, and a0 adds p, the supporter of a1. After
+    the cut p falls to 0, but r keeps a1's precondition maximum at 1, so r
+    stays at 1 and the second round finds the landmark {a2}."""
+    actions = (GroundAction(id=0, name="a0", pre=frozenset(), adds=frozenset({0, 1}),
+                            dels=frozenset()),
+               GroundAction(id=1, name="a1", pre=frozenset({0, 2}), adds=frozenset({1, 2}),
+                            dels=frozenset()),
+               GroundAction(id=2, name="a2", pre=frozenset(), adds=frozenset({2}),
+                            dels=frozenset()))
+    task = PlanningTask(facts=("(p)", "(q)", "(r)", "(s)"), actions=actions,
+                        init=frozenset({3}), goal=frozenset({1, 2}))
+    rows = landmark_constraints(task, task.goal)
+    assert [row.terms for row in rows] == [((0, 1), (1, 1)), ((2, 1),)]
+    assert rows == reference_landmark_constraints(task, task.goal)
+
+
+def test_landmarks_run_no_full_hmax_pass(monkeypatch):
+    """Round one reads the task's ``init_hmax``; later rounds update it from
+    the cut actions, so LM-cut never calls ``hmax_values``."""
+    b = bundle_from_texts(open_grid_bundle(12), require_obs=False)
+    goals = [*b.hyps.goals, frozenset().union(*b.hyps.goals)]
+    expected = [reference_landmark_constraints(b.task, g) for g in goals]
+    assert all(expected)
+
+    def full_pass(*args, **kwargs):
+        raise AssertionError("LM-cut ran a full h_max pass")
+
+    monkeypatch.setattr(ocgr.constraints, "hmax_values", full_pass)
+    assert [landmark_constraints(b.task, g) for g in goals] == expected
 
 
 def test_landmarks_chain(chain):

@@ -151,6 +151,28 @@ def test_nested_precondition_head_rejected():
         parse_domain("(define (domain n) (:predicates (p)) (:action a :precondition ((p) (p))))")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(define (domain (x)) (:predicates (p)))", r"nested form as domain name \(line 1, col 18\)"),
+    ("(define (domain d) (:requirements :strips (:typing)) (:predicates (p)))",
+     r"nested form as requirement \(line 1, col 44\)"),
+    ("(define (domain d) (:requirements :strips ()) (:predicates (p)))",
+     r"nested form as requirement \(line 1, col 21\)"),
+], ids=["domain-name", "requirement", "empty-requirement"])
+def test_nested_form_as_domain_name_or_requirement_rejected(text, message):
+    with pytest.raises(PddlParseError, match=message) as err:
+        parse_domain(text)
+    assert type(err.value) is PddlParseError
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(define (problem (t)) (:domain d) (:init (p)))", r"nested form as problem name \(line 1, col 19\)"),
+    ("(define (problem t) (:domain (d)) (:init (p)))", r"nested form as domain name \(line 1, col 31\)"),
+], ids=["problem-name", "domain-name"])
+def test_nested_form_as_problem_or_domain_name_rejected(text, message):
+    with pytest.raises(PddlParseError, match=message):
+        parse_problem(text, parse_domain("(define (domain d) (:predicates (p)))"))
+
+
 def _family_files() -> list[str]:
     """Domain, template and hypothesis files of seeds 0-2 of each generator family."""
     return [text for gen in GENERATORS.values() for seed in range(3)
@@ -280,9 +302,11 @@ def test_parser_outcomes_are_pinned():
     """Pins which error each malformed input gets, and so the order in which the
     checks run, which the reference reader cannot check. The value was computed
     with the two-pass reader and the per-file (define ...) checks, with a nested
-    precondition head already rejected as a malformed atom."""
+    precondition head already rejected as a malformed atom, then recomputed when
+    a nested form as a requirement was rejected instead of named by its repr
+    (5 domain mutations with an empty form in :requirements)."""
     h = hashlib.sha256()
     for outcome in _parser_outcomes():
         h.update(outcome.encode() + b"\n")
     assert h.hexdigest() == \
-        "7b7a5329274e5507261faae107bb538cc8fb94164701b0f18edbef87eed02c2a"
+        "61b0c1a72b1a9011e961a0b94a7945f091d3713ad8d4eb46055951ede063ffff"
