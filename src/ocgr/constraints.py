@@ -72,8 +72,12 @@ def hmax(task: PlanningTask, from_facts: Iterable[int], goal: Iterable[int],
 def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[LinearConstraint, ...]:
     """Disjunctive action landmarks via justification-graph cut rounds.
 
-    Each action's supporter is its maximum-h_max precondition (ties by lowest
-    fact index). Each round extracts the cut between the init-side zone and
+    Each action's supporter is its maximum-h_max precondition among those not
+    in ``task.init`` (ties by lowest fact index), or none when every
+    precondition holds initially. Init facts keep h_max 0 in every round and
+    the goal zone holds only facts valued at least the goal's (positive)
+    value, so leaving them out changes no positive-valued supporter, no zone
+    and no cut. Each round extracts the cut between the init-side zone and
     the zero-cost goal zone, emits it as a landmark and reduces the cut
     actions' residual costs by the cut minimum. Costs are integers, so
     residuals stay exact integers.
@@ -91,15 +95,17 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
         return ()
     goal_node = task.num_facts
     num_nodes = task.num_facts + 1
-    # a virtual goal action (id num_a, cost 0) adds the goal node
-    pres = task.pres + (tuple(sorted(goal)),)
+    init = task.init
+    # a virtual goal action (id num_a, cost 0) adds the goal node; only
+    # preconditions not true initially can be supporters
+    pres = [tuple(p for p in pre if p not in init) for pre in task.pres]
+    pres.append(tuple(sorted(goal - init)))
     adds = task.adds + ((goal_node,),)
     adders = task.adders + ((num_a,),)
     by_pre = list(task.by_pre) + [()]
     for g in goal:
         by_pre[g] += (num_a,)
     residual = list(task.costs) + [0]
-    init = sorted(task.init)
 
     out: list[LinearConstraint] = []
     seen: set[tuple[int, ...]] = set()
@@ -112,7 +118,10 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
         return ()
     # -1 means the virtual init node; pres are sorted, so max keeps the
     # lowest index on ties
-    supporter = [max(pre, key=values.__getitem__) if pre else -1 for pre in pres]
+    value_of = values.__getitem__
+    supporter = [(pre[0] if len(pre) == 1 else max(pre, key=value_of)) if pre else -1
+                 for pre in pres]
+    zero_pre = [ai for ai, s in enumerate(supporter) if s == -1]
     for _ in range(_LMCUT_ROUND_GUARD):
         in_zone = [False] * num_nodes
         in_zone[goal_node] = True
@@ -125,14 +134,6 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
                     if s >= 0 and not in_zone[s] and values[s] != INF:
                         in_zone[s] = True
                         stack.append(s)
-
-        supported_by: dict[int, list[int]] = {}
-        zero_pre: list[int] = []
-        for ai, s in enumerate(supporter):
-            if s == -1:
-                zero_pre.append(ai)
-            else:
-                supported_by.setdefault(s, []).append(ai)
 
         cut: set[int] = set()
         before = [False] * num_nodes
@@ -149,16 +150,13 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
             if hit_zone:
                 cut.add(ai)
 
-        for f in init:
-            if not before[f] and not in_zone[f]:
-                before[f] = True
-                stack.append(f)
         for ai in zero_pre:
             expand(ai)
         while stack:
             u = stack.pop()
-            for ai in supported_by.get(u, ()):
-                expand(ai)
+            for ai in by_pre[u]:
+                if supporter[ai] == u:
+                    expand(ai)
 
         if not cut:
             raise RuntimeError("landmark extraction found no cut with positive h_max")
@@ -190,7 +188,8 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
                 continue  # stale: f fell again after this push
             for ai in by_pre[f]:
                 if supporter[ai] == f:
-                    s = supporter[ai] = max(pres[ai], key=values.__getitem__)
+                    pre = pres[ai]
+                    s = supporter[ai] = pre[0] if len(pre) == 1 else max(pre, key=value_of)
                     fire = residual[ai] + values[s]
                     for q in adds[ai]:
                         if fire < values[q]:

@@ -31,6 +31,16 @@ class Sym(str):
         return obj
 
 
+class _EmptyForm(list):
+    """An empty form ``()``, which has no atom to carry its position, so it
+    remembers the position of its ``(``."""
+
+    def __init__(self, line: int, col: int) -> None:
+        super().__init__()
+        self.line = line
+        self.col = col
+
+
 # a parenthesis, an atom, a comment or a newline; other whitespace is skipped
 _TOKEN = re.compile(r"[()]|[^\s();]+|;[^\n]*|\n")
 
@@ -56,7 +66,8 @@ def parse_sexpr(text: str) -> list[object]:
         if tok == ")":
             if not stack:
                 raise PddlParseError("unexpected ')'", line, col)
-            node: object = stack.pop()[0]
+            form, form_line, form_col = stack.pop()
+            node: object = form or _EmptyForm(form_line, form_col)
         else:
             node = Sym(tok.lower(), line, col)
         if stack:
@@ -72,22 +83,18 @@ def parse_sexpr(text: str) -> list[object]:
     return tree
 
 
-def _pos(node: object) -> tuple[int | None, int | None]:
-    if isinstance(node, Sym):
-        return node.line, node.col
-    if isinstance(node, list) and node:
-        return _pos(node[0])
-    return None, None
+def _pos(node: object) -> tuple[int, int]:
+    """Where ``node`` starts: its first atom, or the ``(`` of an empty form."""
+    while not isinstance(node, (Sym, _EmptyForm)):
+        node = node[0]
+    return node.line, node.col
 
 
 def _name(node: object, what: str, form: list[object]) -> str:
     """The atom ``node`` of ``form`` as a plain string. A nested form is rejected
-    at its first atom, or at ``form`` when it holds none."""
+    where it starts, or at ``form`` when it is empty."""
     if not isinstance(node, Sym):
-        line, col = _pos(node)
-        if line is None:
-            line, col = _pos(form)
-        raise PddlParseError(f"nested form as {what}", line, col)
+        raise PddlParseError(f"nested form as {what}", *_pos(node or form))
     return str(node)
 
 
@@ -100,8 +107,7 @@ def _parse_typed_list(items: list[object], what: str) -> list[tuple[str, str]]:
     while i < len(items):
         tok = items[i]
         if not isinstance(tok, Sym):
-            line, col = _pos(tok)
-            raise PddlParseError(f"nested form in {what} list", line, col)
+            raise PddlParseError(f"nested form in {what} list", *_pos(tok))
         if tok == "-":
             if i + 1 >= len(items) or not isinstance(items[i + 1], Sym):
                 raise PddlParseError(f"missing type after '-' in {what} list", tok.line, tok.col)
@@ -165,8 +171,7 @@ def atom_text(literal: tuple[str, ...]) -> str:
 
 def _check_atom(node: object, what: str) -> tuple[str, ...]:
     if not isinstance(node, list) or not node or not all(isinstance(x, Sym) for x in node):
-        line, col = _pos(node)
-        raise PddlParseError(f"malformed atom in {what}", line, col)
+        raise PddlParseError(f"malformed atom in {what}", *_pos(node))
     return tuple(str(x) for x in node)
 
 
@@ -193,16 +198,14 @@ def _parse_precondition(node: object, name: str) -> list[tuple[str, ...]]:
         if isinstance(part, list) and part:
             head = part[0]
             if head == "not":
-                line, col = _pos(part)
                 raise UnsupportedFeatureError(
-                    f"negative precondition in action '{name}' (:negative-preconditions)", line, col)
+                    f"negative precondition in action '{name}' (:negative-preconditions)", *_pos(part))
             if head == "=":
-                line, col = _pos(part)
-                raise UnsupportedFeatureError(f"equality in action '{name}' (:equality)", line, col)
-            if isinstance(head, Sym) and head in _COMPOUND_PRE:
-                line, col = _pos(part)
                 raise UnsupportedFeatureError(
-                    f"{_COMPOUND_PRE[str(head)]} in action '{name}'", line, col)
+                    f"equality in action '{name}' (:equality)", *_pos(part))
+            if isinstance(head, Sym) and head in _COMPOUND_PRE:
+                raise UnsupportedFeatureError(
+                    f"{_COMPOUND_PRE[str(head)]} in action '{name}'", *_pos(part))
         atoms.append(_check_atom(part, f"precondition of '{name}'"))
     return atoms
 
@@ -215,18 +218,15 @@ def _parse_effect(node: object, name: str) -> tuple[list[tuple[str, ...]], list[
             head = part[0]
             if head == "not":
                 if len(part) != 2:
-                    line, col = _pos(part)
-                    raise PddlParseError(f"malformed delete effect in '{name}'", line, col)
+                    raise PddlParseError(f"malformed delete effect in '{name}'", *_pos(part))
                 dels.append(_check_atom(part[1], f"effect of '{name}'"))
                 continue
             if head == "when" or head == "forall":
-                line, col = _pos(part)
                 raise UnsupportedFeatureError(
-                    f"conditional/quantified effect in action '{name}'", line, col)
+                    f"conditional/quantified effect in action '{name}'", *_pos(part))
             if head in ("increase", "decrease", "assign", "scale-up", "scale-down"):
-                line, col = _pos(part)
                 raise UnsupportedFeatureError(
-                    f"numeric fluent effect in action '{name}'", line, col)
+                    f"numeric fluent effect in action '{name}'", *_pos(part))
         adds.append(_check_atom(part, f"effect of '{name}'"))
     return adds, dels
 
@@ -259,8 +259,7 @@ def _read_define(text: str, kind: str) -> tuple[str, Iterator[tuple[str, list[ob
     def sections() -> Iterator[tuple[str, list[object]]]:
         for section in tree[2:]:
             if not isinstance(section, list) or not section or not isinstance(section[0], Sym):
-                line, col = _pos(section)
-                raise PddlParseError(f"malformed {kind} section", line, col)
+                raise PddlParseError(f"malformed {kind} section", *_pos(section))
             yield str(section[0]), section
 
     return _name(tree[1][1], f"{kind} name", tree[1]), sections()
@@ -280,8 +279,8 @@ def parse_domain(text: str) -> DomainDef:
             requirements = tuple(_name(r, "requirement", section) for r in section[1:])
             for r in requirements:
                 if r not in SUPPORTED_REQUIREMENTS:
-                    line, col = _pos(section)
-                    raise UnsupportedFeatureError(f"requirement '{r}' is not supported", line, col)
+                    raise UnsupportedFeatureError(
+                        f"requirement '{r}' is not supported", *_pos(section))
         elif head == ":types":
             for child, parent in _parse_typed_list(section[1:], "types"):
                 types[child] = parent
@@ -292,23 +291,20 @@ def parse_domain(text: str) -> DomainDef:
         elif head == ":predicates":
             for p in section[1:]:
                 if not isinstance(p, list) or not p or not isinstance(p[0], Sym):
-                    line, col = _pos(p)
-                    raise PddlParseError("malformed predicate declaration", line, col)
+                    raise PddlParseError("malformed predicate declaration", *_pos(p))
                 pname = str(p[0])
                 if pname in predicates:
-                    line, col = _pos(p)
-                    raise PddlParseError(f"duplicate predicate '{pname}'", line, col)
+                    raise PddlParseError(f"duplicate predicate '{pname}'", *_pos(p))
                 params = _parse_typed_list(p[1:], f"predicate '{pname}'")
                 predicates[pname] = tuple(t for _, t in params)
         elif head == ":action":
             schema = _parse_action(section, predicates, constants)
             if any(s.name == schema.name for s in operators):
-                line, col = _pos(section)
-                raise PddlParseError(f"duplicate action '{schema.name}'", line, col)
+                raise PddlParseError(f"duplicate action '{schema.name}'", *_pos(section))
             operators.append(schema)
         else:
-            line, col = _pos(section)
-            raise UnsupportedFeatureError(f"domain section '{head}' is not supported", line, col)
+            raise UnsupportedFeatureError(
+                f"domain section '{head}' is not supported", *_pos(section))
 
     for child in types:
         # every parent is a key of ``types`` or the root, so len(types) steps
@@ -336,8 +332,7 @@ def parse_domain(text: str) -> DomainDef:
 def _parse_action(section: list[object], predicates: dict[str, tuple[str, ...]],
                   constants: list[tuple[str, str]]) -> OperatorSchema:
     if len(section) < 2 or not isinstance(section[1], Sym):
-        line, col = _pos(section)
-        raise PddlParseError("action without a name", line, col)
+        raise PddlParseError("action without a name", *_pos(section))
     name = str(section[1])
     params: tuple[tuple[str, str], ...] = ()
     pre: list[tuple[str, ...]] = []
@@ -348,8 +343,7 @@ def _parse_action(section: list[object], predicates: dict[str, tuple[str, ...]],
     while i < len(section):
         key = section[i]
         if not isinstance(key, Sym) or not str(key).startswith(":"):
-            line, col = _pos(key)
-            raise PddlParseError(f"expected keyword in action '{name}'", line, col)
+            raise PddlParseError(f"expected keyword in action '{name}'", *_pos(key))
         if i + 1 >= len(section):
             raise PddlParseError(f"missing value for '{key}' in action '{name}'", key.line, key.col)
         value = section[i + 1]
@@ -399,31 +393,27 @@ def parse_problem(text: str, dom: DomainDef) -> ProblemDef:
         elif head == ":objects":
             for oname, otype in _parse_typed_list(section[1:], "objects"):
                 if otype not in known_types:
-                    line, col = _pos(section)
-                    raise PddlParseError(f"object '{oname}' has undeclared type '{otype}'", line, col)
+                    raise PddlParseError(
+                        f"object '{oname}' has undeclared type '{otype}'", *_pos(section))
                 objects.append((oname, otype))
         elif head == ":init":
             for part in section[1:]:
                 if isinstance(part, list) and part and part[0] == "not":
-                    line, col = _pos(part)
-                    raise PddlParseError("negated atom in :init is not allowed", line, col)
+                    raise PddlParseError("negated atom in :init is not allowed", *_pos(part))
                 if isinstance(part, list) and part and part[0] == "=":
-                    line, col = _pos(part)
-                    raise UnsupportedFeatureError("numeric fluent in :init", line, col)
+                    raise UnsupportedFeatureError("numeric fluent in :init", *_pos(part))
                 init.append(_check_atom(part, ":init"))
         elif head == ":goal":
             if len(section) != 2:
-                line, col = _pos(section)
-                raise PddlParseError("malformed :goal section", line, col)
+                raise PddlParseError("malformed :goal section", *_pos(section))
             for part in _flatten_conjunction(section[1]):
                 if isinstance(part, list) and part and part[0] == "not":
-                    line, col = _pos(part)
                     raise UnsupportedFeatureError(
-                        "negative goal literal (:negative-preconditions)", line, col)
+                        "negative goal literal (:negative-preconditions)", *_pos(part))
                 goal.append(_check_atom(part, ":goal"))
         else:
-            line, col = _pos(section)
-            raise UnsupportedFeatureError(f"problem section '{head}' is not supported", line, col)
+            raise UnsupportedFeatureError(
+                f"problem section '{head}' is not supported", *_pos(section))
 
     known_objects = {o for o, _ in objects} | {c for c, _ in dom.constants}
     _validate_literals(init, dom.predicates, known_objects, ":init")

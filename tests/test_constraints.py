@@ -139,6 +139,42 @@ def test_landmark_rows_match_full_pass_per_round():
     assert kinds == {"GoalUnreachable", "rows", "empty"}
 
 
+def test_landmark_rows_match_reference_with_large_init():
+    """Supporters are chosen among the preconditions not true initially, so
+    tasks whose init covers up to half the facts, with zero-cost actions,
+    must still give the reference's rows or error, goal by goal."""
+    rng = random.Random(7)
+    kinds = set()
+    for _ in range(3000):
+        num_facts = rng.randint(3, 12)
+        task = make_micro_task(rng, num_facts, rng.randint(1, 16), rng.randint(1, 8))
+        extra = [f for f in range(num_facts) if f not in task.init]
+        room = max(0, min(len(extra), num_facts // 2 - len(task.init)))
+        task = replace(task, init=task.init | frozenset(rng.sample(extra, rng.randint(0, room))),
+                       actions=tuple(replace(a, cost=rng.choice((0, 0, 1, 1, 2, 5)))
+                                     for a in task.actions))
+        other = frozenset(rng.sample(range(num_facts), rng.randint(1, 3)))
+        for goal in (task.goal, other):
+            expected = _landmark_outcome(reference_landmark_constraints, task, goal)
+            assert _landmark_outcome(landmark_constraints, task, goal) == expected
+            kinds.add(expected[0] if expected and isinstance(expected[0], str)
+                      else "rows" if expected else "empty")
+    assert kinds == {"GoalUnreachable", "rows", "empty"}
+
+
+def test_landmarks_when_an_achiever_needs_only_init_facts():
+    """The goal holds the init fact p and the open fact q, whose only
+    achiever a0 needs only p: a0 has no supporter, so the forward cut search
+    must start from it, and {a0} is the one landmark."""
+    actions = (GroundAction(id=0, name="a0", pre=frozenset({0}), adds=frozenset({1}),
+                            dels=frozenset()),)
+    task = PlanningTask(facts=("(p)", "(q)"), actions=actions, init=frozenset({0}),
+                        goal=frozenset({0, 1}))
+    rows = landmark_constraints(task, task.goal)
+    assert [row.terms for row in rows] == [((0, 1),)]
+    assert rows == reference_landmark_constraints(task, task.goal)
+
+
 def test_landmarks_when_a_cut_action_adds_anothers_supporter():
     """The first cut is {a0, a1}, and a0 adds p, the supporter of a1. After
     the cut p falls to 0, but r keeps a1's precondition maximum at 1, so r

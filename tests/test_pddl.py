@@ -165,6 +165,17 @@ def test_nested_form_as_domain_name_or_requirement_rejected(text, message):
 
 
 @pytest.mark.parametrize("text, message", [
+    ("(define (domain d) (:predicates (p ())))",
+     r"nested form in predicate 'p' list \(line 1, col 36\)"),
+    ("(define (domain d)\n  (:types a ()))", r"nested form in types list \(line 2, col 13\)"),
+    ("(define (domain d) ())", r"malformed domain section \(line 1, col 20\)"),
+], ids=["predicate", "types", "section"])
+def test_empty_form_error_carries_its_position(text, message):
+    with pytest.raises(PddlParseError, match=message):
+        parse_domain(text)
+
+
+@pytest.mark.parametrize("text, message", [
     ("(define (problem (t)) (:domain d) (:init (p)))", r"nested form as problem name \(line 1, col 19\)"),
     ("(define (problem t) (:domain (d)) (:init (p)))", r"nested form as domain name \(line 1, col 31\)"),
 ], ids=["problem-name", "domain-name"])
@@ -304,9 +315,15 @@ def test_parser_outcomes_are_pinned():
     with the two-pass reader and the per-file (define ...) checks, with a nested
     precondition head already rejected as a malformed atom, then recomputed when
     a nested form as a requirement was rejected instead of named by its repr
-    (5 domain mutations with an empty form in :requirements)."""
+    (5 domain mutations with an empty form in :requirements), and again when an
+    empty form ``()`` got the position of its ``(``: 30 errors that had none
+    gained a ``(line N, col M)``, their messages otherwise unchanged (20 domain
+    mutations: 9 nested forms in a predicate's list, 6 malformed predicate
+    declarations, 2 malformed effect atoms, 2 non-keywords in an action, 1
+    malformed section; 10 template mutations: 7 nested forms in :objects, 3
+    malformed :init atoms)."""
     h = hashlib.sha256()
     for outcome in _parser_outcomes():
         h.update(outcome.encode() + b"\n")
     assert h.hexdigest() == \
-        "61b0c1a72b1a9011e961a0b94a7945f091d3713ad8d4eb46055951ede063ffff"
+        "3d6e231f60c46281c842f390da6c65dfc872753947466f517297cee282c4b90a"
