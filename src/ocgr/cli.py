@@ -158,7 +158,7 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
     if args.json:
         doc = report_to_dict(report)
         doc["goals"] = list(bundle.hyps.lines)
-        print(json.dumps(doc, indent=2, allow_nan=False))
+        print(json.dumps(doc, allow_nan=False))
     else:
         print(format_report(report, bundle.hyps))
     if not report.selected and report.all_infeasible:

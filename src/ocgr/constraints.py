@@ -15,7 +15,7 @@ what the test suite checks against enumerated plans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
@@ -36,11 +36,16 @@ _LMCUT_ROUND_GUARD = 100_000
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    """sum(coef * Y_action) >= rhs; coefficients are nonzero."""
+    """sum(coef * Y_action) >= rhs; coefficients are nonzero.
+
+    ``zeroed`` is set on landmark rows only: the cut action whose residual
+    cost the row's round drove to 0. It is not part of the row's identity.
+    """
 
     terms: tuple[tuple[int, int], ...]
     rhs: int
     source: str
+    zeroed: int | None = field(default=None, compare=False, repr=False)
 
     def satisfied_by(self, counts: Sequence, tol: float = 1e-9) -> bool:
         return sum(c * counts[a] for a, c in self.terms) >= self.rhs - tol
@@ -82,6 +87,16 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
     actions' residual costs by the cut minimum. Costs are integers, so
     residuals stay exact integers.
 
+    Every round emits one row, in round order; its ``zeroed`` is the
+    lowest-index cut action whose residual the round drives to 0. No cut
+    holds an action of residual 0: its supporter would lie in the goal zone,
+    or, needing only init facts, it would give a zone fact h_max 0, below the
+    goal's. The virtual goal action has residual 0. So each cut is a nonempty
+    set of real actions, the zeroed actions are distinct, and a zeroed action
+    lies in no later row: no landmark repeats, and the landmark rows' block
+    on their zeroed columns is unit upper triangular, which the base LP's
+    crash start relies on.
+
     Only round one's h_max values are a full pass (the task's ``init_hmax``).
     After a cut, values can only fall, and an action's maximum precondition
     value moves only when its supporter's value falls. So each later round
@@ -108,7 +123,6 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
     residual = list(task.costs) + [0]
 
     out: list[LinearConstraint] = []
-    seen: set[tuple[int, ...]] = set()
     # Round one runs on the original costs: the task's table, and the goal
     # node's value is that of its virtual action, the largest goal value.
     values = [*task.init_hmax, max(task.init_hmax[g] for g in goal)]
@@ -163,11 +177,10 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
         m = min(residual[ai] for ai in cut)
         if m <= 0:
             raise RuntimeError("zero-cost cut; justification graph is inconsistent")
-        landmark = tuple(sorted(ai for ai in cut if ai < num_a))
-        if landmark and landmark not in seen:
-            seen.add(landmark)
-            out.append(LinearConstraint(terms=tuple((a, 1) for a in landmark),
-                                        rhs=1, source=SRC_LANDMARK))
+        landmark = sorted(cut)
+        zeroed = next(ai for ai in landmark if residual[ai] == m)
+        out.append(LinearConstraint(terms=tuple((a, 1) for a in landmark), rhs=1,
+                                    source=SRC_LANDMARK, zeroed=zeroed))
 
         # every cut action's new value is taken before any value falls: a cut
         # action may add another's supporter, which is then no longer its max

@@ -11,16 +11,27 @@ x_B = B^-1 b and the reduced costs d. Each pivot prices the leaving row
 column B^-1 a_q from the column index, and updates B^-1, x_B and d by one
 rank-1 step.
 
-A solve starts from ``LinearProgram.start`` when its row count fits -- an
-optimal basis of the same rows, as the base LP's is for its h_hc LP -- else
-from the all-surplus basis (B^-1 = -I, so d = c). Negative reduced costs are
-clamped to 0, and at the first degenerate dual ratio test each nonbasic
-reduced cost gets a fixed perturbation; a perturbed dual that makes 2*(m+n)
-degenerate pivots in a row has stalled. If the costs were clamped or
-perturbed, a primal phase 2 on the true costs (Bland's rule after 2*(m+n)
-degenerate pivots) finishes the solve and detects unboundedness. Optimal
-outcomes carry their basis (the basic column of each row and B^-1,
-read-only).
+A solve starts from one of three bases, by ``LinearProgram.start``:
+
+* all-surplus (no start): B^-1 = -I, so the reduced costs are c;
+* landmark crash (a tuple of columns, as recognition passes for a base LP):
+  landmark row k is basic in the action a_k its LM-cut round drove to
+  residual 0, every other row in its surplus. The landmark block is unit
+  upper triangular, so B^-1 follows by substitution, with no inverse or
+  matrix product. Priced, the duals are LM-cut's cut minima (a cost
+  partitioning), each action's reduced cost is its final residual cost and
+  each surplus's its row's minimum, so the dual simplex starts dual
+  feasible at h_LM-cut;
+* warm (a ``Basis``): an optimal basis of the same rows, as the base LP's is
+  for its h_hc LP; one whose row count does not fit is ignored.
+
+Negative reduced costs are clamped to 0, and at the first degenerate dual
+ratio test each nonbasic reduced cost gets a fixed perturbation; a perturbed
+dual that makes 2*(m+n) degenerate pivots in a row has stalled. If the costs
+were clamped or perturbed, a primal phase 2 on the true costs (Bland's rule
+after 2*(m+n) degenerate pivots) finishes the solve and detects
+unboundedness. Optimal outcomes carry their basis (the basic column of each
+row and B^-1, read-only).
 
 ``BACKENDS`` names the solvers: ``simplex`` is ``solve_lp``; ``scipy``
 (HiGHS) reads the same compiled rows, passes the floors as bounds and
@@ -104,8 +115,12 @@ class LinearProgram:
     """min objective . y  s.t.  constraints (all >=),  y >= 0,  and
     y_v >= floor for each (v, floor) in ``lower``.
 
-    ``start`` is an optimal basis of an LP with the same rows and objective
-    but another rhs or other floors; the simplex backend starts from it.
+    ``start`` is either an optimal basis of an LP with the same rows and
+    objective but another rhs or other floors, or a crash: the columns
+    a_0, ..., a_K-1 in which rows 0..K-1 are basic, every other row in its
+    surplus, where A's block on those rows and columns is unit upper
+    triangular (as the landmark rows' ``zeroed`` actions give). The simplex
+    backend starts from it.
     ``compiled`` holds the rows as compiled on first solve; pass another LP's
     ``compiled`` to build an LP over the same rows without compiling them again.
     """
@@ -114,12 +129,12 @@ class LinearProgram:
     objective: tuple[float, ...]
     constraints: tuple[LinearConstraint, ...]
     lower: tuple[tuple[int, int], ...] = ()
-    start: Basis | None = field(default=None, compare=False, repr=False)
+    start: Basis | tuple[int, ...] | None = field(default=None, compare=False, repr=False)
     compiled: CompiledRows | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def from_constraints(rows: Sequence[LinearConstraint], costs: Sequence[float],
-                         start: Basis | None = None,
+                         start: Basis | tuple[int, ...] | None = None,
                          lower: Sequence[tuple[int, int]] = ()) -> "LinearProgram":
         """The LP over one variable per cost: min costs . y subject to ``rows``."""
         return LinearProgram(num_vars=len(costs), objective=tuple(float(c) for c in costs),
@@ -132,7 +147,7 @@ class LpOutcome:
     value: float | None = None
     counts: tuple[float, ...] | None = None
     pivots: int = field(default=0, compare=False)
-    warm: bool = field(default=False, compare=False)  # started from lp.start
+    warm: bool = field(default=False, compare=False)  # started from a Basis in lp.start
     basis: Basis | None = field(default=None, compare=False, repr=False)
 
 
@@ -298,6 +313,63 @@ def _dual(state: _Revised, m: int, n: int) -> tuple[str, int, bool]:
     raise _failure("dual", "hit the iteration limit", iter_cap, m, n)
 
 
+def _crash(bx: np.ndarray, rows: CompiledRows, n: int, columns: Sequence[int]) -> None:
+    """Write B^-1 of the crash basis into ``bx[:, :-1]``, zero on entry: row
+    k < K basic in ``columns[k]``, every other row in its surplus.
+
+    With L the K x K block of A on those rows and columns, which must be unit
+    upper triangular, and N the block below it, B^-1 = [[L^-1, 0], [N L^-1, -I]].
+    Column j < K of B^-1 B = I reads B^-1[:, j] = e_j + N[:, j] - sum over
+    i < j of L[i, j] B^-1[:, i]: N is copied in, and the columns follow in
+    order with one column update per off-diagonal nonzero of L.
+    """
+    m, size = len(bx), len(columns)
+    diagonal = np.arange(m)
+    bx[diagonal, diagonal] = -1.0
+    if not size:
+        return
+    if size > m or len(set(columns)) != size or not 0 <= min(columns) <= max(columns) < n:
+        raise ValueError(f"crash start needs distinct columns for at most {m} rows")
+    position = np.full(n, -1)
+    position[list(columns)] = diagonal[:size]
+    at = position[rows.col]
+    hit = (at >= 0).nonzero()[0]
+    row, at, data = rows.row[hit], at[hit], rows.data[hit]
+    bx[row, at] = data  # L on top, N below
+    top = row.searchsorted(size)  # the nonzeros are row-major
+    if (bx.diagonal()[:size] != 1).any() or (at[:top] < row[:top]).any():
+        raise ValueError("crash start's landmark block is not unit upper triangular")
+    upper = (row < at).nonzero()[0]
+    if upper.size:
+        bx[row[upper], at[upper]] = 0.0
+        for t in upper[at[upper].argsort(kind="stable")].tolist():
+            bx[:, at[t]] -= data[t] * bx[:, row[t]]
+
+
+def _start(lp: LinearProgram, rows: CompiledRows, b: np.ndarray, cost: np.ndarray
+           ) -> tuple[_Revised, bool]:
+    """The priced state a solve of ``lp`` starts from, and whether it is warm:
+    ``lp.start`` when it is a basis whose row count fits, else the crash it
+    names (the all-surplus basis when it names none)."""
+    n, m = lp.num_vars, len(b)
+    start = lp.start
+    warm = isinstance(start, Basis) and len(start.columns) == m
+    crash = () if start is None or isinstance(start, Basis) else start
+    bx = np.zeros((m, m + 1))
+    if warm:
+        basis = np.array(start.columns)
+        bx[:, :-1] = start.inverse
+        bx[:, -1] = start.inverse @ b
+    else:
+        _crash(bx, rows, n, crash)
+        basis = np.arange(n, n + m)
+        basis[:len(crash)] = crash
+        bx[:, -1] = bx[:, :-1] @ b
+    state = _Revised(rows, n, basis, bx)
+    state.price(cost)
+    return state, warm
+
+
 def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Solve with the built-in revised dual simplex."""
     n = lp.num_vars
@@ -312,18 +384,9 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     b = rows.rhs
     if lp.lower:
         b = b - np.bincount(rows.row, weights=rows.data * k[rows.col], minlength=m)
-    warm = lp.start is not None and len(lp.start.columns) == m
     cost = np.zeros(n + m)
     cost[:n] = c
-    if warm:
-        basis, inverse = np.array(lp.start.columns), lp.start.inverse
-    else:  # every surplus basic: B^-1 = -I
-        basis, inverse = np.arange(n, n + m), -np.eye(m)
-    state = _Revised(rows, n, basis, np.column_stack([inverse, inverse @ b]))
-    if warm:
-        state.price(cost)
-    else:  # c_B = 0, so d = c
-        state.d = cost.copy()
+    state, warm = _start(lp, rows, b, cost)
     clamped = state.d.min() < -EPS
     np.maximum(state.d, 0.0, out=state.d)
     status, pivots, perturbed = _dual(state, m, n)

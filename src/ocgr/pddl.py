@@ -390,6 +390,9 @@ def parse_problem(text: str, dom: DomainDef) -> ProblemDef:
     for head, section in sections:
         if head == ":domain":
             domain_name = _name(section[1], "domain name", section) if len(section) > 1 else ""
+            if domain_name != dom.name:
+                raise PddlParseError(f"problem is for domain '{domain_name}', not '{dom.name}'",
+                                     *_pos(section[1] if len(section) > 1 else section))
         elif head == ":objects":
             for oname, otype in _parse_typed_list(section[1:], "objects"):
                 if otype not in known_types:

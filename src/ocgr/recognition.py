@@ -1,7 +1,9 @@
 """Goal recognition over operator-counting LPs.
 
 For each hypothesis G we solve the base LP (value h) and the LP with
-per-action observation floors Y_a >= k_a (value h_hc): the base LP with the
+per-action observation floors Y_a >= k_a (value h_hc). The base LP starts
+from the crash basis of its landmark rows, LM-cut's cost partitioning, so
+the dual simplex starts at h_LM-cut. The h_hc LP is the base LP with the
 floors as bounds, sharing its compiled rows, solved from its optimal basis,
 which stays dual feasible when only the bounds change.
 ``select`` is the one selection rule: each method names its score key
@@ -19,7 +21,7 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 from .constraints import ALL_FAMILIES, LinearConstraint, base_constraints
@@ -114,11 +116,13 @@ def _base(task: PlanningTask, goal_index: int, goal: frozenset[int],
         reason = memo[key] = str(exc)
         return reason, time.perf_counter() - t0, 0.0
     t1 = time.perf_counter()
-    lp = LinearProgram.from_constraints(base, task.costs)
+    # The landmark rows come first; each is basic in its zeroed action.
+    crash = tuple(row.zeroed for row in base if row.zeroed is not None)
+    lp = LinearProgram.from_constraints(base, task.costs, start=crash)
     out = solve_with(lp, config.backend)
     if out.status not in (OPTIMAL, INFEASIBLE):
         raise SolverFailure(f"base LP for hypothesis {goal_index} came back {out.status}")
-    entry = memo[key] = (lp, out)
+    entry = memo[key] = (replace(lp, start=None), out)
     return entry, t1 - t0, time.perf_counter() - t1
 
 

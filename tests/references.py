@@ -143,9 +143,11 @@ def reference_parse_sexpr(text: str) -> list[object]:
     return tree
 
 
-def reference_landmark_constraints(task: PlanningTask, goal: Iterable[int]
+def reference_landmark_constraints(task: PlanningTask, goal: Iterable[int],
+                                   minima: list[int] | None = None
                                    ) -> tuple[LinearConstraint, ...]:
-    """LM-cut with a full h_max pass from init after every cut round.
+    """LM-cut with a full h_max pass from init after every cut round; the cut
+    minimum of each emitted row is appended to ``minima`` when given.
 
     Disjunctive action landmarks via justification-graph cut rounds.
 
@@ -247,6 +249,8 @@ def reference_landmark_constraints(task: PlanningTask, goal: Iterable[int]
             seen.add(landmark)
             out.append(LinearConstraint(terms=tuple((a, 1) for a in landmark),
                                         rhs=1, source=SRC_LANDMARK))
+            if minima is not None:
+                minima.append(m)
         for ai in cut:
             residual[ai] -= m
         values = hmax_values(pres, adds, by_pre, residual, init)

@@ -1,3 +1,4 @@
+import functools
 import os
 import random
 import subprocess
@@ -17,7 +18,7 @@ from ocgr.errors import CapExceeded, GoalUnreachable, SolverFailure
 from ocgr.inputs import ObservationSequence, bundle_from_texts
 from ocgr.lp import LinearProgram, compile_rows, solve_lp, solve_with
 from ocgr.recognition import recognize
-from references import enumerate_plans
+from references import enumerate_plans, reference_landmark_constraints
 
 
 def _lp(num_vars, objective, rows):
@@ -326,6 +327,102 @@ def test_every_returned_basis_inverts_its_columns(monkeypatch):
     assert len(optimal) > 100 and any(lp.num_vars > 500 for lp, _ in optimal)
     for lp, out in optimal:
         _assert_basis_holds(lp, out)
+
+
+@functools.lru_cache(maxsize=1)
+def _base_lps_with_cut_minima():
+    """The base LP of every goal of the four families (seeds 1-3), of the open
+    8-18 grids and of 300 seeded micro tasks (some actions cost 0), each with
+    the cut minima of its landmark rows from the full-pass LM-cut reference."""
+    cases = []
+    for seed in (1, 2, 3):
+        spec = SuiteSpec(families=("grid", "blocks", "logistics", "corridor"), per_family=1,
+                         seed=seed, observability=(100,))
+        cases += [(p.task, g) for p in generated_problems(spec) for g in p.hyps.goals]
+    for n in range(8, 19, 2):
+        b = bundle_from_texts(open_grid_bundle(n), require_obs=False)
+        cases += [(b.task, g) for g in b.hyps.goals]
+    rng = random.Random(41)
+    for _ in range(300):
+        task = make_micro_task(rng, rng.randint(3, 10), rng.randint(2, 12), rng.randint(1, 6))
+        task = replace(task, actions=tuple(replace(a, cost=rng.choice((0, 1, 1, 2, 5)))
+                                           for a in task.actions))
+        cases.append((task, task.goal))
+    out = []
+    for task, goal in cases:
+        try:
+            rows = base_constraints(task, goal)
+        except GoalUnreachable:
+            continue
+        minima = []
+        reference_landmark_constraints(task, goal, minima)
+        if rows:
+            out.append((LinearProgram.from_constraints(rows, task.costs), tuple(minima)))
+    return out
+
+
+def _crash_of(lp):
+    return tuple(row.zeroed for row in lp.constraints if row.zeroed is not None)
+
+
+def test_landmark_crash_starts_dual_feasible_at_the_cut_minima():
+    """The crash basis of every base LP: distinct columns and a unit upper
+    triangular landmark block; its B^-1 inverts the basic columns; priced, every
+    reduced cost is >= 0 and the duals are the rows' cut minima, so the dual
+    simplex starts at h_LM-cut."""
+    off_diagonal = 0
+    for lp, minima in _base_lps_with_cut_minima():
+        crash = _crash_of(lp)
+        size = len(crash)
+        assert len(set(crash)) == size == len(minima)
+        assert all(row.zeroed is None for row in lp.constraints[size:])
+        for k, row in enumerate(lp.constraints[:size]):
+            coef = dict(row.terms)
+            assert coef[crash[k]] == 1 and not any(a in coef for a in crash[:k])
+            off_diagonal += sum(a in coef for a in crash[k + 1:])
+        rows = lp_mod._compiled(lp)
+        m = len(lp.constraints)
+        cost = np.concatenate([lp.objective, np.zeros(m)])
+        state, warm = lp_mod._start(replace(lp, start=crash), rows, rows.rhs, cost)
+        assert not warm and state.basis[:size].tolist() == list(crash)
+        a, _ = _dense_reference(lp)
+        basic = np.hstack([a, -np.eye(m)])[:, state.basis]
+        assert np.abs(state.bx[:, :-1] @ basic - np.eye(m)).max() <= 1e-9
+        assert state.d.min() >= -1e-9
+        duals = cost[state.basis] @ state.bx[:, :-1]
+        assert np.abs(duals - np.array(minima + (0,) * (m - size))).max() <= 1e-9
+        assert abs(duals @ rows.rhs - sum(minima)) <= 1e-9
+    assert off_diagonal > 0
+
+
+def test_crash_and_all_surplus_starts_agree():
+    """Each base LP solved from its landmark crash and from the all-surplus
+    basis: the same status and h, a basis that holds, fewer pivots in total;
+    HiGHS ignores the crash."""
+    crash_pivots = cold_pivots = 0
+    for lp, _ in _base_lps_with_cut_minima():
+        crashed = replace(lp, start=_crash_of(lp))
+        ours, cold = solve_lp(crashed), solve_lp(lp)
+        assert ours.status == cold.status and not ours.warm
+        if cold.status == "optimal":
+            assert abs(ours.value - cold.value) <= 1e-9
+            _assert_basis_holds(lp, ours)
+        if lp.num_vars > 100:
+            assert solve_with(crashed, "scipy") == solve_with(lp, "scipy")
+        crash_pivots += ours.pivots
+        cold_pivots += cold.pivots
+    assert crash_pivots < cold_pivots
+
+
+def test_crash_start_that_is_not_unit_upper_triangular_is_rejected():
+    lp = _lp(3, [1, 1, 1], [([(0, 1), (1, 1)], 1), ([(1, 1)], 1), ([(2, 2)], 1)])
+    assert solve_lp(replace(lp, start=(0, 1))).value == solve_lp(lp).value == 1.5
+    for crash in ((1, 0), (0, 0), (0, 1, 2), (0, 1, 2, 0), (0, 5)):
+        with pytest.raises(ValueError, match="crash start"):
+            solve_lp(replace(lp, start=crash))
+    lower = _lp(2, [1, 1], [([(0, 1)], 1), ([(0, 1), (1, 1)], 1)])
+    with pytest.raises(ValueError, match="not unit upper triangular"):
+        solve_lp(replace(lower, start=(0, 1)))
 
 
 def test_unknown_constraint_variable_is_rejected_by_both_backends():

@@ -127,6 +127,17 @@ def test_negated_init_atom_rejected():
         parse_problem("(define (problem t) (:domain chain) (:init (not (p))))", dom)
 
 
+def test_template_must_name_its_domain():
+    dom = parse_domain(CHAIN_DOMAIN)
+    prob = parse_problem("(define (problem t) (:domain CHAIN) (:init (p)))", dom)
+    assert prob.domain_name == "chain"
+    with pytest.raises(PddlParseError,
+                       match=r"problem is for domain 'mover', not 'chain' \(line 2, col 11\)"):
+        parse_problem("(define (problem t)\n (:domain mover) (:init (p)))", dom)
+    with pytest.raises(PddlParseError, match=r"domain '', not 'chain' \(line 1, col 22\)"):
+        parse_problem("(define (problem t) (:domain) (:init (p)))", dom)
+
+
 def test_case_insensitive_parsing():
     dom = parse_domain(CHAIN_DOMAIN.replace("(p)", "(P)").replace("chain", "Chain"))
     assert dom.name == "chain"
@@ -321,9 +332,13 @@ def test_parser_outcomes_are_pinned():
     mutations: 9 nested forms in a predicate's list, 6 malformed predicate
     declarations, 2 malformed effect atoms, 2 non-keywords in an action, 1
     malformed section; 10 template mutations: 7 nested forms in :objects, 3
-    malformed :init atoms)."""
+    malformed :init atoms), and again when a template's ``(:domain <name>)``
+    had to name the domain it is parsed with: 12 template mutations moved (11
+    that parsed now fail at the name -- 4 naming ``:domain``, 5 naming an
+    object, 2 with no name -- and 1 malformed problem section that follows an
+    empty ``(:domain)`` now fails at that earlier section)."""
     h = hashlib.sha256()
     for outcome in _parser_outcomes():
         h.update(outcome.encode() + b"\n")
     assert h.hexdigest() == \
-        "3d6e231f60c46281c842f390da6c65dfc872753947466f517297cee282c4b90a"
+        "613d99afe6ff9f5c68e886298f278b511ead002cfa269bc93a43f3a8934cc6c9"

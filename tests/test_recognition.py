@@ -16,7 +16,7 @@ from ocgr.errors import SolverFailure
 from ocgr.generators import demo_grid_bundle
 from ocgr.inputs import (GoalHypotheses, ObservationSequence, bundle_from_texts,
                          load_bundle)
-from ocgr.lp import LinearProgram, solve_lp, solve_with
+from ocgr.lp import Basis, LinearProgram, solve_lp, solve_with
 from ocgr.oracle import Plan, optimal_cost
 from ocgr.recognition import (INF, METHODS, RecognizerConfig, base_rows,
                               recognize, report_from_dict, report_to_dict,
@@ -461,7 +461,7 @@ def test_rescoring_compiles_each_goal_once(monkeypatch):
         assert len(compiled) == len(goals)
         rows = {base_rows(task, g): g for g in goals}
         for lp, carried, out in solves:
-            if lp.start is None:
+            if not isinstance(lp.start, Basis):  # a base LP, with its landmark crash
                 continue
             assert carried is not None
             fresh = LinearProgram.from_constraints(base_rows(task, rows[lp.constraints]),
