@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 input problems and every other toolkit error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -246,9 +247,14 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except SolverFailure as exc:

@@ -74,6 +74,35 @@ def hmax(task: PlanningTask, from_facts: Iterable[int], goal: Iterable[int],
     return max(values[g] for g in goal)
 
 
+def relaxed_plan(task: PlanningTask, goal: Iterable[int]) -> frozenset[int]:
+    """The actions of one relaxed plan for a relaxed-reachable ``goal``, read
+    off ``task.init_hmax``; LM-cut takes its crash columns from it.
+
+    Walks back from the goal facts not true initially: each such fact takes
+    its h_max achiever (cost plus largest precondition value equal to the
+    fact's value, lowest action index on ties), whose preconditions not true
+    initially are walked in turn. Each fact's achiever depends only on the
+    task, so the plan depends only on the task and the goal. With zero-cost
+    actions a precondition can share its fact's value and the walk can close
+    a cycle rather than a plan; that changes only which crash columns are
+    taken.
+    """
+    values, init, costs, pres = task.init_hmax, task.init, task.costs, task.pres
+    stack = list(set(goal) - init)
+    seen = set(stack)
+    plan: set[int] = set()
+    while stack:
+        f = stack.pop()
+        a = next(a for a in task.adders[f]
+                 if costs[a] + max((values[p] for p in pres[a]), default=0) == values[f])
+        plan.add(a)
+        for p in pres[a]:
+            if p not in init and p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return frozenset(plan)
+
+
 def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[LinearConstraint, ...]:
     """Disjunctive action landmarks via justification-graph cut rounds.
 
@@ -87,15 +116,16 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
     actions' residual costs by the cut minimum. Costs are integers, so
     residuals stay exact integers.
 
-    Every round emits one row, in round order; its ``zeroed`` is the
-    lowest-index cut action whose residual the round drives to 0. No cut
-    holds an action of residual 0: its supporter would lie in the goal zone,
-    or, needing only init facts, it would give a zone fact h_max 0, below the
-    goal's. The virtual goal action has residual 0. So each cut is a nonempty
-    set of real actions, the zeroed actions are distinct, and a zeroed action
-    lies in no later row: no landmark repeats, and the landmark rows' block
-    on their zeroed columns is unit upper triangular, which the base LP's
-    crash start relies on.
+    Every round emits one row, in round order; its ``zeroed`` is a cut
+    action whose residual the round drives to 0: the lowest-index one on the
+    goal's ``relaxed_plan`` when the cut has one, else the lowest-index one.
+    No cut holds an action of residual 0: its supporter would lie in the
+    goal zone, or, needing only init facts, it would give a zone fact h_max
+    0, below the goal's. The virtual goal action has residual 0. So each cut
+    is a nonempty set of real actions, the zeroed actions are distinct, and
+    a zeroed action lies in no later row: no landmark repeats, and the
+    landmark rows' block on their zeroed columns is unit upper triangular,
+    which the base LP's crash start relies on.
 
     Only round one's h_max values are a full pass (the task's ``init_hmax``).
     After a cut, values can only fall, and an action's maximum precondition
@@ -130,6 +160,7 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
         raise GoalUnreachable("goal unreachable in the delete relaxation")
     if values[goal_node] == 0:
         return ()
+    plan = relaxed_plan(task, goal)
     # -1 means the virtual init node; pres are sorted, so max keeps the
     # lowest index on ties
     value_of = values.__getitem__
@@ -178,7 +209,8 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
         if m <= 0:
             raise RuntimeError("zero-cost cut; justification graph is inconsistent")
         landmark = sorted(cut)
-        zeroed = next(ai for ai in landmark if residual[ai] == m)
+        drained = [ai for ai in landmark if residual[ai] == m]
+        zeroed = next((ai for ai in drained if ai in plan), drained[0])
         out.append(LinearConstraint(terms=tuple((a, 1) for a in landmark), rhs=1,
                                     source=SRC_LANDMARK, zeroed=zeroed))
 

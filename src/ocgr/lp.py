@@ -15,13 +15,15 @@ A solve starts from one of three bases, by ``LinearProgram.start``:
 
 * all-surplus (no start): B^-1 = -I, so the reduced costs are c;
 * landmark crash (a tuple of columns, as recognition passes for a base LP):
-  landmark row k is basic in the action a_k its LM-cut round drove to
-  residual 0, every other row in its surplus. The landmark block is unit
-  upper triangular, so B^-1 follows by substitution, with no inverse or
-  matrix product. Priced, the duals are LM-cut's cut minima (a cost
-  partitioning), each action's reduced cost is its final residual cost and
-  each surplus's its row's minimum, so the dual simplex starts dual
-  feasible at h_LM-cut;
+  landmark row k is basic in an action a_k its LM-cut round drove to
+  residual 0, one on the goal's relaxed plan where the round has one, every
+  other row in its surplus. The landmark block is unit upper triangular, so
+  B^-1 follows by substitution, with no inverse or matrix product. Priced,
+  the duals are LM-cut's cut minima (a cost partitioning), each action's
+  reduced cost is its final residual cost and each surplus's its row's
+  minimum, so the dual simplex starts dual feasible at h_LM-cut. With unit
+  costs the crash's counts are the relaxed plan's; on open grids that plan
+  is a shortest path, which meets every row, so the start is optimal;
 * warm (a ``Basis``): an optimal basis of the same rows, as the base LP's is
   for its h_hc LP; one whose row count does not fit is ignored.
 

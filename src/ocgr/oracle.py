@@ -45,31 +45,28 @@ class PlanCheck:
     final_state: frozenset[int] = frozenset()
 
 
-def _masks(task: PlanningTask) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """Initial state mask and per-action (pre, add, negated del) masks."""
-    init = 0
-    for f in task.init:
-        init |= 1 << f
-    acts = []
-    for a in task.actions:
-        pre = 0
-        for f in a.pre:
-            pre |= 1 << f
-        add = 0
-        for f in a.adds:
-            add |= 1 << f
-        dele = 0
-        for f in a.dels:
-            dele |= 1 << f
-        acts.append((a.id, pre, add, ~dele))
-    return init, acts
-
-
-def _goal_mask(goal: Iterable[int]) -> int:
+def _mask(facts: Iterable[int]) -> int:
     m = 0
-    for f in goal:
+    for f in facts:
         m |= 1 << f
     return m
+
+
+# The action masks of the last action tuple searched: the tasks a witness
+# search and its detours replan on differ only in init and share ``actions``.
+_last_masks: tuple[tuple, list[tuple[int, int, int, int]]] | None = None
+
+
+def _masks(task: PlanningTask) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """Initial state mask and per-action (id, pre, add, negated del) masks;
+    the action masks are built once per ``task.actions``."""
+    global _last_masks
+    memo = _last_masks
+    if memo is None or memo[0] is not task.actions:
+        memo = _last_masks = (task.actions, [
+            (a.id, _mask(a.pre), _mask(a.adds), ~_mask(a.dels))
+            for a in task.actions])
+    return _mask(task.init), memo[1]
 
 
 def _extract(parents: dict, key, task: PlanningTask) -> Plan:
@@ -92,7 +89,7 @@ def optimal_cost(task: PlanningTask, goal: Iterable[int], cap: int | None = None
     times (a node is the state mask and the floor counts still to meet)."""
     cap = cap if cap is not None else _env_cap("OCGR_OPTIMAL_CAP", DEFAULT_OPTIMAL_CAP)
     init, masks = _masks(task)
-    gmask = _goal_mask(goal)
+    gmask = _mask(goal)
     floor_ids = sorted(a for a, c in (floors or {}).items() if c > 0)
     slot = {a: i for i, a in enumerate(floor_ids)}
     acts = [(aid, pre, add, ndel, task.actions[aid].cost, slot.get(aid, -1))

@@ -380,7 +380,7 @@ def _parse_action(section: list[object], predicates: dict[str, tuple[str, ...]],
 def parse_problem(text: str, dom: DomainDef) -> ProblemDef:
     name, sections = _read_define(text, "problem")
 
-    domain_name = ""
+    domain_name: str | None = None
     objects: list[tuple[str, str]] = []
     init: list[tuple[str, ...]] = []
     goal: list[tuple[str, ...]] = []
@@ -389,6 +389,8 @@ def parse_problem(text: str, dom: DomainDef) -> ProblemDef:
 
     for head, section in sections:
         if head == ":domain":
+            if domain_name is not None:
+                raise PddlParseError("repeated (:domain ...) section", *_pos(section))
             domain_name = _name(section[1], "domain name", section) if len(section) > 1 else ""
             if domain_name != dom.name:
                 raise PddlParseError(f"problem is for domain '{domain_name}', not '{dom.name}'",
@@ -421,5 +423,5 @@ def parse_problem(text: str, dom: DomainDef) -> ProblemDef:
     known_objects = {o for o, _ in objects} | {c for c, _ in dom.constants}
     _validate_literals(init, dom.predicates, known_objects, ":init")
     _validate_literals(goal, dom.predicates, known_objects, ":goal")
-    return ProblemDef(name=name, domain_name=domain_name, objects=tuple(objects),
+    return ProblemDef(name=name, domain_name=domain_name or "", objects=tuple(objects),
                       init=tuple(init), goal=tuple(goal))

@@ -21,7 +21,7 @@ from ocgr.constraints import _LMCUT_ROUND_GUARD, SRC_LANDMARK, LinearConstraint
 from ocgr.errors import CapExceeded, GoalUnreachable, PddlParseError
 from ocgr.grounding import INF, PlanningTask, hmax_values
 from ocgr.inputs import GoalHypotheses, ObservationSequence
-from ocgr.oracle import Plan, _goal_mask, _masks, validate_plan
+from ocgr.oracle import Plan, _mask, _masks, validate_plan
 from ocgr.pddl import Sym
 from ocgr.recognition import METHOD_HC, RecognizerConfig, recognize
 
@@ -32,7 +32,7 @@ def enumerate_plans(task: PlanningTask, goal: Iterable[int], max_len: int = 12,
                     node_cap: int = 500_000) -> list[Plan]:
     """All goal-achieving action sequences of length <= max_len, DFS order."""
     init, acts = _masks(task)
-    gmask = _goal_mask(goal)
+    gmask = _mask(goal)
     plans: list[Plan] = []
     visited = 0
 

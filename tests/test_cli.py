@@ -33,6 +33,21 @@ def demo_dir(tmp_path) -> Path:
     return d
 
 
+def test_main_builds_its_parser_once(demo_dir, capsys, monkeypatch):
+    """``main`` reuses one parser across calls; ``build_parser`` still
+    returns a fresh one."""
+    import ocgr.cli as cli
+
+    assert cli.build_parser() is not cli.build_parser()
+    assert main(["recognize", "-b", str(demo_dir)]) == 0
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser built again"))
+    assert main(["recognize", "-b", str(demo_dir), "--json"]) == 0
+    with pytest.raises(SystemExit):
+        main(["recognize", "--method", "nope"])
+    assert main(["recognize", "-b", str(demo_dir), "--method", "hc"]) == 0
+    assert "method: hc" in capsys.readouterr().out
+
+
 def test_recognize_full_obs(demo_dir, capsys):
     assert main(["recognize", "-b", str(demo_dir)]) == 0
     out = capsys.readouterr().out

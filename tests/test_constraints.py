@@ -11,7 +11,7 @@ from ocgr.bench import SuiteSpec, generated_problems
 from ocgr.constraints import (ALL_FAMILIES, INF, SRC_LANDMARK, SRC_NET_CHANGE,
                               SRC_POST_HOC, base_constraints, dump_constraints,
                               hmax, landmark_constraints, net_change_constraints,
-                              posthoc_constraints)
+                              posthoc_constraints, relaxed_plan)
 from ocgr.errors import CapExceeded, GoalUnreachable
 from ocgr.grounding import GroundAction, PlanningTask
 from ocgr.inputs import bundle_from_texts
@@ -205,6 +205,41 @@ def test_landmarks_run_no_full_hmax_pass(monkeypatch):
 
     monkeypatch.setattr(ocgr.constraints, "hmax_values", full_pass)
     assert [landmark_constraints(b.task, g) for g in goals] == expected
+
+
+def test_relaxed_plan_is_made_of_hmax_achievers():
+    """Each action of a goal's relaxed plan gives one of its add effects its
+    h_max value, and with positive costs the plan alone, applied in the delete
+    relaxation, reaches the goal. On the open grids it is a shortest path."""
+    cases = []
+    for n in (8, 12, 18):
+        b = bundle_from_texts(open_grid_bundle(n), require_obs=False)
+        cases += [(b.task, g, True) for g in b.hyps.goals]
+    spec = SuiteSpec(families=("grid", "blocks", "logistics", "corridor"), per_family=1,
+                     seed=1, observability=(100,))
+    cases += [(p.task, g, False) for p in generated_problems(spec) for g in p.hyps.goals]
+    rng = random.Random(17)
+    for _ in range(300):
+        task = make_micro_task(rng, rng.randint(3, 10), rng.randint(2, 12), rng.randint(1, 6))
+        task = replace(task, actions=tuple(replace(a, cost=rng.choice((1, 2, 5)))
+                                           for a in task.actions))
+        if max(task.init_hmax[g] for g in task.goal) != INF:
+            cases.append((task, task.goal, False))
+    for task, goal, open_grid in cases:
+        values = task.init_hmax
+        plan = relaxed_plan(task, goal)
+        for a in plan:
+            fire = task.costs[a] + max((values[p] for p in task.pres[a]), default=0)
+            assert any(values[f] == fire for f in task.adds[a])
+        reached = set(task.init)
+        while any(set(task.pres[a]) <= reached and not set(task.adds[a]) <= reached
+                  for a in plan):
+            reached.update(f for a in plan if set(task.pres[a]) <= reached
+                           for f in task.adds[a])
+        assert goal <= reached
+        if open_grid:
+            assert len(plan) == max(values[g] for g in goal)
+    assert len(cases) > 300
 
 
 def test_landmarks_chain(chain):

@@ -6,6 +6,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from conftest import make_micro_task, open_grid_bundle, plan_counts
 from ocgr import lp as lp_mod
 from ocgr.bench import SuiteSpec, generated_problems
-from ocgr.constraints import LinearConstraint, base_constraints
+from ocgr.constraints import LinearConstraint, base_constraints, relaxed_plan
 from ocgr.errors import CapExceeded, GoalUnreachable, SolverFailure
 from ocgr.inputs import ObservationSequence, bundle_from_texts
 from ocgr.lp import LinearProgram, compile_rows, solve_lp, solve_with
@@ -329,27 +330,35 @@ def test_every_returned_basis_inverts_its_columns(monkeypatch):
         _assert_basis_holds(lp, out)
 
 
+class _BaseCase(NamedTuple):
+    lp: LinearProgram
+    minima: tuple[int, ...]  # the cut minimum of each landmark row
+    plan: frozenset[int]  # the goal's relaxed plan
+    open_grid: bool
+
+
 @functools.lru_cache(maxsize=1)
 def _base_lps_with_cut_minima():
     """The base LP of every goal of the four families (seeds 1-3), of the open
     8-18 grids and of 300 seeded micro tasks (some actions cost 0), each with
-    the cut minima of its landmark rows from the full-pass LM-cut reference."""
+    the cut minima of its landmark rows from the full-pass LM-cut reference
+    and the goal's relaxed plan."""
     cases = []
     for seed in (1, 2, 3):
         spec = SuiteSpec(families=("grid", "blocks", "logistics", "corridor"), per_family=1,
                          seed=seed, observability=(100,))
-        cases += [(p.task, g) for p in generated_problems(spec) for g in p.hyps.goals]
+        cases += [(p.task, g, False) for p in generated_problems(spec) for g in p.hyps.goals]
     for n in range(8, 19, 2):
         b = bundle_from_texts(open_grid_bundle(n), require_obs=False)
-        cases += [(b.task, g) for g in b.hyps.goals]
+        cases += [(b.task, g, True) for g in b.hyps.goals]
     rng = random.Random(41)
     for _ in range(300):
         task = make_micro_task(rng, rng.randint(3, 10), rng.randint(2, 12), rng.randint(1, 6))
         task = replace(task, actions=tuple(replace(a, cost=rng.choice((0, 1, 1, 2, 5)))
                                            for a in task.actions))
-        cases.append((task, task.goal))
+        cases.append((task, task.goal, False))
     out = []
-    for task, goal in cases:
+    for task, goal, open_grid in cases:
         try:
             rows = base_constraints(task, goal)
         except GoalUnreachable:
@@ -357,7 +366,8 @@ def _base_lps_with_cut_minima():
         minima = []
         reference_landmark_constraints(task, goal, minima)
         if rows:
-            out.append((LinearProgram.from_constraints(rows, task.costs), tuple(minima)))
+            out.append(_BaseCase(LinearProgram.from_constraints(rows, task.costs),
+                                 tuple(minima), relaxed_plan(task, goal), open_grid))
     return out
 
 
@@ -371,7 +381,7 @@ def test_landmark_crash_starts_dual_feasible_at_the_cut_minima():
     reduced cost is >= 0 and the duals are the rows' cut minima, so the dual
     simplex starts at h_LM-cut."""
     off_diagonal = 0
-    for lp, minima in _base_lps_with_cut_minima():
+    for lp, minima, _, _ in _base_lps_with_cut_minima():
         crash = _crash_of(lp)
         size = len(crash)
         assert len(set(crash)) == size == len(minima)
@@ -395,18 +405,45 @@ def test_landmark_crash_starts_dual_feasible_at_the_cut_minima():
     assert off_diagonal > 0
 
 
+def test_crash_columns_are_drained_in_their_round_and_on_the_relaxed_plan():
+    """Each landmark row's crash column is distinct and one of the row's
+    actions that its round drives to residual 0 (cost less the cut minima of
+    the rows so far that hold it): the lowest-index one on the goal's relaxed
+    plan when the row meets the plan at such an action, else the lowest-index
+    one."""
+    on_plan = off_plan = 0
+    for lp, minima, plan, _ in _base_lps_with_cut_minima():
+        crash = _crash_of(lp)
+        assert len(set(crash)) == len(crash)
+        paid = Counter()
+        for row, minimum, zeroed in zip(lp.constraints, minima, crash):
+            drained = []
+            for a, _ in row.terms:
+                paid[a] += minimum
+                if paid[a] == lp.objective[a]:
+                    drained.append(a)
+            planned = [a for a in drained if a in plan]
+            assert zeroed == (planned or drained)[0]
+            on_plan += bool(planned)
+            off_plan += not planned
+    assert on_plan > 10 * off_plan > 0
+
+
 def test_crash_and_all_surplus_starts_agree():
     """Each base LP solved from its landmark crash and from the all-surplus
     basis: the same status and h, a basis that holds, fewer pivots in total;
-    HiGHS ignores the crash."""
+    HiGHS ignores the crash. On the open grids the crash is optimal: its
+    counts walk the relaxed plan, a shortest path, so no pivot is needed."""
     crash_pivots = cold_pivots = 0
-    for lp, _ in _base_lps_with_cut_minima():
+    for lp, _, _, open_grid in _base_lps_with_cut_minima():
         crashed = replace(lp, start=_crash_of(lp))
         ours, cold = solve_lp(crashed), solve_lp(lp)
         assert ours.status == cold.status and not ours.warm
         if cold.status == "optimal":
             assert abs(ours.value - cold.value) <= 1e-9
             _assert_basis_holds(lp, ours)
+        if open_grid:
+            assert ours.pivots == 0 and cold.pivots > 0
         if lp.num_vars > 100:
             assert solve_with(crashed, "scipy") == solve_with(lp, "scipy")
         crash_pivots += ours.pivots

@@ -138,6 +138,16 @@ def test_template_must_name_its_domain():
         parse_problem("(define (problem t) (:domain) (:init (p)))", dom)
 
 
+def test_repeated_domain_section_rejected():
+    dom = parse_domain(CHAIN_DOMAIN)
+    with pytest.raises(PddlParseError,
+                       match=r"repeated \(:domain \.\.\.\) section \(line 3, col 3\)"):
+        parse_problem("(define (problem t)\n (:domain chain) (:init (p))\n (:domain chain))", dom)
+    with pytest.raises(PddlParseError, match="repeated"):
+        parse_problem("(define (problem t) (:domain chain) (:domain mover))", dom)
+    assert parse_problem("(define (problem t) (:init (p)))", dom).domain_name == ""
+
+
 def test_case_insensitive_parsing():
     dom = parse_domain(CHAIN_DOMAIN.replace("(p)", "(P)").replace("chain", "Chain"))
     assert dom.name == "chain"
