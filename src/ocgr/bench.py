@@ -1,9 +1,11 @@
 """Suite generation and evaluation: observability sampling, noise
 injection, and the accuracy / spread / time metrics.
 
-Every problem is composed by ``generate_problem`` from a source plan: a
-witness plan for the hidden goal of a generated bundle, or the obs.dat
-sequence of a shipped one.
+``generated_problems`` is the one place a ``SuiteSpec`` becomes problems.
+Each is composed by ``generate_problem`` from a source plan: a witness plan
+for the hidden goal of a generated bundle, or the obs.dat sequence of a
+shipped one. ``materialize_suite`` (``ocgr gen``) writes exactly those
+problems to disk.
 
 Rows are fully determined by the manifest and seed; wall-clock timings go
 to the aggregate outputs and are written into rows.csv only when the
@@ -21,10 +23,9 @@ from pathlib import Path
 
 from .constraints import ALL_FAMILIES
 from .errors import CapExceeded, OcgrError
-from .generators import GENERATORS, GeneratedBundle, write_bundle
+from .generators import GENERATORS, write_bundle
 from .grounding import PlanningTask, relaxed_reachable
-from .inputs import (Bundle, GoalHypotheses, ObservationSequence,
-                     bundle_from_texts, load_bundle)
+from .inputs import GoalHypotheses, ObservationSequence, bundle_from_texts, load_bundle
 from .lp import check_backend
 from .oracle import OPTIMAL, Plan, optimal_cost, validate_plan
 from .recognition import (METHOD_DELTA_U, METHODS, RecognizerConfig,
@@ -102,11 +103,11 @@ class RecognitionProblem:
     problem_id: str
     task: PlanningTask
     hyps: GoalHypotheses
-    hidden: int | None
     plan: Plan | None
     obs: ObservationSequence
     pct: int | None  # None: observations taken as shipped in the bundle
     noise: int
+    files: dict[str, str] | None = None  # generated bundle files, without obs.dat
 
 
 def sample_observations(plan: Plan, pct: int, rng: random.Random) -> ObservationSequence:
@@ -181,24 +182,22 @@ def _witness_plan(task: PlanningTask, goal: frozenset[int], suboptimal: bool,
     return result.plan
 
 
-def generate_problem(task: PlanningTask, hyps: GoalHypotheses, hidden: int | None,
-                     pct: int, noise: int, seed: int, *, plan: Plan,
-                     domain_name: str = "task", problem_id: str = "p0"
+def generate_problem(task: PlanningTask, hyps: GoalHypotheses, pct: int, noise: int,
+                     seed: int, *, plan: Plan, domain_name: str = "task",
+                     problem_id: str = "p0", files: dict[str, str] | None = None
                      ) -> RecognitionProblem:
     """Compose a recognition problem from a source plan: ``pct``% of its
     steps, in order, plus ``noise`` spurious actions drawn from outside it.
 
-    ``hidden`` is None when the hidden goal is unknown.
+    The hidden goal is ``hyps.hidden`` (None when it is unknown).
     """
     rng = random.Random(seed)
     obs = sample_observations(plan, pct, rng)
     if noise > 0:
         obs = inject_noise(obs, task, hyps, noise, rng, exclude=plan.steps)
-    if hidden is not None:
-        hyps = hyps.with_hidden(hidden)
     return RecognitionProblem(domain_name=domain_name, problem_id=problem_id,
-                              task=task, hyps=hyps, hidden=hidden,
-                              plan=plan, obs=obs, pct=pct, noise=noise)
+                              task=task, hyps=hyps, plan=plan, obs=obs, pct=pct,
+                              noise=noise, files=files)
 
 
 @dataclass(frozen=True)
@@ -234,30 +233,14 @@ class SuiteResult:
     aggregates: tuple[AggregateRow, ...]
 
 
-def _generated_instance(spec: SuiteSpec, family: str, j: int
-                        ) -> tuple[GeneratedBundle, Bundle, Plan, int]:
-    """The j-th generated bundle of ``family``: its files, the parsed bundle,
-    the witness plan for its hidden goal, and the seed its levels derive from.
-
-    A ``spec.suboptimal_fraction`` share of the indices gets a detoured plan.
-    """
-    base_seed = stable_seed(spec.seed, family, j)
-    generated = GENERATORS[family](random.Random(base_seed))
-    parsed = bundle_from_texts(dict(generated.files), require_obs=False, path=f"<{family}-{j}>")
-    suboptimal = int((j + 1) * spec.suboptimal_fraction) > int(j * spec.suboptimal_fraction)
-    try:
-        plan = _witness_plan(parsed.task, parsed.hyps.goals[parsed.hyps.hidden], suboptimal,
-                             random.Random(stable_seed(base_seed, "detour")))
-    except CapExceeded as exc:
-        raise CapExceeded(f"{family}-{j}: {exc}") from exc
-    return generated, parsed, plan, base_seed
-
-
 def generated_problems(spec: SuiteSpec) -> list[RecognitionProblem]:
-    """Materialize every (bundle|generated problem) x observability level.
+    """Compose every (bundle|generated problem) x observability level.
 
     For shipped bundles the obs.dat sequence plays the role of the source
-    plan: levels subsample it and noise is drawn from outside it.
+    plan: levels subsample it and noise is drawn from outside it. The j-th
+    generated bundle of a family is seeded from (seed, family, j); its source
+    plan is a witness plan for its hidden goal, detoured on a
+    ``suboptimal_fraction`` share of the indices.
     """
     spec.validate()
     problems: list[RecognitionProblem] = []
@@ -268,17 +251,25 @@ def generated_problems(spec: SuiteSpec) -> list[RecognitionProblem]:
                       cost=sum(b.task.actions[a].cost for a in b.obs.obs))
         for pct in spec.levels():
             problems.append(generate_problem(
-                b.task, b.hyps, b.hyps.hidden, pct, spec.noise_count,
+                b.task, b.hyps, pct, spec.noise_count,
                 seed=stable_seed(spec.seed, name, pct), plan=source,
                 domain_name=b.domain.name, problem_id=name))
     for family in spec.families:
         for j in range(spec.per_family):
-            bundle, parsed, plan, base_seed = _generated_instance(spec, family, j)
+            base_seed = stable_seed(spec.seed, family, j)
+            generated = GENERATORS[family](random.Random(base_seed))
+            b = bundle_from_texts(generated.files, require_obs=False, path=f"<{family}-{j}>")
+            suboptimal = int((j + 1) * spec.suboptimal_fraction) > int(j * spec.suboptimal_fraction)
+            try:
+                plan = _witness_plan(b.task, b.hyps.goals[b.hyps.hidden], suboptimal,
+                                     random.Random(stable_seed(base_seed, "detour")))
+            except CapExceeded as exc:
+                raise CapExceeded(f"{family}-{j}: {exc}") from exc
             for pct in spec.levels():
                 problems.append(generate_problem(
-                    parsed.task, parsed.hyps, parsed.hyps.hidden, pct, spec.noise_count,
-                    seed=stable_seed(base_seed, pct), plan=plan,
-                    domain_name=bundle.name, problem_id=f"{family}-{j:03d}"))
+                    b.task, b.hyps, pct, spec.noise_count,
+                    seed=stable_seed(base_seed, pct), plan=plan, domain_name=generated.name,
+                    problem_id=f"{family}-{j:03d}", files=generated.files))
     return problems
 
 
@@ -294,12 +285,13 @@ def _evaluate(problem: RecognitionProblem, spec: SuiteSpec) -> list[Row]:
         return [Row(**common, method=m, time_s=None, correct=None, spread=0,
                     u=None, selected=(), status=f"error:{type(exc).__name__}")
                 for m in spec.methods]
+    hidden = problem.hyps.hidden
     rows = []
     for method in spec.methods:
         t1 = time.perf_counter()
         selected, u, _ = select(scores, method, len(problem.obs))
         row_time = elapsed + (time.perf_counter() - t1)
-        correct = (problem.hidden in selected) if problem.hidden is not None else None
+        correct = (hidden in selected) if hidden is not None else None
         rows.append(Row(**common, method=method, time_s=row_time, correct=correct,
                         spread=len(selected), u=u, selected=selected))
     return rows
@@ -389,25 +381,16 @@ def write_suite_outputs(result: SuiteResult, out_dir: str | Path, spec: SuiteSpe
 
 
 def materialize_suite(spec: SuiteSpec, out_dir: str | Path) -> list[Path]:
-    """Write the generated bundles as bundle directories, each obs.dat
-    sampled at the spec's one observability level with ``noise_count``
-    spurious actions."""
-    spec.validate()
-    levels = spec.levels()
-    if len(levels) != 1:
-        raise ValueError(f"materializing needs one observability level, not {len(levels)}")
-    out = Path(out_dir)
-    written: list[Path] = []
-    for family in spec.families:
-        for j in range(spec.per_family):
-            bundle, parsed, plan, base_seed = _generated_instance(spec, family, j)
-            problem = generate_problem(parsed.task, parsed.hyps, parsed.hyps.hidden,
-                                       levels[0], spec.noise_count,
-                                       seed=stable_seed(base_seed, levels[0]), plan=plan)
-            obs_text = "".join(parsed.task.actions[a].text() + "\n" for a in problem.obs.obs)
-            files = dict(bundle.files)
-            files["obs.dat"] = obs_text
-            target = out / f"{family}-{j:03d}"
-            write_bundle(target, files)
-            written.append(target)
-    return written
+    """Write each problem ``generated_problems(spec)`` composes as a bundle
+    directory named by its problem id: the generated files plus an obs.dat
+    of its observations. The spec needs exactly one observability level and
+    no shipped bundles (those are already on disk)."""
+    if spec.bundles:
+        raise ValueError("materializing writes generated problems only, not shipped bundles")
+    if len(spec.levels()) != 1:
+        raise ValueError(f"materializing needs one observability level, not {len(spec.levels())}")
+    problems = generated_problems(spec)
+    for p in problems:
+        obs_text = "".join(p.task.actions[a].text() + "\n" for a in p.obs.obs)
+        write_bundle(Path(out_dir) / p.problem_id, {**p.files, "obs.dat": obs_text})
+    return [Path(out_dir) / p.problem_id for p in problems]

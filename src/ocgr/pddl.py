@@ -90,11 +90,10 @@ def _pos(node: object) -> tuple[int, int]:
     return node.line, node.col
 
 
-def _name(node: object, what: str, form: list[object]) -> str:
-    """The atom ``node`` of ``form`` as a plain string. A nested form is rejected
-    where it starts, or at ``form`` when it is empty."""
+def _name(node: object, what: str) -> str:
+    """The atom ``node`` as a plain string; a nested form is rejected where it starts."""
     if not isinstance(node, Sym):
-        raise PddlParseError(f"nested form as {what}", *_pos(node or form))
+        raise PddlParseError(f"nested form as {what}", *_pos(node))
     return str(node)
 
 
@@ -252,9 +251,10 @@ def _read_define(text: str, kind: str) -> tuple[str, Iterator[tuple[str, list[ob
     an error inside an earlier section is reported before a malformed later one."""
     tree = parse_sexpr(text)
     if not tree or tree[0] != "define":
-        raise PddlParseError(f"{kind} file must start with (define ...)")
+        raise PddlParseError(f"{kind} file must start with (define ...)", *_pos(tree))
     if len(tree) < 2 or not isinstance(tree[1], list) or len(tree[1]) != 2 or tree[1][0] != kind:
-        raise PddlParseError(f"missing ({kind} <name>) declaration")
+        raise PddlParseError(f"missing ({kind} <name>) declaration",
+                             *_pos(tree[1] if len(tree) > 1 else tree))
 
     def sections() -> Iterator[tuple[str, list[object]]]:
         for section in tree[2:]:
@@ -262,7 +262,7 @@ def _read_define(text: str, kind: str) -> tuple[str, Iterator[tuple[str, list[ob
                 raise PddlParseError(f"malformed {kind} section", *_pos(section))
             yield str(section[0]), section
 
-    return _name(tree[1][1], f"{kind} name", tree[1]), sections()
+    return _name(tree[1][1], f"{kind} name"), sections()
 
 
 def parse_domain(text: str) -> DomainDef:
@@ -276,7 +276,7 @@ def parse_domain(text: str) -> DomainDef:
 
     for head, section in sections:
         if head == ":requirements":
-            requirements = tuple(_name(r, "requirement", section) for r in section[1:])
+            requirements = tuple(_name(r, "requirement") for r in section[1:])
             for r in requirements:
                 if r not in SUPPORTED_REQUIREMENTS:
                     raise UnsupportedFeatureError(
@@ -391,7 +391,7 @@ def parse_problem(text: str, dom: DomainDef) -> ProblemDef:
         if head == ":domain":
             if domain_name is not None:
                 raise PddlParseError("repeated (:domain ...) section", *_pos(section))
-            domain_name = _name(section[1], "domain name", section) if len(section) > 1 else ""
+            domain_name = _name(section[1], "domain name") if len(section) > 1 else ""
             if domain_name != dom.name:
                 raise PddlParseError(f"problem is for domain '{domain_name}', not '{dom.name}'",
                                      *_pos(section[1] if len(section) > 1 else section))

@@ -117,14 +117,14 @@ def test_criterion_3_completeness_full_observability():
     config = RecognizerConfig()
     hits = 0
     for p in problems:
-        check = validate_plan(p.task, p.plan.steps, p.hyps.goals[p.hidden])
+        check = validate_plan(p.task, p.plan.steps, p.hyps.goals[p.hyps.hidden])
         assert check.ok, f"witness plan invalid for {p.problem_id}"
         assert p.obs.obs == p.plan.steps  # 100% observability
         scores, _ = score_all(p.task, p.hyps, p.obs, config)
         finite = {s.goal_index: s.h_hc for s in scores if s.h_hc != INF}
         threshold = min(finite.values()) + 1e-9
         selected = {i for i, v in finite.items() if v <= threshold}
-        assert p.hidden in selected, f"hidden goal dropped on {p.problem_id}"
+        assert p.hyps.hidden in selected, f"hidden goal dropped on {p.problem_id}"
         hits += 1
     assert hits == len(problems)
     print(f"\nCRITERION 3 (completeness on {hits} problems, half spliced): PASS")

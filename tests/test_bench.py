@@ -4,8 +4,8 @@ import pytest
 
 from ocgr.bench import (SuiteSpec, _witness_plan, format_rows,
                         generate_problem, generated_problems, inject_noise,
-                        load_manifest, run_suite, sample_observations,
-                        stable_seed)
+                        load_manifest, materialize_suite, run_suite,
+                        sample_observations, stable_seed)
 from ocgr.errors import OcgrError
 from ocgr.generators import demo_grid_bundle, write_bundle
 from ocgr.inputs import ObservationSequence
@@ -78,7 +78,7 @@ def test_inject_noise_too_small(chain):
 
 def _problem(b, hidden, pct, noise, seed, suboptimal=False):
     plan = _witness_plan(b.task, b.hyps.goals[hidden], suboptimal, random.Random(seed))
-    return generate_problem(b.task, b.hyps, hidden, pct, noise, seed=seed, plan=plan)
+    return generate_problem(b.task, b.hyps.with_hidden(hidden), pct, noise, seed=seed, plan=plan)
 
 
 def test_generate_problem_full_clean(demo_bundle):
@@ -199,6 +199,16 @@ def test_run_suite_bundle_mode(tmp_path):
     assert len(result.rows) == 2
     full = next(r for r in result.rows if r.pct == 100)
     assert full.correct and full.selected == (0,)
+
+
+def test_materialize_suite_writes_generated_problems_only(tmp_path):
+    write_bundle(tmp_path / "demo", demo_grid_bundle().files)
+    shipped = SuiteSpec(bundles=(str(tmp_path / "demo"),), observability=(50,))
+    with pytest.raises(ValueError, match="not shipped bundles"):
+        materialize_suite(shipped, tmp_path / "out")
+    with pytest.raises(ValueError, match="one observability level, not 2"):
+        materialize_suite(_tiny_spec(observability=(50, 100)), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_rows_accuracy_definition():

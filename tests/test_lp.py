@@ -261,8 +261,9 @@ def test_compiled_rows_scatter_back_to_the_dense_rows():
 
 
 def _assert_basis_holds(lp, out):
-    """B^-1 inverts the basic columns of [A | -I], and the counts meet the
-    rows and the floors."""
+    """B^-1 inverts the basic columns of [A | -I], the counts meet the rows and
+    the floors, and no reduced cost under the true costs is negative: the basis
+    certifies that the counts are optimal, not only feasible."""
     a, b = _dense_reference(lp)
     m = len(a)
     basic = np.hstack([a, -np.eye(m)])[:, list(out.basis.columns)]
@@ -270,6 +271,7 @@ def _assert_basis_holds(lp, out):
     counts = np.array(out.counts)
     assert (a @ counts >= b - 1e-9).all()
     assert all(counts[v] >= floor - 1e-9 for v, floor in lp.lower)
+    assert _reduced_costs(lp, out.basis).min() >= -1e-7
 
 
 def _open_grid_lps(n):
@@ -302,6 +304,23 @@ def test_simplex_matches_highs_on_open_grids(n):
         _assert_basis_holds(hc, warm)
         warm_pivots += warm.pivots
     assert warm_pivots > 0
+
+
+def test_simplex_matches_highs_on_the_open_24_grid():
+    """Each goal's cold base LP and warm and cold h_hc LPs on the open 24 x 24
+    grid agree with HiGHS and end on an optimal basis. Pivot counts are not
+    compared: here a warm h_hc solve can take more pivots than a cold one."""
+    for base, lower in _open_grid_lps(24):
+        out = solve_lp(base)
+        hc = LinearProgram(base.num_vars, base.objective, base.constraints, lower=lower,
+                           start=out.basis, compiled=base.compiled)
+        warm, cold, hc_ref = solve_lp(hc), solve_lp(replace(hc, start=None)), solve_with(hc, "scipy")
+        assert warm.warm and not cold.warm
+        for lp, ours, ref in ((base, out, solve_with(base, "scipy")), (hc, warm, hc_ref),
+                              (hc, cold, hc_ref)):
+            assert ours.status == ref.status == "optimal"
+            assert abs(ours.value - ref.value) <= 1e-6
+            _assert_basis_holds(lp, ours)
 
 
 def test_every_returned_basis_inverts_its_columns(monkeypatch):

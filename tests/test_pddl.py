@@ -177,7 +177,7 @@ def test_nested_precondition_head_rejected():
     ("(define (domain d) (:requirements :strips (:typing)) (:predicates (p)))",
      r"nested form as requirement \(line 1, col 44\)"),
     ("(define (domain d) (:requirements :strips ()) (:predicates (p)))",
-     r"nested form as requirement \(line 1, col 21\)"),
+     r"nested form as requirement \(line 1, col 43\)"),
 ], ids=["domain-name", "requirement", "empty-requirement"])
 def test_nested_form_as_domain_name_or_requirement_rejected(text, message):
     with pytest.raises(PddlParseError, match=message) as err:
@@ -203,6 +203,16 @@ def test_empty_form_error_carries_its_position(text, message):
 def test_nested_form_as_problem_or_domain_name_rejected(text, message):
     with pytest.raises(PddlParseError, match=message):
         parse_problem(text, parse_domain("(define (domain d) (:predicates (p)))"))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(foo)", r"domain file must start with \(define \.\.\.\) \(line 1, col 2\)"),
+    ("(define x)", r"missing \(domain <name>\) declaration \(line 1, col 9\)"),
+    ("(define\n  (domain))", r"missing \(domain <name>\) declaration \(line 2, col 4\)"),
+], ids=["no-define", "atom-declaration", "nameless-declaration"])
+def test_header_errors_carry_the_position_of_what_they_reject(text, message):
+    with pytest.raises(PddlParseError, match=message):
+        parse_domain(text)
 
 
 def _family_files() -> list[str]:
@@ -346,9 +356,15 @@ def test_parser_outcomes_are_pinned():
     had to name the domain it is parsed with: 12 template mutations moved (11
     that parsed now fail at the name -- 4 naming ``:domain``, 5 naming an
     object, 2 with no name -- and 1 malformed problem section that follows an
-    empty ``(:domain)`` now fails at that earlier section)."""
+    empty ``(:domain)`` now fails at that earlier section), and again when the
+    header checks and an empty form as a name got the position of the node they
+    reject: 71 errors moved, their messages otherwise unchanged (66 gained a
+    ``(line N, col M)``: 31 "missing (problem <name>) declaration", 19 "missing
+    (domain <name>) declaration", 13 "problem file must start with (define
+    ...)", 3 "domain file must start with (define ...)"; 5 "nested form as
+    requirement" moved from the ``(:requirements`` to the empty ``()``)."""
     h = hashlib.sha256()
     for outcome in _parser_outcomes():
         h.update(outcome.encode() + b"\n")
     assert h.hexdigest() == \
-        "613d99afe6ff9f5c68e886298f278b511ead002cfa269bc93a43f3a8934cc6c9"
+        "72fdeae9f9d9e3ff18166557b68b1b4306bdf244f2d2b34c9a07a5bdada3f211"
