@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import GoalUnreachable
 from .grounding import INF, PlanningTask, hmax_values
@@ -74,7 +74,78 @@ def hmax(task: PlanningTask, from_facts: Iterable[int], goal: Iterable[int],
     return max(values[g] for g in goal)
 
 
-def relaxed_plan(task: PlanningTask, goal: Iterable[int]) -> frozenset[int]:
+class _LmCutSetup(NamedTuple):
+    """LM-cut's graph without the goal: each action's preconditions not true
+    initially and its round-one supporter (-1 for none), the actions with
+    none, and the add effects and adders with the virtual goal action
+    (id ``num_actions``, adding the goal node ``num_facts``) appended."""
+
+    pres: tuple[tuple[int, ...], ...]
+    supporter: tuple[int, ...]
+    zero_pre: tuple[int, ...]
+    adds: tuple[tuple[int, ...], ...]
+    adders: tuple[tuple[int, ...], ...]
+
+
+class _NetChange(NamedTuple):
+    """The net-change rows of the empty goal, in fact order: one per fact
+    with a guaranteed consumer. Fact f's row, if it has one, is
+    ``rows[start[f]]``, and it has one when ``start[f + 1] > start[f]``."""
+
+    rows: tuple[LinearConstraint, ...]
+    start: tuple[int, ...]
+
+
+class TaskTable:
+    """What the constraint rows of every goal of one task share: LM-cut's
+    set-up, each fact's relaxed-plan achiever and the goal-free net-change
+    rows. Each part is built on first use from the task passed in, which must
+    be the task the table was made for. The table does not hold the task, so
+    a memo may keep it while holding the task weakly. Threads may build a
+    part at once; they store equal parts."""
+
+    def __init__(self) -> None:
+        self._lmcut: _LmCutSetup | None = None
+        self._achiever: list[int] | None = None
+        self._net_change: _NetChange | None = None
+
+    def lmcut(self, task: PlanningTask) -> _LmCutSetup:
+        if self._lmcut is None:
+            init, values = task.init, task.init_hmax
+            pres = tuple(tuple(p for p in pre if p not in init) for pre in task.pres)
+            # pres are sorted, so max keeps the lowest index on ties
+            supporter = tuple((pre[0] if len(pre) == 1 else max(pre, key=values.__getitem__))
+                              if pre else -1 for pre in pres)
+            self._lmcut = _LmCutSetup(
+                pres, supporter, tuple(ai for ai, s in enumerate(supporter) if s == -1),
+                task.adds + ((task.num_facts,),), task.adders + ((task.num_actions,),))
+        return self._lmcut
+
+    def achiever(self, task: PlanningTask) -> list[int]:
+        """Each fact's relaxed-plan achiever, -1 until ``relaxed_plan`` first
+        needs it."""
+        if self._achiever is None:
+            self._achiever = [-1] * task.num_facts
+        return self._achiever
+
+    def net_change(self, task: PlanningTask) -> _NetChange:
+        if self._net_change is None:
+            rows: list[LinearConstraint] = []
+            start = [0]
+            for f, consumers in enumerate(task.consumers):
+                if consumers:
+                    terms = sorted([(a, 1) for a in task.producers[f]]
+                                   + [(a, -1) for a in consumers])
+                    rows.append(LinearConstraint(terms=tuple(terms),
+                                                 rhs=-1 if f in task.init else 0,
+                                                 source=SRC_NET_CHANGE))
+                start.append(len(rows))
+            self._net_change = _NetChange(tuple(rows), tuple(start))
+        return self._net_change
+
+
+def relaxed_plan(task: PlanningTask, goal: Iterable[int],
+                 table: TaskTable | None = None) -> frozenset[int]:
     """The actions of one relaxed plan for a relaxed-reachable ``goal``, read
     off ``task.init_hmax``; LM-cut takes its crash columns from it.
 
@@ -82,19 +153,23 @@ def relaxed_plan(task: PlanningTask, goal: Iterable[int]) -> frozenset[int]:
     its h_max achiever (cost plus largest precondition value equal to the
     fact's value, lowest action index on ties), whose preconditions not true
     initially are walked in turn. Each fact's achiever depends only on the
-    task, so the plan depends only on the task and the goal. With zero-cost
-    actions a precondition can share its fact's value and the walk can close
-    a cycle rather than a plan; that changes only which crash columns are
-    taken.
+    task, so ``table`` keeps it for the task's later goals, and the plan
+    depends only on the task and the goal. With zero-cost actions a
+    precondition can share its fact's value and the walk can close a cycle
+    rather than a plan; that changes only which crash columns are taken.
     """
     values, init, costs, pres = task.init_hmax, task.init, task.costs, task.pres
+    achiever = (TaskTable() if table is None else table).achiever(task)
     stack = list(set(goal) - init)
     seen = set(stack)
     plan: set[int] = set()
     while stack:
         f = stack.pop()
-        a = next(a for a in task.adders[f]
-                 if costs[a] + max((values[p] for p in pres[a]), default=0) == values[f])
+        a = achiever[f]
+        if a < 0:
+            a = achiever[f] = next(
+                a for a in task.adders[f]
+                if costs[a] + max((values[p] for p in pres[a]), default=0) == values[f])
         plan.add(a)
         for p in pres[a]:
             if p not in init and p not in seen:
@@ -103,7 +178,8 @@ def relaxed_plan(task: PlanningTask, goal: Iterable[int]) -> frozenset[int]:
     return frozenset(plan)
 
 
-def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[LinearConstraint, ...]:
+def landmark_constraints(task: PlanningTask, goal: Iterable[int],
+                         table: TaskTable | None = None) -> tuple[LinearConstraint, ...]:
     """Disjunctive action landmarks via justification-graph cut rounds.
 
     Each action's supporter is its maximum-h_max precondition among those not
@@ -127,7 +203,10 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
     landmark rows' block on their zeroed columns is unit upper triangular,
     which the base LP's crash start relies on.
 
-    Only round one's h_max values are a full pass (the task's ``init_hmax``).
+    Only round one's h_max values are a full pass (the task's ``init_hmax``),
+    so every action's round-one supporter depends only on the task: ``table``
+    keeps them, with the preconditions not true initially, for the task's
+    later goals; only the virtual goal action's is the goal's own.
     After a cut, values can only fall, and an action's maximum precondition
     value moves only when its supporter's value falls. So each later round
     propagates only the drops, in Dijkstra order from the cut actions' add
@@ -140,19 +219,6 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
         return ()
     goal_node = task.num_facts
     num_nodes = task.num_facts + 1
-    init = task.init
-    # a virtual goal action (id num_a, cost 0) adds the goal node; only
-    # preconditions not true initially can be supporters
-    pres = [tuple(p for p in pre if p not in init) for pre in task.pres]
-    pres.append(tuple(sorted(goal - init)))
-    adds = task.adds + ((goal_node,),)
-    adders = task.adders + ((num_a,),)
-    by_pre = list(task.by_pre) + [()]
-    for g in goal:
-        by_pre[g] += (num_a,)
-    residual = list(task.costs) + [0]
-
-    out: list[LinearConstraint] = []
     # Round one runs on the original costs: the task's table, and the goal
     # node's value is that of its virtual action, the largest goal value.
     values = [*task.init_hmax, max(task.init_hmax[g] for g in goal)]
@@ -160,13 +226,24 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
         raise GoalUnreachable("goal unreachable in the delete relaxation")
     if values[goal_node] == 0:
         return ()
-    plan = relaxed_plan(task, goal)
-    # -1 means the virtual init node; pres are sorted, so max keeps the
-    # lowest index on ties
+    if table is None:
+        table = TaskTable()
+    setup = table.lmcut(task)
+    plan = relaxed_plan(task, goal, table)
+    # a virtual goal action (id num_a, cost 0) adds the goal node; only
+    # preconditions not true initially can be supporters
+    goal_pre = tuple(sorted(goal - task.init))
+    pres = [*setup.pres, goal_pre]
+    adds, adders = setup.adds, setup.adders
+    by_pre = list(task.by_pre) + [()]
+    for g in goal:
+        by_pre[g] += (num_a,)
+    residual = list(task.costs) + [0]
+
+    out: list[LinearConstraint] = []
     value_of = values.__getitem__
-    supporter = [(pre[0] if len(pre) == 1 else max(pre, key=value_of)) if pre else -1
-                 for pre in pres]
-    zero_pre = [ai for ai, s in enumerate(supporter) if s == -1]
+    supporter = [*setup.supporter, max(goal_pre, key=value_of)]
+    zero_pre = setup.zero_pre
     for _ in range(_LMCUT_ROUND_GUARD):
         in_zone = [False] * num_nodes
         in_zone[goal_node] = True
@@ -247,28 +324,34 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
     return tuple(out)
 
 
-def net_change_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[LinearConstraint, ...]:
-    """Lower-bound state-change rows, one per fact with any terms or demand.
+def net_change_constraints(task: PlanningTask, goal: Iterable[int],
+                           table: TaskTable | None = None) -> tuple[LinearConstraint, ...]:
+    """Lower-bound state-change rows, one per fact with any terms or demand,
+    in fact order.
 
     Guaranteed producers (add without pre) count +1, guaranteed consumers
     (delete with pre) count -1; may-consumers are left out so every plan
-    stays feasible. rhs = [fact in goal] - [fact in init].
+    stays feasible. rhs = [fact in goal] - [fact in init]. Without demand a
+    row is kept only when it has a consumer, so the goal-free rows in
+    ``table`` are every row but the goal facts': a goal fact's row takes
+    rhs 1 - [fact in init], and one with producers only is added.
     """
-    goal = frozenset(goal)
-    out: list[LinearConstraint] = []
-    for f in range(task.num_facts):
-        rhs = (1 if f in goal else 0) - (1 if f in task.init else 0)
-        terms = [(a, 1) for a in task.producers[f]] + [(a, -1) for a in task.consumers[f]]
-        if not terms:
-            if rhs > 0:
+    rows, start = (TaskTable() if table is None else table).net_change(task)
+    out = list(rows)
+    added: list[tuple[int, LinearConstraint]] = []
+    for g in sorted(set(goal)):
+        at = start[g]
+        rhs = 0 if g in task.init else 1
+        if start[g + 1] > at:
+            out[at] = LinearConstraint(terms=rows[at].terms, rhs=rhs, source=SRC_NET_CHANGE)
+        elif rhs > 0:
+            if not task.producers[g]:
                 raise GoalUnreachable(
-                    f"goal fact {task.facts[f]} has no producer and is not initially true")
-            continue
-        if not (rhs > 0) and all(c > 0 for _, c in terms):
-            # no consumers and nothing demanded: trivially satisfied
-            continue
-        terms.sort()
-        out.append(LinearConstraint(terms=tuple(terms), rhs=rhs, source=SRC_NET_CHANGE))
+                    f"goal fact {task.facts[g]} has no producer and is not initially true")
+            added.append((at, LinearConstraint(terms=tuple((a, 1) for a in task.producers[g]),
+                                               rhs=rhs, source=SRC_NET_CHANGE)))
+    for at, row in reversed(added):
+        out.insert(at, row)
     return tuple(out)
 
 
@@ -304,8 +387,10 @@ def posthoc_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linear
 
 
 def base_constraints(task: PlanningTask, goal: Iterable[int],
-                     families: Iterable[str] = ALL_FAMILIES) -> tuple[LinearConstraint, ...]:
-    """Concatenation of the selected families, in a fixed order."""
+                     families: Iterable[str] = ALL_FAMILIES,
+                     table: TaskTable | None = None) -> tuple[LinearConstraint, ...]:
+    """Concatenation of the selected families, in a fixed order; ``table``,
+    made for ``task``, carries what they share to the task's later goals."""
     chosen = set(families)
     unknown = chosen - set(ALL_FAMILIES)
     if unknown:
@@ -315,9 +400,9 @@ def base_constraints(task: PlanningTask, goal: Iterable[int],
     goal = frozenset(goal)
     rows: tuple[LinearConstraint, ...] = ()
     if FAMILY_LANDMARKS in chosen:
-        rows += landmark_constraints(task, goal)
+        rows += landmark_constraints(task, goal, table=table)
     if FAMILY_NET_CHANGE in chosen:
-        rows += net_change_constraints(task, goal)
+        rows += net_change_constraints(task, goal, table=table)
     if FAMILY_POST_HOC in chosen:
         rows += posthoc_constraints(task, goal)
     return rows

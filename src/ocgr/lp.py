@@ -25,7 +25,10 @@ A solve starts from one of three bases, by ``LinearProgram.start``:
   costs the crash's counts are the relaxed plan's; on open grids that plan
   is a shortest path, which meets every row, so the start is optimal;
 * warm (a ``Basis``): an optimal basis of the same rows, as the base LP's is
-  for its h_hc LP; one whose row count does not fit is ignored.
+  for its h_hc LP; one whose row count does not fit is ignored. The reduced
+  costs depend only on the basis, the rows and the objective, not on b or
+  the floors, so a basis keeps its first pricing and later starts from it
+  under the same compiled rows and objective copy it.
 
 Negative reduced costs are clamped to 0, and at the first degenerate dual
 ratio test each nonbasic reduced cost gets a fixed perturbation; a perturbed
@@ -33,7 +36,7 @@ dual that makes 2*(m+n) degenerate pivots in a row has stalled. If the costs
 were clamped or perturbed, a primal phase 2 on the true costs (Bland's rule
 after 2*(m+n) degenerate pivots) finishes the solve and detects
 unboundedness. Optimal outcomes carry their basis (the basic column of each
-row and B^-1, read-only).
+row and the solve's own B^-1, made read-only).
 
 ``BACKENDS`` names the solvers: ``simplex`` is ``solve_lp``; ``scipy``
 (HiGHS) reads the same compiled rows, passes the floors as bounds and
@@ -43,6 +46,7 @@ ignores starts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -66,10 +70,15 @@ UNBOUNDED = "unbounded"
 @dataclass(frozen=True, eq=False)
 class Basis:
     """An optimal simplex basis: the basic column of each row (j < n is
-    Y_j, n + i the surplus of row i) and B^-1 over the columns [A | -I]."""
+    Y_j, n + i the surplus of row i) and B^-1 over the columns [A | -I].
+
+    ``priced`` holds the first warm start's objective, compiled rows and
+    reduced costs (read-only), set when that start prices the basis.
+    """
 
     columns: tuple[int, ...]
     inverse: np.ndarray  # m x m, read-only
+    priced: tuple | None = field(default=None, repr=False)
 
 
 class CompiledRows(NamedTuple):
@@ -86,7 +95,7 @@ class CompiledRows(NamedTuple):
 
 
 def compile_rows(num_vars: int, constraints: Sequence[LinearConstraint]) -> CompiledRows:
-    terms = np.fromiter((x for row in constraints for t in row.terms for x in t),
+    terms = np.fromiter(chain.from_iterable(chain.from_iterable(row.terms for row in constraints)),
                         dtype=float).reshape(-1, 2)
     rows = np.repeat(np.arange(len(constraints)), [len(row.terms) for row in constraints])
     cols = terms[:, 0].astype(np.intp)
@@ -368,7 +377,15 @@ def _start(lp: LinearProgram, rows: CompiledRows, b: np.ndarray, cost: np.ndarra
         basis[:len(crash)] = crash
         bx[:, -1] = bx[:, :-1] @ b
     state = _Revised(rows, n, basis, bx)
+    priced = start.priced if warm else None
+    if priced is not None and priced[1] is rows and priced[0] == lp.objective:
+        state.d = priced[2].copy()
+        return state, warm
     state.price(cost)
+    if warm:
+        d = state.d.copy()
+        d.setflags(write=False)
+        object.__setattr__(start, "priced", (lp.objective, rows, d))
     return state, warm
 
 
@@ -402,7 +419,7 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     x = np.zeros(n + m)
     x[state.basis] = state.x
     counts = np.maximum(x[:n], 0.0) + k
-    inverse = state.bx[:, :-1].copy()
+    inverse = state.bx[:, :-1]
     inverse.setflags(write=False)
     return LpOutcome(OPTIMAL, float(c @ counts), tuple(counts.tolist()), pivots, warm,
                      Basis(tuple(state.basis.tolist()), inverse))

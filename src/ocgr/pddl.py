@@ -168,10 +168,12 @@ def atom_text(literal: tuple[str, ...]) -> str:
     return "(" + " ".join(literal) + ")"
 
 
-def _check_atom(node: object, what: str) -> tuple[str, ...]:
+def _check_atom(node: object, what: str) -> tuple[Sym, ...]:
+    """The atom ``node`` as its tokens, which keep their positions until
+    ``_validate_literals`` has checked them."""
     if not isinstance(node, list) or not node or not all(isinstance(x, Sym) for x in node):
         raise PddlParseError(f"malformed atom in {what}", *_pos(node))
-    return tuple(str(x) for x in node)
+    return tuple(node)
 
 
 _COMPOUND_PRE = {
@@ -191,8 +193,8 @@ def _flatten_conjunction(node: object) -> list[object]:
     return [node]
 
 
-def _parse_precondition(node: object, name: str) -> list[tuple[str, ...]]:
-    atoms: list[tuple[str, ...]] = []
+def _parse_precondition(node: object, name: str) -> list[tuple[Sym, ...]]:
+    atoms: list[tuple[Sym, ...]] = []
     for part in _flatten_conjunction(node):
         if isinstance(part, list) and part:
             head = part[0]
@@ -209,9 +211,9 @@ def _parse_precondition(node: object, name: str) -> list[tuple[str, ...]]:
     return atoms
 
 
-def _parse_effect(node: object, name: str) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:
-    adds: list[tuple[str, ...]] = []
-    dels: list[tuple[str, ...]] = []
+def _parse_effect(node: object, name: str) -> tuple[list[tuple[Sym, ...]], list[tuple[Sym, ...]]]:
+    adds: list[tuple[Sym, ...]] = []
+    dels: list[tuple[Sym, ...]] = []
     for part in _flatten_conjunction(node):
         if isinstance(part, list) and part:
             head = part[0]
@@ -230,19 +232,22 @@ def _parse_effect(node: object, name: str) -> tuple[list[tuple[str, ...]], list[
     return adds, dels
 
 
-def _validate_literals(literals: list[tuple[str, ...]], predicates: dict[str, tuple[str, ...]],
-                       known_terms: set[str], where: str) -> None:
+def _validate_literals(literals: list[tuple[Sym, ...]], predicates: dict[str, tuple[str, ...]],
+                       known_terms: set[str], where: str) -> tuple[tuple[str, ...], ...]:
+    """The literals as plain strings, once each names a declared predicate
+    with its arity and known terms; an error carries the literal's position."""
     for lit in literals:
         pred, args = lit[0], lit[1:]
         if pred not in predicates:
-            raise PddlParseError(f"undeclared predicate '{pred}' in {where}")
+            raise PddlParseError(f"undeclared predicate '{pred}' in {where}", pred.line, pred.col)
         if len(args) != len(predicates[pred]):
             raise PddlParseError(
                 f"arity mismatch for '{pred}' in {where}: "
-                f"expected {len(predicates[pred])}, got {len(args)}")
+                f"expected {len(predicates[pred])}, got {len(args)}", pred.line, pred.col)
         for a in args:
             if a not in known_terms:
-                raise PddlParseError(f"unknown term '{a}' in {where}")
+                raise PddlParseError(f"unknown term '{a}' in {where}", pred.line, pred.col)
+    return tuple(tuple(str(x) for x in lit) for lit in literals)
 
 
 def _read_define(text: str, kind: str) -> tuple[str, Iterator[tuple[str, list[object]]]]:
@@ -335,9 +340,9 @@ def _parse_action(section: list[object], predicates: dict[str, tuple[str, ...]],
         raise PddlParseError("action without a name", *_pos(section))
     name = str(section[1])
     params: tuple[tuple[str, str], ...] = ()
-    pre: list[tuple[str, ...]] = []
-    adds: list[tuple[str, ...]] = []
-    dels: list[tuple[str, ...]] = []
+    pre: list[tuple[Sym, ...]] = []
+    adds: list[tuple[Sym, ...]] = []
+    dels: list[tuple[Sym, ...]] = []
     i = 2
     seen: set[str] = set()
     while i < len(section):
@@ -370,11 +375,11 @@ def _parse_action(section: list[object], predicates: dict[str, tuple[str, ...]],
         i += 2
 
     known_terms = {v for v, _ in params} | {c for c, _ in constants}
-    _validate_literals(pre, predicates, known_terms, f"precondition of '{name}'")
-    _validate_literals(adds, predicates, known_terms, f"effect of '{name}'")
-    _validate_literals(dels, predicates, known_terms, f"effect of '{name}'")
-    return OperatorSchema(name=name, params=params, pre=tuple(pre),
-                          add=tuple(adds), delete=tuple(dels))
+    return OperatorSchema(
+        name=name, params=params,
+        pre=_validate_literals(pre, predicates, known_terms, f"precondition of '{name}'"),
+        add=_validate_literals(adds, predicates, known_terms, f"effect of '{name}'"),
+        delete=_validate_literals(dels, predicates, known_terms, f"effect of '{name}'"))
 
 
 def parse_problem(text: str, dom: DomainDef) -> ProblemDef:
@@ -382,8 +387,8 @@ def parse_problem(text: str, dom: DomainDef) -> ProblemDef:
 
     domain_name: str | None = None
     objects: list[tuple[str, str]] = []
-    init: list[tuple[str, ...]] = []
-    goal: list[tuple[str, ...]] = []
+    init: list[tuple[Sym, ...]] = []
+    goal: list[tuple[Sym, ...]] = []
 
     known_types = set(dom.types) | {ROOT_TYPE}
 
@@ -421,7 +426,6 @@ def parse_problem(text: str, dom: DomainDef) -> ProblemDef:
                 f"problem section '{head}' is not supported", *_pos(section))
 
     known_objects = {o for o, _ in objects} | {c for c, _ in dom.constants}
-    _validate_literals(init, dom.predicates, known_objects, ":init")
-    _validate_literals(goal, dom.predicates, known_objects, ":goal")
     return ProblemDef(name=name, domain_name=domain_name or "", objects=tuple(objects),
-                      init=tuple(init), goal=tuple(goal))
+                      init=_validate_literals(init, dom.predicates, known_objects, ":init"),
+                      goal=_validate_literals(goal, dom.predicates, known_objects, ":goal"))

@@ -24,7 +24,7 @@ import weakref
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
-from .constraints import ALL_FAMILIES, LinearConstraint, base_constraints
+from .constraints import ALL_FAMILIES, LinearConstraint, TaskTable, base_constraints
 from .errors import GoalUnreachable, SolverFailure
 from .grounding import PlanningTask
 from .inputs import GoalHypotheses, ObservationSequence
@@ -78,42 +78,52 @@ class RecognitionReport:
         return all(s.h_hc == INF for s in self.scores)
 
 
-# Per-goal base results of the task scored last, keyed by
-# (goal, families, backend): the base LP with its compiled rows and its
-# LpOutcome (with the optimal basis the h_hc solves start from), or the reason the
-# goal is relaxed-unreachable. h depends only on the task and the goal, so
+# The task scored last, held weakly and matched by identity (tasks are
+# frozen), with its memo: the ``TaskTable`` of what every goal's rows share
+# (LM-cut's set-up, relaxed-plan achievers, the goal-free net-change rows),
+# and per-goal base results keyed by (goal, families, backend): the base LP
+# with its compiled rows and its LpOutcome (with the optimal basis the h_hc
+# solves start from, which keeps its first pricing), or the reason the goal
+# is relaxed-unreachable. h depends only on the task and the goal, so
 # re-scoring that task with other observations solves only the h_hc LPs.
-# One task at a time keeps memory flat when a caller holds many tasks; the
-# task is held weakly and matched by identity (tasks are frozen). The lock
-# lets library callers score from their own threads.
+# One task at a time keeps memory flat when a caller holds many tasks, and
+# the table holds no task, so a dropped task is freed. The lock lets library
+# callers score from their own threads.
+@dataclass(eq=False)
+class _TaskMemo:
+    table: TaskTable = field(default_factory=TaskTable)
+    bases: dict = field(default_factory=dict)
+
+
 _memo_lock = threading.Lock()
 _memo_task: weakref.ref | None = None
-_memo_bases: dict = {}
+_memo = _TaskMemo()
 
 
-def _base_memo(task: PlanningTask) -> dict:
+def _base_memo(task: PlanningTask) -> _TaskMemo:
     """The memo for ``task``, fresh unless ``task`` was the one scored last."""
-    global _memo_task, _memo_bases
+    global _memo_task, _memo
     with _memo_lock:
         if _memo_task is None or _memo_task() is not task:
-            _memo_task, _memo_bases = weakref.ref(task), {}
-        return _memo_bases
+            _memo_task, _memo = weakref.ref(task), _TaskMemo()
+        return _memo
 
 
 def _base(task: PlanningTask, goal_index: int, goal: frozenset[int],
-          config: RecognizerConfig, memo: dict
+          config: RecognizerConfig, memo: _TaskMemo
           ) -> tuple[tuple[LinearProgram, LpOutcome] | str, float, float]:
     """The memo entry of ``goal``, built and stored on a miss, with the
     seconds spent on constraints and on the LP."""
     key = (goal, frozenset(config.families), config.backend)
-    if key in memo:
-        return memo[key], 0.0, 0.0
+    bases = memo.bases
+    if key in bases:
+        return bases[key], 0.0, 0.0
     # Threads scoring equal goals may both get here; they store equal entries.
     t0 = time.perf_counter()
     try:
-        base = base_constraints(task, goal, config.families)
+        base = base_constraints(task, goal, config.families, memo.table)
     except GoalUnreachable as exc:
-        reason = memo[key] = str(exc)
+        reason = bases[key] = str(exc)
         return reason, time.perf_counter() - t0, 0.0
     t1 = time.perf_counter()
     # The landmark rows come first; each is basic in its zeroed action.
@@ -122,7 +132,7 @@ def _base(task: PlanningTask, goal_index: int, goal: frozenset[int],
     out = solve_with(lp, config.backend)
     if out.status not in (OPTIMAL, INFEASIBLE):
         raise SolverFailure(f"base LP for hypothesis {goal_index} came back {out.status}")
-    entry = memo[key] = (replace(lp, start=None), out)
+    entry = bases[key] = (replace(lp, start=None), out)
     return entry, t1 - t0, time.perf_counter() - t1
 
 
@@ -139,7 +149,7 @@ def base_rows(task: PlanningTask, goal: Iterable[int],
 
 
 def _score_one(task: PlanningTask, goal_index: int, goal: frozenset[int],
-               obs: ObservationSequence, config: RecognizerConfig, memo: dict
+               obs: ObservationSequence, config: RecognizerConfig, memo: _TaskMemo
                ) -> tuple[HypothesisScore, float, float]:
     entry, t_cons, t_lp = _base(task, goal_index, goal, config, memo)
     if isinstance(entry, str) or entry[1].status == INFEASIBLE:

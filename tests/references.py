@@ -5,8 +5,11 @@ the soundness checks, the full-observation guarantee, observation floors
 as explicit constraint rows (the cold reference for floors as bounds),
 writing a suite manifest back out, the two-pass s-expression reader
 (tokenize, then read the tree recursively) that ``pddl.parse_sexpr`` is
-compared against, and LM-cut with a full h_max pass per round that
-``constraints.landmark_constraints`` is compared against.
+compared against, LM-cut with a full h_max pass per round that
+``constraints.landmark_constraints`` is compared against, and the per-goal
+net-change loop over every fact that ``constraints.net_change_constraints``,
+which reads a task's goal-free rows from its ``TaskTable``, is compared
+against.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from pathlib import Path
 from typing import Iterable
 
 from ocgr.bench import SuiteSpec
-from ocgr.constraints import _LMCUT_ROUND_GUARD, SRC_LANDMARK, LinearConstraint
+from ocgr.constraints import _LMCUT_ROUND_GUARD, SRC_LANDMARK, SRC_NET_CHANGE, LinearConstraint
 from ocgr.errors import CapExceeded, GoalUnreachable, PddlParseError
 from ocgr.grounding import INF, PlanningTask, hmax_values
 from ocgr.inputs import GoalHypotheses, ObservationSequence
@@ -256,4 +259,30 @@ def reference_landmark_constraints(task: PlanningTask, goal: Iterable[int],
         values = hmax_values(pres, adds, by_pre, residual, init)
     else:
         raise RuntimeError("landmark extraction did not converge")
+    return tuple(out)
+
+
+def reference_net_change_constraints(task: PlanningTask, goal: Iterable[int]
+                                     ) -> tuple[LinearConstraint, ...]:
+    """Lower-bound state-change rows built from scratch for one goal, one per
+    fact with any terms or demand, in fact order.
+
+    Guaranteed producers (add without pre) count +1, guaranteed consumers
+    (delete with pre) count -1. rhs = [fact in goal] - [fact in init].
+    """
+    goal = frozenset(goal)
+    out: list[LinearConstraint] = []
+    for f in range(task.num_facts):
+        rhs = (1 if f in goal else 0) - (1 if f in task.init else 0)
+        terms = [(a, 1) for a in task.producers[f]] + [(a, -1) for a in task.consumers[f]]
+        if not terms:
+            if rhs > 0:
+                raise GoalUnreachable(
+                    f"goal fact {task.facts[f]} has no producer and is not initially true")
+            continue
+        if not (rhs > 0) and all(c > 0 for _, c in terms):
+            # no consumers and nothing demanded: trivially satisfied
+            continue
+        terms.sort()
+        out.append(LinearConstraint(terms=tuple(terms), rhs=rhs, source=SRC_NET_CHANGE))
     return tuple(out)

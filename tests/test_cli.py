@@ -153,7 +153,7 @@ def test_recognize_dumps_read_the_rows_recognition_built(demo_dir, capsys, monke
     calls = []
     real = cons.landmark_constraints
     monkeypatch.setattr(cons, "landmark_constraints",
-                        lambda task, goal: calls.append(goal) or real(task, goal))
+                        lambda task, goal, **kw: calls.append(goal) or real(task, goal, **kw))
     assert main(["recognize", "-b", str(demo_dir), "--dump-constraints"]) == 0
     assert "# constraints for G1" in capsys.readouterr().out
     assert len(calls) == 2

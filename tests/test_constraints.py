@@ -9,15 +9,17 @@ import ocgr.constraints
 from conftest import ISLAND_BUNDLE, make_micro_task, open_grid_bundle, plan_counts
 from ocgr.bench import SuiteSpec, generated_problems
 from ocgr.constraints import (ALL_FAMILIES, INF, SRC_LANDMARK, SRC_NET_CHANGE,
-                              SRC_POST_HOC, base_constraints, dump_constraints,
-                              hmax, landmark_constraints, net_change_constraints,
+                              SRC_POST_HOC, LinearConstraint, TaskTable,
+                              base_constraints, dump_constraints, hmax,
+                              landmark_constraints, net_change_constraints,
                               posthoc_constraints, relaxed_plan)
 from ocgr.errors import CapExceeded, GoalUnreachable
 from ocgr.grounding import GroundAction, PlanningTask
 from ocgr.inputs import bundle_from_texts
 from ocgr.lp import LinearProgram, solve_lp
 from ocgr.oracle import optimal_cost
-from references import enumerate_plans, reference_landmark_constraints
+from references import (enumerate_plans, reference_landmark_constraints,
+                        reference_net_change_constraints)
 
 
 def test_hmax_chain(chain):
@@ -321,6 +323,74 @@ def test_net_change_unreachable_goal_fact():
                         goal=frozenset({1}))
     with pytest.raises(GoalUnreachable):
         net_change_constraints(task, task.goal)
+
+
+def _rows_or_error(family, task, goal, **kwargs):
+    try:
+        return [(r.terms, r.rhs, r.source, r.zeroed) for r in family(task, goal, **kwargs)]
+    except GoalUnreachable as exc:
+        return str(exc)
+
+
+def _goal_fact_kinds(task, goal):
+    for g in goal:
+        if g in task.init:
+            yield "true initially"
+        elif task.consumers[g]:
+            yield "consumed"
+        else:
+            yield "producers only" if task.producers[g] else "no producer"
+
+
+def test_task_table_rows_match_rows_built_from_scratch():
+    """Each task's goals, taken forwards and then in reverse with one shared
+    ``TaskTable`` per pass, get the per-goal reference loop's net-change rows
+    and a fresh table's landmark rows (``zeroed`` included) and relaxed plan,
+    or the same error, whichever goal built the table. The hand-made task
+    puts a producers-only goal fact's row between two rows of the table."""
+    cases = []
+    for seed in range(1, 6):
+        spec = SuiteSpec(families=("grid", "blocks", "logistics", "corridor"), per_family=1,
+                         seed=seed, observability=(100,))
+        cases += [(p.task, list(p.hyps.goals)) for p in generated_problems(spec)]
+    for n in range(8, 25, 2):
+        b = bundle_from_texts(open_grid_bundle(n), require_obs=False)
+        cases.append((b.task, list(b.hyps.goals)))
+    rng = random.Random(41)
+    for _ in range(1000):  # some actions cost 0; some goals unreachable
+        num_facts = rng.randint(3, 12)
+        task = make_micro_task(rng, num_facts, rng.randint(1, 16), rng.randint(1, 8))
+        task = replace(task, actions=tuple(replace(a, cost=rng.choice((0, 1, 1, 2)))
+                                           for a in task.actions))
+        cases.append((task, [task.goal] + [frozenset(rng.sample(range(num_facts), rng.randint(1, 3)))
+                                           for _ in range(2)]))
+    # p and r are consumed, q has a producer only, s has no producer
+    acts = (GroundAction(0, "a", frozenset({0}), frozenset({1}), frozenset({0})),
+            GroundAction(1, "b", frozenset({2}), frozenset({0}), frozenset({2})))
+    hand = PlanningTask(facts=("(p)", "(q)", "(r)", "(s)"), actions=acts,
+                        init=frozenset({2}), goal=frozenset({1}))
+    cases.append((hand, [frozenset({1}), frozenset({0, 1}), frozenset({1, 2}),
+                         frozenset({1, 3}), frozenset({3})]))
+    kinds = set()
+    for task, goals in cases:
+        for order in (goals, goals[::-1]):
+            table = TaskTable()
+            for goal in order:
+                assert (_rows_or_error(net_change_constraints, task, goal, table=table)
+                        == _rows_or_error(reference_net_change_constraints, task, goal))
+                landmarks = _rows_or_error(landmark_constraints, task, goal, table=table)
+                assert landmarks == _rows_or_error(landmark_constraints, task, goal)
+                if isinstance(landmarks, str):
+                    kinds.add("relaxed-unreachable")
+                elif goal:
+                    assert relaxed_plan(task, goal, table) == relaxed_plan(task, goal)
+                kinds.update(_goal_fact_kinds(task, goal))
+    assert kinds == {"true initially", "consumed", "producers only", "no producer",
+                     "relaxed-unreachable"}
+    assert net_change_constraints(hand, {1}) == (
+        LinearConstraint(((0, -1), (1, 1)), 0, SRC_NET_CHANGE),
+        LinearConstraint(((0, 1),), 1, SRC_NET_CHANGE),
+        LinearConstraint(((1, -1),), -1, SRC_NET_CHANGE))
 
 
 def test_posthoc_chain(chain):

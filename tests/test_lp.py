@@ -17,7 +17,7 @@ from ocgr.bench import SuiteSpec, generated_problems
 from ocgr.constraints import LinearConstraint, base_constraints, relaxed_plan
 from ocgr.errors import CapExceeded, GoalUnreachable, SolverFailure
 from ocgr.inputs import ObservationSequence, bundle_from_texts
-from ocgr.lp import LinearProgram, compile_rows, solve_lp, solve_with
+from ocgr.lp import Basis, LinearProgram, compile_rows, solve_lp, solve_with
 from ocgr.recognition import recognize
 from references import enumerate_plans, reference_landmark_constraints
 
@@ -210,6 +210,52 @@ def test_start_that_is_not_dual_feasible_still_reaches_the_optimum():
             assert abs(ours.value - ref.value) <= 1e-6
             infeasible_starts += _reduced_costs(lp, other.basis).min() < -1e-7
     assert infeasible_starts >= 5
+
+
+def _warm_state(lp):
+    """The priced state, and the costs, a solve of ``lp`` starts from when
+    ``lp.start`` is a basis, built as ``solve_lp`` builds them."""
+    rows, k = lp_mod._compiled(lp), lp_mod._floors(lp)
+    b = rows.rhs - np.bincount(rows.row, weights=rows.data * k[rows.col], minlength=len(rows.rhs))
+    cost = np.zeros(lp.num_vars + len(b))
+    cost[:lp.num_vars] = lp.objective
+    state, warm = lp_mod._start(lp, rows, b, cost)
+    assert warm
+    return state, cost
+
+
+def _fresh_price(lp, cost):
+    basis = lp.start
+    bx = np.zeros((len(basis.columns), len(basis.columns) + 1))
+    bx[:, :-1] = basis.inverse
+    state = lp_mod._Revised(lp.compiled, lp.num_vars, np.array(basis.columns), bx)
+    state.price(cost)
+    return state.d
+
+
+def test_warm_starts_copy_the_first_pricing_bit_for_bit():
+    """Warm starts from one basis under the same compiled rows and objective,
+    whatever their floors, start from its first pricing, bit for bit a fresh
+    ``_Revised.price``; another objective prices again. An outcome's B^-1 and
+    the kept reduced costs are read-only."""
+    b = bundle_from_texts(open_grid_bundle(10), require_obs=False)
+    task = b.task
+    for goal in b.hyps.goals:
+        base = LinearProgram.from_constraints(base_constraints(task, goal), task.costs)
+        basis = solve_lp(base).basis
+        assert basis.priced is None and not basis.inverse.flags.writeable
+        with pytest.raises(ValueError):
+            basis.inverse[0, 0] = 1.0
+        doubled = replace(base, objective=tuple(2.0 * c for c in base.objective), start=basis)
+        for lp in [replace(base, lower=floors, start=basis)
+                   for floors in ((), ((0, 1),), ((3, 2), (5, 1)))] + [doubled]:
+            state, cost = _warm_state(lp)
+            assert state.d.tobytes() == _fresh_price(lp, cost).tobytes()
+            objective, rows, d = basis.priced
+            assert objective == lp.objective and rows is base.compiled
+            assert state.d is not d and not d.flags.writeable
+            alone = replace(lp, start=Basis(basis.columns, basis.inverse))
+            assert solve_lp(lp) == solve_lp(alone)
 
 
 def _dense_reference(lp):

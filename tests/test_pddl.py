@@ -74,14 +74,14 @@ def test_syntax_error_carries_position():
 def test_undeclared_predicate_in_action():
     text = """(define (domain bad) (:predicates (p))
       (:action a :parameters () :precondition (p) :effect (q)))"""
-    with pytest.raises(PddlParseError, match="undeclared predicate 'q'"):
+    with pytest.raises(PddlParseError, match=r"undeclared predicate 'q' in effect of 'a' \(line 2, col 60\)"):
         parse_domain(text)
 
 
 def test_arity_mismatch_in_action():
     text = """(define (domain bad) (:predicates (p ?x))
       (:action a :parameters (?x) :precondition (p ?x ?x) :effect (p ?x)))"""
-    with pytest.raises(PddlParseError, match="arity"):
+    with pytest.raises(PddlParseError, match=r"arity mismatch .*: expected 1, got 2 \(line 2, col 50\)"):
         parse_domain(text)
 
 
@@ -105,7 +105,7 @@ def test_template_problem_without_goal():
 
 def test_init_with_undeclared_predicate():
     dom = parse_domain(CHAIN_DOMAIN)
-    with pytest.raises(PddlParseError, match="undeclared predicate"):
+    with pytest.raises(PddlParseError, match=r"undeclared predicate 'zzz' in :init \(line 1, col 45\)"):
         parse_problem("(define (problem t) (:domain chain) (:init (zzz)))", dom)
 
 
@@ -117,7 +117,7 @@ def test_undeclared_object_type():
 
 def test_unknown_object_in_atom():
     dom = parse_domain(MOVE_DOMAIN)
-    with pytest.raises(PddlParseError, match="unknown term"):
+    with pytest.raises(PddlParseError, match=r"unknown term 'y' in :init \(line 1, col 58\)"):
         parse_problem("(define (problem t) (:domain mover) (:objects x) (:init (at y)))", dom)
 
 
@@ -362,9 +362,15 @@ def test_parser_outcomes_are_pinned():
     ``(line N, col M)``: 31 "missing (problem <name>) declaration", 19 "missing
     (domain <name>) declaration", 13 "problem file must start with (define
     ...)", 3 "domain file must start with (define ...)"; 5 "nested form as
-    requirement" moved from the ``(:requirements`` to the empty ``()``)."""
+    requirement" moved from the ``(:requirements`` to the empty ``()``), and
+    again when literals were validated with their tokens at hand: 627 errors
+    gained the ``(line N, col M)`` of the literal's predicate, their messages
+    otherwise unchanged (263 domain mutations and rejected inputs, in action
+    bodies: 162 arity mismatches, 76 undeclared predicates, 25 unknown terms;
+    364 template mutations and rejected inputs, in :init: 194 arity
+    mismatches, 110 undeclared predicates, 60 unknown terms)."""
     h = hashlib.sha256()
     for outcome in _parser_outcomes():
         h.update(outcome.encode() + b"\n")
     assert h.hexdigest() == \
-        "72fdeae9f9d9e3ff18166557b68b1b4306bdf244f2d2b34c9a07a5bdada3f211"
+        "583b35c67138b654fc79160e393eac18c64c842c56300905cb0696100ad6029d"

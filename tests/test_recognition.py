@@ -489,19 +489,38 @@ def _arrays(obj, seen):
     elif dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):
             yield from _arrays(getattr(obj, f.name), seen)
+    elif hasattr(obj, "__dict__"):
+        for item in vars(obj).values():
+            yield from _arrays(item, seen)
 
 
 def test_memo_holds_no_dense_matrix():
-    """The base memo keeps compiled rows and B^-1 (m x m, m < n), never an
-    m x n matrix or a tableau."""
+    """The memo keeps the task table, which holds no array, and per goal the
+    compiled rows, B^-1 (m x m, m < n) and the basis's first pricing (n + m
+    reduced costs), never an m x n matrix or a tableau."""
     import ocgr.recognition as rec
 
     b = bundle_from_texts(open_grid_bundle(12), require_obs=False)
     recognize(b.task, b.hyps, _obs(0))
-    entries = list(rec._base_memo(b.task).values())
+    memo = rec._base_memo(b.task)
+    parts = vars(memo.table).values()
+    assert all(part is not None for part in parts) and not list(_arrays(list(parts), set()))
+    entries = list(memo.bases.values())
     assert len(entries) == len(b.hyps.goals)
     for lp, out in entries:
         m, n = len(lp.constraints), lp.num_vars
         arrays = list(_arrays((lp, out), set()))
         assert out.basis is not None and lp.compiled is not None and len(arrays) >= 5
+        assert any(a is out.basis.priced[2] for a in arrays)
         assert max(a.size for a in arrays) < m * n
+
+
+def test_scoring_another_task_drops_the_first_tasks_table():
+    import ocgr.recognition as rec
+
+    first, second = (bundle_from_texts(dict(demo_grid_bundle().files)) for _ in range(2))
+    recognize(first.task, first.hyps, first.obs)
+    table = weakref.ref(rec._base_memo(first.task).table)
+    recognize(second.task, second.hyps, second.obs)
+    gc.collect()
+    assert table() is None
