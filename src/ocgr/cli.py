@@ -230,7 +230,7 @@ def _cmd_heuristic(args: argparse.Namespace) -> int:
             rows = base_constraints(task, goal, (family,))
             out = solve_with(LinearProgram.from_constraints(rows, task.costs), args.backend)
             value = out.value if out.status == "optimal" else out.status
-        except OcgrError:
+        except GoalUnreachable:
             value = "unreachable"
         print(f"lp[{family}] = {value}")
     if args.dump_constraints or args.dump_lp:

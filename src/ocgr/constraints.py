@@ -15,6 +15,7 @@ what the test suite checks against enumerated plans.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Iterable, NamedTuple, Sequence
@@ -90,23 +91,24 @@ class _LmCutSetup(NamedTuple):
 class _NetChange(NamedTuple):
     """The net-change rows of the empty goal, in fact order: one per fact
     with a guaranteed consumer. Fact f's row, if it has one, is
-    ``rows[start[f]]``, and it has one when ``start[f + 1] > start[f]``."""
+    ``rows[start[f]]``, and it has one when ``start[f + 1] > start[f]``;
+    ``producers[f]`` lists the actions adding f without requiring it."""
 
     rows: tuple[LinearConstraint, ...]
     start: tuple[int, ...]
+    producers: tuple[tuple[int, ...], ...]
 
 
-class TaskTable:
+class _TaskTable:
     """What the constraint rows of every goal of one task share: LM-cut's
-    set-up, each fact's relaxed-plan achiever and the goal-free net-change
-    rows. Each part is built on first use from the task passed in, which must
-    be the task the table was made for. The table does not hold the task, so
-    a memo may keep it while holding the task weakly. Threads may build a
-    part at once; they store equal parts."""
+    set-up, each fact's relaxed-plan ``achiever`` (-1 until ``relaxed_plan``
+    first needs it) and the goal-free net-change rows. Each part is built on
+    first use from the task it is asked with, which is the task ``_table``
+    made it for; it does not hold the task."""
 
-    def __init__(self) -> None:
+    def __init__(self, num_facts: int) -> None:
+        self.achiever = [-1] * num_facts
         self._lmcut: _LmCutSetup | None = None
-        self._achiever: list[int] | None = None
         self._net_change: _NetChange | None = None
 
     def lmcut(self, task: PlanningTask) -> _LmCutSetup:
@@ -121,31 +123,46 @@ class TaskTable:
                 task.adds + ((task.num_facts,),), task.adders + ((task.num_actions,),))
         return self._lmcut
 
-    def achiever(self, task: PlanningTask) -> list[int]:
-        """Each fact's relaxed-plan achiever, -1 until ``relaxed_plan`` first
-        needs it."""
-        if self._achiever is None:
-            self._achiever = [-1] * task.num_facts
-        return self._achiever
-
     def net_change(self, task: PlanningTask) -> _NetChange:
         if self._net_change is None:
+            # per fact, in action (so id) order: producers +1 (add without
+            # pre) and consumers -1 (pre and del); no action is both for a fact
+            terms: list[list[tuple[int, int]]] = [[] for _ in range(task.num_facts)]
+            for a in task.actions:
+                for f in a.adds - a.pre:
+                    terms[f].append((a.id, 1))
+                for f in a.dels & a.pre:
+                    terms[f].append((a.id, -1))
             rows: list[LinearConstraint] = []
             start = [0]
-            for f, consumers in enumerate(task.consumers):
-                if consumers:
-                    terms = sorted([(a, 1) for a in task.producers[f]]
-                                   + [(a, -1) for a in consumers])
-                    rows.append(LinearConstraint(terms=tuple(terms),
+            for f, fact_terms in enumerate(terms):
+                if any(c < 0 for _, c in fact_terms):
+                    rows.append(LinearConstraint(terms=tuple(fact_terms),
                                                  rhs=-1 if f in task.init else 0,
                                                  source=SRC_NET_CHANGE))
                 start.append(len(rows))
-            self._net_change = _NetChange(tuple(rows), tuple(start))
+            producers = tuple(tuple(a for a, c in fact_terms if c > 0) for fact_terms in terms)
+            self._net_change = _NetChange(tuple(rows), tuple(start), producers)
         return self._net_change
 
 
-def relaxed_plan(task: PlanningTask, goal: Iterable[int],
-                 table: TaskTable | None = None) -> frozenset[int]:
+# The table of the task whose rows were built last, with that task held
+# weakly and matched by identity (tasks are frozen). One pair is read and
+# replaced whole, so threads that race build at worst a second, equal table.
+_last: tuple[weakref.ref, _TaskTable] | None = None
+
+
+def _table(task: PlanningTask) -> _TaskTable:
+    """The table for ``task``, fresh unless ``task`` is the task rows were
+    built for last."""
+    global _last
+    last = _last
+    if last is None or last[0]() is not task:
+        last = _last = (weakref.ref(task), _TaskTable(task.num_facts))
+    return last[1]
+
+
+def relaxed_plan(task: PlanningTask, goal: Iterable[int]) -> frozenset[int]:
     """The actions of one relaxed plan for a relaxed-reachable ``goal``, read
     off ``task.init_hmax``; LM-cut takes its crash columns from it.
 
@@ -153,13 +170,13 @@ def relaxed_plan(task: PlanningTask, goal: Iterable[int],
     its h_max achiever (cost plus largest precondition value equal to the
     fact's value, lowest action index on ties), whose preconditions not true
     initially are walked in turn. Each fact's achiever depends only on the
-    task, so ``table`` keeps it for the task's later goals, and the plan
+    task, so the task's table keeps it for its later goals, and the plan
     depends only on the task and the goal. With zero-cost actions a
     precondition can share its fact's value and the walk can close a cycle
     rather than a plan; that changes only which crash columns are taken.
     """
     values, init, costs, pres = task.init_hmax, task.init, task.costs, task.pres
-    achiever = (TaskTable() if table is None else table).achiever(task)
+    achiever = _table(task).achiever
     stack = list(set(goal) - init)
     seen = set(stack)
     plan: set[int] = set()
@@ -178,8 +195,7 @@ def relaxed_plan(task: PlanningTask, goal: Iterable[int],
     return frozenset(plan)
 
 
-def landmark_constraints(task: PlanningTask, goal: Iterable[int],
-                         table: TaskTable | None = None) -> tuple[LinearConstraint, ...]:
+def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[LinearConstraint, ...]:
     """Disjunctive action landmarks via justification-graph cut rounds.
 
     Each action's supporter is its maximum-h_max precondition among those not
@@ -204,9 +220,9 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int],
     which the base LP's crash start relies on.
 
     Only round one's h_max values are a full pass (the task's ``init_hmax``),
-    so every action's round-one supporter depends only on the task: ``table``
-    keeps them, with the preconditions not true initially, for the task's
-    later goals; only the virtual goal action's is the goal's own.
+    so every action's round-one supporter depends only on the task: the
+    task's table keeps them, with the preconditions not true initially, for
+    its later goals; only the virtual goal action's is the goal's own.
     After a cut, values can only fall, and an action's maximum precondition
     value moves only when its supporter's value falls. So each later round
     propagates only the drops, in Dijkstra order from the cut actions' add
@@ -219,17 +235,15 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int],
         return ()
     goal_node = task.num_facts
     num_nodes = task.num_facts + 1
-    # Round one runs on the original costs: the task's table, and the goal
+    # Round one runs on the original costs: the task's init_hmax, and the goal
     # node's value is that of its virtual action, the largest goal value.
     values = [*task.init_hmax, max(task.init_hmax[g] for g in goal)]
     if values[goal_node] == INF:
         raise GoalUnreachable("goal unreachable in the delete relaxation")
     if values[goal_node] == 0:
         return ()
-    if table is None:
-        table = TaskTable()
-    setup = table.lmcut(task)
-    plan = relaxed_plan(task, goal, table)
+    setup = _table(task).lmcut(task)
+    plan = relaxed_plan(task, goal)
     # a virtual goal action (id num_a, cost 0) adds the goal node; only
     # preconditions not true initially can be supporters
     goal_pre = tuple(sorted(goal - task.init))
@@ -324,19 +338,18 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int],
     return tuple(out)
 
 
-def net_change_constraints(task: PlanningTask, goal: Iterable[int],
-                           table: TaskTable | None = None) -> tuple[LinearConstraint, ...]:
+def net_change_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[LinearConstraint, ...]:
     """Lower-bound state-change rows, one per fact with any terms or demand,
     in fact order.
 
     Guaranteed producers (add without pre) count +1, guaranteed consumers
     (delete with pre) count -1; may-consumers are left out so every plan
     stays feasible. rhs = [fact in goal] - [fact in init]. Without demand a
-    row is kept only when it has a consumer, so the goal-free rows in
-    ``table`` are every row but the goal facts': a goal fact's row takes
+    row is kept only when it has a consumer, so the goal-free rows in the
+    task's table are every row but the goal facts': a goal fact's row takes
     rhs 1 - [fact in init], and one with producers only is added.
     """
-    rows, start = (TaskTable() if table is None else table).net_change(task)
+    rows, start, producers = _table(task).net_change(task)
     out = list(rows)
     added: list[tuple[int, LinearConstraint]] = []
     for g in sorted(set(goal)):
@@ -345,10 +358,10 @@ def net_change_constraints(task: PlanningTask, goal: Iterable[int],
         if start[g + 1] > at:
             out[at] = LinearConstraint(terms=rows[at].terms, rhs=rhs, source=SRC_NET_CHANGE)
         elif rhs > 0:
-            if not task.producers[g]:
+            if not producers[g]:
                 raise GoalUnreachable(
                     f"goal fact {task.facts[g]} has no producer and is not initially true")
-            added.append((at, LinearConstraint(terms=tuple((a, 1) for a in task.producers[g]),
+            added.append((at, LinearConstraint(terms=tuple((a, 1) for a in producers[g]),
                                                rhs=rhs, source=SRC_NET_CHANGE)))
     for at, row in reversed(added):
         out.insert(at, row)
@@ -387,10 +400,8 @@ def posthoc_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linear
 
 
 def base_constraints(task: PlanningTask, goal: Iterable[int],
-                     families: Iterable[str] = ALL_FAMILIES,
-                     table: TaskTable | None = None) -> tuple[LinearConstraint, ...]:
-    """Concatenation of the selected families, in a fixed order; ``table``,
-    made for ``task``, carries what they share to the task's later goals."""
+                     families: Iterable[str] = ALL_FAMILIES) -> tuple[LinearConstraint, ...]:
+    """Concatenation of the selected families, in a fixed order."""
     chosen = set(families)
     unknown = chosen - set(ALL_FAMILIES)
     if unknown:
@@ -400,9 +411,9 @@ def base_constraints(task: PlanningTask, goal: Iterable[int],
     goal = frozenset(goal)
     rows: tuple[LinearConstraint, ...] = ()
     if FAMILY_LANDMARKS in chosen:
-        rows += landmark_constraints(task, goal, table=table)
+        rows += landmark_constraints(task, goal)
     if FAMILY_NET_CHANGE in chosen:
-        rows += net_change_constraints(task, goal, table=table)
+        rows += net_change_constraints(task, goal)
     if FAMILY_POST_HOC in chosen:
         rows += posthoc_constraints(task, goal)
     return rows

@@ -101,16 +101,6 @@ class PlanningTask:
         return self._by_fact(lambda a: a.pre)
 
     @cached_property
-    def producers(self) -> tuple[tuple[int, ...], ...]:
-        """For each fact, the ids of actions adding it without requiring it."""
-        return self._by_fact(lambda a: a.adds - a.pre)
-
-    @cached_property
-    def consumers(self) -> tuple[tuple[int, ...], ...]:
-        """For each fact, the ids of actions with it in both pre and del."""
-        return self._by_fact(lambda a: a.dels & a.pre)
-
-    @cached_property
     def costs(self) -> tuple[int, ...]:
         return tuple(a.cost for a in self.actions)
 

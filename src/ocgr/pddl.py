@@ -97,11 +97,13 @@ def _name(node: object, what: str) -> str:
     return str(node)
 
 
-def _parse_typed_list(items: list[object], what: str) -> list[tuple[str, str]]:
+def _parse_typed_list(items: list[object], what: str) -> list[tuple[Sym, Sym | str]]:
     """Parse ``a b - t c d`` into [(a, t), (b, t), (c, object), (d, object)]:
-    each name takes the type after the next ``-``, or ``object`` if none follows."""
-    out: list[tuple[str, str]] = []
-    pending: list[str] = []
+    each name takes the type after the next ``-``, or ``object`` if none
+    follows. Names and written types stay tokens, so a check of either can
+    point at it."""
+    out: list[tuple[Sym, Sym | str]] = []
+    pending: list[Sym] = []
     i = 0
     while i < len(items):
         tok = items[i]
@@ -110,13 +112,13 @@ def _parse_typed_list(items: list[object], what: str) -> list[tuple[str, str]]:
         if tok == "-":
             if i + 1 >= len(items) or not isinstance(items[i + 1], Sym):
                 raise PddlParseError(f"missing type after '-' in {what} list", tok.line, tok.col)
-            typ = str(items[i + 1])
+            typ = items[i + 1]
             for name in pending:
                 out.append((name, typ))
             pending = []
             i += 2
             continue
-        pending.append(str(tok))
+        pending.append(tok)
         i += 1
     for name in pending:
         out.append((name, ROOT_TYPE))
@@ -276,8 +278,9 @@ def parse_domain(text: str) -> DomainDef:
     requirements: tuple[str, ...] = ()
     types: dict[str, str] = {}
     predicates: dict[str, tuple[str, ...]] = {}
-    constants: list[tuple[str, str]] = []
+    constants: list[tuple[Sym, Sym | str]] = []
     operators: list[OperatorSchema] = []
+    typed: list[tuple[str, Sym | str]] = []  # (what, type token), checked after all sections
 
     for head, section in sections:
         if head == ":requirements":
@@ -288,8 +291,8 @@ def parse_domain(text: str) -> DomainDef:
                         f"requirement '{r}' is not supported", *_pos(section))
         elif head == ":types":
             for child, parent in _parse_typed_list(section[1:], "types"):
-                types[child] = parent
-                types.setdefault(parent, ROOT_TYPE)
+                types[str(child)] = str(parent)
+                types.setdefault(str(parent), ROOT_TYPE)
             types.pop(ROOT_TYPE, None)
         elif head == ":constants":
             constants.extend(_parse_typed_list(section[1:], "constants"))
@@ -301,12 +304,13 @@ def parse_domain(text: str) -> DomainDef:
                 if pname in predicates:
                     raise PddlParseError(f"duplicate predicate '{pname}'", *_pos(p))
                 params = _parse_typed_list(p[1:], f"predicate '{pname}'")
-                predicates[pname] = tuple(t for _, t in params)
+                predicates[pname] = tuple(str(t) for _, t in params)
         elif head == ":action":
-            schema = _parse_action(section, predicates, constants)
+            schema, params = _parse_action(section, predicates, constants)
             if any(s.name == schema.name for s in operators):
                 raise PddlParseError(f"duplicate action '{schema.name}'", *_pos(section))
             operators.append(schema)
+            typed += ((f"parameter of action '{schema.name}'", t) for _, t in params)
         else:
             raise UnsupportedFeatureError(
                 f"domain section '{head}' is not supported", *_pos(section))
@@ -319,27 +323,27 @@ def parse_domain(text: str) -> DomainDef:
             typ = types.get(typ, ROOT_TYPE)
         if typ != ROOT_TYPE:
             raise PddlParseError(f"cyclic type hierarchy through '{typ}'")
+    # a type left out is the root, which is known, so an unknown one is a token
     known_types = set(types) | {ROOT_TYPE}
-    for schema in operators:
-        for _, typ in schema.params:
-            if typ not in known_types:
-                raise PddlParseError(
-                    f"parameter of action '{schema.name}' has undeclared type '{typ}'")
-    for cname, ctype in constants:
-        if ctype not in known_types:
-            raise PddlParseError(f"constant '{cname}' has undeclared type '{ctype}'")
+    for what, typ in typed + [(f"constant '{c}'", t) for c, t in constants]:
+        if typ not in known_types:
+            raise PddlParseError(f"{what} has undeclared type '{typ}'", *_pos(typ))
 
     return DomainDef(name=name, types=types, predicates=predicates,
-                     operators=tuple(operators), constants=tuple(constants),
+                     operators=tuple(operators),
+                     constants=tuple((str(c), str(t)) for c, t in constants),
                      requirements=requirements)
 
 
 def _parse_action(section: list[object], predicates: dict[str, tuple[str, ...]],
-                  constants: list[tuple[str, str]]) -> OperatorSchema:
+                  constants: list[tuple[Sym, Sym | str]]
+                  ) -> tuple[OperatorSchema, list[tuple[Sym, Sym | str]]]:
+    """The schema, and its parameters as tokens, whose types the caller
+    checks once every type is declared."""
     if len(section) < 2 or not isinstance(section[1], Sym):
         raise PddlParseError("action without a name", *_pos(section))
     name = str(section[1])
-    params: tuple[tuple[str, str], ...] = ()
+    params: list[tuple[Sym, Sym | str]] = []
     pre: list[tuple[Sym, ...]] = []
     adds: list[tuple[Sym, ...]] = []
     dels: list[tuple[Sym, ...]] = []
@@ -359,13 +363,16 @@ def _parse_action(section: list[object], predicates: dict[str, tuple[str, ...]],
         if k == ":parameters":
             if not isinstance(value, list):
                 raise PddlParseError(f"malformed parameters of '{name}'", key.line, key.col)
-            params = tuple(_parse_typed_list(value, f"parameters of '{name}'"))
+            params = _parse_typed_list(value, f"parameters of '{name}'")
             names = [v for v, _ in params]
-            if len(names) != len(set(names)):
-                raise PddlParseError(f"duplicate parameter name in action '{name}'")
-            for v, _ in params:
+            for j, v in enumerate(names):
+                if v in names[:j]:
+                    raise PddlParseError(f"duplicate parameter name in action '{name}'",
+                                         v.line, v.col)
+            for v in names:
                 if not v.startswith("?"):
-                    raise PddlParseError(f"parameter '{v}' of '{name}' must start with '?'")
+                    raise PddlParseError(f"parameter '{v}' of '{name}' must start with '?'",
+                                         v.line, v.col)
         elif k == ":precondition":
             pre = _parse_precondition(value, name)
         elif k == ":effect":
@@ -376,10 +383,10 @@ def _parse_action(section: list[object], predicates: dict[str, tuple[str, ...]],
 
     known_terms = {v for v, _ in params} | {c for c, _ in constants}
     return OperatorSchema(
-        name=name, params=params,
+        name=name, params=tuple((str(v), str(t)) for v, t in params),
         pre=_validate_literals(pre, predicates, known_terms, f"precondition of '{name}'"),
         add=_validate_literals(adds, predicates, known_terms, f"effect of '{name}'"),
-        delete=_validate_literals(dels, predicates, known_terms, f"effect of '{name}'"))
+        delete=_validate_literals(dels, predicates, known_terms, f"effect of '{name}'")), params
 
 
 def parse_problem(text: str, dom: DomainDef) -> ProblemDef:
@@ -404,8 +411,8 @@ def parse_problem(text: str, dom: DomainDef) -> ProblemDef:
             for oname, otype in _parse_typed_list(section[1:], "objects"):
                 if otype not in known_types:
                     raise PddlParseError(
-                        f"object '{oname}' has undeclared type '{otype}'", *_pos(section))
-                objects.append((oname, otype))
+                        f"object '{oname}' has undeclared type '{otype}'", *_pos(otype))
+                objects.append((str(oname), str(otype)))
         elif head == ":init":
             for part in section[1:]:
                 if isinstance(part, list) and part and part[0] == "not":

@@ -24,7 +24,7 @@ import weakref
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
-from .constraints import ALL_FAMILIES, LinearConstraint, TaskTable, base_constraints
+from .constraints import ALL_FAMILIES, LinearConstraint, base_constraints
 from .errors import GoalUnreachable, SolverFailure
 from .grounding import PlanningTask
 from .inputs import GoalHypotheses, ObservationSequence
@@ -79,49 +79,39 @@ class RecognitionReport:
 
 
 # The task scored last, held weakly and matched by identity (tasks are
-# frozen), with its memo: the ``TaskTable`` of what every goal's rows share
-# (LM-cut's set-up, relaxed-plan achievers, the goal-free net-change rows),
-# and per-goal base results keyed by (goal, families, backend): the base LP
-# with its compiled rows and its LpOutcome (with the optimal basis the h_hc
-# solves start from, which keeps its first pricing), or the reason the goal
-# is relaxed-unreachable. h depends only on the task and the goal, so
-# re-scoring that task with other observations solves only the h_hc LPs.
-# One task at a time keeps memory flat when a caller holds many tasks, and
-# the table holds no task, so a dropped task is freed. The lock lets library
-# callers score from their own threads.
-@dataclass(eq=False)
-class _TaskMemo:
-    table: TaskTable = field(default_factory=TaskTable)
-    bases: dict = field(default_factory=dict)
-
-
+# frozen), with its per-goal base results keyed by (goal, families,
+# backend): the base LP with its compiled rows and its LpOutcome (with the
+# optimal basis the h_hc solves start from, which keeps its first pricing),
+# or the reason the goal is relaxed-unreachable. h depends only on the task
+# and the goal, so re-scoring that task with other observations solves only
+# the h_hc LPs. One task at a time keeps memory flat when a caller holds many
+# tasks, and a dropped task is freed. The lock lets library callers score
+# from their own threads.
 _memo_lock = threading.Lock()
-_memo_task: weakref.ref | None = None
-_memo = _TaskMemo()
+_memo: tuple[weakref.ref, dict] | None = None
 
 
-def _base_memo(task: PlanningTask) -> _TaskMemo:
-    """The memo for ``task``, fresh unless ``task`` was the one scored last."""
-    global _memo_task, _memo
+def _base_memo(task: PlanningTask) -> dict:
+    """The base results of ``task``, empty unless ``task`` was the one scored last."""
+    global _memo
     with _memo_lock:
-        if _memo_task is None or _memo_task() is not task:
-            _memo_task, _memo = weakref.ref(task), _TaskMemo()
-        return _memo
+        if _memo is None or _memo[0]() is not task:
+            _memo = (weakref.ref(task), {})
+        return _memo[1]
 
 
 def _base(task: PlanningTask, goal_index: int, goal: frozenset[int],
-          config: RecognizerConfig, memo: _TaskMemo
+          config: RecognizerConfig, bases: dict
           ) -> tuple[tuple[LinearProgram, LpOutcome] | str, float, float]:
-    """The memo entry of ``goal``, built and stored on a miss, with the
-    seconds spent on constraints and on the LP."""
+    """The entry of ``goal`` in ``bases``, built and stored on a miss, with
+    the seconds spent on constraints and on the LP."""
     key = (goal, frozenset(config.families), config.backend)
-    bases = memo.bases
     if key in bases:
         return bases[key], 0.0, 0.0
     # Threads scoring equal goals may both get here; they store equal entries.
     t0 = time.perf_counter()
     try:
-        base = base_constraints(task, goal, config.families, memo.table)
+        base = base_constraints(task, goal, config.families)
     except GoalUnreachable as exc:
         reason = bases[key] = str(exc)
         return reason, time.perf_counter() - t0, 0.0
@@ -149,9 +139,9 @@ def base_rows(task: PlanningTask, goal: Iterable[int],
 
 
 def _score_one(task: PlanningTask, goal_index: int, goal: frozenset[int],
-               obs: ObservationSequence, config: RecognizerConfig, memo: _TaskMemo
+               obs: ObservationSequence, config: RecognizerConfig, bases: dict
                ) -> tuple[HypothesisScore, float, float]:
-    entry, t_cons, t_lp = _base(task, goal_index, goal, config, memo)
+    entry, t_cons, t_lp = _base(task, goal_index, goal, config, bases)
     if isinstance(entry, str) or entry[1].status == INFEASIBLE:
         return HypothesisScore(goal_index, INF, INF, INF), t_cons, t_lp
 
@@ -186,8 +176,8 @@ def score_all(task: PlanningTask, hyps: GoalHypotheses, obs: ObservationSequence
 
     Base results (h) are reused from an earlier call on the same task object.
     """
-    memo = _base_memo(task)
-    results = [_score_one(task, i, g, obs, config, memo) for i, g in enumerate(hyps.goals)]
+    bases = _base_memo(task)
+    results = [_score_one(task, i, g, obs, config, bases) for i, g in enumerate(hyps.goals)]
     scores = tuple(r[0] for r in results)
     timings = {"constraints": sum(r[1] for r in results),
                "lp": sum(r[2] for r in results)}

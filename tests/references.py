@@ -7,9 +7,10 @@ writing a suite manifest back out, the two-pass s-expression reader
 (tokenize, then read the tree recursively) that ``pddl.parse_sexpr`` is
 compared against, LM-cut with a full h_max pass per round that
 ``constraints.landmark_constraints`` is compared against, and the per-goal
-net-change loop over every fact that ``constraints.net_change_constraints``,
-which reads a task's goal-free rows from its ``TaskTable``, is compared
-against.
+net-change loop over every fact, with each fact's producers and consumers
+derived here, that ``constraints.net_change_constraints``, which reads a
+task's goal-free rows from the table ``constraints`` keeps for the task
+whose rows it built last, is compared against.
 """
 
 from __future__ import annotations
@@ -262,6 +263,20 @@ def reference_landmark_constraints(task: PlanningTask, goal: Iterable[int],
     return tuple(out)
 
 
+def producers_and_consumers(task: PlanningTask
+                            ) -> tuple[list[list[int]], list[list[int]]]:
+    """For each fact, the ids of the actions adding it without requiring it,
+    and the ids of those with it in both pre and del."""
+    producers: list[list[int]] = [[] for _ in task.facts]
+    consumers: list[list[int]] = [[] for _ in task.facts]
+    for a in task.actions:
+        for f in a.adds - a.pre:
+            producers[f].append(a.id)
+        for f in a.dels & a.pre:
+            consumers[f].append(a.id)
+    return producers, consumers
+
+
 def reference_net_change_constraints(task: PlanningTask, goal: Iterable[int]
                                      ) -> tuple[LinearConstraint, ...]:
     """Lower-bound state-change rows built from scratch for one goal, one per
@@ -271,10 +286,11 @@ def reference_net_change_constraints(task: PlanningTask, goal: Iterable[int]
     (delete with pre) count -1. rhs = [fact in goal] - [fact in init].
     """
     goal = frozenset(goal)
+    producers, consumers = producers_and_consumers(task)
     out: list[LinearConstraint] = []
     for f in range(task.num_facts):
         rhs = (1 if f in goal else 0) - (1 if f in task.init else 0)
-        terms = [(a, 1) for a in task.producers[f]] + [(a, -1) for a in task.consumers[f]]
+        terms = [(a, 1) for a in producers[f]] + [(a, -1) for a in consumers[f]]
         if not terms:
             if rhs > 0:
                 raise GoalUnreachable(

@@ -106,6 +106,16 @@ def test_recognize_solver_failure_exits_3(demo_dir, capsys, monkeypatch):
     assert "injected" in capsys.readouterr().err
 
 
+def test_heuristic_solver_failure_exits_3(demo_dir, capsys, monkeypatch):
+    """A family's LP that hits the pivot cap is a solver failure, not an
+    unreachable goal."""
+    monkeypatch.setattr(lp, "_limits", lambda m, n: (2 * (m + n), 0))
+    assert main(["heuristic", "-b", str(demo_dir), "--goal-index", "0"]) == 3
+    captured = capsys.readouterr()
+    assert "unreachable" not in captured.out
+    assert captured.err.startswith("solver error: simplex ")
+
+
 @pytest.mark.parametrize("command", ["recognize", "heuristic"])
 def test_unknown_backend_exits_2_before_loading(tmp_path, demo_dir, capsys, command):
     for bundle in (demo_dir, tmp_path / "missing"):

@@ -9,7 +9,7 @@ import ocgr.constraints
 from conftest import ISLAND_BUNDLE, make_micro_task, open_grid_bundle, plan_counts
 from ocgr.bench import SuiteSpec, generated_problems
 from ocgr.constraints import (ALL_FAMILIES, INF, SRC_LANDMARK, SRC_NET_CHANGE,
-                              SRC_POST_HOC, LinearConstraint, TaskTable,
+                              SRC_POST_HOC, LinearConstraint,
                               base_constraints, dump_constraints, hmax,
                               landmark_constraints, net_change_constraints,
                               posthoc_constraints, relaxed_plan)
@@ -18,8 +18,8 @@ from ocgr.grounding import GroundAction, PlanningTask
 from ocgr.inputs import bundle_from_texts
 from ocgr.lp import LinearProgram, solve_lp
 from ocgr.oracle import optimal_cost
-from references import (enumerate_plans, reference_landmark_constraints,
-                        reference_net_change_constraints)
+from references import (enumerate_plans, producers_and_consumers,
+                        reference_landmark_constraints, reference_net_change_constraints)
 
 
 def test_hmax_chain(chain):
@@ -333,21 +333,31 @@ def _rows_or_error(family, task, goal, **kwargs):
 
 
 def _goal_fact_kinds(task, goal):
+    producers, consumers = producers_and_consumers(task)
     for g in goal:
         if g in task.init:
             yield "true initially"
-        elif task.consumers[g]:
+        elif consumers[g]:
             yield "consumed"
         else:
-            yield "producers only" if task.producers[g] else "no producer"
+            yield "producers only" if producers[g] else "no producer"
+
+
+def _rows_from_scratch(task, goal):
+    """``goal``'s base rows (``zeroed`` included) or error, and its relaxed
+    plan, built for a new copy of ``task``, which gets a table of its own."""
+    fresh = replace(task)
+    rows = _rows_or_error(base_constraints, fresh, goal)
+    return rows, (relaxed_plan(fresh, goal) if goal and not isinstance(rows, str) else None)
 
 
 def test_task_table_rows_match_rows_built_from_scratch():
-    """Each task's goals, taken forwards and then in reverse with one shared
-    ``TaskTable`` per pass, get the per-goal reference loop's net-change rows
-    and a fresh table's landmark rows (``zeroed`` included) and relaxed plan,
-    or the same error, whichever goal built the table. The hand-made task
-    puts a producers-only goal fact's row between two rows of the table."""
+    """Each task's goals, taken forwards and then in reverse, with the tasks
+    interleaved in pairs as A, B, A, B, get the base rows and the relaxed
+    plan that a new copy of the task gets, or the same error, whichever goal
+    built the task's table, and the per-goal reference loop's net-change
+    rows. The hand-made task puts a producers-only goal fact's row between
+    two rows of the table."""
     cases = []
     for seed in range(1, 6):
         spec = SuiteSpec(families=("grid", "blocks", "logistics", "corridor"), per_family=1,
@@ -372,19 +382,21 @@ def test_task_table_rows_match_rows_built_from_scratch():
     cases.append((hand, [frozenset({1}), frozenset({0, 1}), frozenset({1, 2}),
                          frozenset({1, 3}), frozenset({3})]))
     kinds = set()
-    for task, goals in cases:
-        for order in (goals, goals[::-1]):
-            table = TaskTable()
-            for goal in order:
-                assert (_rows_or_error(net_change_constraints, task, goal, table=table)
-                        == _rows_or_error(reference_net_change_constraints, task, goal))
-                landmarks = _rows_or_error(landmark_constraints, task, goal, table=table)
-                assert landmarks == _rows_or_error(landmark_constraints, task, goal)
-                if isinstance(landmarks, str):
-                    kinds.add("relaxed-unreachable")
-                elif goal:
-                    assert relaxed_plan(task, goal, table) == relaxed_plan(task, goal)
-                kinds.update(_goal_fact_kinds(task, goal))
+    for i in range(0, len(cases), 2):
+        pair = (cases[i], cases[(i + 1) % len(cases)])
+        expected = [{goal: _rows_from_scratch(task, goal) for goal in goals}
+                    for task, goals in pair]
+        for reverse in (False, True):
+            for (task, goals), rows in zip(pair, expected):
+                for goal in (goals[::-1] if reverse else goals):
+                    got = _rows_or_error(base_constraints, task, goal)
+                    plan = relaxed_plan(task, goal) if goal and not isinstance(got, str) else None
+                    assert (got, plan) == rows[goal]
+                    reference = _rows_or_error(reference_net_change_constraints, task, goal)
+                    assert _rows_or_error(net_change_constraints, task, goal) == reference
+                    if isinstance(_rows_or_error(landmark_constraints, task, goal), str):
+                        kinds.add("relaxed-unreachable")
+                    kinds.update(_goal_fact_kinds(task, goal))
     assert kinds == {"true initially", "consumed", "producers only", "no producer",
                      "relaxed-unreachable"}
     assert net_change_constraints(hand, {1}) == (

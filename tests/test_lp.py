@@ -395,6 +395,35 @@ def test_every_returned_basis_inverts_its_columns(monkeypatch):
         _assert_basis_holds(lp, out)
 
 
+def test_recognition_starts_every_simplex_solve_dual_feasible(monkeypatch):
+    """Every start recognition gives the simplex, each base LP's landmark
+    crash and each h_hc LP's warm basis, prices no reduced cost below -EPS,
+    so none is clamped: on the four families (seeds 1-3) and the open 8-12
+    grids, at several prefixes of the observations."""
+    starts = []
+    real = lp_mod._start
+
+    def spy(lp, rows, b, cost):
+        state, warm = real(lp, rows, b, cost)
+        starts.append((warm, float(state.d.min())))
+        return state, warm
+
+    monkeypatch.setattr(lp_mod, "_start", spy)
+    for seed in (1, 2, 3):
+        spec = SuiteSpec(families=("grid", "blocks", "logistics", "corridor"), per_family=1,
+                         seed=seed, observability=(10, 30, 50, 70, 100))
+        for p in generated_problems(spec):
+            for k in sorted({0, len(p.obs) // 2, len(p.obs)}):
+                recognize(p.task, p.hyps, ObservationSequence(p.obs.obs[:k]))
+    for n in (8, 10, 12):
+        bundle = bundle_from_texts(open_grid_bundle(n), require_obs=False)
+        walks = [bundle.task.action_index[f"walk c0_{y} c0_{y + 1}"] for y in range(n - 1)]
+        for k in range(0, n, 3):
+            recognize(bundle.task, bundle.hyps, ObservationSequence(tuple(walks[:k])))
+    assert sum(warm for warm, _ in starts) > 500 and sum(not warm for warm, _ in starts) > 40
+    assert min(d for _, d in starts) >= -lp_mod.EPS
+
+
 class _BaseCase(NamedTuple):
     lp: LinearProgram
     minima: tuple[int, ...]  # the cut minimum of each landmark row

@@ -16,7 +16,7 @@ from ocgr.errors import SolverFailure
 from ocgr.generators import demo_grid_bundle
 from ocgr.inputs import (GoalHypotheses, ObservationSequence, bundle_from_texts,
                          load_bundle)
-from ocgr.lp import Basis, LinearProgram, solve_lp, solve_with
+from ocgr.lp import Basis, LinearProgram, LpOutcome, solve_lp, solve_with
 from ocgr.oracle import Plan, optimal_cost
 from ocgr.recognition import (INF, METHODS, RecognizerConfig, base_rows,
                               recognize, report_from_dict, report_to_dict,
@@ -495,19 +495,21 @@ def _arrays(obj, seen):
 
 
 def test_memo_holds_no_dense_matrix():
-    """The memo keeps the task table, which holds no array, and per goal the
-    compiled rows, B^-1 (m x m, m < n) and the basis's first pricing (n + m
-    reduced costs), never an m x n matrix or a tableau."""
+    """The memo keeps per goal only the base LP and its outcome: the compiled
+    rows, B^-1 (m x m, m < n) and the basis's first pricing (n + m reduced
+    costs), never the constraints' task table, an m x n matrix or a tableau.
+    The table holds no array."""
+    import ocgr.constraints as cons
     import ocgr.recognition as rec
 
     b = bundle_from_texts(open_grid_bundle(12), require_obs=False)
     recognize(b.task, b.hyps, _obs(0))
-    memo = rec._base_memo(b.task)
-    parts = vars(memo.table).values()
+    parts = vars(cons._table(b.task)).values()
     assert all(part is not None for part in parts) and not list(_arrays(list(parts), set()))
-    entries = list(memo.bases.values())
-    assert len(entries) == len(b.hyps.goals)
-    for lp, out in entries:
+    memo = rec._base_memo(b.task)
+    assert type(memo) is dict and len(memo) == len(b.hyps.goals)
+    for lp, out in memo.values():
+        assert type(lp) is LinearProgram and type(out) is LpOutcome
         m, n = len(lp.constraints), lp.num_vars
         arrays = list(_arrays((lp, out), set()))
         assert out.basis is not None and lp.compiled is not None and len(arrays) >= 5
@@ -516,11 +518,11 @@ def test_memo_holds_no_dense_matrix():
 
 
 def test_scoring_another_task_drops_the_first_tasks_table():
-    import ocgr.recognition as rec
+    import ocgr.constraints as cons
 
     first, second = (bundle_from_texts(dict(demo_grid_bundle().files)) for _ in range(2))
     recognize(first.task, first.hyps, first.obs)
-    table = weakref.ref(rec._base_memo(first.task).table)
+    table = weakref.ref(cons._table(first.task))
     recognize(second.task, second.hyps, second.obs)
     gc.collect()
     assert table() is None
