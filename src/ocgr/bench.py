@@ -76,7 +76,8 @@ class SuiteSpec:
                 raise ValueError(f"unknown method '{m}'")
         for f in self.families:
             if f not in GENERATORS:
-                raise ValueError(f"unknown generator family '{f}'")
+                raise ValueError(f"unknown generator family '{f}' "
+                                 f"(choose from {', '.join(sorted(GENERATORS))})")
         if not self.bundles and not self.families:
             raise ValueError("suite lists neither bundles nor generator families")
 

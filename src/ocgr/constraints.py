@@ -15,6 +15,7 @@ what the test suite checks against enumerated plans.
 
 from __future__ import annotations
 
+import threading
 import weakref
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -147,8 +148,11 @@ class _TaskTable:
 
 
 # The table of the task whose rows were built last, with that task held
-# weakly and matched by identity (tasks are frozen). One pair is read and
-# replaced whole, so threads that race build at worst a second, equal table.
+# weakly and matched by identity (tasks are frozen); the table is dropped
+# when that task dies. The lock is reentrant because the task's weak
+# reference calls back when the task dies, which a collection started
+# inside the lock can make happen.
+_last_lock = threading.RLock()
 _last: tuple[weakref.ref, _TaskTable] | None = None
 
 
@@ -156,10 +160,18 @@ def _table(task: PlanningTask) -> _TaskTable:
     """The table for ``task``, fresh unless ``task`` is the task rows were
     built for last."""
     global _last
-    last = _last
-    if last is None or last[0]() is not task:
-        last = _last = (weakref.ref(task), _TaskTable(task.num_facts))
-    return last[1]
+    with _last_lock:
+        if _last is None or _last[0]() is not task:
+            _last = (weakref.ref(task, _forget_table), _TaskTable(task.num_facts))
+        return _last[1]
+
+
+def _forget_table(ref: weakref.ref) -> None:
+    """Drop the table of the task ``ref`` held, if no other task's has taken its place."""
+    global _last
+    with _last_lock:
+        if _last is not None and _last[0] is ref:
+            _last = None
 
 
 def relaxed_plan(task: PlanningTask, goal: Iterable[int]) -> frozenset[int]:

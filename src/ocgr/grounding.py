@@ -7,8 +7,9 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush, merge
-from itertools import product
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, islice, product
+from operator import contains, itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .errors import GroundingError
 from .pddl import DomainDef, OperatorSchema, ProblemDef, atom_text
@@ -176,32 +177,101 @@ def relaxed_reachable(task: PlanningTask, from_facts: frozenset[int] | None = No
     return frozenset(reached), frozenset(applicable)
 
 
+def _picker(indices: Sequence[int]) -> Callable[[tuple], tuple]:
+    """A function from a tuple to the tuple of its items at ``indices``."""
+    if len(indices) == 1:
+        i, = indices
+        return lambda t: (t[i],)
+    return itemgetter(*indices) if indices else lambda t: ()
+
+
 def _bindings(schema: OperatorSchema, pools: list[list[str]], dynamic: set[str],
-              init_args: dict[str, set[tuple[str, ...]]]) -> Iterator[tuple[str, ...]]:
+              init_args: dict[str, set[tuple[str, ...]]]) -> Iterable[tuple[str, ...]]:
     """Parameter tuples of ``schema`` whose static preconditions (predicates not
-    in ``dynamic``) hold initially, lazily and in ``product(*pools)`` order.
+    in ``dynamic``) hold initially, in ``product(*pools)`` order, lazily where
+    some parameter is left unbound.
 
     Each static literal's init tuples that fit its constants, repeated
     variables and parameter pools are hash-joined with the partial bindings
     on the parameters both bind; unbound parameters range over their pools."""
     var_pos = {v: i for i, (v, _) in enumerate(schema.params)}
-    partial: list[dict[int, str]] = [{}]
-    bound: set[int] = set()
+    order: list[int] = []  # the parameters bound so far, in the order they were bound
+    partial: list[tuple[str, ...]] = [()]  # their values, one tuple per partial binding
     for lit in (lit for lit in schema.pre if lit[0] not in dynamic):
-        slots = [(var_pos[t], set(pools[var_pos[t]])) if t in var_pos else (None, {t}) for t in lit[1:]]
-        lit_vars = {i for i, _ in slots if i is not None}
-        shared = sorted(bound & lit_vars)
-        index: dict[tuple[str, ...], list[dict[int, str]]] = {}
+        terms = lit[1:]
+        first: dict[int, int] = {}  # each parameter of the literal to its first argument
+        for j, t in enumerate(terms):
+            if t in var_pos:
+                first.setdefault(var_pos[t], j)
+        allowed = [set(pools[var_pos[t]]) if t in var_pos else {t} for t in terms]
+        repeats = [(j, first[var_pos[t]]) for j, t in enumerate(terms)
+                   if t in var_pos and first[var_pos[t]] != j]
+        shared = [i for i in first if i in order]
+        fresh = [i for i in first if i not in order]
+        shared_of, fresh_of = _picker([first[i] for i in shared]), _picker([first[i] for i in fresh])
+        index: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
         for args in init_args.get(lit[0], ()):
-            row: dict[int, str] = {}
-            if all(obj in allowed and (i is None or row.setdefault(i, obj) == obj)
-                   for (i, allowed), obj in zip(slots, args)):
-                index.setdefault(tuple(row[i] for i in shared), []).append(row)
-        partial = [{**p, **row} for p in partial for row in index.get(tuple(p[i] for i in shared), ())]
-        bound |= lit_vars
-    # pools are sorted and duplicate-free, so tuple order is product order
-    return merge(*(product(*([p[i]] if i in p else pool for i, pool in enumerate(pools)))
+            if all(map(contains, allowed, args)) and \
+                    (not repeats or all(args[j] == args[k] for j, k in repeats)):
+                index.setdefault(shared_of(args), []).append(fresh_of(args))
+        key_of = _picker([order.index(i) for i in shared])
+        partial = [p + row for p in partial for row in index.get(key_of(p), ())]
+        order += fresh
+    if len(order) == len(pools):
+        # every binding is complete; pools are sorted and duplicate-free, so
+        # product order is tuple order
+        if order == sorted(order):
+            return sorted(partial)
+        return sorted(map(_picker([order.index(i) for i in range(len(pools))]), partial))
+    return merge(*(product(*[pools[i] if i not in order else (p[order.index(i)],)
+                             for i in range(len(pools))])
                    for p in partial))
+
+
+class _FactIds(dict):
+    """Each ground atom ``(predicate, *args)`` to its fact id; an atom not
+    seen before gets the next id."""
+
+    def __missing__(self, atom: tuple[str, ...]) -> int:
+        idx = self[atom] = len(self)
+        return idx
+
+
+def _instantiate(schema: OperatorSchema, bindings: list[tuple[str, ...]], fact_of: _FactIds
+                 ) -> tuple[list[frozenset[int]], list[frozenset[int]], list[frozenset[int]]]:
+    """The precondition, add and delete fact sets of ``schema`` under each binding.
+
+    Each literal's ground atom ``(predicate, *args)`` is read off ``binding +
+    fixed`` by one itemgetter, ``fixed`` holding the predicates and constants
+    the literals name; an atom without arguments is itself one of the fixed
+    values, which an itemgetter of one index returns whole. Atoms are read a
+    literal at a time over every binding, but interned binding by binding,
+    literal by literal, so fact ids follow the bindings' order."""
+    var_pos = {v: i for i, (v, _) in enumerate(schema.params)}
+    fixed: dict[object, int] = {}
+
+    def fixed_slot(value: object) -> int:
+        return fixed.setdefault(value, len(var_pos) + len(fixed))
+
+    def term_slot(term: str) -> int:
+        return var_pos[term] if term in var_pos else fixed_slot(term)
+
+    lits = schema.pre + schema.add + schema.delete
+    getters = [itemgetter(fixed_slot(lit[0]), *map(term_slot, lit[1:])) if len(lit) > 1
+               else itemgetter(fixed_slot(lit)) for lit in lits]
+    consts = tuple(fixed)
+    values = [binding + consts for binding in bindings]
+    ids = list(map(fact_of.__getitem__,
+                   chain.from_iterable(zip(*[map(atom, values) for atom in getters]))))
+
+    def fact_sets(first: int, stop: int) -> list[frozenset[int]]:
+        if first == stop:
+            return [frozenset()] * len(bindings)
+        return list(map(frozenset, zip(*[ids[k::len(lits)] for k in range(first, stop)])))
+
+    num_pre, num_add = len(schema.pre), len(schema.add)
+    return (fact_sets(0, num_pre), fact_sets(num_pre, num_pre + num_add),
+            fact_sets(num_pre + num_add, len(lits)))
 
 
 def ground(dom: DomainDef, prob: ProblemDef, *, prune_unreachable: bool = True,
@@ -212,9 +282,11 @@ def ground(dom: DomainDef, prob: ProblemDef, *, prune_unreachable: bool = True,
     Bindings come from joining each schema's static preconditions with the
     initial-state tuples of their predicates, not from filtering the full
     type product, but in that product's order, so fact and action ids follow
-    it. With ``prune_unreachable`` the action set is further restricted to
-    actions applicable somewhere in the delete relaxation of the initial
-    state; the fact table always covers all grounded atoms.
+    it. Atoms are interned by their ``(predicate, *args)`` tuple, and each
+    fact's name is built once. With ``prune_unreachable`` the action set is
+    further restricted to actions applicable somewhere in the delete
+    relaxation of the initial state; the fact table always covers all
+    grounded atoms.
     """
     cap = max_actions if max_actions is not None else _env_cap("OCGR_GROUND_CAP", DEFAULT_GROUND_CAP)
 
@@ -223,27 +295,18 @@ def ground(dom: DomainDef, prob: ProblemDef, *, prune_unreachable: bool = True,
     if len(seen_objs) != len(objects):
         raise GroundingError("duplicate object name across :constants/:objects")
 
+    pools: dict[str, list[str]] = {}
+
     def candidates(want: str) -> list[str]:
-        return sorted(o for o, t in objects if dom.is_subtype(t, want))
+        if want not in pools:
+            pools[want] = sorted(o for o, t in objects if dom.is_subtype(t, want))
+        return pools[want]
 
     dynamic = {lit[0] for sch in dom.operators for lit in sch.add + sch.delete}
-    init_atoms = [atom_text(lit) for lit in prob.init]
 
-    fact_of: dict[str, int] = {}
-    facts: list[str] = []
-
-    def intern(atom: str) -> int:
-        idx = fact_of.get(atom)
-        if idx is None:
-            idx = len(facts)
-            fact_of[atom] = idx
-            facts.append(atom)
-        return idx
-
-    for atom in init_atoms:
-        intern(atom)
-    for lit in prob.goal:
-        intern(atom_text(lit))
+    fact_of = _FactIds()
+    init_idx = frozenset(map(fact_of.__getitem__, prob.init))
+    goal_idx = frozenset(map(fact_of.__getitem__, prob.goal))
 
     init_args: dict[str, set[tuple[str, ...]]] = {}
     for lit in prob.init:
@@ -252,33 +315,26 @@ def ground(dom: DomainDef, prob: ProblemDef, *, prune_unreachable: bool = True,
     actions: list[GroundAction] = []
     overlap_dropped = 0
     for schema in dom.operators:
-        pools = [candidates(t) for _, t in schema.params]
-        var_pos = {v: i for i, (v, _) in enumerate(schema.params)}
-
-        def instantiate(lit: tuple[str, ...], binding: tuple[str, ...]) -> str:
-            args = [binding[var_pos[a]] if a.startswith("?") else a for a in lit[1:]]
-            return atom_text((lit[0], *args))
-
-        for binding in _bindings(schema, pools, dynamic, init_args):
-            if len(actions) >= cap:
-                raise GroundingError(
-                    f"ground action cap exceeded ({cap}); raise OCGR_GROUND_CAP or simplify the task")
-            pre = frozenset(intern(instantiate(lit, binding)) for lit in schema.pre)
-            adds = frozenset(intern(instantiate(lit, binding)) for lit in schema.add)
-            dels = frozenset(intern(instantiate(lit, binding)) for lit in schema.delete)
-            if adds & dels:
-                overlap_dropped += len(adds & dels)
-                dels = dels - adds  # add wins, STRIPS semantics
-            name = " ".join((schema.name,) + binding)
-            actions.append(GroundAction(id=len(actions), name=name, pre=pre,
-                                        adds=adds, dels=dels))
+        room = cap - len(actions)
+        bindings = list(islice(_bindings(schema, [candidates(t) for _, t in schema.params],
+                                         dynamic, init_args), room + 1))
+        capped = len(bindings) > room
+        del bindings[room:]
+        pres, adds, dels = _instantiate(schema, bindings, fact_of)
+        for binding, pre, add, delete in zip(bindings, pres, adds, dels):
+            if not add.isdisjoint(delete):
+                overlap_dropped += len(add & delete)
+                delete = delete - add  # add wins, STRIPS semantics
+            actions.append(GroundAction(id=len(actions), name=" ".join((schema.name,) + binding),
+                                        pre=pre, adds=add, dels=delete))
+        if capped:
+            raise GroundingError(
+                f"ground action cap exceeded ({cap}); raise OCGR_GROUND_CAP or simplify the task")
     if overlap_dropped:
         log.warning("dropped %d delete effects overlapping add effects", overlap_dropped)
 
-    init_idx = frozenset(fact_of[a] for a in init_atoms)
-    goal_idx = frozenset(fact_of[atom_text(lit)] for lit in prob.goal)
-    task = PlanningTask(facts=tuple(facts), actions=tuple(actions),
-                        init=init_idx, goal=goal_idx)
+    facts = tuple(map(atom_text, fact_of))
+    task = PlanningTask(facts=facts, actions=tuple(actions), init=init_idx, goal=goal_idx)
     if prune_unreachable:
         _, applicable = relaxed_reachable(task)
         if len(applicable) != len(actions):
@@ -286,6 +342,5 @@ def ground(dom: DomainDef, prob: ProblemDef, *, prune_unreachable: bool = True,
             renumbered = tuple(
                 GroundAction(id=i, name=a.name, pre=a.pre, adds=a.adds, dels=a.dels, cost=a.cost)
                 for i, a in enumerate(kept))
-            task = PlanningTask(facts=tuple(facts), actions=renumbered,
-                                init=init_idx, goal=goal_idx)
+            task = PlanningTask(facts=facts, actions=renumbered, init=init_idx, goal=goal_idx)
     return task

@@ -18,66 +18,102 @@ SUPPORTED_REQUIREMENTS = frozenset({":strips", ":typing"})
 ROOT_TYPE = "object"
 
 
-class Sym(str):
-    """Atom token that remembers its source position."""
-
-    line: int
-    col: int
-
-    def __new__(cls, value: str, line: int, col: int) -> "Sym":
-        obj = super().__new__(cls, value)
-        obj.line = line
-        obj.col = col
-        return obj
+# a parenthesis, an atom or a comment; whitespace is skipped
+_TOKEN = re.compile(r"[()]|[^\s();]+|;[^\n]*")
+_COMMENT = re.compile(r";[^\n]*")
 
 
-class _EmptyForm(list):
+class _Source:
+    """A parsed text. Where its tokens start is found only when a position is
+    asked for, which is when an error is raised: ``parse_sexpr`` splits the
+    text without offsets, and ``_TOKEN`` finds the same tokens, comments
+    aside, in the same order."""
+
+    __slots__ = ("text", "_offsets")
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self._offsets: list[int] | None = None
+
+    def line_col(self, k: int) -> tuple[int, int]:
+        """The line and column, both from 1, of token ``k``."""
+        if self._offsets is None:
+            self._offsets = [m.start() for m in _TOKEN.finditer(self.text) if m.group()[0] != ";"]
+        at = self._offsets[k]
+        return self.text.count("\n", 0, at) + 1, at - self.text.rfind("\n", 0, at)
+
+
+class _Located:
+    """A node that knows where it starts: ``_src`` is its source and ``_at``
+    the index there of its token (its ``(`` for a form)."""
+
+    __slots__ = ()
+    _src: _Source
+    _at: int
+
+    @property
+    def line(self) -> int:
+        return self._src.line_col(self._at)[0]
+
+    @property
+    def col(self) -> int:
+        return self._src.line_col(self._at)[1]
+
+
+class Sym(_Located, str):
+    """Atom token that remembers its source position; ``parse_sexpr`` sets
+    ``_src`` and ``_at`` on each one it makes."""
+
+
+class _EmptyForm(_Located, list):
     """An empty form ``()``, which has no atom to carry its position, so it
     remembers the position of its ``(``."""
 
-    def __init__(self, line: int, col: int) -> None:
+    def __init__(self, src: _Source, at: int) -> None:
         super().__init__()
-        self.line = line
-        self.col = col
-
-
-# a parenthesis, an atom, a comment or a newline; other whitespace is skipped
-_TOKEN = re.compile(r"[()]|[^\s();]+|;[^\n]*|\n")
+        self._src = src
+        self._at = at
 
 
 def parse_sexpr(text: str) -> list[object]:
     """Parse one top-level s-expression ``(define ...)``."""
-    line, line_start = 1, 0
-    stack: list[tuple[list[object], int, int]] = []  # open forms with their '(' position
-    tree: object = None
-    for m in _TOKEN.finditer(text):
-        tok = m.group()
-        if tok == "\n":
-            line, line_start = line + 1, m.end()
-            continue
-        if tok[0] == ";":
-            continue
-        col = m.start() - line_start + 1
-        if tree is not None:
-            raise PddlParseError("trailing content after top-level form", line, col)
-        if tok == "(":
-            stack.append(([], line, col))
-            continue
-        if tok == ")":
-            if not stack:
-                raise PddlParseError("unexpected ')'", line, col)
-            form, form_line, form_col = stack.pop()
-            node: object = form or _EmptyForm(form_line, form_col)
-        else:
-            node = Sym(tok.lower(), line, col)
-        if stack:
-            stack[-1][0].append(node)
-        else:
-            tree = node
-    if stack:
-        raise PddlParseError("unbalanced parenthesis", stack[-1][1], stack[-1][2])
-    if tree is None:
+    src = _Source(text)
+    if ";" in text:
+        text = _COMMENT.sub("", text)
+    # with a space around each parenthesis, the tokens are the words
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    if not tokens:
         raise PddlParseError("empty input")
+    stack: list[list[object]] = []  # the forms enclosing ``form``
+    opens: list[int] = []  # the token index of each open form's '('
+    form: list[object] = []  # the top level, then the innermost open form
+    for k, tok in enumerate(tokens):
+        if tok == "(":
+            stack.append(form)
+            opens.append(k)
+            form = []
+        elif tok == ")":
+            if not stack:
+                raise PddlParseError("unexpected ')'", *src.line_col(k))
+            at = opens.pop()
+            node = form or _EmptyForm(src, at)
+            form = stack.pop()
+            form.append(node)
+            if not stack:
+                break
+        else:
+            # names are case-insensitive; each token is lowercased on its own
+            atom = Sym(tok.lower())
+            atom._src = src
+            atom._at = k
+            form.append(atom)
+            if not stack:
+                break
+    else:
+        raise PddlParseError("unbalanced parenthesis", *src.line_col(opens[-1]))
+    if k + 1 < len(tokens):
+        raise PddlParseError("trailing content after top-level form", *src.line_col(k + 1))
+    tree = form[0]
     if isinstance(tree, Sym):
         raise PddlParseError("expected a parenthesized form", tree.line, tree.col)
     return tree
@@ -239,17 +275,20 @@ def _validate_literals(literals: list[tuple[Sym, ...]], predicates: dict[str, tu
     """The literals as plain strings, once each names a declared predicate
     with its arity and known terms; an error carries the literal's position."""
     for lit in literals:
-        pred, args = lit[0], lit[1:]
-        if pred not in predicates:
+        pred = lit[0]
+        params = predicates.get(pred)
+        if params is None:
             raise PddlParseError(f"undeclared predicate '{pred}' in {where}", pred.line, pred.col)
-        if len(args) != len(predicates[pred]):
+        if len(lit) != len(params) + 1:
             raise PddlParseError(
                 f"arity mismatch for '{pred}' in {where}: "
-                f"expected {len(predicates[pred])}, got {len(args)}", pred.line, pred.col)
-        for a in args:
-            if a not in known_terms:
-                raise PddlParseError(f"unknown term '{a}' in {where}", pred.line, pred.col)
-    return tuple(tuple(str(x) for x in lit) for lit in literals)
+                f"expected {len(params)}, got {len(lit) - 1}", pred.line, pred.col)
+        if not known_terms.issuperset(lit[1:]):
+            bad = next(a for a in lit[1:] if a not in known_terms)
+            raise PddlParseError(f"unknown term '{bad}' in {where}", pred.line, pred.col)
+    # a token holds no whitespace, so splitting the joined literal gives its
+    # tokens back as plain strings, faster than converting each one
+    return tuple(tuple(" ".join(lit).split(" ")) for lit in literals)
 
 
 def _read_define(text: str, kind: str) -> tuple[str, Iterator[tuple[str, list[object]]]]:
@@ -281,6 +320,7 @@ def parse_domain(text: str) -> DomainDef:
     constants: list[tuple[Sym, Sym | str]] = []
     operators: list[OperatorSchema] = []
     typed: list[tuple[str, Sym | str]] = []  # (what, type token), checked after all sections
+    declared: dict[str, Sym] = {}  # each type given a parent in :types, to its token there
 
     for head, section in sections:
         if head == ":requirements":
@@ -293,6 +333,7 @@ def parse_domain(text: str) -> DomainDef:
             for child, parent in _parse_typed_list(section[1:], "types"):
                 types[str(child)] = str(parent)
                 types.setdefault(str(parent), ROOT_TYPE)
+                declared[str(child)] = child
             types.pop(ROOT_TYPE, None)
         elif head == ":constants":
             constants.extend(_parse_typed_list(section[1:], "constants"))
@@ -322,7 +363,8 @@ def parse_domain(text: str) -> DomainDef:
         for _ in types:
             typ = types.get(typ, ROOT_TYPE)
         if typ != ROOT_TYPE:
-            raise PddlParseError(f"cyclic type hierarchy through '{typ}'")
+            # only a type declared with a parent can lie on a cycle
+            raise PddlParseError(f"cyclic type hierarchy through '{typ}'", *_pos(declared[typ]))
     # a type left out is the root, which is known, so an unknown one is a token
     known_types = set(types) | {ROOT_TYPE}
     for what, typ in typed + [(f"constant '{c}'", t) for c, t in constants]:
@@ -398,6 +440,8 @@ def parse_problem(text: str, dom: DomainDef) -> ProblemDef:
     goal: list[tuple[Sym, ...]] = []
 
     known_types = set(dom.types) | {ROOT_TYPE}
+    constants = {c for c, _ in dom.constants}
+    names: set[str] = set()  # the objects so far
 
     for head, section in sections:
         if head == ":domain":
@@ -409,6 +453,12 @@ def parse_problem(text: str, dom: DomainDef) -> ProblemDef:
                                      *_pos(section[1] if len(section) > 1 else section))
         elif head == ":objects":
             for oname, otype in _parse_typed_list(section[1:], "objects"):
+                if oname in constants:
+                    raise PddlParseError(f"object '{oname}' is already a domain constant",
+                                         oname.line, oname.col)
+                if oname in names:
+                    raise PddlParseError(f"duplicate object '{oname}'", oname.line, oname.col)
+                names.add(oname)
                 if otype not in known_types:
                     raise PddlParseError(
                         f"object '{oname}' has undeclared type '{otype}'", *_pos(otype))
@@ -432,7 +482,7 @@ def parse_problem(text: str, dom: DomainDef) -> ProblemDef:
             raise UnsupportedFeatureError(
                 f"problem section '{head}' is not supported", *_pos(section))
 
-    known_objects = {o for o, _ in objects} | {c for c, _ in dom.constants}
+    known_objects = names | constants
     return ProblemDef(name=name, domain_name=domain_name or "", objects=tuple(objects),
                       init=_validate_literals(init, dom.predicates, known_objects, ":init"),
                       goal=_validate_literals(goal, dom.predicates, known_objects, ":goal"))

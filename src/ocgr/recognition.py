@@ -85,9 +85,11 @@ class RecognitionReport:
 # or the reason the goal is relaxed-unreachable. h depends only on the task
 # and the goal, so re-scoring that task with other observations solves only
 # the h_hc LPs. One task at a time keeps memory flat when a caller holds many
-# tasks, and a dropped task is freed. The lock lets library callers score
-# from their own threads.
-_memo_lock = threading.Lock()
+# tasks; a dropped task is freed, and its results with it. The lock lets
+# library callers score from their own threads; it is reentrant because the
+# task's weak reference calls back when the task dies, which a collection
+# started inside the lock can make happen.
+_memo_lock = threading.RLock()
 _memo: tuple[weakref.ref, dict] | None = None
 
 
@@ -96,8 +98,16 @@ def _base_memo(task: PlanningTask) -> dict:
     global _memo
     with _memo_lock:
         if _memo is None or _memo[0]() is not task:
-            _memo = (weakref.ref(task), {})
+            _memo = (weakref.ref(task, _forget_memo), {})
         return _memo[1]
+
+
+def _forget_memo(ref: weakref.ref) -> None:
+    """Drop the memo of the task ``ref`` held, if no other task has taken its place."""
+    global _memo
+    with _memo_lock:
+        if _memo is not None and _memo[0] is ref:
+            _memo = None
 
 
 def _base(task: PlanningTask, goal_index: int, goal: frozenset[int],

@@ -4,8 +4,8 @@ None of these is on a path the package runs: bounded plan enumeration for
 the soundness checks, the full-observation guarantee, observation floors
 as explicit constraint rows (the cold reference for floors as bounds),
 writing a suite manifest back out, the two-pass s-expression reader
-(tokenize, then read the tree recursively) that ``pddl.parse_sexpr`` is
-compared against, LM-cut with a full h_max pass per round that
+(tokenize, counting each token's line and column as it goes, then read the
+tree recursively) that ``pddl.parse_sexpr`` is compared against, LM-cut with a full h_max pass per round that
 ``constraints.landmark_constraints`` is compared against, and the per-goal
 net-change loop over every fact, with each fact's producers and consumers
 derived here, that ``constraints.net_change_constraints``, which reads a
@@ -26,7 +26,6 @@ from ocgr.errors import CapExceeded, GoalUnreachable, PddlParseError
 from ocgr.grounding import INF, PlanningTask, hmax_values
 from ocgr.inputs import GoalHypotheses, ObservationSequence
 from ocgr.oracle import Plan, _mask, _masks, validate_plan
-from ocgr.pddl import Sym
 from ocgr.recognition import METHOD_HC, RecognizerConfig, recognize
 
 SRC_OBSERVATION = "observation"
@@ -81,8 +80,18 @@ def save_manifest(spec: SuiteSpec, path: str | Path) -> None:
     Path(path).write_text(json.dumps(asdict(spec), indent=2) + "\n", encoding="utf-8")
 
 
-def _tokenize(text: str) -> list[Sym]:
-    tokens: list[Sym] = []
+class _Token(str):
+    """A token of the two-pass reader with the line and column it counted."""
+
+    def __new__(cls, value: str, line: int, col: int) -> "_Token":
+        obj = super().__new__(cls, value)
+        obj.line = line
+        obj.col = col
+        return obj
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
     line, col = 1, 1
     i, n = 0, len(text)
     while i < n:
@@ -101,7 +110,7 @@ def _tokenize(text: str) -> list[Sym]:
             i += 1
             continue
         if ch in "()":
-            tokens.append(Sym(ch, line, col))
+            tokens.append(_Token(ch, line, col))
             col += 1
             i += 1
             continue
@@ -110,11 +119,11 @@ def _tokenize(text: str) -> list[Sym]:
         while i < n and not text[i].isspace() and text[i] not in "();":
             i += 1
             col += 1
-        tokens.append(Sym(text[start:i].lower(), line, start_col))
+        tokens.append(_Token(text[start:i].lower(), line, start_col))
     return tokens
 
 
-def _read_tree(tokens: list[Sym], pos: int) -> tuple[object, int]:
+def _read_tree(tokens: list[_Token], pos: int) -> tuple[object, int]:
     if pos >= len(tokens):
         raise PddlParseError("unexpected end of input")
     tok = tokens[pos]

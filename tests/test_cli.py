@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -332,3 +335,23 @@ def test_gen_bad_options_exit_2(tmp_path, capsys, flags, message):
 
 def test_gen_requires_family_or_demo(tmp_path):
     assert main(["gen", "--out", str(tmp_path)]) == 2
+
+
+def test_gen_unknown_family_exits_2_naming_the_families(tmp_path, capsys):
+    assert main(["gen", "--out", str(tmp_path / "o"), "--family", "nosuch"]) == 2
+    assert "unknown generator family 'nosuch' (choose from blocks, corridor, grid, logistics)" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_importing_the_cli_loads_no_generators():
+    """Only ``gen`` and ``bench`` use ``ocgr.bench`` and ``ocgr.generators``,
+    so ``recognize`` starts without them."""
+    code = ("import sys, ocgr.cli\n"
+            "print(sorted(m for m in ('ocgr.bench', 'ocgr.generators') if m in sys.modules))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

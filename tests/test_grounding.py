@@ -13,7 +13,7 @@ from ocgr.errors import GroundingError
 from ocgr.generators import (BLOCKS_DOMAIN, CORRIDOR_DOMAIN, GENERATORS, GRID_DOMAIN,
                              demo_grid_bundle)
 from ocgr.grounding import GroundAction, PlanningTask, ground, relaxed_reachable
-from ocgr.pddl import atom_text, parse_domain, parse_problem
+from ocgr.pddl import ProblemDef, atom_text, parse_domain, parse_problem
 
 
 def _move_task(prune=True, **kwargs):
@@ -57,6 +57,15 @@ def test_blocks4_matches_brute_force_schema_enumeration():
     # independent enumeration: every type-consistent instantiation
     expected = sum(len(list(product(blocks, repeat=len(s.params)))) for s in dom.operators)
     assert task.num_actions == expected == 4 + 4 + 16 + 16
+
+
+def test_duplicate_object_of_a_built_problem_rejected():
+    """The parser rejects a repeated object; ``ground`` still checks a
+    ``ProblemDef`` built by hand."""
+    dom = parse_domain(MOVE_DOMAIN)
+    prob = ProblemDef(name="t", domain_name=dom.name, objects=(("a", "object"), ("a", "object")))
+    with pytest.raises(GroundingError, match="duplicate object name across :constants/:objects"):
+        ground(dom, prob)
 
 
 def test_static_preconditions_filter_instantiations():

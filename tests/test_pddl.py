@@ -155,10 +155,25 @@ def test_case_insensitive_parsing():
 
 
 def test_cyclic_types_rejected():
-    for types in ("a - b b - a c", "a - a", "c - a a - b b - a"):
-        with pytest.raises(PddlParseError, match="cyclic type hierarchy through '[ab]'"):
+    """The error points at the named type's token in :types."""
+    for types, where in (("a - b b - a c", r"'b' \(line 1, col 36\)"),
+                         ("a - a", r"'a' \(line 1, col 30\)"),
+                         ("c - a a - b b - a", r"'a' \(line 1, col 36\)"),
+                         ("c\n  a - a", r"'a' \(line 2, col 3\)")):
+        with pytest.raises(PddlParseError, match=f"cyclic type hierarchy through {where}"):
             parse_domain(f"(define (domain cyc) (:types {types}) (:predicates (p ?x - c))"
                          " (:action go :parameters (?x - c) :precondition (p ?x) :effect ()))")
+
+
+def test_duplicate_object_rejected_at_its_second_token():
+    dom = parse_domain("(define (domain k) (:constants k1) (:predicates (p ?x)))")
+    for objects, message in (("(:objects o\n  o)", r"duplicate object 'o' \(line 2, col 3\)"),
+                             ("(:objects o) (:objects x o)",
+                              r"duplicate object 'o' \(line 1, col 58\)"),
+                             ("(:objects o k1)",
+                              r"object 'k1' is already a domain constant \(line 1, col 45\)")):
+        with pytest.raises(PddlParseError, match=message):
+            parse_problem(f"(define (problem t) (:domain k) {objects})", dom)
 
 
 def test_duplicate_action_rejected():
@@ -398,9 +413,14 @@ def test_parser_outcomes_are_pinned():
     37 parameters not starting with ``?``, 13 duplicate parameter names, 7
     parameters and 1 constant of an undeclared type; 21 template mutations'
     "object ... has undeclared type" moved from the ``(:objects`` to the type
-    token)."""
+    token), and again when ``parse_problem`` rejected a repeated object at its
+    second token: 34 template mutations moved (28 that parsed, with one object
+    listed twice, now fail with "duplicate object '...' (line N, col M)"; 6
+    that failed with "unknown term '...' in :init", where a mutation had
+    replaced one object by another, now fail earlier at the repeated
+    object)."""
     h = hashlib.sha256()
     for outcome in _parser_outcomes():
         h.update(outcome.encode() + b"\n")
     assert h.hexdigest() == \
-        "3cf9bcd8df4344284c93adb256105dd1a7fcfca02ea6afe28847c98a5ebb4ba0"
+        "d7a270b9415f3fdf8362e7541c972b548d53e498169c7171d8db07af520491e6"

@@ -353,6 +353,27 @@ def test_scored_task_is_not_kept_alive():
     assert ref() is None
 
 
+def test_dropped_task_frees_its_memo_and_table():
+    """The base results and the constraint table go with their task, without
+    another task being scored, but not while a later task holds them."""
+    import ocgr.constraints as constraints
+    import ocgr.recognition as rec
+
+    def scored():
+        b = bundle_from_texts(dict(demo_grid_bundle().files))
+        recognize(b.task, b.hyps, b.obs)
+        return b.task
+
+    first = scored()
+    second = scored()
+    del first
+    gc.collect()
+    assert rec._memo[0]() is second and constraints._last[0]() is second
+    del second
+    gc.collect()
+    assert rec._memo is None and constraints._last is None
+
+
 def _floored(task, goal, obs):
     """The cold reference: base rows plus one observation row per floor."""
     rows = base_rows(task, goal) + observation_constraints(obs)
