@@ -3,7 +3,7 @@
 import logging
 
 from .constraints import (ALL_FAMILIES, LinearConstraint, base_constraints,
-                          dump_constraints, hmax, landmark_constraints,
+                          dump_constraints, landmark_constraints,
                           net_change_constraints, posthoc_constraints)
 from .errors import (CapExceeded, GoalUnreachable, GroundingError, OcgrError,
                      PddlParseError, SolverFailure, UnsupportedFeatureError)

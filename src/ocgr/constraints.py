@@ -15,14 +15,12 @@ what the test suite checks against enumerated plans.
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import GoalUnreachable
-from .grounding import INF, PlanningTask, hmax_values
+from .grounding import INF, PlanningTask, task_memo
 
 SRC_LANDMARK = "landmark"
 SRC_NET_CHANGE = "net-change"
@@ -65,17 +63,6 @@ def dump_constraints(rows: Sequence[LinearConstraint], task: PlanningTask | None
     return "\n".join(c.text(names) for c in rows)
 
 
-def hmax(task: PlanningTask, from_facts: Iterable[int], goal: Iterable[int],
-         costs: Sequence | None = None):
-    """Classical h_max of ``goal`` from ``from_facts``; INF when unreachable."""
-    goal = tuple(goal)
-    if not goal:
-        return 0
-    costs = task.costs if costs is None else costs
-    values = hmax_values(task.pres, task.adds, task.by_pre, costs, from_facts)
-    return max(values[g] for g in goal)
-
-
 class _LmCutSetup(NamedTuple):
     """LM-cut's graph without the goal: each action's preconditions not true
     initially and its round-one supporter (-1 for none), the actions with
@@ -100,78 +87,49 @@ class _NetChange(NamedTuple):
     producers: tuple[tuple[int, ...], ...]
 
 
-class _TaskTable:
-    """What the constraint rows of every goal of one task share: LM-cut's
-    set-up, each fact's relaxed-plan ``achiever`` (-1 until ``relaxed_plan``
-    first needs it) and the goal-free net-change rows. Each part is built on
-    first use from the task it is asked with, which is the task ``_table``
-    made it for; it does not hold the task."""
-
-    def __init__(self, num_facts: int) -> None:
-        self.achiever = [-1] * num_facts
-        self._lmcut: _LmCutSetup | None = None
-        self._net_change: _NetChange | None = None
-
-    def lmcut(self, task: PlanningTask) -> _LmCutSetup:
-        if self._lmcut is None:
-            init, values = task.init, task.init_hmax
-            pres = tuple(tuple(p for p in pre if p not in init) for pre in task.pres)
-            # pres are sorted, so max keeps the lowest index on ties
-            supporter = tuple((pre[0] if len(pre) == 1 else max(pre, key=values.__getitem__))
-                              if pre else -1 for pre in pres)
-            self._lmcut = _LmCutSetup(
-                pres, supporter, tuple(ai for ai, s in enumerate(supporter) if s == -1),
-                task.adds + ((task.num_facts,),), task.adders + ((task.num_actions,),))
-        return self._lmcut
-
-    def net_change(self, task: PlanningTask) -> _NetChange:
-        if self._net_change is None:
-            # per fact, in action (so id) order: producers +1 (add without
-            # pre) and consumers -1 (pre and del); no action is both for a fact
-            terms: list[list[tuple[int, int]]] = [[] for _ in range(task.num_facts)]
-            for a in task.actions:
-                for f in a.adds - a.pre:
-                    terms[f].append((a.id, 1))
-                for f in a.dels & a.pre:
-                    terms[f].append((a.id, -1))
-            rows: list[LinearConstraint] = []
-            start = [0]
-            for f, fact_terms in enumerate(terms):
-                if any(c < 0 for _, c in fact_terms):
-                    rows.append(LinearConstraint(terms=tuple(fact_terms),
-                                                 rhs=-1 if f in task.init else 0,
-                                                 source=SRC_NET_CHANGE))
-                start.append(len(rows))
-            producers = tuple(tuple(a for a, c in fact_terms if c > 0) for fact_terms in terms)
-            self._net_change = _NetChange(tuple(rows), tuple(start), producers)
-        return self._net_change
+def _shared(task: PlanningTask, build):
+    """``build(task)``, the part every goal of ``task`` shares: built on first
+    use and kept under ``build`` in the task's ``task_memo``. No part holds
+    the task."""
+    memo = task_memo(task)
+    return memo[build] if build in memo else memo.setdefault(build, build(task))
 
 
-# The table of the task whose rows were built last, with that task held
-# weakly and matched by identity (tasks are frozen); the table is dropped
-# when that task dies. The lock is reentrant because the task's weak
-# reference calls back when the task dies, which a collection started
-# inside the lock can make happen.
-_last_lock = threading.RLock()
-_last: tuple[weakref.ref, _TaskTable] | None = None
+def _achievers(task: PlanningTask) -> list[int]:
+    """Each fact's relaxed-plan achiever, -1 until ``relaxed_plan`` first needs it."""
+    return [-1] * task.num_facts
 
 
-def _table(task: PlanningTask) -> _TaskTable:
-    """The table for ``task``, fresh unless ``task`` is the task rows were
-    built for last."""
-    global _last
-    with _last_lock:
-        if _last is None or _last[0]() is not task:
-            _last = (weakref.ref(task, _forget_table), _TaskTable(task.num_facts))
-        return _last[1]
+def _lmcut_setup(task: PlanningTask) -> _LmCutSetup:
+    init, values = task.init, task.init_hmax
+    pres = tuple(tuple(p for p in pre if p not in init) for pre in task.pres)
+    # pres are sorted, so max keeps the lowest index on ties
+    supporter = tuple((pre[0] if len(pre) == 1 else max(pre, key=values.__getitem__))
+                      if pre else -1 for pre in pres)
+    return _LmCutSetup(
+        pres, supporter, tuple(ai for ai, s in enumerate(supporter) if s == -1),
+        task.adds + ((task.num_facts,),), task.adders + ((task.num_actions,),))
 
 
-def _forget_table(ref: weakref.ref) -> None:
-    """Drop the table of the task ``ref`` held, if no other task's has taken its place."""
-    global _last
-    with _last_lock:
-        if _last is not None and _last[0] is ref:
-            _last = None
+def _net_change(task: PlanningTask) -> _NetChange:
+    # per fact, in action (so id) order: producers +1 (add without pre) and
+    # consumers -1 (pre and del); no action is both for a fact
+    terms: list[list[tuple[int, int]]] = [[] for _ in range(task.num_facts)]
+    for a in task.actions:
+        for f in a.adds - a.pre:
+            terms[f].append((a.id, 1))
+        for f in a.dels & a.pre:
+            terms[f].append((a.id, -1))
+    rows: list[LinearConstraint] = []
+    start = [0]
+    for f, fact_terms in enumerate(terms):
+        if any(c < 0 for _, c in fact_terms):
+            rows.append(LinearConstraint(terms=tuple(fact_terms),
+                                         rhs=-1 if f in task.init else 0,
+                                         source=SRC_NET_CHANGE))
+        start.append(len(rows))
+    producers = tuple(tuple(a for a, c in fact_terms if c > 0) for fact_terms in terms)
+    return _NetChange(tuple(rows), tuple(start), producers)
 
 
 def relaxed_plan(task: PlanningTask, goal: Iterable[int]) -> frozenset[int]:
@@ -182,13 +140,13 @@ def relaxed_plan(task: PlanningTask, goal: Iterable[int]) -> frozenset[int]:
     its h_max achiever (cost plus largest precondition value equal to the
     fact's value, lowest action index on ties), whose preconditions not true
     initially are walked in turn. Each fact's achiever depends only on the
-    task, so the task's table keeps it for its later goals, and the plan
+    task, so the task's memo keeps it for its later goals, and the plan
     depends only on the task and the goal. With zero-cost actions a
     precondition can share its fact's value and the walk can close a cycle
     rather than a plan; that changes only which crash columns are taken.
     """
     values, init, costs, pres = task.init_hmax, task.init, task.costs, task.pres
-    achiever = _table(task).achiever
+    achiever = _shared(task, _achievers)
     stack = list(set(goal) - init)
     seen = set(stack)
     plan: set[int] = set()
@@ -233,7 +191,7 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
 
     Only round one's h_max values are a full pass (the task's ``init_hmax``),
     so every action's round-one supporter depends only on the task: the
-    task's table keeps them, with the preconditions not true initially, for
+    task's memo keeps them, with the preconditions not true initially, for
     its later goals; only the virtual goal action's is the goal's own.
     After a cut, values can only fall, and an action's maximum precondition
     value moves only when its supporter's value falls. So each later round
@@ -254,7 +212,7 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
         raise GoalUnreachable("goal unreachable in the delete relaxation")
     if values[goal_node] == 0:
         return ()
-    setup = _table(task).lmcut(task)
+    setup = _shared(task, _lmcut_setup)
     plan = relaxed_plan(task, goal)
     # a virtual goal action (id num_a, cost 0) adds the goal node; only
     # preconditions not true initially can be supporters
@@ -358,10 +316,10 @@ def net_change_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Lin
     (delete with pre) count -1; may-consumers are left out so every plan
     stays feasible. rhs = [fact in goal] - [fact in init]. Without demand a
     row is kept only when it has a consumer, so the goal-free rows in the
-    task's table are every row but the goal facts': a goal fact's row takes
+    task's memo are every row but the goal facts': a goal fact's row takes
     rhs 1 - [fact in init], and one with producers only is added.
     """
-    rows, start, producers = _table(task).net_change(task)
+    rows, start, producers = _shared(task, _net_change)
     out = list(rows)
     added: list[tuple[int, LinearConstraint]] = []
     for g in sorted(set(goal)):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import logging
 import os
+import threading
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush, merge
@@ -110,6 +112,34 @@ class PlanningTask:
         """For each fact, its h_max value from ``init`` under ``costs``
         (``INF`` when relaxed-unreachable); every goal of the task shares it."""
         return tuple(hmax_values(self.pres, self.adds, self.by_pre, self.costs, self.init))
+
+
+# What is derived from the task used last and shared by its goals: the
+# constraint families' parts and recognition's per-goal base results. The
+# task is held weakly and matched by identity (tasks are frozen); one task
+# at a time keeps memory flat when a caller holds many, and the memo goes
+# when its task dies. The lock lets callers score from their own threads; it
+# is reentrant because the task's weak reference calls back when the task
+# dies, which a collection started inside the lock can make happen.
+_memo_lock = threading.RLock()
+_memo: tuple[weakref.ref, dict] | None = None
+
+
+def task_memo(task: PlanningTask) -> dict:
+    """The memo of ``task``, empty unless ``task`` is the task used last."""
+    global _memo
+    with _memo_lock:
+        if _memo is None or _memo[0]() is not task:
+            _memo = (weakref.ref(task, _forget_memo), {})
+        return _memo[1]
+
+
+def _forget_memo(ref: weakref.ref) -> None:
+    """Drop the memo of the task ``ref`` held, if no other task's has taken its place."""
+    global _memo
+    with _memo_lock:
+        if _memo is not None and _memo[0] is ref:
+            _memo = None
 
 
 def hmax_values(pres: Sequence[tuple[int, ...]], adds: Sequence[tuple[int, ...]],

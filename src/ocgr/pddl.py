@@ -336,7 +336,10 @@ def parse_domain(text: str) -> DomainDef:
                 declared[str(child)] = child
             types.pop(ROOT_TYPE, None)
         elif head == ":constants":
-            constants.extend(_parse_typed_list(section[1:], "constants"))
+            for c, ctype in _parse_typed_list(section[1:], "constants"):
+                if c in (d for d, _ in constants):
+                    raise PddlParseError(f"duplicate constant '{c}'", c.line, c.col)
+                constants.append((c, ctype))
         elif head == ":predicates":
             for p in section[1:]:
                 if not isinstance(p, list) or not p or not isinstance(p[0], Sym):

@@ -18,15 +18,13 @@ an infinite value and such hypotheses are never selected.
 
 from __future__ import annotations
 
-import threading
 import time
-import weakref
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 from .constraints import ALL_FAMILIES, LinearConstraint, base_constraints
 from .errors import GoalUnreachable, SolverFailure
-from .grounding import PlanningTask
+from .grounding import PlanningTask, task_memo
 from .inputs import GoalHypotheses, ObservationSequence
 from .lp import INFEASIBLE, OPTIMAL, LinearProgram, LpOutcome, solve_with
 
@@ -78,43 +76,20 @@ class RecognitionReport:
         return all(s.h_hc == INF for s in self.scores)
 
 
-# The task scored last, held weakly and matched by identity (tasks are
-# frozen), with its per-goal base results keyed by (goal, families,
-# backend): the base LP with its compiled rows and its LpOutcome (with the
-# optimal basis the h_hc solves start from, which keeps its first pricing),
-# or the reason the goal is relaxed-unreachable. h depends only on the task
-# and the goal, so re-scoring that task with other observations solves only
-# the h_hc LPs. One task at a time keeps memory flat when a caller holds many
-# tasks; a dropped task is freed, and its results with it. The lock lets
-# library callers score from their own threads; it is reentrant because the
-# task's weak reference calls back when the task dies, which a collection
-# started inside the lock can make happen.
-_memo_lock = threading.RLock()
-_memo: tuple[weakref.ref, dict] | None = None
-
-
-def _base_memo(task: PlanningTask) -> dict:
-    """The base results of ``task``, empty unless ``task`` was the one scored last."""
-    global _memo
-    with _memo_lock:
-        if _memo is None or _memo[0]() is not task:
-            _memo = (weakref.ref(task, _forget_memo), {})
-        return _memo[1]
-
-
-def _forget_memo(ref: weakref.ref) -> None:
-    """Drop the memo of the task ``ref`` held, if no other task has taken its place."""
-    global _memo
-    with _memo_lock:
-        if _memo is not None and _memo[0] is ref:
-            _memo = None
-
-
-def _base(task: PlanningTask, goal_index: int, goal: frozenset[int],
-          config: RecognizerConfig, bases: dict
+def _base(task: PlanningTask, goal_index: int, goal: frozenset[int], config: RecognizerConfig
           ) -> tuple[tuple[LinearProgram, LpOutcome] | str, float, float]:
-    """The entry of ``goal`` in ``bases``, built and stored on a miss, with
-    the seconds spent on constraints and on the LP."""
+    """The base result of ``goal``, built and stored on a miss, with the
+    seconds spent on constraints and on the LP.
+
+    The base results of a task are kept under ``_base`` in its
+    ``task_memo``, keyed by (goal, families, backend): the base LP with its
+    compiled rows and its LpOutcome (with the optimal basis the h_hc solves
+    start from, which keeps its first pricing), or the reason the goal is
+    relaxed-unreachable. h depends only on the task and the goal, so
+    re-scoring the task used last with other observations solves only the
+    h_hc LPs.
+    """
+    bases = task_memo(task).setdefault(_base, {})
     key = (goal, frozenset(config.families), config.backend)
     if key in bases:
         return bases[key], 0.0, 0.0
@@ -140,18 +115,18 @@ def base_rows(task: PlanningTask, goal: Iterable[int],
               config: RecognizerConfig = RecognizerConfig(),
               goal_index: int = 0) -> tuple[LinearConstraint, ...]:
     """The base rows scoring uses for ``goal``, built (and the base LP
-    solved) only when ``task`` is not the task scored last. Raises
+    solved) only when ``task`` is not the task used last. Raises
     GoalUnreachable when the goal is relaxed-unreachable."""
-    entry, _, _ = _base(task, goal_index, frozenset(goal), config, _base_memo(task))
+    entry, _, _ = _base(task, goal_index, frozenset(goal), config)
     if isinstance(entry, str):
         raise GoalUnreachable(entry)
     return entry[0].constraints
 
 
 def _score_one(task: PlanningTask, goal_index: int, goal: frozenset[int],
-               obs: ObservationSequence, config: RecognizerConfig, bases: dict
+               obs: ObservationSequence, config: RecognizerConfig
                ) -> tuple[HypothesisScore, float, float]:
-    entry, t_cons, t_lp = _base(task, goal_index, goal, config, bases)
+    entry, t_cons, t_lp = _base(task, goal_index, goal, config)
     if isinstance(entry, str) or entry[1].status == INFEASIBLE:
         return HypothesisScore(goal_index, INF, INF, INF), t_cons, t_lp
 
@@ -175,7 +150,7 @@ def _score_one(task: PlanningTask, goal_index: int, goal: frozenset[int],
 def score_hypothesis(task: PlanningTask, goal: Iterable[int], obs: ObservationSequence,
                      config: RecognizerConfig = RecognizerConfig(),
                      goal_index: int = 0) -> HypothesisScore:
-    score, _, _ = _score_one(task, goal_index, frozenset(goal), obs, config, _base_memo(task))
+    score, _, _ = _score_one(task, goal_index, frozenset(goal), obs, config)
     return score
 
 
@@ -186,8 +161,7 @@ def score_all(task: PlanningTask, hyps: GoalHypotheses, obs: ObservationSequence
 
     Base results (h) are reused from an earlier call on the same task object.
     """
-    bases = _base_memo(task)
-    results = [_score_one(task, i, g, obs, config, bases) for i, g in enumerate(hyps.goals)]
+    results = [_score_one(task, i, g, obs, config) for i, g in enumerate(hyps.goals)]
     scores = tuple(r[0] for r in results)
     timings = {"constraints": sum(r[1] for r in results),
                "lp": sum(r[2] for r in results)}

@@ -3,14 +3,15 @@
 None of these is on a path the package runs: bounded plan enumeration for
 the soundness checks, the full-observation guarantee, observation floors
 as explicit constraint rows (the cold reference for floors as bounds),
-writing a suite manifest back out, the two-pass s-expression reader
-(tokenize, counting each token's line and column as it goes, then read the
-tree recursively) that ``pddl.parse_sexpr`` is compared against, LM-cut with a full h_max pass per round that
-``constraints.landmark_constraints`` is compared against, and the per-goal
-net-change loop over every fact, with each fact's producers and consumers
-derived here, that ``constraints.net_change_constraints``, which reads a
-task's goal-free rows from the table ``constraints`` keeps for the task
-whose rows it built last, is compared against.
+writing a suite manifest back out, classical h_max of a goal from any
+facts under any costs, the two-pass s-expression reader (tokenize, counting
+each token's line and column as it goes, then read the tree recursively)
+that ``pddl.parse_sexpr`` is compared against, LM-cut with a full h_max pass
+per round that ``constraints.landmark_constraints`` is compared against, and
+the per-goal net-change loop over every fact, with each fact's producers and
+consumers derived here, that ``constraints.net_change_constraints``, which
+reads a task's goal-free rows from the ``grounding.task_memo`` of the task
+used last, is compared against.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from ocgr.bench import SuiteSpec
 from ocgr.constraints import _LMCUT_ROUND_GUARD, SRC_LANDMARK, SRC_NET_CHANGE, LinearConstraint
@@ -74,6 +75,17 @@ def observation_constraints(obs: ObservationSequence) -> tuple[LinearConstraint,
     """One floor Y_a >= k_a per observed action."""
     return tuple(LinearConstraint(terms=((a, 1),), rhs=k, source=SRC_OBSERVATION)
                  for a, k in sorted(obs.counts.items()) if k > 0)
+
+
+def hmax(task: PlanningTask, from_facts: Iterable[int], goal: Iterable[int],
+         costs: Sequence | None = None):
+    """Classical h_max of ``goal`` from ``from_facts``; INF when unreachable."""
+    goal = tuple(goal)
+    if not goal:
+        return 0
+    costs = task.costs if costs is None else costs
+    values = hmax_values(task.pres, task.adds, task.by_pre, costs, from_facts)
+    return max(values[g] for g in goal)
 
 
 def save_manifest(spec: SuiteSpec, path: str | Path) -> None:

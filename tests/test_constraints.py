@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-import ocgr.constraints
+import ocgr.grounding
 from conftest import ISLAND_BUNDLE, make_micro_task, open_grid_bundle, plan_counts
 from ocgr.bench import SuiteSpec, generated_problems
 from ocgr.constraints import (ALL_FAMILIES, INF, SRC_LANDMARK, SRC_NET_CHANGE,
                               SRC_POST_HOC, LinearConstraint,
-                              base_constraints, dump_constraints, hmax,
+                              base_constraints, dump_constraints,
                               landmark_constraints, net_change_constraints,
                               posthoc_constraints, relaxed_plan)
 from ocgr.errors import CapExceeded, GoalUnreachable
@@ -18,7 +18,7 @@ from ocgr.grounding import GroundAction, PlanningTask
 from ocgr.inputs import bundle_from_texts
 from ocgr.lp import LinearProgram, solve_lp
 from ocgr.oracle import optimal_cost
-from references import (enumerate_plans, producers_and_consumers,
+from references import (enumerate_plans, hmax, producers_and_consumers,
                         reference_landmark_constraints, reference_net_change_constraints)
 
 
@@ -205,7 +205,7 @@ def test_landmarks_run_no_full_hmax_pass(monkeypatch):
     def full_pass(*args, **kwargs):
         raise AssertionError("LM-cut ran a full h_max pass")
 
-    monkeypatch.setattr(ocgr.constraints, "hmax_values", full_pass)
+    monkeypatch.setattr(ocgr.grounding, "hmax_values", full_pass)
     assert [landmark_constraints(b.task, g) for g in goals] == expected
 
 
@@ -345,7 +345,7 @@ def _goal_fact_kinds(task, goal):
 
 def _rows_from_scratch(task, goal):
     """``goal``'s base rows (``zeroed`` included) or error, and its relaxed
-    plan, built for a new copy of ``task``, which gets a table of its own."""
+    plan, built for a new copy of ``task``, which gets a memo of its own."""
     fresh = replace(task)
     rows = _rows_or_error(base_constraints, fresh, goal)
     return rows, (relaxed_plan(fresh, goal) if goal and not isinstance(rows, str) else None)
@@ -355,9 +355,9 @@ def test_task_table_rows_match_rows_built_from_scratch():
     """Each task's goals, taken forwards and then in reverse, with the tasks
     interleaved in pairs as A, B, A, B, get the base rows and the relaxed
     plan that a new copy of the task gets, or the same error, whichever goal
-    built the task's table, and the per-goal reference loop's net-change
+    built the task's memo, and the per-goal reference loop's net-change
     rows. The hand-made task puts a producers-only goal fact's row between
-    two rows of the table."""
+    two goal-free net-change rows."""
     cases = []
     for seed in range(1, 6):
         spec = SuiteSpec(families=("grid", "blocks", "logistics", "corridor"), per_family=1,

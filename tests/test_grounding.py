@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -60,12 +61,14 @@ def test_blocks4_matches_brute_force_schema_enumeration():
 
 
 def test_duplicate_object_of_a_built_problem_rejected():
-    """The parser rejects a repeated object; ``ground`` still checks a
-    ``ProblemDef`` built by hand."""
+    """The parser rejects a repeated object or constant; ``ground`` still
+    checks a ``ProblemDef`` or ``DomainDef`` built by hand."""
     dom = parse_domain(MOVE_DOMAIN)
-    prob = ProblemDef(name="t", domain_name=dom.name, objects=(("a", "object"), ("a", "object")))
-    with pytest.raises(GroundingError, match="duplicate object name across :constants/:objects"):
-        ground(dom, prob)
+    twice = (("a", "object"), ("a", "object"))
+    for d, objects in ((dom, twice), (replace(dom, constants=twice), ())):
+        prob = ProblemDef(name="t", domain_name=dom.name, objects=objects)
+        with pytest.raises(GroundingError, match="duplicate object name across :constants/:objects"):
+            ground(d, prob)
 
 
 def test_static_preconditions_filter_instantiations():

@@ -174,6 +174,11 @@ def test_duplicate_object_rejected_at_its_second_token():
                               r"object 'k1' is already a domain constant \(line 1, col 45\)")):
         with pytest.raises(PddlParseError, match=message):
             parse_problem(f"(define (problem t) (:domain k) {objects})", dom)
+    for constants, message in (("(:constants c\n  c)", r"duplicate constant 'c' \(line 2, col 3\)"),
+                               ("(:constants c - object) (:constants x c)",
+                                r"duplicate constant 'c' \(line 1, col 58\)")):
+        with pytest.raises(PddlParseError, match=message):
+            parse_domain(f"(define (domain k) {constants} (:predicates (p ?x)))")
 
 
 def test_duplicate_action_rejected():

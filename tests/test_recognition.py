@@ -354,10 +354,10 @@ def test_scored_task_is_not_kept_alive():
 
 
 def test_dropped_task_frees_its_memo_and_table():
-    """The base results and the constraint table go with their task, without
-    another task being scored, but not while a later task holds them."""
-    import ocgr.constraints as constraints
-    import ocgr.recognition as rec
+    """The one memo, with the base results and the constraint families'
+    parts, goes with its task, without another task being scored, but not
+    while a later task holds it."""
+    import ocgr.grounding as grounding
 
     def scored():
         b = bundle_from_texts(dict(demo_grid_bundle().files))
@@ -368,10 +368,10 @@ def test_dropped_task_frees_its_memo_and_table():
     second = scored()
     del first
     gc.collect()
-    assert rec._memo[0]() is second and constraints._last[0]() is second
+    assert grounding._memo[0]() is second and len(grounding._memo[1]) == 4
     del second
     gc.collect()
-    assert rec._memo is None and constraints._last is None
+    assert grounding._memo is None
 
 
 def _floored(task, goal, obs):
@@ -516,20 +516,20 @@ def _arrays(obj, seen):
 
 
 def test_memo_holds_no_dense_matrix():
-    """The memo keeps per goal only the base LP and its outcome: the compiled
-    rows, B^-1 (m x m, m < n) and the basis's first pricing (n + m reduced
-    costs), never the constraints' task table, an m x n matrix or a tableau.
-    The table holds no array."""
-    import ocgr.constraints as cons
+    """The task's memo keeps per goal only the base LP and its outcome: the
+    compiled rows, B^-1 (m x m, m < n) and the basis's first pricing (n + m
+    reduced costs), never an m x n matrix or a tableau. The constraint
+    families' parts, its other entries, hold no array."""
     import ocgr.recognition as rec
+    from ocgr.grounding import task_memo
 
     b = bundle_from_texts(open_grid_bundle(12), require_obs=False)
     recognize(b.task, b.hyps, _obs(0))
-    parts = vars(cons._table(b.task)).values()
-    assert all(part is not None for part in parts) and not list(_arrays(list(parts), set()))
-    memo = rec._base_memo(b.task)
-    assert type(memo) is dict and len(memo) == len(b.hyps.goals)
-    for lp, out in memo.values():
+    memo = dict(task_memo(b.task))
+    bases = memo.pop(rec._base)
+    assert len(memo) == 3 and not list(_arrays(list(memo.values()), set()))
+    assert type(bases) is dict and len(bases) == len(b.hyps.goals)
+    for lp, out in bases.values():
         assert type(lp) is LinearProgram and type(out) is LpOutcome
         m, n = len(lp.constraints), lp.num_vars
         arrays = list(_arrays((lp, out), set()))
@@ -539,11 +539,40 @@ def test_memo_holds_no_dense_matrix():
 
 
 def test_scoring_another_task_drops_the_first_tasks_table():
+    """Scoring another task frees the first task's memo: its constraint
+    parts (seen through a goal-free net-change row) and its base LPs."""
     import ocgr.constraints as cons
+    import ocgr.recognition as rec
+    from ocgr.grounding import task_memo
 
     first, second = (bundle_from_texts(dict(demo_grid_bundle().files)) for _ in range(2))
     recognize(first.task, first.hyps, first.obs)
-    table = weakref.ref(cons._table(first.task))
+    memo = task_memo(first.task)
+    kept = [weakref.ref(memo[cons._net_change].rows[0]),
+            *(weakref.ref(lp) for lp, _ in memo[rec._base].values())]
+    del memo
     recognize(second.task, second.hyps, second.obs)
     gc.collect()
-    assert table() is None
+    assert len(kept) == 1 + len(first.hyps.goals) and not any(ref() for ref in kept)
+    assert not task_memo(first.task)
+
+
+def test_rows_for_another_task_between_scorings_leave_scores_unchanged():
+    """Building rows for task B between two ``recognize`` calls on task A
+    drops A's base results; A's second scores are those of a fresh grounding,
+    bit for bit."""
+    import ocgr.recognition as rec
+    from ocgr.constraints import base_constraints
+    from ocgr.grounding import task_memo
+
+    def load():
+        return bundle_from_texts(dict(demo_grid_bundle().files))
+
+    a, b = load(), bundle_from_texts(open_grid_bundle(8), require_obs=False)
+    first = recognize(a.task, a.hyps, a.obs)
+    base_constraints(b.task, b.hyps.goals[0])
+    assert rec._base not in task_memo(a.task)
+    again = recognize(a.task, a.hyps, a.obs)
+    fresh = load()
+    assert again.scores == first.scores == recognize(fresh.task, fresh.hyps, fresh.obs).scores
+    assert again.selected == first.selected
