@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .constraints import ALL_FAMILIES
+from .constraints import ALL_FAMILIES, check_families
 from .errors import CapExceeded, OcgrError
 from .generators import GENERATORS, write_bundle
 from .grounding import PlanningTask, relaxed_reachable
@@ -71,6 +71,7 @@ class SuiteSpec:
         if not 0 <= self.suboptimal_fraction <= 1:
             raise ValueError(f"suboptimal_fraction {self.suboptimal_fraction} outside [0, 1]")
         check_backend(self.backend)
+        check_families(self.constraint_families)
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method '{m}'")

@@ -1,7 +1,7 @@
 """Command-line surface: recognize, bench, gen, plan, heuristic.
 
 Exit codes: 0 success, 2 input problems and every other toolkit error
-(such as a search cap in ``gen``/``bench``), 3 LP solver failure,
+(such as a search cap in ``gen``/``bench``/``plan``), 3 LP solver failure,
 4 every hypothesis infeasible.
 """
 
@@ -14,11 +14,11 @@ import sys
 import time
 from pathlib import Path
 
-from .constraints import ALL_FAMILIES, base_constraints, dump_constraints
-from .errors import GoalUnreachable, OcgrError, PddlParseError, SolverFailure
+from .constraints import ALL_FAMILIES, base_constraints, check_families, dump_constraints
+from .errors import CapExceeded, GoalUnreachable, OcgrError, PddlParseError, SolverFailure
 from .inputs import Bundle, bundle_from_texts, load_bundle
 from .lp import LinearProgram, check_backend, solve_with
-from .oracle import optimal_cost
+from .oracle import CAP_EXCEEDED, optimal_cost
 from .recognition import (METHOD_DELTA_U, METHODS, RecognizerConfig, base_rows,
                           format_report, recognize, report_to_dict,
                           score_hypothesis)
@@ -53,14 +53,6 @@ def _load_inputs(args: argparse.Namespace, *, need_obs: bool = True) -> Bundle:
         "real_hyp.dat": Path(args.real_hyp).read_text(encoding="utf-8") if args.real_hyp else None,
     }
     return bundle_from_texts(texts, path="<cli>", require_obs=need_obs)
-
-
-def _families(raw: str) -> tuple[str, ...]:
-    fams = tuple(f.strip() for f in raw.split(",") if f.strip())
-    unknown = set(fams) - set(ALL_FAMILIES)
-    if unknown:
-        raise PddlParseError(f"unknown constraint families: {sorted(unknown)}")
-    return fams
 
 
 def _dump_lp_text(lp: LinearProgram, names: list[str]) -> str:
@@ -145,10 +137,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_recognize(args: argparse.Namespace) -> int:
     check_backend(args.backend)
+    families = tuple(f.strip() for f in args.constraints.split(",") if f.strip())
+    check_families(families)
     t0 = time.perf_counter()
     bundle = _load_inputs(args)
     parse_time = time.perf_counter() - t0
-    config = RecognizerConfig(families=_families(args.constraints), backend=args.backend)
+    config = RecognizerConfig(families=families, backend=args.backend)
     report = recognize(bundle.task, bundle.hyps, bundle.obs, args.method, config)
     report.timings["parse_ground"] = parse_time
     if args.dump_constraints or args.dump_lp:
@@ -207,6 +201,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     bundle = _load_inputs(args, need_obs=False)
     idx = _pick_goal(bundle, args.goal_index)
     result = optimal_cost(bundle.task, bundle.hyps.goals[idx])
+    if result.status == CAP_EXCEEDED:
+        raise CapExceeded(f"G{idx}: search cap exceeded; raise OCGR_OPTIMAL_CAP")
     if result.status != "optimal":
         print(f"G{idx}: {result.status}")
         return EXIT_OK

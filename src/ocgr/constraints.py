@@ -369,15 +369,22 @@ def posthoc_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linear
     return tuple(out)
 
 
-def base_constraints(task: PlanningTask, goal: Iterable[int],
-                     families: Iterable[str] = ALL_FAMILIES) -> tuple[LinearConstraint, ...]:
-    """Concatenation of the selected families, in a fixed order."""
+def check_families(families: Iterable[str]) -> None:
+    """Raise ``ValueError`` (an input error) unless ``families`` names at
+    least one family and only families in ``ALL_FAMILIES``."""
     chosen = set(families)
     unknown = chosen - set(ALL_FAMILIES)
     if unknown:
         raise ValueError(f"unknown constraint families: {sorted(unknown)}")
     if not chosen:
         raise ValueError("at least one constraint family is required")
+
+
+def base_constraints(task: PlanningTask, goal: Iterable[int],
+                     families: Iterable[str] = ALL_FAMILIES) -> tuple[LinearConstraint, ...]:
+    """Concatenation of the selected families, in a fixed order."""
+    chosen = set(families)
+    check_families(chosen)
     goal = frozenset(goal)
     rows: tuple[LinearConstraint, ...] = ()
     if FAMILY_LANDMARKS in chosen:

@@ -130,14 +130,30 @@ def write_bundle(directory: str | Path, files: dict[str, str]) -> None:
         (d / name).write_text(text, encoding="utf-8")
 
 
+def _problem(name: str, domain: str, objects: str, init: str) -> str:
+    """The template text: a problem with its objects and initial atoms."""
+    return (f"(define (problem {name})\n"
+            f"  (:domain {domain})\n"
+            f"  (:objects {objects})\n"
+            f"  (:init {init})\n"
+            f")\n")
+
+
+def _bundle(name: str, domain: str, problem: str, hyp_lines: list[str],
+            hidden: int) -> GeneratedBundle:
+    """The four bundle files, one hypothesis a line and line ``hidden`` the real one."""
+    return GeneratedBundle(name=name, files={
+        "domain.pddl": domain,
+        "template.pddl": problem,
+        "hyps.dat": "\n".join(hyp_lines) + "\n",
+        "real_hyp.dat": hyp_lines[hidden] + "\n",
+    })
+
+
 def _grid_problem(cells: list[str], edges: list[tuple[str, str, str]], start: str,
                   name: str) -> str:
     adj = "\n    ".join(f"(adj-{d} {a} {b})" for a, b, d in edges)
-    return (f"(define (problem {name})\n"
-            f"  (:domain grid-nav)\n"
-            f"  (:objects {' '.join(cells)} - cell)\n"
-            f"  (:init (at {start})\n    {adj})\n"
-            f")\n")
+    return _problem(name, "grid-nav", f"{' '.join(cells)} - cell", f"(at {start})\n    {adj}")
 
 
 def demo_grid_bundle() -> GeneratedBundle:
@@ -160,20 +176,16 @@ def demo_grid_bundle() -> GeneratedBundle:
                     there = f"c_{nx}_{ny}"
                     if (here, there) not in blocked:
                         edges.append((here, there, d))
-    files = {
-        "domain.pddl": GRID_DOMAIN,
-        "template.pddl": _grid_problem(cells, edges, "c_0_0", "grid-demo"),
-        "hyps.dat": "(at c_1_2)\n(at c_0_3)\n",
-        "real_hyp.dat": "(at c_1_2)\n",
-        "obs.dat": ("(move-right c_0_0 c_1_0)\n"
-                    "(move-right c_1_0 c_2_0)\n"
-                    "(move-right c_2_0 c_3_0)\n"
-                    "(move-up c_3_0 c_3_1)\n"
-                    "(move-left c_3_1 c_2_1)\n"
-                    "(move-up c_2_1 c_2_2)\n"
-                    "(move-left c_2_2 c_1_2)\n"),
-    }
-    return GeneratedBundle(name="grid-demo", files=files)
+    bundle = _bundle("grid-demo", GRID_DOMAIN, _grid_problem(cells, edges, "c_0_0", "grid-demo"),
+                     ["(at c_1_2)", "(at c_0_3)"], 0)
+    bundle.files["obs.dat"] = ("(move-right c_0_0 c_1_0)\n"
+                               "(move-right c_1_0 c_2_0)\n"
+                               "(move-right c_2_0 c_3_0)\n"
+                               "(move-up c_3_0 c_3_1)\n"
+                               "(move-left c_3_1 c_2_1)\n"
+                               "(move-up c_2_1 c_2_2)\n"
+                               "(move-left c_2_2 c_1_2)\n")
+    return bundle
 
 
 def gen_grid(rng: random.Random) -> GeneratedBundle:
@@ -232,16 +244,9 @@ def gen_grid(rng: random.Random) -> GeneratedBundle:
     start = rng.choice(sorted(coords))
     k = rng.randint(3, 4)
     goal_cells = rng.sample(sorted(c for c in coords if c != start), k)
-    hyp_lines = [f"(at {cname(c)})" for c in goal_cells]
-    hidden = rng.randrange(k)
-    files = {
-        "domain.pddl": GRID_DOMAIN,
-        "template.pddl": _grid_problem([cname(c) for c in coords], edges,
-                                       cname(start), "grid-gen"),
-        "hyps.dat": "\n".join(hyp_lines) + "\n",
-        "real_hyp.dat": hyp_lines[hidden] + "\n",
-    }
-    return GeneratedBundle(name="grid", files=files)
+    problem = _grid_problem([cname(c) for c in coords], edges, cname(start), "grid-gen")
+    return _bundle("grid", GRID_DOMAIN, problem, [f"(at {cname(c)})" for c in goal_cells],
+                   rng.randrange(k))
 
 
 def gen_blocks(rng: random.Random) -> GeneratedBundle:
@@ -276,20 +281,8 @@ def gen_blocks(rng: random.Random) -> GeneratedBundle:
         line = ",".join(atoms)
         if line not in hyp_lines:
             hyp_lines.append(line)
-    hidden = rng.randrange(len(hyp_lines))
-
-    problem = (f"(define (problem blocks-gen)\n"
-               f"  (:domain blocks)\n"
-               f"  (:objects {' '.join(blocks)})\n"
-               f"  (:init {' '.join(init_atoms)})\n"
-               f")\n")
-    files = {
-        "domain.pddl": BLOCKS_DOMAIN,
-        "template.pddl": problem,
-        "hyps.dat": "\n".join(hyp_lines) + "\n",
-        "real_hyp.dat": hyp_lines[hidden] + "\n",
-    }
-    return GeneratedBundle(name="blocks", files=files)
+    problem = _problem("blocks-gen", "blocks", " ".join(blocks), " ".join(init_atoms))
+    return _bundle("blocks", BLOCKS_DOMAIN, problem, hyp_lines, rng.randrange(len(hyp_lines)))
 
 
 def gen_logistics(rng: random.Random) -> GeneratedBundle:
@@ -317,22 +310,11 @@ def gen_logistics(rng: random.Random) -> GeneratedBundle:
         line = ",".join(f"(pkg-at {p} {targets[p]})" for p in pkgs)
         if line not in hyp_lines:
             hyp_lines.append(line)
-    hidden = rng.randrange(len(hyp_lines))
-
     objects = (f"{' '.join(pkgs)} - package trk1 trk2 - truck pln1 - airplane "
                f"{' '.join(locations)} - location city1 city2 - city")
-    problem = (f"(define (problem logi-gen)\n"
-               f"  (:domain logi)\n"
-               f"  (:objects {objects})\n"
-               f"  (:init {' '.join(init_atoms)})\n"
-               f")\n")
-    files = {
-        "domain.pddl": LOGISTICS_DOMAIN,
-        "template.pddl": problem,
-        "hyps.dat": "\n".join(hyp_lines) + "\n",
-        "real_hyp.dat": hyp_lines[hidden] + "\n",
-    }
-    return GeneratedBundle(name="logistics", files=files)
+    problem = _problem("logi-gen", "logi", objects, " ".join(init_atoms))
+    return _bundle("logistics", LOGISTICS_DOMAIN, problem, hyp_lines,
+                   rng.randrange(len(hyp_lines)))
 
 
 def gen_corridor(rng: random.Random) -> GeneratedBundle:
@@ -357,20 +339,10 @@ def gen_corridor(rng: random.Random) -> GeneratedBundle:
     for a, b in links:
         link_atoms.append(f"(linked {a} {b})")
         link_atoms.append(f"(linked {b} {a})")
-    problem = (f"(define (problem corridor-gen)\n"
-               f"  (:domain corridor)\n"
-               f"  (:objects {' '.join(nodes)} - node)\n"
-               f"  (:init (at s0) {' '.join(link_atoms)})\n"
-               f")\n")
-    hyp_lines = [f"(at {t})" for t in tips]
-    hidden = rng.randrange(len(hyp_lines))
-    files = {
-        "domain.pddl": CORRIDOR_DOMAIN,
-        "template.pddl": problem,
-        "hyps.dat": "\n".join(hyp_lines) + "\n",
-        "real_hyp.dat": hyp_lines[hidden] + "\n",
-    }
-    return GeneratedBundle(name="corridor", files=files)
+    problem = _problem("corridor-gen", "corridor", f"{' '.join(nodes)} - node",
+                       f"(at s0) {' '.join(link_atoms)}")
+    return _bundle("corridor", CORRIDOR_DOMAIN, problem, [f"(at {t})" for t in tips],
+                   rng.randrange(len(tips)))
 
 
 GENERATORS = {

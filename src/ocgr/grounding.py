@@ -304,8 +304,7 @@ def _instantiate(schema: OperatorSchema, bindings: list[tuple[str, ...]], fact_o
             fact_sets(num_pre + num_add, len(lits)))
 
 
-def ground(dom: DomainDef, prob: ProblemDef, *, prune_unreachable: bool = True,
-           max_actions: int | None = None) -> PlanningTask:
+def ground(dom: DomainDef, prob: ProblemDef, *, prune_unreachable: bool = True) -> PlanningTask:
     """Instantiate every type-consistent schema application whose static
     preconditions (predicates never added or deleted) hold initially.
 
@@ -318,12 +317,16 @@ def ground(dom: DomainDef, prob: ProblemDef, *, prune_unreachable: bool = True,
     relaxation of the initial state; the fact table always covers all
     grounded atoms.
     """
-    cap = max_actions if max_actions is not None else _env_cap("OCGR_GROUND_CAP", DEFAULT_GROUND_CAP)
+    cap = _env_cap("OCGR_GROUND_CAP", DEFAULT_GROUND_CAP)
 
     objects = list(dom.constants) + list(prob.objects)
-    seen_objs = {o for o, _ in objects}
-    if len(seen_objs) != len(objects):
-        raise GroundingError("duplicate object name across :constants/:objects")
+    seen: set[str] = set()
+    for i, (o, _) in enumerate(objects):
+        if o in seen:  # the parser's wording, for a hand-built definition
+            raise GroundingError(f"duplicate constant '{o}'" if i < len(dom.constants) else
+                                 f"object '{o}' is already a domain constant"
+                                 if o in dict(dom.constants) else f"duplicate object '{o}'")
+        seen.add(o)
 
     pools: dict[str, list[str]] = {}
 

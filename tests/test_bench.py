@@ -130,6 +130,10 @@ def test_spec_validation():
         SuiteSpec(families=("grid",), methods=("nope",)).validate()
     with pytest.raises(ValueError, match="backend 'hihgs'"):
         SuiteSpec(families=("grid",), backend="hihgs").validate()
+    with pytest.raises(ValueError, match=r"unknown constraint families: \['xx'\]"):
+        SuiteSpec(families=("grid",), constraint_families=("lm", "xx")).validate()
+    with pytest.raises(ValueError, match="at least one constraint family"):
+        SuiteSpec(families=("grid",), constraint_families=()).validate()
     with pytest.raises(ValueError, match="per_family"):
         SuiteSpec(families=("grid",), per_family=-2).validate()
     for fraction in (-0.1, 1.5):

@@ -121,10 +121,14 @@ def test_heuristic_solver_failure_exits_3(demo_dir, capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", ["recognize", "heuristic"])
 def test_unknown_backend_exits_2_before_loading(tmp_path, demo_dir, capsys, command):
+    """So does an unknown constraint family of ``recognize``."""
     for bundle in (demo_dir, tmp_path / "missing"):
         assert main([command, "-b", str(bundle), "--backend", "hihgs"]) == 2
         err = capsys.readouterr().err
         assert err == "error: unknown backend 'hihgs' (have: scipy, simplex)\n"
+        if command == "recognize":
+            assert main([command, "-b", str(bundle), "--constraints", "lm,xx"]) == 2
+            assert capsys.readouterr().err == "error: unknown constraint families: ['xx']\n"
 
 
 def test_recognize_all_infeasible_exits_4(tmp_path, capsys):
@@ -299,7 +303,11 @@ def test_bench_bad_manifest_exits_2(tmp_path, capsys):
                           ('{"families": ["grid"], "backend": "hihgs"}', "unknown backend"),
                           ('{"families": ["grid"], "per_family": -1}', "per_family"),
                           ('{"families": ["grid"], "suboptimal_fraction": 2}',
-                           "suboptimal_fraction")):
+                           "suboptimal_fraction"),
+                          ('{"families": ["grid"], "constraint_families": ["xx"]}',
+                           "error: unknown constraint families: ['xx']"),
+                          ('{"families": ["grid"], "constraint_families": []}',
+                           "error: at least one constraint family is required")):
         manifest.write_text(body)
         assert main(["bench", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
@@ -319,6 +327,18 @@ def test_gen_search_cap_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["gen", "--out", str(tmp_path), "--family", "grid"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: grid-0: no witness plan") and "Traceback" not in err
+
+
+def test_plan_search_cap_exits_2(tmp_path, demo_dir, capsys, monkeypatch):
+    """A search that gives up is an error; an unreachable goal is an answer."""
+    write_bundle(tmp_path / "island", ISLAND_BUNDLE)
+    assert main(["plan", "-b", str(tmp_path / "island"), "--goal-index", "2"]) == 0
+    assert capsys.readouterr().out == "G2: unreachable\n"
+    monkeypatch.setenv("OCGR_OPTIMAL_CAP", "1")
+    assert main(["plan", "-b", str(demo_dir), "--goal-index", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: G1: search cap exceeded; raise OCGR_OPTIMAL_CAP\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("flags, message", [

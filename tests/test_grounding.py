@@ -17,11 +17,11 @@ from ocgr.grounding import GroundAction, PlanningTask, ground, relaxed_reachable
 from ocgr.pddl import ProblemDef, atom_text, parse_domain, parse_problem
 
 
-def _move_task(prune=True, **kwargs):
+def _move_task(prune=True):
     dom = parse_domain(MOVE_DOMAIN)
     prob = parse_problem(
         "(define (problem m) (:domain mover) (:objects x y) (:init (at x)))", dom)
-    return ground(dom, prob, prune_unreachable=prune, **kwargs)
+    return ground(dom, prob, prune_unreachable=prune)
 
 
 def test_untyped_two_objects_gives_four_actions():
@@ -64,11 +64,13 @@ def test_duplicate_object_of_a_built_problem_rejected():
     """The parser rejects a repeated object or constant; ``ground`` still
     checks a ``ProblemDef`` or ``DomainDef`` built by hand."""
     dom = parse_domain(MOVE_DOMAIN)
-    twice = (("a", "object"), ("a", "object"))
-    for d, objects in ((dom, twice), (replace(dom, constants=twice), ())):
+    a = (("a", "object"),)
+    for constants, objects, message in ((a + a, (), "duplicate constant 'a'"),
+                                        ((), a + a, "duplicate object 'a'"),
+                                        (a, a, "object 'a' is already a domain constant")):
         prob = ProblemDef(name="t", domain_name=dom.name, objects=objects)
-        with pytest.raises(GroundingError, match="duplicate object name across :constants/:objects"):
-            ground(d, prob)
+        with pytest.raises(GroundingError, match=f"^{message}$"):
+            ground(replace(dom, constants=constants), prob)
 
 
 def test_static_preconditions_filter_instantiations():
@@ -92,11 +94,6 @@ def test_reachability_pruning_drops_unreachable_actions():
     assert sorted(a.name for a in full.actions) == ["walk n0 n1", "walk n2 n3"]
     # the fact table still covers atoms of pruned actions
     assert "(at n3)" in pruned.fact_index
-
-
-def test_grounding_cap():
-    with pytest.raises(GroundingError, match="cap"):
-        _move_task(prune=False, max_actions=3)
 
 
 def test_grounding_deterministic():
@@ -345,11 +342,12 @@ def test_ground_cap_raises_on_the_same_kept_action(monkeypatch):
     prob = parse_problem(problem, dom)
     want = _brute_ground(dom, prob, prune_unreachable=False)
     built.clear()
+    monkeypatch.setenv("OCGR_GROUND_CAP", str(want.num_actions - 1))
     with pytest.raises(GroundingError, match="cap"):
-        ground(dom, prob, prune_unreachable=False, max_actions=want.num_actions - 1)
+        ground(dom, prob, prune_unreachable=False)
     assert built == [a.name for a in want.actions[:-1]]
-    assert ground(dom, prob, prune_unreachable=False, max_actions=want.num_actions).num_actions \
-        == want.num_actions
+    monkeypatch.setenv("OCGR_GROUND_CAP", str(want.num_actions))
+    assert ground(dom, prob, prune_unreachable=False).num_actions == want.num_actions
 
 
 def _random_task(rng):

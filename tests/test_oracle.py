@@ -186,3 +186,13 @@ def test_search_outputs_are_pinned(demo_bundle, tmp_path):
             obs_files.update(path.read_bytes())
     assert obs_files.hexdigest() == \
         "111299c44171f22f1cb967042f314937e3b79d34c076171215bbbafc1ab46a52"
+
+    # every other file those runs write, and the fixed demo, by path and text
+    assert main(["gen", "--demo-grid", "--out", str(tmp_path / "demo")]) == 0
+    bundle_files = hashlib.sha256()
+    for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+        rel = path.relative_to(tmp_path)
+        if path.name != "obs.dat" or rel.parts[0] == "demo":
+            bundle_files.update(rel.as_posix().encode() + path.read_bytes())
+    assert bundle_files.hexdigest() == \
+        "2e66ffc5c3f63e2dbed85e051772ac0651c62995b58aaa5990aff4bfb9c987e3"
