@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import os
 import random
 import subprocess
@@ -393,6 +394,41 @@ def test_every_returned_basis_inverts_its_columns(monkeypatch):
     assert len(optimal) > 100 and any(lp.num_vars > 500 for lp, _ in optimal)
     for lp, out in optimal:
         _assert_basis_holds(lp, out)
+
+
+def test_simplex_outcomes_are_pinned(monkeypatch):
+    """Every LP scoring solves on a small generated suite (seeds 1-2, three
+    tasks per family, levels 30/70/100) and on the open 8 x 8 and 10 x 10 grids with
+    walks observed: status, pivots, start, value, counts and basis, bit for bit."""
+    import ocgr.recognition as rec
+
+    h = hashlib.sha256()
+    solves = 0
+
+    def spy(lp, backend):
+        nonlocal solves
+        out = solve_with(lp, backend)
+        value = "-" if out.value is None else out.value.hex()
+        counts = np.array(out.counts or (), dtype=float).tobytes()
+        columns = out.basis.columns if out.basis is not None else ()
+        h.update(f"{out.status} {out.pivots} {out.warm} {value} {columns}\n".encode())
+        h.update(counts)
+        solves += 1
+        return out
+
+    monkeypatch.setattr(rec, "solve_with", spy)
+    for seed in (1, 2):
+        spec = SuiteSpec(families=("grid", "blocks", "logistics", "corridor"), per_family=3,
+                         seed=seed, observability=(30, 70, 100))
+        for p in generated_problems(spec):
+            recognize(p.task, p.hyps, p.obs)
+    for n in (8, 10):
+        bundle = bundle_from_texts(open_grid_bundle(n), require_obs=False)
+        walks = [bundle.task.action_index[f"walk c{x}_0 c{x + 1}_0"] for x in range(n // 2)]
+        recognize(bundle.task, bundle.hyps, ObservationSequence(tuple(walks)))
+    assert solves > 300
+    assert h.hexdigest() == \
+        "e0c71dbaa8a0be975e3cc2259f219f2684e1c2b8766301bcc3cc499bb8c18caa"
 
 
 def test_recognition_starts_every_simplex_solve_dual_feasible(monkeypatch):
