@@ -27,7 +27,7 @@ from .generators import GENERATORS, write_bundle
 from .grounding import PlanningTask, relaxed_reachable
 from .inputs import GoalHypotheses, ObservationSequence, bundle_from_texts, load_bundle
 from .lp import check_backend
-from .oracle import OPTIMAL, Plan, optimal_cost, validate_plan
+from .oracle import CAP_EXCEEDED, OPTIMAL, Plan, optimal_cost, validate_plan
 from .recognition import (METHOD_DELTA_U, METHODS, RecognizerConfig,
                           score_all, select)
 
@@ -177,6 +177,9 @@ def _witness_plan(task: PlanningTask, goal: frozenset[int], suboptimal: bool,
                   rng: random.Random) -> Plan:
     """An optimal plan for ``goal``, degraded by one detour when ``suboptimal``."""
     result = optimal_cost(task, goal)
+    if result.status == CAP_EXCEEDED:
+        raise CapExceeded("no witness plan for the hidden goal: search cap exceeded; "
+                          "raise OCGR_OPTIMAL_CAP")
     if result.status != OPTIMAL:
         raise CapExceeded(f"no witness plan for the hidden goal ({result.status})")
     if suboptimal:

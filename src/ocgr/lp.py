@@ -2,14 +2,16 @@
 
 The built-in solver is one revised dual simplex (float64, tolerance 1e-7) on
 the rows A y >= b, written A y - s = b over the columns [A | -I] with a
-surplus s_i per row. The rows are compiled once per LP into sparse arrays,
-by row and by column (``CompiledRows``); an LP built with another LP's
-``compiled`` shares them. Floors y >= k are bounds; the substitution
-y = k + z moves them into b - A k. A solve keeps only B^-1 (m x m),
-x_B = B^-1 b and the reduced costs d. Each pivot prices the leaving row
-(e_r^T B^-1)[A | -I] in one pass over the nonzeros, forms the entering
-column B^-1 a_q from the column index, and updates B^-1, x_B and d by one
-rank-1 step.
+surplus s_i per row. The rows are compiled once per LP into sparse arrays
+(``CompiledRows``): the nonzeros of [A | -I] by row, A's first and then the
+m entries -1 of -I, so that A's alone are a prefix of them; and A's by
+column. An LP built with another LP's ``compiled`` shares them. Floors
+y >= k are bounds; the substitution y = k + z moves them into b - A k. A
+solve keeps only B^-1 (m x m), x_B = B^-1 b and the reduced costs d. Each
+pivot prices the leaving row (e_r^T B^-1)[A | -I] with one ``bincount``
+over the nonzeros of [A | -I], as the reduced costs are priced; forms the
+entering column B^-1 a_q from the column index; and updates B^-1, x_B and d
+by one rank-1 step, on the rows where B^-1 a_q is nonzero.
 
 A solve starts from one of three bases, by ``LinearProgram.start``:
 
@@ -46,7 +48,7 @@ ignores starts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -82,9 +84,12 @@ class Basis:
 
 
 class CompiledRows(NamedTuple):
-    """A's nonzeros in row-major order, a repeated variable summed, and b;
-    then the same nonzeros in column-major order: column j's rows and values
-    are ``col_rows[s:e]`` and ``col_data[s:e]`` for s, e = ``col_start[j:j + 2]``."""
+    """The nonzeros of [A | -I] in row-major order, ``aug_row``, ``aug_col``
+    and ``aug_data``: A's (a repeated variable summed), then the m of -I (row
+    i, column n + i, -1). ``row``, ``col`` and ``data`` are A's alone, prefix
+    views of those; ``rhs`` is b. Then A's nonzeros in column-major order:
+    column j's rows and values are ``col_rows[s:e]`` and ``col_data[s:e]``
+    for s, e = ``col_start[j:j + 2]``."""
     row: np.ndarray
     col: np.ndarray
     data: np.ndarray
@@ -92,16 +97,24 @@ class CompiledRows(NamedTuple):
     col_rows: np.ndarray
     col_data: np.ndarray
     col_start: np.ndarray
+    aug_row: np.ndarray
+    aug_col: np.ndarray
+    aug_data: np.ndarray
 
 
 def compile_rows(num_vars: int, constraints: Sequence[LinearConstraint]) -> CompiledRows:
+    m = len(constraints)
+    lengths = [len(row.terms) for row in constraints]
     terms = np.fromiter(chain.from_iterable(chain.from_iterable(row.terms for row in constraints)),
-                        dtype=float).reshape(-1, 2)
-    rows = np.repeat(np.arange(len(constraints)), [len(row.terms) for row in constraints])
+                        dtype=float, count=2 * sum(lengths)).reshape(-1, 2)
+    rows = np.repeat(np.arange(m), lengths)
     cols = terms[:, 0].astype(np.intp)
-    bad = (cols < 0) | (cols >= num_vars)
+    # Unsigned, a negative index is out of range too.
+    bad = (cols != terms[:, 0]) | (cols.view(np.uintp) >= num_vars)
     if bad.any():
-        raise ValueError(f"constraint references unknown variable {cols[bad.argmax()]}")
+        var = next(islice(chain.from_iterable(row.terms for row in constraints),
+                          int(bad.argmax()), None))[0]
+        raise ValueError(f"constraint references unknown variable {var}")
     # Sorted (row, col) keys put a repeated variable's terms side by side, in
     # term order; their sum is its coefficient, and a zero sum is dropped.
     keys = rows * num_vars + cols
@@ -113,12 +126,16 @@ def compile_rows(num_vars: int, constraints: Sequence[LinearConstraint]) -> Comp
     sums = np.add.reduceat(terms[order, 1], first)
     kept = sums != 0
     at = order[first[kept]]
-    row, col, data = rows[at], cols[at], sums[kept]
+    nnz, surplus = len(at), np.arange(m)
+    aug_row = np.concatenate((rows[at], surplus))
+    aug_col = np.concatenate((cols[at], surplus + num_vars))
+    aug_data = np.concatenate((sums[kept], np.full(m, -1.0)))
+    row, col, data = aug_row[:nnz], aug_col[:nnz], aug_data[:nnz]
     by_col = col.argsort(kind="stable")
     col_start = np.zeros(num_vars + 1, dtype=np.intp)
     col_start[1:] = np.bincount(col, minlength=num_vars).cumsum()
     return CompiledRows(row, col, data, np.array([r.rhs for r in constraints], float),
-                        row[by_col], data[by_col], col_start)
+                        row[by_col], data[by_col], col_start, aug_row, aug_col, aug_data)
 
 
 @dataclass(frozen=True)
@@ -164,14 +181,12 @@ class LpOutcome:
 
 def _floors(lp: LinearProgram) -> np.ndarray:
     """The lower bound of every variable: the largest of 0 and its floors."""
-    if not lp.lower:
-        return np.zeros(lp.num_vars)
-    var, floor = np.array(lp.lower, dtype=float).reshape(-1, 2).T
-    bad = (var < 0) | (var >= lp.num_vars)
-    if bad.any():
-        raise ValueError(f"bound references unknown variable {int(var[bad.argmax()])}")
     k = np.zeros(lp.num_vars)
-    np.maximum.at(k, var.astype(np.intp), floor)
+    for var, floor in lp.lower:
+        if not (0 <= var < lp.num_vars and var == int(var)):
+            raise ValueError(f"bound references unknown variable {var}")
+        if floor > k[int(var)]:
+            k[int(var)] = floor
     return k
 
 
@@ -195,21 +210,17 @@ class _Revised:
 
     def price(self, cost: np.ndarray) -> None:
         """Set d to the reduced costs of ``cost``, given over all n + m columns."""
-        rows, n = self.rows, self.n
+        rows = self.rows
         y = cost[self.basis] @ self.bx[:, :-1]
-        d = cost.copy()
-        d[:n] -= np.bincount(rows.col, weights=y[rows.row] * rows.data, minlength=n)
-        d[n:] += y
+        d = cost - np.bincount(rows.aug_col, y[rows.aug_row] * rows.aug_data, self.n + self.m)
         d[self.basis] = 0.0
         self.d = d
 
     def row(self, r: int) -> np.ndarray:
         """Row ``r`` of B^-1 [A | -I], exactly 0 and 1 at the basic columns."""
-        rows, n = self.rows, self.n
-        rho = self.bx[r, :-1]
-        line = np.empty(n + self.m)
-        line[:n] = np.bincount(rows.col, weights=rho[rows.row] * rows.data, minlength=n)
-        np.negative(rho, out=line[n:])
+        rows = self.rows
+        line = np.bincount(rows.aug_col, self.bx[r][rows.aug_row] * rows.aug_data,
+                           self.n + self.m)
         line[self.basis] = 0.0
         line[self.basis[r]] = 1.0
         return line
@@ -291,33 +302,59 @@ def _dual(state: _Revised, m: int, n: int) -> tuple[str, int, bool]:
     the first degenerate ratio test every nonbasic reduced cost gets its fixed
     perturbation, which breaks the ties that otherwise stall the dual; a run
     of 2*(m+n) degenerate pivots after that raises SolverFailure.
+
+    The loop is ``_Revised.row``, ``column`` and ``pivot`` written out on
+    locals, with the same arithmetic.
     """
     stall_after, iter_cap = _limits(m, n)
+    rows, basis, bx, d, x = state.rows, state.basis, state.bx, state.d, state.x
+    aug_row, aug_col, aug_data = rows.aug_row, rows.aug_col, rows.aug_data
+    col_rows, col_data, col_start = rows.col_rows, rows.col_data, rows.col_start.tolist()
+    size = n + m
     perturbed = False
     degenerate = 0
     for pivots in range(iter_cap + 1):
-        r = int(state.x.argmin())
-        if state.x[r] >= -EPS:
+        r = int(x.argmin())
+        if x[r] >= -EPS:
             return OPTIMAL, pivots, perturbed
-        line = state.row(r)
+        pivot_row = bx[r]  # [e_r^T B^-1 | x_r], a view
+        line = np.bincount(aug_col, pivot_row[aug_row] * aug_data, size)
+        line[basis] = 0.0
+        line[basis[r]] = 1.0
         eligible = (line < -PIVOT_TOL).nonzero()[0]
-        if eligible.size == 0:
+        if not eligible.size:
             return INFEASIBLE, pivots, perturbed
         if pivots == iter_cap:
             break
-        d = state.d
-        ratios = d[eligible] / -line[eligible]
-        best = ratios.min()
-        if best < DEGENERATE_TOL and not perturbed:
+        # d / line is minus the dual ratio d / -line, exactly: the best ratio is its max.
+        ratios = d[eligible]
+        ratios /= line[eligible]
+        best = float(ratios[ratios.argmax()])
+        if best > -DEGENERATE_TOL and not perturbed:
             perturbed = True
             # A factor in [1, 2) per column, distinct across columns.
-            d += PERTURB * (1.0 + (np.arange(n + m) * _GOLDEN) % 1.0)
-            d[state.basis] = 0.0
-            ratios = d[eligible] / -line[eligible]
-            best = ratios.min()
-        q = int(eligible[(ratios <= best + DEGENERATE_TOL).argmax()])
-        state.pivot(r, q, line, state.column(q))
-        degenerate = degenerate + 1 if best < DEGENERATE_TOL else 0
+            d += PERTURB * (1.0 + (np.arange(size) * _GOLDEN) % 1.0)
+            d[basis] = 0.0
+            ratios = d[eligible]
+            ratios /= line[eligible]
+            best = float(ratios[ratios.argmax()])
+        q = int(eligible[(ratios >= best - DEGENERATE_TOL).argmax()])
+        if q >= n:
+            column = -bx[:, q - n]
+        else:
+            s, e = col_start[q], col_start[q + 1]
+            column = bx[:, col_rows[s:e]] @ col_data[s:e]
+        line *= d[q] / line[q]
+        d -= line
+        d[q] = 0.0
+        pivot_row /= column[r]
+        column[r] = 0.0
+        touched = column.nonzero()[0]  # B^-1 a_q is sparse: update only its rows
+        block = bx.take(touched, 0)
+        block -= column.take(touched)[:, None] * pivot_row
+        bx[touched] = block
+        basis[r] = q
+        degenerate = degenerate + 1 if best > -DEGENERATE_TOL else 0
         if degenerate >= stall_after:
             raise SolverFailure(f"simplex dual stalled after {pivots + 1} pivots "
                                 f"({degenerate} degenerate) on a {m} x {n} LP")
@@ -365,13 +402,14 @@ def _start(lp: LinearProgram, rows: CompiledRows, b: np.ndarray, cost: np.ndarra
     n, m = lp.num_vars, len(b)
     start = lp.start
     warm = isinstance(start, Basis) and len(start.columns) == m
-    crash = () if start is None or isinstance(start, Basis) else start
-    bx = np.zeros((m, m + 1))
     if warm:
         basis = np.array(start.columns)
+        bx = np.empty((m, m + 1))
         bx[:, :-1] = start.inverse
         bx[:, -1] = start.inverse @ b
     else:
+        crash = () if start is None or isinstance(start, Basis) else start
+        bx = np.zeros((m, m + 1))
         _crash(bx, rows, n, crash)
         basis = np.arange(n, n + m)
         basis[:len(crash)] = crash
@@ -393,7 +431,9 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Solve with the built-in revised dual simplex."""
     n = lp.num_vars
     m = len(lp.constraints)
-    c = np.asarray(lp.objective, dtype=float)
+    cost = np.zeros(n + m)  # over [A | -I]: the surplus columns cost 0
+    cost[:n] = lp.objective
+    c = cost[:n]
     k = _floors(lp)
     if m == 0:
         if n and c.min() < 0:
@@ -403,10 +443,8 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     b = rows.rhs
     if lp.lower:
         b = b - np.bincount(rows.row, weights=rows.data * k[rows.col], minlength=m)
-    cost = np.zeros(n + m)
-    cost[:n] = c
     state, warm = _start(lp, rows, b, cost)
-    clamped = state.d.min() < -EPS
+    clamped = state.d[state.d.argmin()] < -EPS
     np.maximum(state.d, 0.0, out=state.d)
     status, pivots, perturbed = _dual(state, m, n)
     if status == INFEASIBLE:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,10 +10,11 @@ import pytest
 
 from conftest import CHAIN_DOMAIN, ISLAND_BUNDLE
 from ocgr import lp
-from ocgr.bench import SuiteSpec, generated_problems
+from ocgr.bench import SuiteSpec, _witness_plan, generated_problems
 from ocgr.cli import main
-from ocgr.errors import SolverFailure
+from ocgr.errors import CapExceeded, SolverFailure
 from ocgr.generators import CORRIDOR_DOMAIN, demo_grid_bundle, write_bundle
+from ocgr.inputs import bundle_from_texts
 from ocgr.recognition import report_from_dict
 
 
@@ -323,10 +325,16 @@ def test_bench_too_few_noise_candidates_exits_2(tmp_path, capsys):
 
 
 def test_gen_search_cap_exits_2(tmp_path, capsys, monkeypatch):
+    """A witness search that gives up names its cap; an unreachable hidden
+    goal keeps its own wording."""
+    island = bundle_from_texts(ISLAND_BUNDLE, require_obs=False)
+    with pytest.raises(CapExceeded) as err:
+        _witness_plan(island.task, island.hyps.goals[2], False, random.Random(0))
+    assert str(err.value) == "no witness plan for the hidden goal (unreachable)"
     monkeypatch.setenv("OCGR_OPTIMAL_CAP", "1")
     assert main(["gen", "--out", str(tmp_path), "--family", "grid"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: grid-0: no witness plan") and "Traceback" not in err
+    assert capsys.readouterr().err == ("error: grid-0: no witness plan for the hidden goal: "
+                                       "search cap exceeded; raise OCGR_OPTIMAL_CAP\n")
 
 
 def test_plan_search_cap_exits_2(tmp_path, demo_dir, capsys, monkeypatch):

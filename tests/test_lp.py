@@ -179,8 +179,11 @@ def test_floors_are_bounds():
         assert out.status == "optimal"
         assert abs(out.value - solve_lp(floored).value) <= 1e-9
         assert abs(out.value - 4.0) <= 1e-9 and out.counts[1] >= 1 - 1e-9
-    with pytest.raises(ValueError, match="unknown variable 2"):
-        solve_lp(LinearProgram(2, (1.0, 1.0), (), lower=((2, 1),)))
+    for var in (2, -1, 1.5):
+        for backend in ("simplex", "scipy"):
+            with pytest.raises(ValueError) as err:
+                solve_with(replace(bounded, lower=((0, 1), (var, 2))), backend)
+            assert str(err.value) == f"bound references unknown variable {var}"
 
 
 def _reduced_costs(lp, basis):
@@ -265,9 +268,9 @@ def _dense_reference(lp):
     b = np.zeros(len(lp.constraints))
     for i, row in enumerate(lp.constraints):
         for var, coef in row.terms:
-            if not 0 <= var < lp.num_vars:
+            if not (0 <= var < lp.num_vars and var == int(var)):
                 raise ValueError(f"constraint references unknown variable {var}")
-            a[i, var] += float(coef)
+            a[i, int(var)] += float(coef)
         b[i] = float(row.rhs)
     return a, b
 
@@ -593,13 +596,17 @@ def test_crash_start_that_is_not_unit_upper_triangular_is_rejected():
 
 
 def test_unknown_constraint_variable_is_rejected_by_both_backends():
-    lp = _lp(2, [1, 1], [([(0, 1)], 1), ([(1, 1), (5, 1)], 1)])
-    with pytest.raises(ValueError) as ref:
-        _dense_reference(lp)
-    for backend in ("simplex", "scipy"):
-        with pytest.raises(ValueError) as err:
-            solve_with(lp, backend)
-        assert str(err.value) == str(ref.value) == "constraint references unknown variable 5"
+    """An index out of range, or not a whole number (0.5 is not truncated
+    to variable 0), is named as given."""
+    for var in (5, -1, 0.5):
+        lp = _lp(2, [1, 1], [([(0, 1)], 1), ([(1, 1), (var, 1)], 1)])
+        with pytest.raises(ValueError) as ref:
+            _dense_reference(lp)
+        for backend in ("simplex", "scipy"):
+            with pytest.raises(ValueError) as err:
+                solve_with(lp, backend)
+            assert str(err.value) == str(ref.value) == \
+                f"constraint references unknown variable {var}"
 
 
 def test_importing_ocgr_loads_no_scipy():
