@@ -444,7 +444,7 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     if lp.lower:
         b = b - np.bincount(rows.row, weights=rows.data * k[rows.col], minlength=m)
     state, warm = _start(lp, rows, b, cost)
-    clamped = state.d[state.d.argmin()] < -EPS
+    clamped = state.d.min() < -EPS
     np.maximum(state.d, 0.0, out=state.d)
     status, pivots, perturbed = _dual(state, m, n)
     if status == INFEASIBLE:
