@@ -193,8 +193,28 @@ def _reduced_costs(lp, basis):
     return cost - cost[list(basis.columns)] @ columns
 
 
-def test_start_that_is_not_dual_feasible_still_reaches_the_optimum():
-    """A start optimal under other costs is clamped, then priced again."""
+def _hash_outcome(h, out):
+    """Feed ``out``'s status, pivots, start, value, basis columns and counts to
+    ``h``, bit for bit."""
+    value = "-" if out.value is None else out.value.hex()
+    columns = out.basis.columns if out.basis is not None else ()
+    h.update(f"{out.status} {out.pivots} {out.warm} {value} {columns}\n".encode())
+    h.update(np.array(out.counts or (), dtype=float).tobytes())
+
+
+def test_start_that_is_not_dual_feasible_still_reaches_the_optimum(monkeypatch):
+    """A start optimal under other costs is clamped, then priced again. These
+    are the solves whose primal phase 2 pivots: their outcomes are pinned bit
+    for bit, as ``test_simplex_outcomes_are_pinned`` pins recognition's."""
+    real, phase_two = lp_mod._primal, []
+
+    def primal(state, pivots, m, n):
+        status, after = real(state, pivots, m, n)
+        phase_two.append(after - pivots)
+        return status, after
+
+    monkeypatch.setattr(lp_mod, "_primal", primal)
+    h = hashlib.sha256()
     rng = random.Random(5)
     spec = SuiteSpec(families=("grid", "blocks", "logistics", "corridor"), per_family=2,
                      seed=3, observability=(100,))
@@ -213,7 +233,12 @@ def test_start_that_is_not_dual_feasible_still_reaches_the_optimum():
             assert ours.warm and ours.status == ref.status == "optimal"
             assert abs(ours.value - ref.value) <= 1e-6
             infeasible_starts += _reduced_costs(lp, other.basis).min() < -1e-7
+            _hash_outcome(h, other)
+            _hash_outcome(h, ours)
     assert infeasible_starts >= 5
+    assert (sum(p > 0 for p in phase_two), sum(phase_two)) == (9, 34)
+    assert h.hexdigest() == \
+        "4ebd6c39114b5649648ab90eec7abc062e1ef62a9dcb24577847a74db9489fba"
 
 
 def _warm_state(lp):
@@ -411,11 +436,7 @@ def test_simplex_outcomes_are_pinned(monkeypatch):
     def spy(lp, backend):
         nonlocal solves
         out = solve_with(lp, backend)
-        value = "-" if out.value is None else out.value.hex()
-        counts = np.array(out.counts or (), dtype=float).tobytes()
-        columns = out.basis.columns if out.basis is not None else ()
-        h.update(f"{out.status} {out.pivots} {out.warm} {value} {columns}\n".encode())
-        h.update(counts)
+        _hash_outcome(h, out)
         solves += 1
         return out
 
