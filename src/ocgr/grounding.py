@@ -182,17 +182,16 @@ def hmax_values(pres: Sequence[tuple[int, ...]], adds: Sequence[tuple[int, ...]]
     return values
 
 
-def relaxed_reachable(task: PlanningTask, from_facts: frozenset[int] | None = None
-                      ) -> tuple[frozenset[int], frozenset[int]]:
-    """Delete-relaxation fixpoint; returns (reachable facts, applicable action ids).
+def relaxed_reachable(task: PlanningTask) -> tuple[frozenset[int], frozenset[int]]:
+    """Delete-relaxation fixpoint from ``task.init``; returns (reachable facts,
+    applicable action ids).
 
     Each newly reached fact counts down, through ``task.by_pre``, the unreached
     preconditions of the actions requiring it."""
-    start = task.init if from_facts is None else from_facts
     missing = [len(a.pre) for a in task.actions]
     applicable = [a for a, n in enumerate(missing) if n == 0]
     adds, by_pre = task.adds, task.by_pre
-    queue = [*start, *(f for a in applicable for f in adds[a])]
+    queue = [*task.init, *(f for a in applicable for f in adds[a])]
     reached: set[int] = set()
     while queue:
         fact = queue.pop()
@@ -304,18 +303,30 @@ def _instantiate(schema: OperatorSchema, bindings: list[tuple[str, ...]], fact_o
             fact_sets(num_pre + num_add, len(lits)))
 
 
-def ground(dom: DomainDef, prob: ProblemDef, *, prune_unreachable: bool = True) -> PlanningTask:
+def ground(dom: DomainDef, prob: ProblemDef) -> PlanningTask:
     """Instantiate every type-consistent schema application whose static
-    preconditions (predicates never added or deleted) hold initially.
+    preconditions (predicates never added or deleted) hold initially, up to
+    ``OCGR_GROUND_CAP`` actions, then keep those applicable somewhere in the
+    delete relaxation of the initial state, renumbered in order; the fact
+    table covers every grounded atom."""
+    task = _ground_all(dom, prob)
+    _, applicable = relaxed_reachable(task)
+    if len(applicable) == task.num_actions:
+        return task
+    kept = (a for a in task.actions if a.id in applicable)
+    return PlanningTask(facts=task.facts, init=task.init, goal=task.goal, actions=tuple(
+        GroundAction(id=i, name=a.name, pre=a.pre, adds=a.adds, dels=a.dels, cost=a.cost)
+        for i, a in enumerate(kept)))
+
+
+def _ground_all(dom: DomainDef, prob: ProblemDef) -> PlanningTask:
+    """``ground``'s task before pruning.
 
     Bindings come from joining each schema's static preconditions with the
     initial-state tuples of their predicates, not from filtering the full
     type product, but in that product's order, so fact and action ids follow
     it. Atoms are interned by their ``(predicate, *args)`` tuple, and each
-    fact's name is built once. With ``prune_unreachable`` the action set is
-    further restricted to actions applicable somewhere in the delete
-    relaxation of the initial state; the fact table always covers all
-    grounded atoms.
+    fact's name is built once.
     """
     cap = _env_cap("OCGR_GROUND_CAP", DEFAULT_GROUND_CAP)
 
@@ -366,14 +377,5 @@ def ground(dom: DomainDef, prob: ProblemDef, *, prune_unreachable: bool = True) 
     if overlap_dropped:
         log.warning("dropped %d delete effects overlapping add effects", overlap_dropped)
 
-    facts = tuple(map(atom_text, fact_of))
-    task = PlanningTask(facts=facts, actions=tuple(actions), init=init_idx, goal=goal_idx)
-    if prune_unreachable:
-        _, applicable = relaxed_reachable(task)
-        if len(applicable) != len(actions):
-            kept = [a for a in actions if a.id in applicable]
-            renumbered = tuple(
-                GroundAction(id=i, name=a.name, pre=a.pre, adds=a.adds, dels=a.dels, cost=a.cost)
-                for i, a in enumerate(kept))
-            task = PlanningTask(facts=facts, actions=renumbered, init=init_idx, goal=goal_idx)
-    return task
+    return PlanningTask(facts=tuple(map(atom_text, fact_of)), actions=tuple(actions),
+                        init=init_idx, goal=goal_idx)

@@ -11,7 +11,9 @@ solve keeps only B^-1 (m x m), x_B = B^-1 b and the reduced costs d. Each
 pivot prices the leaving row (e_r^T B^-1)[A | -I] with one ``bincount``
 over the nonzeros of [A | -I], as the reduced costs are priced; forms the
 entering column B^-1 a_q from the column index; and updates B^-1, x_B and d
-by one rank-1 step, on the rows where B^-1 a_q is nonzero.
+by one rank-1 step, on the rows where B^-1 a_q is nonzero. ``_Revised``
+holds the one copy of each step; the dual and the primal phase 2 both pivot
+through it.
 
 A solve starts from one of three bases, by ``LinearProgram.start``:
 
@@ -207,6 +209,7 @@ class _Revised:
         self.rows, self.n, self.m = rows, n, len(basis)
         self.basis, self.bx = basis, bx
         self.x = bx[:, -1]  # a view: pivots update it with B^-1
+        self.col_start = rows.col_start.tolist()
 
     def price(self, cost: np.ndarray) -> None:
         """Set d to the reduced costs of ``cost``, given over all n + m columns."""
@@ -227,22 +230,26 @@ class _Revised:
 
     def column(self, q: int) -> np.ndarray:
         """B^-1 times column ``q`` of [A | -I], a new array."""
-        rows, n = self.rows, self.n
+        n = self.n
         if q >= n:
             return -self.bx[:, q - n]
-        s, e = rows.col_start[q:q + 2]
-        return self.bx[:, rows.col_rows[s:e]] @ rows.col_data[s:e]
+        s, e = self.col_start[q], self.col_start[q + 1]
+        return self.bx[:, self.rows.col_rows[s:e]] @ self.rows.col_data[s:e]
 
     def pivot(self, r: int, q: int, line: np.ndarray, column: np.ndarray) -> None:
         """Enter column ``q`` on row ``r``, given ``row(r)`` and ``column(q)``;
-        ``column`` is overwritten."""
+        both are overwritten."""
         d, bx = self.d, self.bx
-        d -= d[q] / line[q] * line
+        line *= d[q] / line[q]
+        d -= line
         d[q] = 0.0
-        bx[r] /= column[r]
+        pivot_row = bx[r]  # [e_r^T B^-1 | x_r], a view
+        pivot_row /= column[r]
         column[r] = 0.0
         touched = column.nonzero()[0]  # B^-1 a_q is sparse: update only its rows
-        bx[touched] -= column[touched, None] * bx[r]
+        block = bx.take(touched, 0)
+        block -= column.take(touched)[:, None] * pivot_row
+        bx[touched] = block
         self.basis[r] = q
 
 
@@ -302,25 +309,16 @@ def _dual(state: _Revised, m: int, n: int) -> tuple[str, int, bool]:
     the first degenerate ratio test every nonbasic reduced cost gets its fixed
     perturbation, which breaks the ties that otherwise stall the dual; a run
     of 2*(m+n) degenerate pivots after that raises SolverFailure.
-
-    The loop is ``_Revised.row``, ``column`` and ``pivot`` written out on
-    locals, with the same arithmetic.
     """
     stall_after, iter_cap = _limits(m, n)
-    rows, basis, bx, d, x = state.rows, state.basis, state.bx, state.d, state.x
-    aug_row, aug_col, aug_data = rows.aug_row, rows.aug_col, rows.aug_data
-    col_rows, col_data, col_start = rows.col_rows, rows.col_data, rows.col_start.tolist()
-    size = n + m
+    d, x = state.d, state.x  # pivots update them in place
     perturbed = False
     degenerate = 0
     for pivots in range(iter_cap + 1):
         r = int(x.argmin())
         if x[r] >= -EPS:
             return OPTIMAL, pivots, perturbed
-        pivot_row = bx[r]  # [e_r^T B^-1 | x_r], a view
-        line = np.bincount(aug_col, pivot_row[aug_row] * aug_data, size)
-        line[basis] = 0.0
-        line[basis[r]] = 1.0
+        line = state.row(r)
         eligible = (line < -PIVOT_TOL).nonzero()[0]
         if not eligible.size:
             return INFEASIBLE, pivots, perturbed
@@ -333,27 +331,13 @@ def _dual(state: _Revised, m: int, n: int) -> tuple[str, int, bool]:
         if best > -DEGENERATE_TOL and not perturbed:
             perturbed = True
             # A factor in [1, 2) per column, distinct across columns.
-            d += PERTURB * (1.0 + (np.arange(size) * _GOLDEN) % 1.0)
-            d[basis] = 0.0
+            d += PERTURB * (1.0 + (np.arange(n + m) * _GOLDEN) % 1.0)
+            d[state.basis] = 0.0
             ratios = d[eligible]
             ratios /= line[eligible]
             best = float(ratios[ratios.argmax()])
         q = int(eligible[(ratios >= best - DEGENERATE_TOL).argmax()])
-        if q >= n:
-            column = -bx[:, q - n]
-        else:
-            s, e = col_start[q], col_start[q + 1]
-            column = bx[:, col_rows[s:e]] @ col_data[s:e]
-        line *= d[q] / line[q]
-        d -= line
-        d[q] = 0.0
-        pivot_row /= column[r]
-        column[r] = 0.0
-        touched = column.nonzero()[0]  # B^-1 a_q is sparse: update only its rows
-        block = bx.take(touched, 0)
-        block -= column.take(touched)[:, None] * pivot_row
-        bx[touched] = block
-        basis[r] = q
+        state.pivot(r, q, line, state.column(q))
         degenerate = degenerate + 1 if best > -DEGENERATE_TOL else 0
         if degenerate >= stall_after:
             raise SolverFailure(f"simplex dual stalled after {pivots + 1} pivots "

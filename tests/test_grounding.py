@@ -13,15 +13,15 @@ from conftest import MOVE_DOMAIN, chain_task
 from ocgr.errors import GroundingError
 from ocgr.generators import (BLOCKS_DOMAIN, CORRIDOR_DOMAIN, GENERATORS, GRID_DOMAIN,
                              demo_grid_bundle)
-from ocgr.grounding import GroundAction, PlanningTask, ground, relaxed_reachable
+from ocgr.grounding import GroundAction, PlanningTask, _ground_all, ground, relaxed_reachable
 from ocgr.pddl import ProblemDef, atom_text, parse_domain, parse_problem
 
 
-def _move_task(prune=True):
+def _move_task():
     dom = parse_domain(MOVE_DOMAIN)
     prob = parse_problem(
         "(define (problem m) (:domain mover) (:objects x y) (:init (at x)))", dom)
-    return ground(dom, prob, prune_unreachable=prune)
+    return ground(dom, prob)
 
 
 def test_untyped_two_objects_gives_four_actions():
@@ -54,7 +54,7 @@ def test_blocks4_matches_brute_force_schema_enumeration():
         "(define (problem b4) (:domain blocks) (:objects a b c d)"
         " (:init (handempty) (ontable a) (clear a) (ontable b) (clear b)"
         " (ontable c) (clear c) (ontable d) (clear d)))", dom)
-    task = ground(dom, prob, prune_unreachable=False)
+    task = _ground_all(dom, prob)
     # independent enumeration: every type-consistent instantiation
     expected = sum(len(list(product(blocks, repeat=len(s.params)))) for s in dom.operators)
     assert task.num_actions == expected == 4 + 4 + 16 + 16
@@ -78,7 +78,7 @@ def test_static_preconditions_filter_instantiations():
     prob = parse_problem(
         "(define (problem c) (:domain corridor) (:objects n0 n1 n2 - node)"
         " (:init (at n0) (linked n0 n1) (linked n1 n2)))", dom)
-    task = ground(dom, prob, prune_unreachable=False)
+    task = _ground_all(dom, prob)
     assert sorted(a.name for a in task.actions) == ["walk n0 n1", "walk n1 n2"]
 
 
@@ -88,8 +88,8 @@ def test_reachability_pruning_drops_unreachable_actions():
     text = ("(define (problem c) (:domain corridor) (:objects n0 n1 n2 n3 - node)"
             " (:init (at n0) (linked n0 n1) (linked n2 n3)))")
     prob = parse_problem(text, dom)
-    pruned = ground(dom, prob, prune_unreachable=True)
-    full = ground(dom, prob, prune_unreachable=False)
+    pruned = ground(dom, prob)
+    full = _ground_all(dom, prob)
     assert sorted(a.name for a in pruned.actions) == ["walk n0 n1"]
     assert sorted(a.name for a in full.actions) == ["walk n0 n1", "walk n2 n3"]
     # the fact table still covers atoms of pruned actions
@@ -120,13 +120,13 @@ def test_relaxed_reachable_on_chain():
 def test_ground_cap_env_override(monkeypatch):
     monkeypatch.setenv("OCGR_GROUND_CAP", "3")
     with pytest.raises(GroundingError, match="cap"):
-        _move_task(prune=False)
+        _move_task()
     monkeypatch.setenv("OCGR_GROUND_CAP", "100")
-    assert _move_task(prune=False).num_actions == 4
+    assert _move_task().num_actions == 4
     for raw in ("abc", "-5", "0", "2.5", " 7"):
         monkeypatch.setenv("OCGR_GROUND_CAP", raw)
         with pytest.raises(ValueError, match="OCGR_GROUND_CAP must be a positive integer"):
-            _move_task(prune=False)
+            _move_task()
 
 
 def test_grounding_warnings_stay_off_stderr_by_default():
@@ -147,8 +147,8 @@ def test_grounding_warnings_stay_off_stderr_by_default():
 # --- reference implementations: the product-and-filter grounder and the
 # repeat-until-stable reachability loop, kept to pin the fast ones down ---
 
-def _fixpoint_reachable(task, from_facts=None):
-    reached = set(task.init if from_facts is None else from_facts)
+def _fixpoint_reachable(task):
+    reached = set(task.init)
     applicable = set()
     changed = True
     while changed:
@@ -275,7 +275,7 @@ def _equivalence_cases():
 def test_join_grounder_matches_product_and_filter(name, domain, problem, prune):
     dom = parse_domain(domain)
     prob = parse_problem(problem, dom)
-    got, want = ground(dom, prob, prune_unreachable=prune), _brute_ground(dom, prob, prune)
+    got, want = (ground if prune else _ground_all)(dom, prob), _brute_ground(dom, prob, prune)
     assert got.facts == want.facts
     assert [(a.id, a.name, a.pre, a.adds, a.dels) for a in got.actions] == \
            [(a.id, a.name, a.pre, a.adds, a.dels) for a in want.actions]
@@ -285,8 +285,8 @@ def test_join_grounder_matches_product_and_filter(name, domain, problem, prune):
 
 def test_edge_domain_join_cases():
     dom = parse_domain(EDGE_DOMAIN)
-    names = [a.name for a in ground(dom, parse_problem(EDGE_PROBLEM.format(extra=""), dom),
-                                    prune_unreachable=False).actions]
+    task = _ground_all(dom, parse_problem(EDGE_PROBLEM.format(extra=""), dom))
+    names = [a.name for a in task.actions]
     by_schema = {}
     for name in names:
         by_schema.setdefault(name.split()[0], []).append(name)
@@ -299,8 +299,7 @@ def test_edge_domain_join_cases():
     assert len(by_schema["hop"]) == 8
     assert by_schema["beam"][:3] == ["beam h1 h1 r1", "beam h1 h2 r1", "beam home h1 h1"]
     assert len(by_schema["beam"]) == 6 * 2
-    opened = ground(dom, parse_problem(EDGE_PROBLEM.format(extra="(open)"), dom),
-                    prune_unreachable=False)
+    opened = _ground_all(dom, parse_problem(EDGE_PROBLEM.format(extra="(open)"), dom))
     assert len([a for a in opened.actions if a.name.startswith("switch ")]) == 5
 
 
@@ -310,7 +309,7 @@ def test_open_30_grid_grounds_only_adjacent_moves():
     n = 30
     domain, problem, adj = _open_grid(n)
     dom = parse_domain(domain)
-    task = ground(dom, parse_problem(problem, dom), prune_unreachable=False)
+    task = _ground_all(dom, parse_problem(problem, dom))
     assert task.num_actions == 4 * n * (n - 1) == len(adj) == 3480
     assert sorted(f for f in task.facts if f.startswith("(adj-")) == sorted(adj)
     assert task.num_facts == len(adj) + n * n
@@ -323,7 +322,7 @@ def test_ground_cap_raises_on_the_same_kept_action(monkeypatch):
     domain, problem, _ = _open_grid(30)
     dom = parse_domain(domain)
     prob = parse_problem(problem, dom)
-    full = ground(dom, prob, prune_unreachable=False)
+    full = ground(dom, prob)
     built = []
     real = grounding.GroundAction
 
@@ -334,7 +333,7 @@ def test_ground_cap_raises_on_the_same_kept_action(monkeypatch):
     monkeypatch.setattr(grounding, "GroundAction", recording)
     monkeypatch.setenv("OCGR_GROUND_CAP", "2500")
     with pytest.raises(GroundingError, match=r"cap exceeded \(2500\)"):
-        ground(dom, prob, prune_unreachable=False)
+        ground(dom, prob)
     assert built == [a.name for a in full.actions[:2500]]
     # on a grid small enough for the product-and-filter reference
     domain, problem, _ = _open_grid(8)
@@ -344,10 +343,10 @@ def test_ground_cap_raises_on_the_same_kept_action(monkeypatch):
     built.clear()
     monkeypatch.setenv("OCGR_GROUND_CAP", str(want.num_actions - 1))
     with pytest.raises(GroundingError, match="cap"):
-        ground(dom, prob, prune_unreachable=False)
+        ground(dom, prob)
     assert built == [a.name for a in want.actions[:-1]]
     monkeypatch.setenv("OCGR_GROUND_CAP", str(want.num_actions))
-    assert ground(dom, prob, prune_unreachable=False).num_actions == want.num_actions
+    assert ground(dom, prob).num_actions == want.num_actions
 
 
 def _random_task(rng):
@@ -368,7 +367,8 @@ def test_counter_reachability_matches_fixpoint_on_random_tasks():
         task = _random_task(rng)
         assert relaxed_reachable(task) == _fixpoint_reachable(task)
         start = frozenset(rng.sample(range(task.num_facts), rng.randint(0, task.num_facts)))
-        assert relaxed_reachable(task, start) == _fixpoint_reachable(task, start)
+        task = replace(task, init=start)
+        assert relaxed_reachable(task) == _fixpoint_reachable(task)
 
 
 @pytest.mark.parametrize("family", sorted(GENERATORS))
@@ -377,8 +377,9 @@ def test_counter_reachability_matches_fixpoint_on_generated_tasks(family):
     for seed in range(3):
         files = GENERATORS[family](random.Random(seed)).files
         dom = parse_domain(files["domain.pddl"])
-        task = ground(dom, parse_problem(files["template.pddl"], dom), prune_unreachable=False)
+        task = _ground_all(dom, parse_problem(files["template.pddl"], dom))
         assert relaxed_reachable(task) == _fixpoint_reachable(task)
         for _ in range(5):
             start = frozenset(rng.sample(range(task.num_facts), rng.randint(0, 6)))
-            assert relaxed_reachable(task, start) == _fixpoint_reachable(task, start)
+            moved = replace(task, init=start)
+            assert relaxed_reachable(moved) == _fixpoint_reachable(moved)

@@ -203,9 +203,10 @@ def _hash_outcome(h, out):
 
 
 def test_start_that_is_not_dual_feasible_still_reaches_the_optimum(monkeypatch):
-    """A start optimal under other costs is clamped, then priced again. These
-    are the solves whose primal phase 2 pivots: their outcomes are pinned bit
-    for bit, as ``test_simplex_outcomes_are_pinned`` pins recognition's."""
+    """A start optimal under other costs is clamped, then priced again. Nine
+    of these solves pivot in the primal phase 2, which no solve in
+    ``test_simplex_outcomes_are_pinned`` does, so every outcome here is
+    pinned bit for bit too."""
     real, phase_two = lp_mod._primal, []
 
     def primal(state, pivots, m, n):
