@@ -83,19 +83,40 @@ class SuiteSpec:
             raise ValueError("suite lists neither bundles nor generator families")
 
 
-_SPEC_KEYS = set(SuiteSpec.__dataclass_fields__)
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_STRINGS = (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+            "a list of strings")
+_INT = (_is_int, "an integer")
+# Each manifest key: a test of its JSON value and what the test asks for.
+_MANIFEST_TYPES = {
+    "bundles": _STRINGS, "families": _STRINGS, "methods": _STRINGS,
+    "constraint_families": _STRINGS, "per_family": _INT, "noise_count": _INT, "seed": _INT,
+    "observability": (lambda v: v is None or (isinstance(v, list) and len(v) > 0
+                                              and all(map(_is_int, v))),
+                      "null or a non-empty list of integers"),
+    "suboptimal_fraction": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+                            "a number"),
+    "timings": (lambda v: isinstance(v, bool), "true or false"),
+    "backend": (lambda v: isinstance(v, str), "a string"),
+}
 
 
 def load_manifest(path: str | Path) -> SuiteSpec:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    unknown = set(data) - _SPEC_KEYS
+    if not isinstance(data, dict):
+        raise ValueError("a manifest must be a JSON object")
+    unknown = set(data) - set(_MANIFEST_TYPES)
     if unknown:
         raise ValueError(f"unknown manifest keys: {sorted(unknown)}")
-    for key in ("bundles", "families", "methods", "constraint_families"):
-        if key in data:
-            data[key] = tuple(data[key])
-    if data.get("observability") is not None:
-        data["observability"] = tuple(data["observability"])
+    for key, value in data.items():
+        check, kind = _MANIFEST_TYPES[key]
+        if not check(value):
+            raise ValueError(f"manifest key '{key}' must be {kind}, not {json.dumps(value)}")
+        if isinstance(value, list):
+            data[key] = tuple(value)
     return SuiteSpec(**data)
 
 

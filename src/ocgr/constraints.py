@@ -36,7 +36,9 @@ _LMCUT_ROUND_GUARD = 100_000
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    """sum(coef * Y_action) >= rhs; coefficients are nonzero.
+    """sum(coef * Y_action) >= rhs, in canonical form: ``terms`` lists each
+    action at most once, in increasing order, with a nonzero coefficient.
+    ``lp.compile_rows`` rejects a row that is not canonical.
 
     ``zeroed`` is set on landmark rows only: the cut action whose residual
     cost the row's round drove to 0. It is not part of the row's identity.

@@ -2,18 +2,18 @@
 
 The built-in solver is one revised dual simplex (float64, tolerance 1e-7) on
 the rows A y >= b, written A y - s = b over the columns [A | -I] with a
-surplus s_i per row. The rows are compiled once per LP into sparse arrays
-(``CompiledRows``): the nonzeros of [A | -I] by row, A's first and then the
-m entries -1 of -I, so that A's alone are a prefix of them; and A's by
-column. An LP built with another LP's ``compiled`` shares them. Floors
-y >= k are bounds; the substitution y = k + z moves them into b - A k. A
-solve keeps only B^-1 (m x m), x_B = B^-1 b and the reduced costs d. Each
-pivot prices the leaving row (e_r^T B^-1)[A | -I] with one ``bincount``
-over the nonzeros of [A | -I], as the reduced costs are priced; forms the
-entering column B^-1 a_q from the column index; and updates B^-1, x_B and d
-by one rank-1 step, on the rows where B^-1 a_q is nonzero. ``_Revised``
-holds the one copy of each step; the dual and the primal phase 2 both pivot
-through it.
+surplus s_i per row. The rows, canonical as ``LinearConstraint`` requires,
+are compiled once per LP into sparse arrays (``CompiledRows``): the nonzeros
+of [A | -I] by row, A's terms as written and then the m entries -1 of -I, so
+that A's alone are a prefix of them; and A's by column. An LP built with
+another LP's ``compiled`` shares them. Floors y >= k are bounds; the
+substitution y = k + z moves them into b - A k. A solve keeps only B^-1
+(m x m), x_B = B^-1 b and the reduced costs d. Each pivot prices the leaving
+row (e_r^T B^-1)[A | -I] with one ``bincount`` over the nonzeros of
+[A | -I], as the reduced costs are priced; forms the entering column
+B^-1 a_q from the column index; and updates B^-1, x_B and d by one rank-1
+step, on the rows where B^-1 a_q is nonzero. ``_Revised`` holds the one copy
+of each step; the dual and the primal phase 2 both pivot through it.
 
 A solve starts from one of three bases, by ``LinearProgram.start``:
 
@@ -87,7 +87,7 @@ class Basis:
 
 class CompiledRows(NamedTuple):
     """The nonzeros of [A | -I] in row-major order, ``aug_row``, ``aug_col``
-    and ``aug_data``: A's (a repeated variable summed), then the m of -I (row
+    and ``aug_data``: A's terms as the rows list them, then the m of -I (row
     i, column n + i, -1). ``row``, ``col`` and ``data`` are A's alone, prefix
     views of those; ``rhs`` is b. Then A's nonzeros in column-major order:
     column j's rows and values are ``col_rows[s:e]`` and ``col_data[s:e]``
@@ -117,21 +117,17 @@ def compile_rows(num_vars: int, constraints: Sequence[LinearConstraint]) -> Comp
         var = next(islice(chain.from_iterable(row.terms for row in constraints),
                           int(bad.argmax()), None))[0]
         raise ValueError(f"constraint references unknown variable {var}")
-    # Sorted (row, col) keys put a repeated variable's terms side by side, in
-    # term order; their sum is its coefficient, and a zero sum is dropped.
+    # Canonical rows (see LinearConstraint) have strictly increasing (row, col) keys.
     keys = rows * num_vars + cols
-    order = keys.argsort(kind="stable")
-    keys = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    first = first.nonzero()[0]
-    sums = np.add.reduceat(terms[order, 1], first)
-    kept = sums != 0
-    at = order[first[kept]]
-    nnz, surplus = len(at), np.arange(m)
-    aug_row = np.concatenate((rows[at], surplus))
-    aug_col = np.concatenate((cols[at], surplus + num_vars))
-    aug_data = np.concatenate((sums[kept], np.full(m, -1.0)))
+    bad = terms[:, 1] == 0
+    bad[1:] |= keys[1:] <= keys[:-1]
+    if bad.any():
+        raise ValueError(f"constraint row {rows[bad.argmax()]} repeats a variable, lists its "
+                         "variables out of increasing order or has a zero coefficient")
+    nnz, surplus = len(cols), np.arange(m)
+    aug_row = np.concatenate((rows, surplus))
+    aug_col = np.concatenate((cols, surplus + num_vars))
+    aug_data = np.concatenate((terms[:, 1], np.full(m, -1.0)))
     row, col, data = aug_row[:nnz], aug_col[:nnz], aug_data[:nnz]
     by_col = col.argsort(kind="stable")
     col_start = np.zeros(num_vars + 1, dtype=np.intp)

@@ -82,12 +82,13 @@ def _extract(parents: dict, key, task: PlanningTask) -> Plan:
     return Plan(steps=tuple(steps), cost=cost)
 
 
-def optimal_cost(task: PlanningTask, goal: Iterable[int], cap: int | None = None,
+def optimal_cost(task: PlanningTask, goal: Iterable[int],
                  floors: Mapping[int, int] | None = None) -> SearchResult:
     """Uniform-cost search for the exact optimal cost and a witness plan;
     with ``floors``, among plans that use action a at least ``floors[a]``
-    times (a node is the state mask and the floor counts still to meet)."""
-    cap = cap if cap is not None else _env_cap("OCGR_OPTIMAL_CAP", DEFAULT_OPTIMAL_CAP)
+    times (a node is the state mask and the floor counts still to meet).
+    Expanding more nodes than ``OCGR_OPTIMAL_CAP`` gives up: cap-exceeded."""
+    cap = _env_cap("OCGR_OPTIMAL_CAP", DEFAULT_OPTIMAL_CAP)
     init, masks = _masks(task)
     gmask = _mask(goal)
     floor_ids = sorted(a for a, c in (floors or {}).items() if c > 0)

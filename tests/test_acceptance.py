@@ -130,7 +130,8 @@ def test_criterion_3_completeness_full_observability():
     print(f"\nCRITERION 3 (completeness on {hits} problems, half spliced): PASS")
 
 
-def test_criterion_4_admissibility_against_oracle(clean_scored):
+def test_criterion_4_admissibility_against_oracle(clean_scored, monkeypatch):
+    monkeypatch.setenv("OCGR_OPTIMAL_CAP", "400000")
     scored, _ = clean_scored
     opt_cache: dict[tuple[int, frozenset[int]], object] = {}
     checked_h = checked_hc = 0
@@ -139,7 +140,7 @@ def test_criterion_4_admissibility_against_oracle(clean_scored):
             goal = problem.hyps.goals[s.goal_index]
             key = (id(problem.task), goal)
             if key not in opt_cache:
-                opt_cache[key] = optimal_cost(problem.task, goal, cap=400_000)
+                opt_cache[key] = optimal_cost(problem.task, goal)
             opt = opt_cache[key]
             if opt.status == "optimal":
                 if s.h != INF:
@@ -148,7 +149,7 @@ def test_criterion_4_admissibility_against_oracle(clean_scored):
             if problem.pct not in (10, 30):
                 continue  # small count floors keep the counts oracle tractable
             floors = problem.obs.counts
-            with_counts = optimal_cost(problem.task, goal, floors=floors, cap=400_000)
+            with_counts = optimal_cost(problem.task, goal, floors=floors)
             if with_counts.status == "optimal" and s.h_hc != INF:
                 assert s.h_hc <= with_counts.cost + LP_EPS
                 checked_hc += 1

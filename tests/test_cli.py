@@ -316,6 +316,34 @@ def test_bench_bad_manifest_exits_2(tmp_path, capsys):
         assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("body, named", [
+    ('{"families": ["grid"], "per_family": "2"}', "'per_family'"),
+    ('{"families": ["grid"], "per_family": true}', "'per_family'"),
+    ('{"families": ["grid"], "suboptimal_fraction": "0.5"}', "'suboptimal_fraction'"),
+    ('{"families": ["grid"], "noise_count": 1.5}', "'noise_count'"),
+    ('{"families": ["grid"], "observability": 100}', "'observability'"),
+    ('{"families": ["grid"], "observability": []}', "'observability'"),
+    ('{"families": ["grid"], "seed": "x"}', "'seed'"),
+    ('{"families": ["grid"], "timings": "no"}', "'timings'"),
+    ('{"families": ["grid"], "backend": 1}', "'backend'"),
+    ('{"families": "grid"}', "'families'"),
+    ('{"families": ["grid"], "methods": "delta-u"}', "'methods'"),
+    ('{"families": ["grid"], "constraint_families": "lm"}', "'constraint_families'"),
+    ('{"bundles": "b"}', "'bundles'"),
+    ("5", "JSON object"),
+    ("[1, 2]", "JSON object"),
+])
+def test_bench_ill_typed_manifest_exits_2(tmp_path, capsys, body, named):
+    """A manifest value of the wrong JSON type is one error line naming its
+    key, before anything runs."""
+    manifest = tmp_path / "m.json"
+    manifest.write_text(body)
+    assert main(["bench", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bench_too_few_noise_candidates_exits_2(tmp_path, capsys):
     write_bundle(tmp_path / "fork", FORK_BUNDLE)
     manifest = tmp_path / "m.json"

@@ -40,11 +40,12 @@ def test_hmax_respects_costs(chain):
     assert hmax(chain, chain.init, chain.goal, costs=(Fraction(5),)) == 5
 
 
-def test_hmax_admissible_on_random_tasks():
+def test_hmax_admissible_on_random_tasks(monkeypatch):
+    monkeypatch.setenv("OCGR_OPTIMAL_CAP", "200000")
     rng = random.Random(5)
     for _ in range(40):
         task = make_micro_task(rng)
-        opt = optimal_cost(task, task.goal, cap=200_000)
+        opt = optimal_cost(task, task.goal)
         assert opt.status == "optimal"
         assert hmax(task, task.init, task.goal) <= opt.cost
 
@@ -270,7 +271,9 @@ def _is_disjunctive_landmark(task, goal, landmark_actions):
         for i, a in enumerate(kept))
     cut_task = PlanningTask(facts=task.facts, actions=renumbered,
                             init=task.init, goal=frozenset(goal))
-    return optimal_cost(cut_task, goal, cap=500_000).status == "unreachable"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("OCGR_OPTIMAL_CAP", "500000")
+        return optimal_cost(cut_task, goal).status == "unreachable"
 
 
 def test_landmark_validity_demo_grid(demo_bundle):
@@ -422,11 +425,12 @@ def _lp_value(task, cset):
     return out.value
 
 
-def test_posthoc_only_lp_below_oracle():
+def test_posthoc_only_lp_below_oracle(monkeypatch):
+    monkeypatch.setenv("OCGR_OPTIMAL_CAP", "200000")
     rng = random.Random(31)
     for _ in range(30):
         task = make_micro_task(rng)
-        opt = optimal_cost(task, task.goal, cap=200_000)
+        opt = optimal_cost(task, task.goal)
         assert opt.status == "optimal"
         try:
             cset = posthoc_constraints(task, task.goal)
@@ -495,6 +499,37 @@ def test_constraint_soundness_against_enumerated_plans():
                     assert row.satisfied_by(counts), (name, row.text(), plan.steps)
             plans_checked += 1
     assert plans_checked >= 25
+
+
+def test_every_family_writes_canonical_rows():
+    """Each family alone writes every row as ``LinearConstraint`` requires:
+    distinct variables in increasing order, nonzero coefficients. The tasks
+    are the soundness test's draws, some actions costing 0; the goals include
+    facts whose net-change row is rewritten from a goal-free row and facts
+    with producers only, whose row is inserted."""
+    rng, other = random.Random(71), random.Random(72)
+    families = {"lm": landmark_constraints, "nc": net_change_constraints,
+                "ph": posthoc_constraints}
+    kinds = set()
+    for _ in range(300):
+        task = make_micro_task(rng)
+        task = replace(task, actions=tuple(replace(a, cost=other.choice((0, 1, 2)))
+                                           for a in task.actions))
+        goal_free = net_change_constraints(task, ())
+        for goal in (task.goal, frozenset(other.sample(range(task.num_facts), 3))):
+            for name, family in families.items():
+                try:
+                    rows = family(task, goal)
+                except GoalUnreachable:
+                    continue
+                for row in rows:
+                    variables = [a for a, _ in row.terms]
+                    assert variables == sorted(set(variables)), (name, row.text())
+                    assert all(c != 0 for _, c in row.terms), (name, row.text())
+                    if name == "nc" and row not in goal_free:
+                        kinds.add("rewritten" if any(row.terms == r.terms for r in goal_free)
+                                  else "inserted")
+    assert kinds == {"rewritten", "inserted"}
 
 
 def test_rows_have_int_coefficients_and_rhs():

@@ -289,14 +289,14 @@ def test_warm_starts_copy_the_first_pricing_bit_for_bit():
 
 
 def _dense_reference(lp):
-    """A and b of ``lp``, built term by term, a repeated variable summed."""
+    """A and b of ``lp``, built term by term."""
     a = np.zeros((len(lp.constraints), lp.num_vars))
     b = np.zeros(len(lp.constraints))
     for i, row in enumerate(lp.constraints):
         for var, coef in row.terms:
             if not (0 <= var < lp.num_vars and var == int(var)):
                 raise ValueError(f"constraint references unknown variable {var}")
-            a[i, int(var)] += float(coef)
+            a[i, int(var)] = float(coef)
         b[i] = float(row.rhs)
     return a, b
 
@@ -307,8 +307,8 @@ def test_compiled_rows_scatter_back_to_the_dense_rows():
     tasks = [(p.task, p.hyps) for p in generated_problems(spec)]
     grid = bundle_from_texts(open_grid_bundle(8), require_obs=False)
     tasks.append((grid.task, grid.hyps))
-    lps = [_lp(4, [1, 1, 1, 1], [([(0, 1), (0, 2)], 3), ([(1, 1), (2, -1), (1, -1)], 1),
-                                 ([(3, 2), (3, -2)], 0), ([], -1), ([(2, 1)], 0)])]
+    lps = [_lp(4, [1, 1, 1, 1], [([(0, 3)], 3), ([(1, 1), (2, -1)], 1),
+                                 ([(1, 2), (3, -2)], 0), ([], -1), ([(2, 1)], 0)])]
     for task, hyps in tasks:
         for goal in hyps.goals:
             try:
@@ -329,11 +329,25 @@ def test_compiled_rows_scatter_back_to_the_dense_rows():
         assert rows.col_rows.tolist() == by_col_row.tolist()
         assert rows.col_data.tobytes() == ref_a[by_col_row, by_col].tobytes()
         assert rows.col_start.tolist() == by_col.searchsorted(np.arange(lp.num_vars + 1)).tolist()
-    # the summed-to-zero terms leave no stored entry
+    # the hand LP's terms as written, the empty row storing none
     rows = compile_rows(4, lps[0].constraints)
-    assert (rows.row.tolist(), rows.col.tolist(), rows.data.tolist()) == ([0, 1, 4], [0, 2, 2],
-                                                                          [3.0, -1.0, 1.0])
-    assert (rows.col_rows.tolist(), rows.col_start.tolist()) == ([0, 1, 4], [0, 1, 1, 3, 3])
+    assert (rows.row.tolist(), rows.col.tolist(), rows.data.tolist()) == (
+        [0, 1, 1, 2, 2, 4], [0, 1, 2, 1, 3, 2], [3.0, 1.0, -1.0, 2.0, -2.0, 1.0])
+    assert (rows.col_rows.tolist(), rows.col_start.tolist()) == ([0, 1, 2, 1, 4, 2],
+                                                                 [0, 1, 3, 5, 6])
+
+
+@pytest.mark.parametrize("terms", [[(1, 1), (1, 2)], [(2, 1), (0, 1)], [(0, 1), (1, 0)]],
+                         ids=["repeated", "out-of-order", "zero"])
+def test_non_canonical_row_is_rejected_by_both_backends(terms):
+    """A row that repeats a variable, lists two out of order or has a zero
+    coefficient is named by its index; the rows around it are canonical."""
+    lp = _lp(3, [1, 1, 1], [([(0, 1), (2, 1)], 1), (terms, 1), ([(0, 1)], 0)])
+    for backend in ("simplex", "scipy"):
+        with pytest.raises(ValueError) as err:
+            solve_with(lp, backend)
+        assert str(err.value) == ("constraint row 1 repeats a variable, lists its variables "
+                                  "out of increasing order or has a zero coefficient")
 
 
 def _assert_basis_holds(lp, out):

@@ -31,8 +31,9 @@ def test_unreachable_goal():
     assert optimal_cost(task, task.goal).status == "unreachable"
 
 
-def test_cap_exceeded(demo_bundle):
-    res = optimal_cost(demo_bundle.task, demo_bundle.hyps.goals[0], cap=1)
+def test_cap_exceeded(demo_bundle, monkeypatch):
+    monkeypatch.setenv("OCGR_OPTIMAL_CAP", "1")
+    res = optimal_cost(demo_bundle.task, demo_bundle.hyps.goals[0])
     assert res.status == "cap-exceeded"
 
 
@@ -46,12 +47,13 @@ def test_counts_floor_chain(chain):
     assert optimal_cost(chain, chain.goal, floors={0: 1}).cost == 1
 
 
-def test_counts_empty_equals_optimal():
+def test_counts_empty_equals_optimal(monkeypatch):
+    monkeypatch.setenv("OCGR_OPTIMAL_CAP", "200000")
     rng = random.Random(11)
     for _ in range(25):
         task = make_micro_task(rng)
-        a = optimal_cost(task, task.goal, cap=200_000)
-        b = optimal_cost(task, task.goal, floors={}, cap=200_000)
+        a = optimal_cost(task, task.goal)
+        b = optimal_cost(task, task.goal, floors={})
         assert a.status == b.status == "optimal"
         assert a.cost == b.cost
 
@@ -87,11 +89,12 @@ def test_validate_goal_failure(chain):
     assert "(q)" in check.reason
 
 
-def test_optimal_plans_validate_on_random_tasks():
+def test_optimal_plans_validate_on_random_tasks(monkeypatch):
+    monkeypatch.setenv("OCGR_OPTIMAL_CAP", "200000")
     rng = random.Random(23)
     for _ in range(40):
         task = make_micro_task(rng)
-        res = optimal_cost(task, task.goal, cap=200_000)
+        res = optimal_cost(task, task.goal)
         assert res.status == "optimal"
         assert validate_plan(task, res.plan.steps, task.goal).ok
         assert res.plan.cost == res.cost

@@ -140,11 +140,12 @@ def test_uncertainty_selection_is_superset(demo_bundle):
             assert widened.uncertainty >= 1.0
 
 
-def test_dominance_on_random_tasks():
+def test_dominance_on_random_tasks(monkeypatch):
+    monkeypatch.setenv("OCGR_OPTIMAL_CAP", "100000")
     rng = random.Random(13)
     for _ in range(30):
         task = make_micro_task(rng)
-        opt = optimal_cost(task, task.goal, cap=100_000)
+        opt = optimal_cost(task, task.goal)
         if opt.status != "optimal":
             continue
         obs = ObservationSequence(opt.plan.steps[: rng.randint(0, len(opt.plan.steps))])
@@ -193,14 +194,15 @@ def test_full_observation_guarantee_demo_suboptimal(demo_bundle):
     assert full_observation_guarantee_check(demo_bundle.task, demo_bundle.hyps, plan, 0)
 
 
-def test_full_observation_guarantee_random_tasks():
+def test_full_observation_guarantee_random_tasks(monkeypatch):
+    monkeypatch.setenv("OCGR_OPTIMAL_CAP", "100000")
     rng = random.Random(37)
     from ocgr.inputs import GoalHypotheses
 
     passed = 0
     while passed < 25:
         task = make_micro_task(rng)
-        opt = optimal_cost(task, task.goal, cap=100_000)
+        opt = optimal_cost(task, task.goal)
         if opt.status != "optimal":
             continue
         decoy = frozenset(rng.sample(range(task.num_facts), 1))
