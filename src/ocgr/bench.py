@@ -64,6 +64,12 @@ class SuiteSpec:
         for pct in self.levels():
             if not 0 < pct <= 100:
                 raise ValueError(f"observability level {pct} outside (0, 100]")
+        # a repeat would run and count the same problems once per repeat
+        for key in ("bundles", "families", "observability", "methods"):
+            values = getattr(self, key) or ()
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"{key} lists {json.dumps(value)} more than once")
         if self.noise_count < 0:
             raise ValueError("noise_count must be >= 0")
         if self.per_family < 0:
@@ -159,7 +165,7 @@ def inject_noise(obs: ObservationSequence, task: PlanningTask, hyps: GoalHypothe
     banned = set(exclude) | set(obs.obs)
     candidates = sorted(
         a for a in applicable
-        if a not in banned and not (task.actions[a].adds & goal_facts))
+        if a not in banned and goal_facts.isdisjoint(task.actions[a].adds))
     if len(candidates) < n:
         raise OcgrError(
             f"task too small to supply {n} distinct spurious actions "
@@ -177,13 +183,13 @@ def _splice_detour(task: PlanningTask, goal: frozenset[int], plan: Plan,
     for _ in range(8):
         cut = rng.randint(0, len(plan.steps))
         state = validate_plan(task, plan.steps[:cut], ()).final_state
-        applicable = sorted(a.id for a in task.actions if a.pre <= state)
+        applicable = sorted(a.id for a in task.actions if state.issuperset(a.pre))
         if not applicable:
             continue
         detour = rng.choice(applicable)
         a = task.actions[detour]
         sub = PlanningTask(facts=task.facts, actions=task.actions,
-                           init=(state - a.dels) | a.adds, goal=goal)
+                           init=state.difference(a.dels).union(a.adds), goal=goal)
         rest = optimal_cost(sub, goal)
         if rest.status != OPTIMAL:
             continue

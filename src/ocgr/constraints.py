@@ -118,10 +118,12 @@ def _net_change(task: PlanningTask) -> _NetChange:
     # consumers -1 (pre and del); no action is both for a fact
     terms: list[list[tuple[int, int]]] = [[] for _ in range(task.num_facts)]
     for a in task.actions:
-        for f in a.adds - a.pre:
-            terms[f].append((a.id, 1))
-        for f in a.dels & a.pre:
-            terms[f].append((a.id, -1))
+        for f in a.adds:
+            if f not in a.pre:
+                terms[f].append((a.id, 1))
+        for f in a.dels:
+            if f in a.pre:
+                terms[f].append((a.id, -1))
     rows: list[LinearConstraint] = []
     start = [0]
     for f, fact_terms in enumerate(terms):

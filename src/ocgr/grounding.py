@@ -32,15 +32,19 @@ def _env_cap(name: str, default: int) -> int:
     return int(raw)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundAction:
-    """Fully instantiated action over fact indices."""
+    """Fully instantiated action over fact indices.
+
+    ``pre``, ``adds`` and ``dels`` are tuples of fact ids in strictly
+    increasing order, and ``dels`` shares no fact with ``adds``; ``ground``
+    builds every action that way, and a task built by hand must too."""
 
     id: int
     name: str
-    pre: frozenset[int]
-    adds: frozenset[int]
-    dels: frozenset[int]
+    pre: tuple[int, ...]
+    adds: tuple[int, ...]
+    dels: tuple[int, ...]
     cost: int = 1
 
     def text(self) -> str:
@@ -78,13 +82,13 @@ class PlanningTask:
 
     @cached_property
     def pres(self) -> tuple[tuple[int, ...], ...]:
-        """For each action, its precondition facts in ascending order."""
-        return tuple(tuple(sorted(a.pre)) for a in self.actions)
+        """For each action, its ``pre`` tuple itself (ascending fact ids)."""
+        return tuple(a.pre for a in self.actions)
 
     @cached_property
     def adds(self) -> tuple[tuple[int, ...], ...]:
-        """For each action, its add effects in ascending order."""
-        return tuple(tuple(sorted(a.adds)) for a in self.actions)
+        """For each action, its ``adds`` tuple itself (ascending fact ids)."""
+        return tuple(a.adds for a in self.actions)
 
     def _by_fact(self, facts_of) -> tuple[tuple[int, ...], ...]:
         by_fact: list[list[int]] = [[] for _ in range(len(self.facts))]
@@ -267,8 +271,9 @@ class _FactIds(dict):
 
 
 def _instantiate(schema: OperatorSchema, bindings: list[tuple[str, ...]], fact_of: _FactIds
-                 ) -> tuple[list[frozenset[int]], list[frozenset[int]], list[frozenset[int]]]:
-    """The precondition, add and delete fact sets of ``schema`` under each binding.
+                 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The precondition, add and delete facts of ``schema`` under each binding,
+    each as a tuple of fact ids in strictly increasing order.
 
     Each literal's ground atom ``(predicate, *args)`` is read off ``binding +
     fixed`` by one itemgetter, ``fixed`` holding the predicates and constants
@@ -293,14 +298,19 @@ def _instantiate(schema: OperatorSchema, bindings: list[tuple[str, ...]], fact_o
     ids = list(map(fact_of.__getitem__,
                    chain.from_iterable(zip(*[map(atom, values) for atom in getters]))))
 
-    def fact_sets(first: int, stop: int) -> list[frozenset[int]]:
+    def fact_tuples(first: int, stop: int) -> list[tuple[int, ...]]:
         if first == stop:
-            return [frozenset()] * len(bindings)
-        return list(map(frozenset, zip(*[ids[k::len(lits)] for k in range(first, stop)])))
+            return [()] * len(bindings)
+        columns = zip(*[ids[k::len(lits)] for k in range(first, stop)])
+        if stop - first == 1:
+            return list(columns)
+        if stop - first == 2:  # the common case, without building a set
+            return [(f, g) if f < g else (g, f) if g < f else (f,) for f, g in columns]
+        return [tuple(sorted(set(c))) for c in columns]
 
     num_pre, num_add = len(schema.pre), len(schema.add)
-    return (fact_sets(0, num_pre), fact_sets(num_pre, num_pre + num_add),
-            fact_sets(num_pre + num_add, len(lits)))
+    return (fact_tuples(0, num_pre), fact_tuples(num_pre, num_pre + num_add),
+            fact_tuples(num_pre + num_add, len(lits)))
 
 
 def ground(dom: DomainDef, prob: ProblemDef) -> PlanningTask:
@@ -308,7 +318,10 @@ def ground(dom: DomainDef, prob: ProblemDef) -> PlanningTask:
     preconditions (predicates never added or deleted) hold initially, up to
     ``OCGR_GROUND_CAP`` actions, then keep those applicable somewhere in the
     delete relaxation of the initial state, renumbered in order; the fact
-    table covers every grounded atom."""
+    table covers every grounded atom. Each action's ``pre``, ``adds`` and
+    ``dels`` are tuples of fact ids in strictly increasing order; a delete
+    effect the action also adds is dropped (STRIPS semantics), and a warning
+    counts those dropped."""
     task = _ground_all(dom, prob)
     _, applicable = relaxed_reachable(task)
     if len(applicable) == task.num_actions:
@@ -366,9 +379,12 @@ def _ground_all(dom: DomainDef, prob: ProblemDef) -> PlanningTask:
         del bindings[room:]
         pres, adds, dels = _instantiate(schema, bindings, fact_of)
         for binding, pre, add, delete in zip(bindings, pres, adds, dels):
-            if not add.isdisjoint(delete):
-                overlap_dropped += len(add & delete)
-                delete = delete - add  # add wins, STRIPS semantics
+            for f in delete:
+                if f in add:  # add wins, STRIPS semantics
+                    kept = tuple(g for g in delete if g not in add)
+                    overlap_dropped += len(delete) - len(kept)
+                    delete = kept
+                    break
             actions.append(GroundAction(id=len(actions), name=" ".join((schema.name,) + binding),
                                         pre=pre, adds=add, dels=delete))
         if capped:

@@ -133,11 +133,12 @@ def validate_plan(task: PlanningTask, steps: Iterable[int], goal: Iterable[int])
         if not 0 <= aid < task.num_actions:
             return PlanCheck(False, i, f"step {i}: unknown action id {aid}")
         a = task.actions[aid]
-        missing = a.pre - state
+        missing = [f for f in a.pre if f not in state]
         if missing:
-            names = ", ".join(task.facts[f] for f in sorted(missing))
+            names = ", ".join(task.facts[f] for f in missing)
             return PlanCheck(False, i, f"step {i} ({a.name}): unsatisfied preconditions {names}")
-        state = (state - a.dels) | a.adds
+        state.difference_update(a.dels)
+        state.update(a.adds)
     missing_goal = set(goal) - state
     if missing_goal:
         names = ", ".join(task.facts[f] for f in sorted(missing_goal))

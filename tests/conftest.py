@@ -95,25 +95,30 @@ def demo_bundle() -> Bundle:
     return bundle_from_texts(dict(demo_grid_bundle().files))
 
 
+def fact_tuple(ids) -> tuple[int, ...]:
+    """``ids`` as a ``GroundAction`` keeps facts: ascending, without repeats."""
+    return tuple(sorted(set(ids)))
+
+
 def make_micro_task(rng: random.Random, num_facts: int = 6, num_actions: int = 7,
                     walk: int = 5) -> PlanningTask:
     """Random tiny task whose goal lies on a random walk from init."""
     facts = tuple(f"(f{i})" for i in range(num_facts))
     actions = []
     for i in range(num_actions):
-        pre = frozenset(rng.sample(range(num_facts), rng.randint(0, 2)))
-        add = frozenset(rng.sample(range(num_facts), rng.randint(1, 2)))
-        dels = frozenset(f for f in rng.sample(range(num_facts), rng.randint(0, 2))
-                         if f not in add)
+        pre = fact_tuple(rng.sample(range(num_facts), rng.randint(0, 2)))
+        add = fact_tuple(rng.sample(range(num_facts), rng.randint(1, 2)))
+        dels = fact_tuple(f for f in rng.sample(range(num_facts), rng.randint(0, 2))
+                          if f not in add)
         actions.append(GroundAction(id=i, name=f"a{i}", pre=pre, adds=add, dels=dels))
     init = frozenset(rng.sample(range(num_facts), rng.randint(1, 3)))
     state = set(init)
     for _ in range(rng.randint(1, walk)):
-        applicable = [a for a in actions if a.pre <= state]
+        applicable = [a for a in actions if state.issuperset(a.pre)]
         if not applicable:
             break
         a = rng.choice(applicable)
-        state = (state - a.dels) | a.adds
+        state = state.difference(a.dels).union(a.adds)
     goal = frozenset(rng.sample(sorted(state), min(len(state), rng.randint(1, 2))))
     return PlanningTask(facts=facts, actions=tuple(actions), init=init, goal=goal)
 

@@ -291,9 +291,9 @@ def producers_and_consumers(task: PlanningTask
     producers: list[list[int]] = [[] for _ in task.facts]
     consumers: list[list[int]] = [[] for _ in task.facts]
     for a in task.actions:
-        for f in a.adds - a.pre:
+        for f in set(a.adds).difference(a.pre):
             producers[f].append(a.id)
-        for f in a.dels & a.pre:
+        for f in set(a.dels).intersection(a.pre):
             consumers[f].append(a.id)
     return producers, consumers
 

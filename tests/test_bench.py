@@ -57,7 +57,7 @@ def test_inject_noise_properties(demo_bundle):
     goal_facts = hyps.goals[0] | hyps.goals[1]
     for a in added:
         assert a not in obs.obs
-        assert not (task.actions[a].adds & goal_facts)
+        assert goal_facts.isdisjoint(task.actions[a].adds)
 
 
 def test_inject_noise_deterministic(demo_bundle):

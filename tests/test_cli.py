@@ -344,6 +344,26 @@ def test_bench_ill_typed_manifest_exits_2(tmp_path, capsys, body, named):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key, values, named", [
+    ("families", ["grid", "corridor", "grid"], 'families lists "grid" more than once'),
+    ("observability", [50, 100, 50], "observability lists 50 more than once"),
+    ("methods", ["delta-u", "hc", "delta-u"], 'methods lists "delta-u" more than once'),
+    ("bundles", None, "bundles lists"),
+], ids=["families", "observability", "methods", "bundles"])
+def test_bench_repeated_manifest_value_exits_2(tmp_path, demo_dir, capsys, key, values, named):
+    """A repeated family, level, method or bundle would run the same problems
+    once per repeat and count each in the aggregates; it is one error line
+    naming the key and the value, before anything runs."""
+    body = {"families": ["grid"], "per_family": 1, "observability": [50], "seed": 1}
+    body[key] = values if values is not None else [str(demo_dir), str(demo_dir)]
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(body))
+    assert main(["bench", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bench_too_few_noise_candidates_exits_2(tmp_path, capsys):
     write_bundle(tmp_path / "fork", FORK_BUNDLE)
     manifest = tmp_path / "m.json"

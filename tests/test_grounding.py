@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ocgr.grounding as grounding
-from conftest import MOVE_DOMAIN, chain_task
+from conftest import MOVE_DOMAIN, chain_task, fact_tuple
 from ocgr.errors import GroundingError
 from ocgr.generators import (BLOCKS_DOMAIN, CORRIDOR_DOMAIN, GENERATORS, GRID_DOMAIN,
                              demo_grid_bundle)
@@ -45,6 +45,75 @@ def test_add_wins_over_delete():
     loop = task.actions[task.action_index["move x x"]]
     assert task.fact_index["(at x)"] in loop.adds
     assert task.fact_index["(at x)"] not in loop.dels
+
+
+# look's literals ground to one atom when parameters share an object, in
+# groups of three (pre) and two (adds, dels); swap's add and delete effects
+# overlap when ?a and ?b are one object.
+REPEAT_DOMAIN = """\
+(define (domain repeats)
+  (:requirements :strips)
+  (:predicates (at ?x) (seen ?x))
+  (:action look :parameters (?a ?b ?c)
+    :precondition (and (at ?a) (at ?b) (at ?c))
+    :effect (and (seen ?b) (seen ?a) (not (at ?c)) (not (at ?a))))
+  (:action swap :parameters (?a ?b)
+    :precondition (at ?a)
+    :effect (and (at ?b) (seen ?a) (not (at ?a)) (not (seen ?b)))))
+"""
+
+
+def _repeat_task():
+    dom = parse_domain(REPEAT_DOMAIN)
+    return _ground_all(dom, parse_problem(
+        "(define (problem r) (:domain repeats) (:objects x y) (:init (at x) (at y)))", dom))
+
+
+def test_literals_grounding_to_one_atom_give_the_fact_once():
+    task = _repeat_task()
+    at, seen = ({o: task.fact_index[f"({p} {o})"] for o in "xy"} for p in ("at", "seen"))
+    # look x y x names (seen y) first, whose id is the larger: its adds are sorted
+    assert seen["x"] < seen["y"]
+    look = task.actions[task.action_index["look x y x"]]
+    assert look.pre == tuple(sorted((at["x"], at["y"])))
+    assert look.adds == (seen["x"], seen["y"])
+    assert look.dels == (at["x"],)
+    look = task.actions[task.action_index["look x x x"]]
+    assert (look.pre, look.adds, look.dels) == ((at["x"],), (seen["x"],), (at["x"],))
+
+
+def test_overlapping_deletes_are_dropped_and_counted(caplog):
+    with caplog.at_level("WARNING", logger="ocgr.grounding"):
+        task = _repeat_task()
+    at, seen = ({o: task.fact_index[f"({p} {o})"] for o in "xy"} for p in ("at", "seen"))
+    for o in "xy":
+        swap = task.actions[task.action_index[f"swap {o} {o}"]]
+        assert swap.adds == tuple(sorted((at[o], seen[o]))) and swap.dels == ()
+    swap = task.actions[task.action_index["swap x y"]]
+    assert swap.dels == tuple(sorted((at["x"], seen["y"])))
+    assert caplog.messages == ["dropped 4 delete effects overlapping add effects"]
+
+
+def _canonical_form_tasks():
+    bundles = [demo_grid_bundle().files] + [GENERATORS[family](random.Random(seed)).files
+                                            for family in sorted(GENERATORS) for seed in (1, 2, 3)]
+    texts = [(files["domain.pddl"], files["template.pddl"]) for files in bundles]
+    texts += [_open_grid(n)[:2] for n in (8, 10, 12)]
+    for domain, problem in texts:
+        dom = parse_domain(domain)
+        yield ground(dom, parse_problem(problem, dom))
+
+
+def test_action_facts_are_ascending_tuples_shared_with_the_task_tables():
+    for task in _canonical_form_tasks():
+        for a in task.actions:
+            for facts in (a.pre, a.adds, a.dels):
+                assert type(facts) is tuple
+                assert all(0 <= f < g for f, g in zip(facts, facts[1:]))
+                assert all(0 <= f < task.num_facts for f in facts)
+            assert set(a.adds).isdisjoint(a.dels)
+        assert all(p is a.pre for p, a in zip(task.pres, task.actions, strict=True))
+        assert all(q is a.adds for q, a in zip(task.adds, task.actions, strict=True))
 
 
 def test_blocks4_matches_brute_force_schema_enumeration():
@@ -154,10 +223,10 @@ def _fixpoint_reachable(task):
     while changed:
         changed = False
         for a in task.actions:
-            if a.id not in applicable and a.pre <= reached:
+            if a.id not in applicable and reached.issuperset(a.pre):
                 applicable.add(a.id)
-                if a.adds - reached:
-                    reached |= a.adds
+                if not reached.issuperset(a.adds):
+                    reached.update(a.adds)
                     changed = True
     return frozenset(reached), frozenset(applicable)
 
@@ -182,10 +251,11 @@ def _brute_ground(dom, prob, prune_unreachable=True):
                                             for a in lit[1:])))
             if any(atom(lit) not in init_set for lit in schema.pre if lit[0] not in dynamic):
                 continue
-            pre, adds, dels = (frozenset(facts.setdefault(atom(lit), len(facts)) for lit in lits)
+            pre, adds, dels = (fact_tuple(facts.setdefault(atom(lit), len(facts)) for lit in lits)
                                for lits in (schema.pre, schema.add, schema.delete))
             actions.append(GroundAction(id=len(actions), name=" ".join((schema.name,) + binding),
-                                        pre=pre, adds=adds, dels=dels - adds))
+                                        pre=pre, adds=adds,
+                                        dels=fact_tuple(set(dels) - set(adds))))
     task = PlanningTask(facts=tuple(facts), actions=tuple(actions),
                         init=frozenset(facts[a] for a in init_atoms),
                         goal=frozenset(facts[atom_text(lit)] for lit in prob.goal))
@@ -353,9 +423,10 @@ def _random_task(rng):
     n_facts = rng.randint(1, 8)
     actions = []
     for i in range(rng.randint(0, 10)):
-        pre, adds, dels = (frozenset(rng.sample(range(n_facts), rng.randint(0, min(3, n_facts))))
+        pre, adds, dels = (fact_tuple(rng.sample(range(n_facts), rng.randint(0, min(3, n_facts))))
                            for _ in range(3))
-        actions.append(GroundAction(id=i, name=f"a{i}", pre=pre, adds=adds, dels=dels - adds))
+        actions.append(GroundAction(id=i, name=f"a{i}", pre=pre, adds=adds,
+                                    dels=fact_tuple(set(dels) - set(adds))))
     init = frozenset(rng.sample(range(n_facts), rng.randint(0, n_facts)))
     return PlanningTask(facts=tuple(f"(f{j})" for j in range(n_facts)), actions=tuple(actions),
                         init=init, goal=frozenset())
