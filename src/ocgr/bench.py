@@ -64,12 +64,16 @@ class SuiteSpec:
         for pct in self.levels():
             if not 0 < pct <= 100:
                 raise ValueError(f"observability level {pct} outside (0, 100]")
-        # a repeat would run and count the same problems once per repeat
+        # a repeat would run and count the same problems once per repeat;
+        # two spellings of one bundle directory are a repeat too
         for key in ("bundles", "families", "observability", "methods"):
             values = getattr(self, key) or ()
-            for i, value in enumerate(values):
-                if value in values[:i]:
-                    raise ValueError(f"{key} lists {json.dumps(value)} more than once")
+            same = [Path(v).resolve() for v in values] if key == "bundles" else list(values)
+            for i, value in enumerate(same):
+                if value in same[:i]:
+                    first = values[same.index(value)]
+                    also = "" if first == values[i] else f", first as {json.dumps(first)}"
+                    raise ValueError(f"{key} lists {json.dumps(values[i])} more than once{also}")
         if self.noise_count < 0:
             raise ValueError("noise_count must be >= 0")
         if self.per_family < 0:

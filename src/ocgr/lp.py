@@ -295,22 +295,6 @@ def _primal(state: _Revised, pivots: int, m: int, n: int) -> tuple[str, int]:
     raise _failure("phase 2", "hit the iteration limit", pivots, m, n)
 
 
-# Column j's perturbation factor, 1 + (j * golden) % 1: in [1, 2) and
-# distinct across columns. Entry j depends on j alone, so every solve reads a
-# prefix of one vector, grown when a solve needs more. A solve reads the
-# vector it checked, whatever another thread's solve stores meanwhile.
-_factors = np.empty(0)
-
-
-def _perturbation(size: int) -> np.ndarray:
-    """``PERTURB`` times the first ``size`` perturbation factors."""
-    global _factors
-    factors = _factors
-    if len(factors) < size:
-        factors = _factors = 1.0 + (np.arange(2 * size) * _GOLDEN) % 1.0
-    return PERTURB * factors[:size]
-
-
 def _dual(state: _Revised, m: int, n: int) -> tuple[str, int, bool]:
     """Dual simplex from nonnegative reduced costs; returns the status
     (optimal or infeasible), the pivot count and whether the costs were
@@ -342,7 +326,8 @@ def _dual(state: _Revised, m: int, n: int) -> tuple[str, int, bool]:
         best = float(ratios[ratios.argmax()])
         if best > -DEGENERATE_TOL and not perturbed:
             perturbed = True
-            d += _perturbation(n + m)
+            # A factor in [1, 2) per column, distinct across columns.
+            d += PERTURB * (1.0 + (np.arange(n + m) * _GOLDEN) % 1.0)
             d[state.basis] = 0.0
             ratios = d[eligible]
             ratios /= line[eligible]

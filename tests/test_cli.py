@@ -348,14 +348,20 @@ def test_bench_ill_typed_manifest_exits_2(tmp_path, capsys, body, named):
     ("families", ["grid", "corridor", "grid"], 'families lists "grid" more than once'),
     ("observability", [50, 100, 50], "observability lists 50 more than once"),
     ("methods", ["delta-u", "hc", "delta-u"], 'methods lists "delta-u" more than once'),
-    ("bundles", None, "bundles lists"),
-], ids=["families", "observability", "methods", "bundles"])
+    ("bundles", ["{demo}", "{demo}"], 'bundles lists "{demo}" more than once'),
+    ("bundles", ["{demo}", "{demo}/"], 'bundles lists "{demo}/" more than once, first as "{demo}"'),
+    ("bundles", ["{demo}", "{demo}/../{name}"], 'bundles lists "{demo}/../{name}"'),
+], ids=["families", "observability", "methods", "bundles", "bundles-slash", "bundles-dotdot"])
 def test_bench_repeated_manifest_value_exits_2(tmp_path, demo_dir, capsys, key, values, named):
-    """A repeated family, level, method or bundle would run the same problems
-    once per repeat and count each in the aggregates; it is one error line
-    naming the key and the value, before anything runs."""
+    """A repeated family, level, method or bundle, however its directory is
+    spelled, would run the same problems once per repeat and count each in
+    the aggregates; it is one error line naming the key and the value,
+    before anything runs."""
+    def fill(v):
+        return v.format(demo=demo_dir, name=demo_dir.name) if isinstance(v, str) else v
     body = {"families": ["grid"], "per_family": 1, "observability": [50], "seed": 1}
-    body[key] = values if values is not None else [str(demo_dir), str(demo_dir)]
+    body[key] = [fill(v) for v in values]
+    named = fill(named)
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps(body))
     assert main(["bench", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
