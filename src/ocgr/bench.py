@@ -136,9 +136,9 @@ class RecognitionProblem:
     problem_id: str
     task: PlanningTask
     hyps: GoalHypotheses
-    plan: Plan | None
+    plan: Plan
     obs: ObservationSequence
-    pct: int | None  # None: observations taken as shipped in the bundle
+    pct: int
     noise: int
     files: dict[str, str] | None = None  # generated bundle files, without obs.dat
 
@@ -240,7 +240,7 @@ def generate_problem(task: PlanningTask, hyps: GoalHypotheses, pct: int, noise: 
 class Row:
     domain: str
     problem_id: str
-    pct: int | None
+    pct: int
     noise: int
     method: str
     time_s: float | None
@@ -254,7 +254,7 @@ class Row:
 @dataclass(frozen=True)
 class AggregateRow:
     domain: str
-    pct: int | None
+    pct: int
     noise: int
     method: str
     n: int
@@ -269,27 +269,15 @@ class SuiteResult:
     aggregates: tuple[AggregateRow, ...]
 
 
-def generated_problems(spec: SuiteSpec) -> list[RecognitionProblem]:
-    """Compose every (bundle|generated problem) x observability level.
-
-    For shipped bundles the obs.dat sequence plays the role of the source
-    plan: levels subsample it and noise is drawn from outside it. The j-th
-    generated bundle of a family is seeded from (seed, family, j); its source
-    plan is a witness plan for its hidden goal, detoured on a
-    ``suboptimal_fraction`` share of the indices.
-    """
-    spec.validate()
-    problems: list[RecognitionProblem] = []
+def _sources(spec: SuiteSpec):
+    """Each source in manifest order, loaded once the one before has had its
+    levels composed: its bundle, source plan, domain name, problem id,
+    generated files (None if shipped) and the parts its levels' seeds extend."""
     for path in spec.bundles:
         b = load_bundle(path)
         name = Path(path).name
-        source = Plan(steps=b.obs.obs,
-                      cost=sum(b.task.actions[a].cost for a in b.obs.obs))
-        for pct in spec.levels():
-            problems.append(generate_problem(
-                b.task, b.hyps, pct, spec.noise_count,
-                seed=stable_seed(spec.seed, name, pct), plan=source,
-                domain_name=b.domain.name, problem_id=name))
+        plan = Plan(steps=b.obs.obs, cost=sum(b.task.actions[a].cost for a in b.obs.obs))
+        yield b, plan, b.domain.name, name, None, (spec.seed, name)
     for family in spec.families:
         for j in range(spec.per_family):
             base_seed = stable_seed(spec.seed, family, j)
@@ -301,12 +289,24 @@ def generated_problems(spec: SuiteSpec) -> list[RecognitionProblem]:
                                      random.Random(stable_seed(base_seed, "detour")))
             except CapExceeded as exc:
                 raise CapExceeded(f"{family}-{j}: {exc}") from exc
-            for pct in spec.levels():
-                problems.append(generate_problem(
-                    b.task, b.hyps, pct, spec.noise_count,
-                    seed=stable_seed(base_seed, pct), plan=plan, domain_name=generated.name,
-                    problem_id=f"{family}-{j:03d}", files=generated.files))
-    return problems
+            yield b, plan, generated.name, f"{family}-{j:03d}", generated.files, (base_seed,)
+
+
+def generated_problems(spec: SuiteSpec) -> list[RecognitionProblem]:
+    """Compose every (bundle|generated problem) x observability level.
+
+    For shipped bundles the obs.dat sequence plays the role of the source
+    plan: levels subsample it and noise is drawn from outside it. The j-th
+    generated bundle of a family is seeded from (seed, family, j); its source
+    plan is a witness plan for its hidden goal, detoured on a
+    ``suboptimal_fraction`` share of the indices.
+    """
+    spec.validate()
+    return [generate_problem(b.task, b.hyps, pct, spec.noise_count,
+                             seed=stable_seed(*seed_parts, pct), plan=plan,
+                             domain_name=domain, problem_id=problem_id, files=files)
+            for b, plan, domain, problem_id, files, seed_parts in _sources(spec)
+            for pct in spec.levels()]
 
 
 def _evaluate(problem: RecognitionProblem, spec: SuiteSpec) -> list[Row]:
@@ -335,16 +335,13 @@ def _evaluate(problem: RecognitionProblem, spec: SuiteSpec) -> list[Row]:
 
 def run_suite(spec: SuiteSpec) -> SuiteResult:
     rows = [row for p in generated_problems(spec) for row in _evaluate(p, spec)]
-    rows.sort(key=lambda r: (r.domain, r.problem_id, r.pct if r.pct is not None else -1,
-                             r.noise, r.method))
+    rows.sort(key=lambda r: (r.domain, r.problem_id, r.pct, r.noise, r.method))
 
     groups: dict[tuple, list[Row]] = {}
     for r in rows:
         groups.setdefault((r.domain, r.pct, r.noise, r.method), []).append(r)
     aggregates = []
-    for (domain, pct, noise, method), members in sorted(
-            groups.items(), key=lambda kv: (kv[0][0], kv[0][1] if kv[0][1] is not None else -1,
-                                            kv[0][2], kv[0][3])):
+    for (domain, pct, noise, method), members in sorted(groups.items()):
         judged = [r for r in members if r.correct is not None]
         acc = sum(r.correct for r in judged) / len(judged) if judged else None
         times = [r.time_s for r in members if r.time_s is not None]
@@ -365,7 +362,7 @@ def format_rows(rows: tuple[Row, ...], include_timings: bool) -> str:
         out.append(",".join([
             r.domain,
             r.problem_id,
-            "" if r.pct is None else str(r.pct),
+            str(r.pct),
             str(r.noise),
             r.method,
             f"{r.time_s:.4f}" if include_timings and r.time_s is not None else "",
@@ -383,7 +380,7 @@ def format_aggregates(aggs: tuple[AggregateRow, ...]) -> str:
     for a in aggs:
         out.append(",".join([
             a.domain,
-            "" if a.pct is None else str(a.pct),
+            str(a.pct),
             str(a.noise),
             a.method,
             str(a.n),
@@ -400,8 +397,7 @@ def format_aggregate_table(aggs: tuple[AggregateRow, ...]) -> str:
     lines = [header, "-" * len(header)]
     for a in aggs:
         acc = "" if a.accuracy is None else f"{100 * a.accuracy:.1f}"
-        pct = "" if a.pct is None else str(a.pct)
-        lines.append(f"{a.domain:<12} {pct:>5} {a.noise:>5} {a.method:<8} {a.n:>4} "
+        lines.append(f"{a.domain:<12} {a.pct:>5} {a.noise:>5} {a.method:<8} {a.n:>4} "
                      f"{a.time_mean_s:>8.3f} {acc:>7} {a.spread_mean:>7.2f}")
     return "\n".join(lines)
 

@@ -29,7 +29,7 @@ A solve starts from one of three bases, by ``LinearProgram.start``:
   costs the crash's counts are the relaxed plan's; on open grids that plan
   is a shortest path, which meets every row, so the start is optimal;
 * warm (a ``Basis``): an optimal basis of the same rows, as the base LP's is
-  for its h_hc LP; one whose row count does not fit is ignored. The reduced
+  for its h_hc LP; a basis of other rows is a ValueError. The reduced
   costs depend only on the basis, the rows and the objective, not on b or
   the floors, so a basis keeps its first pricing and later starts from it
   under the same compiled rows and objective copy it.
@@ -73,8 +73,9 @@ UNBOUNDED = "unbounded"
 
 @dataclass(frozen=True, eq=False)
 class Basis:
-    """An optimal simplex basis: the basic column of each row (j < n is
-    Y_j, n + i the surplus of row i) and B^-1 over the columns [A | -I].
+    """An optimal simplex basis of the rows ``constraints`` (the solved LP's
+    own tuple): the basic column of each row (j < n is Y_j, n + i the surplus
+    of row i) and B^-1 over the columns [A | -I].
 
     ``priced`` holds the first warm start's objective, compiled rows and
     reduced costs (read-only), set when that start prices the basis.
@@ -82,6 +83,7 @@ class Basis:
 
     columns: tuple[int, ...]
     inverse: np.ndarray  # m x m, read-only
+    constraints: tuple[LinearConstraint, ...]
     priced: tuple | None = field(default=None, repr=False)
 
 
@@ -142,7 +144,8 @@ class LinearProgram:
     y_v >= floor for each (v, floor) in ``lower``.
 
     ``start`` is either an optimal basis of an LP with the same rows and
-    objective but another rhs or other floors, or a crash: the columns
+    objective but other floors (a basis of other rows is an error when the
+    simplex backend starts from it), or a crash: the columns
     a_0, ..., a_K-1 in which rows 0..K-1 are basic, every other row in its
     surplus, where A's block on those rows and columns is unit upper
     triangular (as the landmark rows' ``zeroed`` actions give). The simplex
@@ -377,18 +380,21 @@ def _crash(bx: np.ndarray, rows: CompiledRows, n: int, columns: Sequence[int]) -
 def _start(lp: LinearProgram, rows: CompiledRows, b: np.ndarray, cost: np.ndarray
            ) -> tuple[_Revised, bool]:
     """The priced state a solve of ``lp`` starts from, and whether it is warm:
-    ``lp.start`` when it is a basis whose row count fits, else the crash it
-    names (the all-surplus basis when it names none)."""
+    ``lp.start`` when it is a basis, which must be one of ``lp.constraints``
+    (else ValueError), else the crash it names (the all-surplus basis when it
+    names none)."""
     n, m = lp.num_vars, len(b)
     start = lp.start
-    warm = isinstance(start, Basis) and len(start.columns) == m
+    warm = isinstance(start, Basis)
     if warm:
+        if start.constraints is not lp.constraints and start.constraints != lp.constraints:
+            raise ValueError("warm start from a basis of other rows")
         basis = np.array(start.columns)
         bx = np.empty((m, m + 1))
         bx[:, :-1] = start.inverse
         bx[:, -1] = start.inverse @ b
     else:
-        crash = () if start is None or isinstance(start, Basis) else start
+        crash = () if start is None else start
         bx = np.zeros((m, m + 1))
         _crash(bx, rows, n, crash)
         basis = np.arange(n, n + m)
@@ -440,7 +446,7 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     inverse = state.bx[:, :-1]
     inverse.setflags(write=False)
     return LpOutcome(OPTIMAL, float(c @ counts), tuple(counts.tolist()), pivots, warm,
-                     Basis(tuple(state.basis.tolist()), inverse))
+                     Basis(tuple(state.basis.tolist()), inverse, lp.constraints))
 
 
 def _scipy_backend(lp: LinearProgram) -> LpOutcome:

@@ -52,21 +52,10 @@ def _mask(facts: Iterable[int]) -> int:
     return m
 
 
-# The action masks of the last action tuple searched: the tasks a witness
-# search and its detours replan on differ only in init and share ``actions``.
-_last_masks: tuple[tuple, list[tuple[int, int, int, int]]] | None = None
-
-
 def _masks(task: PlanningTask) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """Initial state mask and per-action (id, pre, add, negated del) masks;
-    the action masks are built once per ``task.actions``."""
-    global _last_masks
-    memo = _last_masks
-    if memo is None or memo[0] is not task.actions:
-        memo = _last_masks = (task.actions, [
-            (a.id, _mask(a.pre), _mask(a.adds), ~_mask(a.dels))
-            for a in task.actions])
-    return _mask(task.init), memo[1]
+    """Initial state mask and per-action (id, pre, add, negated del) masks."""
+    return _mask(task.init), [(a.id, _mask(a.pre), _mask(a.adds), ~_mask(a.dels))
+                              for a in task.actions]
 
 
 def _extract(parents: dict, key, task: PlanningTask) -> Plan:

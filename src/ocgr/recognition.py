@@ -199,7 +199,8 @@ def select(scores: tuple[HypothesisScore, ...], method: str, obs_len: int
     finite = {i: v for i, v in values.items() if v != INF}
     if not finite:
         # non-normative fallback: rank by the unconstrained heuristic
-        ranking = tuple(sorted(values, key=lambda i: (scores[i].h, i)))
+        h = {s.goal_index: s.h for s in scores}
+        ranking = tuple(sorted(values, key=lambda i: (h[i], i)))
         return (), None, ranking
     u = uncertainty(scores, obs_len) if widen else 1.0
     threshold = min(finite.values()) * u + SELECTION_SLACK

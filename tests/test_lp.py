@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import inspect
 import os
 import random
 import subprocess
@@ -242,6 +243,68 @@ def test_start_that_is_not_dual_feasible_still_reaches_the_optimum(monkeypatch):
         "4ebd6c39114b5649648ab90eec7abc062e1ef62a9dcb24577847a74db9489fba"
 
 
+def test_blands_rule_in_phase_two_reaches_the_highs_optima(monkeypatch):
+    """The warm starts of the test above, with Bland's rule engaged in phase 2
+    from its first degenerate pivot (the dual's stall limit as it is): every
+    solve still ends where HiGHS does, and the Bland branch of ``_primal``
+    runs."""
+    real_primal, real_limits = lp_mod._primal, lp_mod._limits
+    source, first = inspect.getsourcelines(real_primal)
+    bland_line = first + next(i for i, line in enumerate(source) if "neg = " in line)
+    bland_steps = []
+
+    def trace(frame, event, arg):
+        if frame.f_code is not real_primal.__code__:
+            return None
+        if event == "line" and frame.f_lineno == bland_line:
+            bland_steps.append(frame.f_lineno)
+        return trace
+
+    def primal(state, pivots, m, n):
+        monkeypatch.setattr(lp_mod, "_limits", lambda m, n: (0, real_limits(m, n)[1]))
+        outer = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            return real_primal(state, pivots, m, n)
+        finally:
+            sys.settrace(outer)
+            monkeypatch.setattr(lp_mod, "_limits", real_limits)
+
+    monkeypatch.setattr(lp_mod, "_primal", primal)
+    rng = random.Random(5)
+    spec = SuiteSpec(families=("grid", "blocks", "logistics", "corridor"), per_family=2,
+                     seed=3, observability=(100,))
+    for problem in generated_problems(spec):
+        task = problem.task
+        for goal in problem.hyps.goals:
+            try:
+                cset = base_constraints(task, goal)
+            except GoalUnreachable:
+                continue
+            other_costs = [rng.choice((0, 1, 20)) for _ in task.costs]
+            other = solve_lp(LinearProgram.from_constraints(cset, other_costs))
+            lp = LinearProgram.from_constraints(cset, task.costs, start=other.basis)
+            ours, ref = solve_lp(lp), solve_with(lp, "scipy")
+            assert ours.warm and ours.status == ref.status == "optimal"
+            assert abs(ours.value - ref.value) <= 1e-6
+    assert bland_steps
+
+
+def test_a_basis_starts_only_an_lp_over_its_own_rows():
+    """A basis records the rows it is a basis of. A start over equal rows is
+    warm; one over other rows, of the same count or not, is a ValueError
+    rather than a silent cold start or a wrong optimum."""
+    rows = [([(0, 1), (1, 1)], 2), ([(0, 1)], 1)]
+    base = _lp(2, [1, 2], rows)
+    basis = solve_lp(base).basis
+    assert basis.constraints is base.constraints
+    assert solve_lp(replace(_lp(2, [1, 2], rows), start=basis)).warm
+    for other in (_lp(2, [1, 2], [([(0, 1), (1, 1)], 2), ([(1, 1)], 1)]),
+                  _lp(2, [1, 2], rows[:1])):
+        with pytest.raises(ValueError, match="basis of other rows"):
+            solve_lp(replace(other, start=basis))
+
+
 def _warm_state(lp):
     """The priced state, and the costs, a solve of ``lp`` starts from when
     ``lp.start`` is a basis, built as ``solve_lp`` builds them."""
@@ -284,7 +347,7 @@ def test_warm_starts_copy_the_first_pricing_bit_for_bit():
             objective, rows, d = basis.priced
             assert objective == lp.objective and rows is base.compiled
             assert state.d is not d and not d.flags.writeable
-            alone = replace(lp, start=Basis(basis.columns, basis.inverse))
+            alone = replace(lp, start=Basis(basis.columns, basis.inverse, basis.constraints))
             assert solve_lp(lp) == solve_lp(alone)
 
 

@@ -120,27 +120,6 @@ def test_enumerate_commuting_actions():
     assert plans == {(0, 1), (1, 0)}
 
 
-def test_searches_that_share_actions_build_their_masks_once(monkeypatch):
-    """A detour search replans from another state over the same actions, as
-    bench's witness plans do, and builds only its init and goal masks."""
-    import ocgr.oracle as oracle
-
-    b = bundle_from_texts(dict(GENERATORS["grid"](random.Random(3)).files), require_obs=False)
-    task, goal = b.task, b.hyps.goals[0]
-    first = optimal_cost(task, goal)
-    state = validate_plan(task, first.plan.steps[:1], ()).final_state
-    detour = PlanningTask(facts=task.facts, actions=task.actions, init=state, goal=goal)
-    built = []
-    real = oracle._mask
-    monkeypatch.setattr(oracle, "_mask", lambda facts: built.append(facts) or real(facts))
-    rest = optimal_cost(detour, goal)
-    assert rest.cost == first.cost - 1 > 0 and built == [state, goal]
-    copy = PlanningTask(facts=task.facts, actions=tuple(list(task.actions)), init=state,
-                        goal=goal)
-    assert optimal_cost(copy, goal) == rest
-    assert len(built) == 4 + 3 * task.num_actions  # a new action tuple: masks built
-
-
 def test_enumerate_node_cap(demo_bundle):
     with pytest.raises(CapExceeded):
         enumerate_plans(demo_bundle.task, demo_bundle.hyps.goals[0], max_len=8, node_cap=50)

@@ -110,6 +110,20 @@ def test_recognize_hc_tie_kept():
         select(scores, "h_hc", 3)
 
 
+def test_fallback_ranks_by_each_goals_own_h():
+    """The fallback ranking reads each score's h by its goal index, for
+    scores out of index order and for indexes with gaps."""
+    from ocgr.recognition import HypothesisScore
+
+    def infeasible(index, h):
+        return HypothesisScore(index, h, INF, INF)
+
+    shuffled = (infeasible(2, 1), infeasible(0, 5), infeasible(1, 3))
+    assert select(shuffled, "delta-u", 3) == ((), None, (2, 1, 0))
+    gaps = (infeasible(7, 4), infeasible(3, 4), infeasible(12, 0))
+    assert select(gaps, "hc", 3) == ((), None, (12, 3, 7))
+
+
 def test_recognize_delta_demo_cases(demo_bundle):
     task, hyps, obs = demo_bundle.task, demo_bundle.hyps, demo_bundle.obs
     full = recognize(task, hyps, obs, "delta-u")
