@@ -22,7 +22,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from ocgr.bench import SuiteSpec
-from ocgr.constraints import _LMCUT_ROUND_GUARD, SRC_LANDMARK, SRC_NET_CHANGE, LinearConstraint
+from ocgr.constraints import (_LMCUT_ROUND_GUARD, SRC_LANDMARK, SRC_NET_CHANGE, LinearConstraint,
+                              relaxed_plan)
 from ocgr.errors import CapExceeded, GoalUnreachable, PddlParseError
 from ocgr.grounding import INF, PlanningTask, hmax_values
 from ocgr.inputs import GoalHypotheses, ObservationSequence
@@ -180,7 +181,9 @@ def reference_landmark_constraints(task: PlanningTask, goal: Iterable[int],
     lowest fact index) as the supporter, extracts the cut between the
     init-side zone and the zero-cost goal zone, emits it as a landmark and
     reduces the cut actions' residual costs by the cut minimum. Costs are
-    integers, so residuals stay exact integers.
+    integers, so residuals stay exact integers. Each row's ``zeroed`` is the
+    lowest-index cut action whose residual the round drives to 0 that lies
+    on the goal's ``relaxed_plan``, else the lowest-index such action.
     """
     goal = frozenset(goal)
     num_a = task.num_actions
@@ -272,8 +275,11 @@ def reference_landmark_constraints(task: PlanningTask, goal: Iterable[int],
         landmark = tuple(sorted(ai for ai in cut if ai < num_a))
         if landmark and landmark not in seen:
             seen.add(landmark)
+            plan = relaxed_plan(task, goal)
+            drained = [ai for ai in landmark if residual[ai] == m]
+            zeroed = min((ai for ai in drained if ai in plan), default=drained[0])
             out.append(LinearConstraint(terms=tuple((a, 1) for a in landmark),
-                                        rhs=1, source=SRC_LANDMARK))
+                                        rhs=1, source=SRC_LANDMARK, zeroed=zeroed))
             if minima is not None:
                 minima.append(m)
         for ai in cut:
