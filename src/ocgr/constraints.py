@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import count
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import GoalUnreachable
@@ -66,16 +67,26 @@ def dump_constraints(rows: Sequence[LinearConstraint], task: PlanningTask | None
 
 
 class _LmCutSetup(NamedTuple):
-    """LM-cut's graph without the goal: each action's preconditions not true
-    initially and its round-one supporter (-1 for none), the actions with
-    none, and the add effects and adders with the virtual goal action
-    (id ``num_actions``, adding the goal node ``num_facts``) appended."""
+    """LM-cut's graph without the goal. Nodes are the facts and the goal node
+    ``num_facts``; the virtual goal action is ``num_actions``, of cost 0,
+    adding the goal node. Per action: its preconditions not true initially
+    (its open ones), its round-one supporter (-1 for none) and its add
+    effects, the virtual action's appended. Per node: its cost-0 adders, the
+    virtual action's for the goal node, and the successor lists. An
+    ``(action, add)`` pair is an action with one of its add effects, one pair
+    per add effect. ``zero_pre`` holds the pairs of the actions with no open
+    precondition, ``single[f]`` those of the actions whose only open
+    precondition is f, and ``multi[f]`` the actions with two or more open
+    preconditions, f among them. Every field is a tuple: the task's memo
+    shares them between its goals and between threads."""
 
     pres: tuple[tuple[int, ...], ...]
     supporter: tuple[int, ...]
-    zero_pre: tuple[int, ...]
+    zero_pre: tuple[tuple[int, int], ...]
     adds: tuple[tuple[int, ...], ...]
-    adders: tuple[tuple[int, ...], ...]
+    free_adders: tuple[tuple[int, ...], ...]
+    single: tuple[tuple[tuple[int, int], ...], ...]
+    multi: tuple[tuple[int, ...], ...]
 
 
 class _NetChange(NamedTuple):
@@ -103,14 +114,48 @@ def _achievers(task: PlanningTask) -> list[int]:
 
 
 def _lmcut_setup(task: PlanningTask) -> _LmCutSetup:
-    init, values = task.init, task.init_hmax
-    pres = tuple(tuple(p for p in pre if p not in init) for pre in task.pres)
-    # pres are sorted, so max keeps the lowest index on ties
-    supporter = tuple((pre[0] if len(pre) == 1 else max(pre, key=values.__getitem__))
-                      if pre else -1 for pre in pres)
-    return _LmCutSetup(
-        pres, supporter, tuple(ai for ai, s in enumerate(supporter) if s == -1),
-        task.adds + ((task.num_facts,),), task.adders + ((task.num_actions,),))
+    init, value_of, costs = task.init, task.init_hmax.__getitem__, task.costs
+    pres, supporter, zero_pre = [], [], []
+    free: dict[int, list[int]] = {task.num_facts: [task.num_actions]}
+    single: dict[int, list[tuple[int, int]]] = {}
+    multi: dict[int, list[int]] = {}
+    # one plain loop, with no generator per action: every grounded task
+    # builds this afresh, and its first goal pays for it
+    for ai, pre, add in zip(count(), task.pres, task.adds):
+        if not init.isdisjoint(pre):
+            open_pre = ()
+            for p in pre:
+                if p not in init:
+                    open_pre += (p,)
+            pre = open_pre
+        pres.append(pre)
+        if not pre:
+            supporter.append(-1)
+            for q in add:
+                zero_pre.append((ai, q))
+        elif len(pre) == 1:
+            supporter.append(pre[0])
+            pairs = single.setdefault(pre[0], [])
+            for q in add:
+                pairs.append((ai, q))
+        else:
+            # pres are sorted, so max keeps the lowest index on ties
+            supporter.append(max(pre, key=value_of))
+            for f in pre:
+                multi.setdefault(f, []).append(ai)
+        if costs[ai] == 0:
+            for f in add:
+                free.setdefault(f, []).append(ai)
+
+    def per_node(lists: dict[int, list]) -> tuple[tuple, ...]:
+        out: list[tuple] = [()] * (task.num_facts + 1)
+        for v, items in lists.items():
+            out[v] = tuple(items)
+        return tuple(out)
+
+    return _LmCutSetup(tuple(pres), tuple(supporter), tuple(zero_pre),
+                       task.adds + ((task.num_facts,),), per_node(free),
+                       per_node(single), per_node(multi))
 
 
 def _net_change(task: PlanningTask) -> _NetChange:
@@ -202,6 +247,16 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
     propagates only the drops, in Dijkstra order from the cut actions' add
     effects, and recomputes a supporter only when its value falls; values
     and supporters stay those of a full pass under the residual costs.
+
+    The cut search and the update walk the successor lists in the task's
+    memo. An action whose only open precondition is f has f as supporter in
+    every round, so reaching f expands it, and f's fall fires it at f's
+    value, with no supporter test and no maximum. An action with several is
+    taken only where f is its supporter, and the update then recomputes its
+    supporter. A residual only falls, and reaches 0 only in the round that
+    drains it, so the goal zone walks per node just the adders of residual
+    0: the cost-0 actions and the virtual goal action, joined after each
+    round by its drained actions.
     """
     goal = frozenset(goal)
     num_a = task.num_actions
@@ -219,14 +274,21 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
     setup = _shared(task, _lmcut_setup)
     plan = relaxed_plan(task, goal)
     # a virtual goal action (id num_a, cost 0) adds the goal node; only
-    # preconditions not true initially can be supporters
+    # preconditions not true initially can be supporters. It joins copies of
+    # the successor lists' outer sequences: the memo's tuples stay as built.
     goal_pre = tuple(sorted(goal - task.init))
-    pres = [*setup.pres, goal_pre]
-    adds, adders = setup.adds, setup.adders
-    by_pre = list(task.by_pre) + [()]
-    for g in goal:
-        by_pre[g] += (num_a,)
+    pres = setup.pres + (goal_pre,)
+    adds, single, multi = setup.adds, setup.single, setup.multi
+    if len(goal_pre) == 1:
+        single = list(single)
+        single[goal_pre[0]] += ((num_a, goal_node),)
+    else:
+        multi = list(multi)
+        for g in goal_pre:
+            multi[g] += (num_a,)
     residual = list(task.costs) + [0]
+    # per node, its adders of residual 0; a round's drained actions join them
+    zero_adders = list(setup.free_adders)
 
     out: list[LinearConstraint] = []
     value_of = values.__getitem__
@@ -238,35 +300,39 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
         stack = [goal_node]
         while stack:
             v = stack.pop()
-            for ai in adders[v]:
-                if residual[ai] == 0:
-                    s = supporter[ai]
-                    if s >= 0 and not in_zone[s] and values[s] != INF:
-                        in_zone[s] = True
-                        stack.append(s)
+            for ai in zero_adders[v]:
+                s = supporter[ai]
+                if s >= 0 and not in_zone[s] and values[s] != INF:
+                    in_zone[s] = True
+                    stack.append(s)
 
+        # forward from the init side: the actions with no open precondition,
+        # then each reached fact's supported actions; those adding a zone
+        # fact form the cut. Each action is expanded at most once.
         cut: set[int] = set()
         before = [False] * num_nodes
-        stack = []
-
-        def expand(ai: int) -> None:
-            hit_zone = False
-            for q in adds[ai]:
+        for ai, q in zero_pre:
+            if in_zone[q]:
+                cut.add(ai)
+            elif not before[q]:
+                before[q] = True
+                stack.append(q)
+        while stack:
+            u = stack.pop()
+            for ai, q in single[u]:
                 if in_zone[q]:
-                    hit_zone = True
+                    cut.add(ai)
                 elif not before[q]:
                     before[q] = True
                     stack.append(q)
-            if hit_zone:
-                cut.add(ai)
-
-        for ai in zero_pre:
-            expand(ai)
-        while stack:
-            u = stack.pop()
-            for ai in by_pre[u]:
+            for ai in multi[u]:
                 if supporter[ai] == u:
-                    expand(ai)
+                    for q in adds[ai]:
+                        if in_zone[q]:
+                            cut.add(ai)
+                        elif not before[q]:
+                            before[q] = True
+                            stack.append(q)
 
         if not cut:
             raise RuntimeError("landmark extraction found no cut with positive h_max")
@@ -278,6 +344,9 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
         zeroed = next((ai for ai in drained if ai in plan), drained[0])
         out.append(LinearConstraint(terms=tuple((a, 1) for a in landmark), rhs=1,
                                     source=SRC_LANDMARK, zeroed=zeroed))
+        for ai in drained:
+            for q in adds[ai]:
+                zero_adders[q] += (ai,)
 
         # every cut action's new value is taken before any value falls: a cut
         # action may add another's supporter, which is then no longer its max
@@ -296,10 +365,16 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
             val, f = heappop(heap)
             if val > values[f]:
                 continue  # stale: f fell again after this push
-            for ai in by_pre[f]:
+            # f is the supporter of each action whose one open precondition
+            # it is, so val is that action's largest precondition value
+            for ai, q in single[f]:
+                fire = residual[ai] + val
+                if fire < values[q]:
+                    values[q] = fire
+                    heappush(heap, (fire, q))
+            for ai in multi[f]:
                 if supporter[ai] == f:
-                    pre = pres[ai]
-                    s = supporter[ai] = pre[0] if len(pre) == 1 else max(pre, key=value_of)
+                    s = supporter[ai] = max(pres[ai], key=value_of)
                     fire = residual[ai] + values[s]
                     for q in adds[ai]:
                         if fire < values[q]:

@@ -9,12 +9,13 @@ import ocgr.grounding
 from conftest import ISLAND_BUNDLE, make_micro_task, open_grid_bundle, plan_counts
 from ocgr.bench import SuiteSpec, generated_problems
 from ocgr.constraints import (ALL_FAMILIES, INF, SRC_LANDMARK, SRC_NET_CHANGE,
-                              SRC_POST_HOC, LinearConstraint,
+                              SRC_POST_HOC, LinearConstraint, _lmcut_setup,
                               base_constraints, dump_constraints,
                               landmark_constraints, net_change_constraints,
                               posthoc_constraints, relaxed_plan)
 from ocgr.errors import CapExceeded, GoalUnreachable
-from ocgr.grounding import GroundAction, PlanningTask
+from ocgr.generators import gen_blocks, gen_logistics
+from ocgr.grounding import GroundAction, PlanningTask, task_memo
 from ocgr.inputs import bundle_from_texts
 from ocgr.lp import LinearProgram, solve_lp
 from ocgr.oracle import optimal_cost
@@ -164,6 +165,32 @@ def test_landmark_rows_match_reference_with_large_init():
             kinds.add(expected[0] if expected and isinstance(expected[0], str)
                       else "rows" if expected else "empty")
     assert kinds == {"GoalUnreachable", "rows", "empty"}
+
+
+def test_landmark_rows_do_not_depend_on_goal_order():
+    """A task's goals share its LM-cut setup, to which each goal adds its
+    virtual goal action on copies only: a goal's rows, with their
+    ``zeroed``, are the same on a freshly grounded task as after the task's
+    other goals and their union ran on it. Grid goals are one open fact and
+    blocks and logistics goals several, so both kinds of virtual action
+    are covered, and so is a union goal."""
+    sources = [open_grid_bundle(12), gen_blocks(random.Random(1)).files,
+               gen_logistics(random.Random(1)).files]
+    for files in sources:
+        hyps = bundle_from_texts(files, require_obs=False).hyps
+        goals = [*hyps.goals, frozenset().union(*hyps.goals)]
+        for goal in goals:
+            alone = _landmark_outcome(landmark_constraints,
+                                      bundle_from_texts(files, require_obs=False).task, goal)
+            task = bundle_from_texts(files, require_obs=False).task
+            for other in goals:
+                if other != goal:
+                    landmark_constraints(task, other)
+            assert _landmark_outcome(landmark_constraints, task, goal) == alone
+            setup = task_memo(task)[_lmcut_setup]
+            assert all(type(part) is tuple for part in setup)
+            assert all(type(entry) is tuple for part in setup if part is not setup.supporter
+                       for entry in part)
 
 
 def test_landmarks_when_an_achiever_needs_only_init_facts():
