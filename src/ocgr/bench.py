@@ -277,7 +277,7 @@ def _sources(spec: SuiteSpec):
         b = load_bundle(path)
         name = Path(path).name
         plan = Plan(steps=b.obs.obs, cost=sum(b.task.actions[a].cost for a in b.obs.obs))
-        yield b, plan, b.domain.name, name, None, (spec.seed, name)
+        yield b, plan, b.domain_name, name, None, (spec.seed, name)
     for family in spec.families:
         for j in range(spec.per_family):
             base_seed = stable_seed(spec.seed, family, j)

@@ -18,7 +18,7 @@ from typing import Iterator
 
 from .errors import PddlParseError
 from .grounding import PlanningTask, ground
-from .pddl import DomainDef, ProblemDef, parse_domain, parse_problem
+from .pddl import ProblemDef, parse_domain, parse_problem
 
 _GROUP = re.compile(r"\(([^()]*)\)")
 
@@ -118,11 +118,13 @@ def parse_real_hyp(text: str, hyps: GoalHypotheses) -> int:
 
 @dataclass(frozen=True)
 class Bundle:
-    """A fully parsed problem bundle."""
+    """A fully parsed problem bundle: its domain's name and what recognition
+    reads. The parsed domain and problem are not kept, since nothing reads
+    them once the task is grounded, and the problem's initial-state atoms
+    are a large share of a small bundle's memory."""
 
     path: str
-    domain: DomainDef
-    problem: ProblemDef
+    domain_name: str
     task: PlanningTask
     hyps: GoalHypotheses
     obs: ObservationSequence
@@ -150,7 +152,7 @@ def bundle_from_texts(texts: dict[str, str | None], *, path: str = "<memory>",
         hyps = hyps.with_hidden(parse_real_hyp(real, hyps))
     obs_text = read("obs.dat", required=require_obs)
     obs = parse_observations(obs_text, task) if obs_text is not None else ObservationSequence(())
-    return Bundle(path=path, domain=dom, problem=prob, task=task, hyps=hyps, obs=obs)
+    return Bundle(path=path, domain_name=dom.name, task=task, hyps=hyps, obs=obs)
 
 
 def load_bundle(directory: str | Path, *, require_obs: bool = True) -> Bundle:
