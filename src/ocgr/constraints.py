@@ -67,22 +67,22 @@ def dump_constraints(rows: Sequence[LinearConstraint], task: PlanningTask | None
 
 
 class _LmCutSetup(NamedTuple):
-    """LM-cut's graph without the goal. Nodes are the facts and the goal node
-    ``num_facts``; the virtual goal action is ``num_actions``, of cost 0,
-    adding the goal node. Per action: its preconditions not true initially
-    (its open ones), its round-one supporter (-1 for none) and its add
-    effects, the virtual action's appended. Per node: its cost-0 adders, the
-    virtual action's for the goal node, and the successor lists. An
-    ``(action, add)`` pair is an action with one of its add effects, one pair
-    per add effect. ``zero_pre`` holds the pairs of the actions with no open
-    precondition, ``single[f]`` those of the actions whose only open
-    precondition is f, and ``multi[f]`` the actions with two or more open
-    preconditions, f among them. Every field is a tuple: the task's memo
-    shares them between its goals and between threads."""
+    """LM-cut's graph without the goal. Nodes are the facts, the goal node
+    ``num_facts`` and the init node ``num_facts + 1``; the virtual goal
+    action is ``num_actions``, of cost 0, adding the goal node. Per action:
+    its preconditions not true initially (its open ones), its round-one
+    supporter (-1 for none) and its add effects, the virtual action's
+    appended. Per node: its cost-0 adders, the virtual action's for the goal
+    node, and the successor lists. An ``(action, add)`` pair is an action
+    with one of its add effects, one pair per add effect. ``single[f]`` holds
+    the pairs of the actions whose only open precondition is f, and the init
+    node's those of the actions with none; ``multi[f]`` holds the actions
+    with two or more open preconditions, f among them. Every field is a
+    tuple: the task's memo shares them between its goals and between
+    threads."""
 
     pres: tuple[tuple[int, ...], ...]
     supporter: tuple[int, ...]
-    zero_pre: tuple[tuple[int, int], ...]
     adds: tuple[tuple[int, ...], ...]
     free_adders: tuple[tuple[int, ...], ...]
     single: tuple[tuple[tuple[int, int], ...], ...]
@@ -115,7 +115,8 @@ def _achievers(task: PlanningTask) -> list[int]:
 
 def _lmcut_setup(task: PlanningTask) -> _LmCutSetup:
     init, value_of, costs = task.init, task.init_hmax.__getitem__, task.costs
-    pres, supporter, zero_pre = [], [], []
+    init_node = task.num_facts + 1
+    pres, supporter = [], []
     free: dict[int, list[int]] = {task.num_facts: [task.num_actions]}
     single: dict[int, list[tuple[int, int]]] = {}
     multi: dict[int, list[int]] = {}
@@ -129,13 +130,9 @@ def _lmcut_setup(task: PlanningTask) -> _LmCutSetup:
                     open_pre += (p,)
             pre = open_pre
         pres.append(pre)
-        if not pre:
-            supporter.append(-1)
-            for q in add:
-                zero_pre.append((ai, q))
-        elif len(pre) == 1:
-            supporter.append(pre[0])
-            pairs = single.setdefault(pre[0], [])
+        if len(pre) < 2:
+            supporter.append(pre[0] if pre else -1)
+            pairs = single.setdefault(pre[0] if pre else init_node, [])
             for q in add:
                 pairs.append((ai, q))
         else:
@@ -148,12 +145,12 @@ def _lmcut_setup(task: PlanningTask) -> _LmCutSetup:
                 free.setdefault(f, []).append(ai)
 
     def per_node(lists: dict[int, list]) -> tuple[tuple, ...]:
-        out: list[tuple] = [()] * (task.num_facts + 1)
+        out: list[tuple] = [()] * (init_node + 1)
         for v, items in lists.items():
             out[v] = tuple(items)
         return tuple(out)
 
-    return _LmCutSetup(tuple(pres), tuple(supporter), tuple(zero_pre),
+    return _LmCutSetup(tuple(pres), tuple(supporter),
                        task.adds + ((task.num_facts,),), per_node(free),
                        per_node(single), per_node(multi))
 
@@ -262,8 +259,8 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
     num_a = task.num_actions
     if not goal:
         return ()
-    goal_node = task.num_facts
-    num_nodes = task.num_facts + 1
+    goal_node, init_node = task.num_facts, task.num_facts + 1
+    num_nodes = task.num_facts + 1  # the nodes with a value: facts and goal
     # Round one runs on the original costs: the task's init_hmax, and the goal
     # node's value is that of its virtual action, the largest goal value.
     values = [*task.init_hmax, max(task.init_hmax[g] for g in goal)]
@@ -293,7 +290,6 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
     out: list[LinearConstraint] = []
     value_of = values.__getitem__
     supporter = [*setup.supporter, max(goal_pre, key=value_of)]
-    zero_pre = setup.zero_pre
     for _ in range(_LMCUT_ROUND_GUARD):
         in_zone = [False] * num_nodes
         in_zone[goal_node] = True
@@ -306,17 +302,11 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
                     in_zone[s] = True
                     stack.append(s)
 
-        # forward from the init side: the actions with no open precondition,
-        # then each reached fact's supported actions; those adding a zone
-        # fact form the cut. Each action is expanded at most once.
+        # forward from the init node over the supported actions; those adding
+        # a zone fact form the cut. Each action is expanded at most once.
         cut: set[int] = set()
         before = [False] * num_nodes
-        for ai, q in zero_pre:
-            if in_zone[q]:
-                cut.add(ai)
-            elif not before[q]:
-                before[q] = True
-                stack.append(q)
+        stack.append(init_node)
         while stack:
             u = stack.pop()
             for ai, q in single[u]:
