@@ -171,9 +171,9 @@ def test_landmark_rows_do_not_depend_on_goal_order():
     """A task's goals share its LM-cut setup, to which each goal adds its
     virtual goal action on copies only: a goal's rows, with their
     ``zeroed``, are the same on a freshly grounded task as after the task's
-    other goals and their union ran on it. Grid goals are one open fact and
-    blocks and logistics goals several, so both kinds of virtual action
-    are covered, and so is a union goal."""
+    other goals and their union ran on it. Each grid goal has one open
+    fact, and a blocks goal and every union goal have several, so both
+    kinds of virtual goal action are covered."""
     sources = [open_grid_bundle(12), gen_blocks(random.Random(1)).files,
                gen_logistics(random.Random(1)).files]
     for files in sources:
