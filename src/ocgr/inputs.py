@@ -18,9 +18,14 @@ from typing import Iterator
 
 from .errors import PddlParseError
 from .grounding import PlanningTask, ground
-from .pddl import ProblemDef, parse_domain, parse_problem
+from .pddl import DomainDef, ProblemDef, parse_domain, parse_problem
 
 _GROUP = re.compile(r"\(([^()]*)\)")
+
+# The domain text ``bundle_from_texts`` parsed last, with its parse: bundles of
+# one domain mostly load in a row, and ``parse_problem`` and ``ground`` only
+# read a ``DomainDef``. One tuple, read once, so a race at worst parses twice.
+_last_domain: tuple[str, DomainDef] | None = None
 
 
 @dataclass(frozen=True)
@@ -130,9 +135,25 @@ class Bundle:
     obs: ObservationSequence
 
 
+def _parsed_domain(text: str) -> DomainDef:
+    """``parse_domain(text)``, reused from the last call when ``text`` is equal."""
+    global _last_domain
+    last = _last_domain
+    if last is not None and last[0] == text:
+        return last[1]
+    dom = parse_domain(text)
+    _last_domain = (text, dom)
+    return dom
+
+
 def bundle_from_texts(texts: dict[str, str | None], *, path: str = "<memory>",
                       require_obs: bool = True) -> Bundle:
-    """Assemble a bundle from file contents keyed by bundle file name."""
+    """Assemble a bundle from file contents keyed by bundle file name.
+
+    The parsed domain of the domain text loaded last is kept and reused when
+    the next bundle's domain text is equal; any other text is parsed and takes
+    its place. The kept ``DomainDef`` never leaves this module, and a text that
+    fails to parse raises as always and leaves the kept one in place."""
 
     def read(name: str, required: bool = True) -> str | None:
         text = texts.get(name)
@@ -140,7 +161,7 @@ def bundle_from_texts(texts: dict[str, str | None], *, path: str = "<memory>",
             raise PddlParseError(f"missing bundle file: {path}/{name}")
         return text
 
-    dom = parse_domain(read("domain.pddl"))
+    dom = _parsed_domain(read("domain.pddl"))
     prob = parse_problem(read("template.pddl"), dom)
     # hypotheses drive the recognition goals; template goals are ignored
     prob = ProblemDef(name=prob.name, domain_name=prob.domain_name,

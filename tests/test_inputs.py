@@ -1,9 +1,20 @@
+import random
+
 import pytest
 
+from ocgr import inputs
 from ocgr.errors import PddlParseError
-from ocgr.generators import demo_grid_bundle, write_bundle
+from ocgr.generators import CORRIDOR_DOMAIN, GENERATORS, demo_grid_bundle, write_bundle
+from ocgr.grounding import ground
 from ocgr.inputs import (bundle_from_texts, load_bundle, parse_hypotheses,
                          parse_observations, parse_real_hyp)
+from ocgr.pddl import parse_domain, parse_problem
+
+# One corridor template; the two domains share the name ``corridor`` but
+# only the first one's ``walk`` leaves its start node.
+CORRIDOR_TEMPLATE = ("(define (problem c) (:domain corridor) (:objects s0 s1 s2 - node)"
+                     " (:init (at s0) (linked s0 s1) (linked s1 s2)))")
+STAY_DOMAIN = CORRIDOR_DOMAIN.replace("(and (at ?to) (not (at ?from)))", "(at ?to)")
 
 
 def test_observation_counts(demo_bundle):
@@ -90,3 +101,70 @@ def test_observations_multiple_groups_per_line(demo_bundle):
     a, b = task.actions[0].name, task.actions[1].name
     obs = parse_observations(f"({a})({b})({a})\n", task)
     assert len(obs) == 3 and obs.counts == {0: 2, 1: 1}
+
+
+@pytest.fixture()
+def parse_count(monkeypatch) -> list[str]:
+    """The domain texts ``bundle_from_texts`` parses after loading a domain
+    that no test here loads."""
+    parsed: list[str] = []
+
+    def counting(text):
+        parsed.append(text)
+        return parse_domain(text)
+
+    bundle_from_texts({"domain.pddl": "(define (domain unused) (:predicates (p)))",
+                       "template.pddl": "(define (problem u) (:domain unused) (:init (p)))",
+                       "hyps.dat": "(p)\n"}, require_obs=False)
+    monkeypatch.setattr(inputs, "parse_domain", counting)
+    return parsed
+
+
+def _ground_fresh(files: dict[str, str]):
+    dom = parse_domain(files["domain.pddl"])
+    return ground(dom, parse_problem(files["template.pddl"], dom))
+
+
+def _task_view(task):
+    return (task.facts, task.init,
+            [(a.name, a.pre, a.adds, a.dels, a.cost) for a in task.actions])
+
+
+def test_one_domain_text_is_parsed_once(parse_count):
+    files = dict(demo_grid_bundle().files)
+    first = bundle_from_texts(files)
+    # an equal text, not the same string object
+    second = bundle_from_texts({**files, "domain.pddl": files["domain.pddl"].encode().decode()})
+    assert parse_count == [files["domain.pddl"]]
+    assert _task_view(first.task) == _task_view(second.task)
+
+
+@pytest.mark.parametrize("pair", ["families", "same-name"])
+def test_alternating_domains_ground_as_a_fresh_parse(parse_count, pair):
+    if pair == "families":
+        rng = random.Random(3)
+        a, b = (GENERATORS[family](rng).files for family in ("grid", "blocks"))
+    else:
+        a, b = ({"domain.pddl": domain, "template.pddl": CORRIDOR_TEMPLATE,
+                 "hyps.dat": "(at s2)\n"} for domain in (CORRIDOR_DOMAIN, STAY_DOMAIN))
+    cases = [(files, _task_view(_ground_fresh(files))) for files in (a, b)]
+    assert cases[0][1] != cases[1][1]
+    for files, want in (*cases, cases[0]):
+        assert _task_view(bundle_from_texts(files, require_obs=False).task) == want
+    assert len(parse_count) == 3
+
+
+def test_unparsable_domain_raises_alike_and_keeps_the_last_good_one(parse_count):
+    good = dict(demo_grid_bundle().files)
+    bad = {**good, "domain.pddl": "(define (domain b)\n  (:predicates (p))\n"
+                                  "  (:action a :parameters () :precondition (p) :effect (q)))\n"}
+    bundle_from_texts(good)
+    raised = []
+    for _ in range(2):
+        with pytest.raises(PddlParseError) as info:
+            bundle_from_texts(bad)
+        raised.append((str(info.value), info.value.line, info.value.column))
+    assert raised[0] == raised[1] == ("undeclared predicate 'q' in effect of 'a' (line 3, col 56)",
+                                      3, 56)
+    bundle_from_texts(good)
+    assert parse_count == [good["domain.pddl"], bad["domain.pddl"], bad["domain.pddl"]]
