@@ -42,6 +42,8 @@ def _load_inputs(args: argparse.Namespace, *, need_obs: bool = True) -> Bundle:
     if args.bundle:
         return load_bundle(args.bundle, require_obs=need_obs)
     required = {"domain": args.domain, "problem": args.problem, "hyps": args.hyps}
+    if need_obs:
+        required["obs"] = args.obs
     missing = [k for k, v in required.items() if not v]
     if missing:
         raise PddlParseError(f"missing input files: --{', --'.join(missing)} (or use --bundle)")

@@ -102,6 +102,18 @@ def test_recognize_separate_files(demo_dir, capsys):
     assert "selected: G0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["recognize", "heuristic"])
+def test_separate_files_without_obs_name_the_flag(demo_dir, capsys, command):
+    """The error names the missing ``--obs`` flag, not a bundle path never given;
+    ``plan`` needs no observations and runs without it."""
+    files = ["-d", str(demo_dir / "domain.pddl"), "-p", str(demo_dir / "template.pddl"),
+             "-y", str(demo_dir / "hyps.dat")]
+    assert main([command, *files]) == 2
+    assert capsys.readouterr().err == "error: missing input files: --obs (or use --bundle)\n"
+    assert main(["plan", *files, "--goal-index", "0"]) == 0
+    assert "G0: cost 3" in capsys.readouterr().out
+
+
 def test_recognize_solver_failure_exits_3(demo_dir, capsys, monkeypatch):
     def broken(prog):
         raise SolverFailure("injected failure")
