@@ -14,7 +14,9 @@ manifest enables ``timings`` (so default row files are byte-reproducible).
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import random
 import time
@@ -187,7 +189,7 @@ def _splice_detour(task: PlanningTask, goal: frozenset[int], plan: Plan,
     for _ in range(8):
         cut = rng.randint(0, len(plan.steps))
         state = validate_plan(task, plan.steps[:cut], ()).final_state
-        applicable = sorted(a.id for a in task.actions if state.issuperset(a.pre))
+        applicable = [i for i, a in enumerate(task.actions) if state.issuperset(a.pre)]
         if not applicable:
             continue
         detour = rng.choice(applicable)
@@ -356,39 +358,28 @@ def run_suite(spec: SuiteSpec) -> SuiteResult:
 ROWS_HEADER = "domain,problem_id,pct,noise,method,time_s,correct,spread,U,selected_goals,status"
 
 
+def _csv(header: str, records) -> str:
+    """``header`` and one CSV line per record, fields quoted only where needed."""
+    buf = io.StringIO()
+    buf.write(header + "\n")
+    csv.writer(buf, lineterminator="\n").writerows(records)
+    return buf.getvalue()
+
+
 def format_rows(rows: tuple[Row, ...], include_timings: bool) -> str:
-    out = [ROWS_HEADER]
-    for r in rows:
-        out.append(",".join([
-            r.domain,
-            r.problem_id,
-            str(r.pct),
-            str(r.noise),
-            r.method,
-            f"{r.time_s:.4f}" if include_timings and r.time_s is not None else "",
-            "" if r.correct is None else str(int(r.correct)),
-            str(r.spread),
-            "" if r.u is None else f"{r.u:.6f}",
-            ";".join(str(i) for i in r.selected),
-            r.status,
-        ]))
-    return "\n".join(out) + "\n"
+    return _csv(ROWS_HEADER, ([
+        r.domain, r.problem_id, r.pct, r.noise, r.method,
+        f"{r.time_s:.4f}" if include_timings and r.time_s is not None else "",
+        "" if r.correct is None else int(r.correct), r.spread,
+        "" if r.u is None else f"{r.u:.6f}", ";".join(map(str, r.selected)), r.status,
+    ] for r in rows))
 
 
 def format_aggregates(aggs: tuple[AggregateRow, ...]) -> str:
-    out = ["domain,pct,noise,method,n,time_mean_s,acc_pct,spread_mean"]
-    for a in aggs:
-        out.append(",".join([
-            a.domain,
-            str(a.pct),
-            str(a.noise),
-            a.method,
-            str(a.n),
-            f"{a.time_mean_s:.4f}",
-            "" if a.accuracy is None else f"{100 * a.accuracy:.2f}",
-            f"{a.spread_mean:.2f}",
-        ]))
-    return "\n".join(out) + "\n"
+    return _csv("domain,pct,noise,method,n,time_mean_s,acc_pct,spread_mean", ([
+        a.domain, a.pct, a.noise, a.method, a.n, f"{a.time_mean_s:.4f}",
+        "" if a.accuracy is None else f"{100 * a.accuracy:.2f}", f"{a.spread_mean:.2f}",
+    ] for a in aggs))
 
 
 def format_aggregate_table(aggs: tuple[AggregateRow, ...]) -> str:

@@ -156,16 +156,16 @@ def _lmcut_setup(task: PlanningTask) -> _LmCutSetup:
 
 
 def _net_change(task: PlanningTask) -> _NetChange:
-    # per fact, in action (so id) order: producers +1 (add without pre) and
+    # per fact, in action order: producers +1 (add without pre) and
     # consumers -1 (pre and del); no action is both for a fact
     terms: list[list[tuple[int, int]]] = [[] for _ in range(task.num_facts)]
-    for a in task.actions:
+    for i, a in enumerate(task.actions):
         for f in a.adds:
             if f not in a.pre:
-                terms[f].append((a.id, 1))
+                terms[f].append((i, 1))
         for f in a.dels:
             if f in a.pre:
-                terms[f].append((a.id, -1))
+                terms[f].append((i, -1))
     rows: list[LinearConstraint] = []
     start = [0]
     for f, fact_terms in enumerate(terms):

@@ -38,9 +38,9 @@ class GroundAction:
 
     ``pre``, ``adds`` and ``dels`` are tuples of fact ids in strictly
     increasing order, and ``dels`` shares no fact with ``adds``; ``ground``
-    builds every action that way, and a task built by hand must too."""
+    builds every action that way, and a task built by hand must too. An
+    action's id is its index in ``PlanningTask.actions``."""
 
-    id: int
     name: str
     pre: tuple[int, ...]
     adds: tuple[int, ...]
@@ -78,7 +78,7 @@ class PlanningTask:
 
     @cached_property
     def action_index(self) -> dict[str, int]:
-        return {a.name: a.id for a in self.actions}
+        return {a.name: i for i, a in enumerate(self.actions)}
 
     @cached_property
     def pres(self) -> tuple[tuple[int, ...], ...]:
@@ -92,9 +92,9 @@ class PlanningTask:
 
     def _by_fact(self, facts_of) -> tuple[tuple[int, ...], ...]:
         by_fact: list[list[int]] = [[] for _ in range(len(self.facts))]
-        for a in self.actions:
+        for i, a in enumerate(self.actions):
             for f in facts_of(a):
-                by_fact[f].append(a.id)
+                by_fact[f].append(i)
         return tuple(tuple(v) for v in by_fact)
 
     @cached_property
@@ -320,7 +320,7 @@ def ground(dom: DomainDef, prob: ProblemDef) -> PlanningTask:
     """Instantiate every type-consistent schema application whose static
     preconditions (predicates never added or deleted) hold initially, up to
     ``OCGR_GROUND_CAP`` actions, then keep those applicable somewhere in the
-    delete relaxation of the initial state, renumbered in order; the fact
+    delete relaxation of the initial state, in their order; the fact
     table covers every grounded atom. Each action's ``pre``, ``adds`` and
     ``dels`` are tuples of fact ids in strictly increasing order; a delete
     effect the action also adds is dropped (STRIPS semantics), and a warning
@@ -329,10 +329,8 @@ def ground(dom: DomainDef, prob: ProblemDef) -> PlanningTask:
     _, applicable = relaxed_reachable(task)
     if len(applicable) == task.num_actions:
         return task
-    kept = (a for a in task.actions if a.id in applicable)
     return PlanningTask(facts=task.facts, init=task.init, goal=task.goal, actions=tuple(
-        GroundAction(id=i, name=a.name, pre=a.pre, adds=a.adds, dels=a.dels, cost=a.cost)
-        for i, a in enumerate(kept)))
+        a for i, a in enumerate(task.actions) if i in applicable))
 
 
 def _ground_all(dom: DomainDef, prob: ProblemDef) -> PlanningTask:
@@ -386,7 +384,7 @@ def _ground_all(dom: DomainDef, prob: ProblemDef) -> PlanningTask:
                 kept = tuple(g for g in delete if g not in add)
                 overlap_dropped += len(delete) - len(kept)
                 delete = kept
-            actions.append(GroundAction(id=len(actions), name=" ".join((schema.name,) + binding),
+            actions.append(GroundAction(name=" ".join((schema.name,) + binding),
                                         pre=pre, adds=add, dels=delete))
         if capped:
             raise GroundingError(

@@ -54,8 +54,8 @@ def _mask(facts: Iterable[int]) -> int:
 
 def _masks(task: PlanningTask) -> tuple[int, list[tuple[int, int, int, int]]]:
     """Initial state mask and per-action (id, pre, add, negated del) masks."""
-    return _mask(task.init), [(a.id, _mask(a.pre), _mask(a.adds), ~_mask(a.dels))
-                              for a in task.actions]
+    return _mask(task.init), [(i, _mask(a.pre), _mask(a.adds), ~_mask(a.dels))
+                              for i, a in enumerate(task.actions)]
 
 
 def _extract(parents: dict, key, task: PlanningTask) -> Plan:

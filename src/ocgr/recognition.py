@@ -133,9 +133,7 @@ def _score_one(task: PlanningTask, goal_index: int, goal: frozenset[int],
     base, out = entry
     h = out.value
     t2 = time.perf_counter()
-    lp = LinearProgram(base.num_vars, base.objective, base.constraints,
-                       lower=tuple(sorted(obs.counts.items())), start=out.basis,
-                       compiled=base.compiled)
+    lp = replace(base, lower=tuple(sorted(obs.counts.items())), start=out.basis)
     out_hc = solve_with(lp, config.backend)
     t_lp += time.perf_counter() - t2
     if out_hc.status == INFEASIBLE:

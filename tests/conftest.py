@@ -110,7 +110,7 @@ def make_micro_task(rng: random.Random, num_facts: int = 6, num_actions: int = 7
         add = fact_tuple(rng.sample(range(num_facts), rng.randint(1, 2)))
         dels = fact_tuple(f for f in rng.sample(range(num_facts), rng.randint(0, 2))
                           if f not in add)
-        actions.append(GroundAction(id=i, name=f"a{i}", pre=pre, adds=add, dels=dels))
+        actions.append(GroundAction(name=f"a{i}", pre=pre, adds=add, dels=dels))
     init = frozenset(rng.sample(range(num_facts), rng.randint(1, 3)))
     state = set(init)
     for _ in range(rng.randint(1, walk)):

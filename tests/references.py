@@ -296,11 +296,11 @@ def producers_and_consumers(task: PlanningTask
     and the ids of those with it in both pre and del."""
     producers: list[list[int]] = [[] for _ in task.facts]
     consumers: list[list[int]] = [[] for _ in task.facts]
-    for a in task.actions:
+    for i, a in enumerate(task.actions):
         for f in set(a.adds).difference(a.pre):
-            producers[f].append(a.id)
+            producers[f].append(i)
         for f in set(a.dels).intersection(a.pre):
-            consumers[f].append(a.id)
+            consumers[f].append(i)
     return producers, consumers
 
 

@@ -1,3 +1,4 @@
+import csv
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from ocgr.bench import (SuiteSpec, _witness_plan, format_rows,
                         generate_problem, generated_problems, inject_noise,
                         load_manifest, materialize_suite, run_suite,
-                        sample_observations, stable_seed)
+                        sample_observations, stable_seed, write_suite_outputs)
 from ocgr.errors import OcgrError
 from ocgr.generators import demo_grid_bundle, write_bundle
 from ocgr.inputs import ObservationSequence
@@ -203,6 +204,30 @@ def test_run_suite_bundle_mode(tmp_path):
     assert len(result.rows) == 2
     full = next(r for r in result.rows if r.pct == 100)
     assert full.correct and full.selected == (0,)
+
+
+def test_bench_outputs_quote_a_name_with_a_comma(tmp_path):
+    write_bundle(tmp_path / "a,b", demo_grid_bundle().files)
+    spec = SuiteSpec(bundles=(str(tmp_path / "a,b"),), observability=(50, 100),
+                     methods=("delta-u",), seed=1)
+    rows_path, agg_path = write_suite_outputs(run_suite(spec), tmp_path / "out", spec)
+    with rows_path.open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(header) == 11 and len(rows) == 2
+    assert all(len(row) == 11 and row[1] == "a,b" for row in rows)
+    with agg_path.open(newline="") as fh:
+        assert {len(row) for row in csv.reader(fh)} == {8}
+
+
+@pytest.mark.parametrize("timings", [True, False])
+def test_rows_carry_times_only_when_asked(tmp_path, timings):
+    spec = _tiny_spec(per_family=1, timings=timings)
+    rows_path, _ = write_suite_outputs(run_suite(spec), tmp_path / "out", spec)
+    with rows_path.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(r["status"] == "ok" for r in rows)
+    for r in rows:
+        assert float(r["time_s"]) >= 0 if timings else r["time_s"] == ""
 
 
 def test_materialize_suite_writes_generated_problems_only(tmp_path):

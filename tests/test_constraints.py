@@ -197,7 +197,7 @@ def test_landmarks_when_an_achiever_needs_only_init_facts():
     """The goal holds the init fact p and the open fact q, whose only
     achiever a0 needs only p: a0 has no supporter, so the forward cut search
     must start from it, and {a0} is the one landmark."""
-    actions = (GroundAction(id=0, name="a0", pre=(0,), adds=(1,), dels=()),)
+    actions = (GroundAction(name="a0", pre=(0,), adds=(1,), dels=()),)
     task = PlanningTask(facts=("(p)", "(q)"), actions=actions, init=frozenset({0}),
                         goal=frozenset({0, 1}))
     rows = landmark_constraints(task, task.goal)
@@ -209,9 +209,9 @@ def test_landmarks_when_a_cut_action_adds_anothers_supporter():
     """The first cut is {a0, a1}, and a0 adds p, the supporter of a1. After
     the cut p falls to 0, but r keeps a1's precondition maximum at 1, so r
     stays at 1 and the second round finds the landmark {a2}."""
-    actions = (GroundAction(id=0, name="a0", pre=(), adds=(0, 1), dels=()),
-               GroundAction(id=1, name="a1", pre=(0, 2), adds=(1, 2), dels=()),
-               GroundAction(id=2, name="a2", pre=(), adds=(2,), dels=()))
+    actions = (GroundAction(name="a0", pre=(), adds=(0, 1), dels=()),
+               GroundAction(name="a1", pre=(0, 2), adds=(1, 2), dels=()),
+               GroundAction(name="a2", pre=(), adds=(2,), dels=()))
     task = PlanningTask(facts=("(p)", "(q)", "(r)", "(s)"), actions=actions,
                         init=frozenset({3}), goal=frozenset({1, 2}))
     rows = landmark_constraints(task, task.goal)
@@ -289,11 +289,8 @@ def test_landmarks_unreachable_goal():
 
 def _is_disjunctive_landmark(task, goal, landmark_actions):
     """Removing every landmark action must make the goal unreachable."""
-    kept = tuple(a for a in task.actions if a.id not in landmark_actions)
-    renumbered = tuple(
-        GroundAction(id=i, name=a.name, pre=a.pre, adds=a.adds, dels=a.dels, cost=a.cost)
-        for i, a in enumerate(kept))
-    cut_task = PlanningTask(facts=task.facts, actions=renumbered,
+    kept = tuple(a for i, a in enumerate(task.actions) if i not in landmark_actions)
+    cut_task = PlanningTask(facts=task.facts, actions=kept,
                             init=task.init, goal=frozenset(goal))
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("OCGR_OPTIMAL_CAP", "500000")
@@ -335,7 +332,7 @@ def test_net_change_chain(chain):
 
 def test_net_change_fact_in_init_and_goal_dropped():
     # p is in both init and goal and has no producers/consumers
-    a = GroundAction(0, "a", (), (1,), ())
+    a = GroundAction("a", (), (1,), ())
     task = PlanningTask(facts=("(p)", "(q)"), actions=(a,), init=frozenset({0}),
                         goal=frozenset({0}))
     cset = net_change_constraints(task, task.goal)
@@ -402,8 +399,8 @@ def test_task_table_rows_match_rows_built_from_scratch():
         cases.append((task, [task.goal] + [frozenset(rng.sample(range(num_facts), rng.randint(1, 3)))
                                            for _ in range(2)]))
     # p and r are consumed, q has a producer only, s has no producer
-    acts = (GroundAction(0, "a", (0,), (1,), (0,)),
-            GroundAction(1, "b", (2,), (0,), (2,)))
+    acts = (GroundAction("a", (0,), (1,), (0,)),
+            GroundAction("b", (2,), (0,), (2,)))
     hand = PlanningTask(facts=("(p)", "(q)", "(r)", "(s)"), actions=acts,
                         init=frozenset({2}), goal=frozenset({1}))
     cases.append((hand, [frozenset({1}), frozenset({0, 1}), frozenset({1, 2}),

@@ -165,6 +165,23 @@ def test_reachability_pruning_drops_unreachable_actions():
     assert "(at n3)" in pruned.fact_index
 
 
+def test_pruning_keeps_the_grounded_actions_in_their_order(monkeypatch):
+    """The pruned task holds the very actions ``_ground_all`` built; a kept
+    action's id is its new position."""
+    dom = parse_domain(CORRIDOR_DOMAIN)
+    # n0 -> n1 can never fire: the walk starts at n1
+    prob = parse_problem("(define (problem c) (:domain corridor) (:objects n0 n1 n2 - node)"
+                         " (:init (at n1) (linked n0 n1) (linked n1 n2)))", dom)
+    built = []
+    monkeypatch.setattr(grounding, "_ground_all",
+                        lambda *args: built.append(_ground_all(*args)) or built[-1])
+    pruned = ground(dom, prob)
+    full, = built
+    assert [a.name for a in full.actions] == ["walk n0 n1", "walk n1 n2"]
+    assert pruned.actions[0] is full.actions[1] and pruned.num_actions == 1
+    assert pruned.action_index == {"walk n1 n2": 0}
+
+
 def test_grounding_deterministic():
     t1, t2 = _move_task(), _move_task()
     assert t1.facts == t2.facts
@@ -174,8 +191,8 @@ def test_grounding_deterministic():
 
 def test_action_name_round_trip():
     task = _move_task()
-    for a in task.actions:
-        assert task.action_index[a.name] == a.id
+    for i, a in enumerate(task.actions):
+        assert task.action_index[a.name] == i
         assert a.text() == f"({a.name})"
 
 
@@ -222,9 +239,9 @@ def _fixpoint_reachable(task):
     changed = True
     while changed:
         changed = False
-        for a in task.actions:
-            if a.id not in applicable and reached.issuperset(a.pre):
-                applicable.add(a.id)
+        for i, a in enumerate(task.actions):
+            if i not in applicable and reached.issuperset(a.pre):
+                applicable.add(i)
                 if not reached.issuperset(a.adds):
                     reached.update(a.adds)
                     changed = True
@@ -253,7 +270,7 @@ def _brute_ground(dom, prob, prune_unreachable=True):
                 continue
             pre, adds, dels = (fact_tuple(facts.setdefault(atom(lit), len(facts)) for lit in lits)
                                for lits in (schema.pre, schema.add, schema.delete))
-            actions.append(GroundAction(id=len(actions), name=" ".join((schema.name,) + binding),
+            actions.append(GroundAction(name=" ".join((schema.name,) + binding),
                                         pre=pre, adds=adds,
                                         dels=fact_tuple(set(dels) - set(adds))))
     task = PlanningTask(facts=tuple(facts), actions=tuple(actions),
@@ -261,10 +278,8 @@ def _brute_ground(dom, prob, prune_unreachable=True):
                         goal=frozenset(facts[atom_text(lit)] for lit in prob.goal))
     if prune_unreachable:
         _, applicable = _fixpoint_reachable(task)
-        kept = [a for a in actions if a.id in applicable]
         task = PlanningTask(facts=task.facts, init=task.init, goal=task.goal, actions=tuple(
-            GroundAction(id=i, name=a.name, pre=a.pre, adds=a.adds, dels=a.dels)
-            for i, a in enumerate(kept)))
+            a for i, a in enumerate(actions) if i in applicable))
     return task
 
 
@@ -347,8 +362,8 @@ def test_join_grounder_matches_product_and_filter(name, domain, problem, prune):
     prob = parse_problem(problem, dom)
     got, want = (ground if prune else _ground_all)(dom, prob), _brute_ground(dom, prob, prune)
     assert got.facts == want.facts
-    assert [(a.id, a.name, a.pre, a.adds, a.dels) for a in got.actions] == \
-           [(a.id, a.name, a.pre, a.adds, a.dels) for a in want.actions]
+    assert [(a.name, a.pre, a.adds, a.dels) for a in got.actions] == \
+           [(a.name, a.pre, a.adds, a.dels) for a in want.actions]
     assert got.init == want.init and got.goal == want.goal
     assert got == want
 
@@ -425,7 +440,7 @@ def _random_task(rng):
     for i in range(rng.randint(0, 10)):
         pre, adds, dels = (fact_tuple(rng.sample(range(n_facts), rng.randint(0, min(3, n_facts))))
                            for _ in range(3))
-        actions.append(GroundAction(id=i, name=f"a{i}", pre=pre, adds=adds,
+        actions.append(GroundAction(name=f"a{i}", pre=pre, adds=adds,
                                     dels=fact_tuple(set(dels) - set(adds))))
     init = frozenset(rng.sample(range(n_facts), rng.randint(0, n_facts)))
     return PlanningTask(facts=tuple(f"(f{j})" for j in range(n_facts)), actions=tuple(actions),

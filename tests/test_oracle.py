@@ -112,8 +112,8 @@ def test_enumerate_unreachable():
 
 
 def test_enumerate_commuting_actions():
-    acts = (GroundAction(0, "a", (), (0,), ()),
-            GroundAction(1, "b", (), (1,), ()))
+    acts = (GroundAction("a", (), (0,), ()),
+            GroundAction("b", (), (1,), ()))
     task = PlanningTask(facts=("(x)", "(y)"), actions=acts, init=frozenset(),
                         goal=frozenset({0, 1}))
     plans = {p.steps for p in enumerate_plans(task, task.goal, max_len=2)}

@@ -592,3 +592,63 @@ def test_rows_for_another_task_between_scorings_leave_scores_unchanged():
     fresh = load()
     assert again.scores == first.scores == recognize(fresh.task, fresh.hyps, fresh.obs).scores
     assert again.selected == first.selected
+
+
+def test_no_answer_depends_on_what_was_scored_before():
+    """Each (problem, backend, families, method) answered from a fresh parse
+    and ground equals, bit for bit, its answer inside one shuffled stream that
+    interleaves problems over shared tasks while a second thread scores its
+    own shuffled stream alongside."""
+    spec = SuiteSpec(families=("blocks", "corridor", "grid", "logistics"), per_family=1,
+                     observability=(30, 70, 100), seed=5)
+    problems = [(p.task, p.hyps, p.obs,
+                 {**p.files, "obs.dat": "".join(p.task.actions[a].text() + "\n"
+                                                 for a in p.obs.obs)})
+                for p in generated_problems(spec)]
+    open_grid = {**open_grid_bundle(8), "obs.dat": "(walk c0_0 c1_0)\n(walk c1_0 c1_1)\n"}
+    for texts in (dict(demo_grid_bundle().files), open_grid):
+        b = bundle_from_texts(texts)
+        problems.append((b.task, b.hyps, b.obs, texts))
+    configs = [RecognizerConfig(), RecognizerConfig(families=("lm",)),
+               RecognizerConfig(families=("nc", "ph")), RecognizerConfig(backend="scipy")]
+    # each problem under every configuration, with every method once
+    units = [(k, config, METHODS[(k + i) % len(METHODS)]) for k in range(len(problems))
+             for i, config in enumerate(configs)]
+
+    def answer(task, hyps, obs, config, method):
+        report = recognize(task, hyps, obs, method, config)
+        return repr((report.scores, report.uncertainty, report.selected,
+                     report.fallback_ranking))
+
+    fresh = {}
+    for k, config, method in units:
+        bundle_from_texts(dict(ONE_WAY_BUNDLE), require_obs=False)  # an unrelated domain
+        b = bundle_from_texts(problems[k][3])
+        fresh[k, config, method] = answer(b.task, b.hyps, b.obs, config, method)
+
+    def stream(seed):
+        """``units`` in runs of one to three of a problem's units, the
+        problems in random order."""
+        rng = random.Random(seed)
+        left = {k: rng.sample([u for u in units if u[0] == k], len(configs))
+                for k in range(len(problems))}
+        while left:
+            k = rng.choice(sorted(left))
+            for _ in range(rng.randint(1, 3)):
+                if left[k]:
+                    yield left[k].pop()
+            if not left[k]:
+                del left[k]
+
+    got = [{}, {}]
+
+    def score(slot):
+        for k, config, method in stream(slot):
+            got[slot][k, config, method] = answer(*problems[k][:3], config, method)
+
+    side = threading.Thread(target=score, args=(1,))
+    side.start()
+    score(0)
+    side.join(timeout=60)
+    assert not side.is_alive()
+    assert got[0] == fresh and got[1] == fresh
