@@ -23,12 +23,11 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .constraints import ALL_FAMILIES, check_families
+from .constraints import ALL_FAMILIES
 from .errors import CapExceeded, OcgrError
 from .generators import GENERATORS, write_bundle
 from .grounding import PlanningTask, relaxed_reachable
 from .inputs import GoalHypotheses, ObservationSequence, bundle_from_texts, load_bundle
-from .lp import check_backend
 from .oracle import CAP_EXCEEDED, OPTIMAL, Plan, optimal_cost, validate_plan
 from .recognition import (METHOD_DELTA_U, METHODS, RecognizerConfig,
                           score_all, select)
@@ -82,8 +81,7 @@ class SuiteSpec:
             raise ValueError("per_family must be >= 0")
         if not 0 <= self.suboptimal_fraction <= 1:
             raise ValueError(f"suboptimal_fraction {self.suboptimal_fraction} outside [0, 1]")
-        check_backend(self.backend)
-        check_families(self.constraint_families)
+        RecognizerConfig(self.constraint_families, self.backend)  # checks backend and families
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method '{m}'")
@@ -311,8 +309,7 @@ def generated_problems(spec: SuiteSpec) -> list[RecognitionProblem]:
             for pct in spec.levels()]
 
 
-def _evaluate(problem: RecognitionProblem, spec: SuiteSpec) -> list[Row]:
-    config = RecognizerConfig(families=spec.constraint_families, backend=spec.backend)
+def _evaluate(problem: RecognitionProblem, spec: SuiteSpec, config: RecognizerConfig) -> list[Row]:
     common = dict(domain=problem.domain_name, problem_id=problem.problem_id,
                   pct=problem.pct, noise=problem.noise)
     try:
@@ -336,7 +333,9 @@ def _evaluate(problem: RecognitionProblem, spec: SuiteSpec) -> list[Row]:
 
 
 def run_suite(spec: SuiteSpec) -> SuiteResult:
-    rows = [row for p in generated_problems(spec) for row in _evaluate(p, spec)]
+    problems = generated_problems(spec)  # validates spec first
+    config = RecognizerConfig(spec.constraint_families, spec.backend)
+    rows = [row for p in problems for row in _evaluate(p, spec, config)]
     rows.sort(key=lambda r: (r.domain, r.problem_id, r.pct, r.noise, r.method))
 
     groups: dict[tuple, list[Row]] = {}

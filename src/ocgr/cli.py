@@ -12,14 +12,15 @@ import functools
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
-from .constraints import ALL_FAMILIES, base_constraints, check_families, dump_constraints
+from .constraints import ALL_FAMILIES, dump_constraints
 from .errors import CapExceeded, GoalUnreachable, OcgrError, PddlParseError, SolverFailure
 from .inputs import Bundle, bundle_from_texts, load_bundle
-from .lp import LinearProgram, check_backend, solve_with
+from .lp import OPTIMAL, LinearProgram
 from .oracle import CAP_EXCEEDED, optimal_cost
-from .recognition import (METHOD_DELTA_U, METHODS, RecognizerConfig, base_rows,
+from .recognition import (METHOD_DELTA_U, METHODS, RecognizerConfig, base_lp,
                           format_report, recognize, report_to_dict,
                           score_hypothesis)
 
@@ -47,13 +48,9 @@ def _load_inputs(args: argparse.Namespace, *, need_obs: bool = True) -> Bundle:
     missing = [k for k, v in required.items() if not v]
     if missing:
         raise PddlParseError(f"missing input files: --{', --'.join(missing)} (or use --bundle)")
-    texts: dict[str, str | None] = {
-        "domain.pddl": Path(args.domain).read_text(encoding="utf-8"),
-        "template.pddl": Path(args.problem).read_text(encoding="utf-8"),
-        "hyps.dat": Path(args.hyps).read_text(encoding="utf-8"),
-        "obs.dat": Path(args.obs).read_text(encoding="utf-8") if args.obs else None,
-        "real_hyp.dat": Path(args.real_hyp).read_text(encoding="utf-8") if args.real_hyp else None,
-    }
+    files = {"domain.pddl": args.domain, "template.pddl": args.problem, "hyps.dat": args.hyps,
+             "obs.dat": args.obs, "real_hyp.dat": args.real_hyp}
+    texts = {name: Path(f).read_text(encoding="utf-8") if f else None for name, f in files.items()}
     return bundle_from_texts(texts, path="<cli>", require_obs=need_obs)
 
 
@@ -75,19 +72,18 @@ def _dump_lp_text(lp: LinearProgram, names: list[str]) -> str:
 
 def _print_dumps(args: argparse.Namespace, bundle: Bundle, idx: int,
                  config: RecognizerConfig) -> None:
-    """The LP scoring solves for hypothesis ``idx``: its base rows, as
-    recognition built them, and the observation floors as bounds."""
+    """The LP scoring solves for hypothesis ``idx``: its base LP, the floors as bounds."""
     task = bundle.task
     try:
-        rows = base_rows(task, bundle.hyps.goals[idx], config, idx)
+        base, _ = base_lp(task, bundle.hyps.goals[idx], config, idx)
     except GoalUnreachable as exc:
         print(f"# G{idx}: {exc}")
         return
-    lp = LinearProgram.from_constraints(rows, task.costs, lower=sorted(bundle.obs.counts.items()))
+    lp = replace(base, lower=tuple(sorted(bundle.obs.counts.items())))
     names = [a.name for a in task.actions]
     print(f"# constraints for G{idx}")
     if args.dump_constraints:
-        print(dump_constraints(rows, task))
+        print(dump_constraints(lp.constraints, task))
         for a, k in lp.lower:
             print(f"({names[a]}) >= {k} [bound]")
     if args.dump_lp:
@@ -138,13 +134,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_recognize(args: argparse.Namespace) -> int:
-    check_backend(args.backend)
     families = tuple(f.strip() for f in args.constraints.split(",") if f.strip())
-    check_families(families)
+    config = RecognizerConfig(families=families, backend=args.backend)
     t0 = time.perf_counter()
     bundle = _load_inputs(args)
     parse_time = time.perf_counter() - t0
-    config = RecognizerConfig(families=families, backend=args.backend)
     report = recognize(bundle.task, bundle.hyps, bundle.obs, args.method, config)
     report.timings["parse_ground"] = parse_time
     if args.dump_constraints or args.dump_lp:
@@ -156,9 +150,7 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
         print(json.dumps(doc, allow_nan=False))
     else:
         print(format_report(report, bundle.hyps))
-    if not report.selected and report.all_infeasible:
-        return EXIT_ALL_INFEASIBLE
-    return EXIT_OK
+    return EXIT_ALL_INFEASIBLE if report.all_infeasible else EXIT_OK
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -215,12 +207,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_heuristic(args: argparse.Namespace) -> int:
-    check_backend(args.backend)
+    config = RecognizerConfig(backend=args.backend)
     bundle = _load_inputs(args)
     idx = _pick_goal(bundle, args.goal_index)
-    goal = bundle.hyps.goals[idx]
-    task = bundle.task
-    config = RecognizerConfig(backend=args.backend)
+    task, goal = bundle.task, bundle.hyps.goals[idx]
     score = score_hypothesis(task, goal, bundle.obs, config, goal_index=idx)
     print(f"G{idx}: {bundle.hyps.lines[idx]}")
     print(f"h    = {score.h}")
@@ -228,9 +218,8 @@ def _cmd_heuristic(args: argparse.Namespace) -> int:
     print(f"delta = {score.delta}")
     for family in ALL_FAMILIES:
         try:
-            rows = base_constraints(task, goal, (family,))
-            out = solve_with(LinearProgram.from_constraints(rows, task.costs), args.backend)
-            value = out.value if out.status == "optimal" else out.status
+            _, out = base_lp(task, goal, RecognizerConfig((family,), args.backend), idx)
+            value = out.value if out.status == OPTIMAL else out.status
         except GoalUnreachable:
             value = "unreachable"
         print(f"lp[{family}] = {value}")

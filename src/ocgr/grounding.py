@@ -99,12 +99,12 @@ class PlanningTask:
 
     @cached_property
     def adders(self) -> tuple[tuple[int, ...], ...]:
-        """For each fact, the ids of actions adding it."""
+        """For each fact, the indices of the actions adding it."""
         return self._by_fact(lambda a: a.adds)
 
     @cached_property
     def by_pre(self) -> tuple[tuple[int, ...], ...]:
-        """For each fact, the ids of actions requiring it."""
+        """For each fact, the indices of the actions requiring it."""
         return self._by_fact(lambda a: a.pre)
 
     @cached_property
@@ -188,7 +188,7 @@ def hmax_values(pres: Sequence[tuple[int, ...]], adds: Sequence[tuple[int, ...]]
 
 def relaxed_reachable(task: PlanningTask) -> tuple[frozenset[int], frozenset[int]]:
     """Delete-relaxation fixpoint from ``task.init``; returns (reachable facts,
-    applicable action ids).
+    applicable action indices).
 
     Each newly reached fact counts down, through ``task.by_pre``, the unreached
     preconditions of the actions requiring it."""
@@ -338,9 +338,9 @@ def _ground_all(dom: DomainDef, prob: ProblemDef) -> PlanningTask:
 
     Bindings come from joining each schema's static preconditions with the
     initial-state tuples of their predicates, not from filtering the full
-    type product, but in that product's order, so fact and action ids follow
-    it. Atoms are interned by their ``(predicate, *args)`` tuple, and each
-    fact's name is built once.
+    type product, but in that product's order, so fact ids and action indices
+    follow it. Atoms are interned by their ``(predicate, *args)`` tuple, and
+    each fact's name is built once.
     """
     cap = _env_cap("OCGR_GROUND_CAP", DEFAULT_GROUND_CAP)
 

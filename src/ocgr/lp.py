@@ -6,11 +6,11 @@ surplus s_i per row. The rows, canonical as ``LinearConstraint`` requires,
 are compiled once per LP into sparse arrays (``CompiledRows``): the nonzeros
 of [A | -I] by row, A's terms as written and then the m entries -1 of -I, so
 that A's alone are a prefix of them; and A's by column. An LP built with
-another LP's ``compiled`` shares them. Floors y >= k are bounds; the
-substitution y = k + z moves them into b - A k. A solve keeps only B^-1
-(m x m), x_B = B^-1 b and the reduced costs d. Each pivot prices the leaving
-row (e_r^T B^-1)[A | -I] with one ``bincount`` over the nonzeros of
-[A | -I], as the reduced costs are priced; forms the entering column
+another LP's ``compiled`` and rows tuple shares them. Floors y >= k are
+bounds; the substitution y = k + z moves them into b - A k. A solve keeps
+only B^-1 (m x m), x_B = B^-1 b and the reduced costs d. Each pivot prices
+the leaving row (e_r^T B^-1)[A | -I] with one ``bincount`` over the nonzeros
+of [A | -I], as the reduced costs are priced; forms the entering column
 B^-1 a_q from the column index; and updates B^-1, x_B and d by one rank-1
 step, on the rows where B^-1 a_q is nonzero. ``_Revised`` holds the one copy
 of each step; the dual and the primal phase 2 both pivot through it.
@@ -93,7 +93,7 @@ class CompiledRows(NamedTuple):
     i, column n + i, -1). ``row``, ``col`` and ``data`` are A's alone, prefix
     views of those; ``rhs`` is b. Then A's nonzeros in column-major order:
     column j's rows and values are ``col_rows[s:e]`` and ``col_data[s:e]``
-    for s, e = ``col_start[j:j + 2]``."""
+    for s, e = ``col_start[j:j + 2]``. ``constraints`` are the rows compiled."""
     row: np.ndarray
     col: np.ndarray
     data: np.ndarray
@@ -104,6 +104,7 @@ class CompiledRows(NamedTuple):
     aug_row: np.ndarray
     aug_col: np.ndarray
     aug_data: np.ndarray
+    constraints: Sequence[LinearConstraint]
 
 
 def compile_rows(num_vars: int, constraints: Sequence[LinearConstraint]) -> CompiledRows:
@@ -135,7 +136,8 @@ def compile_rows(num_vars: int, constraints: Sequence[LinearConstraint]) -> Comp
     col_start = np.zeros(num_vars + 1, dtype=np.intp)
     col_start[1:] = np.bincount(col, minlength=num_vars).cumsum()
     return CompiledRows(row, col, data, np.array([r.rhs for r in constraints], float),
-                        row[by_col], data[by_col], col_start, aug_row, aug_col, aug_data)
+                        row[by_col], data[by_col], col_start, aug_row, aug_col, aug_data,
+                        constraints)
 
 
 @dataclass(frozen=True)
@@ -151,7 +153,7 @@ class LinearProgram:
     triangular (as the landmark rows' ``zeroed`` actions give). The simplex
     backend starts from it.
     ``compiled`` holds the rows as compiled on first solve; pass another LP's
-    ``compiled`` to build an LP over the same rows without compiling them again.
+    ``compiled`` and rows tuple to build an LP over them without compiling again.
     """
 
     num_vars: int
@@ -192,9 +194,12 @@ def _floors(lp: LinearProgram) -> np.ndarray:
 
 
 def _compiled(lp: LinearProgram) -> CompiledRows:
-    if lp.compiled is None:
-        object.__setattr__(lp, "compiled", compile_rows(lp.num_vars, lp.constraints))
-    return lp.compiled
+    rows = lp.compiled  # stale if dataclasses.replace gave lp other rows or columns
+    if (rows is None or rows.constraints is not lp.constraints
+            or len(rows.col_start) != lp.num_vars + 1):
+        rows = compile_rows(lp.num_vars, lp.constraints)
+        object.__setattr__(lp, "compiled", rows)
+    return rows
 
 
 class _Revised:

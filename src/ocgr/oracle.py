@@ -53,7 +53,7 @@ def _mask(facts: Iterable[int]) -> int:
 
 
 def _masks(task: PlanningTask) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """Initial state mask and per-action (id, pre, add, negated del) masks."""
+    """Initial state mask and per-action (index, pre, add, negated del) masks."""
     return _mask(task.init), [(i, _mask(a.pre), _mask(a.adds), ~_mask(a.dels))
                               for i, a in enumerate(task.actions)]
 

@@ -22,11 +22,11 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
-from .constraints import ALL_FAMILIES, LinearConstraint, base_constraints
+from .constraints import ALL_FAMILIES, base_constraints, check_families
 from .errors import GoalUnreachable, SolverFailure
 from .grounding import PlanningTask, task_memo
 from .inputs import GoalHypotheses, ObservationSequence
-from .lp import INFEASIBLE, OPTIMAL, LinearProgram, LpOutcome, solve_with
+from .lp import INFEASIBLE, OPTIMAL, LinearProgram, LpOutcome, check_backend, solve_with
 
 INF = float("inf")
 
@@ -47,8 +47,15 @@ SELECTION_SLACK = 1e-9  # absorbs LP float noise in thresholds
 
 @dataclass(frozen=True)
 class RecognizerConfig:
+    """The base LP's constraint families and LP backend, checked when built (backend
+    first). ``families`` is kept as a tuple: a whole config keys a task's base results."""
     families: tuple[str, ...] = ALL_FAMILIES
     backend: str = "simplex"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "families", tuple(self.families))
+        check_backend(self.backend)
+        check_families(self.families)
 
 
 @dataclass(frozen=True)
@@ -82,15 +89,15 @@ def _base(task: PlanningTask, goal_index: int, goal: frozenset[int], config: Rec
     seconds spent on constraints and on the LP.
 
     The base results of a task are kept under ``_base`` in its
-    ``task_memo``, keyed by (goal, families, backend): the base LP with its
-    compiled rows and its LpOutcome (with the optimal basis the h_hc solves
+    ``task_memo``, keyed by (goal, config): the base LP as built, with its
+    compiled rows, and its LpOutcome (with the optimal basis the h_hc solves
     start from, which keeps its first pricing), or the reason the goal is
     relaxed-unreachable. h depends only on the task and the goal, so
     re-scoring the task used last with other observations solves only the
     h_hc LPs.
     """
     bases = task_memo(task).setdefault(_base, {})
-    key = (goal, frozenset(config.families), config.backend)
+    key = (goal, config)
     if key in bases:
         return bases[key], 0.0, 0.0
     # Threads scoring equal goals may both get here; they store equal entries.
@@ -107,20 +114,20 @@ def _base(task: PlanningTask, goal_index: int, goal: frozenset[int], config: Rec
     out = solve_with(lp, config.backend)
     if out.status not in (OPTIMAL, INFEASIBLE):
         raise SolverFailure(f"base LP for hypothesis {goal_index} came back {out.status}")
-    entry = bases[key] = (replace(lp, start=None), out)
+    entry = bases[key] = (lp, out)
     return entry, t1 - t0, time.perf_counter() - t1
 
 
-def base_rows(task: PlanningTask, goal: Iterable[int],
-              config: RecognizerConfig = RecognizerConfig(),
-              goal_index: int = 0) -> tuple[LinearConstraint, ...]:
-    """The base rows scoring uses for ``goal``, built (and the base LP
-    solved) only when ``task`` is not the task used last. Raises
+def base_lp(task: PlanningTask, goal: Iterable[int],
+            config: RecognizerConfig = RecognizerConfig(),
+            goal_index: int = 0) -> tuple[LinearProgram, LpOutcome]:
+    """The base LP scoring solves for ``goal`` and its outcome, built and
+    solved only when ``task`` is not the task used last. Raises
     GoalUnreachable when the goal is relaxed-unreachable."""
     entry, _, _ = _base(task, goal_index, frozenset(goal), config)
     if isinstance(entry, str):
         raise GoalUnreachable(entry)
-    return entry[0].constraints
+    return entry
 
 
 def _score_one(task: PlanningTask, goal_index: int, goal: frozenset[int],
@@ -148,8 +155,7 @@ def _score_one(task: PlanningTask, goal_index: int, goal: frozenset[int],
 def score_hypothesis(task: PlanningTask, goal: Iterable[int], obs: ObservationSequence,
                      config: RecognizerConfig = RecognizerConfig(),
                      goal_index: int = 0) -> HypothesisScore:
-    score, _, _ = _score_one(task, goal_index, frozenset(goal), obs, config)
-    return score
+    return _score_one(task, goal_index, frozenset(goal), obs, config)[0]
 
 
 def score_all(task: PlanningTask, hyps: GoalHypotheses, obs: ObservationSequence,
@@ -214,7 +220,6 @@ def recognize(task: PlanningTask, hyps: GoalHypotheses, obs: ObservationSequence
     scores, timings = score_all(task, hyps, obs, config)
     t0 = time.perf_counter()
     selected, u, fallback = select(scores, method, len(obs))
-    timings = dict(timings)
     timings["selection"] = time.perf_counter() - t0
     return RecognitionReport(scores=scores, uncertainty=u, selected=selected,
                              method=method, obs_len=len(obs), timings=timings,

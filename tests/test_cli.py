@@ -10,11 +10,12 @@ import pytest
 
 from conftest import CHAIN_DOMAIN, ISLAND_BUNDLE
 from ocgr import lp
-from ocgr.bench import SuiteSpec, _witness_plan, generated_problems
+from ocgr.bench import SuiteSpec, _witness_plan, generated_problems, materialize_suite
+from ocgr.constraints import ALL_FAMILIES, base_constraints
 from ocgr.cli import main
-from ocgr.errors import CapExceeded, SolverFailure
+from ocgr.errors import CapExceeded, GoalUnreachable, SolverFailure
 from ocgr.generators import CORRIDOR_DOMAIN, demo_grid_bundle, write_bundle
-from ocgr.inputs import bundle_from_texts
+from ocgr.inputs import bundle_from_texts, load_bundle
 from ocgr.recognition import report_from_dict
 
 
@@ -196,6 +197,43 @@ def test_heuristic_command(demo_dir, capsys):
     assert "h    = 3.0" in out
     assert "h_hc = 7.0" in out
     assert "lp[lm]" in out and "lp[nc]" in out and "lp[ph]" in out
+
+
+def test_heuristic_prints_each_familys_highs_optimum(demo_dir, tmp_path, capsys):
+    """``lp[f]`` is HiGHS's optimum over family f's rows alone, or
+    ``unreachable``, for every goal of the demo, the island fork and one
+    generated bundle per family, on both backends."""
+    spec = SuiteSpec(families=("blocks", "corridor", "grid", "logistics"), per_family=1,
+                     seed=4, observability=(50,), noise_count=1)
+    island = tmp_path / "island"
+    write_bundle(island, {**ISLAND_BUNDLE, "obs.dat": "(walk s0 l1)\n"})
+    checked, unreachable = 0, 0
+    for d in [demo_dir, island, *materialize_suite(spec, tmp_path / "gen")]:
+        b = load_bundle(d)
+        for idx, goal in enumerate(b.hyps.goals):
+            want = {}
+            for family in ALL_FAMILIES:
+                try:
+                    rows = base_constraints(b.task, goal, (family,))
+                except GoalUnreachable:
+                    want[family] = "unreachable"
+                    continue
+                out = lp.solve_with(lp.LinearProgram.from_constraints(rows, b.task.costs), "scipy")
+                assert out.status == "optimal"
+                want[family] = out.value
+            for backend in ("simplex", "scipy"):
+                assert main(["heuristic", "-b", str(d), "--goal-index", str(idx),
+                             "--backend", backend]) == 0
+                got = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines()
+                           if line.startswith("lp["))
+                assert got.keys() == {f"lp[{f}]" for f in ALL_FAMILIES}
+                for family, value in want.items():
+                    shown = got[f"lp[{family}]"]
+                    assert shown == value if value == "unreachable" else (
+                        abs(float(shown) - value) <= 1e-6), (d, idx, backend, family)
+                checked += 1
+                unreachable += "unreachable" in want.values()
+    assert checked >= 20 and unreachable == 2
 
 
 def test_heuristic_dumps_for_unreachable_hypothesis(tmp_path, capsys):

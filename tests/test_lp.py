@@ -400,6 +400,21 @@ def test_compiled_rows_scatter_back_to_the_dense_rows():
                                                                  [0, 1, 3, 5, 6])
 
 
+@pytest.mark.parametrize("backend", ["simplex", "scipy"])
+def test_replace_with_other_rows_or_columns_compiles_them(backend):
+    """An LP that ``dataclasses.replace`` gives other rows, or another number
+    of variables, is solved over those, not over the rows compiled for the LP
+    it was made from; an LP given other floors keeps the compiled arrays."""
+    a = _lp(2, [1, 1], [([(1, 1)], 1)])
+    assert solve_with(a, backend).value == 1.0
+    fresh = _lp(2, [1, 1], [([(1, 1)], 5)])
+    assert solve_with(replace(a, constraints=fresh.constraints), backend).value == 5.0
+    with pytest.raises(ValueError, match="unknown variable 1"):
+        solve_with(replace(a, num_vars=1, objective=(1.0,)), backend)
+    floored = replace(a, lower=((1, 3),))
+    assert solve_with(floored, backend).value == 3.0 and floored.compiled is a.compiled
+
+
 @pytest.mark.parametrize("terms", [[(1, 1), (1, 2)], [(2, 1), (0, 1)], [(0, 1), (1, 0)]],
                          ids=["repeated", "out-of-order", "zero"])
 def test_non_canonical_row_is_rejected_by_both_backends(terms):

@@ -18,7 +18,7 @@ from ocgr.inputs import (GoalHypotheses, ObservationSequence, bundle_from_texts,
                          load_bundle)
 from ocgr.lp import Basis, LinearProgram, LpOutcome, solve_lp, solve_with
 from ocgr.oracle import Plan, optimal_cost
-from ocgr.recognition import (INF, METHODS, RecognizerConfig, base_rows,
+from ocgr.recognition import (INF, METHODS, RecognizerConfig, base_lp,
                               recognize, report_from_dict, report_to_dict,
                               score_all, score_hypothesis, select, uncertainty)
 from references import full_observation_guarantee_check, observation_constraints
@@ -262,6 +262,22 @@ def _island():
     return b, [_obs(), _obs(act["walk s0 l1"]), _obs(act["walk s0 l1"], act["walk s0 r1"])]
 
 
+def test_config_is_checked_when_built():
+    """An unknown backend is an error even where no LP is solved, as when
+    every hypothesis is relaxed-unreachable; so is an unknown family. A
+    config keeps its families as a tuple, in the order given."""
+    island = {**ISLAND_BUNDLE, "hyps.dat": "(at i2)\n", "real_hyp.dat": "(at i2)\n"}
+    b = bundle_from_texts(island, require_obs=False)
+    assert recognize(b.task, b.hyps, _obs()).scores[0].h == INF
+    with pytest.raises(ValueError, match=r"^unknown backend 'hihgs' \(have: scipy, simplex\)$"):
+        recognize(b.task, b.hyps, _obs(), config=RecognizerConfig(backend="hihgs"))
+    with pytest.raises(ValueError, match="unknown constraint families"):
+        RecognizerConfig(families=("lm", "xx"))
+    config = RecognizerConfig(families=["nc", "lm"])
+    assert config.families == ("nc", "lm") and config == RecognizerConfig(("nc", "lm"))
+    assert hash(config) == hash(RecognizerConfig(("nc", "lm")))
+
+
 def test_rescoring_a_task_solves_each_base_lp_once(monkeypatch):
     import ocgr.recognition as rec
 
@@ -392,7 +408,7 @@ def test_dropped_task_frees_its_memo_and_table():
 
 def _floored(task, goal, obs):
     """The cold reference: base rows plus one observation row per floor."""
-    rows = base_rows(task, goal) + observation_constraints(obs)
+    rows = base_lp(task, goal)[0].constraints + observation_constraints(obs)
     return LinearProgram.from_constraints(rows, task.costs)
 
 
@@ -441,8 +457,8 @@ def test_warm_observation_lp_matches_cold_floor_rows():
     for task, hyps in bundles:
         for goal in hyps.goals:
             h = score_hypothesis(task, goal, _obs()).h
-            highs_h = solve_with(LinearProgram.from_constraints(base_rows(task, goal), task.costs),
-                                 "scipy")
+            base = base_lp(task, goal)[0].constraints
+            highs_h = solve_with(LinearProgram.from_constraints(base, task.costs), "scipy")
             assert abs(h - highs_h.value) <= 1e-6
             for _ in range(3):
                 picks = rng.sample(range(task.num_actions), min(task.num_actions, rng.randint(1, 4)))
@@ -450,7 +466,7 @@ def test_warm_observation_lp_matches_cold_floor_rows():
                 score = score_hypothesis(task, goal, obs)
                 cold = solve_lp(_floored(task, goal, obs))
                 highs = solve_with(LinearProgram.from_constraints(
-                    base_rows(task, goal), task.costs, lower=sorted(obs.counts.items())), "scipy")
+                    base, task.costs, lower=sorted(obs.counts.items())), "scipy")
                 statuses.add(cold.status)
                 assert highs.status == cold.status
                 if cold.status == "infeasible":
@@ -461,7 +477,7 @@ def test_warm_observation_lp_matches_cold_floor_rows():
                 assert abs(score.h_hc - highs.value) <= 1e-6
                 counts = score.counts_hc
                 assert all(counts[a] >= k for a, k in obs.counts.items())
-                assert all(row.satisfied_by(counts) for row in base_rows(task, goal))
+                assert all(row.satisfied_by(counts) for row in base)
     assert statuses == {"optimal", "infeasible"}
 
 
@@ -496,12 +512,12 @@ def test_rescoring_compiles_each_goal_once(monkeypatch):
             recognize(task, problem.hyps, problem.obs)
         goals = {g for g in problems[first].hyps.goals if score_hypothesis(task, g, _obs()).h != INF}
         assert len(compiled) == len(goals)
-        rows = {base_rows(task, g): g for g in goals}
+        rows = {base_lp(task, g)[0].constraints: g for g in goals}
         for lp, carried, out in solves:
             if not isinstance(lp.start, Basis):  # a base LP, with its landmark crash
                 continue
             assert carried is not None
-            fresh = LinearProgram.from_constraints(base_rows(task, rows[lp.constraints]),
+            fresh = LinearProgram.from_constraints(base_lp(task, rows[lp.constraints])[0].constraints,
                                                    task.costs, start=lp.start, lower=lp.lower)
             assert out == solve_with(fresh, "simplex")
             warm += 1
