@@ -62,6 +62,10 @@ class SuiteSpec:
         return NOISY_LEVELS if self.noise_count > 0 else CLEAN_LEVELS
 
     def validate(self) -> None:
+        if not self.levels():
+            raise ValueError("observability must list at least one level")
+        if not self.methods:
+            raise ValueError("methods must list at least one method")
         for pct in self.levels():
             if not 0 < pct <= 100:
                 raise ValueError(f"observability level {pct} outside (0, 100]")

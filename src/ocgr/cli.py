@@ -12,7 +12,6 @@ import functools
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from .constraints import ALL_FAMILIES, dump_constraints
@@ -54,7 +53,7 @@ def _load_inputs(args: argparse.Namespace, *, need_obs: bool = True) -> Bundle:
     return bundle_from_texts(texts, path="<cli>", require_obs=need_obs)
 
 
-def _dump_lp_text(lp: LinearProgram, names: list[str]) -> str:
+def _dump_lp_text(lp: LinearProgram, floors: dict[int, int], names: list[str]) -> str:
     """LP-format style text dump for cross-checking with external tools."""
     lines = ["Minimize", " obj: " + " + ".join(
         f"{c:g} y{i}" for i, c in enumerate(lp.objective) if c) ]
@@ -63,7 +62,6 @@ def _dump_lp_text(lp: LinearProgram, names: list[str]) -> str:
         body = " + ".join(f"{float(c):g} y{a}" for a, c in row.terms)
         lines.append(f" c{i}: {body} >= {float(row.rhs):g}  \\ {row.source}")
     lines.append("Bounds")
-    floors = dict(lp.lower)
     for i, name in enumerate(names):
         lines.append(f" {floors.get(i, 0)} <= y{i}  \\ ({name})")
     lines.append("End")
@@ -79,15 +77,15 @@ def _print_dumps(args: argparse.Namespace, bundle: Bundle, idx: int,
     except GoalUnreachable as exc:
         print(f"# G{idx}: {exc}")
         return
-    lp = replace(base, lower=tuple(sorted(bundle.obs.counts.items())))
+    floors = dict(sorted(bundle.obs.counts.items()))
     names = [a.name for a in task.actions]
     print(f"# constraints for G{idx}")
     if args.dump_constraints:
-        print(dump_constraints(lp.constraints, task))
-        for a, k in lp.lower:
+        print(dump_constraints(base.constraints, task))
+        for a, k in floors.items():
             print(f"({names[a]}) >= {k} [bound]")
     if args.dump_lp:
-        print(_dump_lp_text(lp, names))
+        print(_dump_lp_text(base, floors, names))
 
 
 def build_parser() -> argparse.ArgumentParser:

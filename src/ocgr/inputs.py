@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterator
 
@@ -21,11 +21,6 @@ from .grounding import PlanningTask, ground
 from .pddl import DomainDef, ProblemDef, parse_domain, parse_problem
 
 _GROUP = re.compile(r"\(([^()]*)\)")
-
-# The domain text ``bundle_from_texts`` parsed last, with its parse: bundles of
-# one domain mostly load in a row, and ``parse_problem`` and ``ground`` only
-# read a ``DomainDef``. One tuple, read once, so a race at worst parses twice.
-_last_domain: tuple[str, DomainDef] | None = None
 
 
 @dataclass(frozen=True)
@@ -135,15 +130,12 @@ class Bundle:
     obs: ObservationSequence
 
 
+@lru_cache(maxsize=1)
 def _parsed_domain(text: str) -> DomainDef:
-    """``parse_domain(text)``, reused from the last call when ``text`` is equal."""
-    global _last_domain
-    last = _last_domain
-    if last is not None and last[0] == text:
-        return last[1]
-    dom = parse_domain(text)
-    _last_domain = (text, dom)
-    return dom
+    """``parse_domain(text)``, reused from the last call when ``text`` is equal:
+    bundles of one domain mostly load in a row, and ``parse_problem`` and
+    ``ground`` only read a ``DomainDef``."""
+    return parse_domain(text)
 
 
 def bundle_from_texts(texts: dict[str, str | None], *, path: str = "<memory>",

@@ -1,21 +1,24 @@
 """Minimization linear programs over operator-counting variables.
 
+An LP is its objective and its rows; the floors and the start are
+arguments of each solve, so one LP is solved again under other floors or
+from another start. Each LP compiles its rows once, on first use, into
+sparse arrays (``LinearProgram.compiled``): the nonzeros of [A | -I] by
+row, A's terms as written and then the m entries -1 of -I, so that A's
+alone are a prefix of them; and A's by column.
+
 The built-in solver is one revised dual simplex (float64, tolerance 1e-7) on
 the rows A y >= b, written A y - s = b over the columns [A | -I] with a
-surplus s_i per row. The rows, canonical as ``LinearConstraint`` requires,
-are compiled once per LP into sparse arrays (``CompiledRows``): the nonzeros
-of [A | -I] by row, A's terms as written and then the m entries -1 of -I, so
-that A's alone are a prefix of them; and A's by column. An LP built with
-another LP's ``compiled`` and rows tuple shares them. Floors y >= k are
-bounds; the substitution y = k + z moves them into b - A k. A solve keeps
-only B^-1 (m x m), x_B = B^-1 b and the reduced costs d. Each pivot prices
-the leaving row (e_r^T B^-1)[A | -I] with one ``bincount`` over the nonzeros
-of [A | -I], as the reduced costs are priced; forms the entering column
-B^-1 a_q from the column index; and updates B^-1, x_B and d by one rank-1
-step, on the rows where B^-1 a_q is nonzero. ``_Revised`` holds the one copy
-of each step; the dual and the primal phase 2 both pivot through it.
+surplus s_i per row. Floors y >= k are bounds; the substitution y = k + z
+moves them into b - A k. A solve keeps only B^-1 (m x m), x_B = B^-1 b and
+the reduced costs d. Each pivot prices the leaving row (e_r^T B^-1)[A | -I]
+with one ``bincount`` over the nonzeros of [A | -I], as the reduced costs
+are priced; forms the entering column B^-1 a_q from the column index; and
+updates B^-1, x_B and d by one rank-1 step, on the rows where B^-1 a_q is
+nonzero. ``_Revised`` holds the one copy of each step; the dual and the
+primal phase 2 both pivot through it.
 
-A solve starts from one of three bases, by ``LinearProgram.start``:
+A solve starts from one of three bases, by its ``start`` argument:
 
 * all-surplus (no start): B^-1 = -I, so the reduced costs are c;
 * landmark crash (a tuple of columns, as recognition passes for a base LP):
@@ -28,11 +31,11 @@ A solve starts from one of three bases, by ``LinearProgram.start``:
   minimum, so the dual simplex starts dual feasible at h_LM-cut. With unit
   costs the crash's counts are the relaxed plan's; on open grids that plan
   is a shortest path, which meets every row, so the start is optimal;
-* warm (a ``Basis``): an optimal basis of the same rows, as the base LP's is
-  for its h_hc LP; a basis of other rows is a ValueError. The reduced
-  costs depend only on the basis, the rows and the objective, not on b or
-  the floors, so a basis keeps its first pricing and later starts from it
-  under the same compiled rows and objective copy it.
+* warm (a ``Basis``): an optimal basis of an LP over the same rows, as the
+  base LP's is for its h_hc solve; a basis of other rows is a ValueError.
+  The reduced costs depend only on the basis, the rows and the objective,
+  not on b or the floors, so a basis keeps its first pricing and later
+  solves of its own LP that start from it copy that.
 
 Negative reduced costs are clamped to 0, and at the first degenerate dual
 ratio test each nonbasic reduced cost gets a fixed perturbation; a perturbed
@@ -42,16 +45,17 @@ after 2*(m+n) degenerate pivots) finishes the solve and detects
 unboundedness. Optimal outcomes carry their basis (the basic column of each
 row and the solve's own B^-1, made read-only).
 
-``BACKENDS`` names the solvers: ``simplex`` is ``solve_lp``; ``scipy``
-(HiGHS) reads the same compiled rows, passes the floors as bounds and
-ignores starts.
+``BACKENDS`` names the solvers, each called as ``solve(lp, lower=, start=)``:
+``simplex`` is ``solve_lp``; ``scipy`` (HiGHS) reads the same compiled
+rows, passes the floors as bounds and ignores the start.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, islice
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,18 +77,18 @@ UNBOUNDED = "unbounded"
 
 @dataclass(frozen=True, eq=False)
 class Basis:
-    """An optimal simplex basis of the rows ``constraints`` (the solved LP's
-    own tuple): the basic column of each row (j < n is Y_j, n + i the surplus
-    of row i) and B^-1 over the columns [A | -I].
+    """An optimal simplex basis of ``lp``, the LP solved: the basic column of
+    each row (j < n is Y_j, n + i the surplus of row i) and B^-1 over the
+    columns [A | -I].
 
-    ``priced`` holds the first warm start's objective, compiled rows and
-    reduced costs (read-only), set when that start prices the basis.
+    ``priced`` holds the reduced costs (read-only) of the first solve of
+    ``lp`` that starts from this basis, set when that start prices it.
     """
 
     columns: tuple[int, ...]
     inverse: np.ndarray  # m x m, read-only
-    constraints: tuple[LinearConstraint, ...]
-    priced: tuple | None = field(default=None, repr=False)
+    lp: LinearProgram
+    priced: np.ndarray | None = field(default=None, repr=False)
 
 
 class CompiledRows(NamedTuple):
@@ -93,7 +97,7 @@ class CompiledRows(NamedTuple):
     i, column n + i, -1). ``row``, ``col`` and ``data`` are A's alone, prefix
     views of those; ``rhs`` is b. Then A's nonzeros in column-major order:
     column j's rows and values are ``col_rows[s:e]`` and ``col_data[s:e]``
-    for s, e = ``col_start[j:j + 2]``. ``constraints`` are the rows compiled."""
+    for s, e = ``col_start[j:j + 2]``."""
     row: np.ndarray
     col: np.ndarray
     data: np.ndarray
@@ -104,7 +108,6 @@ class CompiledRows(NamedTuple):
     aug_row: np.ndarray
     aug_col: np.ndarray
     aug_data: np.ndarray
-    constraints: Sequence[LinearConstraint]
 
 
 def compile_rows(num_vars: int, constraints: Sequence[LinearConstraint]) -> CompiledRows:
@@ -136,40 +139,37 @@ def compile_rows(num_vars: int, constraints: Sequence[LinearConstraint]) -> Comp
     col_start = np.zeros(num_vars + 1, dtype=np.intp)
     col_start[1:] = np.bincount(col, minlength=num_vars).cumsum()
     return CompiledRows(row, col, data, np.array([r.rhs for r in constraints], float),
-                        row[by_col], data[by_col], col_start, aug_row, aug_col, aug_data,
-                        constraints)
+                        row[by_col], data[by_col], col_start, aug_row, aug_col, aug_data)
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min objective . y  s.t.  constraints (all >=),  y >= 0,  and
-    y_v >= floor for each (v, floor) in ``lower``.
+    """min objective . y  s.t.  constraints (all >=),  y >= 0.
 
-    ``start`` is either an optimal basis of an LP with the same rows and
-    objective but other floors (a basis of other rows is an error when the
-    simplex backend starts from it), or a crash: the columns
-    a_0, ..., a_K-1 in which rows 0..K-1 are basic, every other row in its
-    surplus, where A's block on those rows and columns is unit upper
-    triangular (as the landmark rows' ``zeroed`` actions give). The simplex
-    backend starts from it.
-    ``compiled`` holds the rows as compiled on first solve; pass another LP's
-    ``compiled`` and rows tuple to build an LP over them without compiling again.
+    A solve adds the floors y_v >= floor for each (v, floor) in its ``lower``
+    and starts from its ``start``: an optimal ``Basis`` of an LP over the
+    same rows (a basis of other rows is an error when the simplex backend
+    starts from it), or a crash, the columns a_0, ..., a_K-1 in which rows
+    0..K-1 are basic, every other row in its surplus, where A's block on
+    those rows and columns is unit upper triangular (as the landmark rows'
+    ``zeroed`` actions give).
     """
 
     num_vars: int
     objective: tuple[float, ...]
     constraints: tuple[LinearConstraint, ...]
-    lower: tuple[tuple[int, int], ...] = ()
-    start: Basis | tuple[int, ...] | None = field(default=None, compare=False, repr=False)
-    compiled: CompiledRows | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
-    def from_constraints(rows: Sequence[LinearConstraint], costs: Sequence[float],
-                         start: Basis | tuple[int, ...] | None = None,
-                         lower: Sequence[tuple[int, int]] = ()) -> "LinearProgram":
+    def from_constraints(rows: Sequence[LinearConstraint], costs: Sequence[float]
+                         ) -> "LinearProgram":
         """The LP over one variable per cost: min costs . y subject to ``rows``."""
         return LinearProgram(num_vars=len(costs), objective=tuple(float(c) for c in costs),
-                             constraints=tuple(rows), lower=tuple(lower), start=start)
+                             constraints=tuple(rows))
+
+    @cached_property
+    def compiled(self) -> CompiledRows:
+        """The rows compiled, once per LP."""
+        return compile_rows(self.num_vars, self.constraints)
 
 
 @dataclass(frozen=True)
@@ -178,28 +178,19 @@ class LpOutcome:
     value: float | None = None
     counts: tuple[float, ...] | None = None
     pivots: int = field(default=0, compare=False)
-    warm: bool = field(default=False, compare=False)  # started from a Basis in lp.start
+    warm: bool = field(default=False, compare=False)  # started from a Basis
     basis: Basis | None = field(default=None, compare=False, repr=False)
 
 
-def _floors(lp: LinearProgram) -> np.ndarray:
+def _floors(num_vars: int, lower: Iterable[tuple[int, int]]) -> np.ndarray:
     """The lower bound of every variable: the largest of 0 and its floors."""
-    k = np.zeros(lp.num_vars)
-    for var, floor in lp.lower:
-        if not (0 <= var < lp.num_vars and var == int(var)):
+    k = np.zeros(num_vars)
+    for var, floor in lower:
+        if not (0 <= var < num_vars and var == int(var)):
             raise ValueError(f"bound references unknown variable {var}")
         if floor > k[int(var)]:
             k[int(var)] = floor
     return k
-
-
-def _compiled(lp: LinearProgram) -> CompiledRows:
-    rows = lp.compiled  # stale if dataclasses.replace gave lp other rows or columns
-    if (rows is None or rows.constraints is not lp.constraints
-            or len(rows.col_start) != lp.num_vars + 1):
-        rows = compile_rows(lp.num_vars, lp.constraints)
-        object.__setattr__(lp, "compiled", rows)
-    return rows
 
 
 class _Revised:
@@ -382,17 +373,17 @@ def _crash(bx: np.ndarray, rows: CompiledRows, n: int, columns: Sequence[int]) -
             bx[:, at[t]] -= data[t] * bx[:, row[t]]
 
 
-def _start(lp: LinearProgram, rows: CompiledRows, b: np.ndarray, cost: np.ndarray
-           ) -> tuple[_Revised, bool]:
+def _start(lp: LinearProgram, start: Basis | tuple[int, ...] | None, b: np.ndarray,
+           cost: np.ndarray) -> tuple[_Revised, bool]:
     """The priced state a solve of ``lp`` starts from, and whether it is warm:
-    ``lp.start`` when it is a basis, which must be one of ``lp.constraints``
-    (else ValueError), else the crash it names (the all-surplus basis when it
-    names none)."""
+    ``start`` when it is a basis, which must be one of an LP over
+    ``lp.constraints`` (else ValueError), else the crash it names (the
+    all-surplus basis when it names none)."""
     n, m = lp.num_vars, len(b)
-    start = lp.start
+    rows = lp.compiled
     warm = isinstance(start, Basis)
     if warm:
-        if start.constraints is not lp.constraints and start.constraints != lp.constraints:
+        if start.lp.constraints is not lp.constraints and start.lp.constraints != lp.constraints:
             raise ValueError("warm start from a basis of other rows")
         basis = np.array(start.columns)
         bx = np.empty((m, m + 1))
@@ -406,35 +397,37 @@ def _start(lp: LinearProgram, rows: CompiledRows, b: np.ndarray, cost: np.ndarra
         basis[:len(crash)] = crash
         bx[:, -1] = bx[:, :-1] @ b
     state = _Revised(rows, n, basis, bx)
-    priced = start.priced if warm else None
-    if priced is not None and priced[1] is rows and priced[0] == lp.objective:
-        state.d = priced[2].copy()
+    own = warm and start.lp is lp  # the basis's own rows and objective
+    if own and start.priced is not None:
+        state.d = start.priced.copy()
         return state, warm
     state.price(cost)
-    if warm:
+    if own:
         d = state.d.copy()
         d.setflags(write=False)
-        object.__setattr__(start, "priced", (lp.objective, rows, d))
+        object.__setattr__(start, "priced", d)
     return state, warm
 
 
-def solve_lp(lp: LinearProgram) -> LpOutcome:
-    """Solve with the built-in revised dual simplex."""
+def solve_lp(lp: LinearProgram, *, lower: Iterable[tuple[int, int]] = (),
+             start: Basis | tuple[int, ...] | None = None) -> LpOutcome:
+    """Solve with the built-in revised dual simplex, under the floors
+    ``lower`` and from ``start`` (see ``LinearProgram``)."""
     n = lp.num_vars
     m = len(lp.constraints)
     cost = np.zeros(n + m)  # over [A | -I]: the surplus columns cost 0
     cost[:n] = lp.objective
     c = cost[:n]
-    k = _floors(lp)
+    k = _floors(n, lower)
     if m == 0:
         if n and c.min() < 0:
             return LpOutcome(UNBOUNDED)
         return LpOutcome(OPTIMAL, float(c @ k), tuple(k.tolist()))
-    rows = _compiled(lp)
+    rows = lp.compiled
     b = rows.rhs
-    if lp.lower:
+    if lower:
         b = b - np.bincount(rows.row, weights=rows.data * k[rows.col], minlength=m)
-    state, warm = _start(lp, rows, b, cost)
+    state, warm = _start(lp, start, b, cost)
     clamped = state.d.min() < -EPS
     np.maximum(state.d, 0.0, out=state.d)
     status, pivots, perturbed = _dual(state, m, n)
@@ -451,16 +444,17 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     inverse = state.bx[:, :-1]
     inverse.setflags(write=False)
     return LpOutcome(OPTIMAL, float(c @ counts), tuple(counts.tolist()), pivots, warm,
-                     Basis(tuple(state.basis.tolist()), inverse, lp.constraints))
+                     Basis(tuple(state.basis.tolist()), inverse, lp))
 
 
-def _scipy_backend(lp: LinearProgram) -> LpOutcome:
+def _scipy_backend(lp: LinearProgram, *, lower: Iterable[tuple[int, int]] = (),
+                   start: Basis | tuple[int, ...] | None = None) -> LpOutcome:
     from scipy.optimize import linprog
     from scipy.sparse import csr_array
 
     c = np.asarray(lp.objective, dtype=float)
-    bounds = [(floor, None) for floor in _floors(lp)] if lp.lower else (0, None)
-    rows = _compiled(lp)
+    bounds = [(floor, None) for floor in _floors(lp.num_vars, lower)] if lower else (0, None)
+    rows = lp.compiled
     a = csr_array((-rows.data, (rows.row, rows.col)), shape=(len(lp.constraints), lp.num_vars))
     res = linprog(c, A_ub=a, b_ub=-rows.rhs, bounds=bounds, method="highs")
     if res.status == 0:
@@ -473,7 +467,7 @@ def _scipy_backend(lp: LinearProgram) -> LpOutcome:
     raise SolverFailure(f"scipy backend failed: {res.message}")
 
 
-BACKENDS: dict[str, Callable[[LinearProgram], LpOutcome]] = {
+BACKENDS: dict[str, Callable[..., LpOutcome]] = {
     "simplex": solve_lp, "scipy": _scipy_backend}
 
 
@@ -483,6 +477,9 @@ def check_backend(name: str) -> None:
         raise ValueError(f"unknown backend '{name}' (have: {', '.join(sorted(BACKENDS))})")
 
 
-def solve_with(lp: LinearProgram, backend: str) -> LpOutcome:
+def solve_with(lp: LinearProgram, backend: str, *, lower: Iterable[tuple[int, int]] = (),
+               start: Basis | tuple[int, ...] | None = None) -> LpOutcome:
+    """Solve ``lp`` with the named backend, under the floors ``lower`` and
+    from ``start`` (see ``LinearProgram``)."""
     check_backend(backend)
-    return BACKENDS[backend](lp)
+    return BACKENDS[backend](lp, lower=lower, start=start)

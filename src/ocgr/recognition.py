@@ -1,11 +1,11 @@
 """Goal recognition over operator-counting LPs.
 
-For each hypothesis G we solve the base LP (value h) and the LP with
-per-action observation floors Y_a >= k_a (value h_hc). The base LP starts
-from the crash basis of its landmark rows, LM-cut's cost partitioning, so
-the dual simplex starts at h_LM-cut. The h_hc LP is the base LP with the
-floors as bounds, sharing its compiled rows, solved from its optimal basis,
-which stays dual feasible when only the bounds change.
+For each hypothesis G we solve the base LP (value h), and then the same LP
+again under per-action observation floors Y_a >= k_a (value h_hc). The
+base solve starts from the crash basis of its landmark rows, LM-cut's cost
+partitioning, so the dual simplex starts at h_LM-cut. The h_hc solve passes
+the floors as bounds and starts from the base optimal basis, which stays
+dual feasible when only the bounds change.
 ``select`` is the one selection rule: each method names its score key
 (h_hc or the enforcement delta h_hc - h) and whether the threshold is
 widened by the uncertainty ratio
@@ -19,7 +19,7 @@ an infinite value and such hypotheses are never selected.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .constraints import ALL_FAMILIES, base_constraints, check_families
@@ -110,8 +110,8 @@ def _base(task: PlanningTask, goal_index: int, goal: frozenset[int], config: Rec
     t1 = time.perf_counter()
     # The landmark rows come first; each is basic in its zeroed action.
     crash = tuple(row.zeroed for row in base if row.zeroed is not None)
-    lp = LinearProgram.from_constraints(base, task.costs, start=crash)
-    out = solve_with(lp, config.backend)
+    lp = LinearProgram.from_constraints(base, task.costs)
+    out = solve_with(lp, config.backend, start=crash)
     if out.status not in (OPTIMAL, INFEASIBLE):
         raise SolverFailure(f"base LP for hypothesis {goal_index} came back {out.status}")
     entry = bases[key] = (lp, out)
@@ -140,8 +140,7 @@ def _score_one(task: PlanningTask, goal_index: int, goal: frozenset[int],
     base, out = entry
     h = out.value
     t2 = time.perf_counter()
-    lp = replace(base, lower=tuple(sorted(obs.counts.items())), start=out.basis)
-    out_hc = solve_with(lp, config.backend)
+    out_hc = solve_with(base, config.backend, lower=obs.counts.items(), start=out.basis)
     t_lp += time.perf_counter() - t2
     if out_hc.status == INFEASIBLE:
         return HypothesisScore(goal_index, h, INF, INF, out.counts, None), t_cons, t_lp

@@ -144,6 +144,15 @@ def test_spec_validation():
               backend="scipy").validate()
 
 
+def test_spec_rejects_an_empty_method_or_level_list():
+    """No method would score every problem and write no row; no level would
+    compose no problem. Each is an error that names its key."""
+    with pytest.raises(ValueError, match="^methods must list at least one method$"):
+        SuiteSpec(families=("grid",), methods=()).validate()
+    with pytest.raises(ValueError, match="^observability must list at least one level$"):
+        SuiteSpec(families=("grid",), observability=()).validate()
+
+
 def test_default_levels_depend_on_noise():
     assert SuiteSpec(families=("grid",)).levels() == (10, 30, 50, 70, 100)
     assert SuiteSpec(families=("grid",), noise_count=2).levels() == (25, 50, 75, 100)

@@ -116,7 +116,7 @@ def test_separate_files_without_obs_name_the_flag(demo_dir, capsys, command):
 
 
 def test_recognize_solver_failure_exits_3(demo_dir, capsys, monkeypatch):
-    def broken(prog):
+    def broken(prog, **solve):
         raise SolverFailure("injected failure")
 
     monkeypatch.setitem(lp.BACKENDS, "broken-test", broken)
@@ -391,6 +391,18 @@ def test_bench_ill_typed_manifest_exits_2(tmp_path, capsys, body, named):
     assert main(["bench", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err
+    assert not (tmp_path / "o").exists()
+
+
+def test_bench_manifest_without_methods_exits_2(tmp_path, capsys):
+    """A manifest with an empty ``methods`` is one error line naming the key,
+    before anything runs, rather than a run that writes only the headers."""
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"families": ["grid"], "per_family": 1,
+                                    "observability": [50], "methods": [], "seed": 1}))
+    assert main(["bench", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: methods must list at least one method"]
     assert not (tmp_path / "o").exists()
 
 

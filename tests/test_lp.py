@@ -96,9 +96,9 @@ def test_backend_unavailable():
 def test_backend_registry_roundtrip(monkeypatch):
     calls = []
 
-    def fake(lp):
+    def fake(lp, **solve):
         calls.append(lp)
-        return solve_lp(lp)
+        return solve_lp(lp, **solve)
 
     monkeypatch.setitem(lp_mod.BACKENDS, "fake-test", fake)
     out = solve_with(_lp(1, [1], [([(0, 1)], 1)]), "fake-test")
@@ -172,18 +172,17 @@ def test_stalled_dual_names_pivots_and_degenerate_run(monkeypatch):
 
 def test_floors_are_bounds():
     rows = [([(0, 1), (1, 1)], 2), ([(0, 1), (1, -1)], 0)]
-    bounded = LinearProgram(2, (1.0, 3.0), _lp(2, [1, 3], rows).constraints,
-                            lower=((1, 1), (0, 0), (1, -4)))
+    bounded, lower = _lp(2, [1, 3], rows), ((1, 1), (0, 0), (1, -4))
     floored = _lp(2, [1, 3], rows + [([(1, 1)], 1)])
     for backend in ("simplex", "scipy"):
-        out = solve_with(bounded, backend)
+        out = solve_with(bounded, backend, lower=lower)
         assert out.status == "optimal"
         assert abs(out.value - solve_lp(floored).value) <= 1e-9
         assert abs(out.value - 4.0) <= 1e-9 and out.counts[1] >= 1 - 1e-9
     for var in (2, -1, 1.5):
         for backend in ("simplex", "scipy"):
             with pytest.raises(ValueError) as err:
-                solve_with(replace(bounded, lower=((0, 1), (var, 2))), backend)
+                solve_with(bounded, backend, lower=((0, 1), (var, 2)))
             assert str(err.value) == f"bound references unknown variable {var}"
 
 
@@ -230,8 +229,8 @@ def test_start_that_is_not_dual_feasible_still_reaches_the_optimum(monkeypatch):
                 continue
             other_costs = [rng.choice((0, 1, 20)) for _ in task.costs]
             other = solve_lp(LinearProgram.from_constraints(cset, other_costs))
-            lp = LinearProgram.from_constraints(cset, task.costs, start=other.basis)
-            ours, ref = solve_lp(lp), solve_with(lp, "scipy")
+            lp = LinearProgram.from_constraints(cset, task.costs)
+            ours, ref = solve_lp(lp, start=other.basis), solve_with(lp, "scipy", start=other.basis)
             assert ours.warm and ours.status == ref.status == "optimal"
             assert abs(ours.value - ref.value) <= 1e-6
             infeasible_starts += _reduced_costs(lp, other.basis).min() < -1e-7
@@ -283,42 +282,41 @@ def test_blands_rule_in_phase_two_reaches_the_highs_optima(monkeypatch):
                 continue
             other_costs = [rng.choice((0, 1, 20)) for _ in task.costs]
             other = solve_lp(LinearProgram.from_constraints(cset, other_costs))
-            lp = LinearProgram.from_constraints(cset, task.costs, start=other.basis)
-            ours, ref = solve_lp(lp), solve_with(lp, "scipy")
+            lp = LinearProgram.from_constraints(cset, task.costs)
+            ours, ref = solve_lp(lp, start=other.basis), solve_with(lp, "scipy", start=other.basis)
             assert ours.warm and ours.status == ref.status == "optimal"
             assert abs(ours.value - ref.value) <= 1e-6
     assert bland_steps
 
 
 def test_a_basis_starts_only_an_lp_over_its_own_rows():
-    """A basis records the rows it is a basis of. A start over equal rows is
+    """A basis records the LP it is a basis of. A start over equal rows is
     warm; one over other rows, of the same count or not, is a ValueError
     rather than a silent cold start or a wrong optimum."""
     rows = [([(0, 1), (1, 1)], 2), ([(0, 1)], 1)]
     base = _lp(2, [1, 2], rows)
     basis = solve_lp(base).basis
-    assert basis.constraints is base.constraints
-    assert solve_lp(replace(_lp(2, [1, 2], rows), start=basis)).warm
+    assert basis.lp is base
+    assert solve_lp(_lp(2, [1, 2], rows), start=basis).warm
     for other in (_lp(2, [1, 2], [([(0, 1), (1, 1)], 2), ([(1, 1)], 1)]),
                   _lp(2, [1, 2], rows[:1])):
         with pytest.raises(ValueError, match="basis of other rows"):
-            solve_lp(replace(other, start=basis))
+            solve_lp(other, start=basis)
 
 
-def _warm_state(lp):
-    """The priced state, and the costs, a solve of ``lp`` starts from when
-    ``lp.start`` is a basis, built as ``solve_lp`` builds them."""
-    rows, k = lp_mod._compiled(lp), lp_mod._floors(lp)
+def _warm_state(lp, lower, start):
+    """The priced state, and the costs, a solve of ``lp`` under ``lower``
+    starts from when ``start`` is a basis, built as ``solve_lp`` builds them."""
+    rows, k = lp.compiled, lp_mod._floors(lp.num_vars, lower)
     b = rows.rhs - np.bincount(rows.row, weights=rows.data * k[rows.col], minlength=len(rows.rhs))
     cost = np.zeros(lp.num_vars + len(b))
     cost[:lp.num_vars] = lp.objective
-    state, warm = lp_mod._start(lp, rows, b, cost)
+    state, warm = lp_mod._start(lp, start, b, cost)
     assert warm
     return state, cost
 
 
-def _fresh_price(lp, cost):
-    basis = lp.start
+def _fresh_price(lp, basis, cost):
     bx = np.zeros((len(basis.columns), len(basis.columns) + 1))
     bx[:, :-1] = basis.inverse
     state = lp_mod._Revised(lp.compiled, lp.num_vars, np.array(basis.columns), bx)
@@ -327,10 +325,9 @@ def _fresh_price(lp, cost):
 
 
 def test_warm_starts_copy_the_first_pricing_bit_for_bit():
-    """Warm starts from one basis under the same compiled rows and objective,
-    whatever their floors, start from its first pricing, bit for bit a fresh
-    ``_Revised.price``; another objective prices again. An outcome's B^-1 and
-    the kept reduced costs are read-only."""
+    """Warm starts of a basis's own LP, whatever their floors, start from its
+    first pricing, bit for bit a fresh ``_Revised.price``; another objective
+    prices again. An outcome's B^-1 and the kept reduced costs are read-only."""
     b = bundle_from_texts(open_grid_bundle(10), require_obs=False)
     task = b.task
     for goal in b.hyps.goals:
@@ -339,16 +336,16 @@ def test_warm_starts_copy_the_first_pricing_bit_for_bit():
         assert basis.priced is None and not basis.inverse.flags.writeable
         with pytest.raises(ValueError):
             basis.inverse[0, 0] = 1.0
-        doubled = replace(base, objective=tuple(2.0 * c for c in base.objective), start=basis)
-        for lp in [replace(base, lower=floors, start=basis)
-                   for floors in ((), ((0, 1),), ((3, 2), (5, 1)))] + [doubled]:
-            state, cost = _warm_state(lp)
-            assert state.d.tobytes() == _fresh_price(lp, cost).tobytes()
-            objective, rows, d = basis.priced
-            assert objective == lp.objective and rows is base.compiled
+        doubled = replace(base, objective=tuple(2.0 * c for c in base.objective))
+        for lp, lower in [(base, floors) for floors in ((), ((0, 1),), ((3, 2), (5, 1)))] + [
+                (doubled, ())]:
+            state, cost = _warm_state(lp, lower, basis)
+            assert state.d.tobytes() == _fresh_price(lp, basis, cost).tobytes()
+            d = basis.priced
+            assert basis.lp is base and (state.d.tobytes() == d.tobytes()) == (lp is base)
             assert state.d is not d and not d.flags.writeable
-            alone = replace(lp, start=Basis(basis.columns, basis.inverse, basis.constraints))
-            assert solve_lp(lp) == solve_lp(alone)
+            alone = Basis(basis.columns, basis.inverse, basis.lp)
+            assert solve_lp(lp, lower=lower, start=basis) == solve_lp(lp, lower=lower, start=alone)
 
 
 def _dense_reference(lp):
@@ -404,15 +401,15 @@ def test_compiled_rows_scatter_back_to_the_dense_rows():
 def test_replace_with_other_rows_or_columns_compiles_them(backend):
     """An LP that ``dataclasses.replace`` gives other rows, or another number
     of variables, is solved over those, not over the rows compiled for the LP
-    it was made from; an LP given other floors keeps the compiled arrays."""
+    it was made from; a solve under other floors keeps the compiled arrays."""
     a = _lp(2, [1, 1], [([(1, 1)], 1)])
     assert solve_with(a, backend).value == 1.0
     fresh = _lp(2, [1, 1], [([(1, 1)], 5)])
     assert solve_with(replace(a, constraints=fresh.constraints), backend).value == 5.0
     with pytest.raises(ValueError, match="unknown variable 1"):
         solve_with(replace(a, num_vars=1, objective=(1.0,)), backend)
-    floored = replace(a, lower=((1, 3),))
-    assert solve_with(floored, backend).value == 3.0 and floored.compiled is a.compiled
+    compiled = a.compiled
+    assert solve_with(a, backend, lower=((1, 3),)).value == 3.0 and a.compiled is compiled
 
 
 @pytest.mark.parametrize("terms", [[(1, 1), (1, 2)], [(2, 1), (0, 1)], [(0, 1), (1, 0)]],
@@ -428,7 +425,7 @@ def test_non_canonical_row_is_rejected_by_both_backends(terms):
                                   "out of increasing order or has a zero coefficient")
 
 
-def _assert_basis_holds(lp, out):
+def _assert_basis_holds(lp, out, lower=()):
     """B^-1 inverts the basic columns of [A | -I], the counts meet the rows and
     the floors, and no reduced cost under the true costs is negative: the basis
     certifies that the counts are optimal, not only feasible."""
@@ -438,7 +435,7 @@ def _assert_basis_holds(lp, out):
     assert np.abs(out.basis.inverse @ basic - np.eye(m)).max() <= 1e-8
     counts = np.array(out.counts)
     assert (a @ counts >= b - 1e-9).all()
-    assert all(counts[v] >= floor - 1e-9 for v, floor in lp.lower)
+    assert all(counts[v] >= floor - 1e-9 for v, floor in lower)
     assert _reduced_costs(lp, out.basis).min() >= -1e-7
 
 
@@ -463,13 +460,12 @@ def test_simplex_matches_highs_on_open_grids(n):
         assert out.status == ref.status == "optimal" and not out.warm
         assert abs(out.value - ref.value) <= 1e-6
         _assert_basis_holds(base, out)
-        hc = LinearProgram(base.num_vars, base.objective, base.constraints, lower=lower,
-                           start=out.basis, compiled=base.compiled)
-        warm, cold, ref = solve_lp(hc), solve_lp(replace(hc, start=None)), solve_with(hc, "scipy")
+        warm, cold = solve_lp(base, lower=lower, start=out.basis), solve_lp(base, lower=lower)
+        ref = solve_with(base, "scipy", lower=lower)
         assert warm.status == cold.status == ref.status == "optimal"
         assert warm.warm and not cold.warm and warm.pivots < cold.pivots
         assert abs(warm.value - ref.value) <= 1e-6 and abs(cold.value - ref.value) <= 1e-6
-        _assert_basis_holds(hc, warm)
+        _assert_basis_holds(base, warm, lower)
         warm_pivots += warm.pivots
     assert warm_pivots > 0
 
@@ -480,15 +476,14 @@ def test_simplex_matches_highs_on_the_open_24_grid():
     compared: here a warm h_hc solve can take more pivots than a cold one."""
     for base, lower in _open_grid_lps(24):
         out = solve_lp(base)
-        hc = LinearProgram(base.num_vars, base.objective, base.constraints, lower=lower,
-                           start=out.basis, compiled=base.compiled)
-        warm, cold, hc_ref = solve_lp(hc), solve_lp(replace(hc, start=None)), solve_with(hc, "scipy")
+        warm, cold = solve_lp(base, lower=lower, start=out.basis), solve_lp(base, lower=lower)
+        hc_ref = solve_with(base, "scipy", lower=lower)
         assert warm.warm and not cold.warm
-        for lp, ours, ref in ((base, out, solve_with(base, "scipy")), (hc, warm, hc_ref),
-                              (hc, cold, hc_ref)):
+        for floors, ours, ref in (((), out, solve_with(base, "scipy")), (lower, warm, hc_ref),
+                                  (lower, cold, hc_ref)):
             assert ours.status == ref.status == "optimal"
             assert abs(ours.value - ref.value) <= 1e-6
-            _assert_basis_holds(lp, ours)
+            _assert_basis_holds(base, ours, floors)
 
 
 def test_every_returned_basis_inverts_its_columns(monkeypatch):
@@ -498,9 +493,9 @@ def test_every_returned_basis_inverts_its_columns(monkeypatch):
 
     solved = []
 
-    def spy(lp, backend):
-        solved.append((lp, solve_with(lp, backend)))
-        return solved[-1][1]
+    def spy(lp, backend, *, lower=(), start=None):
+        solved.append((lp, lower, solve_with(lp, backend, lower=lower, start=start)))
+        return solved[-1][2]
 
     monkeypatch.setattr(rec, "solve_with", spy)
     spec = SuiteSpec(families=("grid", "blocks", "logistics", "corridor"), per_family=2,
@@ -511,10 +506,10 @@ def test_every_returned_basis_inverts_its_columns(monkeypatch):
         bundle = bundle_from_texts(open_grid_bundle(n), require_obs=False)
         walks = [bundle.task.action_index[f"walk c0_{y} c0_{y + 1}"] for y in range(n // 2)]
         recognize(bundle.task, bundle.hyps, ObservationSequence(tuple(walks)))
-    optimal = [(lp, out) for lp, out in solved if out.status == "optimal"]
-    assert len(optimal) > 100 and any(lp.num_vars > 500 for lp, _ in optimal)
-    for lp, out in optimal:
-        _assert_basis_holds(lp, out)
+    optimal = [(lp, lower, out) for lp, lower, out in solved if out.status == "optimal"]
+    assert len(optimal) > 100 and any(lp.num_vars > 500 for lp, _, _ in optimal)
+    for lp, lower, out in optimal:
+        _assert_basis_holds(lp, out, lower)
 
 
 def test_simplex_outcomes_are_pinned(monkeypatch):
@@ -526,9 +521,9 @@ def test_simplex_outcomes_are_pinned(monkeypatch):
     h = hashlib.sha256()
     solves = 0
 
-    def spy(lp, backend):
+    def spy(lp, backend, **solve):
         nonlocal solves
-        out = solve_with(lp, backend)
+        out = solve_with(lp, backend, **solve)
         _hash_outcome(h, out)
         solves += 1
         return out
@@ -556,8 +551,8 @@ def test_recognition_starts_every_simplex_solve_dual_feasible(monkeypatch):
     starts = []
     real = lp_mod._start
 
-    def spy(lp, rows, b, cost):
-        state, warm = real(lp, rows, b, cost)
+    def spy(lp, start, b, cost):
+        state, warm = real(lp, start, b, cost)
         starts.append((warm, float(state.d.min())))
         return state, warm
 
@@ -637,10 +632,10 @@ def test_landmark_crash_starts_dual_feasible_at_the_cut_minima():
             coef = dict(row.terms)
             assert coef[crash[k]] == 1 and not any(a in coef for a in crash[:k])
             off_diagonal += sum(a in coef for a in crash[k + 1:])
-        rows = lp_mod._compiled(lp)
+        rows = lp.compiled
         m = len(lp.constraints)
         cost = np.concatenate([lp.objective, np.zeros(m)])
-        state, warm = lp_mod._start(replace(lp, start=crash), rows, rows.rhs, cost)
+        state, warm = lp_mod._start(lp, crash, rows.rhs, cost)
         assert not warm and state.basis[:size].tolist() == list(crash)
         a, _ = _dense_reference(lp)
         basic = np.hstack([a, -np.eye(m)])[:, state.basis]
@@ -683,8 +678,8 @@ def test_crash_and_all_surplus_starts_agree():
     counts walk the relaxed plan, a shortest path, so no pivot is needed."""
     crash_pivots = cold_pivots = 0
     for lp, _, _, open_grid in _base_lps_with_cut_minima():
-        crashed = replace(lp, start=_crash_of(lp))
-        ours, cold = solve_lp(crashed), solve_lp(lp)
+        crash = _crash_of(lp)
+        ours, cold = solve_lp(lp, start=crash), solve_lp(lp)
         assert ours.status == cold.status and not ours.warm
         if cold.status == "optimal":
             assert abs(ours.value - cold.value) <= 1e-9
@@ -692,7 +687,7 @@ def test_crash_and_all_surplus_starts_agree():
         if open_grid:
             assert ours.pivots == 0 and cold.pivots > 0
         if lp.num_vars > 100:
-            assert solve_with(crashed, "scipy") == solve_with(lp, "scipy")
+            assert solve_with(lp, "scipy", start=crash) == solve_with(lp, "scipy")
         crash_pivots += ours.pivots
         cold_pivots += cold.pivots
     assert crash_pivots < cold_pivots
@@ -700,13 +695,13 @@ def test_crash_and_all_surplus_starts_agree():
 
 def test_crash_start_that_is_not_unit_upper_triangular_is_rejected():
     lp = _lp(3, [1, 1, 1], [([(0, 1), (1, 1)], 1), ([(1, 1)], 1), ([(2, 2)], 1)])
-    assert solve_lp(replace(lp, start=(0, 1))).value == solve_lp(lp).value == 1.5
+    assert solve_lp(lp, start=(0, 1)).value == solve_lp(lp).value == 1.5
     for crash in ((1, 0), (0, 0), (0, 1, 2), (0, 1, 2, 0), (0, 5)):
         with pytest.raises(ValueError, match="crash start"):
-            solve_lp(replace(lp, start=crash))
+            solve_lp(lp, start=crash)
     lower = _lp(2, [1, 1], [([(0, 1)], 1), ([(0, 1), (1, 1)], 1)])
     with pytest.raises(ValueError, match="not unit upper triangular"):
-        solve_lp(replace(lower, start=(0, 1)))
+        solve_lp(lower, start=(0, 1))
 
 
 def test_unknown_constraint_variable_is_rejected_by_both_backends():

@@ -285,7 +285,7 @@ def test_rescoring_a_task_solves_each_base_lp_once(monkeypatch):
     solves = []
     real = rec.solve_with
     monkeypatch.setattr(rec, "solve_with",
-                        lambda lp, backend: solves.append(lp) or real(lp, backend))
+                        lambda lp, backend, **solve: solves.append(lp) or real(lp, backend, **solve))
     k = len(b.hyps)
     recognize(b.task, b.hyps, b.obs)
     assert len(solves) == k + k
@@ -354,9 +354,9 @@ def test_failed_base_lp_is_solved_again(monkeypatch):
 
     calls = []
 
-    def flaky(lp):
+    def flaky(lp, **solve):
         calls.append(lp)
-        return LpOutcome(UNBOUNDED) if len(calls) == 1 else solve_lp(lp)
+        return LpOutcome(UNBOUNDED) if len(calls) == 1 else solve_lp(lp, **solve)
 
     monkeypatch.setitem(BACKENDS, "flaky-test", flaky)
     b = bundle_from_texts(dict(demo_grid_bundle().files))
@@ -418,8 +418,8 @@ def test_rescoring_warm_starts_every_observation_lp(monkeypatch):
     solves = []
     real = rec.solve_with
 
-    def spy(lp, backend):
-        solves.append(real(lp, backend))
+    def spy(lp, backend, **solve):
+        solves.append(real(lp, backend, **solve))
         return solves[-1]
 
     monkeypatch.setattr(rec, "solve_with", spy)
@@ -465,8 +465,8 @@ def test_warm_observation_lp_matches_cold_floor_rows():
                 obs = ObservationSequence(tuple(a for a in picks for _ in range(rng.randint(1, 2))))
                 score = score_hypothesis(task, goal, obs)
                 cold = solve_lp(_floored(task, goal, obs))
-                highs = solve_with(LinearProgram.from_constraints(
-                    base, task.costs, lower=sorted(obs.counts.items())), "scipy")
+                highs = solve_with(LinearProgram.from_constraints(base, task.costs), "scipy",
+                                   lower=sorted(obs.counts.items()))
                 statuses.add(cold.status)
                 assert highs.status == cold.status
                 if cold.status == "infeasible":
@@ -494,9 +494,10 @@ def test_rescoring_compiles_each_goal_once(monkeypatch):
         compiled.append(constraints)
         return real_compile(num_vars, constraints)
 
-    def spy(lp, backend):
-        solves.append((lp, lp.compiled, real_solve(lp, backend)))
-        return solves[-1][2]
+    def spy(lp, backend, *, lower=(), start=None):
+        solves.append((lp, lp.compiled, lower, start,
+                       real_solve(lp, backend, lower=lower, start=start)))
+        return solves[-1][4]
 
     monkeypatch.setattr(lp_mod, "compile_rows", counting)
     monkeypatch.setattr(rec, "solve_with", spy)
@@ -513,20 +514,20 @@ def test_rescoring_compiles_each_goal_once(monkeypatch):
         goals = {g for g in problems[first].hyps.goals if score_hypothesis(task, g, _obs()).h != INF}
         assert len(compiled) == len(goals)
         rows = {base_lp(task, g)[0].constraints: g for g in goals}
-        for lp, carried, out in solves:
-            if not isinstance(lp.start, Basis):  # a base LP, with its landmark crash
+        for lp, carried, lower, start, out in solves:
+            if not isinstance(start, Basis):  # a base LP, with its landmark crash
                 continue
             assert carried is not None
             fresh = LinearProgram.from_constraints(base_lp(task, rows[lp.constraints])[0].constraints,
-                                                   task.costs, start=lp.start, lower=lp.lower)
-            assert out == solve_with(fresh, "simplex")
+                                                   task.costs)
+            assert out == solve_with(fresh, "simplex", lower=lower, start=start)
             warm += 1
     assert warm >= 40
 
 
 def _arrays(obj, seen):
     """Every ndarray reachable from ``obj`` through containers, dataclass
-    fields and array bases."""
+    fields and cached properties, and array bases."""
     if id(obj) in seen:
         return
     seen.add(id(obj))
@@ -542,6 +543,7 @@ def _arrays(obj, seen):
     elif dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):
             yield from _arrays(getattr(obj, f.name), seen)
+        yield from _arrays(getattr(obj, "__dict__", {}), seen)  # cached properties too
     elif hasattr(obj, "__dict__"):
         for item in vars(obj).values():
             yield from _arrays(item, seen)
@@ -566,7 +568,7 @@ def test_memo_holds_no_dense_matrix():
         m, n = len(lp.constraints), lp.num_vars
         arrays = list(_arrays((lp, out), set()))
         assert out.basis is not None and lp.compiled is not None and len(arrays) >= 5
-        assert any(a is out.basis.priced[2] for a in arrays)
+        assert any(a is out.basis.priced for a in arrays)
         assert max(a.size for a in arrays) < m * n
 
 
