@@ -12,6 +12,7 @@ import functools
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .constraints import ALL_FAMILIES, dump_constraints
@@ -39,17 +40,20 @@ def _add_bundle_args(p: argparse.ArgumentParser, need_obs: bool = True) -> None:
 
 
 def _load_inputs(args: argparse.Namespace, *, need_obs: bool = True) -> Bundle:
+    paths = {"domain": args.domain, "problem": args.problem, "hyps": args.hyps,
+             "obs": args.obs, "real-hyp": args.real_hyp}
     if args.bundle:
+        given = [flag for flag, path in paths.items() if path]
+        if given:
+            raise PddlParseError(f"--bundle reads its own files; drop --{', --'.join(given)}")
         return load_bundle(args.bundle, require_obs=need_obs)
-    required = {"domain": args.domain, "problem": args.problem, "hyps": args.hyps}
-    if need_obs:
-        required["obs"] = args.obs
-    missing = [k for k, v in required.items() if not v]
+    optional = {"real-hyp"} if need_obs else {"obs", "real-hyp"}
+    missing = [flag for flag, path in paths.items() if not path and flag not in optional]
     if missing:
         raise PddlParseError(f"missing input files: --{', --'.join(missing)} (or use --bundle)")
-    files = {"domain.pddl": args.domain, "template.pddl": args.problem, "hyps.dat": args.hyps,
-             "obs.dat": args.obs, "real_hyp.dat": args.real_hyp}
-    texts = {name: Path(f).read_text(encoding="utf-8") if f else None for name, f in files.items()}
+    names = ("domain.pddl", "template.pddl", "hyps.dat", "obs.dat", "real_hyp.dat")
+    texts = {name: Path(f).read_text(encoding="utf-8") if f else None
+             for name, f in zip(names, paths.values())}
     return bundle_from_texts(texts, path="<cli>", require_obs=need_obs)
 
 
@@ -138,7 +142,7 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
     bundle = _load_inputs(args)
     parse_time = time.perf_counter() - t0
     report = recognize(bundle.task, bundle.hyps, bundle.obs, args.method, config)
-    report.timings["parse_ground"] = parse_time
+    report = replace(report, timings={**report.timings, "parse_ground": parse_time})
     if args.dump_constraints or args.dump_lp:
         for idx in range(len(bundle.hyps)):
             _print_dumps(args, bundle, idx, config)

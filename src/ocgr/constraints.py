@@ -108,11 +108,6 @@ def _shared(task: PlanningTask, build):
     return memo[build] if build in memo else memo.setdefault(build, build(task))
 
 
-def _achievers(task: PlanningTask) -> list[int]:
-    """Each fact's relaxed-plan achiever, -1 until ``relaxed_plan`` first needs it."""
-    return [-1] * task.num_facts
-
-
 def _lmcut_setup(task: PlanningTask) -> _LmCutSetup:
     init, value_of, costs = task.init, task.init_hmax.__getitem__, task.costs
     init_node = task.num_facts + 1
@@ -185,24 +180,19 @@ def relaxed_plan(task: PlanningTask, goal: Iterable[int]) -> frozenset[int]:
     Walks back from the goal facts not true initially: each such fact takes
     its h_max achiever (cost plus largest precondition value equal to the
     fact's value, lowest action index on ties), whose preconditions not true
-    initially are walked in turn. Each fact's achiever depends only on the
-    task, so the task's memo keeps it for its later goals, and the plan
-    depends only on the task and the goal. With zero-cost actions a
-    precondition can share its fact's value and the walk can close a cycle
-    rather than a plan; that changes only which crash columns are taken.
+    initially are walked in turn. The plan depends only on the task and the
+    goal. With zero-cost actions a precondition can share its fact's value
+    and the walk can close a cycle rather than a plan; that changes only
+    which crash columns are taken.
     """
     values, init, costs, pres = task.init_hmax, task.init, task.costs, task.pres
-    achiever = _shared(task, _achievers)
     stack = list(set(goal) - init)
     seen = set(stack)
     plan: set[int] = set()
     while stack:
         f = stack.pop()
-        a = achiever[f]
-        if a < 0:
-            a = achiever[f] = next(
-                a for a in task.adders[f]
-                if costs[a] + max((values[p] for p in pres[a]), default=0) == values[f])
+        a = next(a for a in task.adders[f]
+                 if costs[a] + max((values[p] for p in pres[a]), default=0) == values[f])
         plan.add(a)
         for p in pres[a]:
             if p not in init and p not in seen:

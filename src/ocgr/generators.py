@@ -10,7 +10,7 @@ passed RNG, so equal seeds give byte-identical bundles.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 GRID_DOMAIN = """\
@@ -176,16 +176,16 @@ def demo_grid_bundle() -> GeneratedBundle:
                     there = f"c_{nx}_{ny}"
                     if (here, there) not in blocked:
                         edges.append((here, there, d))
+    obs = ("(move-right c_0_0 c_1_0)\n"
+           "(move-right c_1_0 c_2_0)\n"
+           "(move-right c_2_0 c_3_0)\n"
+           "(move-up c_3_0 c_3_1)\n"
+           "(move-left c_3_1 c_2_1)\n"
+           "(move-up c_2_1 c_2_2)\n"
+           "(move-left c_2_2 c_1_2)\n")
     bundle = _bundle("grid-demo", GRID_DOMAIN, _grid_problem(cells, edges, "c_0_0", "grid-demo"),
                      ["(at c_1_2)", "(at c_0_3)"], 0)
-    bundle.files["obs.dat"] = ("(move-right c_0_0 c_1_0)\n"
-                               "(move-right c_1_0 c_2_0)\n"
-                               "(move-right c_2_0 c_3_0)\n"
-                               "(move-up c_3_0 c_3_1)\n"
-                               "(move-left c_3_1 c_2_1)\n"
-                               "(move-up c_2_1 c_2_2)\n"
-                               "(move-left c_2_2 c_1_2)\n")
-    return bundle
+    return replace(bundle, files={**bundle.files, "obs.dat": obs})
 
 
 def gen_grid(rng: random.Random) -> GeneratedBundle:

@@ -34,8 +34,8 @@ A solve starts from one of three bases, by its ``start`` argument:
 * warm (a ``Basis``): an optimal basis of an LP over the same rows, as the
   base LP's is for its h_hc solve; a basis of other rows is a ValueError.
   The reduced costs depend only on the basis, the rows and the objective,
-  not on b or the floors, so a basis keeps its first pricing and later
-  solves of its own LP that start from it copy that.
+  not on b or the floors, so a basis derives them once (``Basis.priced``)
+  and every solve of its own LP that starts from it copies them.
 
 Negative reduced costs are clamped to 0, and at the first degenerate dual
 ratio test each nonbasic reduced cost gets a fixed perturbation; a perturbed
@@ -79,16 +79,18 @@ UNBOUNDED = "unbounded"
 class Basis:
     """An optimal simplex basis of ``lp``, the LP solved: the basic column of
     each row (j < n is Y_j, n + i the surplus of row i) and B^-1 over the
-    columns [A | -I].
-
-    ``priced`` holds the reduced costs (read-only) of the first solve of
-    ``lp`` that starts from this basis, set when that start prices it.
-    """
+    columns [A | -I]."""
 
     columns: tuple[int, ...]
     inverse: np.ndarray  # m x m, read-only
     lp: LinearProgram
-    priced: np.ndarray | None = field(default=None, repr=False)
+
+    @cached_property
+    def priced(self) -> np.ndarray:
+        """The reduced costs of ``lp``'s objective at this basis, read-only."""
+        d = _reduced_costs(self.lp.compiled, np.array(self.columns), self.inverse, _cost(self.lp))
+        d.setflags(write=False)
+        return d
 
 
 class CompiledRows(NamedTuple):
@@ -182,6 +184,20 @@ class LpOutcome:
     basis: Basis | None = field(default=None, compare=False, repr=False)
 
 
+def _cost(lp: LinearProgram) -> np.ndarray:
+    """The objective over all n + m columns of [A | -I]: the surplus columns cost 0."""
+    return np.concatenate((lp.objective, np.zeros(len(lp.constraints))))
+
+
+def _reduced_costs(rows: CompiledRows, basis: np.ndarray, inverse: np.ndarray,
+                   cost: np.ndarray) -> np.ndarray:
+    """c - (c_B B^-1)[A | -I] for ``cost`` over all n + m columns, 0 at ``basis``."""
+    y = cost[basis] @ inverse
+    d = cost - np.bincount(rows.aug_col, y[rows.aug_row] * rows.aug_data, len(cost))
+    d[basis] = 0.0
+    return d
+
+
 def _floors(num_vars: int, lower: Iterable[tuple[int, int]]) -> np.ndarray:
     """The lower bound of every variable: the largest of 0 and its floors."""
     k = np.zeros(num_vars)
@@ -208,11 +224,7 @@ class _Revised:
 
     def price(self, cost: np.ndarray) -> None:
         """Set d to the reduced costs of ``cost``, given over all n + m columns."""
-        rows = self.rows
-        y = cost[self.basis] @ self.bx[:, :-1]
-        d = cost - np.bincount(rows.aug_col, y[rows.aug_row] * rows.aug_data, self.n + self.m)
-        d[self.basis] = 0.0
-        self.d = d
+        self.d = _reduced_costs(self.rows, self.basis, self.bx[:, :-1], cost)
 
     def row(self, r: int) -> np.ndarray:
         """Row ``r`` of B^-1 [A | -I], exactly 0 and 1 at the basic columns."""
@@ -378,34 +390,28 @@ def _start(lp: LinearProgram, start: Basis | tuple[int, ...] | None, b: np.ndarr
     """The priced state a solve of ``lp`` starts from, and whether it is warm:
     ``start`` when it is a basis, which must be one of an LP over
     ``lp.constraints`` (else ValueError), else the crash it names (the
-    all-surplus basis when it names none)."""
+    all-surplus basis when it names none). A start from a basis of ``lp``
+    itself copies ``Basis.priced``; any other start prices ``cost``."""
     n, m = lp.num_vars, len(b)
     rows = lp.compiled
+    bx = np.zeros((m, m + 1))
     warm = isinstance(start, Basis)
     if warm:
         if start.lp.constraints is not lp.constraints and start.lp.constraints != lp.constraints:
             raise ValueError("warm start from a basis of other rows")
         basis = np.array(start.columns)
-        bx = np.empty((m, m + 1))
         bx[:, :-1] = start.inverse
-        bx[:, -1] = start.inverse @ b
     else:
         crash = () if start is None else start
-        bx = np.zeros((m, m + 1))
         _crash(bx, rows, n, crash)
         basis = np.arange(n, n + m)
         basis[:len(crash)] = crash
-        bx[:, -1] = bx[:, :-1] @ b
+    bx[:, -1] = bx[:, :-1] @ b
     state = _Revised(rows, n, basis, bx)
-    own = warm and start.lp is lp  # the basis's own rows and objective
-    if own and start.priced is not None:
+    if warm and start.lp is lp:
         state.d = start.priced.copy()
-        return state, warm
-    state.price(cost)
-    if own:
-        d = state.d.copy()
-        d.setflags(write=False)
-        object.__setattr__(start, "priced", d)
+    else:
+        state.price(cost)
     return state, warm
 
 
@@ -415,8 +421,7 @@ def solve_lp(lp: LinearProgram, *, lower: Iterable[tuple[int, int]] = (),
     ``lower`` and from ``start`` (see ``LinearProgram``)."""
     n = lp.num_vars
     m = len(lp.constraints)
-    cost = np.zeros(n + m)  # over [A | -I]: the surplus columns cost 0
-    cost[:n] = lp.objective
+    cost = _cost(lp)
     c = cost[:n]
     k = _floors(n, lower)
     if m == 0:

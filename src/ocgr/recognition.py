@@ -91,7 +91,7 @@ def _base(task: PlanningTask, goal_index: int, goal: frozenset[int], config: Rec
     The base results of a task are kept under ``_base`` in its
     ``task_memo``, keyed by (goal, config): the base LP as built, with its
     compiled rows, and its LpOutcome (with the optimal basis the h_hc solves
-    start from, which keeps its first pricing), or the reason the goal is
+    start from, and its reduced costs once read), or the reason the goal is
     relaxed-unreachable. h depends only on the task and the goal, so
     re-scoring the task used last with other observations solves only the
     h_hc LPs.

@@ -115,6 +115,20 @@ def test_separate_files_without_obs_name_the_flag(demo_dir, capsys, command):
     assert "G0: cost 3" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag, name", [("-d", "domain.pddl"), ("-p", "template.pddl"),
+                                        ("-y", "hyps.dat"), ("-o", "obs.dat"),
+                                        ("--real-hyp", "real_hyp.dat")])
+def test_bundle_with_a_file_flag_exits_2(demo_dir, capsys, flag, name):
+    """A file flag next to ``--bundle`` is an error that names it, in every
+    command that reads a bundle, not a file silently left unread."""
+    long = {"-d": "--domain", "-p": "--problem", "-y": "--hyps", "-o": "--obs"}.get(flag, flag)
+    for command in ("recognize", "heuristic", "plan"):
+        assert main([command, "-b", str(demo_dir), flag, str(demo_dir / name)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --bundle reads its own files; drop {long}\n"
+
+
 def test_recognize_solver_failure_exits_3(demo_dir, capsys, monkeypatch):
     def broken(prog, **solve):
         raise SolverFailure("injected failure")

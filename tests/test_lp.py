@@ -326,14 +326,17 @@ def _fresh_price(lp, basis, cost):
 
 def test_warm_starts_copy_the_first_pricing_bit_for_bit():
     """Warm starts of a basis's own LP, whatever their floors, start from its
-    first pricing, bit for bit a fresh ``_Revised.price``; another objective
-    prices again. An outcome's B^-1 and the kept reduced costs are read-only."""
+    ``priced``, bit for bit a fresh ``_Revised.price`` also when read before
+    any start; another objective prices again. An outcome's B^-1 and the
+    basis's reduced costs are read-only."""
     b = bundle_from_texts(open_grid_bundle(10), require_obs=False)
     task = b.task
     for goal in b.hyps.goals:
         base = LinearProgram.from_constraints(base_constraints(task, goal), task.costs)
         basis = solve_lp(base).basis
-        assert basis.priced is None and not basis.inverse.flags.writeable
+        cost = np.concatenate((base.objective, np.zeros(len(base.constraints))))
+        assert basis.priced.tobytes() == _fresh_price(base, basis, cost).tobytes()
+        assert not basis.inverse.flags.writeable
         with pytest.raises(ValueError):
             basis.inverse[0, 0] = 1.0
         doubled = replace(base, objective=tuple(2.0 * c for c in base.objective))

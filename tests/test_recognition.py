@@ -400,7 +400,7 @@ def test_dropped_task_frees_its_memo_and_table():
     second = scored()
     del first
     gc.collect()
-    assert grounding._memo[0]() is second and len(grounding._memo[1]) == 4
+    assert grounding._memo[0]() is second and len(grounding._memo[1]) == 3
     del second
     gc.collect()
     assert grounding._memo is None
@@ -525,43 +525,55 @@ def test_rescoring_compiles_each_goal_once(monkeypatch):
     assert warm >= 40
 
 
-def _arrays(obj, seen):
-    """Every ndarray reachable from ``obj`` through containers, dataclass
-    fields and cached properties, and array bases."""
+def _reachable(obj, seen):
+    """``obj`` and every object reachable from it through containers,
+    dataclass fields and cached properties, and array bases."""
     if id(obj) in seen:
         return
     seen.add(id(obj))
+    yield obj
     if isinstance(obj, np.ndarray):
-        yield obj
-        yield from _arrays(obj.base, seen)
+        yield from _reachable(obj.base, seen)
     elif isinstance(obj, (tuple, list, set, frozenset)):
         for item in obj:
-            yield from _arrays(item, seen)
+            yield from _reachable(item, seen)
     elif isinstance(obj, dict):
         for item in obj.values():
-            yield from _arrays(item, seen)
+            yield from _reachable(item, seen)
     elif dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):
-            yield from _arrays(getattr(obj, f.name), seen)
-        yield from _arrays(getattr(obj, "__dict__", {}), seen)  # cached properties too
+            yield from _reachable(getattr(obj, f.name), seen)
+        for item in getattr(obj, "__dict__", {}).values():  # cached properties too
+            yield from _reachable(item, seen)
     elif hasattr(obj, "__dict__"):
         for item in vars(obj).values():
-            yield from _arrays(item, seen)
+            yield from _reachable(item, seen)
+
+
+def _arrays(obj, seen):
+    """Every ndarray reachable from ``obj`` (see ``_reachable``)."""
+    return (item for item in _reachable(obj, seen) if isinstance(item, np.ndarray))
 
 
 def test_memo_holds_no_dense_matrix():
     """The task's memo keeps per goal only the base LP and its outcome: the
-    compiled rows, B^-1 (m x m, m < n) and the basis's first pricing (n + m
-    reduced costs), never an m x n matrix or a tableau. The constraint
-    families' parts, its other entries, hold no array."""
+    compiled rows, B^-1 (m x m, m < n) and the basis's reduced costs (n + m),
+    never an m x n matrix or a tableau. The constraint families' parts, its
+    other entries, hold no array and nothing mutable: each is built whole."""
+    import ocgr.constraints as cons
     import ocgr.recognition as rec
     from ocgr.grounding import task_memo
 
+    assert [f.name for f in dataclasses.fields(Basis)] == ["columns", "inverse", "lp"]
     b = bundle_from_texts(open_grid_bundle(12), require_obs=False)
     recognize(b.task, b.hyps, _obs(0))
     memo = dict(task_memo(b.task))
     bases = memo.pop(rec._base)
-    assert len(memo) == 3 and not list(_arrays(list(memo.values()), set()))
+    assert set(memo) == {cons._lmcut_setup, cons._net_change}
+    assert not list(_arrays(list(memo.values()), set()))
+    for part in memo.values():
+        assert not [item for item in _reachable(part, set())
+                    if isinstance(item, (list, dict, set))]
     assert type(bases) is dict and len(bases) == len(b.hyps.goals)
     for lp, out in bases.values():
         assert type(lp) is LinearProgram and type(out) is LpOutcome
