@@ -29,8 +29,7 @@ from .generators import GENERATORS, write_bundle
 from .grounding import PlanningTask, relaxed_reachable
 from .inputs import GoalHypotheses, ObservationSequence, bundle_from_texts, load_bundle
 from .oracle import CAP_EXCEEDED, OPTIMAL, Plan, optimal_cost, validate_plan
-from .recognition import (METHOD_DELTA_U, METHODS, RecognizerConfig,
-                          score_all, select)
+from .recognition import METHOD_DELTA_U, RecognizerConfig, check_method, score_all, select
 
 CLEAN_LEVELS = (10, 30, 50, 70, 100)
 NOISY_LEVELS = (25, 50, 75, 100)
@@ -81,14 +80,14 @@ class SuiteSpec:
                     raise ValueError(f"{key} lists {json.dumps(values[i])} more than once{also}")
         if self.noise_count < 0:
             raise ValueError("noise_count must be >= 0")
-        if self.per_family < 0:
-            raise ValueError("per_family must be >= 0")
+        least = 0 if self.bundles else 1  # with no bundles, per_family 0 composes no problem
+        if self.per_family < least:
+            raise ValueError(f"per_family must be >= {least}")
         if not 0 <= self.suboptimal_fraction <= 1:
             raise ValueError(f"suboptimal_fraction {self.suboptimal_fraction} outside [0, 1]")
         RecognizerConfig(self.constraint_families, self.backend)  # checks backend and families
         for m in self.methods:
-            if m not in METHODS:
-                raise ValueError(f"unknown method '{m}'")
+            check_method(m)
         for f in self.families:
             if f not in GENERATORS:
                 raise ValueError(f"unknown generator family '{f}' "

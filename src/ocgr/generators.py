@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 GRID_DOMAIN = """\
 (define (domain grid-nav)
@@ -150,6 +151,35 @@ def _bundle(name: str, domain: str, problem: str, hyp_lines: list[str],
     })
 
 
+def _hypotheses(rng: random.Random, draw: Callable[[], str | None]) -> list[str]:
+    """randint(3, 4) distinct lines from at most 100 calls of ``draw``, which
+    returns None for a goal already true in the initial state."""
+    lines: list[str] = []
+    k = rng.randint(3, 4)
+    for _ in range(100):
+        if len(lines) == k:
+            break
+        line = draw()
+        if line is not None and line not in lines:
+            lines.append(line)
+    return lines
+
+
+def _grid(width: int, height: int, is_open: Callable[[tuple[int, int], tuple[int, int]], bool]
+          ) -> tuple[list[str], list[tuple[str, str, str]]]:
+    """The cells c_x_y of a grid, x-major, and its moves (from, to, direction) up,
+    down, left and right from each cell to each neighbour for which ``is_open`` holds."""
+    cells = [f"c_{x}_{y}" for x in range(width) for y in range(height)]
+    edges: list[tuple[str, str, str]] = []
+    for x in range(width):
+        for y in range(height):
+            for dx, dy, d in ((0, 1, "up"), (0, -1, "down"), (-1, 0, "left"), (1, 0, "right")):
+                nx, ny = x + dx, y + dy
+                if 0 <= nx < width and 0 <= ny < height and is_open((x, y), (nx, ny)):
+                    edges.append((f"c_{x}_{y}", f"c_{nx}_{ny}", d))
+    return cells, edges
+
+
 def _grid_problem(cells: list[str], edges: list[tuple[str, str, str]], start: str,
                   name: str) -> str:
     adj = "\n    ".join(f"(adj-{d} {a} {b})" for a, b, d in edges)
@@ -163,19 +193,8 @@ def demo_grid_bundle() -> GeneratedBundle:
     c_3_0) make the observation-constrained LP values work out to integral
     path costs for the shipped seven-step observation sequence.
     """
-    width = height = 4
-    blocked = {("c_2_0", "c_2_1"), ("c_2_1", "c_2_0"), ("c_3_0", "c_2_0")}
-    cells = [f"c_{x}_{y}" for x in range(width) for y in range(height)]
-    edges: list[tuple[str, str, str]] = []
-    for x in range(width):
-        for y in range(height):
-            here = f"c_{x}_{y}"
-            for dx, dy, d in ((0, 1, "up"), (0, -1, "down"), (-1, 0, "left"), (1, 0, "right")):
-                nx, ny = x + dx, y + dy
-                if 0 <= nx < width and 0 <= ny < height:
-                    there = f"c_{nx}_{ny}"
-                    if (here, there) not in blocked:
-                        edges.append((here, there, d))
+    blocked = {((2, 0), (2, 1)), ((2, 1), (2, 0)), ((3, 0), (2, 0))}
+    cells, edges = _grid(4, 4, lambda here, there: (here, there) not in blocked)
     obs = ("(move-right c_0_0 c_1_0)\n"
            "(move-right c_1_0 c_2_0)\n"
            "(move-right c_2_0 c_3_0)\n"
@@ -228,24 +247,13 @@ def gen_grid(rng: random.Random) -> GeneratedBundle:
         else:
             open_edges.add(edge)
 
-    def cname(c: tuple[int, int]) -> str:
-        return f"c_{c[0]}_{c[1]}"
-
-    edges: list[tuple[str, str, str]] = []
-    for a, b in sorted(open_edges):
-        if a[0] == b[0]:  # vertical
-            edges.append((cname(a), cname(b), "up"))
-            edges.append((cname(b), cname(a), "down"))
-        else:
-            edges.append((cname(a), cname(b), "right"))
-            edges.append((cname(b), cname(a), "left"))
-    edges.sort()
-
+    cells, edges = _grid(width, height, lambda a, b: (min(a, b), max(a, b)) in open_edges)
+    cname = dict(zip(coords, cells))
     start = rng.choice(sorted(coords))
     k = rng.randint(3, 4)
     goal_cells = rng.sample(sorted(c for c in coords if c != start), k)
-    problem = _grid_problem([cname(c) for c in coords], edges, cname(start), "grid-gen")
-    return _bundle("grid", GRID_DOMAIN, problem, [f"(at {cname(c)})" for c in goal_cells],
+    problem = _grid_problem(cells, sorted(edges), cname[start], "grid-gen")
+    return _bundle("grid", GRID_DOMAIN, problem, [f"(at {cname[c]})" for c in goal_cells],
                    rng.randrange(k))
 
 
@@ -268,19 +276,13 @@ def gen_blocks(rng: random.Random) -> GeneratedBundle:
             init_atoms.append(f"(on {upper} {lower})")
         init_atoms.append(f"(clear {tower[-1]})")
 
-    hyp_lines: list[str] = []
-    attempts = 0
-    k = rng.randint(3, 4)
-    while len(hyp_lines) < k and attempts < 100:
-        attempts += 1
+    def draw() -> str | None:
         size = rng.randint(2, min(3, n))
         chosen = rng.sample(blocks, size)  # top to bottom
         atoms = [f"(on {chosen[i]} {chosen[i + 1]})" for i in range(size - 1)]
-        if all(a in init_atoms for a in atoms):
-            continue  # already true in the initial state
-        line = ",".join(atoms)
-        if line not in hyp_lines:
-            hyp_lines.append(line)
+        return None if all(a in init_atoms for a in atoms) else ",".join(atoms)
+
+    hyp_lines = _hypotheses(rng, draw)
     problem = _problem("blocks-gen", "blocks", " ".join(blocks), " ".join(init_atoms))
     return _bundle("blocks", BLOCKS_DOMAIN, problem, hyp_lines, rng.randrange(len(hyp_lines)))
 
@@ -299,17 +301,11 @@ def gen_logistics(rng: random.Random) -> GeneratedBundle:
     for p in pkgs:
         init_atoms.append(f"(pkg-at {p} {pkg_at[p]})")
 
-    hyp_lines: list[str] = []
-    attempts = 0
-    k = rng.randint(3, 4)
-    while len(hyp_lines) < k and attempts < 100:
-        attempts += 1
+    def draw() -> str | None:
         targets = {p: rng.choice(locations) for p in pkgs}
-        if all(targets[p] == pkg_at[p] for p in pkgs):
-            continue  # already true in the initial state
-        line = ",".join(f"(pkg-at {p} {targets[p]})" for p in pkgs)
-        if line not in hyp_lines:
-            hyp_lines.append(line)
+        return None if targets == pkg_at else ",".join(f"(pkg-at {p} {targets[p]})" for p in pkgs)
+
+    hyp_lines = _hypotheses(rng, draw)
     objects = (f"{' '.join(pkgs)} - package trk1 trk2 - truck pln1 - airplane "
                f"{' '.join(locations)} - location city1 city2 - city")
     problem = _problem("logi-gen", "logi", objects, " ".join(init_atoms))

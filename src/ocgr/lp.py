@@ -20,7 +20,7 @@ primal phase 2 both pivot through it.
 
 A solve starts from one of three bases, by its ``start`` argument:
 
-* all-surplus (no start): B^-1 = -I, so the reduced costs are c;
+* all-surplus (the default start, the empty crash): B^-1 = -I, costs c;
 * landmark crash (a tuple of columns, as recognition passes for a base LP):
   landmark row k is basic in an action a_k its LM-cut round drove to
   residual 0, one on the goal's relaxed plan where the round has one, every
@@ -47,7 +47,8 @@ row and the solve's own B^-1, made read-only).
 
 ``BACKENDS`` names the solvers, each called as ``solve(lp, lower=, start=)``:
 ``simplex`` is ``solve_lp``; ``scipy`` (HiGHS) reads the same compiled
-rows, passes the floors as bounds and ignores the start.
+rows, passes every variable's floor (0 if none) as its bound and ignores
+the start.
 """
 
 from __future__ import annotations
@@ -146,7 +147,8 @@ def compile_rows(num_vars: int, constraints: Sequence[LinearConstraint]) -> Comp
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min objective . y  s.t.  constraints (all >=),  y >= 0.
+    """min objective . y  s.t.  constraints (all >=),  y >= 0, over ``num_vars``
+    = len(objective) variables.
 
     A solve adds the floors y_v >= floor for each (v, floor) in its ``lower``
     and starts from its ``start``: an optimal ``Basis`` of an LP over the
@@ -154,10 +156,9 @@ class LinearProgram:
     starts from it), or a crash, the columns a_0, ..., a_K-1 in which rows
     0..K-1 are basic, every other row in its surplus, where A's block on
     those rows and columns is unit upper triangular (as the landmark rows'
-    ``zeroed`` actions give).
+    ``zeroed`` actions give); the default, the empty crash, is all-surplus.
     """
 
-    num_vars: int
     objective: tuple[float, ...]
     constraints: tuple[LinearConstraint, ...]
 
@@ -165,8 +166,11 @@ class LinearProgram:
     def from_constraints(rows: Sequence[LinearConstraint], costs: Sequence[float]
                          ) -> "LinearProgram":
         """The LP over one variable per cost: min costs . y subject to ``rows``."""
-        return LinearProgram(num_vars=len(costs), objective=tuple(float(c) for c in costs),
-                             constraints=tuple(rows))
+        return LinearProgram(tuple(float(c) for c in costs), tuple(rows))
+
+    @property
+    def num_vars(self) -> int:
+        return len(self.objective)
 
     @cached_property
     def compiled(self) -> CompiledRows:
@@ -385,12 +389,12 @@ def _crash(bx: np.ndarray, rows: CompiledRows, n: int, columns: Sequence[int]) -
             bx[:, at[t]] -= data[t] * bx[:, row[t]]
 
 
-def _start(lp: LinearProgram, start: Basis | tuple[int, ...] | None, b: np.ndarray,
+def _start(lp: LinearProgram, start: Basis | tuple[int, ...], b: np.ndarray,
            cost: np.ndarray) -> tuple[_Revised, bool]:
     """The priced state a solve of ``lp`` starts from, and whether it is warm:
     ``start`` when it is a basis, which must be one of an LP over
     ``lp.constraints`` (else ValueError), else the crash it names (the
-    all-surplus basis when it names none). A start from a basis of ``lp``
+    all-surplus basis when it names no column). A start from a basis of ``lp``
     itself copies ``Basis.priced``; any other start prices ``cost``."""
     n, m = lp.num_vars, len(b)
     rows = lp.compiled
@@ -402,10 +406,9 @@ def _start(lp: LinearProgram, start: Basis | tuple[int, ...] | None, b: np.ndarr
         basis = np.array(start.columns)
         bx[:, :-1] = start.inverse
     else:
-        crash = () if start is None else start
-        _crash(bx, rows, n, crash)
+        _crash(bx, rows, n, start)
         basis = np.arange(n, n + m)
-        basis[:len(crash)] = crash
+        basis[:len(start)] = start
     bx[:, -1] = bx[:, :-1] @ b
     state = _Revised(rows, n, basis, bx)
     if warm and start.lp is lp:
@@ -416,11 +419,10 @@ def _start(lp: LinearProgram, start: Basis | tuple[int, ...] | None, b: np.ndarr
 
 
 def solve_lp(lp: LinearProgram, *, lower: Iterable[tuple[int, int]] = (),
-             start: Basis | tuple[int, ...] | None = None) -> LpOutcome:
+             start: Basis | tuple[int, ...] = ()) -> LpOutcome:
     """Solve with the built-in revised dual simplex, under the floors
     ``lower`` and from ``start`` (see ``LinearProgram``)."""
-    n = lp.num_vars
-    m = len(lp.constraints)
+    n, m = lp.num_vars, len(lp.constraints)
     cost = _cost(lp)
     c = cost[:n]
     k = _floors(n, lower)
@@ -429,9 +431,7 @@ def solve_lp(lp: LinearProgram, *, lower: Iterable[tuple[int, int]] = (),
             return LpOutcome(UNBOUNDED)
         return LpOutcome(OPTIMAL, float(c @ k), tuple(k.tolist()))
     rows = lp.compiled
-    b = rows.rhs
-    if lower:
-        b = b - np.bincount(rows.row, weights=rows.data * k[rows.col], minlength=m)
+    b = rows.rhs - np.bincount(rows.row, weights=rows.data * k[rows.col], minlength=m)
     state, warm = _start(lp, start, b, cost)
     clamped = state.d.min() < -EPS
     np.maximum(state.d, 0.0, out=state.d)
@@ -453,22 +453,20 @@ def solve_lp(lp: LinearProgram, *, lower: Iterable[tuple[int, int]] = (),
 
 
 def _scipy_backend(lp: LinearProgram, *, lower: Iterable[tuple[int, int]] = (),
-                   start: Basis | tuple[int, ...] | None = None) -> LpOutcome:
+                   start: Basis | tuple[int, ...] = ()) -> LpOutcome:
     from scipy.optimize import linprog
     from scipy.sparse import csr_array
 
     c = np.asarray(lp.objective, dtype=float)
-    bounds = [(floor, None) for floor in _floors(lp.num_vars, lower)] if lower else (0, None)
+    bounds = [(floor, None) for floor in _floors(lp.num_vars, lower)]
     rows = lp.compiled
     a = csr_array((-rows.data, (rows.row, rows.col)), shape=(len(lp.constraints), lp.num_vars))
     res = linprog(c, A_ub=a, b_ub=-rows.rhs, bounds=bounds, method="highs")
     if res.status == 0:
         counts = tuple(float(v) for v in np.maximum(res.x, 0.0))
         return LpOutcome(OPTIMAL, float(c @ np.asarray(counts)), counts)
-    if res.status == 2:
-        return LpOutcome(INFEASIBLE)
-    if res.status == 3:
-        return LpOutcome(UNBOUNDED)
+    if res.status in (2, 3):
+        return LpOutcome(INFEASIBLE if res.status == 2 else UNBOUNDED)
     raise SolverFailure(f"scipy backend failed: {res.message}")
 
 
@@ -483,7 +481,7 @@ def check_backend(name: str) -> None:
 
 
 def solve_with(lp: LinearProgram, backend: str, *, lower: Iterable[tuple[int, int]] = (),
-               start: Basis | tuple[int, ...] | None = None) -> LpOutcome:
+               start: Basis | tuple[int, ...] = ()) -> LpOutcome:
     """Solve ``lp`` with the named backend, under the floors ``lower`` and
     from ``start`` (see ``LinearProgram``)."""
     check_backend(backend)

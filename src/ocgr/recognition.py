@@ -10,7 +10,7 @@ dual feasible when only the bounds change.
 (h_hc or the enforcement delta h_hc - h) and whether the threshold is
 widened by the uncertainty ratio
 
-    U = 1 + (min_G h_hc - |O|) / min_G h_hc
+    U = 1 + max(min_G h_hc - |O|, 0) / min_G h_hc
 
 which estimates how many observations are missing. Infeasible LPs map to
 an infinite value and such hypotheses are never selected.
@@ -19,7 +19,7 @@ an infinite value and such hypotheses are never selected.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Iterable, Mapping
 
 from .constraints import ALL_FAMILIES, base_constraints, check_families
@@ -47,25 +47,32 @@ SELECTION_SLACK = 1e-9  # absorbs LP float noise in thresholds
 
 @dataclass(frozen=True)
 class RecognizerConfig:
-    """The base LP's constraint families and LP backend, checked when built (backend
-    first). ``families`` is kept as a tuple: a whole config keys a task's base results."""
+    """The base LP's constraint family set, kept in ``ALL_FAMILIES`` order, and LP backend,
+    checked when built (backend first); a whole config keys a task's base results."""
     families: tuple[str, ...] = ALL_FAMILIES
     backend: str = "simplex"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "families", tuple(self.families))
+        chosen = set(self.families)
         check_backend(self.backend)
-        check_families(self.families)
+        check_families(chosen)
+        object.__setattr__(self, "families", tuple(f for f in ALL_FAMILIES if f in chosen))
 
 
 @dataclass(frozen=True)
 class HypothesisScore:
+    """The base and observation LP values of a goal (INF if infeasible) and their counts."""
     goal_index: int
     h: float
     h_hc: float
-    delta: float
+    _: KW_ONLY
     counts_base: tuple[float, ...] | None = None
     counts_hc: tuple[float, ...] | None = None
+
+    @property
+    def delta(self) -> float:
+        """The enforcement cost h_hc - h, INF when h_hc is."""
+        return INF if self.h_hc == INF else self.h_hc - self.h
 
 
 @dataclass(frozen=True)
@@ -135,19 +142,17 @@ def _score_one(task: PlanningTask, goal_index: int, goal: frozenset[int],
                ) -> tuple[HypothesisScore, float, float]:
     entry, t_cons, t_lp = _base(task, goal_index, goal, config)
     if isinstance(entry, str) or entry[1].status == INFEASIBLE:
-        return HypothesisScore(goal_index, INF, INF, INF), t_cons, t_lp
+        return HypothesisScore(goal_index, INF, INF), t_cons, t_lp
 
     base, out = entry
-    h = out.value
     t2 = time.perf_counter()
     out_hc = solve_with(base, config.backend, lower=obs.counts.items(), start=out.basis)
     t_lp += time.perf_counter() - t2
-    if out_hc.status == INFEASIBLE:
-        return HypothesisScore(goal_index, h, INF, INF, out.counts, None), t_cons, t_lp
-    if out_hc.status != OPTIMAL:
+    if out_hc.status not in (OPTIMAL, INFEASIBLE):
         raise SolverFailure(f"observation LP for hypothesis {goal_index} came back {out_hc.status}")
-    score = HypothesisScore(goal_index, h, out_hc.value, out_hc.value - h, out.counts,
-                            out_hc.counts)
+    h_hc = out_hc.value if out_hc.status == OPTIMAL else INF
+    score = HypothesisScore(goal_index, out.value, h_hc, counts_base=out.counts,
+                            counts_hc=out_hc.counts)
     return score, t_cons, t_lp
 
 
@@ -172,18 +177,21 @@ def score_all(task: PlanningTask, hyps: GoalHypotheses, obs: ObservationSequence
 
 
 def uncertainty(scores: Iterable[HypothesisScore], obs_len: int) -> float | None:
-    """Ratio widening the acceptance threshold when observations are scarce.
-
-    None when every hypothesis is infeasible; 1.0 when the minimum h_hc is
-    zero (nothing can be missing).
-    """
+    """Ratio widening the acceptance threshold when observations are scarce,
+    1 + max(m - |O|, 0) / m for the least finite h_hc m: never below 1, as
+    cost-0 actions can make m < |O|. None when every hypothesis is
+    infeasible; 1.0 when m is zero (nothing can be missing)."""
     finite = [s.h_hc for s in scores if s.h_hc != INF]
     if not finite:
         return None
     m = min(finite)
-    if m <= 0:
-        return 1.0
-    return 1.0 + (m - obs_len) / m
+    return 1.0 + max(m - obs_len, 0) / m if m > 0 else 1.0
+
+
+def check_method(method: str) -> None:
+    """Raise ``ValueError`` (an input error) unless ``method`` is in ``METHODS``."""
+    if method not in SELECTION_RULES:
+        raise ValueError(f"unknown method '{method}' (expected one of {METHODS})")
 
 
 def select(scores: tuple[HypothesisScore, ...], method: str, obs_len: int
@@ -195,8 +203,7 @@ def select(scores: tuple[HypothesisScore, ...], method: str, obs_len: int
     method's score key, where U is the uncertainty ratio for the ``-u``
     methods and 1 otherwise.
     """
-    if method not in SELECTION_RULES:
-        raise ValueError(f"unknown method '{method}' (expected one of {METHODS})")
+    check_method(method)
     key, widen = SELECTION_RULES[method]
     values = {s.goal_index: getattr(s, key) for s in scores}
     finite = {i: v for i, v in values.items() if v != INF}
@@ -214,6 +221,7 @@ def select(scores: tuple[HypothesisScore, ...], method: str, obs_len: int
 def recognize(task: PlanningTask, hyps: GoalHypotheses, obs: ObservationSequence,
               method: str = METHOD_DELTA_U,
               config: RecognizerConfig = RecognizerConfig()) -> RecognitionReport:
+    check_method(method)
     if len(hyps) == 0:
         raise ValueError("at least one goal hypothesis is required")
     scores, timings = score_all(task, hyps, obs, config)
@@ -255,22 +263,20 @@ def report_to_dict(report: RecognitionReport) -> dict:
 
 
 def report_from_dict(data: Mapping) -> RecognitionReport:
+    """The report of ``report_to_dict``'s scores (h, h_hc, counts), method, obs_len and
+    timings: ``select`` derives delta, U and the selection again, whatever the dict says."""
     scores = tuple(
         HypothesisScore(
-            goal_index=int(s["goal_index"]), h=float(s["h"]), h_hc=float(s["h_hc"]),
-            delta=float(s["delta"]),
+            int(s["goal_index"]), float(s["h"]), float(s["h_hc"]),
             counts_base=tuple(s["counts_base"]) if s.get("counts_base") is not None else None,
             counts_hc=tuple(s["counts_hc"]) if s.get("counts_hc") is not None else None)
         for s in data["scores"])
-    fallback = data.get("fallback_ranking")
+    method, obs_len = str(data["method"]), int(data["obs_len"])
+    selected, u, fallback = select(scores, method, obs_len)
     return RecognitionReport(
-        scores=scores,
-        uncertainty=data.get("uncertainty"),
-        selected=tuple(int(i) for i in data["selected"]),
-        method=str(data["method"]),
-        obs_len=int(data["obs_len"]),
+        scores=scores, uncertainty=u, selected=selected, method=method, obs_len=obs_len,
         timings={str(k): float(v) for k, v in dict(data.get("timings", {})).items()},
-        fallback_ranking=tuple(int(i) for i in fallback) if fallback is not None else None)
+        fallback_ranking=fallback)
 
 
 def _fmt(v: float) -> str:

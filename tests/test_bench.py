@@ -140,8 +140,16 @@ def test_spec_validation():
     for fraction in (-0.1, 1.5):
         with pytest.raises(ValueError, match="suboptimal_fraction"):
             SuiteSpec(families=("grid",), suboptimal_fraction=fraction).validate()
-    SuiteSpec(families=("grid",), per_family=0, suboptimal_fraction=1.0,
+    SuiteSpec(bundles=("demo",), families=("grid",), per_family=0, suboptimal_fraction=1.0,
               backend="scipy").validate()
+
+
+def test_spec_that_composes_no_problem_is_rejected():
+    """per_family 0 with no bundles would write header-only outputs: an
+    error that names the key. With a bundle it is a suite of that bundle."""
+    with pytest.raises(ValueError, match=r"^per_family must be >= 1$"):
+        SuiteSpec(families=("grid",), per_family=0).validate()
+    SuiteSpec(bundles=("demo",), families=("grid",), per_family=0).validate()
 
 
 def test_spec_rejects_an_empty_method_or_level_list():

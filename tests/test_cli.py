@@ -484,11 +484,22 @@ def test_plan_search_cap_exits_2(tmp_path, demo_dir, capsys, monkeypatch):
     (["--pct", "101"], "observability level 101"),
     (["--noise", "-1"], "noise_count"),
     (["--count", "-2"], "per_family"),
+    (["--count", "0"], "per_family"),
 ])
 def test_gen_bad_options_exit_2(tmp_path, capsys, flags, message):
     assert main(["gen", "--out", str(tmp_path / "o"), "--family", "grid", *flags]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_bench_manifest_that_composes_no_problem_exits_2(tmp_path, capsys):
+    """No bundles and per_family 0 compose no problem: rather than write
+    header-only outputs, bench exits 2 with one line naming the key."""
+    manifest = tmp_path / "m.json"
+    manifest.write_text('{"families": ["grid"], "per_family": 0, "seed": 1}')
+    assert main(["bench", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: per_family must be >= 1\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_gen_requires_family_or_demo(tmp_path):

@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -26,7 +26,9 @@ from references import enumerate_plans, reference_landmark_constraints
 
 def _lp(num_vars, objective, rows):
     constraints = tuple(LinearConstraint(tuple(t), rhs, "observation") for t, rhs in rows)
-    return LinearProgram(num_vars, tuple(float(c) for c in objective), constraints)
+    lp = LinearProgram(tuple(float(c) for c in objective), constraints)
+    assert lp.num_vars == num_vars
+    return lp
 
 
 def test_single_binding_constraint():
@@ -410,9 +412,27 @@ def test_replace_with_other_rows_or_columns_compiles_them(backend):
     fresh = _lp(2, [1, 1], [([(1, 1)], 5)])
     assert solve_with(replace(a, constraints=fresh.constraints), backend).value == 5.0
     with pytest.raises(ValueError, match="unknown variable 1"):
-        solve_with(replace(a, num_vars=1, objective=(1.0,)), backend)
+        solve_with(replace(a, objective=(1.0,)), backend)
     compiled = a.compiled
     assert solve_with(a, backend, lower=((1, 3),)).value == 3.0 and a.compiled is compiled
+
+
+@pytest.mark.parametrize("backend", ["simplex", "scipy"])
+def test_an_lp_has_one_variable_per_objective_entry(backend):
+    """An LP is its objective and its rows: its size is the objective's
+    length, so a row over a variable past it is rejected as the rows compile."""
+    assert [f.name for f in fields(LinearProgram)] == ["objective", "constraints"]
+    lp = LinearProgram((1.0, 1.0), (LinearConstraint(((0, 1), (2, 1)), 1, "observation"),))
+    assert lp.num_vars == 2
+    with pytest.raises(ValueError, match="^constraint references unknown variable 2$"):
+        solve_with(lp, backend)
+
+
+def test_every_solve_starts_from_the_empty_crash_by_default():
+    """No solve takes None as its start: the default is the empty crash,
+    which is the all-surplus basis."""
+    for solve in (solve_lp, solve_with, *lp_mod.BACKENDS.values()):
+        assert inspect.signature(solve).parameters["start"].default == ()
 
 
 @pytest.mark.parametrize("terms", [[(1, 1), (1, 2)], [(2, 1), (0, 1)], [(0, 1), (1, 0)]],

@@ -12,8 +12,10 @@ import pytest
 from conftest import (ISLAND_BUNDLE, ONE_WAY_BUNDLE, make_micro_task,
                       open_grid_bundle)
 from ocgr.bench import SuiteSpec, generated_problems, materialize_suite
+from ocgr.constraints import ALL_FAMILIES
 from ocgr.errors import SolverFailure
 from ocgr.generators import demo_grid_bundle
+from ocgr.grounding import GroundAction, PlanningTask
 from ocgr.inputs import (GoalHypotheses, ObservationSequence, bundle_from_texts,
                          load_bundle)
 from ocgr.lp import Basis, LinearProgram, LpOutcome, solve_lp, solve_with
@@ -64,7 +66,7 @@ def test_empty_obs_neutrality(demo_bundle):
 def test_uncertainty_examples():
     from ocgr.recognition import HypothesisScore
 
-    scores = (HypothesisScore(0, 3, 7, 4), HypothesisScore(1, 3, 9, 6))
+    scores = (HypothesisScore(0, 3, 7), HypothesisScore(1, 3, 9))
     assert abs(uncertainty(scores, 1) - (1 + 6 / 7)) <= 1e-12
     assert abs(uncertainty(scores, 4) - (1 + 3 / 7)) <= 1e-12
     assert uncertainty(scores, 7) == 1.0
@@ -73,15 +75,56 @@ def test_uncertainty_examples():
 def test_uncertainty_all_infeasible():
     from ocgr.recognition import HypothesisScore
 
-    scores = (HypothesisScore(0, INF, INF, INF),)
+    scores = (HypothesisScore(0, INF, INF),)
     assert uncertainty(scores, 3) is None
 
 
 def test_uncertainty_zero_minimum():
     from ocgr.recognition import HypothesisScore
 
-    scores = (HypothesisScore(0, 0, 0, 0),)
+    scores = (HypothesisScore(0, 0, 0),)
     assert uncertainty(scores, 0) == 1.0
+
+
+def test_uncertainty_is_never_below_one():
+    """With a cost-0 observed action the least h_hc falls below |O|. The
+    estimate of missing observations is then 0, not negative, so the -u
+    threshold does not drop below the best score."""
+    from ocgr.recognition import HypothesisScore
+
+    actions = (GroundAction("a", (0,), (1,), (0,), cost=0),  # p -> q
+               GroundAction("b", (1,), (2,), ()),  # q -> r
+               GroundAction("c", (1,), (3,), ()))  # q -> s
+    task = PlanningTask(("(p)", "(q)", "(r)", "(s)"), actions, frozenset({0}), frozenset())
+    hyps = GoalHypotheses(goals=(frozenset({2}), frozenset({3})), lines=("(r)", "(s)"), hidden=0)
+    report = recognize(task, hyps, _obs(0, 1), "hc-u")
+    assert [s.h_hc for s in report.scores] == [1.0, 2.0] and not report.all_infeasible
+    assert report.uncertainty == 1.0 and report.selected == (0,)
+    assert uncertainty((HypothesisScore(0, 0, 1),), 2) == 1.0
+
+
+def test_delta_is_derived_from_h_and_h_hc():
+    """A score stores h and h_hc; delta is h_hc - h, INF when h_hc is, and
+    a positional delta argument is an error rather than the counts."""
+    from ocgr.recognition import HypothesisScore
+
+    assert [f.name for f in dataclasses.fields(HypothesisScore)] == [
+        "goal_index", "h", "h_hc", "counts_base", "counts_hc"]
+    assert HypothesisScore(0, 3, 7).delta == 4
+    assert HypothesisScore(0, 3, INF).delta == HypothesisScore(0, INF, INF).delta == INF
+    with pytest.raises(TypeError):
+        HypothesisScore(0, 3, 7, 4)
+
+
+def test_an_unknown_method_is_rejected_before_any_lp_is_solved(monkeypatch):
+    import ocgr.recognition as rec
+
+    b = bundle_from_texts(dict(demo_grid_bundle().files))
+    solves = []
+    monkeypatch.setattr(rec, "solve_with", lambda *args, **solve: solves.append(args))
+    with pytest.raises(ValueError, match=r"^unknown method 'delta_u' \(expected one of "):
+        recognize(b.task, b.hyps, b.obs, method="delta_u")
+    assert solves == []
 
 
 def test_recognize_hc_demo_single_obs(demo_bundle):
@@ -103,7 +146,7 @@ def test_recognize_hc_threshold_follows_formula(demo_bundle):
 def test_recognize_hc_tie_kept():
     from ocgr.recognition import HypothesisScore
 
-    scores = (HypothesisScore(0, 2, 5, 3), HypothesisScore(1, 2, 5, 3))
+    scores = (HypothesisScore(0, 2, 5), HypothesisScore(1, 2, 5))
     selected, u, fallback = select(scores, "hc", 3)
     assert selected == (0, 1) and u == 1.0 and fallback is None
     with pytest.raises(ValueError, match="unknown method"):
@@ -116,7 +159,7 @@ def test_fallback_ranks_by_each_goals_own_h():
     from ocgr.recognition import HypothesisScore
 
     def infeasible(index, h):
-        return HypothesisScore(index, h, INF, INF)
+        return HypothesisScore(index, h, INF)
 
     shuffled = (infeasible(2, 1), infeasible(0, 5), infeasible(1, 3))
     assert select(shuffled, "delta-u", 3) == ((), None, (2, 1, 0))
@@ -246,6 +289,20 @@ def test_report_json_round_trip(demo_bundle):
     assert back.timings == report.timings
 
 
+def test_report_from_dict_derives_what_the_scores_give(demo_bundle):
+    """Delta, U, the selection and the fallback ranking are read back from
+    the scores and the method, not as the JSON states them."""
+    task, hyps, obs = demo_bundle.task, demo_bundle.hyps, demo_bundle.obs
+    report = recognize(task, hyps, ObservationSequence(obs.obs[:4]), "hc-u")
+    assert report.selected == (0, 1)
+    data = json.loads(json.dumps(report_to_dict(report)))
+    data["selected"], data["uncertainty"], data["fallback_ranking"] = [1], 1.0, [1, 0]
+    data["scores"][1]["delta"] = 0.0
+    assert report_from_dict(data) == report
+    with pytest.raises(ValueError, match="unknown method 'delta_u'"):
+        report_from_dict({**data, "method": "delta_u"})
+
+
 def test_report_json_round_trip_with_infinities():
     b = bundle_from_texts(dict(ONE_WAY_BUNDLE), require_obs=False)
     walk_l = b.task.action_index["walk s0 l1"]
@@ -265,7 +322,7 @@ def _island():
 def test_config_is_checked_when_built():
     """An unknown backend is an error even where no LP is solved, as when
     every hypothesis is relaxed-unreachable; so is an unknown family. A
-    config keeps its families as a tuple, in the order given."""
+    config keeps its families as a tuple, in ``ALL_FAMILIES`` order."""
     island = {**ISLAND_BUNDLE, "hyps.dat": "(at i2)\n", "real_hyp.dat": "(at i2)\n"}
     b = bundle_from_texts(island, require_obs=False)
     assert recognize(b.task, b.hyps, _obs()).scores[0].h == INF
@@ -274,8 +331,31 @@ def test_config_is_checked_when_built():
     with pytest.raises(ValueError, match="unknown constraint families"):
         RecognizerConfig(families=("lm", "xx"))
     config = RecognizerConfig(families=["nc", "lm"])
-    assert config.families == ("nc", "lm") and config == RecognizerConfig(("nc", "lm"))
+    assert config.families == ("lm", "nc") and config == RecognizerConfig(("nc", "lm"))
     assert hash(config) == hash(RecognizerConfig(("nc", "lm")))
+
+
+def test_a_config_is_its_family_set(monkeypatch):
+    """Every spelling of one family set is one config, so scoring the demo
+    under three of them builds and solves each goal's base LP once."""
+    import ocgr.recognition as rec
+
+    spellings = (("lm", "nc", "ph"), ("ph", "nc", "lm"), ("lm", "lm", "nc", "ph"))
+    assert RecognizerConfig(("ph", "nc", "lm")) == RecognizerConfig()
+    assert all(RecognizerConfig(s).families == ALL_FAMILIES for s in spellings)
+    b = bundle_from_texts(dict(demo_grid_bundle().files))
+    bases = []
+    real = rec.solve_with
+
+    def spy(lp, backend, *, lower=(), start=()):
+        if not isinstance(start, Basis):
+            bases.append(lp)
+        return real(lp, backend, lower=lower, start=start)
+
+    monkeypatch.setattr(rec, "solve_with", spy)
+    reports = [recognize(b.task, b.hyps, b.obs, config=RecognizerConfig(s)) for s in spellings]
+    assert len(bases) == len(b.hyps)
+    assert reports[0].scores == reports[1].scores == reports[2].scores
 
 
 def test_rescoring_a_task_solves_each_base_lp_once(monkeypatch):
