@@ -12,7 +12,7 @@ from .inputs import (Bundle, GoalHypotheses, ObservationSequence,
                      bundle_from_texts, load_bundle, parse_hypotheses,
                      parse_observations, parse_real_hyp)
 from .lp import BACKENDS, LinearProgram, LpOutcome, solve_lp, solve_with
-from .oracle import Plan, PlanCheck, SearchResult, optimal_cost, validate_plan
+from .oracle import Plan, PlanCheck, optimal_cost, validate_plan
 from .pddl import DomainDef, OperatorSchema, ProblemDef, parse_domain, parse_problem
 from .recognition import (HypothesisScore, RecognitionReport, RecognizerConfig,
                           recognize, report_from_dict, report_to_dict, score_all,

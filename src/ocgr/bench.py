@@ -28,7 +28,7 @@ from .errors import CapExceeded, OcgrError
 from .generators import GENERATORS, write_bundle
 from .grounding import PlanningTask, relaxed_reachable
 from .inputs import GoalHypotheses, ObservationSequence, bundle_from_texts, load_bundle
-from .oracle import CAP_EXCEEDED, OPTIMAL, Plan, optimal_cost, validate_plan
+from .oracle import Plan, optimal_cost, validate_plan
 from .recognition import METHOD_DELTA_U, RecognizerConfig, check_method, score_all, select
 
 CLEAN_LEVELS = (10, 30, 50, 70, 100)
@@ -186,7 +186,8 @@ def inject_noise(obs: ObservationSequence, task: PlanningTask, hyps: GoalHypothe
 
 def _splice_detour(task: PlanningTask, goal: frozenset[int], plan: Plan,
                    rng: random.Random) -> Plan:
-    """Degrade an optimal plan by one random applicable action plus replanning."""
+    """Degrade an optimal plan by one random applicable action plus replanning;
+    a replanning search that hits its cap raises rather than skip the cut."""
     for _ in range(8):
         cut = rng.randint(0, len(plan.steps))
         state = validate_plan(task, plan.steps[:cut], ()).final_state
@@ -198,9 +199,9 @@ def _splice_detour(task: PlanningTask, goal: frozenset[int], plan: Plan,
         sub = PlanningTask(facts=task.facts, actions=task.actions,
                            init=state.difference(a.dels).union(a.adds), goal=goal)
         rest = optimal_cost(sub, goal)
-        if rest.status != OPTIMAL:
+        if rest is None:
             continue
-        steps = plan.steps[:cut] + (detour,) + rest.plan.steps
+        steps = plan.steps[:cut] + (detour,) + rest.steps
         candidate = Plan(steps=steps, cost=sum(task.actions[s].cost for s in steps))
         if validate_plan(task, candidate.steps, goal).ok:
             return candidate
@@ -210,15 +211,10 @@ def _splice_detour(task: PlanningTask, goal: frozenset[int], plan: Plan,
 def _witness_plan(task: PlanningTask, goal: frozenset[int], suboptimal: bool,
                   rng: random.Random) -> Plan:
     """An optimal plan for ``goal``, degraded by one detour when ``suboptimal``."""
-    result = optimal_cost(task, goal)
-    if result.status == CAP_EXCEEDED:
-        raise CapExceeded("no witness plan for the hidden goal: search cap exceeded; "
-                          "raise OCGR_OPTIMAL_CAP")
-    if result.status != OPTIMAL:
-        raise CapExceeded(f"no witness plan for the hidden goal ({result.status})")
-    if suboptimal:
-        return _splice_detour(task, goal, result.plan, rng)
-    return result.plan
+    plan = optimal_cost(task, goal)
+    if plan is None:
+        raise CapExceeded("no witness plan for the hidden goal (unreachable)")
+    return _splice_detour(task, goal, plan, rng) if suboptimal else plan
 
 
 def generate_problem(task: PlanningTask, hyps: GoalHypotheses, pct: int, noise: int,

@@ -16,10 +16,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from .constraints import ALL_FAMILIES, dump_constraints
-from .errors import CapExceeded, GoalUnreachable, OcgrError, PddlParseError, SolverFailure
+from .errors import GoalUnreachable, OcgrError, PddlParseError, SolverFailure
 from .inputs import Bundle, bundle_from_texts, load_bundle
 from .lp import OPTIMAL, LinearProgram
-from .oracle import CAP_EXCEEDED, optimal_cost
+from .oracle import optimal_cost
 from .recognition import (METHOD_DELTA_U, METHODS, RecognizerConfig, base_lp,
                           format_report, recognize, report_to_dict,
                           score_hypothesis)
@@ -196,14 +196,12 @@ def _pick_goal(bundle: Bundle, goal_index: int | None) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     bundle = _load_inputs(args, need_obs=False)
     idx = _pick_goal(bundle, args.goal_index)
-    result = optimal_cost(bundle.task, bundle.hyps.goals[idx])
-    if result.status == CAP_EXCEEDED:
-        raise CapExceeded(f"G{idx}: search cap exceeded; raise OCGR_OPTIMAL_CAP")
-    if result.status != "optimal":
-        print(f"G{idx}: {result.status}")
+    plan = optimal_cost(bundle.task, bundle.hyps.goals[idx])
+    if plan is None:
+        print(f"G{idx}: unreachable")
         return EXIT_OK
-    print(f"G{idx}: cost {result.cost}")
-    for step in result.plan.steps:
+    print(f"G{idx}: cost {plan.cost}")
+    for step in plan.steps:
         print(bundle.task.actions[step].text())
     return EXIT_OK
 

@@ -42,4 +42,5 @@ class SolverFailure(OcgrError):
 
 
 class CapExceeded(OcgrError):
-    """An oracle search hit its expansion or length cap."""
+    """A search gave up: the oracle expanded more nodes than
+    ``OCGR_OPTIMAL_CAP`` allows, or a hidden goal has no witness plan."""

@@ -6,12 +6,15 @@ Bundle directory layout:
   hyps.dat       one hypothesis per line, fluents comma-separated
   obs.dat        one ground action per line, parenthesized
   real_hyp.dat   single line, verbatim copy of one hyps.dat line (optional)
+
+In the .dat files, blank lines and ``;`` comment lines are skipped, and a
+line's ``(...)`` groups may be separated by commas and whitespace only.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterator
@@ -21,6 +24,7 @@ from .grounding import PlanningTask, ground
 from .pddl import DomainDef, ProblemDef, parse_domain, parse_problem
 
 _GROUP = re.compile(r"\(([^()]*)\)")
+_STRAY = re.compile(r"[^\s,]")  # outside the groups, only commas and whitespace may stand
 
 
 @dataclass(frozen=True)
@@ -42,29 +46,39 @@ class ObservationSequence:
 
 @dataclass(frozen=True)
 class GoalHypotheses:
-    """Candidate goal fact sets, in file order; ``hidden`` indexes the actual one."""
+    """Candidate goal fact sets, in file order, each with its hyps.dat line;
+    ``hidden`` indexes the actual one. At least one goal is required."""
 
     goals: tuple[frozenset[int], ...]
     lines: tuple[str, ...]
     hidden: int | None = None
 
+    def __post_init__(self) -> None:
+        if not self.goals:
+            raise ValueError("at least one goal hypothesis is required")
+        if len(self.lines) != len(self.goals):
+            raise ValueError(f"{len(self.goals)} goal hypotheses but {len(self.lines)} lines")
+        if self.hidden is not None and not 0 <= self.hidden < len(self.goals):
+            raise ValueError(f"hidden index {self.hidden} out of range")
+
     def __len__(self) -> int:
         return len(self.goals)
 
     def with_hidden(self, hidden: int) -> "GoalHypotheses":
-        if not 0 <= hidden < len(self.goals):
-            raise ValueError(f"hidden index {hidden} out of range")
-        return GoalHypotheses(goals=self.goals, lines=self.lines, hidden=hidden)
+        return replace(self, hidden=hidden)
 
 
 def _dat_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
     """Yield ``(lineno, stripped line, group bodies)`` for each line that is neither
-    blank nor a ``;`` comment; each ``(...)`` body is lowercased with single spaces."""
+    blank nor a ``;`` comment; each ``(...)`` body is lowercased with single spaces.
+    A line with groups and anything but commas and whitespace between them is an error."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if stripped and not stripped.startswith(";"):
-            yield lineno, stripped, [" ".join(body.lower().split())
-                                     for body in _GROUP.findall(stripped)]
+            parts = _GROUP.split(stripped)  # outside, body, outside, ..., outside
+            if len(parts) > 1 and _STRAY.search("".join(parts[::2])):
+                raise PddlParseError(f"text outside parentheses in '{stripped}'", lineno)
+            yield lineno, stripped, [" ".join(body.lower().split()) for body in parts[1::2]]
 
 
 def parse_observations(text: str, task: PlanningTask) -> ObservationSequence:
@@ -106,7 +120,7 @@ def parse_hypotheses(text: str, task: PlanningTask) -> GoalHypotheses:
 
 def parse_real_hyp(text: str, hyps: GoalHypotheses) -> int:
     """Match the single real_hyp.dat line verbatim against hyps.dat lines."""
-    stripped = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    stripped = [line for _, line, _ in _dat_lines(text)]
     if len(stripped) != 1:
         raise PddlParseError("real_hyp.dat must contain exactly one line")
     try:
@@ -123,7 +137,6 @@ class Bundle:
     them once the task is grounded, and the problem's initial-state atoms
     are a large share of a small bundle's memory."""
 
-    path: str
     domain_name: str
     task: PlanningTask
     hyps: GoalHypotheses
@@ -165,7 +178,7 @@ def bundle_from_texts(texts: dict[str, str | None], *, path: str = "<memory>",
         hyps = hyps.with_hidden(parse_real_hyp(real, hyps))
     obs_text = read("obs.dat", required=require_obs)
     obs = parse_observations(obs_text, task) if obs_text is not None else ObservationSequence(())
-    return Bundle(path=path, domain_name=dom.name, task=task, hyps=hyps, obs=obs)
+    return Bundle(domain_name=dom.name, task=task, hyps=hyps, obs=obs)
 
 
 def load_bundle(directory: str | Path, *, require_obs: bool = True) -> Bundle:

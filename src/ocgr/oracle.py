@@ -2,7 +2,9 @@
 per-action count floors, and plan validation.
 
 States are bitmasks over fact indices; the search is uniform-cost with FIFO
-tie-breaking so emitted witness plans are deterministic.
+tie-breaking so emitted witness plans are deterministic. A search answers
+with an optimal plan or None (no plan exists), and raises ``CapExceeded``
+when it expands more nodes than ``OCGR_OPTIMAL_CAP`` allows.
 """
 
 from __future__ import annotations
@@ -11,30 +13,16 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from .errors import CapExceeded
 from .grounding import PlanningTask, _env_cap
 
 DEFAULT_OPTIMAL_CAP = 5_000_000
-
-UNREACHABLE = "unreachable"
-CAP_EXCEEDED = "cap-exceeded"
-OPTIMAL = "optimal"
 
 
 @dataclass(frozen=True)
 class Plan:
     steps: tuple[int, ...]
     cost: int
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    status: str  # optimal | unreachable | cap-exceeded
-    cost: int | None = None
-    plan: Plan | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == OPTIMAL
 
 
 @dataclass(frozen=True)
@@ -72,11 +60,12 @@ def _extract(parents: dict, key, task: PlanningTask) -> Plan:
 
 
 def optimal_cost(task: PlanningTask, goal: Iterable[int],
-                 floors: Mapping[int, int] | None = None) -> SearchResult:
-    """Uniform-cost search for the exact optimal cost and a witness plan;
-    with ``floors``, among plans that use action a at least ``floors[a]``
-    times (a node is the state mask and the floor counts still to meet).
-    Expanding more nodes than ``OCGR_OPTIMAL_CAP`` gives up: cap-exceeded."""
+                 floors: Mapping[int, int] | None = None) -> Plan | None:
+    """Uniform-cost search for an optimal plan, whose ``cost`` is the exact
+    optimal cost, or None when no plan reaches ``goal``; with ``floors``,
+    among plans that use action a at least ``floors[a]`` times (a node is
+    the state mask and the floor counts still to meet). Expanding more
+    nodes than ``OCGR_OPTIMAL_CAP`` raises ``CapExceeded``, naming the goal."""
     cap = _env_cap("OCGR_OPTIMAL_CAP", DEFAULT_OPTIMAL_CAP)
     init, masks = _masks(task)
     gmask = _mask(goal)
@@ -96,10 +85,12 @@ def optimal_cost(task: PlanningTask, goal: Iterable[int],
             continue  # a cheaper path to node was queued later
         state, residual = node
         if state & gmask == gmask and not any(residual):
-            return SearchResult(OPTIMAL, cost, _extract(parents, node, task))
+            return _extract(parents, node, task)
         expanded += 1
         if expanded > cap:
-            return SearchResult(CAP_EXCEEDED)
+            names = ", ".join(f for i, f in enumerate(task.facts) if gmask >> i & 1)
+            raise CapExceeded(f"optimal plan search for {{{names}}} hit the expansion "
+                              f"cap of {cap}; raise OCGR_OPTIMAL_CAP")
         for aid, pre, add, ndel, acost, i in acts:
             if state & pre == pre:
                 res = residual
@@ -112,7 +103,7 @@ def optimal_cost(task: PlanningTask, goal: Iterable[int],
                     parents[nxt] = (node, aid)
                     tie += 1
                     heapq.heappush(frontier, (ncost, tie, nxt))
-    return SearchResult(UNREACHABLE)
+    return None
 
 
 def validate_plan(task: PlanningTask, steps: Iterable[int], goal: Iterable[int]) -> PlanCheck:

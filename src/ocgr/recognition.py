@@ -222,8 +222,6 @@ def recognize(task: PlanningTask, hyps: GoalHypotheses, obs: ObservationSequence
               method: str = METHOD_DELTA_U,
               config: RecognizerConfig = RecognizerConfig()) -> RecognitionReport:
     check_method(method)
-    if len(hyps) == 0:
-        raise ValueError("at least one goal hypothesis is required")
     scores, timings = score_all(task, hyps, obs, config)
     t0 = time.perf_counter()
     selected, u, fallback = select(scores, method, len(obs))

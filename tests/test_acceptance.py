@@ -142,7 +142,7 @@ def test_criterion_4_admissibility_against_oracle(clean_scored, monkeypatch):
             if key not in opt_cache:
                 opt_cache[key] = optimal_cost(problem.task, goal)
             opt = opt_cache[key]
-            if opt.status == "optimal":
+            if opt is not None:
                 if s.h != INF:
                     assert s.h <= opt.cost + LP_EPS
                 checked_h += 1
@@ -150,7 +150,7 @@ def test_criterion_4_admissibility_against_oracle(clean_scored, monkeypatch):
                 continue  # small count floors keep the counts oracle tractable
             floors = problem.obs.counts
             with_counts = optimal_cost(problem.task, goal, floors=floors)
-            if with_counts.status == "optimal" and s.h_hc != INF:
+            if with_counts is not None and s.h_hc != INF:
                 assert s.h_hc <= with_counts.cost + LP_EPS
                 checked_hc += 1
     assert checked_h >= 500 and checked_hc >= 150

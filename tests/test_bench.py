@@ -7,9 +7,9 @@ from ocgr.bench import (SuiteSpec, _witness_plan, format_rows,
                         generate_problem, generated_problems, inject_noise,
                         load_manifest, materialize_suite, run_suite,
                         sample_observations, stable_seed, write_suite_outputs)
-from ocgr.errors import OcgrError
-from ocgr.generators import demo_grid_bundle, write_bundle
-from ocgr.inputs import ObservationSequence
+from ocgr.errors import CapExceeded, OcgrError
+from ocgr.generators import GENERATORS, demo_grid_bundle, write_bundle
+from ocgr.inputs import ObservationSequence, bundle_from_texts
 from ocgr.oracle import Plan, optimal_cost, validate_plan
 from references import save_manifest
 
@@ -94,6 +94,23 @@ def test_generate_problem_suboptimal(demo_bundle):
     opt = optimal_cost(demo_bundle.task, demo_bundle.hyps.goals[0]).cost
     assert validate_plan(demo_bundle.task, p.plan.steps, demo_bundle.hyps.goals[0]).ok
     assert p.plan.cost >= opt
+
+
+def test_a_capped_detour_search_stops_generation(monkeypatch):
+    """A detour search that hits its cap raises instead of leaving the
+    optimal plan in place of a suboptimal one."""
+    base = stable_seed(2, "grid", 9)
+    b = bundle_from_texts(GENERATORS["grid"](random.Random(base)).files, require_obs=False)
+    goal = b.hyps.goals[b.hyps.hidden]
+
+    def witness():
+        return _witness_plan(b.task, goal, True, random.Random(stable_seed(base, "detour")))
+
+    assert witness().steps == (46, 9, 10, 35)
+    monkeypatch.setenv("OCGR_OPTIMAL_CAP", "4")
+    assert optimal_cost(b.task, goal).steps == (7, 8)  # the main search fits the cap
+    with pytest.raises(CapExceeded, match="raise OCGR_OPTIMAL_CAP"):
+        witness()
 
 
 def test_generate_problem_deterministic(demo_bundle):

@@ -463,8 +463,24 @@ def test_gen_search_cap_exits_2(tmp_path, capsys, monkeypatch):
     assert str(err.value) == "no witness plan for the hidden goal (unreachable)"
     monkeypatch.setenv("OCGR_OPTIMAL_CAP", "1")
     assert main(["gen", "--out", str(tmp_path), "--family", "grid"]) == 2
-    assert capsys.readouterr().err == ("error: grid-0: no witness plan for the hidden goal: "
-                                       "search cap exceeded; raise OCGR_OPTIMAL_CAP\n")
+    assert capsys.readouterr().err == ("error: grid-0: optimal plan search for {(at c_2_2)} "
+                                       "hit the expansion cap of 1; raise OCGR_OPTIMAL_CAP\n")
+
+
+@pytest.mark.parametrize("command", ["recognize", "heuristic", "plan", "bench"])
+def test_empty_hypotheses_exit_2(tmp_path, capsys, command):
+    """A bundle whose hyps.dat lists no goal is an input error in every command."""
+    files = {**demo_grid_bundle().files, "hyps.dat": ""}
+    del files["real_hyp.dat"]
+    write_bundle(tmp_path / "empty", files)
+    argv = [command, "-b", str(tmp_path / "empty")]
+    if command == "bench":
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"bundles": [str(tmp_path / "empty")]}))
+        argv = ["bench", "--manifest", str(manifest), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: at least one goal hypothesis is required\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_plan_search_cap_exits_2(tmp_path, demo_dir, capsys, monkeypatch):
@@ -475,7 +491,8 @@ def test_plan_search_cap_exits_2(tmp_path, demo_dir, capsys, monkeypatch):
     monkeypatch.setenv("OCGR_OPTIMAL_CAP", "1")
     assert main(["plan", "-b", str(demo_dir), "--goal-index", "1"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: G1: search cap exceeded; raise OCGR_OPTIMAL_CAP\n"
+    assert captured.err == ("error: optimal plan search for {(at c_0_3)} hit the expansion "
+                            "cap of 1; raise OCGR_OPTIMAL_CAP\n")
     assert captured.out == ""
 
 

@@ -47,7 +47,7 @@ def test_hmax_admissible_on_random_tasks(monkeypatch):
     for _ in range(40):
         task = make_micro_task(rng)
         opt = optimal_cost(task, task.goal)
-        assert opt.status == "optimal"
+        assert opt is not None
         assert hmax(task, task.init, task.goal) <= opt.cost
 
 
@@ -294,7 +294,7 @@ def _is_disjunctive_landmark(task, goal, landmark_actions):
                             init=task.init, goal=frozenset(goal))
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("OCGR_OPTIMAL_CAP", "500000")
-        return optimal_cost(cut_task, goal).status == "unreachable"
+        return optimal_cost(cut_task, goal) is None
 
 
 def test_landmark_validity_demo_grid(demo_bundle):
@@ -452,7 +452,7 @@ def test_posthoc_only_lp_below_oracle(monkeypatch):
     for _ in range(30):
         task = make_micro_task(rng)
         opt = optimal_cost(task, task.goal)
-        assert opt.status == "optimal"
+        assert opt is not None
         try:
             cset = posthoc_constraints(task, task.goal)
         except GoalUnreachable:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -6,7 +7,7 @@ from ocgr import inputs
 from ocgr.errors import PddlParseError
 from ocgr.generators import CORRIDOR_DOMAIN, GENERATORS, demo_grid_bundle, write_bundle
 from ocgr.grounding import ground
-from ocgr.inputs import (bundle_from_texts, load_bundle, parse_hypotheses,
+from ocgr.inputs import (GoalHypotheses, bundle_from_texts, load_bundle, parse_hypotheses,
                          parse_observations, parse_real_hyp)
 from ocgr.pddl import parse_domain, parse_problem
 
@@ -67,6 +68,40 @@ def test_real_hyp_must_match_verbatim(demo_bundle):
     hyps = parse_hypotheses("(at c_1_2)\n", demo_bundle.task)
     with pytest.raises(PddlParseError, match="does not match"):
         parse_real_hyp("(at c_9_9)\n", hyps)
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_hypotheses, "(at c_1_2)\n(at c_1_2), (at c_0_3\n"),
+    (parse_observations, "(move-right c_0_0 c_1_0)\n(move-right c_0_0 c_1_0) oops\n"),
+    (parse_real_hyp, "; the actual goal\n(at c_1_2) x\n"),
+])
+def test_text_outside_groups_is_rejected(demo_bundle, parse, text):
+    arg = demo_bundle.hyps if parse is parse_real_hyp else demo_bundle.task
+    with pytest.raises(PddlParseError, match=r"text outside parentheses .*\(line 2\)"):
+        parse(text, arg)
+
+
+def test_groups_may_be_separated_by_commas_and_whitespace(demo_bundle):
+    hyps = parse_hypotheses(" (at c_1_2) ,\t(at c_0_3),\n", demo_bundle.task)
+    assert hyps.lines == ("(at c_1_2) ,\t(at c_0_3),",) and len(hyps.goals[0]) == 2
+
+
+def test_real_hyp_skips_comment_lines(demo_bundle):
+    assert parse_real_hyp("; the actual goal\n(at c_0_3)\n", demo_bundle.hyps) == 1
+
+
+def test_goal_hypotheses_check_themselves():
+    goal = frozenset({0})
+    for kwargs, message in [
+            (dict(goals=(), lines=()), "at least one goal hypothesis is required"),
+            (dict(goals=(goal,), lines=()), "1 goal hypotheses but 0 lines"),
+            (dict(goals=(goal,), lines=("(p)",), hidden=1), "hidden index 1 out of range")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GoalHypotheses(**kwargs)
+    hyps = GoalHypotheses(goals=(goal,), lines=("(p)",))
+    assert hyps.with_hidden(0).hidden == 0
+    with pytest.raises(ValueError, match="hidden index -1 out of range"):
+        hyps.with_hidden(-1)
 
 
 def test_demo_bundle_contents(demo_bundle):

@@ -16,25 +16,27 @@ from references import enumerate_plans
 
 def test_chain_optimal(chain):
     res = optimal_cost(chain, chain.goal)
-    assert res.status == "optimal" and res.cost == 1
-    assert res.plan.steps == (0,)
+    assert res is not None and res.cost == 1
+    assert res.steps == (0,)
 
 
 def test_goal_in_init_costs_zero(chain):
     res = optimal_cost(chain, chain.init)
-    assert res.status == "optimal" and res.cost == 0 and res.plan.steps == ()
+    assert res is not None and res.cost == 0 and res.steps == ()
 
 
 def test_unreachable_goal():
     task = PlanningTask(facts=("(p)", "(q)"), actions=(), init=frozenset({0}),
                         goal=frozenset({1}))
-    assert optimal_cost(task, task.goal).status == "unreachable"
+    assert optimal_cost(task, task.goal) is None
 
 
 def test_cap_exceeded(demo_bundle, monkeypatch):
     monkeypatch.setenv("OCGR_OPTIMAL_CAP", "1")
-    res = optimal_cost(demo_bundle.task, demo_bundle.hyps.goals[0])
-    assert res.status == "cap-exceeded"
+    with pytest.raises(CapExceeded) as err:
+        optimal_cost(demo_bundle.task, demo_bundle.hyps.goals[0])
+    assert str(err.value) == ("optimal plan search for {(at c_1_2)} hit the expansion "
+                              "cap of 1; raise OCGR_OPTIMAL_CAP")
 
 
 def test_demo_grid_costs(demo_bundle):
@@ -54,7 +56,7 @@ def test_counts_empty_equals_optimal(monkeypatch):
         task = make_micro_task(rng)
         a = optimal_cost(task, task.goal)
         b = optimal_cost(task, task.goal, floors={})
-        assert a.status == b.status == "optimal"
+        assert a is not None and b is not None
         assert a.cost == b.cost
 
 
@@ -95,9 +97,8 @@ def test_optimal_plans_validate_on_random_tasks(monkeypatch):
     for _ in range(40):
         task = make_micro_task(rng)
         res = optimal_cost(task, task.goal)
-        assert res.status == "optimal"
-        assert validate_plan(task, res.plan.steps, task.goal).ok
-        assert res.plan.cost == res.cost
+        assert res is not None
+        assert validate_plan(task, res.steps, task.goal).ok
 
 
 def test_enumerate_chain(chain):
@@ -134,7 +135,8 @@ def test_counts_vector_of_witness(demo_bundle):
 def _search_digest(results) -> str:
     h = hashlib.sha256()
     for r in results:
-        h.update(repr((r.status, r.cost, r.plan.steps if r.plan else None)).encode())
+        row = ("optimal", r.cost, r.steps) if r is not None else ("unreachable", None, None)
+        h.update(repr(row).encode())
     return h.hexdigest()
 
 
@@ -150,8 +152,8 @@ def test_search_outputs_are_pinned(demo_bundle, tmp_path):
         opts = [optimal_cost(b.task, g) for g in b.hyps.goals]
         plain += opts
         for i, opt in enumerate(opts):
-            if opt.ok:
-                obs = sample_observations(opt.plan, 50, random.Random(i))
+            if opt is not None:
+                obs = sample_observations(opt, 50, random.Random(i))
                 floored += [optimal_cost(b.task, g, floors=obs.counts) for g in b.hyps.goals]
     assert (len(plain), len(floored)) == (46, 153)
     assert _search_digest(plain) == \
