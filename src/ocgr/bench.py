@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .constraints import ALL_FAMILIES
-from .errors import CapExceeded, OcgrError
+from .errors import CapExceeded, GoalUnreachable, OcgrError
 from .generators import GENERATORS, write_bundle
 from .grounding import PlanningTask, relaxed_reachable
 from .inputs import GoalHypotheses, ObservationSequence, bundle_from_texts, load_bundle
@@ -213,7 +213,7 @@ def _witness_plan(task: PlanningTask, goal: frozenset[int], suboptimal: bool,
     """An optimal plan for ``goal``, degraded by one detour when ``suboptimal``."""
     plan = optimal_cost(task, goal)
     if plan is None:
-        raise CapExceeded("no witness plan for the hidden goal (unreachable)")
+        raise GoalUnreachable("no witness plan for the hidden goal (unreachable)")
     return _splice_detour(task, goal, plan, rng) if suboptimal else plan
 
 
@@ -286,8 +286,8 @@ def _sources(spec: SuiteSpec):
             try:
                 plan = _witness_plan(b.task, b.hyps.goals[b.hyps.hidden], suboptimal,
                                      random.Random(stable_seed(base_seed, "detour")))
-            except CapExceeded as exc:
-                raise CapExceeded(f"{family}-{j}: {exc}") from exc
+            except (CapExceeded, GoalUnreachable) as exc:
+                raise type(exc)(f"{family}-{j}: {exc}") from exc
             yield b, plan, generated.name, f"{family}-{j:03d}", generated.files, (base_seed,)
 
 

@@ -77,7 +77,7 @@ def _print_dumps(args: argparse.Namespace, bundle: Bundle, idx: int,
     """The LP scoring solves for hypothesis ``idx``: its base LP, the floors as bounds."""
     task = bundle.task
     try:
-        base, _ = base_lp(task, bundle.hyps.goals[idx], config, idx)
+        base, _ = base_lp(task, bundle.hyps.goals[idx], config)
     except GoalUnreachable as exc:
         print(f"# G{idx}: {exc}")
         return
@@ -171,12 +171,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     from .generators import demo_grid_bundle, write_bundle
 
     out = Path(args.out)
+    if args.demo_grid == bool(args.family):
+        raise PddlParseError("gen needs either --demo-grid or --family, not both")
     if args.demo_grid:
         write_bundle(out / "grid-demo", demo_grid_bundle().files)
         print(out / "grid-demo")
         return EXIT_OK
-    if not args.family:
-        raise PddlParseError("gen needs --demo-grid or --family")
     spec = bench_mod.SuiteSpec(families=(args.family,), per_family=args.count,
                                seed=args.seed, observability=(args.pct,),
                                noise_count=args.noise)
@@ -218,7 +218,7 @@ def _cmd_heuristic(args: argparse.Namespace) -> int:
     print(f"delta = {score.delta}")
     for family in ALL_FAMILIES:
         try:
-            _, out = base_lp(task, goal, RecognizerConfig((family,), args.backend), idx)
+            _, out = base_lp(task, goal, RecognizerConfig((family,), args.backend))
             value = out.value if out.status == OPTIMAL else out.status
         except GoalUnreachable:
             value = "unreachable"

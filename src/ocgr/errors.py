@@ -32,15 +32,15 @@ class GoalUnreachable(OcgrError):
 
     Constraint generators raise this instead of emitting a trivially
     infeasible set; recognizers map it to a heuristic value of infinity.
+    A witness search that finds no plan for a hidden goal raises it too.
     """
 
 
 class SolverFailure(OcgrError):
     """An LP solve gave no answer, as distinct from an infeasible LP: the
-    simplex hit its pivot limit or its dual stalled, the HiGHS backend
-    failed, or a base or observation LP came back unbounded."""
+    LP is unbounded, the simplex hit its pivot limit or its dual stalled, or
+    the HiGHS backend failed. Scoring prefixes the hypothesis it solved for."""
 
 
 class CapExceeded(OcgrError):
-    """A search gave up: the oracle expanded more nodes than
-    ``OCGR_OPTIMAL_CAP`` allows, or a hidden goal has no witness plan."""
+    """A search gave up: the oracle expanded more nodes than ``OCGR_OPTIMAL_CAP`` allows."""

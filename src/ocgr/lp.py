@@ -41,14 +41,15 @@ Negative reduced costs are clamped to 0, and at the first degenerate dual
 ratio test each nonbasic reduced cost gets a fixed perturbation; a perturbed
 dual that makes 2*(m+n) degenerate pivots in a row has stalled. If the costs
 were clamped or perturbed, a primal phase 2 on the true costs (Bland's rule
-after 2*(m+n) degenerate pivots) finishes the solve and detects
-unboundedness. Optimal outcomes carry their basis (the basic column of each
-row and the solve's own B^-1, made read-only).
+after 2*(m+n) degenerate pivots) finishes the solve. An outcome is the
+optimum with its basis (the basic column of each row and the solve's own
+B^-1, read-only), or no value if the LP is infeasible; a stalled dual, a
+capped phase and an unbounded LP raise SolverFailure with the LP's size.
 
 ``BACKENDS`` names the solvers, each called as ``solve(lp, lower=, start=)``:
 ``simplex`` is ``solve_lp``; ``scipy`` (HiGHS) reads the same compiled
 rows, passes every variable's floor (0 if none) as its bound and ignores
-the start.
+the start; it raises SolverFailure on any status but optimal or infeasible.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ ITER_CAP_PER_DIM = 200
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,12 +180,16 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpOutcome:
-    status: str  # optimal | infeasible | unbounded
+    """An LP's optimal value and counts, None when it is infeasible; ``status`` names which."""
     value: float | None = None
     counts: tuple[float, ...] | None = None
     pivots: int = field(default=0, compare=False)
     warm: bool = field(default=False, compare=False)  # started from a Basis
     basis: Basis | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def status(self) -> str:
+        return INFEASIBLE if self.value is None else OPTIMAL
 
 
 def _cost(lp: LinearProgram) -> np.ndarray:
@@ -270,13 +274,13 @@ def _limits(m: int, n: int) -> tuple[int, int]:
     return 2 * (m + n), ITER_CAP + ITER_CAP_PER_DIM * (m + n)
 
 
-def _failure(phase: str, what: str, pivots: int, m: int, n: int) -> SolverFailure:
-    return SolverFailure(f"simplex {phase} {what} after {pivots} pivots on a {m} x {n} LP")
+def _failure(what: str, pivots: int, m: int, n: int) -> SolverFailure:
+    return SolverFailure(f"simplex {what} after {pivots} pivots on a {m} x {n} LP")
 
 
-def _primal(state: _Revised, pivots: int, m: int, n: int) -> tuple[str, int]:
+def _primal(state: _Revised, pivots: int, m: int, n: int) -> int:
     """Primal simplex to optimality on the reduced costs d of an ``m`` x ``n``
-    LP; returns the status and the pivot count, counted on from ``pivots``."""
+    LP; returns the pivot count, counted on from ``pivots``; an unbounded ray raises."""
     bland_after, iter_cap = _limits(m, n)
     degenerate = 0
     bland = False
@@ -285,16 +289,16 @@ def _primal(state: _Revised, pivots: int, m: int, n: int) -> tuple[str, int]:
         if bland:
             neg = (costs < -EPS).nonzero()[0]
             if neg.size == 0:
-                return OPTIMAL, pivots
+                return pivots
             q = int(neg[0])
         else:
             q = int(costs.argmin())
             if costs[q] >= -EPS:
-                return OPTIMAL, pivots
+                return pivots
         column = state.column(q)
         eligible = (column > PIVOT_TOL).nonzero()[0]
         if eligible.size == 0:
-            return UNBOUNDED, pivots
+            raise _failure("phase 2 found the LP unbounded", pivots, m, n)
         if step == iter_cap:
             break
         ratios = state.x[eligible] / column[eligible]
@@ -307,7 +311,7 @@ def _primal(state: _Revised, pivots: int, m: int, n: int) -> tuple[str, int]:
                 bland = True
         state.pivot(r, q, state.row(r), column)
         pivots += 1
-    raise _failure("phase 2", "hit the iteration limit", pivots, m, n)
+    raise _failure("phase 2 hit the iteration limit", pivots, m, n)
 
 
 def _dual(state: _Revised, m: int, n: int) -> tuple[str, int, bool]:
@@ -353,7 +357,7 @@ def _dual(state: _Revised, m: int, n: int) -> tuple[str, int, bool]:
         if degenerate >= stall_after:
             raise SolverFailure(f"simplex dual stalled after {pivots + 1} pivots "
                                 f"({degenerate} degenerate) on a {m} x {n} LP")
-    raise _failure("dual", "hit the iteration limit", iter_cap, m, n)
+    raise _failure("dual hit the iteration limit", iter_cap, m, n)
 
 
 def _crash(bx: np.ndarray, rows: CompiledRows, n: int, columns: Sequence[int]) -> None:
@@ -420,16 +424,16 @@ def _start(lp: LinearProgram, start: Basis | tuple[int, ...], b: np.ndarray,
 
 def solve_lp(lp: LinearProgram, *, lower: Iterable[tuple[int, int]] = (),
              start: Basis | tuple[int, ...] = ()) -> LpOutcome:
-    """Solve with the built-in revised dual simplex, under the floors
-    ``lower`` and from ``start`` (see ``LinearProgram``)."""
+    """Solve with the built-in revised dual simplex, under the floors ``lower`` and
+    from ``start`` (see ``LinearProgram``); an unbounded LP raises SolverFailure."""
     n, m = lp.num_vars, len(lp.constraints)
     cost = _cost(lp)
     c = cost[:n]
     k = _floors(n, lower)
     if m == 0:
         if n and c.min() < 0:
-            return LpOutcome(UNBOUNDED)
-        return LpOutcome(OPTIMAL, float(c @ k), tuple(k.tolist()))
+            raise _failure("found the LP unbounded", 0, m, n)
+        return LpOutcome(float(c @ k), tuple(k.tolist()))
     rows = lp.compiled
     b = rows.rhs - np.bincount(rows.row, weights=rows.data * k[rows.col], minlength=m)
     state, warm = _start(lp, start, b, cost)
@@ -437,18 +441,16 @@ def solve_lp(lp: LinearProgram, *, lower: Iterable[tuple[int, int]] = (),
     np.maximum(state.d, 0.0, out=state.d)
     status, pivots, perturbed = _dual(state, m, n)
     if status == INFEASIBLE:
-        return LpOutcome(INFEASIBLE, pivots=pivots, warm=warm)
+        return LpOutcome(pivots=pivots, warm=warm)
     if clamped or perturbed:
         state.price(cost)
-        status, pivots = _primal(state, pivots, m, n)
-        if status == UNBOUNDED:
-            return LpOutcome(UNBOUNDED, pivots=pivots, warm=warm)
+        pivots = _primal(state, pivots, m, n)
     x = np.zeros(n + m)
     x[state.basis] = state.x
     counts = np.maximum(x[:n], 0.0) + k
     inverse = state.bx[:, :-1]
     inverse.setflags(write=False)
-    return LpOutcome(OPTIMAL, float(c @ counts), tuple(counts.tolist()), pivots, warm,
+    return LpOutcome(float(c @ counts), tuple(counts.tolist()), pivots, warm,
                      Basis(tuple(state.basis.tolist()), inverse, lp))
 
 
@@ -462,12 +464,12 @@ def _scipy_backend(lp: LinearProgram, *, lower: Iterable[tuple[int, int]] = (),
     rows = lp.compiled
     a = csr_array((-rows.data, (rows.row, rows.col)), shape=(len(lp.constraints), lp.num_vars))
     res = linprog(c, A_ub=a, b_ub=-rows.rhs, bounds=bounds, method="highs")
-    if res.status == 0:
-        counts = tuple(float(v) for v in np.maximum(res.x, 0.0))
-        return LpOutcome(OPTIMAL, float(c @ np.asarray(counts)), counts)
-    if res.status in (2, 3):
-        return LpOutcome(INFEASIBLE if res.status == 2 else UNBOUNDED)
-    raise SolverFailure(f"scipy backend failed: {res.message}")
+    if res.status == 2:
+        return LpOutcome()
+    if res.status != 0:  # HiGHS's message names an unbounded LP as such
+        raise SolverFailure(f"scipy backend failed: {res.message}")
+    counts = tuple(float(v) for v in np.maximum(res.x, 0.0))
+    return LpOutcome(float(c @ np.asarray(counts)), counts)
 
 
 BACKENDS: dict[str, Callable[..., LpOutcome]] = {

@@ -13,7 +13,7 @@ widened by the uncertainty ratio
     U = 1 + max(min_G h_hc - |O|, 0) / min_G h_hc
 
 which estimates how many observations are missing. Infeasible LPs map to
-an infinite value and such hypotheses are never selected.
+infinity, never selected; a failed solve's SolverFailure names its hypothesis.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .constraints import ALL_FAMILIES, base_constraints, check_families
 from .errors import GoalUnreachable, SolverFailure
 from .grounding import PlanningTask, task_memo
 from .inputs import GoalHypotheses, ObservationSequence
-from .lp import INFEASIBLE, OPTIMAL, LinearProgram, LpOutcome, check_backend, solve_with
+from .lp import LinearProgram, LpOutcome, check_backend, solve_with
 
 INF = float("inf")
 
@@ -90,7 +90,7 @@ class RecognitionReport:
         return all(s.h_hc == INF for s in self.scores)
 
 
-def _base(task: PlanningTask, goal_index: int, goal: frozenset[int], config: RecognizerConfig
+def _base(task: PlanningTask, goal: frozenset[int], config: RecognizerConfig
           ) -> tuple[tuple[LinearProgram, LpOutcome] | str, float, float]:
     """The base result of ``goal``, built and stored on a miss, with the
     seconds spent on constraints and on the LP.
@@ -118,20 +118,16 @@ def _base(task: PlanningTask, goal_index: int, goal: frozenset[int], config: Rec
     # The landmark rows come first; each is basic in its zeroed action.
     crash = tuple(row.zeroed for row in base if row.zeroed is not None)
     lp = LinearProgram.from_constraints(base, task.costs)
-    out = solve_with(lp, config.backend, start=crash)
-    if out.status not in (OPTIMAL, INFEASIBLE):
-        raise SolverFailure(f"base LP for hypothesis {goal_index} came back {out.status}")
-    entry = bases[key] = (lp, out)
+    entry = bases[key] = (lp, solve_with(lp, config.backend, start=crash))
     return entry, t1 - t0, time.perf_counter() - t1
 
 
 def base_lp(task: PlanningTask, goal: Iterable[int],
-            config: RecognizerConfig = RecognizerConfig(),
-            goal_index: int = 0) -> tuple[LinearProgram, LpOutcome]:
+            config: RecognizerConfig = RecognizerConfig()) -> tuple[LinearProgram, LpOutcome]:
     """The base LP scoring solves for ``goal`` and its outcome, built and
     solved only when ``task`` is not the task used last. Raises
     GoalUnreachable when the goal is relaxed-unreachable."""
-    entry, _, _ = _base(task, goal_index, frozenset(goal), config)
+    entry, _, _ = _base(task, frozenset(goal), config)
     if isinstance(entry, str):
         raise GoalUnreachable(entry)
     return entry
@@ -140,17 +136,17 @@ def base_lp(task: PlanningTask, goal: Iterable[int],
 def _score_one(task: PlanningTask, goal_index: int, goal: frozenset[int],
                obs: ObservationSequence, config: RecognizerConfig
                ) -> tuple[HypothesisScore, float, float]:
-    entry, t_cons, t_lp = _base(task, goal_index, goal, config)
-    if isinstance(entry, str) or entry[1].status == INFEASIBLE:
-        return HypothesisScore(goal_index, INF, INF), t_cons, t_lp
-
-    base, out = entry
-    t2 = time.perf_counter()
-    out_hc = solve_with(base, config.backend, lower=obs.counts.items(), start=out.basis)
+    try:
+        entry, t_cons, t_lp = _base(task, goal, config)
+        if isinstance(entry, str) or entry[1].value is None:
+            return HypothesisScore(goal_index, INF, INF), t_cons, t_lp
+        base, out = entry
+        t2 = time.perf_counter()
+        out_hc = solve_with(base, config.backend, lower=obs.counts.items(), start=out.basis)
+    except SolverFailure as exc:
+        raise SolverFailure(f"hypothesis {goal_index}: {exc}") from exc
     t_lp += time.perf_counter() - t2
-    if out_hc.status not in (OPTIMAL, INFEASIBLE):
-        raise SolverFailure(f"observation LP for hypothesis {goal_index} came back {out_hc.status}")
-    h_hc = out_hc.value if out_hc.status == OPTIMAL else INF
+    h_hc = INF if out_hc.value is None else out_hc.value
     score = HypothesisScore(goal_index, out.value, h_hc, counts_base=out.counts,
                             counts_hc=out_hc.counts)
     return score, t_cons, t_lp

@@ -13,7 +13,7 @@ from ocgr import lp
 from ocgr.bench import SuiteSpec, _witness_plan, generated_problems, materialize_suite
 from ocgr.constraints import ALL_FAMILIES, base_constraints
 from ocgr.cli import main
-from ocgr.errors import CapExceeded, GoalUnreachable, SolverFailure
+from ocgr.errors import GoalUnreachable, SolverFailure
 from ocgr.generators import CORRIDOR_DOMAIN, demo_grid_bundle, write_bundle
 from ocgr.inputs import bundle_from_texts, load_bundle
 from ocgr.recognition import report_from_dict
@@ -136,6 +136,19 @@ def test_recognize_solver_failure_exits_3(demo_dir, capsys, monkeypatch):
     monkeypatch.setitem(lp.BACKENDS, "broken-test", broken)
     assert main(["recognize", "-b", str(demo_dir), "--backend", "broken-test"]) == 3
     assert "injected" in capsys.readouterr().err
+
+
+def test_recognize_pivot_cap_exits_3_naming_the_hypothesis(tmp_path, capsys, monkeypatch):
+    argv = ["--family", "blocks", "--count", "2", "--seed", "7", "--pct", "50", "--noise", "1"]
+    assert main(["gen", "--out", str(tmp_path), *argv]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(lp, "ITER_CAP", 0)
+    monkeypatch.setattr(lp, "ITER_CAP_PER_DIM", 0)
+    assert main(["recognize", "-b", str(tmp_path / "blocks-000")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("solver error: hypothesis 0: simplex dual hit the iteration ")
 
 
 def test_heuristic_solver_failure_exits_3(demo_dir, capsys, monkeypatch):
@@ -458,7 +471,7 @@ def test_gen_search_cap_exits_2(tmp_path, capsys, monkeypatch):
     """A witness search that gives up names its cap; an unreachable hidden
     goal keeps its own wording."""
     island = bundle_from_texts(ISLAND_BUNDLE, require_obs=False)
-    with pytest.raises(CapExceeded) as err:
+    with pytest.raises(GoalUnreachable) as err:
         _witness_plan(island.task, island.hyps.goals[2], False, random.Random(0))
     assert str(err.value) == "no witness plan for the hidden goal (unreachable)"
     monkeypatch.setenv("OCGR_OPTIMAL_CAP", "1")
@@ -521,6 +534,18 @@ def test_bench_manifest_that_composes_no_problem_exits_2(tmp_path, capsys):
 
 def test_gen_requires_family_or_demo(tmp_path):
     assert main(["gen", "--out", str(tmp_path)]) == 2
+
+
+def test_gen_takes_demo_grid_or_family(tmp_path, capsys):
+    """--demo-grid would ignore --family and the options that shape it, so
+    the two together are an error, as is neither; either way nothing is written."""
+    both = ["--demo-grid", "--family", "blocks", "--count", "3", "--seed", "9", "--pct", "50"]
+    for flags in (both, []):
+        assert main(["gen", "--out", str(tmp_path / "x"), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: gen needs either --demo-grid or --family, not both\n"
+        assert not (tmp_path / "x").exists()
 
 
 def test_gen_unknown_family_exits_2_naming_the_families(tmp_path, capsys):

@@ -61,8 +61,23 @@ def test_empty_lp():
 
 
 def test_unbounded():
-    out = solve_lp(_lp(1, [-1], [([(0, 1)], 1)]))
-    assert out.status == "unbounded"
+    """An unbounded LP raises on both backends, with a row and without one."""
+    for lp in (_lp(1, [-1], [([(0, 1)], 1)]), _lp(2, [1, -1], [])):
+        for backend in ("simplex", "scipy"):
+            with pytest.raises(SolverFailure, match="unbounded"):
+                solve_with(lp, backend)
+
+
+def test_outcome_is_a_value_or_infeasible():
+    """An outcome's status is derived: "optimal" exactly when it has a value."""
+    assert [f.name for f in fields(lp_mod.LpOutcome)] == [
+        "value", "counts", "pivots", "warm", "basis"]
+    assert not hasattr(lp_mod, "UNBOUNDED")
+    optimal = solve_lp(_lp(1, [1], [([(0, 1)], 3)]))
+    infeasible = solve_lp(_lp(1, [1], [([(0, 1)], 1), ([(0, -1)], 0)]))
+    assert (optimal.status, infeasible.status) == ("optimal", "infeasible")
+    assert (lp_mod.LpOutcome(0.0).status, lp_mod.LpOutcome(pivots=3).status) == (
+        "optimal", "infeasible")
 
 
 def test_degenerate_redundant_rows():
@@ -212,9 +227,9 @@ def test_start_that_is_not_dual_feasible_still_reaches_the_optimum(monkeypatch):
     real, phase_two = lp_mod._primal, []
 
     def primal(state, pivots, m, n):
-        status, after = real(state, pivots, m, n)
+        after = real(state, pivots, m, n)
         phase_two.append(after - pivots)
-        return status, after
+        return after
 
     monkeypatch.setattr(lp_mod, "_primal", primal)
     h = hashlib.sha256()

@@ -430,21 +430,37 @@ def test_threaded_scoring_with_reused_bases_matches_sequential():
 
 
 def test_failed_base_lp_is_solved_again(monkeypatch):
-    from ocgr.lp import BACKENDS, UNBOUNDED, LpOutcome, solve_lp
+    from ocgr.lp import BACKENDS, solve_lp
 
     calls = []
 
     def flaky(lp, **solve):
         calls.append(lp)
-        return LpOutcome(UNBOUNDED) if len(calls) == 1 else solve_lp(lp, **solve)
+        if len(calls) == 1:
+            raise SolverFailure("injected")
+        return solve_lp(lp, **solve)
 
     monkeypatch.setitem(BACKENDS, "flaky-test", flaky)
     b = bundle_from_texts(dict(demo_grid_bundle().files))
     config = RecognizerConfig(backend="flaky-test")
-    with pytest.raises(SolverFailure, match="base LP for hypothesis 0 came back unbounded"):
+    with pytest.raises(SolverFailure, match="^hypothesis 0: injected$"):
         recognize(b.task, b.hyps, b.obs, config=config)
     report = recognize(b.task, b.hyps, b.obs, config=config)
     assert report.scores == recognize(b.task, b.hyps, b.obs).scores
+
+
+def test_a_capped_solve_names_its_hypothesis(monkeypatch):
+    """The pivot cap raises one SolverFailure that names the hypothesis and the LP."""
+    import ocgr.lp as lp_mod
+
+    spec = SuiteSpec(families=("blocks",), per_family=2, seed=7, observability=(50,),
+                     noise_count=1)
+    p = generated_problems(spec)[0]
+    monkeypatch.setattr(lp_mod, "ITER_CAP", 0)
+    monkeypatch.setattr(lp_mod, "ITER_CAP_PER_DIM", 0)
+    with pytest.raises(SolverFailure, match=r"^hypothesis 0: simplex dual hit the iteration "
+                                            r"limit after 0 pivots on a \d+ x \d+ LP$"):
+        recognize(p.task, p.hyps, p.obs)
 
 
 def test_unknown_backend_raises_the_cli_message():
