@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .constraints import ALL_FAMILIES, dump_constraints
 from .errors import GoalUnreachable, OcgrError, PddlParseError, SolverFailure
-from .inputs import Bundle, bundle_from_texts, load_bundle
+from .inputs import BUNDLE_FILES, Bundle, bundle_from_texts, load_bundle
 from .lp import OPTIMAL, LinearProgram
 from .oracle import optimal_cost
 from .recognition import (METHOD_DELTA_U, METHODS, RecognizerConfig, base_lp,
@@ -51,9 +51,8 @@ def _load_inputs(args: argparse.Namespace, *, need_obs: bool = True) -> Bundle:
     missing = [flag for flag, path in paths.items() if not path and flag not in optional]
     if missing:
         raise PddlParseError(f"missing input files: --{', --'.join(missing)} (or use --bundle)")
-    names = ("domain.pddl", "template.pddl", "hyps.dat", "obs.dat", "real_hyp.dat")
     texts = {name: Path(f).read_text(encoding="utf-8") if f else None
-             for name, f in zip(names, paths.values())}
+             for name, f in zip(BUNDLE_FILES, paths.values())}
     return bundle_from_texts(texts, path="<cli>", require_obs=need_obs)
 
 

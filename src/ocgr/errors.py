@@ -38,7 +38,7 @@ class GoalUnreachable(OcgrError):
 
 class SolverFailure(OcgrError):
     """An LP solve gave no answer, as distinct from an infeasible LP: the
-    LP is unbounded, the simplex hit its pivot limit or its dual stalled, or
+    LP is unbounded, the simplex hit its pivot cap or its dual stalled, or
     the HiGHS backend failed. Scoring prefixes the hypothesis it solved for."""
 
 

@@ -21,8 +21,9 @@ from typing import Iterator
 
 from .errors import PddlParseError
 from .grounding import PlanningTask, ground
-from .pddl import DomainDef, ProblemDef, parse_domain, parse_problem
+from .pddl import DomainDef, parse_domain, parse_problem
 
+BUNDLE_FILES = ("domain.pddl", "template.pddl", "hyps.dat", "obs.dat", "real_hyp.dat")
 _GROUP = re.compile(r"\(([^()]*)\)")
 _STRAY = re.compile(r"[^\s,]")  # outside the groups, only commas and whitespace may stand
 
@@ -167,10 +168,8 @@ def bundle_from_texts(texts: dict[str, str | None], *, path: str = "<memory>",
         return text
 
     dom = _parsed_domain(read("domain.pddl"))
-    prob = parse_problem(read("template.pddl"), dom)
     # hypotheses drive the recognition goals; template goals are ignored
-    prob = ProblemDef(name=prob.name, domain_name=prob.domain_name,
-                      objects=prob.objects, init=prob.init, goal=())
+    prob = replace(parse_problem(read("template.pddl"), dom), goal=())
     task = ground(dom, prob)
     hyps = parse_hypotheses(read("hyps.dat"), task)
     real = read("real_hyp.dat", required=False)
@@ -184,7 +183,7 @@ def bundle_from_texts(texts: dict[str, str | None], *, path: str = "<memory>",
 def load_bundle(directory: str | Path, *, require_obs: bool = True) -> Bundle:
     d = Path(directory)
     texts: dict[str, str | None] = {}
-    for name in ("domain.pddl", "template.pddl", "hyps.dat", "obs.dat", "real_hyp.dat"):
+    for name in BUNDLE_FILES:
         p = d / name
         texts[name] = p.read_text(encoding="utf-8") if p.is_file() else None
     return bundle_from_texts(texts, path=str(d), require_obs=require_obs)

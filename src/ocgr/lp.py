@@ -43,8 +43,9 @@ dual that makes 2*(m+n) degenerate pivots in a row has stalled. If the costs
 were clamped or perturbed, a primal phase 2 on the true costs (Bland's rule
 after 2*(m+n) degenerate pivots) finishes the solve. An outcome is the
 optimum with its basis (the basic column of each row and the solve's own
-B^-1, read-only), or no value if the LP is infeasible; a stalled dual, a
-capped phase and an unbounded LP raise SolverFailure with the LP's size.
+B^-1, read-only), or no value if the LP is infeasible; a stalled dual, an
+unbounded LP and a solve that would pivot more than ``PIVOT_CAP`` times, in
+both phases together, raise SolverFailure with the LP's size.
 
 ``BACKENDS`` names the solvers, each called as ``solve(lp, lower=, start=)``:
 ``simplex`` is ``solve_lp``; ``scipy`` (HiGHS) reads the same compiled
@@ -69,8 +70,7 @@ PIVOT_TOL = 1e-9
 DEGENERATE_TOL = 1e-12
 PERTURB = 1e-6  # scale of the dual cost perturbation
 _GOLDEN = 0.6180339887498949
-ITER_CAP = 2000  # pivots per phase: at most ITER_CAP + ITER_CAP_PER_DIM * (m + n)
-ITER_CAP_PER_DIM = 200
+PIVOT_CAP = 50_000  # pivots per solve, the dual's and phase 2's together
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -220,7 +220,8 @@ def _floors(num_vars: int, lower: Iterable[tuple[int, int]]) -> np.ndarray:
 class _Revised:
     """A revised simplex over the columns [A | -I] of an m x n LP: the basic
     column of each row, ``bx`` = [B^-1 | x_B] with x_B = B^-1 b (m x (m + 1)),
-    and the reduced costs d of all n + m columns (0 at the basic ones)."""
+    the reduced costs d of all n + m columns (0 at the basic ones) and the
+    pivots made so far, which ``pivot`` caps at ``PIVOT_CAP`` per solve."""
 
     d: np.ndarray
 
@@ -229,6 +230,12 @@ class _Revised:
         self.basis, self.bx = basis, bx
         self.x = bx[:, -1]  # a view: pivots update it with B^-1
         self.col_start = rows.col_start.tolist()
+        self.pivots = 0
+
+    def failure(self, what: str, note: str = "") -> SolverFailure:
+        """SolverFailure: the simplex ``what`` after this solve's pivots on its LP."""
+        return SolverFailure(f"simplex {what} after {self.pivots} pivots{note} "
+                             f"on a {self.m} x {self.n} LP")
 
     def price(self, cost: np.ndarray) -> None:
         """Set d to the reduced costs of ``cost``, given over all n + m columns."""
@@ -253,7 +260,11 @@ class _Revised:
 
     def pivot(self, r: int, q: int, line: np.ndarray, column: np.ndarray) -> None:
         """Enter column ``q`` on row ``r``, given ``row(r)`` and ``column(q)``;
-        both are overwritten."""
+        both are overwritten. The pivot past ``PIVOT_CAP`` raises instead."""
+        if self.pivots >= PIVOT_CAP:
+            raise SolverFailure(f"simplex gave up at its cap of {PIVOT_CAP} pivots on a "
+                                f"{self.m} x {self.n} LP; try --backend scipy")
+        self.pivots += 1
         d, bx = self.d, self.bx
         line *= d[q] / line[q]
         d -= line
@@ -268,39 +279,32 @@ class _Revised:
         self.basis[r] = q
 
 
-def _limits(m: int, n: int) -> tuple[int, int]:
-    """Degenerate pivots before Bland's rule engages in phase 2 or the
-    perturbed dual counts as stalled, and the pivot cap, of each phase."""
-    return 2 * (m + n), ITER_CAP + ITER_CAP_PER_DIM * (m + n)
+def _degenerate_limit(m: int, n: int) -> int:
+    """Degenerate pivots in a row before Bland's rule engages in phase 2 or
+    the perturbed dual counts as stalled."""
+    return 2 * (m + n)
 
 
-def _failure(what: str, pivots: int, m: int, n: int) -> SolverFailure:
-    return SolverFailure(f"simplex {what} after {pivots} pivots on a {m} x {n} LP")
-
-
-def _primal(state: _Revised, pivots: int, m: int, n: int) -> int:
-    """Primal simplex to optimality on the reduced costs d of an ``m`` x ``n``
-    LP; returns the pivot count, counted on from ``pivots``; an unbounded ray raises."""
-    bland_after, iter_cap = _limits(m, n)
+def _primal(state: _Revised) -> None:
+    """Primal simplex to optimality on the reduced costs d; an unbounded ray raises."""
+    bland_after = _degenerate_limit(state.m, state.n)
     degenerate = 0
     bland = False
-    for step in range(iter_cap + 1):
+    while True:
         costs = state.d
         if bland:
             neg = (costs < -EPS).nonzero()[0]
             if neg.size == 0:
-                return pivots
+                return
             q = int(neg[0])
         else:
             q = int(costs.argmin())
             if costs[q] >= -EPS:
-                return pivots
+                return
         column = state.column(q)
         eligible = (column > PIVOT_TOL).nonzero()[0]
         if eligible.size == 0:
-            raise _failure("phase 2 found the LP unbounded", pivots, m, n)
-        if step == iter_cap:
-            break
+            raise state.failure("phase 2 found the LP unbounded")
         ratios = state.x[eligible] / column[eligible]
         best = ratios.min()
         tied = eligible[(ratios <= best + DEGENERATE_TOL).nonzero()[0]]
@@ -310,14 +314,11 @@ def _primal(state: _Revised, pivots: int, m: int, n: int) -> int:
             if degenerate > bland_after:
                 bland = True
         state.pivot(r, q, state.row(r), column)
-        pivots += 1
-    raise _failure("phase 2 hit the iteration limit", pivots, m, n)
 
 
-def _dual(state: _Revised, m: int, n: int) -> tuple[str, int, bool]:
+def _dual(state: _Revised) -> tuple[str, bool]:
     """Dual simplex from nonnegative reduced costs; returns the status
-    (optimal or infeasible), the pivot count and whether the costs were
-    perturbed.
+    (optimal or infeasible) and whether the costs were perturbed.
 
     Each pivot leaves on the row with the most negative x_B and enters the
     column of the dual ratio test, ties going to the lowest column index. At
@@ -325,20 +326,18 @@ def _dual(state: _Revised, m: int, n: int) -> tuple[str, int, bool]:
     perturbation, which breaks the ties that otherwise stall the dual; a run
     of 2*(m+n) degenerate pivots after that raises SolverFailure.
     """
-    stall_after, iter_cap = _limits(m, n)
+    stall_after = _degenerate_limit(state.m, state.n)
     d, x = state.d, state.x  # pivots update them in place
     perturbed = False
     degenerate = 0
-    for pivots in range(iter_cap + 1):
+    while True:
         r = int(x.argmin())
         if x[r] >= -EPS:
-            return OPTIMAL, pivots, perturbed
+            return OPTIMAL, perturbed
         line = state.row(r)
         eligible = (line < -PIVOT_TOL).nonzero()[0]
         if not eligible.size:
-            return INFEASIBLE, pivots, perturbed
-        if pivots == iter_cap:
-            break
+            return INFEASIBLE, perturbed
         # d / line is minus the dual ratio d / -line, exactly: the best ratio is its max.
         ratios = d[eligible]
         ratios /= line[eligible]
@@ -346,7 +345,7 @@ def _dual(state: _Revised, m: int, n: int) -> tuple[str, int, bool]:
         if best > -DEGENERATE_TOL and not perturbed:
             perturbed = True
             # A factor in [1, 2) per column, distinct across columns.
-            d += PERTURB * (1.0 + (np.arange(n + m) * _GOLDEN) % 1.0)
+            d += PERTURB * (1.0 + (np.arange(len(d)) * _GOLDEN) % 1.0)
             d[state.basis] = 0.0
             ratios = d[eligible]
             ratios /= line[eligible]
@@ -355,9 +354,7 @@ def _dual(state: _Revised, m: int, n: int) -> tuple[str, int, bool]:
         state.pivot(r, q, line, state.column(q))
         degenerate = degenerate + 1 if best > -DEGENERATE_TOL else 0
         if degenerate >= stall_after:
-            raise SolverFailure(f"simplex dual stalled after {pivots + 1} pivots "
-                                f"({degenerate} degenerate) on a {m} x {n} LP")
-    raise _failure("dual hit the iteration limit", iter_cap, m, n)
+            raise state.failure("dual stalled", f" ({degenerate} degenerate)")
 
 
 def _crash(bx: np.ndarray, rows: CompiledRows, n: int, columns: Sequence[int]) -> None:
@@ -425,32 +422,33 @@ def _start(lp: LinearProgram, start: Basis | tuple[int, ...], b: np.ndarray,
 def solve_lp(lp: LinearProgram, *, lower: Iterable[tuple[int, int]] = (),
              start: Basis | tuple[int, ...] = ()) -> LpOutcome:
     """Solve with the built-in revised dual simplex, under the floors ``lower`` and
-    from ``start`` (see ``LinearProgram``); an unbounded LP raises SolverFailure."""
+    from ``start`` (see ``LinearProgram``); an unbounded LP, a stalled dual and
+    pivot ``PIVOT_CAP + 1`` raise SolverFailure."""
     n, m = lp.num_vars, len(lp.constraints)
     cost = _cost(lp)
     c = cost[:n]
     k = _floors(n, lower)
     if m == 0:
         if n and c.min() < 0:
-            raise _failure("found the LP unbounded", 0, m, n)
+            raise SolverFailure(f"simplex found the LP unbounded after 0 pivots on a 0 x {n} LP")
         return LpOutcome(float(c @ k), tuple(k.tolist()))
     rows = lp.compiled
     b = rows.rhs - np.bincount(rows.row, weights=rows.data * k[rows.col], minlength=m)
     state, warm = _start(lp, start, b, cost)
     clamped = state.d.min() < -EPS
     np.maximum(state.d, 0.0, out=state.d)
-    status, pivots, perturbed = _dual(state, m, n)
+    status, perturbed = _dual(state)
     if status == INFEASIBLE:
-        return LpOutcome(pivots=pivots, warm=warm)
+        return LpOutcome(pivots=state.pivots, warm=warm)
     if clamped or perturbed:
         state.price(cost)
-        pivots = _primal(state, pivots, m, n)
+        _primal(state)
     x = np.zeros(n + m)
     x[state.basis] = state.x
     counts = np.maximum(x[:n], 0.0) + k
     inverse = state.bx[:, :-1]
     inverse.setflags(write=False)
-    return LpOutcome(float(c @ counts), tuple(counts.tolist()), pivots, warm,
+    return LpOutcome(float(c @ counts), tuple(counts.tolist()), state.pivots, warm,
                      Basis(tuple(state.basis.tolist()), inverse, lp))
 
 

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
+from ocgr import lp
 from ocgr.bench import (SuiteSpec, _witness_plan, format_rows,
                         generate_problem, generated_problems, inject_noise,
                         load_manifest, materialize_suite, run_suite,
                         sample_observations, stable_seed, write_suite_outputs)
-from ocgr.errors import CapExceeded, OcgrError
+from ocgr.errors import CapExceeded, OcgrError, SolverFailure
 from ocgr.generators import GENERATORS, demo_grid_bundle, write_bundle
 from ocgr.inputs import ObservationSequence, bundle_from_texts
 from ocgr.oracle import Plan, optimal_cost, validate_plan
@@ -262,6 +263,28 @@ def test_rows_carry_times_only_when_asked(tmp_path, timings):
     assert rows and all(r["status"] == "ok" for r in rows)
     for r in rows:
         assert float(r["time_s"]) >= 0 if timings else r["time_s"] == ""
+
+
+def test_a_failed_solve_is_an_error_row_of_each_method(tmp_path, monkeypatch):
+    """A problem whose scoring raises gets one row per method with the
+    error's type as its status and no time, verdict, U or selection; the
+    aggregates count those rows and report no accuracy."""
+    def broken(prog, **solve):
+        raise SolverFailure("injected failure")
+
+    monkeypatch.setitem(lp.BACKENDS, "broken-test", broken)
+    spec = _tiny_spec(per_family=1, timings=True, backend="broken-test")
+    rows_path, agg_path = write_suite_outputs(run_suite(spec), tmp_path / "out", spec)
+    with rows_path.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 * 1 * 2 * 4  # families * per_family * levels * methods
+    for r in rows:
+        assert r["status"] == "error:SolverFailure" and r["spread"] == "0"
+        assert r["time_s"] == r["correct"] == r["U"] == r["selected_goals"] == ""
+    with agg_path.open(newline="") as fh:
+        aggregates = list(csv.DictReader(fh))
+    assert len(aggregates) == 2 * 2 * 4  # families * levels * methods
+    assert all(a["n"] == "1" and a["acc_pct"] == "" for a in aggregates)
 
 
 def test_materialize_suite_writes_generated_problems_only(tmp_path):

@@ -142,23 +142,30 @@ def test_recognize_pivot_cap_exits_3_naming_the_hypothesis(tmp_path, capsys, mon
     argv = ["--family", "blocks", "--count", "2", "--seed", "7", "--pct", "50", "--noise", "1"]
     assert main(["gen", "--out", str(tmp_path), *argv]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(lp, "ITER_CAP", 0)
-    monkeypatch.setattr(lp, "ITER_CAP_PER_DIM", 0)
+    monkeypatch.setattr(lp, "PIVOT_CAP", 0)
     assert main(["recognize", "-b", str(tmp_path / "blocks-000")]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
-    assert captured.err.startswith("solver error: hypothesis 0: simplex dual hit the iteration ")
+    assert captured.err.startswith("solver error: hypothesis 0: simplex gave up at its cap ")
 
 
 def test_heuristic_solver_failure_exits_3(demo_dir, capsys, monkeypatch):
     """A family's LP that hits the pivot cap is a solver failure, not an
     unreachable goal."""
-    monkeypatch.setattr(lp, "_limits", lambda m, n: (2 * (m + n), 0))
+    monkeypatch.setattr(lp, "PIVOT_CAP", 0)
     assert main(["heuristic", "-b", str(demo_dir), "--goal-index", "0"]) == 3
     captured = capsys.readouterr()
     assert "unreachable" not in captured.out
     assert captured.err.startswith("solver error: simplex ")
+
+
+@pytest.mark.parametrize("command", ["plan", "heuristic"])
+def test_goal_index_out_of_range_exits_2(demo_dir, capsys, command):
+    assert main([command, "-b", str(demo_dir), "--goal-index", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --goal-index 9 out of range\n"
 
 
 @pytest.mark.parametrize("command", ["recognize", "heuristic"])

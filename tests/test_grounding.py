@@ -298,8 +298,9 @@ def _open_grid(n):
 # (go-home), a repeated variable (stay), a 0-ary static predicate (switch), a
 # static predicate with no init atoms (ghost), a subtype parameter whose init
 # atoms also name objects of a sibling type (walk-room), no static
-# precondition (wander), two static literals sharing a variable (hop), and a
-# parameter no static literal binds, ordered between bound ones (beam).
+# precondition (wander), two static literals sharing a variable (hop), a
+# parameter no static literal binds, ordered between bound ones (beam), and a
+# static literal that binds the parameters out of their order (back).
 EDGE_DOMAIN = """\
 (define (domain edges)
   (:requirements :strips :typing)
@@ -327,6 +328,9 @@ EDGE_DOMAIN = """\
   (:action beam :parameters (?b - place ?x - hall ?a - place)
     :precondition (and (at ?a) (link ?a ?b))
     :effect (and (at ?b) (lit ?x) (not (at ?a))))
+  (:action back :parameters (?a ?b - place)
+    :precondition (and (at ?a) (link ?b ?a))
+    :effect (and (at ?b) (not (at ?a))))
 )
 """
 
@@ -384,6 +388,8 @@ def test_edge_domain_join_cases():
     assert len(by_schema["hop"]) == 8
     assert by_schema["beam"][:3] == ["beam h1 h1 r1", "beam h1 h2 r1", "beam home h1 h1"]
     assert len(by_schema["beam"]) == 6 * 2
+    assert by_schema["back"] == ["back h1 r1", "back home h1", "back home r2", "back r1 r2",
+                                 "back r2 h1", "back r2 r1"]
     opened = _ground_all(dom, parse_problem(EDGE_PROBLEM.format(extra="(open)"), dom))
     assert len([a for a in opened.actions if a.name.startswith("switch ")]) == 5
 

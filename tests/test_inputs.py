@@ -81,6 +81,21 @@ def test_text_outside_groups_is_rejected(demo_bundle, parse, text):
         parse(text, arg)
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_hypotheses, "(at c_1_2)\nat c_0_3\n", "expected parenthesized fluents, got 'at c_0_3' "
+                                                  "(line 2)"),
+    (parse_observations, "(move-right c_0_0 c_1_0)\nmove-right c_1_0 c_2_0\n",
+     "expected a parenthesized action, got 'move-right c_1_0 c_2_0' (line 2)"),
+    (parse_real_hyp, "; the actual goal\n\n", "real_hyp.dat must contain exactly one line"),
+    (parse_real_hyp, "(at c_1_2)\n; or\n(at c_0_3)\n", "real_hyp.dat must contain exactly one line"),
+])
+def test_dat_text_without_its_one_group_line_is_rejected(demo_bundle, parse, text, message):
+    arg = demo_bundle.hyps if parse is parse_real_hyp else demo_bundle.task
+    with pytest.raises(PddlParseError) as err:
+        parse(text, arg)
+    assert str(err.value) == message
+
+
 def test_groups_may_be_separated_by_commas_and_whitespace(demo_bundle):
     hyps = parse_hypotheses(" (at c_1_2) ,\t(at c_0_3),\n", demo_bundle.task)
     assert hyps.lines == ("(at c_1_2) ,\t(at c_0_3),",) and len(hyps.goals[0]) == 2

@@ -165,22 +165,43 @@ def test_cross_backend_agreement_sample():
     assert agreements >= 40
 
 
-def test_iteration_limit_names_phase_pivots_and_size(monkeypatch):
-    monkeypatch.setattr(lp_mod, "ITER_CAP", 1)
-    monkeypatch.setattr(lp_mod, "ITER_CAP_PER_DIM", 0)
+def test_pivot_cap_names_pivots_size_and_scipy(monkeypatch):
+    monkeypatch.setattr(lp_mod, "PIVOT_CAP", 1)
     floors = _lp(2, [1, 1], [([(0, 1)], 1), ([(1, 1)], 1)])
     ceilings = _lp(2, [-1, -1], [([(0, -1)], -5), ([(1, -1)], -5)])
-    for prog, phase in ((ceilings, "phase 2"), (floors, "dual")):
+    for prog in (ceilings, floors):
         with pytest.raises(SolverFailure) as err:
             solve_lp(prog)
-        assert str(err.value) == (f"simplex {phase} hit the iteration limit after 1 pivots "
-                                  "on a 2 x 2 LP")
+        assert str(err.value) == ("simplex gave up at its cap of 1 pivots on a 2 x 2 LP; "
+                                  "try --backend scipy")
+
+
+def test_pivot_cap_counts_both_phases_of_a_solve(monkeypatch):
+    """One dual pivot brings y0 to its floor, then the clamped cost of y1
+    takes one phase-2 pivot: a cap of 2 lets the solve finish, a cap of 1
+    stops it in phase 2, though neither phase alone pivots more than once."""
+    real, phase_two = lp_mod._primal, []
+
+    def primal(state):
+        before = state.pivots
+        real(state)
+        phase_two.append(state.pivots - before)
+
+    monkeypatch.setattr(lp_mod, "_primal", primal)
+    prog = _lp(2, [1, -1], [([(0, 1)], 1), ([(1, -1)], -5)])
+    monkeypatch.setattr(lp_mod, "PIVOT_CAP", 2)
+    out = solve_lp(prog)
+    assert (out.value, out.pivots, phase_two) == (-4.0, 2, [1])
+    monkeypatch.setattr(lp_mod, "PIVOT_CAP", 1)
+    with pytest.raises(SolverFailure, match=r"^simplex gave up at its cap of 1 pivots on a "
+                                            r"2 x 2 LP; try --backend scipy$"):
+        solve_lp(prog)
 
 
 def test_stalled_dual_names_pivots_and_degenerate_run(monkeypatch):
     # Zero costs make every dual ratio 0; without the perturbation nothing breaks the tie.
     monkeypatch.setattr(lp_mod, "PERTURB", 0.0)
-    monkeypatch.setattr(lp_mod, "_limits", lambda m, n: (2, 1000))
+    monkeypatch.setattr(lp_mod, "_degenerate_limit", lambda m, n: 2)
     lp = _lp(3, [0, 0, 0], [([(0, 1), (1, 1)], 1), ([(1, 1), (2, 1)], 1)])
     with pytest.raises(SolverFailure) as err:
         solve_lp(lp)
@@ -226,10 +247,10 @@ def test_start_that_is_not_dual_feasible_still_reaches_the_optimum(monkeypatch):
     pinned bit for bit too."""
     real, phase_two = lp_mod._primal, []
 
-    def primal(state, pivots, m, n):
-        after = real(state, pivots, m, n)
-        phase_two.append(after - pivots)
-        return after
+    def primal(state):
+        before = state.pivots
+        real(state)
+        phase_two.append(state.pivots - before)
 
     monkeypatch.setattr(lp_mod, "_primal", primal)
     h = hashlib.sha256()
@@ -264,7 +285,7 @@ def test_blands_rule_in_phase_two_reaches_the_highs_optima(monkeypatch):
     from its first degenerate pivot (the dual's stall limit as it is): every
     solve still ends where HiGHS does, and the Bland branch of ``_primal``
     runs."""
-    real_primal, real_limits = lp_mod._primal, lp_mod._limits
+    real_primal, real_limit = lp_mod._primal, lp_mod._degenerate_limit
     source, first = inspect.getsourcelines(real_primal)
     bland_line = first + next(i for i, line in enumerate(source) if "neg = " in line)
     bland_steps = []
@@ -276,15 +297,15 @@ def test_blands_rule_in_phase_two_reaches_the_highs_optima(monkeypatch):
             bland_steps.append(frame.f_lineno)
         return trace
 
-    def primal(state, pivots, m, n):
-        monkeypatch.setattr(lp_mod, "_limits", lambda m, n: (0, real_limits(m, n)[1]))
+    def primal(state):
+        monkeypatch.setattr(lp_mod, "_degenerate_limit", lambda m, n: 0)
         outer = sys.gettrace()
         sys.settrace(trace)
         try:
-            return real_primal(state, pivots, m, n)
+            real_primal(state)
         finally:
             sys.settrace(outer)
-            monkeypatch.setattr(lp_mod, "_limits", real_limits)
+            monkeypatch.setattr(lp_mod, "_degenerate_limit", real_limit)
 
     monkeypatch.setattr(lp_mod, "_primal", primal)
     rng = random.Random(5)

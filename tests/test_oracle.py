@@ -83,6 +83,9 @@ def test_validate_plan_chain(chain):
     check = validate_plan(chain, (0, 0), chain.goal)
     assert not check.ok and check.failed_step == 1
     assert "(p)" in check.reason
+    check = validate_plan(chain, (0, chain.num_actions), chain.goal)
+    assert not check.ok and check.failed_step == 1
+    assert check.reason == f"step 1: unknown action id {chain.num_actions}"
 
 
 def test_validate_goal_failure(chain):

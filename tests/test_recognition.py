@@ -456,10 +456,9 @@ def test_a_capped_solve_names_its_hypothesis(monkeypatch):
     spec = SuiteSpec(families=("blocks",), per_family=2, seed=7, observability=(50,),
                      noise_count=1)
     p = generated_problems(spec)[0]
-    monkeypatch.setattr(lp_mod, "ITER_CAP", 0)
-    monkeypatch.setattr(lp_mod, "ITER_CAP_PER_DIM", 0)
-    with pytest.raises(SolverFailure, match=r"^hypothesis 0: simplex dual hit the iteration "
-                                            r"limit after 0 pivots on a \d+ x \d+ LP$"):
+    monkeypatch.setattr(lp_mod, "PIVOT_CAP", 0)
+    with pytest.raises(SolverFailure, match=r"^hypothesis 0: simplex gave up at its cap of 0 "
+                                            r"pivots on a \d+ x \d+ LP; try --backend scipy$"):
         recognize(p.task, p.hyps, p.obs)
 
 
