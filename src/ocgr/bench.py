@@ -257,7 +257,7 @@ class AggregateRow:
     noise: int
     method: str
     n: int
-    time_mean_s: float
+    time_mean_s: float | None  # None when every row of the group is an error
     accuracy: float | None
     spread_mean: float
 
@@ -347,7 +347,7 @@ def run_suite(spec: SuiteSpec) -> SuiteResult:
         times = [r.time_s for r in members if r.time_s is not None]
         aggregates.append(AggregateRow(
             domain=domain, pct=pct, noise=noise, method=method, n=len(members),
-            time_mean_s=sum(times) / len(times) if times else 0.0,
+            time_mean_s=sum(times) / len(times) if times else None,
             accuracy=acc,
             spread_mean=sum(r.spread for r in members) / len(members)))
     return SuiteResult(rows=tuple(rows), aggregates=tuple(aggregates))
@@ -375,7 +375,8 @@ def format_rows(rows: tuple[Row, ...], include_timings: bool) -> str:
 
 def format_aggregates(aggs: tuple[AggregateRow, ...]) -> str:
     return _csv("domain,pct,noise,method,n,time_mean_s,acc_pct,spread_mean", ([
-        a.domain, a.pct, a.noise, a.method, a.n, f"{a.time_mean_s:.4f}",
+        a.domain, a.pct, a.noise, a.method, a.n,
+        "" if a.time_mean_s is None else f"{a.time_mean_s:.4f}",
         "" if a.accuracy is None else f"{100 * a.accuracy:.2f}", f"{a.spread_mean:.2f}",
     ] for a in aggs))
 
@@ -386,8 +387,9 @@ def format_aggregate_table(aggs: tuple[AggregateRow, ...]) -> str:
     lines = [header, "-" * len(header)]
     for a in aggs:
         acc = "" if a.accuracy is None else f"{100 * a.accuracy:.1f}"
+        mean = "" if a.time_mean_s is None else f"{a.time_mean_s:.3f}"
         lines.append(f"{a.domain:<12} {a.pct:>5} {a.noise:>5} {a.method:<8} {a.n:>4} "
-                     f"{a.time_mean_s:>8.3f} {acc:>7} {a.spread_mean:>7.2f}")
+                     f"{mean:>8} {acc:>7} {a.spread_mean:>7.2f}")
     return "\n".join(lines)
 
 

@@ -5,7 +5,10 @@ arguments of each solve, so one LP is solved again under other floors or
 from another start. Each LP compiles its rows once, on first use, into
 sparse arrays (``LinearProgram.compiled``): the nonzeros of [A | -I] by
 row, A's terms as written and then the m entries -1 of -I, so that A's
-alone are a prefix of them; and A's by column.
+alone are a prefix of them; and A's by column. What every solve of an LP
+shares is derived once, on first use, and read-only: its objective over
+the n + m columns (``cost``) and the dual's cost perturbation
+(``perturbation``).
 
 The built-in solver is one revised dual simplex (float64, tolerance 1e-7) on
 the rows A y >= b, written A y - s = b over the columns [A | -I] with a
@@ -34,8 +37,10 @@ A solve starts from one of three bases, by its ``start`` argument:
 * warm (a ``Basis``): an optimal basis of an LP over the same rows, as the
   base LP's is for its h_hc solve; a basis of other rows is a ValueError.
   The reduced costs depend only on the basis, the rows and the objective,
-  not on b or the floors, so a basis derives them once (``Basis.priced``)
-  and every solve of its own LP that starts from it copies them.
+  not on b or the floors, so a basis derives them once, clamped as below
+  and with whether the clamp moved one (``Basis.priced``), and its columns
+  as an array (``Basis.basic``); every solve of its own LP that starts from
+  it copies them.
 
 Negative reduced costs are clamped to 0, and at the first degenerate dual
 ratio test each nonbasic reduced cost gets a fixed perturbation; a perturbed
@@ -87,11 +92,18 @@ class Basis:
     lp: LinearProgram
 
     @cached_property
-    def priced(self) -> np.ndarray:
-        """The reduced costs of ``lp``'s objective at this basis, read-only."""
-        d = _reduced_costs(self.lp.compiled, np.array(self.columns), self.inverse, _cost(self.lp))
-        d.setflags(write=False)
-        return d
+    def basic(self) -> np.ndarray:
+        """``columns`` as an array, read-only."""
+        return _read_only(np.array(self.columns))
+
+    @cached_property
+    def priced(self) -> tuple[np.ndarray, bool]:
+        """The reduced costs of ``lp``'s objective at this basis, clamped at 0
+        and read-only, and whether any was below -EPS (see ``_clamp``): the
+        first pricing of every solve of ``lp`` that starts here."""
+        d = _reduced_costs(self.lp.compiled, self.basic, self.inverse, self.lp.cost)
+        clamped = _clamp(d)
+        return _read_only(d), clamped
 
 
 class CompiledRows(NamedTuple):
@@ -100,14 +112,15 @@ class CompiledRows(NamedTuple):
     i, column n + i, -1). ``row``, ``col`` and ``data`` are A's alone, prefix
     views of those; ``rhs`` is b. Then A's nonzeros in column-major order:
     column j's rows and values are ``col_rows[s:e]`` and ``col_data[s:e]``
-    for s, e = ``col_start[j:j + 2]``."""
+    for s, e = ``col_start[j:j + 2]``, ints, which index faster than an
+    array's elements."""
     row: np.ndarray
     col: np.ndarray
     data: np.ndarray
     rhs: np.ndarray
     col_rows: np.ndarray
     col_data: np.ndarray
-    col_start: np.ndarray
+    col_start: tuple[int, ...]
     aug_row: np.ndarray
     aug_col: np.ndarray
     aug_data: np.ndarray
@@ -139,8 +152,7 @@ def compile_rows(num_vars: int, constraints: Sequence[LinearConstraint]) -> Comp
     aug_data = np.concatenate((terms[:, 1], np.full(m, -1.0)))
     row, col, data = aug_row[:nnz], aug_col[:nnz], aug_data[:nnz]
     by_col = col.argsort(kind="stable")
-    col_start = np.zeros(num_vars + 1, dtype=np.intp)
-    col_start[1:] = np.bincount(col, minlength=num_vars).cumsum()
+    col_start = (0, *np.bincount(col, minlength=num_vars).cumsum().tolist())
     return CompiledRows(row, col, data, np.array([r.rhs for r in constraints], float),
                         row[by_col], data[by_col], col_start, aug_row, aug_col, aug_data)
 
@@ -177,6 +189,21 @@ class LinearProgram:
         """The rows compiled, once per LP."""
         return compile_rows(self.num_vars, self.constraints)
 
+    @cached_property
+    def cost(self) -> np.ndarray:
+        """The objective over all n + m columns of [A | -I], read-only: the
+        surplus columns cost 0."""
+        cost = np.zeros(self.num_vars + len(self.constraints))
+        cost[:self.num_vars] = self.objective
+        return _read_only(cost)
+
+    @cached_property
+    def perturbation(self) -> np.ndarray:
+        """The dual's cost perturbation of each of the n + m columns, read-only:
+        ``PERTURB`` times a factor in [1, 2), distinct across columns."""
+        columns = np.arange(self.num_vars + len(self.constraints))
+        return _read_only(PERTURB * (1.0 + (columns * _GOLDEN) % 1.0))
+
 
 @dataclass(frozen=True)
 class LpOutcome:
@@ -192,9 +219,10 @@ class LpOutcome:
         return INFEASIBLE if self.value is None else OPTIMAL
 
 
-def _cost(lp: LinearProgram) -> np.ndarray:
-    """The objective over all n + m columns of [A | -I]: the surplus columns cost 0."""
-    return np.concatenate((lp.objective, np.zeros(len(lp.constraints))))
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only."""
+    a.setflags(write=False)
+    return a
 
 
 def _reduced_costs(rows: CompiledRows, basis: np.ndarray, inverse: np.ndarray,
@@ -204,6 +232,14 @@ def _reduced_costs(rows: CompiledRows, basis: np.ndarray, inverse: np.ndarray,
     d = cost - np.bincount(rows.aug_col, y[rows.aug_row] * rows.aug_data, len(cost))
     d[basis] = 0.0
     return d
+
+
+def _clamp(d: np.ndarray) -> bool:
+    """Set the negative reduced costs in ``d`` to 0; whether any was below -EPS,
+    which leaves the dual's optimum to a primal phase 2 on the true costs."""
+    clamped = bool(d.min() < -EPS)
+    np.maximum(d, 0.0, out=d)
+    return clamped
 
 
 def _floors(num_vars: int, lower: Iterable[tuple[int, int]]) -> np.ndarray:
@@ -225,11 +261,10 @@ class _Revised:
 
     d: np.ndarray
 
-    def __init__(self, rows: CompiledRows, n: int, basis: np.ndarray, bx: np.ndarray):
-        self.rows, self.n, self.m = rows, n, len(basis)
+    def __init__(self, lp: LinearProgram, basis: np.ndarray, bx: np.ndarray):
+        self.lp, self.rows, self.n, self.m = lp, lp.compiled, lp.num_vars, len(basis)
         self.basis, self.bx = basis, bx
         self.x = bx[:, -1]  # a view: pivots update it with B^-1
-        self.col_start = rows.col_start.tolist()
         self.pivots = 0
 
     def failure(self, what: str, note: str = "") -> SolverFailure:
@@ -255,8 +290,9 @@ class _Revised:
         n = self.n
         if q >= n:
             return -self.bx[:, q - n]
-        s, e = self.col_start[q], self.col_start[q + 1]
-        return self.bx[:, self.rows.col_rows[s:e]] @ self.rows.col_data[s:e]
+        rows = self.rows
+        s, e = rows.col_start[q], rows.col_start[q + 1]
+        return self.bx[:, rows.col_rows[s:e]] @ rows.col_data[s:e]
 
     def pivot(self, r: int, q: int, line: np.ndarray, column: np.ndarray) -> None:
         """Enter column ``q`` on row ``r``, given ``row(r)`` and ``column(q)``;
@@ -344,8 +380,7 @@ def _dual(state: _Revised) -> tuple[str, bool]:
         best = float(ratios[ratios.argmax()])
         if best > -DEGENERATE_TOL and not perturbed:
             perturbed = True
-            # A factor in [1, 2) per column, distinct across columns.
-            d += PERTURB * (1.0 + (np.arange(len(d)) * _GOLDEN) % 1.0)
+            d += state.lp.perturbation
             d[state.basis] = 0.0
             ratios = d[eligible]
             ratios /= line[eligible]
@@ -390,33 +425,36 @@ def _crash(bx: np.ndarray, rows: CompiledRows, n: int, columns: Sequence[int]) -
             bx[:, at[t]] -= data[t] * bx[:, row[t]]
 
 
-def _start(lp: LinearProgram, start: Basis | tuple[int, ...], b: np.ndarray,
-           cost: np.ndarray) -> tuple[_Revised, bool]:
-    """The priced state a solve of ``lp`` starts from, and whether it is warm:
-    ``start`` when it is a basis, which must be one of an LP over
-    ``lp.constraints`` (else ValueError), else the crash it names (the
-    all-surplus basis when it names no column). A start from a basis of ``lp``
-    itself copies ``Basis.priced``; any other start prices ``cost``."""
+def _start(lp: LinearProgram, start: Basis | tuple[int, ...], b: np.ndarray
+           ) -> tuple[_Revised, bool, bool]:
+    """The state a solve of ``lp`` starts from, priced and clamped, whether it
+    is warm and whether the clamp moved a cost (see ``_clamp``): ``start``
+    when it is a basis, which must be one of an LP over ``lp.constraints``
+    (else ValueError), else the crash it names (the all-surplus basis when it
+    names no column). A start from a basis of ``lp`` itself copies
+    ``Basis.priced``; any other start prices ``lp.cost``."""
     n, m = lp.num_vars, len(b)
-    rows = lp.compiled
-    bx = np.zeros((m, m + 1))
     warm = isinstance(start, Basis)
     if warm:
         if start.lp.constraints is not lp.constraints and start.lp.constraints != lp.constraints:
             raise ValueError("warm start from a basis of other rows")
-        basis = np.array(start.columns)
+        bx = np.empty((m, m + 1))
         bx[:, :-1] = start.inverse
+        basis = start.basic.copy()
     else:
-        _crash(bx, rows, n, start)
+        bx = np.zeros((m, m + 1))
+        _crash(bx, lp.compiled, n, start)
         basis = np.arange(n, n + m)
         basis[:len(start)] = start
-    bx[:, -1] = bx[:, :-1] @ b
-    state = _Revised(rows, n, basis, bx)
+    np.matmul(bx[:, :-1], b, out=bx[:, -1])
+    state = _Revised(lp, basis, bx)
     if warm and start.lp is lp:
-        state.d = start.priced.copy()
+        d, clamped = start.priced
+        state.d = d.copy()
     else:
-        state.price(cost)
-    return state, warm
+        state.price(lp.cost)
+        clamped = _clamp(state.d)
+    return state, warm, clamped
 
 
 def solve_lp(lp: LinearProgram, *, lower: Iterable[tuple[int, int]] = (),
@@ -425,8 +463,7 @@ def solve_lp(lp: LinearProgram, *, lower: Iterable[tuple[int, int]] = (),
     from ``start`` (see ``LinearProgram``); an unbounded LP, a stalled dual and
     pivot ``PIVOT_CAP + 1`` raise SolverFailure."""
     n, m = lp.num_vars, len(lp.constraints)
-    cost = _cost(lp)
-    c = cost[:n]
+    c = lp.cost[:n]
     k = _floors(n, lower)
     if m == 0:
         if n and c.min() < 0:
@@ -434,22 +471,20 @@ def solve_lp(lp: LinearProgram, *, lower: Iterable[tuple[int, int]] = (),
         return LpOutcome(float(c @ k), tuple(k.tolist()))
     rows = lp.compiled
     b = rows.rhs - np.bincount(rows.row, weights=rows.data * k[rows.col], minlength=m)
-    state, warm = _start(lp, start, b, cost)
-    clamped = state.d.min() < -EPS
-    np.maximum(state.d, 0.0, out=state.d)
+    state, warm, clamped = _start(lp, start, b)
     status, perturbed = _dual(state)
     if status == INFEASIBLE:
         return LpOutcome(pivots=state.pivots, warm=warm)
     if clamped or perturbed:
-        state.price(cost)
+        state.price(lp.cost)
         _primal(state)
     x = np.zeros(n + m)
     x[state.basis] = state.x
-    counts = np.maximum(x[:n], 0.0) + k
-    inverse = state.bx[:, :-1]
-    inverse.setflags(write=False)
+    counts = x[:n]
+    np.maximum(counts, 0.0, out=counts)
+    counts += k
     return LpOutcome(float(c @ counts), tuple(counts.tolist()), state.pivots, warm,
-                     Basis(tuple(state.basis.tolist()), inverse, lp))
+                     Basis(tuple(state.basis.tolist()), _read_only(state.bx[:, :-1]), lp))
 
 
 def _scipy_backend(lp: LinearProgram, *, lower: Iterable[tuple[int, int]] = (),

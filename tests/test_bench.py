@@ -4,7 +4,7 @@ import random
 import pytest
 
 from ocgr import lp
-from ocgr.bench import (SuiteSpec, _witness_plan, format_rows,
+from ocgr.bench import (SuiteSpec, _witness_plan, format_aggregate_table, format_rows,
                         generate_problem, generated_problems, inject_noise,
                         load_manifest, materialize_suite, run_suite,
                         sample_observations, stable_seed, write_suite_outputs)
@@ -285,6 +285,24 @@ def test_a_failed_solve_is_an_error_row_of_each_method(tmp_path, monkeypatch):
         aggregates = list(csv.DictReader(fh))
     assert len(aggregates) == 2 * 2 * 4  # families * levels * methods
     assert all(a["n"] == "1" and a["acc_pct"] == "" for a in aggregates)
+
+
+def test_an_all_error_group_has_no_mean_time(tmp_path, monkeypatch):
+    """A group whose every row is an error has no time to average: its
+    ``time_mean_s`` is empty in aggregate.csv and blank in the table."""
+    def broken(prog, **solve):
+        raise SolverFailure("injected failure")
+
+    monkeypatch.setitem(lp.BACKENDS, "broken-test", broken)
+    spec = _tiny_spec(families=("grid",), per_family=1, observability=(100,),
+                      methods=("delta-u",), timings=True, backend="broken-test")
+    result = run_suite(spec)
+    assert [a.time_mean_s for a in result.aggregates] == [None]
+    _, agg_path = write_suite_outputs(result, tmp_path / "out", spec)
+    assert agg_path.read_text() == ("domain,pct,noise,method,n,time_mean_s,acc_pct,spread_mean\n"
+                                    "grid,100,0,delta-u,1,,,0.00\n")
+    assert format_aggregate_table(result.aggregates).splitlines()[-1] == \
+        "grid           100     0 delta-u     1                     0.00"
 
 
 def test_materialize_suite_writes_generated_problems_only(tmp_path):

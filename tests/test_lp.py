@@ -343,50 +343,134 @@ def test_a_basis_starts_only_an_lp_over_its_own_rows():
 
 
 def _warm_state(lp, lower, start):
-    """The priced state, and the costs, a solve of ``lp`` under ``lower``
-    starts from when ``start`` is a basis, built as ``solve_lp`` builds them."""
+    """The priced and clamped state, and the costs, a solve of ``lp`` under
+    ``lower`` starts from when ``start`` is a basis, built as ``solve_lp``
+    builds them; no cost is clamped."""
     rows, k = lp.compiled, lp_mod._floors(lp.num_vars, lower)
     b = rows.rhs - np.bincount(rows.row, weights=rows.data * k[rows.col], minlength=len(rows.rhs))
     cost = np.zeros(lp.num_vars + len(b))
     cost[:lp.num_vars] = lp.objective
-    state, warm = lp_mod._start(lp, start, b, cost)
-    assert warm
+    state, warm, clamped = lp_mod._start(lp, start, b)
+    assert warm and not clamped
     return state, cost
 
 
 def _fresh_price(lp, basis, cost):
+    """The reduced costs of ``cost`` at ``basis``, priced by a new state and clamped."""
     bx = np.zeros((len(basis.columns), len(basis.columns) + 1))
     bx[:, :-1] = basis.inverse
-    state = lp_mod._Revised(lp.compiled, lp.num_vars, np.array(basis.columns), bx)
+    state = lp_mod._Revised(lp, np.array(basis.columns), bx)
     state.price(cost)
+    lp_mod._clamp(state.d)
     return state.d
 
 
 def test_warm_starts_copy_the_first_pricing_bit_for_bit():
     """Warm starts of a basis's own LP, whatever their floors, start from its
-    ``priced``, bit for bit a fresh ``_Revised.price`` also when read before
-    any start; another objective prices again. An outcome's B^-1 and the
-    basis's reduced costs are read-only."""
+    ``priced``, bit for bit a fresh ``_Revised.price`` clamped also when read
+    before any start; another objective prices again. An outcome's B^-1 and
+    the basis's columns and reduced costs are read-only."""
     b = bundle_from_texts(open_grid_bundle(10), require_obs=False)
     task = b.task
     for goal in b.hyps.goals:
         base = LinearProgram.from_constraints(base_constraints(task, goal), task.costs)
         basis = solve_lp(base).basis
         cost = np.concatenate((base.objective, np.zeros(len(base.constraints))))
-        assert basis.priced.tobytes() == _fresh_price(base, basis, cost).tobytes()
+        assert basis.priced[0].tobytes() == _fresh_price(base, basis, cost).tobytes()
+        assert basis.priced[1] is False
         assert not basis.inverse.flags.writeable
         with pytest.raises(ValueError):
             basis.inverse[0, 0] = 1.0
+        assert basis.basic.tolist() == list(basis.columns) and not basis.basic.flags.writeable
         doubled = replace(base, objective=tuple(2.0 * c for c in base.objective))
         for lp, lower in [(base, floors) for floors in ((), ((0, 1),), ((3, 2), (5, 1)))] + [
                 (doubled, ())]:
             state, cost = _warm_state(lp, lower, basis)
             assert state.d.tobytes() == _fresh_price(lp, basis, cost).tobytes()
-            d = basis.priced
+            d, _ = basis.priced
             assert basis.lp is base and (state.d.tobytes() == d.tobytes()) == (lp is base)
             assert state.d is not d and not d.flags.writeable
             alone = Basis(basis.columns, basis.inverse, basis.lp)
             assert solve_lp(lp, lower=lower, start=basis) == solve_lp(lp, lower=lower, start=alone)
+
+
+def _outcome_bytes(out):
+    """All of ``out``, bit for bit: status, pivots, start, value, counts,
+    basis columns and the bytes of B^-1."""
+    h = hashlib.sha256()
+    _hash_outcome(h, out)
+    if out.basis is not None:
+        h.update(np.ascontiguousarray(out.basis.inverse).tobytes())
+    return h.hexdigest()
+
+
+def _solves(lp, lower):
+    """The solves recognition makes of ``lp`` and more: from its landmark
+    crash, warm from that optimum under no floors and under ``lower``, and
+    from the all-surplus basis; their outcomes."""
+    base = solve_lp(lp, start=_crash_of(lp))
+    return [base, solve_lp(lp, start=base.basis), solve_lp(lp, lower=lower, start=base.basis),
+            solve_lp(lp, lower=lower)]
+
+
+def _suite_lps():
+    """Each goal's base LP of the four families (seed 3), with the floors of
+    the hidden goal's observations at level 70."""
+    spec = SuiteSpec(families=("grid", "blocks", "logistics", "corridor"), per_family=2,
+                     seed=3, observability=(70,))
+    out = []
+    for p in generated_problems(spec):
+        for goal in p.hyps.goals:
+            try:
+                rows = base_constraints(p.task, goal)
+            except GoalUnreachable:
+                continue
+            out.append((LinearProgram.from_constraints(rows, p.task.costs),
+                        tuple(p.obs.counts.items())))
+    return out
+
+
+def test_derived_arrays_are_read_only_and_no_solve_writes_them():
+    """An LP's cost vector over [A | -I] and perturbation, and a basis's
+    columns and first pricing are derived once and read-only, and the
+    compiled column starts are a tuple of ints; warm, crash, all-surplus and
+    perturbed solves leave their bytes as they were. The perturbation is the
+    dual's fixed formula, bit for bit."""
+    lps = _suite_lps()
+    # Zero costs make every dual ratio 0, so the dual perturbs.
+    lps.append((_lp(3, [0, 0, 0], [([(0, 1), (1, 1)], 1), ([(1, 1), (2, 1)], 1)]), ((2, 1),)))
+    for lp, lower in lps:
+        n, m = lp.num_vars, len(lp.constraints)
+        first = _solves(lp, lower)
+        basis = first[0].basis
+        derived = {"cost": lp.cost, "perturbation": lp.perturbation, "basic": basis.basic,
+                   "priced": basis.priced[0]}
+        before = {name: a.tobytes() for name, a in derived.items()}
+        col_start = lp.compiled.col_start
+        for a in derived.values():
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        assert lp.cost.tobytes() == np.concatenate((lp.objective, np.zeros(m))).tobytes()
+        assert lp.perturbation.tobytes() == \
+            (1e-6 * (1.0 + (np.arange(n + m) * 0.6180339887498949) % 1.0)).tobytes()
+        assert type(col_start) is tuple and all(type(s) is int for s in col_start)
+        again = _solves(lp, lower)
+        assert [_outcome_bytes(o) for o in again] == [_outcome_bytes(o) for o in first]
+        assert {name: a.tobytes() for name, a in derived.items()} == before
+        assert lp.compiled.col_start is col_start and lp.cost is derived["cost"]
+    assert solve_lp(lps[-1][0]).pivots > 0 and "perturbation" in vars(lps[-1][0])
+
+
+def test_a_fresh_lp_solves_as_a_used_one():
+    """An LP equal to one already solved, with none of its derived arrays
+    built yet, gives the same outcomes bit for bit, B^-1 included."""
+    for lp, lower in _suite_lps():
+        _solves(lp, lower)
+        used = [_outcome_bytes(o) for o in _solves(lp, lower)]
+        fresh = LinearProgram(lp.objective, lp.constraints)
+        assert fresh == lp and not {"compiled", "cost", "perturbation"} & set(vars(fresh))
+        assert [_outcome_bytes(o) for o in _solves(fresh, lower)] == used
 
 
 def _dense_reference(lp):
@@ -429,13 +513,12 @@ def test_compiled_rows_scatter_back_to_the_dense_rows():
         by_col, by_col_row = ref_a.T.nonzero()
         assert rows.col_rows.tolist() == by_col_row.tolist()
         assert rows.col_data.tobytes() == ref_a[by_col_row, by_col].tobytes()
-        assert rows.col_start.tolist() == by_col.searchsorted(np.arange(lp.num_vars + 1)).tolist()
+        assert list(rows.col_start) == by_col.searchsorted(np.arange(lp.num_vars + 1)).tolist()
     # the hand LP's terms as written, the empty row storing none
     rows = compile_rows(4, lps[0].constraints)
     assert (rows.row.tolist(), rows.col.tolist(), rows.data.tolist()) == (
         [0, 1, 1, 2, 2, 4], [0, 1, 2, 1, 3, 2], [3.0, 1.0, -1.0, 2.0, -2.0, 1.0])
-    assert (rows.col_rows.tolist(), rows.col_start.tolist()) == ([0, 1, 2, 1, 4, 2],
-                                                                 [0, 1, 3, 5, 6])
+    assert (rows.col_rows.tolist(), rows.col_start) == ([0, 1, 2, 1, 4, 2], (0, 1, 3, 5, 6))
 
 
 @pytest.mark.parametrize("backend", ["simplex", "scipy"])
@@ -610,10 +693,10 @@ def test_recognition_starts_every_simplex_solve_dual_feasible(monkeypatch):
     starts = []
     real = lp_mod._start
 
-    def spy(lp, start, b, cost):
-        state, warm = real(lp, start, b, cost)
-        starts.append((warm, float(state.d.min())))
-        return state, warm
+    def spy(lp, start, b):
+        state, warm, clamped = real(lp, start, b)
+        starts.append((warm, clamped))
+        return state, warm, clamped
 
     monkeypatch.setattr(lp_mod, "_start", spy)
     for seed in (1, 2, 3):
@@ -628,7 +711,7 @@ def test_recognition_starts_every_simplex_solve_dual_feasible(monkeypatch):
         for k in range(0, n, 3):
             recognize(bundle.task, bundle.hyps, ObservationSequence(tuple(walks[:k])))
     assert sum(warm for warm, _ in starts) > 500 and sum(not warm for warm, _ in starts) > 40
-    assert min(d for _, d in starts) >= -lp_mod.EPS
+    assert not any(clamped for _, clamped in starts)
 
 
 class _BaseCase(NamedTuple):
@@ -694,11 +777,12 @@ def test_landmark_crash_starts_dual_feasible_at_the_cut_minima():
         rows = lp.compiled
         m = len(lp.constraints)
         cost = np.concatenate([lp.objective, np.zeros(m)])
-        state, warm = lp_mod._start(lp, crash, rows.rhs, cost)
-        assert not warm and state.basis[:size].tolist() == list(crash)
+        state, warm, clamped = lp_mod._start(lp, crash, rows.rhs)
+        assert not warm and not clamped and state.basis[:size].tolist() == list(crash)
         a, _ = _dense_reference(lp)
         basic = np.hstack([a, -np.eye(m)])[:, state.basis]
         assert np.abs(state.bx[:, :-1] @ basic - np.eye(m)).max() <= 1e-9
+        state.price(cost)  # as priced, before the clamp
         assert state.d.min() >= -1e-9
         duals = cost[state.basis] @ state.bx[:, :-1]
         assert np.abs(duals - np.array(minima + (0,) * (m - size))).max() <= 1e-9

@@ -675,7 +675,7 @@ def test_memo_holds_no_dense_matrix():
         m, n = len(lp.constraints), lp.num_vars
         arrays = list(_arrays((lp, out), set()))
         assert out.basis is not None and lp.compiled is not None and len(arrays) >= 5
-        assert any(a is out.basis.priced for a in arrays)
+        assert any(a is out.basis.priced[0] for a in arrays)
         assert max(a.size for a in arrays) < m * n
 
 
