@@ -38,17 +38,16 @@ A solve starts from one of three bases, by its ``start`` argument:
   base LP's is for its h_hc solve; a basis of other rows is a ValueError.
   The reduced costs depend only on the basis, the rows and the objective,
   not on b or the floors, so a basis derives them once, clamped as below
-  and with whether the clamp moved one (``Basis.priced``), and its columns
-  as an array (``Basis.basic``); every solve of its own LP that starts from
-  it copies them.
+  and with whether the clamp moved one (``Basis.priced``); every solve of
+  its own LP that starts from it copies them and the basis's columns.
 
 Negative reduced costs are clamped to 0, and at the first degenerate dual
 ratio test each nonbasic reduced cost gets a fixed perturbation; a perturbed
 dual that makes 2*(m+n) degenerate pivots in a row has stalled. If the costs
-were clamped or perturbed, a primal phase 2 on the true costs (Bland's rule
-after 2*(m+n) degenerate pivots) finishes the solve. An outcome is the
-optimum with its basis (the basic column of each row and the solve's own
-B^-1, read-only), or no value if the LP is infeasible; a stalled dual, an
+were clamped or perturbed, a primal phase 2 on the true costs, pivoting by
+Bland's rule, finishes the solve. An outcome is the optimum with its basis
+(the solve's own array of the basic column of each row and its own B^-1,
+both read-only), or no value if the LP is infeasible; a stalled dual, an
 unbounded LP and a solve that would pivot more than ``PIVOT_CAP`` times, in
 both phases together, raise SolverFailure with the LP's size.
 
@@ -87,21 +86,16 @@ class Basis:
     each row (j < n is Y_j, n + i the surplus of row i) and B^-1 over the
     columns [A | -I]."""
 
-    columns: tuple[int, ...]
+    columns: np.ndarray  # m, read-only
     inverse: np.ndarray  # m x m, read-only
     lp: LinearProgram
-
-    @cached_property
-    def basic(self) -> np.ndarray:
-        """``columns`` as an array, read-only."""
-        return _read_only(np.array(self.columns))
 
     @cached_property
     def priced(self) -> tuple[np.ndarray, bool]:
         """The reduced costs of ``lp``'s objective at this basis, clamped at 0
         and read-only, and whether any was below -EPS (see ``_clamp``): the
         first pricing of every solve of ``lp`` that starts here."""
-        d = _reduced_costs(self.lp.compiled, self.basic, self.inverse, self.lp.cost)
+        d = _reduced_costs(self.lp.compiled, self.columns, self.inverse, self.lp.cost)
         clamped = _clamp(d)
         return _read_only(d), clamped
 
@@ -316,39 +310,25 @@ class _Revised:
 
 
 def _degenerate_limit(m: int, n: int) -> int:
-    """Degenerate pivots in a row before Bland's rule engages in phase 2 or
-    the perturbed dual counts as stalled."""
+    """Degenerate pivots in a row after which the perturbed dual counts as stalled."""
     return 2 * (m + n)
 
 
 def _primal(state: _Revised) -> None:
-    """Primal simplex to optimality on the reduced costs d; an unbounded ray raises."""
-    bland_after = _degenerate_limit(state.m, state.n)
-    degenerate = 0
-    bland = False
-    while True:
-        costs = state.d
-        if bland:
-            neg = (costs < -EPS).nonzero()[0]
-            if neg.size == 0:
-                return
-            q = int(neg[0])
-        else:
-            q = int(costs.argmin())
-            if costs[q] >= -EPS:
-                return
+    """Primal simplex to optimality on the reduced costs d by Bland's rule, which
+    cannot cycle: enter the lowest-index column whose reduced cost is below -EPS
+    and leave on the lowest basic column among the ratio test's ties; an
+    unbounded ray raises."""
+    d, x = state.d, state.x  # pivots update them in place
+    while d.min() < -EPS:
+        q = int((d < -EPS).argmax())
         column = state.column(q)
         eligible = (column > PIVOT_TOL).nonzero()[0]
         if eligible.size == 0:
             raise state.failure("phase 2 found the LP unbounded")
-        ratios = state.x[eligible] / column[eligible]
-        best = ratios.min()
-        tied = eligible[(ratios <= best + DEGENERATE_TOL).nonzero()[0]]
+        ratios = x[eligible] / column[eligible]
+        tied = eligible[(ratios <= ratios.min() + DEGENERATE_TOL).nonzero()[0]]
         r = int(tied[state.basis[tied].argmin()])
-        if best < DEGENERATE_TOL:
-            degenerate += 1
-            if degenerate > bland_after:
-                bland = True
         state.pivot(r, q, state.row(r), column)
 
 
@@ -440,7 +420,7 @@ def _start(lp: LinearProgram, start: Basis | tuple[int, ...], b: np.ndarray
             raise ValueError("warm start from a basis of other rows")
         bx = np.empty((m, m + 1))
         bx[:, :-1] = start.inverse
-        basis = start.basic.copy()
+        basis = start.columns.copy()
     else:
         bx = np.zeros((m, m + 1))
         _crash(bx, lp.compiled, n, start)
@@ -484,7 +464,7 @@ def solve_lp(lp: LinearProgram, *, lower: Iterable[tuple[int, int]] = (),
     np.maximum(counts, 0.0, out=counts)
     counts += k
     return LpOutcome(float(c @ counts), tuple(counts.tolist()), state.pivots, warm,
-                     Basis(tuple(state.basis.tolist()), _read_only(state.bx[:, :-1]), lp))
+                     Basis(_read_only(state.basis), _read_only(state.bx[:, :-1]), lp))
 
 
 def _scipy_backend(lp: LinearProgram, *, lower: Iterable[tuple[int, int]] = (),

@@ -176,18 +176,24 @@ def test_pivot_cap_names_pivots_size_and_scipy(monkeypatch):
                                   "try --backend scipy")
 
 
-def test_pivot_cap_counts_both_phases_of_a_solve(monkeypatch):
-    """One dual pivot brings y0 to its floor, then the clamped cost of y1
-    takes one phase-2 pivot: a cap of 2 lets the solve finish, a cap of 1
-    stops it in phase 2, though neither phase alone pivots more than once."""
-    real, phase_two = lp_mod._primal, []
+def _phase_two_pivots(monkeypatch):
+    """A list to which each primal phase 2 from now on appends its pivot count."""
+    real, counts = lp_mod._primal, []
 
     def primal(state):
         before = state.pivots
         real(state)
-        phase_two.append(state.pivots - before)
+        counts.append(state.pivots - before)
 
     monkeypatch.setattr(lp_mod, "_primal", primal)
+    return counts
+
+
+def test_pivot_cap_counts_both_phases_of_a_solve(monkeypatch):
+    """One dual pivot brings y0 to its floor, then the clamped cost of y1
+    takes one phase-2 pivot: a cap of 2 lets the solve finish, a cap of 1
+    stops it in phase 2, though neither phase alone pivots more than once."""
+    phase_two = _phase_two_pivots(monkeypatch)
     prog = _lp(2, [1, -1], [([(0, 1)], 1), ([(1, -1)], -5)])
     monkeypatch.setattr(lp_mod, "PIVOT_CAP", 2)
     out = solve_lp(prog)
@@ -235,24 +241,17 @@ def _hash_outcome(h, out):
     """Feed ``out``'s status, pivots, start, value, basis columns and counts to
     ``h``, bit for bit."""
     value = "-" if out.value is None else out.value.hex()
-    columns = out.basis.columns if out.basis is not None else ()
+    columns = tuple(out.basis.columns.tolist()) if out.basis is not None else ()
     h.update(f"{out.status} {out.pivots} {out.warm} {value} {columns}\n".encode())
     h.update(np.array(out.counts or (), dtype=float).tobytes())
 
 
 def test_start_that_is_not_dual_feasible_still_reaches_the_optimum(monkeypatch):
     """A start optimal under other costs is clamped, then priced again. Nine
-    of these solves pivot in the primal phase 2, which no solve in
-    ``test_simplex_outcomes_are_pinned`` does, so every outcome here is
-    pinned bit for bit too."""
-    real, phase_two = lp_mod._primal, []
-
-    def primal(state):
-        before = state.pivots
-        real(state)
-        phase_two.append(state.pivots - before)
-
-    monkeypatch.setattr(lp_mod, "_primal", primal)
+    of these solves pivot in the primal phase 2, by Bland's rule, which no
+    solve in ``test_simplex_outcomes_are_pinned`` does: each still ends
+    where HiGHS does, and every outcome here is pinned bit for bit too."""
+    phase_two = _phase_two_pivots(monkeypatch)
     h = hashlib.sha256()
     rng = random.Random(5)
     spec = SuiteSpec(families=("grid", "blocks", "logistics", "corridor"), per_family=2,
@@ -275,56 +274,9 @@ def test_start_that_is_not_dual_feasible_still_reaches_the_optimum(monkeypatch):
             _hash_outcome(h, other)
             _hash_outcome(h, ours)
     assert infeasible_starts >= 5
-    assert (sum(p > 0 for p in phase_two), sum(phase_two)) == (9, 34)
+    assert (sum(p > 0 for p in phase_two), sum(phase_two)) == (9, 51)
     assert h.hexdigest() == \
-        "4ebd6c39114b5649648ab90eec7abc062e1ef62a9dcb24577847a74db9489fba"
-
-
-def test_blands_rule_in_phase_two_reaches_the_highs_optima(monkeypatch):
-    """The warm starts of the test above, with Bland's rule engaged in phase 2
-    from its first degenerate pivot (the dual's stall limit as it is): every
-    solve still ends where HiGHS does, and the Bland branch of ``_primal``
-    runs."""
-    real_primal, real_limit = lp_mod._primal, lp_mod._degenerate_limit
-    source, first = inspect.getsourcelines(real_primal)
-    bland_line = first + next(i for i, line in enumerate(source) if "neg = " in line)
-    bland_steps = []
-
-    def trace(frame, event, arg):
-        if frame.f_code is not real_primal.__code__:
-            return None
-        if event == "line" and frame.f_lineno == bland_line:
-            bland_steps.append(frame.f_lineno)
-        return trace
-
-    def primal(state):
-        monkeypatch.setattr(lp_mod, "_degenerate_limit", lambda m, n: 0)
-        outer = sys.gettrace()
-        sys.settrace(trace)
-        try:
-            real_primal(state)
-        finally:
-            sys.settrace(outer)
-            monkeypatch.setattr(lp_mod, "_degenerate_limit", real_limit)
-
-    monkeypatch.setattr(lp_mod, "_primal", primal)
-    rng = random.Random(5)
-    spec = SuiteSpec(families=("grid", "blocks", "logistics", "corridor"), per_family=2,
-                     seed=3, observability=(100,))
-    for problem in generated_problems(spec):
-        task = problem.task
-        for goal in problem.hyps.goals:
-            try:
-                cset = base_constraints(task, goal)
-            except GoalUnreachable:
-                continue
-            other_costs = [rng.choice((0, 1, 20)) for _ in task.costs]
-            other = solve_lp(LinearProgram.from_constraints(cset, other_costs))
-            lp = LinearProgram.from_constraints(cset, task.costs)
-            ours, ref = solve_lp(lp, start=other.basis), solve_with(lp, "scipy", start=other.basis)
-            assert ours.warm and ours.status == ref.status == "optimal"
-            assert abs(ours.value - ref.value) <= 1e-6
-    assert bland_steps
+        "4fb388f86122d752da890fc3f6906cbebcc75a86a72b860b73c9f79c904ba8f7"
 
 
 def test_a_basis_starts_only_an_lp_over_its_own_rows():
@@ -381,7 +333,7 @@ def test_warm_starts_copy_the_first_pricing_bit_for_bit():
         assert not basis.inverse.flags.writeable
         with pytest.raises(ValueError):
             basis.inverse[0, 0] = 1.0
-        assert basis.basic.tolist() == list(basis.columns) and not basis.basic.flags.writeable
+        assert not basis.columns.flags.writeable
         doubled = replace(base, objective=tuple(2.0 * c for c in base.objective))
         for lp, lower in [(base, floors) for floors in ((), ((0, 1),), ((3, 2), (5, 1)))] + [
                 (doubled, ())]:
@@ -443,7 +395,7 @@ def test_derived_arrays_are_read_only_and_no_solve_writes_them():
         n, m = lp.num_vars, len(lp.constraints)
         first = _solves(lp, lower)
         basis = first[0].basis
-        derived = {"cost": lp.cost, "perturbation": lp.perturbation, "basic": basis.basic,
+        derived = {"cost": lp.cost, "perturbation": lp.perturbation, "columns": basis.columns,
                    "priced": basis.priced[0]}
         before = {name: a.tobytes() for name, a in derived.items()}
         col_start = lp.compiled.col_start
@@ -689,7 +641,8 @@ def test_recognition_starts_every_simplex_solve_dual_feasible(monkeypatch):
     """Every start recognition gives the simplex, each base LP's landmark
     crash and each h_hc LP's warm basis, prices no reduced cost below -EPS,
     so none is clamped: on the four families (seeds 1-3) and the open 8-12
-    grids, at several prefixes of the observations."""
+    grids, at several prefixes of the observations. The primal phase 2 that
+    a perturbed dual leaves behind makes no pivot on any of these solves."""
     starts = []
     real = lp_mod._start
 
@@ -699,6 +652,7 @@ def test_recognition_starts_every_simplex_solve_dual_feasible(monkeypatch):
         return state, warm, clamped
 
     monkeypatch.setattr(lp_mod, "_start", spy)
+    phase_two = _phase_two_pivots(monkeypatch)
     for seed in (1, 2, 3):
         spec = SuiteSpec(families=("grid", "blocks", "logistics", "corridor"), per_family=1,
                          seed=seed, observability=(10, 30, 50, 70, 100))
@@ -712,6 +666,7 @@ def test_recognition_starts_every_simplex_solve_dual_feasible(monkeypatch):
             recognize(bundle.task, bundle.hyps, ObservationSequence(tuple(walks[:k])))
     assert sum(warm for warm, _ in starts) > 500 and sum(not warm for warm, _ in starts) > 40
     assert not any(clamped for _, clamped in starts)
+    assert len(phase_two) > 100 and not any(phase_two)
 
 
 class _BaseCase(NamedTuple):
