@@ -24,12 +24,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .constraints import ALL_FAMILIES
-from .errors import CapExceeded, GoalUnreachable, OcgrError
+from .errors import CapExceeded, GoalUnreachable, OcgrError, check_name
 from .generators import GENERATORS, write_bundle
 from .grounding import PlanningTask, relaxed_reachable
 from .inputs import GoalHypotheses, ObservationSequence, bundle_from_texts, load_bundle
 from .oracle import Plan, optimal_cost, validate_plan
-from .recognition import METHOD_DELTA_U, RecognizerConfig, check_method, score_all, select
+from .recognition import METHOD_DELTA_U, SELECTION_RULES, RecognizerConfig, score_all, select
 
 CLEAN_LEVELS = (10, 30, 50, 70, 100)
 NOISY_LEVELS = (25, 50, 75, 100)
@@ -60,7 +60,7 @@ class SuiteSpec:
             return self.observability
         return NOISY_LEVELS if self.noise_count > 0 else CLEAN_LEVELS
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.levels():
             raise ValueError("observability must list at least one level")
         if not self.methods:
@@ -87,11 +87,9 @@ class SuiteSpec:
             raise ValueError(f"suboptimal_fraction {self.suboptimal_fraction} outside [0, 1]")
         RecognizerConfig(self.constraint_families, self.backend)  # checks backend and families
         for m in self.methods:
-            check_method(m)
+            check_name("method", m, SELECTION_RULES)
         for f in self.families:
-            if f not in GENERATORS:
-                raise ValueError(f"unknown generator family '{f}' "
-                                 f"(choose from {', '.join(sorted(GENERATORS))})")
+            check_name("generator family", f, GENERATORS)
         if not self.bundles and not self.families:
             raise ValueError("suite lists neither bundles nor generator families")
 
@@ -300,7 +298,6 @@ def generated_problems(spec: SuiteSpec) -> list[RecognitionProblem]:
     plan is a witness plan for its hidden goal, detoured on a
     ``suboptimal_fraction`` share of the indices.
     """
-    spec.validate()
     return [generate_problem(b.task, b.hyps, pct, spec.noise_count,
                              seed=stable_seed(*seed_parts, pct), plan=plan,
                              domain_name=domain, problem_id=problem_id, files=files)
@@ -332,7 +329,7 @@ def _evaluate(problem: RecognitionProblem, spec: SuiteSpec, config: RecognizerCo
 
 
 def run_suite(spec: SuiteSpec) -> SuiteResult:
-    problems = generated_problems(spec)  # validates spec first
+    problems = generated_problems(spec)
     config = RecognizerConfig(spec.constraint_families, spec.backend)
     rows = [row for p in problems for row in _evaluate(p, spec, config)]
     rows.sort(key=lambda r: (r.domain, r.problem_id, r.pct, r.noise, r.method))

@@ -16,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .constraints import ALL_FAMILIES, dump_constraints
-from .errors import GoalUnreachable, OcgrError, PddlParseError, SolverFailure
+from .errors import GoalUnreachable, OcgrError, SolverFailure
 from .inputs import BUNDLE_FILES, Bundle, bundle_from_texts, load_bundle
 from .lp import OPTIMAL, LinearProgram
 from .oracle import optimal_cost
@@ -45,12 +45,12 @@ def _load_inputs(args: argparse.Namespace, *, need_obs: bool = True) -> Bundle:
     if args.bundle:
         given = [flag for flag, path in paths.items() if path]
         if given:
-            raise PddlParseError(f"--bundle reads its own files; drop --{', --'.join(given)}")
+            raise ValueError(f"--bundle reads its own files; drop --{', --'.join(given)}")
         return load_bundle(args.bundle, require_obs=need_obs)
     optional = {"real-hyp"} if need_obs else {"obs", "real-hyp"}
     missing = [flag for flag, path in paths.items() if not path and flag not in optional]
     if missing:
-        raise PddlParseError(f"missing input files: --{', --'.join(missing)} (or use --bundle)")
+        raise ValueError(f"missing input files: --{', --'.join(missing)} (or use --bundle)")
     texts = {name: Path(f).read_text(encoding="utf-8") if f else None
              for name, f in zip(BUNDLE_FILES, paths.values())}
     return bundle_from_texts(texts, path="<cli>", require_obs=need_obs)
@@ -171,7 +171,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     if args.demo_grid == bool(args.family):
-        raise PddlParseError("gen needs either --demo-grid or --family, not both")
+        raise ValueError("gen takes exactly one of --demo-grid and --family")
     if args.demo_grid:
         write_bundle(out / "grid-demo", demo_grid_bundle().files)
         print(out / "grid-demo")
@@ -187,7 +187,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _pick_goal(bundle: Bundle, goal_index: int | None) -> int:
     if goal_index is not None:
         if not 0 <= goal_index < len(bundle.hyps):
-            raise PddlParseError(f"--goal-index {goal_index} out of range")
+            raise ValueError(f"--goal-index {goal_index} out of range")
         return goal_index
     return bundle.hyps.hidden if bundle.hyps.hidden is not None else 0
 

@@ -20,7 +20,7 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import GoalUnreachable
+from .errors import GoalUnreachable, check_name
 from .grounding import INF, PlanningTask, task_memo
 
 SRC_LANDMARK = "landmark"
@@ -429,12 +429,11 @@ def posthoc_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linear
 
 
 def check_families(families: Iterable[str]) -> None:
-    """Raise ``ValueError`` (an input error) unless ``families`` names at
-    least one family and only families in ``ALL_FAMILIES``."""
-    chosen = set(families)
-    unknown = chosen - set(ALL_FAMILIES)
-    if unknown:
-        raise ValueError(f"unknown constraint families: {sorted(unknown)}")
+    """Raise ``ValueError`` (an input error), naming the first unknown family
+    in sorted order, unless ``families`` is a non-empty set of ``ALL_FAMILIES``."""
+    chosen = sorted(families)
+    for family in chosen:
+        check_name("constraint family", family, ALL_FAMILIES)
     if not chosen:
         raise ValueError("at least one constraint family is required")
 

@@ -1,6 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and ``check_name``, the one
+check of a name (backend, method, constraint or generator family)."""
 
 from __future__ import annotations
+
+from typing import Collection
 
 
 class OcgrError(Exception):
@@ -44,3 +47,9 @@ class SolverFailure(OcgrError):
 
 class CapExceeded(OcgrError):
     """A search gave up: the oracle expanded more nodes than ``OCGR_OPTIMAL_CAP`` allows."""
+
+
+def check_name(what: str, name: str, known: Collection[str]) -> None:
+    """Raise ``ValueError`` (an input error) unless ``name`` is in ``known``."""
+    if name not in known:
+        raise ValueError(f"unknown {what} '{name}' (choose from {', '.join(sorted(known))})")

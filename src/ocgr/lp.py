@@ -67,7 +67,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .constraints import LinearConstraint
-from .errors import SolverFailure
+from .errors import SolverFailure, check_name
 
 EPS = 1e-7
 PIVOT_TOL = 1e-9
@@ -489,15 +489,9 @@ BACKENDS: dict[str, Callable[..., LpOutcome]] = {
     "simplex": solve_lp, "scipy": _scipy_backend}
 
 
-def check_backend(name: str) -> None:
-    """Raise ``ValueError`` (an input error) unless ``name`` is in ``BACKENDS``."""
-    if name not in BACKENDS:
-        raise ValueError(f"unknown backend '{name}' (have: {', '.join(sorted(BACKENDS))})")
-
-
 def solve_with(lp: LinearProgram, backend: str, *, lower: Iterable[tuple[int, int]] = (),
                start: Basis | tuple[int, ...] = ()) -> LpOutcome:
     """Solve ``lp`` with the named backend, under the floors ``lower`` and
     from ``start`` (see ``LinearProgram``)."""
-    check_backend(backend)
+    check_name("backend", backend, BACKENDS)
     return BACKENDS[backend](lp, lower=lower, start=start)

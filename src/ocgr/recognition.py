@@ -23,10 +23,10 @@ from dataclasses import KW_ONLY, dataclass, field
 from typing import Iterable, Mapping
 
 from .constraints import ALL_FAMILIES, base_constraints, check_families
-from .errors import GoalUnreachable, SolverFailure
+from .errors import GoalUnreachable, SolverFailure, check_name
 from .grounding import PlanningTask, task_memo
 from .inputs import GoalHypotheses, ObservationSequence
-from .lp import LinearProgram, LpOutcome, check_backend, solve_with
+from .lp import BACKENDS, LinearProgram, LpOutcome, solve_with
 
 INF = float("inf")
 
@@ -54,7 +54,7 @@ class RecognizerConfig:
 
     def __post_init__(self) -> None:
         chosen = set(self.families)
-        check_backend(self.backend)
+        check_name("backend", self.backend, BACKENDS)
         check_families(chosen)
         object.__setattr__(self, "families", tuple(f for f in ALL_FAMILIES if f in chosen))
 
@@ -184,12 +184,6 @@ def uncertainty(scores: Iterable[HypothesisScore], obs_len: int) -> float | None
     return 1.0 + max(m - obs_len, 0) / m if m > 0 else 1.0
 
 
-def check_method(method: str) -> None:
-    """Raise ``ValueError`` (an input error) unless ``method`` is in ``METHODS``."""
-    if method not in SELECTION_RULES:
-        raise ValueError(f"unknown method '{method}' (expected one of {METHODS})")
-
-
 def select(scores: tuple[HypothesisScore, ...], method: str, obs_len: int
            ) -> tuple[tuple[int, ...], float | None, tuple[int, ...] | None]:
     """Selected goals, the threshold ratio and, only when every hypothesis is
@@ -199,7 +193,7 @@ def select(scores: tuple[HypothesisScore, ...], method: str, obs_len: int
     method's score key, where U is the uncertainty ratio for the ``-u``
     methods and 1 otherwise.
     """
-    check_method(method)
+    check_name("method", method, SELECTION_RULES)
     key, widen = SELECTION_RULES[method]
     values = {s.goal_index: getattr(s, key) for s in scores}
     finite = {i: v for i, v in values.items() if v != INF}
@@ -217,7 +211,7 @@ def select(scores: tuple[HypothesisScore, ...], method: str, obs_len: int
 def recognize(task: PlanningTask, hyps: GoalHypotheses, obs: ObservationSequence,
               method: str = METHOD_DELTA_U,
               config: RecognizerConfig = RecognizerConfig()) -> RecognitionReport:
-    check_method(method)
+    check_name("method", method, SELECTION_RULES)
     scores, timings = score_all(task, hyps, obs, config)
     t0 = time.perf_counter()
     selected, u, fallback = select(scores, method, len(obs))

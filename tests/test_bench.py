@@ -142,41 +142,42 @@ def test_manifest_unknown_key(tmp_path):
 
 def test_spec_validation():
     with pytest.raises(ValueError, match="neither"):
-        SuiteSpec().validate()
+        SuiteSpec()
     with pytest.raises(ValueError, match="observability"):
-        SuiteSpec(families=("grid",), observability=(0,)).validate()
+        SuiteSpec(families=("grid",), observability=(0,))
     with pytest.raises(ValueError, match="method"):
-        SuiteSpec(families=("grid",), methods=("nope",)).validate()
+        SuiteSpec(families=("grid",), methods=("nope",))
     with pytest.raises(ValueError, match="backend 'hihgs'"):
-        SuiteSpec(families=("grid",), backend="hihgs").validate()
-    with pytest.raises(ValueError, match=r"unknown constraint families: \['xx'\]"):
-        SuiteSpec(families=("grid",), constraint_families=("lm", "xx")).validate()
+        SuiteSpec(families=("grid",), backend="hihgs")
+    with pytest.raises(ValueError,
+                       match=r"^unknown constraint family 'xx' \(choose from lm, nc, ph\)$"):
+        SuiteSpec(families=("grid",), constraint_families=("lm", "xx"))
     with pytest.raises(ValueError, match="at least one constraint family"):
-        SuiteSpec(families=("grid",), constraint_families=()).validate()
+        SuiteSpec(families=("grid",), constraint_families=())
     with pytest.raises(ValueError, match="per_family"):
-        SuiteSpec(families=("grid",), per_family=-2).validate()
+        SuiteSpec(families=("grid",), per_family=-2)
     for fraction in (-0.1, 1.5):
         with pytest.raises(ValueError, match="suboptimal_fraction"):
-            SuiteSpec(families=("grid",), suboptimal_fraction=fraction).validate()
+            SuiteSpec(families=("grid",), suboptimal_fraction=fraction)
     SuiteSpec(bundles=("demo",), families=("grid",), per_family=0, suboptimal_fraction=1.0,
-              backend="scipy").validate()
+              backend="scipy")
 
 
 def test_spec_that_composes_no_problem_is_rejected():
     """per_family 0 with no bundles would write header-only outputs: an
     error that names the key. With a bundle it is a suite of that bundle."""
     with pytest.raises(ValueError, match=r"^per_family must be >= 1$"):
-        SuiteSpec(families=("grid",), per_family=0).validate()
-    SuiteSpec(bundles=("demo",), families=("grid",), per_family=0).validate()
+        SuiteSpec(families=("grid",), per_family=0)
+    SuiteSpec(bundles=("demo",), families=("grid",), per_family=0)
 
 
 def test_spec_rejects_an_empty_method_or_level_list():
     """No method would score every problem and write no row; no level would
     compose no problem. Each is an error that names its key."""
     with pytest.raises(ValueError, match="^methods must list at least one method$"):
-        SuiteSpec(families=("grid",), methods=()).validate()
+        SuiteSpec(families=("grid",), methods=())
     with pytest.raises(ValueError, match="^observability must list at least one level$"):
-        SuiteSpec(families=("grid",), observability=()).validate()
+        SuiteSpec(families=("grid",), observability=())
 
 
 def test_default_levels_depend_on_noise():

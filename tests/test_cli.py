@@ -16,7 +16,7 @@ from ocgr.cli import main
 from ocgr.errors import GoalUnreachable, SolverFailure
 from ocgr.generators import CORRIDOR_DOMAIN, demo_grid_bundle, write_bundle
 from ocgr.inputs import bundle_from_texts, load_bundle
-from ocgr.recognition import report_from_dict
+from ocgr.recognition import RecognizerConfig, recognize, report_from_dict, select
 
 
 # Both goals need one branch of the fork; observing both branches makes every
@@ -174,10 +174,11 @@ def test_unknown_backend_exits_2_before_loading(tmp_path, demo_dir, capsys, comm
     for bundle in (demo_dir, tmp_path / "missing"):
         assert main([command, "-b", str(bundle), "--backend", "hihgs"]) == 2
         err = capsys.readouterr().err
-        assert err == "error: unknown backend 'hihgs' (have: scipy, simplex)\n"
+        assert err == "error: unknown backend 'hihgs' (choose from scipy, simplex)\n"
         if command == "recognize":
             assert main([command, "-b", str(bundle), "--constraints", "lm,xx"]) == 2
-            assert capsys.readouterr().err == "error: unknown constraint families: ['xx']\n"
+            assert capsys.readouterr().err == \
+                "error: unknown constraint family 'xx' (choose from lm, nc, ph)\n"
 
 
 def test_recognize_all_infeasible_exits_4(tmp_path, capsys):
@@ -391,7 +392,7 @@ def test_bench_bad_manifest_exits_2(tmp_path, capsys):
                           ('{"families": ["grid"], "suboptimal_fraction": 2}',
                            "suboptimal_fraction"),
                           ('{"families": ["grid"], "constraint_families": ["xx"]}',
-                           "error: unknown constraint families: ['xx']"),
+                           "error: unknown constraint family 'xx' (choose from lm, nc, ph)"),
                           ('{"families": ["grid"], "constraint_families": []}',
                            "error: at least one constraint family is required")):
         manifest.write_text(body)
@@ -551,7 +552,7 @@ def test_gen_takes_demo_grid_or_family(tmp_path, capsys):
         assert main(["gen", "--out", str(tmp_path / "x"), *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: gen needs either --demo-grid or --family, not both\n"
+        assert captured.err == "error: gen takes exactly one of --demo-grid and --family\n"
         assert not (tmp_path / "x").exists()
 
 
@@ -560,6 +561,69 @@ def test_gen_unknown_family_exits_2_naming_the_families(tmp_path, capsys):
     assert "unknown generator family 'nosuch' (choose from blocks, corridor, grid, logistics)" \
         in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def _recognize(bundle, method: str):
+    return recognize(bundle.task, bundle.hyps, bundle.obs, method)
+
+
+def _bad_manifest(tmp_path: Path, **body) -> list[str]:
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"families": ["grid"], **body}))
+    return ["bench", "--manifest", str(path), "--out", str(tmp_path / "out")]
+
+
+# Each kind of name: a bad name, the names it may be, and every entry point
+# that takes one, called as (tmp_path, demo bundle directory, bad name). A
+# Python entry point raises; a CLI one returns the argv to run.
+_NAME_ENTRIES = {
+    ("backend", "hihgs", "scipy, simplex"): {
+        "RecognizerConfig": lambda tmp, demo, x: RecognizerConfig(backend=x),
+        "solve_with": lambda tmp, demo, x: lp.solve_with(lp.LinearProgram((1.0,), ()), x),
+        "recognize": lambda tmp, demo, x: ["recognize", "-b", str(demo), "--backend", x],
+        "heuristic": lambda tmp, demo, x: ["heuristic", "-b", str(demo), "--backend", x],
+        "manifest": lambda tmp, demo, x: _bad_manifest(tmp, backend=x),
+    },
+    ("constraint family", "xx", "lm, nc, ph"): {
+        "RecognizerConfig": lambda tmp, demo, x: RecognizerConfig(families=("lm", x)),
+        "base_constraints": lambda tmp, demo, x: base_constraints(
+            load_bundle(demo).task, (), ("lm", x)),
+        "recognize": lambda tmp, demo, x: ["recognize", "-b", str(demo), "--constraints",
+                                           f"lm,{x}"],
+        "manifest": lambda tmp, demo, x: _bad_manifest(tmp, constraint_families=["lm", x]),
+    },
+    ("method", "nope", "delta, delta-u, hc, hc-u"): {
+        "recognize": lambda tmp, demo, x: _recognize(load_bundle(demo), x),
+        "select": lambda tmp, demo, x: select((), x, 0),
+        "manifest": lambda tmp, demo, x: _bad_manifest(tmp, methods=[x]),
+    },
+    ("generator family", "nosuch", "blocks, corridor, grid, logistics"): {
+        "SuiteSpec": lambda tmp, demo, x: SuiteSpec(families=(x,)),
+        "gen": lambda tmp, demo, x: ["gen", "--out", str(tmp / "out"), "--family", x],
+        "manifest": lambda tmp, demo, x: _bad_manifest(tmp, families=[x]),
+    },
+}
+
+
+@pytest.mark.parametrize("kind, entry", [
+    pytest.param(kind, entry, id=f"{kind[0].replace(' ', '-')}-{label}")
+    for kind, entries in _NAME_ENTRIES.items() for label, entry in entries.items()])
+def test_every_entry_point_rejects_an_unknown_name_in_one_form(tmp_path, demo_dir, capsys,
+                                                                kind, entry):
+    """Every entry point that takes a name rejects an unknown one with
+    ``errors.check_name``'s message; a CLI one exits 2 with that one line
+    after ``error: `` and writes nothing."""
+    what, bad, known = kind
+    message = f"unknown {what} '{bad}' (choose from {known})"
+    try:
+        argv = entry(tmp_path, demo_dir, bad)
+    except ValueError as err:
+        assert str(err) == message
+        return
+    assert isinstance(argv, list), f"{entry} took {bad!r}"
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_importing_the_cli_loads_no_generators():

@@ -107,7 +107,7 @@ def test_counts_respect_constraints():
 def test_backend_unavailable():
     with pytest.raises(ValueError) as err:
         solve_with(_lp(1, [1], []), "no-such-backend")
-    assert str(err.value) == "unknown backend 'no-such-backend' (have: scipy, simplex)"
+    assert str(err.value) == "unknown backend 'no-such-backend' (choose from scipy, simplex)"
 
 
 def test_backend_registry_roundtrip(monkeypatch):
