@@ -119,9 +119,8 @@ def load_manifest(path: str | Path) -> SuiteSpec:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise ValueError("a manifest must be a JSON object")
-    unknown = set(data) - set(_MANIFEST_TYPES)
-    if unknown:
-        raise ValueError(f"unknown manifest keys: {sorted(unknown)}")
+    for key in sorted(data):
+        check_name("manifest key", key, _MANIFEST_TYPES)
     for key, value in data.items():
         check, kind = _MANIFEST_TYPES[key]
         if not check(value):

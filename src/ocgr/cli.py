@@ -16,11 +16,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from .constraints import ALL_FAMILIES, dump_constraints
-from .errors import GoalUnreachable, OcgrError, SolverFailure
+from .errors import GoalUnreachable, OcgrError, SolverFailure, check_name
 from .inputs import BUNDLE_FILES, Bundle, bundle_from_texts, load_bundle
 from .lp import OPTIMAL, LinearProgram
 from .oracle import optimal_cost
-from .recognition import (METHOD_DELTA_U, METHODS, RecognizerConfig, base_lp,
+from .recognition import (METHOD_DELTA_U, SELECTION_RULES, RecognizerConfig, base_lp,
                           format_report, recognize, report_to_dict,
                           score_hypothesis)
 
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rec = sub.add_parser("recognize", help="recognize goals for one problem bundle")
     _add_bundle_args(rec)
-    rec.add_argument("--method", choices=METHODS, default=METHOD_DELTA_U)
+    rec.add_argument("--method", default=METHOD_DELTA_U, help="one of " + ", ".join(SELECTION_RULES))
     rec.add_argument("--constraints", default=",".join(ALL_FAMILIES),
                      help="comma list of constraint families (lm,nc,ph)")
     rec.add_argument("--backend", default="simplex")
@@ -137,12 +137,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_recognize(args: argparse.Namespace) -> int:
     families = tuple(f.strip() for f in args.constraints.split(",") if f.strip())
     config = RecognizerConfig(families=families, backend=args.backend)
+    check_name("method", args.method, SELECTION_RULES)
+    dumps = [f"--dump-{f}" for f in ("constraints", "lp") if getattr(args, f"dump_{f}")]
+    if args.json and dumps:
+        raise ValueError(f"--json prints the report alone; drop {', '.join(dumps)}")
     t0 = time.perf_counter()
     bundle = _load_inputs(args)
     parse_time = time.perf_counter() - t0
     report = recognize(bundle.task, bundle.hyps, bundle.obs, args.method, config)
     report = replace(report, timings={**report.timings, "parse_ground": parse_time})
-    if args.dump_constraints or args.dump_lp:
+    if dumps:
         for idx in range(len(bundle.hyps)):
             _print_dumps(args, bundle, idx, config)
     if args.json:

@@ -1,8 +1,9 @@
-"""Exception types shared across the toolkit, and ``check_name``, the one
-check of a name (backend, method, constraint or generator family)."""
+"""Exception types shared across the toolkit; ``check_name``, the one check of a name
+(backend, method, family, manifest key); and ``env_cap``, the one reader of a cap override."""
 
 from __future__ import annotations
 
+import os
 from typing import Collection
 
 
@@ -53,3 +54,13 @@ def check_name(what: str, name: str, known: Collection[str]) -> None:
     """Raise ``ValueError`` (an input error) unless ``name`` is in ``known``."""
     if name not in known:
         raise ValueError(f"unknown {what} '{name}' (choose from {', '.join(sorted(known))})")
+
+
+def env_cap(name: str, default: int) -> int:
+    """The positive integer in environment variable ``name``, else ``default``."""
+    raw = os.environ.get(name)
+    if not raw:
+        return default
+    if not raw.isdecimal() or int(raw) == 0:
+        raise ValueError(f"{name} must be a positive integer, not {raw!r}")
+    return int(raw)

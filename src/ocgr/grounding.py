@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import logging
-import os
 import threading
 import weakref
 from dataclasses import dataclass
@@ -13,23 +12,13 @@ from itertools import chain, islice, product
 from operator import contains, itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .errors import GroundingError
+from .errors import GroundingError, env_cap
 from .pddl import DomainDef, OperatorSchema, ProblemDef, atom_text
 
 log = logging.getLogger(__name__)
 
 DEFAULT_GROUND_CAP = 100_000
 INF = float("inf")
-
-
-def _env_cap(name: str, default: int) -> int:
-    """The positive integer in environment variable ``name``, else ``default``."""
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    if not raw.isdecimal() or int(raw) == 0:
-        raise ValueError(f"{name} must be a positive integer, not {raw!r}")
-    return int(raw)
 
 
 @dataclass(frozen=True, slots=True)
@@ -342,7 +331,7 @@ def _ground_all(dom: DomainDef, prob: ProblemDef) -> PlanningTask:
     follow it. Atoms are interned by their ``(predicate, *args)`` tuple, and
     each fact's name is built once.
     """
-    cap = _env_cap("OCGR_GROUND_CAP", DEFAULT_GROUND_CAP)
+    cap = env_cap("OCGR_GROUND_CAP", DEFAULT_GROUND_CAP)
 
     objects = list(dom.constants) + list(prob.objects)
     seen: set[str] = set()

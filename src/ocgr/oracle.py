@@ -13,8 +13,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import CapExceeded
-from .grounding import PlanningTask, _env_cap
+from .errors import CapExceeded, env_cap
+from .grounding import PlanningTask
 
 DEFAULT_OPTIMAL_CAP = 5_000_000
 
@@ -66,7 +66,7 @@ def optimal_cost(task: PlanningTask, goal: Iterable[int],
     among plans that use action a at least ``floors[a]`` times (a node is
     the state mask and the floor counts still to meet). Expanding more
     nodes than ``OCGR_OPTIMAL_CAP`` raises ``CapExceeded``, naming the goal."""
-    cap = _env_cap("OCGR_OPTIMAL_CAP", DEFAULT_OPTIMAL_CAP)
+    cap = env_cap("OCGR_OPTIMAL_CAP", DEFAULT_OPTIMAL_CAP)
     init, masks = _masks(task)
     gmask = _mask(goal)
     floor_ids = sorted(a for a, c in (floors or {}).items() if c > 0)

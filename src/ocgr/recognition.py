@@ -30,18 +30,14 @@ from .lp import BACKENDS, LinearProgram, LpOutcome, solve_with
 
 INF = float("inf")
 
-METHOD_HC = "hc"
-METHOD_HC_U = "hc-u"
-METHOD_DELTA = "delta"
-METHOD_DELTA_U = "delta-u"
+METHOD_DELTA_U = "delta-u"  # the default method
 # method -> (the score it ranks by, whether U widens the threshold)
 SELECTION_RULES = {
-    METHOD_HC: ("h_hc", False),
-    METHOD_HC_U: ("h_hc", True),
-    METHOD_DELTA: ("delta", False),
+    "hc": ("h_hc", False),
+    "hc-u": ("h_hc", True),
+    "delta": ("delta", False),
     METHOD_DELTA_U: ("delta", True),
 }
-METHODS = tuple(SELECTION_RULES)
 SELECTION_SLACK = 1e-9  # absorbs LP float noise in thresholds
 
 

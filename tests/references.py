@@ -28,7 +28,7 @@ from ocgr.errors import CapExceeded, GoalUnreachable, PddlParseError
 from ocgr.grounding import INF, PlanningTask, hmax_values
 from ocgr.inputs import GoalHypotheses, ObservationSequence
 from ocgr.oracle import Plan, _mask, _masks, validate_plan
-from ocgr.recognition import METHOD_HC, RecognizerConfig, recognize
+from ocgr.recognition import RecognizerConfig, recognize
 
 SRC_OBSERVATION = "observation"
 
@@ -68,7 +68,7 @@ def full_observation_guarantee_check(task: PlanningTask, hyps: GoalHypotheses,
     if not check.ok:
         raise ValueError(f"plan is not valid for hypothesis {hidden}: {check.reason}")
     obs = ObservationSequence(obs=plan.steps)
-    report = recognize(task, hyps, obs, METHOD_HC, config)
+    report = recognize(task, hyps, obs, "hc", config)
     return hidden in report.selected
 
 

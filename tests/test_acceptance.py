@@ -23,7 +23,7 @@ from ocgr.generators import demo_grid_bundle
 from ocgr.inputs import ObservationSequence, bundle_from_texts
 from ocgr.lp import LinearProgram, solve_lp, solve_with
 from ocgr.oracle import optimal_cost, validate_plan
-from ocgr.recognition import INF, RecognizerConfig, recognize, score_all
+from ocgr.recognition import INF, SELECTION_RULES, RecognizerConfig, recognize, score_all
 from references import enumerate_plans, observation_constraints
 
 LP_EPS = 1e-6
@@ -31,11 +31,11 @@ LP_EPS = 1e-6
 CLEAN_SPEC = SuiteSpec(
     families=("grid", "blocks", "logistics", "corridor"), per_family=10,
     observability=(10, 30, 50, 70, 100),
-    methods=("hc", "hc-u", "delta", "delta-u"), seed=1201)
+    methods=tuple(SELECTION_RULES), seed=1201)
 
 NOISY_SPEC = SuiteSpec(
     families=("grid", "blocks", "logistics", "corridor"), per_family=10,
-    noise_count=2, methods=("hc", "hc-u", "delta", "delta-u"), seed=2201)
+    noise_count=2, methods=tuple(SELECTION_RULES), seed=2201)
 
 COMPLETENESS_SPEC = SuiteSpec(
     families=("grid", "blocks", "logistics", "corridor"), per_family=50,

@@ -12,6 +12,7 @@ from ocgr.errors import CapExceeded, OcgrError, SolverFailure
 from ocgr.generators import GENERATORS, demo_grid_bundle, write_bundle
 from ocgr.inputs import ObservationSequence, bundle_from_texts
 from ocgr.oracle import Plan, optimal_cost, validate_plan
+from ocgr.recognition import SELECTION_RULES
 from references import save_manifest
 
 
@@ -136,7 +137,7 @@ def test_manifest_round_trip(tmp_path):
 def test_manifest_unknown_key(tmp_path):
     path = tmp_path / "m.json"
     path.write_text('{"families": ["grid"], "x": 1}')
-    with pytest.raises(ValueError, match="unknown manifest keys"):
+    with pytest.raises(ValueError, match=r"^unknown manifest key 'x' \(choose from backend, "):
         load_manifest(path)
 
 
@@ -187,7 +188,7 @@ def test_default_levels_depend_on_noise():
 
 def _tiny_spec(**kw):
     defaults = dict(families=("corridor", "grid"), per_family=2,
-                    observability=(50, 100), methods=("hc", "hc-u", "delta", "delta-u"),
+                    observability=(50, 100), methods=tuple(SELECTION_RULES),
                     seed=3)
     defaults.update(kw)
     return SuiteSpec(**defaults)

@@ -15,7 +15,10 @@ from ocgr.constraints import ALL_FAMILIES, base_constraints
 from ocgr.cli import main
 from ocgr.errors import GoalUnreachable, SolverFailure
 from ocgr.generators import CORRIDOR_DOMAIN, demo_grid_bundle, write_bundle
+from ocgr.grounding import ground
 from ocgr.inputs import bundle_from_texts, load_bundle
+from ocgr.oracle import optimal_cost
+from ocgr.pddl import parse_domain, parse_problem
 from ocgr.recognition import RecognizerConfig, recognize, report_from_dict, select
 
 
@@ -49,7 +52,7 @@ def test_main_builds_its_parser_once(demo_dir, capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser built again"))
     assert main(["recognize", "-b", str(demo_dir), "--json"]) == 0
     with pytest.raises(SystemExit):
-        main(["recognize", "--method", "nope"])
+        main(["recognize", "--nope"])
     assert main(["recognize", "-b", str(demo_dir), "--method", "hc"]) == 0
     assert "method: hc" in capsys.readouterr().out
 
@@ -212,6 +215,16 @@ def test_recognize_dumps(demo_dir, capsys):
     assert "[observation]" not in out
     assert out.count("(move-right c_0_0 c_1_0) >= 1 [bound]") == 2
     assert out.count(" 1 <= y") == 2 * 7
+
+
+def test_recognize_json_takes_no_dump(tmp_path, capsys):
+    """``--json`` prints the report alone, so a dump flag with it exits 2
+    before any input is read."""
+    missing = str(tmp_path / "missing")
+    for dumps in (["--dump-lp"], ["--dump-constraints"], ["--dump-constraints", "--dump-lp"]):
+        assert main(["recognize", "-b", missing, "--json", *dumps]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --json prints the report alone; drop {', '.join(dumps)}\n")
 
 
 def test_recognize_dumps_read_the_rows_recognition_built(demo_dir, capsys, monkeypatch):
@@ -386,7 +399,8 @@ def test_bench_rows_are_pinned(tmp_path):
 
 def test_bench_bad_manifest_exits_2(tmp_path, capsys):
     manifest = tmp_path / "m.json"
-    for body, message in (('{"families": ["grid"], "bogus": true}', "unknown manifest keys"),
+    for body, message in (('{"families": ["grid"], "bogus": true}',
+                           "error: unknown manifest key 'bogus' (choose from backend, bundles, "),
                           ('{"families": ["grid"], "backend": "hihgs"}', "unknown backend"),
                           ('{"families": ["grid"], "per_family": -1}', "per_family"),
                           ('{"families": ["grid"], "suboptimal_fraction": 2}',
@@ -517,6 +531,29 @@ def test_plan_search_cap_exits_2(tmp_path, demo_dir, capsys, monkeypatch):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("raw", ["abc", "-5", "0", "1.5"])
+@pytest.mark.parametrize("var", ["OCGR_GROUND_CAP", "OCGR_OPTIMAL_CAP"])
+def test_a_bad_cap_override_is_one_line_from_its_reader_and_the_cli(demo_dir, capsys,
+                                                                    monkeypatch, var, raw):
+    """``errors.env_cap`` reads each cap's override where the cap is used:
+    ``ground`` reads OCGR_GROUND_CAP and ``optimal_cost`` OCGR_OPTIMAL_CAP. A
+    value that is not a positive integer raises one message from the reader,
+    and ``ocgr plan``, which runs both, exits 2 with that one line."""
+    files = demo_grid_bundle().files
+    dom = parse_domain(files["domain.pddl"])
+    prob = parse_problem(files["template.pddl"], dom)
+    task = ground(dom, prob)
+    readers = {"OCGR_GROUND_CAP": lambda: ground(dom, prob),
+               "OCGR_OPTIMAL_CAP": lambda: optimal_cost(task, task.goal)}
+    message = f"{var} must be a positive integer, not '{raw}'"
+    monkeypatch.setenv(var, raw)
+    with pytest.raises(ValueError) as err:
+        readers[var]()
+    assert str(err.value) == message
+    assert main(["plan", "-b", str(demo_dir)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--pct", "0"], "observability level 0"),
     (["--pct", "101"], "observability level 101"),
@@ -595,7 +632,15 @@ _NAME_ENTRIES = {
     ("method", "nope", "delta, delta-u, hc, hc-u"): {
         "recognize": lambda tmp, demo, x: _recognize(load_bundle(demo), x),
         "select": lambda tmp, demo, x: select((), x, 0),
+        # checked before any input is read: the bundle directory does not exist
+        "recognize-cli": lambda tmp, demo, x: ["recognize", "-b", str(tmp / "missing"),
+                                               "--method", x],
         "manifest": lambda tmp, demo, x: _bad_manifest(tmp, methods=[x]),
+    },
+    ("manifest key", "familes", "backend, bundles, constraint_families, families, methods, "
+                                "noise_count, observability, per_family, seed, "
+                                "suboptimal_fraction, timings"): {
+        "manifest": lambda tmp, demo, x: _bad_manifest(tmp, **{x: ["grid"]}),
     },
     ("generator family", "nosuch", "blocks, corridor, grid, logistics"): {
         "SuiteSpec": lambda tmp, demo, x: SuiteSpec(families=(x,)),

@@ -20,7 +20,7 @@ from ocgr.inputs import (GoalHypotheses, ObservationSequence, bundle_from_texts,
                          load_bundle)
 from ocgr.lp import Basis, LinearProgram, LpOutcome, solve_lp, solve_with
 from ocgr.oracle import Plan, optimal_cost
-from ocgr.recognition import (INF, METHODS, RecognizerConfig, base_lp,
+from ocgr.recognition import (INF, SELECTION_RULES, RecognizerConfig, base_lp,
                               recognize, report_from_dict, report_to_dict,
                               score_all, score_hypothesis, select, uncertainty)
 from references import full_observation_guarantee_check, observation_constraints
@@ -396,10 +396,10 @@ def test_reused_base_results_match_a_fresh_grounding(tmp_path):
     for load, levels in cases:
         shared = load()
         reused = [_outcome(recognize(shared.task, shared.hyps, obs, method))
-                  for obs in levels for method in METHODS]
+                  for obs in levels for method in SELECTION_RULES]
         fresh = []
         for obs in levels:
-            for method in METHODS:
+            for method in SELECTION_RULES:
                 b = load()
                 fresh.append(_outcome(recognize(b.task, b.hyps, obs, method)))
         assert reused == fresh
@@ -739,7 +739,8 @@ def test_no_answer_depends_on_what_was_scored_before():
     configs = [RecognizerConfig(), RecognizerConfig(families=("lm",)),
                RecognizerConfig(families=("nc", "ph")), RecognizerConfig(backend="scipy")]
     # each problem under every configuration, with every method once
-    units = [(k, config, METHODS[(k + i) % len(METHODS)]) for k in range(len(problems))
+    methods = tuple(SELECTION_RULES)
+    units = [(k, config, methods[(k + i) % len(methods)]) for k in range(len(problems))
              for i, config in enumerate(configs)]
 
     def answer(task, hyps, obs, config, method):
