@@ -15,8 +15,8 @@ from .lp import BACKENDS, LinearProgram, LpOutcome, solve_lp, solve_with
 from .oracle import Plan, PlanCheck, optimal_cost, validate_plan
 from .pddl import DomainDef, OperatorSchema, ProblemDef, parse_domain, parse_problem
 from .recognition import (HypothesisScore, RecognitionReport, RecognizerConfig,
-                          recognize, report_from_dict, report_to_dict, score_all,
-                          score_hypothesis, select, uncertainty)
+                          recognize, report_from_dict, report_to_dict,
+                          score_hypothesis, uncertainty)
 
 __version__ = "0.1.0"
 

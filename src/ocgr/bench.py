@@ -10,6 +10,9 @@ problems to disk.
 Rows are fully determined by the manifest and seed; wall-clock timings go
 to the aggregate outputs and are written into rows.csv only when the
 manifest enables ``timings`` (so default row files are byte-reproducible).
+Each problem is scored once, and each method's row reads ``replace(report,
+method=m)``; an error row has no time, verdict, spread, U or selection, and
+an aggregate's means cover the rows that were scored (blank when none was).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import io
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .constraints import ALL_FAMILIES
@@ -29,7 +32,7 @@ from .generators import GENERATORS, write_bundle
 from .grounding import PlanningTask, relaxed_reachable
 from .inputs import GoalHypotheses, ObservationSequence, bundle_from_texts, load_bundle
 from .oracle import Plan, optimal_cost, validate_plan
-from .recognition import METHOD_DELTA_U, SELECTION_RULES, RecognizerConfig, score_all, select
+from .recognition import METHOD_DELTA_U, SELECTION_RULES, RecognizerConfig, recognize
 
 CLEAN_LEVELS = (10, 30, 50, 70, 100)
 NOISY_LEVELS = (25, 50, 75, 100)
@@ -241,7 +244,7 @@ class Row:
     method: str
     time_s: float | None
     correct: bool | None
-    spread: int
+    spread: int | None  # None for an error row
     u: float | None
     selected: tuple[int, ...]
     status: str = "ok"
@@ -256,7 +259,7 @@ class AggregateRow:
     n: int
     time_mean_s: float | None  # None when every row of the group is an error
     accuracy: float | None
-    spread_mean: float
+    spread_mean: float | None  # None when every row of the group is an error
 
 
 @dataclass(frozen=True)
@@ -309,21 +312,22 @@ def _evaluate(problem: RecognitionProblem, spec: SuiteSpec, config: RecognizerCo
                   pct=problem.pct, noise=problem.noise)
     try:
         t0 = time.perf_counter()
-        scores, _ = score_all(problem.task, problem.hyps, problem.obs, config)
+        report = recognize(problem.task, problem.hyps, problem.obs, spec.methods[0], config)
         elapsed = time.perf_counter() - t0
     except OcgrError as exc:
-        return [Row(**common, method=m, time_s=None, correct=None, spread=0,
+        return [Row(**common, method=m, time_s=None, correct=None, spread=None,
                     u=None, selected=(), status=f"error:{type(exc).__name__}")
                 for m in spec.methods]
     hidden = problem.hyps.hidden
     rows = []
     for method in spec.methods:
         t1 = time.perf_counter()
-        selected, u, _ = select(scores, method, len(problem.obs))
+        chosen = replace(report, method=method)
         row_time = elapsed + (time.perf_counter() - t1)
-        correct = (hidden in selected) if hidden is not None else None
+        correct = (hidden in chosen.selected) if hidden is not None else None
         rows.append(Row(**common, method=method, time_s=row_time, correct=correct,
-                        spread=len(selected), u=u, selected=selected))
+                        spread=len(chosen.selected), u=chosen.uncertainty,
+                        selected=chosen.selected))
     return rows
 
 
@@ -341,11 +345,12 @@ def run_suite(spec: SuiteSpec) -> SuiteResult:
         judged = [r for r in members if r.correct is not None]
         acc = sum(r.correct for r in judged) / len(judged) if judged else None
         times = [r.time_s for r in members if r.time_s is not None]
+        spreads = [r.spread for r in members if r.spread is not None]
         aggregates.append(AggregateRow(
             domain=domain, pct=pct, noise=noise, method=method, n=len(members),
             time_mean_s=sum(times) / len(times) if times else None,
             accuracy=acc,
-            spread_mean=sum(r.spread for r in members) / len(members)))
+            spread_mean=sum(spreads) / len(spreads) if spreads else None))
     return SuiteResult(rows=tuple(rows), aggregates=tuple(aggregates))
 
 
@@ -364,7 +369,7 @@ def format_rows(rows: tuple[Row, ...], include_timings: bool) -> str:
     return _csv(ROWS_HEADER, ([
         r.domain, r.problem_id, r.pct, r.noise, r.method,
         f"{r.time_s:.4f}" if include_timings and r.time_s is not None else "",
-        "" if r.correct is None else int(r.correct), r.spread,
+        "" if r.correct is None else int(r.correct), "" if r.spread is None else r.spread,
         "" if r.u is None else f"{r.u:.6f}", ";".join(map(str, r.selected)), r.status,
     ] for r in rows))
 
@@ -373,7 +378,8 @@ def format_aggregates(aggs: tuple[AggregateRow, ...]) -> str:
     return _csv("domain,pct,noise,method,n,time_mean_s,acc_pct,spread_mean", ([
         a.domain, a.pct, a.noise, a.method, a.n,
         "" if a.time_mean_s is None else f"{a.time_mean_s:.4f}",
-        "" if a.accuracy is None else f"{100 * a.accuracy:.2f}", f"{a.spread_mean:.2f}",
+        "" if a.accuracy is None else f"{100 * a.accuracy:.2f}",
+        "" if a.spread_mean is None else f"{a.spread_mean:.2f}",
     ] for a in aggs))
 
 
@@ -384,8 +390,9 @@ def format_aggregate_table(aggs: tuple[AggregateRow, ...]) -> str:
     for a in aggs:
         acc = "" if a.accuracy is None else f"{100 * a.accuracy:.1f}"
         mean = "" if a.time_mean_s is None else f"{a.time_mean_s:.3f}"
+        spread = "" if a.spread_mean is None else f"{a.spread_mean:.2f}"
         lines.append(f"{a.domain:<12} {a.pct:>5} {a.noise:>5} {a.method:<8} {a.n:>4} "
-                     f"{mean:>8} {acc:>7} {a.spread_mean:>7.2f}")
+                     f"{mean:>8} {acc:>7} {spread:>7}")
     return "\n".join(lines)
 
 

@@ -6,13 +6,15 @@ base solve starts from the crash basis of its landmark rows, LM-cut's cost
 partitioning, so the dual simplex starts at h_LM-cut. The h_hc solve passes
 the floors as bounds and starts from the base optimal basis, which stays
 dual feasible when only the bounds change.
-``select`` is the one selection rule: each method names its score key
+A ``RecognitionReport`` is its scores, method and |O|, and derives its
+selection from them when it is built: each method names its score key
 (h_hc or the enforcement delta h_hc - h) and whether the threshold is
 widened by the uncertainty ratio
 
     U = 1 + max(min_G h_hc - |O|, 0) / min_G h_hc
 
-which estimates how many observations are missing. Infeasible LPs map to
+which estimates how many observations are missing. ``replace(report,
+method=m)`` evaluates method m on the same scores. Infeasible LPs map to
 infinity, never selected; a failed solve's SolverFailure names its hypothesis.
 """
 
@@ -73,13 +75,33 @@ class HypothesisScore:
 
 @dataclass(frozen=True)
 class RecognitionReport:
+    """Scores under a method for |O| observations, and what they give, derived when
+    built: U for the ``-u`` methods (else 1), the goals whose finite score key is within
+    ``min * U`` of its minimum and, only when no score is finite, the fallback ranking
+    by h."""
     scores: tuple[HypothesisScore, ...]
-    uncertainty: float | None
-    selected: tuple[int, ...]
     method: str
     obs_len: int
     timings: dict[str, float] = field(default_factory=dict)
-    fallback_ranking: tuple[int, ...] | None = None  # only when all infeasible
+    uncertainty: float | None = field(init=False)
+    selected: tuple[int, ...] = field(init=False)
+    fallback_ranking: tuple[int, ...] | None = field(init=False)
+
+    def __post_init__(self) -> None:
+        check_name("method", self.method, SELECTION_RULES)
+        key, widen = SELECTION_RULES[self.method]
+        values = {s.goal_index: getattr(s, key) for s in self.scores}
+        finite = {i: v for i, v in values.items() if v != INF}
+        if not finite:
+            # non-normative fallback: rank by the unconstrained heuristic
+            h = {s.goal_index: s.h for s in self.scores}
+            derived = (), None, tuple(sorted(values, key=lambda i: (h[i], i)))
+        else:
+            u = uncertainty(self.scores, self.obs_len) if widen else 1.0
+            threshold = min(finite.values()) * u + SELECTION_SLACK
+            derived = tuple(i for i in sorted(finite) if finite[i] <= threshold), u, None
+        for name, value in zip(("selected", "uncertainty", "fallback_ranking"), derived):
+            object.__setattr__(self, name, value)
 
     @property
     def all_infeasible(self) -> bool:
@@ -154,20 +176,6 @@ def score_hypothesis(task: PlanningTask, goal: Iterable[int], obs: ObservationSe
     return _score_one(task, goal_index, frozenset(goal), obs, config)[0]
 
 
-def score_all(task: PlanningTask, hyps: GoalHypotheses, obs: ObservationSequence,
-              config: RecognizerConfig = RecognizerConfig()
-              ) -> tuple[tuple[HypothesisScore, ...], dict[str, float]]:
-    """Score every hypothesis, in index order.
-
-    Base results (h) are reused from an earlier call on the same task object.
-    """
-    results = [_score_one(task, i, g, obs, config) for i, g in enumerate(hyps.goals)]
-    scores = tuple(r[0] for r in results)
-    timings = {"constraints": sum(r[1] for r in results),
-               "lp": sum(r[2] for r in results)}
-    return scores, timings
-
-
 def uncertainty(scores: Iterable[HypothesisScore], obs_len: int) -> float | None:
     """Ratio widening the acceptance threshold when observations are scarce,
     1 + max(m - |O|, 0) / m for the least finite h_hc m: never below 1, as
@@ -180,41 +188,17 @@ def uncertainty(scores: Iterable[HypothesisScore], obs_len: int) -> float | None
     return 1.0 + max(m - obs_len, 0) / m if m > 0 else 1.0
 
 
-def select(scores: tuple[HypothesisScore, ...], method: str, obs_len: int
-           ) -> tuple[tuple[int, ...], float | None, tuple[int, ...] | None]:
-    """Selected goals, the threshold ratio and, only when every hypothesis is
-    infeasible, the fallback ranking by h.
-
-    Keeps every finite score within ``min * U`` of the minimum of the
-    method's score key, where U is the uncertainty ratio for the ``-u``
-    methods and 1 otherwise.
-    """
-    check_name("method", method, SELECTION_RULES)
-    key, widen = SELECTION_RULES[method]
-    values = {s.goal_index: getattr(s, key) for s in scores}
-    finite = {i: v for i, v in values.items() if v != INF}
-    if not finite:
-        # non-normative fallback: rank by the unconstrained heuristic
-        h = {s.goal_index: s.h for s in scores}
-        ranking = tuple(sorted(values, key=lambda i: (h[i], i)))
-        return (), None, ranking
-    u = uncertainty(scores, obs_len) if widen else 1.0
-    threshold = min(finite.values()) * u + SELECTION_SLACK
-    selected = tuple(i for i in sorted(finite) if finite[i] <= threshold)
-    return selected, u, None
-
-
 def recognize(task: PlanningTask, hyps: GoalHypotheses, obs: ObservationSequence,
               method: str = METHOD_DELTA_U,
               config: RecognizerConfig = RecognizerConfig()) -> RecognitionReport:
+    """Score every hypothesis, in index order, and select under ``method``.
+
+    Base results (h) are reused from an earlier call on the same task object.
+    """
     check_name("method", method, SELECTION_RULES)
-    scores, timings = score_all(task, hyps, obs, config)
-    t0 = time.perf_counter()
-    selected, u, fallback = select(scores, method, len(obs))
-    timings["selection"] = time.perf_counter() - t0
-    return RecognitionReport(scores=scores, uncertainty=u, selected=selected,
-                             method=method, obs_len=len(obs), timings=timings,
-                             fallback_ranking=fallback)
+    results = [_score_one(task, i, g, obs, config) for i, g in enumerate(hyps.goals)]
+    timings = {"constraints": sum(r[1] for r in results), "lp": sum(r[2] for r in results)}
+    return RecognitionReport(tuple(r[0] for r in results), method, len(obs), timings)
 
 
 def _json_value(v: float) -> float | str:
@@ -248,19 +232,16 @@ def report_to_dict(report: RecognitionReport) -> dict:
 
 def report_from_dict(data: Mapping) -> RecognitionReport:
     """The report of ``report_to_dict``'s scores (h, h_hc, counts), method, obs_len and
-    timings: ``select`` derives delta, U and the selection again, whatever the dict says."""
+    timings: delta, U and the selection are derived again, whatever the dict says."""
     scores = tuple(
         HypothesisScore(
             int(s["goal_index"]), float(s["h"]), float(s["h_hc"]),
             counts_base=tuple(s["counts_base"]) if s.get("counts_base") is not None else None,
             counts_hc=tuple(s["counts_hc"]) if s.get("counts_hc") is not None else None)
         for s in data["scores"])
-    method, obs_len = str(data["method"]), int(data["obs_len"])
-    selected, u, fallback = select(scores, method, obs_len)
     return RecognitionReport(
-        scores=scores, uncertainty=u, selected=selected, method=method, obs_len=obs_len,
-        timings={str(k): float(v) for k, v in dict(data.get("timings", {})).items()},
-        fallback_ranking=fallback)
+        scores, str(data["method"]), int(data["obs_len"]),
+        {str(k): float(v) for k, v in dict(data.get("timings", {})).items()})
 
 
 def _fmt(v: float) -> str:

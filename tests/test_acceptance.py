@@ -23,7 +23,7 @@ from ocgr.generators import demo_grid_bundle
 from ocgr.inputs import ObservationSequence, bundle_from_texts
 from ocgr.lp import LinearProgram, solve_lp, solve_with
 from ocgr.oracle import optimal_cost, validate_plan
-from ocgr.recognition import INF, SELECTION_RULES, RecognizerConfig, recognize, score_all
+from ocgr.recognition import INF, SELECTION_RULES, RecognizerConfig, recognize
 from references import enumerate_plans, observation_constraints
 
 LP_EPS = 1e-6
@@ -52,7 +52,8 @@ def clean_problems():
 def clean_scored(clean_problems):
     config = RecognizerConfig()
     t0 = time.perf_counter()
-    scored = [(p, score_all(p.task, p.hyps, p.obs, config)[0]) for p in clean_problems]
+    scored = [(p, recognize(p.task, p.hyps, p.obs, config=config).scores)
+              for p in clean_problems]
     return scored, time.perf_counter() - t0
 
 
@@ -120,7 +121,7 @@ def test_criterion_3_completeness_full_observability():
         check = validate_plan(p.task, p.plan.steps, p.hyps.goals[p.hyps.hidden])
         assert check.ok, f"witness plan invalid for {p.problem_id}"
         assert p.obs.obs == p.plan.steps  # 100% observability
-        scores, _ = score_all(p.task, p.hyps, p.obs, config)
+        scores = recognize(p.task, p.hyps, p.obs, config=config).scores
         finite = {s.goal_index: s.h_hc for s in scores if s.h_hc != INF}
         threshold = min(finite.values()) + 1e-9
         selected = {i for i, v in finite.items() if v <= threshold}

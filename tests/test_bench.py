@@ -269,8 +269,8 @@ def test_rows_carry_times_only_when_asked(tmp_path, timings):
 
 def test_a_failed_solve_is_an_error_row_of_each_method(tmp_path, monkeypatch):
     """A problem whose scoring raises gets one row per method with the
-    error's type as its status and no time, verdict, U or selection; the
-    aggregates count those rows and report no accuracy."""
+    error's type as its status and no time, verdict, spread, U or selection;
+    the aggregates count those rows and report no accuracy."""
     def broken(prog, **solve):
         raise SolverFailure("injected failure")
 
@@ -281,8 +281,8 @@ def test_a_failed_solve_is_an_error_row_of_each_method(tmp_path, monkeypatch):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2 * 1 * 2 * 4  # families * per_family * levels * methods
     for r in rows:
-        assert r["status"] == "error:SolverFailure" and r["spread"] == "0"
-        assert r["time_s"] == r["correct"] == r["U"] == r["selected_goals"] == ""
+        assert r["status"] == "error:SolverFailure"
+        assert r["time_s"] == r["correct"] == r["spread"] == r["U"] == r["selected_goals"] == ""
     with agg_path.open(newline="") as fh:
         aggregates = list(csv.DictReader(fh))
     assert len(aggregates) == 2 * 2 * 4  # families * levels * methods
@@ -290,8 +290,9 @@ def test_a_failed_solve_is_an_error_row_of_each_method(tmp_path, monkeypatch):
 
 
 def test_an_all_error_group_has_no_mean_time(tmp_path, monkeypatch):
-    """A group whose every row is an error has no time to average: its
-    ``time_mean_s`` is empty in aggregate.csv and blank in the table."""
+    """A group whose every row is an error has no time or spread to average:
+    its ``time_mean_s`` and ``spread_mean`` are empty in aggregate.csv and
+    blank in the table."""
     def broken(prog, **solve):
         raise SolverFailure("injected failure")
 
@@ -299,12 +300,38 @@ def test_an_all_error_group_has_no_mean_time(tmp_path, monkeypatch):
     spec = _tiny_spec(families=("grid",), per_family=1, observability=(100,),
                       methods=("delta-u",), timings=True, backend="broken-test")
     result = run_suite(spec)
-    assert [a.time_mean_s for a in result.aggregates] == [None]
+    assert [(a.time_mean_s, a.spread_mean) for a in result.aggregates] == [(None, None)]
     _, agg_path = write_suite_outputs(result, tmp_path / "out", spec)
     assert agg_path.read_text() == ("domain,pct,noise,method,n,time_mean_s,acc_pct,spread_mean\n"
-                                    "grid,100,0,delta-u,1,,,0.00\n")
+                                    "grid,100,0,delta-u,1,,,\n")
     assert format_aggregate_table(result.aggregates).splitlines()[-1] == \
-        "grid           100     0 delta-u     1                     0.00"
+        "grid           100     0 delta-u     1" + " " * 25
+
+
+def test_a_mixed_group_means_cover_the_scored_rows(tmp_path, monkeypatch):
+    """In a group of one error row and one scored row, mean time, accuracy and
+    spread all average the scored row alone."""
+    calls = []
+
+    def first_fails(prog, **solve):
+        calls.append(prog)
+        if len(calls) == 1:
+            raise SolverFailure("injected failure")
+        return lp.BACKENDS["simplex"](prog, **solve)
+
+    monkeypatch.setitem(lp.BACKENDS, "first-fails-test", first_fails)
+    spec = _tiny_spec(families=("grid",), per_family=2, observability=(100,),
+                      methods=("delta-u",), timings=True, backend="first-fails-test")
+    result = run_suite(spec)
+    assert [(r.problem_id, r.status, r.spread) for r in result.rows] == \
+        [("grid-000", "error:SolverFailure", None), ("grid-001", "ok", 3)]
+    (agg,) = result.aggregates
+    assert (agg.n, agg.accuracy, agg.spread_mean) == (2, 1.0, 3.0)
+    assert agg.time_mean_s == result.rows[1].time_s
+    _, agg_path = write_suite_outputs(result, tmp_path / "out", spec)
+    with agg_path.open(newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["n"], row["acc_pct"], row["spread_mean"]) == ("2", "100.00", "3.00")
 
 
 def test_materialize_suite_writes_generated_problems_only(tmp_path):

@@ -19,7 +19,7 @@ from ocgr.grounding import ground
 from ocgr.inputs import bundle_from_texts, load_bundle
 from ocgr.oracle import optimal_cost
 from ocgr.pddl import parse_domain, parse_problem
-from ocgr.recognition import RecognizerConfig, recognize, report_from_dict, select
+from ocgr.recognition import RecognitionReport, RecognizerConfig, recognize, report_from_dict
 
 
 # Both goals need one branch of the fork; observing both branches makes every
@@ -631,7 +631,7 @@ _NAME_ENTRIES = {
     },
     ("method", "nope", "delta, delta-u, hc, hc-u"): {
         "recognize": lambda tmp, demo, x: _recognize(load_bundle(demo), x),
-        "select": lambda tmp, demo, x: select((), x, 0),
+        "RecognitionReport": lambda tmp, demo, x: RecognitionReport((), x, 0),
         # checked before any input is read: the bundle directory does not exist
         "recognize-cli": lambda tmp, demo, x: ["recognize", "-b", str(tmp / "missing"),
                                                "--method", x],

@@ -20,9 +20,9 @@ from ocgr.inputs import (GoalHypotheses, ObservationSequence, bundle_from_texts,
                          load_bundle)
 from ocgr.lp import Basis, LinearProgram, LpOutcome, solve_lp, solve_with
 from ocgr.oracle import Plan, optimal_cost
-from ocgr.recognition import (INF, SELECTION_RULES, RecognizerConfig, base_lp,
-                              recognize, report_from_dict, report_to_dict,
-                              score_all, score_hypothesis, select, uncertainty)
+from ocgr.recognition import (INF, SELECTION_RULES, HypothesisScore, RecognitionReport,
+                              RecognizerConfig, base_lp, recognize, report_from_dict,
+                              report_to_dict, score_hypothesis, uncertainty)
 from references import full_observation_guarantee_check, observation_constraints
 
 
@@ -144,28 +144,29 @@ def test_recognize_hc_threshold_follows_formula(demo_bundle):
     assert report_flat.selected == (0,)
 
 
-def test_recognize_hc_tie_kept():
-    from ocgr.recognition import HypothesisScore
+def _derived(report):
+    """What a report derives from its scores: its selection, U and fallback ranking."""
+    return report.selected, report.uncertainty, report.fallback_ranking
 
+
+def test_recognize_hc_tie_kept():
     scores = (HypothesisScore(0, 2, 5), HypothesisScore(1, 2, 5))
-    selected, u, fallback = select(scores, "hc", 3)
+    selected, u, fallback = _derived(RecognitionReport(scores, "hc", 3))
     assert selected == (0, 1) and u == 1.0 and fallback is None
     with pytest.raises(ValueError, match="unknown method"):
-        select(scores, "h_hc", 3)
+        RecognitionReport(scores, "h_hc", 3)
 
 
 def test_fallback_ranks_by_each_goals_own_h():
     """The fallback ranking reads each score's h by its goal index, for
     scores out of index order and for indexes with gaps."""
-    from ocgr.recognition import HypothesisScore
-
     def infeasible(index, h):
         return HypothesisScore(index, h, INF)
 
     shuffled = (infeasible(2, 1), infeasible(0, 5), infeasible(1, 3))
-    assert select(shuffled, "delta-u", 3) == ((), None, (2, 1, 0))
+    assert _derived(RecognitionReport(shuffled, "delta-u", 3)) == ((), None, (2, 1, 0))
     gaps = (infeasible(7, 4), infeasible(3, 4), infeasible(12, 0))
-    assert select(gaps, "hc", 3) == ((), None, (12, 3, 7))
+    assert _derived(RecognitionReport(gaps, "hc", 3)) == ((), None, (12, 3, 7))
 
 
 def test_recognize_delta_demo_cases(demo_bundle):
@@ -219,7 +220,7 @@ def test_one_way_fork_infeasible_noise():
     walk_l = b.task.action_index["walk s0 l1"]
     walk_r = b.task.action_index["walk s0 r1"]
     obs = _obs(walk_l, walk_r)
-    scores, _ = score_all(b.task, b.hyps, obs, RecognizerConfig())
+    scores = recognize(b.task, b.hyps, obs).scores
     assert all(s.h_hc == INF for s in scores)
     assert all(s.h != INF for s in scores)
     report = recognize(b.task, b.hyps, obs, "delta-u")
@@ -288,6 +289,47 @@ def test_report_json_round_trip(demo_bundle):
     assert back.uncertainty == report.uncertainty
     assert back.scores == report.scores
     assert back.timings == report.timings
+
+
+def _replace_cases():
+    """(task, hyps, obs) of the demo at 1 and 7 observations, of the one-way
+    fork with both branches observed (every hypothesis infeasible), and of one
+    generated noisy problem per family."""
+    demo = bundle_from_texts(dict(demo_grid_bundle().files))
+    fork = bundle_from_texts(dict(ONE_WAY_BUNDLE), require_obs=False)
+    both = _obs(fork.task.action_index["walk s0 l1"], fork.task.action_index["walk s0 r1"])
+    cases = [(demo.task, demo.hyps, ObservationSequence(demo.obs.obs[:k])) for k in (1, 7)]
+    cases.append((fork.task, fork.hyps, both))
+    for family in ("blocks", "corridor", "grid", "logistics"):
+        p = generated_problems(SuiteSpec(families=(family,), per_family=1,
+                                         observability=(50,), noise_count=1, seed=5))[0]
+        cases.append((p.task, p.hyps, p.obs))
+    return cases
+
+
+def test_replacing_the_method_derives_that_methods_selection():
+    """A report built again under another method gives what ``recognize``
+    gives under it: the same scores, U, selection and fallback ranking."""
+    infeasible = 0
+    for task, hyps, obs in _replace_cases():
+        report = recognize(task, hyps, obs, "delta-u")
+        infeasible += report.all_infeasible
+        for method in SELECTION_RULES:
+            other = dataclasses.replace(report, method=method)
+            direct = recognize(task, hyps, obs, method)
+            assert other.method == method
+            assert other.scores == direct.scores
+            assert _derived(other) == _derived(direct)
+    assert infeasible == 1
+
+
+def test_a_report_takes_no_selection():
+    """What a report derives cannot be given to it. (Its unknown-method error is
+    checked with every other entry point's, in test_cli.)"""
+    scores = (HypothesisScore(0, 2, 5),)
+    for derived in ("selected", "uncertainty", "fallback_ranking"):
+        with pytest.raises(TypeError, match=derived):
+            RecognitionReport(scores, "hc", 1, **{derived: None})
 
 
 def test_report_from_dict_derives_what_the_scores_give(demo_bundle):
@@ -416,7 +458,7 @@ def test_threaded_scoring_with_reused_bases_matches_sequential():
             results = [None, None]
 
             def score(slot):
-                results[slot] = score_all(b.task, hyps, obs)[0]
+                results[slot] = recognize(b.task, hyps, obs).scores
 
             threads = [threading.Thread(target=score, args=(slot,)) for slot in (0, 1)]
             for t in threads:
@@ -424,8 +466,8 @@ def test_threaded_scoring_with_reused_bases_matches_sequential():
             for t in threads:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
-            seq, _ = score_all(bundle_from_texts(dict(ISLAND_BUNDLE), require_obs=False).task,
-                               hyps, obs)
+            seq = recognize(bundle_from_texts(dict(ISLAND_BUNDLE), require_obs=False).task,
+                            hyps, obs).scores
             assert results == [seq, seq]
     finally:
         sys.setswitchinterval(interval)
