@@ -233,7 +233,24 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
     value moves only when its supporter's value falls. So each later round
     propagates only the drops, in Dijkstra order from the cut actions' add
     effects, and recomputes a supporter only when its value falls; values
-    and supporters stay those of a full pass under the residual costs.
+    and supporters stay those of a full pass under the residual costs, up to
+    the goal's value on the tasks below.
+
+    On a task with no real action of two or more open preconditions (its
+    setup's ``multi`` is empty), every real action's supporter is its one
+    open precondition in every round, and the update stops at its first pop
+    above the goal node's value: every later fire is larger, so the goal's
+    value is final. A value left stale is above the goal's and not below a
+    full pass's, and no row, zone or cut reads it: the zone search only asks
+    whether a value is INF, which round one settles for good, the cut search
+    reads no value, and a fire from a stale supporter lies above the goal's
+    value, as the full pass's does. A fact that a later round brings to at
+    most the goal's value gets there along facts valued at most that, whose
+    values are exact. When the goal also has one open fact, the virtual
+    action's supporter is fixed too, so the zone, reached back from the goal
+    over the supporters of the adders of residual 0, can only grow, as those
+    adders only grow: it is kept between rounds, and each round walks on
+    only from the zone facts that its drained actions add.
 
     The cut search and the update walk the successor lists in the task's
     memo. An action whose only open precondition is f has f as supporter in
@@ -276,14 +293,21 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
     residual = list(task.costs) + [0]
     # per node, its adders of residual 0; a round's drained actions join them
     zero_adders = list(setup.free_adders)
+    # with no real action of two or more open preconditions every real
+    # supporter is fixed, so the update may stop at the goal's value; with one
+    # open goal fact the virtual action's is fixed too, and the zone is kept
+    fixed = not any(setup.multi)
+    keep_zone = fixed and len(goal_pre) == 1
 
     out: list[LinearConstraint] = []
     value_of = values.__getitem__
     supporter = [*setup.supporter, max(goal_pre, key=value_of)]
+    in_zone: list[bool] = []
     for _ in range(_LMCUT_ROUND_GUARD):
-        in_zone = [False] * num_nodes
-        in_zone[goal_node] = True
-        stack = [goal_node]
+        if not (keep_zone and in_zone):
+            in_zone = [False] * num_nodes
+            in_zone[goal_node] = True
+            stack = [goal_node]
         while stack:
             v = stack.pop()
             for ai in zero_adders[v]:
@@ -327,6 +351,8 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
         for ai in drained:
             for q in adds[ai]:
                 zero_adders[q] += (ai,)
+        if keep_zone:  # the next round walks on from the zone facts drained ones add
+            stack = [q for ai in drained for q in adds[ai] if in_zone[q]]
 
         # every cut action's new value is taken before any value falls: a cut
         # action may add another's supporter, which is then no longer its max
@@ -343,6 +369,8 @@ def landmark_constraints(task: PlanningTask, goal: Iterable[int]) -> tuple[Linea
                     heappush(heap, (fire, q))
         while heap:
             val, f = heappop(heap)
+            if fixed and val > values[goal_node]:
+                break  # what is left stays above the goal's value
             if val > values[f]:
                 continue  # stale: f fell again after this push
             # f is the supporter of each action whose one open precondition
