@@ -244,10 +244,14 @@ class Row:
     method: str
     time_s: float | None
     correct: bool | None
-    spread: int | None  # None for an error row
     u: float | None
     selected: tuple[int, ...]
     status: str = "ok"
+
+    @property
+    def spread(self) -> int | None:
+        """The selected set's size, None for an error row."""
+        return len(self.selected) if self.status == "ok" else None
 
 
 @dataclass(frozen=True)
@@ -270,8 +274,9 @@ class SuiteResult:
 
 def _sources(spec: SuiteSpec):
     """Each source in manifest order, loaded once the one before has had its
-    levels composed: its bundle, source plan, domain name, problem id,
-    generated files (None if shipped) and the parts its levels' seeds extend."""
+    levels composed: its bundle, source plan, domain (the PDDL domain's name,
+    or the generator family), problem id, generated files (None if shipped)
+    and the parts its levels' seeds extend."""
     for path in spec.bundles:
         b = load_bundle(path)
         name = Path(path).name
@@ -280,15 +285,15 @@ def _sources(spec: SuiteSpec):
     for family in spec.families:
         for j in range(spec.per_family):
             base_seed = stable_seed(spec.seed, family, j)
-            generated = GENERATORS[family](random.Random(base_seed))
-            b = bundle_from_texts(generated.files, require_obs=False, path=f"<{family}-{j}>")
+            files = GENERATORS[family](random.Random(base_seed))
+            b = bundle_from_texts(files, require_obs=False, path=f"<{family}-{j}>")
             suboptimal = int((j + 1) * spec.suboptimal_fraction) > int(j * spec.suboptimal_fraction)
             try:
                 plan = _witness_plan(b.task, b.hyps.goals[b.hyps.hidden], suboptimal,
                                      random.Random(stable_seed(base_seed, "detour")))
             except (CapExceeded, GoalUnreachable) as exc:
                 raise type(exc)(f"{family}-{j}: {exc}") from exc
-            yield b, plan, generated.name, f"{family}-{j:03d}", generated.files, (base_seed,)
+            yield b, plan, family, f"{family}-{j:03d}", files, (base_seed,)
 
 
 def generated_problems(spec: SuiteSpec) -> list[RecognitionProblem]:
@@ -315,8 +320,8 @@ def _evaluate(problem: RecognitionProblem, spec: SuiteSpec, config: RecognizerCo
         report = recognize(problem.task, problem.hyps, problem.obs, spec.methods[0], config)
         elapsed = time.perf_counter() - t0
     except OcgrError as exc:
-        return [Row(**common, method=m, time_s=None, correct=None, spread=None,
-                    u=None, selected=(), status=f"error:{type(exc).__name__}")
+        return [Row(**common, method=m, time_s=None, correct=None, u=None, selected=(),
+                    status=f"error:{type(exc).__name__}")
                 for m in spec.methods]
     hidden = problem.hyps.hidden
     rows = []
@@ -326,8 +331,7 @@ def _evaluate(problem: RecognitionProblem, spec: SuiteSpec, config: RecognizerCo
         row_time = elapsed + (time.perf_counter() - t1)
         correct = (hidden in chosen.selected) if hidden is not None else None
         rows.append(Row(**common, method=method, time_s=row_time, correct=correct,
-                        spread=len(chosen.selected), u=chosen.uncertainty,
-                        selected=chosen.selected))
+                        u=chosen.uncertainty, selected=chosen.selected))
     return rows
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from .constraints import ALL_FAMILIES, dump_constraints
 from .errors import GoalUnreachable, OcgrError, SolverFailure, check_name
 from .inputs import BUNDLE_FILES, Bundle, bundle_from_texts, load_bundle
-from .lp import OPTIMAL, LinearProgram
+from .lp import LinearProgram
 from .oracle import optimal_cost
 from .recognition import (METHOD_DELTA_U, SELECTION_RULES, RecognizerConfig, base_lp,
                           format_report, recognize, report_to_dict,
@@ -177,7 +177,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.demo_grid == bool(args.family):
         raise ValueError("gen takes exactly one of --demo-grid and --family")
     if args.demo_grid:
-        write_bundle(out / "grid-demo", demo_grid_bundle().files)
+        write_bundle(out / "grid-demo", demo_grid_bundle())
         print(out / "grid-demo")
         return EXIT_OK
     spec = bench_mod.SuiteSpec(families=(args.family,), per_family=args.count,
@@ -222,7 +222,7 @@ def _cmd_heuristic(args: argparse.Namespace) -> int:
     for family in ALL_FAMILIES:
         try:
             _, out = base_lp(task, goal, RecognizerConfig((family,), args.backend))
-            value = out.value if out.status == OPTIMAL else out.status
+            value = out.status if out.value is None else out.value
         except GoalUnreachable:
             value = "unreachable"
         print(f"lp[{family}] = {value}")

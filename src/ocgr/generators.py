@@ -1,16 +1,16 @@
 """Bundle generators for desk-scale recognition suites.
 
 Four families: grid navigation, blocks stacking, a two-city logistics
-variant, and branching corridors. Each generator emits the textual bundle
-files (domain.pddl, template.pddl, hyps.dat, real_hyp.dat); observations
-are added later from a sampled plan. Generation is a pure function of the
-passed RNG, so equal seeds give byte-identical bundles.
+variant, and branching corridors. Each generator returns its bundle's
+files as a dict from file name to text (domain.pddl, template.pddl,
+hyps.dat, real_hyp.dat); observations are added later from a sampled plan.
+A family's name is its ``GENERATORS`` key. Generation is a pure function of
+the passed RNG, so equal seeds give byte-identical bundles.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -116,14 +116,6 @@ CORRIDOR_DOMAIN = """\
 """
 
 
-@dataclass(frozen=True)
-class GeneratedBundle:
-    """Textual bundle files; obs.dat is filled in by the bench layer."""
-
-    name: str
-    files: dict[str, str]
-
-
 def write_bundle(directory: str | Path, files: dict[str, str]) -> None:
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
@@ -140,15 +132,14 @@ def _problem(name: str, domain: str, objects: str, init: str) -> str:
             f")\n")
 
 
-def _bundle(name: str, domain: str, problem: str, hyp_lines: list[str],
-            hidden: int) -> GeneratedBundle:
+def _bundle(domain: str, problem: str, hyp_lines: list[str], hidden: int) -> dict[str, str]:
     """The four bundle files, one hypothesis a line and line ``hidden`` the real one."""
-    return GeneratedBundle(name=name, files={
+    return {
         "domain.pddl": domain,
         "template.pddl": problem,
         "hyps.dat": "\n".join(hyp_lines) + "\n",
         "real_hyp.dat": hyp_lines[hidden] + "\n",
-    })
+    }
 
 
 def _hypotheses(rng: random.Random, draw: Callable[[], str | None]) -> list[str]:
@@ -186,8 +177,8 @@ def _grid_problem(cells: list[str], edges: list[tuple[str, str, str]], start: st
     return _problem(name, "grid-nav", f"{' '.join(cells)} - cell", f"(at {start})\n    {adj}")
 
 
-def demo_grid_bundle() -> GeneratedBundle:
-    """Fixed 4x4 navigation demo with two goal cells.
+def demo_grid_bundle() -> dict[str, str]:
+    """Fixed 4x4 navigation demo with two goal cells; its files include obs.dat.
 
     One wall (between c_2_0 and c_2_1) and one one-way passage (c_2_0 to
     c_3_0) make the observation-constrained LP values work out to integral
@@ -202,12 +193,11 @@ def demo_grid_bundle() -> GeneratedBundle:
            "(move-left c_3_1 c_2_1)\n"
            "(move-up c_2_1 c_2_2)\n"
            "(move-left c_2_2 c_1_2)\n")
-    bundle = _bundle("grid-demo", GRID_DOMAIN, _grid_problem(cells, edges, "c_0_0", "grid-demo"),
-                     ["(at c_1_2)", "(at c_0_3)"], 0)
-    return replace(bundle, files={**bundle.files, "obs.dat": obs})
+    return {**_bundle(GRID_DOMAIN, _grid_problem(cells, edges, "c_0_0", "grid-demo"),
+                      ["(at c_1_2)", "(at c_0_3)"], 0), "obs.dat": obs}
 
 
-def gen_grid(rng: random.Random) -> GeneratedBundle:
+def gen_grid(rng: random.Random) -> dict[str, str]:
     width = rng.randint(4, 5)
     height = rng.randint(4, 5)
     coords = [(x, y) for x in range(width) for y in range(height)]
@@ -253,11 +243,11 @@ def gen_grid(rng: random.Random) -> GeneratedBundle:
     k = rng.randint(3, 4)
     goal_cells = rng.sample(sorted(c for c in coords if c != start), k)
     problem = _grid_problem(cells, sorted(edges), cname[start], "grid-gen")
-    return _bundle("grid", GRID_DOMAIN, problem, [f"(at {cname[c]})" for c in goal_cells],
+    return _bundle(GRID_DOMAIN, problem, [f"(at {cname[c]})" for c in goal_cells],
                    rng.randrange(k))
 
 
-def gen_blocks(rng: random.Random) -> GeneratedBundle:
+def gen_blocks(rng: random.Random) -> dict[str, str]:
     n = rng.randint(4, 5)
     blocks = [chr(ord("a") + i) for i in range(n)]
     order = blocks[:]
@@ -284,10 +274,10 @@ def gen_blocks(rng: random.Random) -> GeneratedBundle:
 
     hyp_lines = _hypotheses(rng, draw)
     problem = _problem("blocks-gen", "blocks", " ".join(blocks), " ".join(init_atoms))
-    return _bundle("blocks", BLOCKS_DOMAIN, problem, hyp_lines, rng.randrange(len(hyp_lines)))
+    return _bundle(BLOCKS_DOMAIN, problem, hyp_lines, rng.randrange(len(hyp_lines)))
 
 
-def gen_logistics(rng: random.Random) -> GeneratedBundle:
+def gen_logistics(rng: random.Random) -> dict[str, str]:
     locations = ["apt1", "loc1", "apt2", "loc2"]
     city_of = {"apt1": "city1", "loc1": "city1", "apt2": "city2", "loc2": "city2"}
     num_pkgs = rng.randint(1, 2)
@@ -309,11 +299,10 @@ def gen_logistics(rng: random.Random) -> GeneratedBundle:
     objects = (f"{' '.join(pkgs)} - package trk1 trk2 - truck pln1 - airplane "
                f"{' '.join(locations)} - location city1 city2 - city")
     problem = _problem("logi-gen", "logi", objects, " ".join(init_atoms))
-    return _bundle("logistics", LOGISTICS_DOMAIN, problem, hyp_lines,
-                   rng.randrange(len(hyp_lines)))
+    return _bundle(LOGISTICS_DOMAIN, problem, hyp_lines, rng.randrange(len(hyp_lines)))
 
 
-def gen_corridor(rng: random.Random) -> GeneratedBundle:
+def gen_corridor(rng: random.Random) -> dict[str, str]:
     spine_len = rng.randint(3, 4)
     spine = [f"s{i}" for i in range(spine_len + 1)]
     num_branches = rng.randint(3, 4)
@@ -337,7 +326,7 @@ def gen_corridor(rng: random.Random) -> GeneratedBundle:
         link_atoms.append(f"(linked {b} {a})")
     problem = _problem("corridor-gen", "corridor", f"{' '.join(nodes)} - node",
                        f"(at s0) {' '.join(link_atoms)}")
-    return _bundle("corridor", CORRIDOR_DOMAIN, problem, [f"(at {t})" for t in tips],
+    return _bundle(CORRIDOR_DOMAIN, problem, [f"(at {t})" for t in tips],
                    rng.randrange(len(tips)))
 
 

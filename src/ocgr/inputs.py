@@ -2,7 +2,7 @@
 
 Bundle directory layout:
   domain.pddl    lifted domain
-  template.pddl  problem; any :goal section is ignored
+  template.pddl  problem; a :goal section is checked like the rest, then dropped
   hyps.dat       one hypothesis per line, fluents comma-separated
   obs.dat        one ground action per line, parenthesized
   real_hyp.dat   single line, verbatim copy of one hyps.dat line (optional)
@@ -64,9 +64,6 @@ class GoalHypotheses:
 
     def __len__(self) -> int:
         return len(self.goals)
-
-    def with_hidden(self, hidden: int) -> "GoalHypotheses":
-        return replace(self, hidden=hidden)
 
 
 def _dat_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
@@ -168,13 +165,13 @@ def bundle_from_texts(texts: dict[str, str | None], *, path: str = "<memory>",
         return text
 
     dom = _parsed_domain(read("domain.pddl"))
-    # hypotheses drive the recognition goals; template goals are ignored
+    # hypotheses drive the recognition goals; a template :goal is checked, then dropped
     prob = replace(parse_problem(read("template.pddl"), dom), goal=())
     task = ground(dom, prob)
     hyps = parse_hypotheses(read("hyps.dat"), task)
     real = read("real_hyp.dat", required=False)
     if real is not None:
-        hyps = hyps.with_hidden(parse_real_hyp(real, hyps))
+        hyps = replace(hyps, hidden=parse_real_hyp(real, hyps))
     obs_text = read("obs.dat", required=require_obs)
     obs = parse_observations(obs_text, task) if obs_text is not None else ObservationSequence(())
     return Bundle(domain_name=dom.name, task=task, hyps=hyps, obs=obs)

@@ -76,9 +76,6 @@ PERTURB = 1e-6  # scale of the dual cost perturbation
 _GOLDEN = 0.6180339887498949
 PIVOT_CAP = 50_000  # pivots per solve, the dual's and phase 2's together
 
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-
 
 @dataclass(frozen=True, eq=False)
 class Basis:
@@ -210,7 +207,7 @@ class LpOutcome:
 
     @property
     def status(self) -> str:
-        return INFEASIBLE if self.value is None else OPTIMAL
+        return "infeasible" if self.value is None else "optimal"
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -332,9 +329,10 @@ def _primal(state: _Revised) -> None:
         state.pivot(r, q, state.row(r), column)
 
 
-def _dual(state: _Revised) -> tuple[str, bool]:
-    """Dual simplex from nonnegative reduced costs; returns the status
-    (optimal or infeasible) and whether the costs were perturbed.
+def _dual(state: _Revised) -> tuple[bool, bool]:
+    """Dual simplex from nonnegative reduced costs; returns whether the LP is
+    feasible (every x_B ends at -EPS or above; it is infeasible when a row with
+    negative x_B has no entering column) and whether the costs were perturbed.
 
     Each pivot leaves on the row with the most negative x_B and enters the
     column of the dual ratio test, ties going to the lowest column index. At
@@ -349,11 +347,11 @@ def _dual(state: _Revised) -> tuple[str, bool]:
     while True:
         r = int(x.argmin())
         if x[r] >= -EPS:
-            return OPTIMAL, perturbed
+            return True, perturbed
         line = state.row(r)
         eligible = (line < -PIVOT_TOL).nonzero()[0]
         if not eligible.size:
-            return INFEASIBLE, perturbed
+            return False, perturbed
         # d / line is minus the dual ratio d / -line, exactly: the best ratio is its max.
         ratios = d[eligible]
         ratios /= line[eligible]
@@ -452,8 +450,8 @@ def solve_lp(lp: LinearProgram, *, lower: Iterable[tuple[int, int]] = (),
     rows = lp.compiled
     b = rows.rhs - np.bincount(rows.row, weights=rows.data * k[rows.col], minlength=m)
     state, warm, clamped = _start(lp, start, b)
-    status, perturbed = _dual(state)
-    if status == INFEASIBLE:
+    feasible, perturbed = _dual(state)
+    if not feasible:
         return LpOutcome(pivots=state.pivots, warm=warm)
     if clamped or perturbed:
         state.price(lp.cost)

@@ -26,11 +26,9 @@ from typing import Iterable, Mapping
 
 from .constraints import ALL_FAMILIES, base_constraints, check_families
 from .errors import GoalUnreachable, SolverFailure, check_name
-from .grounding import PlanningTask, task_memo
+from .grounding import INF, PlanningTask, task_memo
 from .inputs import GoalHypotheses, ObservationSequence
 from .lp import BACKENDS, LinearProgram, LpOutcome, solve_with
-
-INF = float("inf")
 
 METHOD_DELTA_U = "delta-u"  # the default method
 # method -> (the score it ranks by, whether U widens the threshold)

@@ -92,7 +92,13 @@ def chain() -> PlanningTask:
 
 @pytest.fixture(scope="session")
 def demo_bundle() -> Bundle:
-    return bundle_from_texts(dict(demo_grid_bundle().files))
+    return bundle_from_texts(dict(demo_grid_bundle()))
+
+
+def with_template_goal(template: str, goal: str) -> str:
+    """``template`` with ``(:goal goal)`` on its own line before its closing parenthesis."""
+    end = template.rstrip().rfind(")")
+    return f"{template[:end]}  (:goal {goal})\n{template[end:]}"
 
 
 def fact_tuple(ids) -> tuple[int, ...]:

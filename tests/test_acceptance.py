@@ -70,7 +70,7 @@ def noisy_rows():
 def test_criterion_1_example_fixture_values():
     """Grid demo reproduces the published example numbers, in under 1s."""
     t0 = time.perf_counter()
-    bundle = bundle_from_texts(dict(demo_grid_bundle().files))
+    bundle = bundle_from_texts(dict(demo_grid_bundle()))
     task, hyps, obs = bundle.task, bundle.hyps, bundle.obs
     full = recognize(task, hyps, obs, "delta-u")
     elapsed = time.perf_counter() - t0

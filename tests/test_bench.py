@@ -1,10 +1,11 @@
 import csv
 import random
+from dataclasses import replace
 
 import pytest
 
 from ocgr import lp
-from ocgr.bench import (SuiteSpec, _witness_plan, format_aggregate_table, format_rows,
+from ocgr.bench import (Row, SuiteSpec, _witness_plan, format_aggregate_table, format_rows,
                         generate_problem, generated_problems, inject_noise,
                         load_manifest, materialize_suite, run_suite,
                         sample_observations, stable_seed, write_suite_outputs)
@@ -81,7 +82,8 @@ def test_inject_noise_too_small(chain):
 
 def _problem(b, hidden, pct, noise, seed, suboptimal=False):
     plan = _witness_plan(b.task, b.hyps.goals[hidden], suboptimal, random.Random(seed))
-    return generate_problem(b.task, b.hyps.with_hidden(hidden), pct, noise, seed=seed, plan=plan)
+    return generate_problem(b.task, replace(b.hyps, hidden=hidden), pct, noise, seed=seed,
+                            plan=plan)
 
 
 def test_generate_problem_full_clean(demo_bundle):
@@ -102,7 +104,7 @@ def test_a_capped_detour_search_stops_generation(monkeypatch):
     """A detour search that hits its cap raises instead of leaving the
     optimal plan in place of a suboptimal one."""
     base = stable_seed(2, "grid", 9)
-    b = bundle_from_texts(GENERATORS["grid"](random.Random(base)).files, require_obs=False)
+    b = bundle_from_texts(GENERATORS["grid"](random.Random(base)), require_obs=False)
     goal = b.hyps.goals[b.hyps.hidden]
 
     def witness():
@@ -199,6 +201,7 @@ def test_run_suite_row_cardinality_and_metrics():
     result = run_suite(spec)
     assert len(result.rows) == 2 * 2 * 2 * 4  # families * per_family * levels * methods
     assert all(r.status == "ok" for r in result.rows)
+    assert {r.domain for r in result.rows} == set(spec.families)
     for agg in result.aggregates:
         assert 0.0 <= agg.accuracy <= 1.0
         assert agg.spread_mean >= 1.0  # every selection nonempty here
@@ -234,17 +237,18 @@ def test_run_suite_spread_superset_invariant():
 
 
 def test_run_suite_bundle_mode(tmp_path):
-    write_bundle(tmp_path / "demo", demo_grid_bundle().files)
+    write_bundle(tmp_path / "demo", demo_grid_bundle())
     spec = SuiteSpec(bundles=(str(tmp_path / "demo"),), observability=(50, 100),
                      methods=("delta-u",), seed=1)
     result = run_suite(spec)
     assert len(result.rows) == 2
     full = next(r for r in result.rows if r.pct == 100)
     assert full.correct and full.selected == (0,)
+    assert {r.domain for r in result.rows} == {"grid-nav"}
 
 
 def test_bench_outputs_quote_a_name_with_a_comma(tmp_path):
-    write_bundle(tmp_path / "a,b", demo_grid_bundle().files)
+    write_bundle(tmp_path / "a,b", demo_grid_bundle())
     spec = SuiteSpec(bundles=(str(tmp_path / "a,b"),), observability=(50, 100),
                      methods=("delta-u",), seed=1)
     rows_path, agg_path = write_suite_outputs(run_suite(spec), tmp_path / "out", spec)
@@ -265,6 +269,17 @@ def test_rows_carry_times_only_when_asked(tmp_path, timings):
     assert rows and all(r["status"] == "ok" for r in rows)
     for r in rows:
         assert float(r["time_s"]) >= 0 if timings else r["time_s"] == ""
+
+
+def test_a_rows_spread_is_its_selections_size():
+    """``spread`` is read from the selection, None on an error row, and cannot be passed."""
+    common = dict(domain="grid", problem_id="grid-000", pct=100, noise=0, method="delta-u")
+    assert Row(**common, time_s=None, correct=True, u=1.0, selected=(0, 2)).spread == 2
+    error = Row(**common, time_s=None, correct=None, u=None, selected=(),
+                status="error:SolverFailure")
+    assert error.spread is None
+    with pytest.raises(TypeError):
+        Row(**common, time_s=None, correct=True, u=1.0, selected=(0, 2), spread=3)
 
 
 def test_a_failed_solve_is_an_error_row_of_each_method(tmp_path, monkeypatch):
@@ -335,7 +350,7 @@ def test_a_mixed_group_means_cover_the_scored_rows(tmp_path, monkeypatch):
 
 
 def test_materialize_suite_writes_generated_problems_only(tmp_path):
-    write_bundle(tmp_path / "demo", demo_grid_bundle().files)
+    write_bundle(tmp_path / "demo", demo_grid_bundle())
     shipped = SuiteSpec(bundles=(str(tmp_path / "demo"),), observability=(50,))
     with pytest.raises(ValueError, match="not shipped bundles"):
         materialize_suite(shipped, tmp_path / "out")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CHAIN_DOMAIN, ISLAND_BUNDLE
+from conftest import CHAIN_DOMAIN, ISLAND_BUNDLE, with_template_goal
 from ocgr import lp
 from ocgr.bench import SuiteSpec, _witness_plan, generated_problems, materialize_suite
 from ocgr.constraints import ALL_FAMILIES, base_constraints
@@ -38,7 +38,7 @@ FORK_BUNDLE = {
 @pytest.fixture()
 def demo_dir(tmp_path) -> Path:
     d = tmp_path / "demo"
-    write_bundle(d, demo_grid_bundle().files)
+    write_bundle(d, demo_grid_bundle())
     return d
 
 
@@ -92,6 +92,15 @@ def test_recognize_missing_obs_exits_2(demo_dir, capsys):
 def test_recognize_parse_error_exits_2(demo_dir, capsys):
     (demo_dir / "domain.pddl").write_text("(define (domain broken)")
     assert main(["recognize", "-b", str(demo_dir)]) == 2
+
+
+def test_recognize_checks_a_template_goal(demo_dir, capsys):
+    """A template's :goal is checked like the rest of the file: an unknown
+    object in it exits 2 with one error line naming :goal and the line."""
+    template = demo_dir / "template.pddl"
+    template.write_text(with_template_goal(template.read_text(), "(at nowhere)"))
+    assert main(["recognize", "-b", str(demo_dir)]) == 2
+    assert capsys.readouterr().err == "error: unknown term 'nowhere' in :goal (line 50, col 11)\n"
 
 
 def test_recognize_separate_files(demo_dir, capsys):
@@ -380,7 +389,7 @@ def test_bench_rows_byte_identical(tmp_path, demo_dir):
 
 def test_bench_rows_are_pinned(tmp_path):
     """Shipped and generated problems of every family, noisy, all four methods."""
-    write_bundle(tmp_path / "grid-demo", demo_grid_bundle().files)
+    write_bundle(tmp_path / "grid-demo", demo_grid_bundle())
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({
         "bundles": [str(tmp_path / "grid-demo")],
@@ -505,7 +514,7 @@ def test_gen_search_cap_exits_2(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("command", ["recognize", "heuristic", "plan", "bench"])
 def test_empty_hypotheses_exit_2(tmp_path, capsys, command):
     """A bundle whose hyps.dat lists no goal is an input error in every command."""
-    files = {**demo_grid_bundle().files, "hyps.dat": ""}
+    files = {**demo_grid_bundle(), "hyps.dat": ""}
     del files["real_hyp.dat"]
     write_bundle(tmp_path / "empty", files)
     argv = [command, "-b", str(tmp_path / "empty")]
@@ -539,7 +548,7 @@ def test_a_bad_cap_override_is_one_line_from_its_reader_and_the_cli(demo_dir, ca
     ``ground`` reads OCGR_GROUND_CAP and ``optimal_cost`` OCGR_OPTIMAL_CAP. A
     value that is not a positive integer raises one message from the reader,
     and ``ocgr plan``, which runs both, exits 2 with that one line."""
-    files = demo_grid_bundle().files
+    files = demo_grid_bundle()
     dom = parse_domain(files["domain.pddl"])
     prob = parse_problem(files["template.pddl"], dom)
     task = ground(dom, prob)

@@ -252,8 +252,8 @@ def test_landmark_rows_do_not_depend_on_goal_order():
     other goals and their union ran on it. Each grid goal has one open
     fact, and a blocks goal and every union goal have several, so both
     kinds of virtual goal action are covered."""
-    sources = [open_grid_bundle(12), gen_blocks(random.Random(1)).files,
-               gen_logistics(random.Random(1)).files]
+    sources = [open_grid_bundle(12), gen_blocks(random.Random(1)),
+               gen_logistics(random.Random(1))]
     for files in sources:
         hyps = bundle_from_texts(files, require_obs=False).hyps
         goals = [*hyps.goals, frozenset().union(*hyps.goals)]

@@ -95,7 +95,7 @@ def test_overlapping_deletes_are_dropped_and_counted(caplog):
 
 
 def _canonical_form_tasks():
-    bundles = [demo_grid_bundle().files] + [GENERATORS[family](random.Random(seed)).files
+    bundles = [demo_grid_bundle()] + [GENERATORS[family](random.Random(seed))
                                             for family in sorted(GENERATORS) for seed in (1, 2, 3)]
     texts = [(files["domain.pddl"], files["template.pddl"]) for files in bundles]
     texts += [_open_grid(n)[:2] for n in (8, 10, 12)]
@@ -220,7 +220,7 @@ def test_grounding_warnings_stay_off_stderr_by_default():
     code = ("import random\n"
             "from ocgr import bundle_from_texts\n"
             "from ocgr.generators import gen_blocks\n"
-            "files = gen_blocks(random.Random(1)).files\n"
+            "files = gen_blocks(random.Random(1))\n"
             "assert bundle_from_texts(dict(files), require_obs=False).task.num_actions\n")
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -345,10 +345,10 @@ EDGE_PROBLEM = """\
 
 
 def _equivalence_cases():
-    bundles = [("demo", demo_grid_bundle().files)]
+    bundles = [("demo", demo_grid_bundle())]
     for family, gen in sorted(GENERATORS.items()):
         for seed in range(3):
-            bundles.append((f"{family}-{seed}", gen(random.Random(seed)).files))
+            bundles.append((f"{family}-{seed}", gen(random.Random(seed))))
     for name, files in bundles:
         yield name, files["domain.pddl"], files["template.pddl"]
     for n in (8, 10, 12):
@@ -467,7 +467,7 @@ def test_counter_reachability_matches_fixpoint_on_random_tasks():
 def test_counter_reachability_matches_fixpoint_on_generated_tasks(family):
     rng = random.Random(3)
     for seed in range(3):
-        files = GENERATORS[family](random.Random(seed)).files
+        files = GENERATORS[family](random.Random(seed))
         dom = parse_domain(files["domain.pddl"])
         task = _ground_all(dom, parse_problem(files["template.pddl"], dom))
         assert relaxed_reachable(task) == _fixpoint_reachable(task)

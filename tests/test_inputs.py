@@ -1,8 +1,10 @@
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
+from conftest import with_template_goal
 from ocgr import inputs
 from ocgr.errors import PddlParseError
 from ocgr.generators import CORRIDOR_DOMAIN, GENERATORS, demo_grid_bundle, write_bundle
@@ -114,9 +116,9 @@ def test_goal_hypotheses_check_themselves():
         with pytest.raises(ValueError, match=re.escape(message)):
             GoalHypotheses(**kwargs)
     hyps = GoalHypotheses(goals=(goal,), lines=("(p)",))
-    assert hyps.with_hidden(0).hidden == 0
+    assert replace(hyps, hidden=0).hidden == 0
     with pytest.raises(ValueError, match="hidden index -1 out of range"):
-        hyps.with_hidden(-1)
+        replace(hyps, hidden=-1)
 
 
 def test_demo_bundle_contents(demo_bundle):
@@ -127,16 +129,44 @@ def test_demo_bundle_contents(demo_bundle):
 
 
 def test_load_bundle_from_directory(tmp_path):
-    write_bundle(tmp_path / "demo", demo_grid_bundle().files)
+    write_bundle(tmp_path / "demo", demo_grid_bundle())
     b = load_bundle(tmp_path / "demo")
-    mem = bundle_from_texts(dict(demo_grid_bundle().files))
+    mem = bundle_from_texts(dict(demo_grid_bundle()))
     assert b.task.facts == mem.task.facts
     assert b.obs.obs == mem.obs.obs
     assert b.hyps.hidden == 0
 
 
+def test_generators_return_their_bundle_files():
+    """A generator returns a plain dict of the four bundle files; the demo adds obs.dat."""
+    for family, gen in GENERATORS.items():
+        files = gen(random.Random(1))
+        assert type(files) is dict, family
+        assert sorted(files) == ["domain.pddl", "hyps.dat", "real_hyp.dat", "template.pddl"], family
+    demo = demo_grid_bundle()
+    assert type(demo) is dict
+    assert sorted(demo) == ["domain.pddl", "hyps.dat", "obs.dat", "real_hyp.dat", "template.pddl"]
+
+
+def test_a_template_goal_is_checked_then_dropped():
+    """A valid :goal leaves the task as it is without one; an invalid one
+    fails the load like any other error in the file."""
+    files = demo_grid_bundle()
+    plain = bundle_from_texts(files).task
+    goaled = bundle_from_texts(
+        {**files, "template.pddl": with_template_goal(files["template.pddl"], "(at c_1_2)")}).task
+    assert plain.goal == goaled.goal == frozenset()
+    assert _task_view(goaled) == _task_view(plain)
+    for goal, message in [("(not (at c_0_0))", "negative goal literal (:negative-preconditions) "
+                                               "(line 50, col 11)"),
+                          ("(at nowhere)", "unknown term 'nowhere' in :goal (line 50, col 11)")]:
+        template = with_template_goal(files["template.pddl"], goal)
+        with pytest.raises(PddlParseError, match=re.escape(message)):
+            bundle_from_texts({**files, "template.pddl": template})
+
+
 def test_load_bundle_missing_file(tmp_path):
-    files = dict(demo_grid_bundle().files)
+    files = dict(demo_grid_bundle())
     del files["obs.dat"]
     write_bundle(tmp_path / "partial", files)
     with pytest.raises(PddlParseError, match="obs.dat"):
@@ -181,7 +211,7 @@ def _task_view(task):
 
 
 def test_one_domain_text_is_parsed_once(parse_count):
-    files = dict(demo_grid_bundle().files)
+    files = dict(demo_grid_bundle())
     first = bundle_from_texts(files)
     # an equal text, not the same string object
     second = bundle_from_texts({**files, "domain.pddl": files["domain.pddl"].encode().decode()})
@@ -193,7 +223,7 @@ def test_one_domain_text_is_parsed_once(parse_count):
 def test_alternating_domains_ground_as_a_fresh_parse(parse_count, pair):
     if pair == "families":
         rng = random.Random(3)
-        a, b = (GENERATORS[family](rng).files for family in ("grid", "blocks"))
+        a, b = (GENERATORS[family](rng) for family in ("grid", "blocks"))
     else:
         a, b = ({"domain.pddl": domain, "template.pddl": CORRIDOR_TEMPLATE,
                  "hyps.dat": "(at s2)\n"} for domain in (CORRIDOR_DOMAIN, STAY_DOMAIN))
@@ -205,7 +235,7 @@ def test_alternating_domains_ground_as_a_fresh_parse(parse_count, pair):
 
 
 def test_unparsable_domain_raises_alike_and_keeps_the_last_good_one(parse_count):
-    good = dict(demo_grid_bundle().files)
+    good = dict(demo_grid_bundle())
     bad = {**good, "domain.pddl": "(define (domain b)\n  (:predicates (p))\n"
                                   "  (:action a :parameters () :precondition (p) :effect (q)))\n"}
     bundle_from_texts(good)

@@ -147,7 +147,7 @@ def test_search_outputs_are_pinned(demo_bundle, tmp_path):
     """The search's plans with and without floors, and the observations gen
     samples from its witness plans, stay byte for byte as pinned."""
     bundles = [demo_bundle, bundle_from_texts(ISLAND_BUNDLE, require_obs=False)]
-    bundles += [bundle_from_texts(dict(GENERATORS[family](random.Random(seed)).files),
+    bundles += [bundle_from_texts(dict(GENERATORS[family](random.Random(seed))),
                                   require_obs=False)
                 for family in sorted(GENERATORS) for seed in range(3)]
     plain, floored = [], []

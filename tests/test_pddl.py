@@ -261,7 +261,7 @@ def test_undeclared_object_type_points_at_the_type():
 def _family_files() -> list[str]:
     """Domain, template and hypothesis files of seeds 0-2 of each generator family."""
     return [text for gen in GENERATORS.values() for seed in range(3)
-            for text in gen(random.Random(seed)).files.values()]
+            for text in gen(random.Random(seed)).values()]
 
 
 def _shape(node: object) -> object:
@@ -370,7 +370,7 @@ def _parser_outcomes() -> Iterator[str]:
     """``repr`` of the DomainDef/ProblemDef or of (exception type, message) for
     1,200 token-level mutations of the four families' domain files (seed 0),
     300 of each family's template file, and one input per rejected construct."""
-    files = [GENERATORS[f](random.Random(0)).files for f in sorted(GENERATORS)]
+    files = [GENERATORS[f](random.Random(0)) for f in sorted(GENERATORS)]
     for text in _token_mutations([f["domain.pddl"] for f in files], 1200, 1) + _REJECTED_TEXTS:
         yield _outcome(parse_domain, text)
     for seed, f in enumerate(files, start=2):

@@ -119,7 +119,7 @@ def test_delta_is_derived_from_h_and_h_hc():
 def test_an_unknown_method_is_rejected_before_any_lp_is_solved(monkeypatch):
     import ocgr.recognition as rec
 
-    b = bundle_from_texts(dict(demo_grid_bundle().files))
+    b = bundle_from_texts(dict(demo_grid_bundle()))
     solves = []
     monkeypatch.setattr(rec, "solve_with", lambda *args, **solve: solves.append(args))
     with pytest.raises(ValueError,
@@ -295,7 +295,7 @@ def _replace_cases():
     """(task, hyps, obs) of the demo at 1 and 7 observations, of the one-way
     fork with both branches observed (every hypothesis infeasible), and of one
     generated noisy problem per family."""
-    demo = bundle_from_texts(dict(demo_grid_bundle().files))
+    demo = bundle_from_texts(dict(demo_grid_bundle()))
     fork = bundle_from_texts(dict(ONE_WAY_BUNDLE), require_obs=False)
     both = _obs(fork.task.action_index["walk s0 l1"], fork.task.action_index["walk s0 r1"])
     cases = [(demo.task, demo.hyps, ObservationSequence(demo.obs.obs[:k])) for k in (1, 7)]
@@ -387,7 +387,7 @@ def test_a_config_is_its_family_set(monkeypatch):
     spellings = (("lm", "nc", "ph"), ("ph", "nc", "lm"), ("lm", "lm", "nc", "ph"))
     assert RecognizerConfig(("ph", "nc", "lm")) == RecognizerConfig()
     assert all(RecognizerConfig(s).families == ALL_FAMILIES for s in spellings)
-    b = bundle_from_texts(dict(demo_grid_bundle().files))
+    b = bundle_from_texts(dict(demo_grid_bundle()))
     bases = []
     real = rec.solve_with
 
@@ -405,7 +405,7 @@ def test_a_config_is_its_family_set(monkeypatch):
 def test_rescoring_a_task_solves_each_base_lp_once(monkeypatch):
     import ocgr.recognition as rec
 
-    b = bundle_from_texts(dict(demo_grid_bundle().files))
+    b = bundle_from_texts(dict(demo_grid_bundle()))
     solves = []
     real = rec.solve_with
     monkeypatch.setattr(rec, "solve_with",
@@ -426,7 +426,7 @@ def test_reused_base_results_match_a_fresh_grounding(tmp_path):
     """Scoring one task at every level equals scoring a freshly grounded copy each time."""
     spec = SuiteSpec(families=("grid", "blocks", "logistics", "corridor"), per_family=2,
                      seed=11, observability=(100,), noise_count=1)
-    sources = [lambda: bundle_from_texts(dict(demo_grid_bundle().files))]
+    sources = [lambda: bundle_from_texts(dict(demo_grid_bundle()))]
     sources += [lambda d=d: load_bundle(d)
                 for d in materialize_suite(spec, tmp_path)]
     island, island_obs = _island()
@@ -485,7 +485,7 @@ def test_failed_base_lp_is_solved_again(monkeypatch):
         return solve_lp(lp, **solve)
 
     monkeypatch.setitem(BACKENDS, "flaky-test", flaky)
-    b = bundle_from_texts(dict(demo_grid_bundle().files))
+    b = bundle_from_texts(dict(demo_grid_bundle()))
     config = RecognizerConfig(backend="flaky-test")
     with pytest.raises(SolverFailure, match="^hypothesis 0: injected$"):
         recognize(b.task, b.hyps, b.obs, config=config)
@@ -507,14 +507,14 @@ def test_a_capped_solve_names_its_hypothesis(monkeypatch):
 
 
 def test_unknown_backend_raises_the_cli_message():
-    b = bundle_from_texts(dict(demo_grid_bundle().files))
+    b = bundle_from_texts(dict(demo_grid_bundle()))
     with pytest.raises(ValueError) as err:
         recognize(b.task, b.hyps, b.obs, config=RecognizerConfig(backend="hihgs"))
     assert str(err.value) == "unknown backend 'hihgs' (choose from scipy, simplex)"
 
 
 def test_scored_task_is_not_kept_alive():
-    b = bundle_from_texts(dict(demo_grid_bundle().files))
+    b = bundle_from_texts(dict(demo_grid_bundle()))
     task, hyps, obs = b.task, b.hyps, b.obs
     del b
     recognize(task, hyps, obs)
@@ -531,7 +531,7 @@ def test_dropped_task_frees_its_memo_and_table():
     import ocgr.grounding as grounding
 
     def scored():
-        b = bundle_from_texts(dict(demo_grid_bundle().files))
+        b = bundle_from_texts(dict(demo_grid_bundle()))
         recognize(b.task, b.hyps, b.obs)
         return b.task
 
@@ -564,7 +564,7 @@ def test_rescoring_warm_starts_every_observation_lp(monkeypatch):
     monkeypatch.setattr(rec, "solve_with", spy)
     spec = SuiteSpec(families=("grid", "blocks", "logistics", "corridor"), per_family=1,
                      seed=5, observability=(100,))
-    bundles = [bundle_from_texts(dict(demo_grid_bundle().files))] + list(generated_problems(spec))
+    bundles = [bundle_from_texts(dict(demo_grid_bundle()))] + list(generated_problems(spec))
     checked = 0
     for b in bundles:
         recognize(b.task, b.hyps, _obs())  # solves the base LPs
@@ -730,7 +730,7 @@ def test_scoring_another_task_drops_the_first_tasks_table():
     import ocgr.recognition as rec
     from ocgr.grounding import task_memo
 
-    first, second = (bundle_from_texts(dict(demo_grid_bundle().files)) for _ in range(2))
+    first, second = (bundle_from_texts(dict(demo_grid_bundle())) for _ in range(2))
     recognize(first.task, first.hyps, first.obs)
     memo = task_memo(first.task)
     kept = [weakref.ref(memo[cons._net_change].rows[0]),
@@ -751,7 +751,7 @@ def test_rows_for_another_task_between_scorings_leave_scores_unchanged():
     from ocgr.grounding import task_memo
 
     def load():
-        return bundle_from_texts(dict(demo_grid_bundle().files))
+        return bundle_from_texts(dict(demo_grid_bundle()))
 
     a, b = load(), bundle_from_texts(open_grid_bundle(8), require_obs=False)
     first = recognize(a.task, a.hyps, a.obs)
@@ -775,7 +775,7 @@ def test_no_answer_depends_on_what_was_scored_before():
                                                  for a in p.obs.obs)})
                 for p in generated_problems(spec)]
     open_grid = {**open_grid_bundle(8), "obs.dat": "(walk c0_0 c1_0)\n(walk c1_0 c1_1)\n"}
-    for texts in (dict(demo_grid_bundle().files), open_grid):
+    for texts in (dict(demo_grid_bundle()), open_grid):
         b = bundle_from_texts(texts)
         problems.append((b.task, b.hyps, b.obs, texts))
     configs = [RecognizerConfig(), RecognizerConfig(families=("lm",)),
